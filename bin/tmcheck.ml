@@ -134,12 +134,14 @@ module AM = Polytm_structs.Adapters.Make (Polytm_runtime.Sim_runtime)
 
 (* The cross-shard 2PC window (DESIGN.md §S20): one transaction writes
    [a] on shard 0 and [b] on shard 1; a spanning snapshot must observe
-   the two writes atomically.  [stabilize:false] skips the bound
-   vector's re-check pass, deliberately reintroducing the torn read
-   for the [--expect-violation] self-test. *)
-let shard_2pc_program ~stabilize () =
-  let s0 = AM.S.create ~cm:Polytm.Contention.Suicide () in
-  let s1 = AM.S.create ~cm:Polytm.Contention.Suicide () in
+   the two writes atomically.  [stabilize:false] creates both shards
+   with the [`No_stabilize] fault, which skips the bound vector's
+   re-check pass, deliberately reintroducing the torn read for the
+   [--expect-violation] self-test. *)
+let shard_2pc_program ~algo ~stabilize () =
+  let fault = if stabilize then None else Some `No_stabilize in
+  let s0 = AM.S.create ~cm:Polytm.Contention.Suicide ~algo ?fault () in
+  let s1 = AM.S.create ~cm:Polytm.Contention.Suicide ~algo ?fault () in
   let stms = [ s0; s1 ] in
   let a = AM.S.tvar s0 0 and b = AM.S.tvar s1 0 in
   let writer () =
@@ -149,8 +151,8 @@ let shard_2pc_program ~stabilize () =
   in
   let reader () =
     let av, bv =
-      AM.S.snapshot_multi ~label:"span-read"
-        ~unsafe_no_stabilize:(not stabilize) stms (fun () ->
+      AM.S.atomically_multi ~sem:Polytm.Semantics.Snapshot ~label:"span-read"
+        stms (fun () ->
           ( AM.S.atomically s0 (fun tx -> AM.S.read tx a),
             AM.S.atomically s1 (fun tx -> AM.S.read tx b) ))
     in
@@ -219,7 +221,7 @@ let scenarios : (string * string * (unit -> unit)) list =
       fun () ->
         let stm =
           AM.S.create ~cm:Polytm.Contention.Suicide
-            ~unsafe_skip_wake_validation:true ()
+            ~fault:`Skip_wake_validation ()
         in
         let q = AM.Queue.create stm in
         let got = ref None in
@@ -232,13 +234,21 @@ let scenarios : (string * string * (unit -> unit)) list =
       "a cross-shard transaction writing two shards is never read torn: \
        a concurrent spanning snapshot sees neither write or both, under \
        every schedule of the two-phase commit window",
-      fun () -> shard_2pc_program ~stabilize:true () );
+      fun () -> shard_2pc_program ~algo:`Tl2 ~stabilize:true () );
     ( "shard-2pc-broken",
       "self-test, run with --expect-violation: a spanning snapshot that \
        skips the bound vector's re-check pass can collect one shard's \
        clock before a cross-shard commit and the other's after it, \
        observing the torn intermediate state",
-      fun () -> shard_2pc_program ~stabilize:false () );
+      fun () -> shard_2pc_program ~algo:`Tl2 ~stabilize:false () );
+    ( "shard-2pc-norec",
+      "shard-2pc over NORec shards: the commit seizes each shard's \
+       sequence lock instead of locking locations",
+      fun () -> shard_2pc_program ~algo:`Norec ~stabilize:true () );
+    ( "shard-2pc-norec-broken",
+      "self-test, run with --expect-violation: shard-2pc-broken over \
+       NORec shards",
+      fun () -> shard_2pc_program ~algo:`Norec ~stabilize:false () );
   ]
 
 let scenario_t =

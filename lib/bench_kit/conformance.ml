@@ -140,7 +140,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) = struct
            differential battery would catch a broken validation. *)
         set
           (AM.stm_list ~profile:Ad.mixed_profile
-             (AM.S.create ?cm ~algo:`Norec ~unsafe_skip_validation:true ()))
+             (AM.S.create ?cm ~algo:`Norec ~fault:`Skip_validation ()))
     | "buggy-lazy-size" ->
         (* The deliberate bug: the lazy list's unsynchronised traversal
            count passed off as an atomic size.  Unlike hand-over-hand,

@@ -10,16 +10,16 @@
     lock-free with respect to every other shard.
 
     Operations that genuinely span shards (cross-shard [MULTI]
-    batches, whole-store aggregates) use the cross-instance protocols
-    the STM itself provides: {!Stm_intf.S.atomically_multi} (two-phase
-    commit over the member shard clocks, escalating to the
-    serialization tokens) and {!Stm_intf.S.snapshot_multi} (a
-    consistent bound vector).  The router's job is purely {e
-    placement}: deciding which instances are involved and keeping that
-    decision deterministic.  With [K = 1] every routed call lands on
-    the single instance and the cross-shard paths collapse to the
-    ordinary single-instance ones, so a 1-shard router is
-    behaviourally identical to no router at all.
+    batches, whole-store aggregates) run as one STM transaction over
+    several member instances: {!Stm_intf.S.atomically_multi}, whose
+    commit is a two-phase commit over the member shard clocks (and,
+    for a snapshot, whose bound is a consistent vector of them).  The
+    router's job is purely {e placement}: deciding which instances are
+    involved and keeping that decision deterministic.  With [K = 1]
+    every routed call lands on the single instance, the member list
+    has one entry, and the transaction is the ordinary single-instance
+    one, so a 1-shard router is behaviourally identical to no router
+    at all.
 
     Patterned after the per-locale descriptor tables of the Chapel
     distributed-object exemplars: a fixed array of homes plus a pure
@@ -57,13 +57,9 @@ module Make (S : Stm_intf.S) = struct
   let owner_of_hash t h = t.shards.(index_of_hash t h)
   let owner t key = t.shards.(index_of_key t key)
 
-  (* Whole-store transactions: one atomic update (or one consistent
-     snapshot) spanning every shard.  Delegates to the STM's
-     cross-instance engine; with one shard these are exactly
-     [atomically]. *)
+  (* A whole-store transaction spanning every shard — an atomic update,
+     or a consistent cut for [sem:Snapshot].  With one shard it is
+     exactly [atomically]. *)
   let atomically_all ?sem ?label ?budget t f =
     S.atomically_multi ?sem ?label ?budget (all t) f
-
-  let snapshot_all ?label ?unsafe_no_stabilize t f =
-    S.snapshot_multi ?label ?unsafe_no_stabilize (all t) f
 end

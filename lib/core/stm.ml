@@ -70,6 +70,15 @@
     [Killed] cannot occur because no per-location lock or owner is
     ever published.
 
+    {b One loop, one commit} (DESIGN.md, S20).  Every transaction —
+    [atomically], [try_atomically], irrevocable, the serial fallback
+    and a cross-instance [atomically_multi] — runs one attempt loop and
+    one commit function over its member instances.  One member is the
+    base case and issues exactly the single-instance charged
+    operations; several members add the [multi_inflight] fence,
+    publish-all-before-release-any, a snapshot's bound vector and an
+    early escalation to the serialization tokens.
+
     Extensions beyond the paper's core proposal, all exposed through
     {!Stm_intf.S}: [orelse] alternatives, early release, lifecycle
     hooks (compensations and finalisers, the basis of transactional
@@ -96,8 +105,10 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
   exception Too_many_attempts of abort_reason * int
   exception Invalid_operation of string
 
-  (* Internal control-flow signal; [atomically] is the only catcher. *)
+  (* Internal control-flow signal; the attempt loop is the only catcher. *)
   exception Abort_tx of abort_reason
+
+  type fault = [ `Skip_validation | `Skip_wake_validation | `No_stabilize ]
 
   type owner = { serial : int; killed : bool R.atomic }
 
@@ -182,17 +193,23 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     s_retry_vers : int Vec.t;
   }
 
-  (* A transaction descriptor.  One is allocated per [atomically] call
-     and re-armed across its retry attempts: the read-set arrays, the
-     write table, the window ring and the hook vectors come from the
-     thread-local pool above. *)
+  (* A transaction descriptor.  One is allocated per member instance
+     of each [atomically] call and re-armed across its retry attempts:
+     the read-set arrays, the write table, the window ring and the hook
+     vectors come from the thread-local pool above. *)
   type tx = {
     stm : t;
+    ctx : thread_ctx;  (** the calling thread's state on [stm] *)
     mutable serial : int;
     mutable sem : Semantics.t;
     mutable label : string;  (** call-site label for telemetry, "" if none *)
     mutable owner : owner;
     mutable rv : int;  (** validity timestamp *)
+    mutable wv : int;
+        (** this attempt's write version once its commit intent is
+            held and validated; -1 for a read-only member *)
+    alone : bool;
+        (** the transaction's only member: no cross-instance protocol *)
     mutable snapshot_ub : int;  (** snapshot upper bound, fixed at start *)
     r_vars : Obj.t tvar Vec.t;  (** flat read set, append order *)
     r_vers : int Vec.t;  (** versions parallel to [r_vars] *)
@@ -231,18 +248,14 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     multi_inflight : int R.atomic;
         (** cross-instance commits currently spanning this instance:
             set on every member {e before} its validation, cleared
-            after the last member unlocks.  [snapshot_multi] refuses to
-            draw a clock bound while nonzero — the privatization fence
-            that keeps a reader from observing half of a multi. *)
+            after the last member unlocks.  A cross-instance snapshot
+            refuses to draw a clock bound while nonzero — the
+            privatization fence that keeps a reader from observing half
+            of a multi. *)
     algo : [ `Tl2 | `Norec ];  (** the ownership/validation policy *)
-    skip_validation : bool;
-        (** testing backdoor: a NOrec instance that skips the value
-            comparison during revalidation — the deliberately-broken
-            backend the conformance self-test must reject *)
-    skip_wake_validation : bool;
-        (** testing backdoor: park without re-validating the wait set —
-            the classic lost-wakeup bug, kept so the Explore model
-            check can prove it would catch one *)
+    fault : fault option;
+        (** test-only deliberate bug (see [create]); [None] in every
+            real configuration *)
     waitq : Wq.t;  (** registry of parked [retry] waiters *)
     gv : [ `Gv1 | `Gv4 ];  (** write-version scheme, see [draw_wv] *)
     serials : int R.atomic;
@@ -317,24 +330,23 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
   let create ?(cm = Contention.default) ?(elastic_window = 2)
       ?(max_attempts = 10_000) ?(on_exhaustion = `Serialize)
       ?(extend_on_stale = true) ?(versions = 2) ?(gv = `Gv1)
-      ?(algo = `Tl2) ?(unsafe_skip_validation = false)
-      ?(unsafe_skip_wake_validation = false) () =
+      ?(algo = `Tl2) ?fault () =
     Contention.validate cm;
     if elastic_window < 1 then
       raise (Invalid_operation "elastic_window must be at least 1");
     if versions < 1 then
       raise (Invalid_operation "versions must be at least 1");
-    if unsafe_skip_validation && algo <> `Norec then
+    if fault = Some `Skip_validation && algo <> `Norec then
       raise
         (Invalid_operation
-           "unsafe_skip_validation is the NOrec conformance self-test knob");
+           "the `Skip_validation fault is the NOrec conformance self-test \
+            knob");
     {
       uid = Atomic.fetch_and_add instance_uids 1;
       clock = R.atomic 0;
       multi_inflight = R.atomic 0;
       algo;
-      skip_validation = unsafe_skip_validation;
-      skip_wake_validation = unsafe_skip_wake_validation;
+      fault;
       waitq = Wq.create ();
       gv;
       serials = R.atomic 0;
@@ -409,6 +421,9 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
      [R.get] — call it outside measured regions. *)
   let tvar_locked v =
     match R.get v.lock with Locked _ -> true | Unlocked _ -> false
+
+  (* Whether [stm] was created with the deliberate bug [f]. *)
+  let has_fault stm f = match stm.fault with Some g -> g == f | None -> false
 
   let elastic_window_size stm = stm.elastic_window
   let gv_scheme stm = stm.gv
@@ -819,12 +834,12 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
   (* NOrec's Validate(): wait for a quiescent clock, value-check the
      read set and the elastic window, and confirm no commit slipped in
      during the check; returns the new validity timestamp.  The
-     [skip_validation] backdoor returns a fresh timestamp without
+     [`Skip_validation] fault returns a fresh timestamp without
      checking anything — the deliberately-broken backend that loses
      updates, kept so the conformance harness can prove it would catch
      a validation bug. *)
   let norec_validate tx =
-    if tx.stm.skip_validation then norec_stable_clock tx.stm
+    if has_fault tx.stm `Skip_validation then norec_stable_clock tx.stm
     else
       let rec loop () =
         let time = norec_stable_clock tx.stm in
@@ -836,7 +851,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
 
   (* An elastic cut only needs the window to still hold. *)
   let norec_revalidate_window tx =
-    if tx.stm.skip_validation then norec_stable_clock tx.stm
+    if has_fault tx.stm `Skip_validation then norec_stable_clock tx.stm
     else
       let rec loop () =
         let time = norec_stable_clock tx.stm in
@@ -1129,6 +1144,32 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
   (* ------------------------------------------------------------------ *)
   (* Commit                                                              *)
 
+  (* One commit for one member instance or several.  A transaction
+     committing alone is the base case; a cross-instance commit (the
+     sharded store's two-phase commit, DESIGN §S20) is the same phases
+     run over every member in canonical instance order, plus the
+     [multi_inflight] fence, validation of every member (read-only
+     ones too) and publication of every member before any intent is
+     released:
+
+     - phase 1 takes each member's commit intent: TL2 write locks in
+       ascending location order, the NOrec sequence lock;
+     - phase 1b validates each member — or, alone, proves validation
+       unnecessary — drawing a TL2 writer's version first;
+     - phase 2 fires the durability hooks, publishes every member's
+       values, and only then releases the intents.
+
+     A cross-instance member never blocks on foreign state while
+     holding an intent.  Without the fence, a third transaction could
+     close a serialization cycle through an instance the commit only
+     reads — commit on a member after our validation, be observed by a
+     reader that then validates against another member we have not
+     written back yet (the privatization-safety argument, DESIGN
+     §S20).  So every member raises [multi_inflight] before phase 1,
+     validation treats a foreign raised flag as a conflict, and a
+     cross-instance snapshot refuses to draw a bound while one is
+     raised.  Alone, a transaction issues none of that traffic. *)
+
   let release_lock (WEntry w) =
     if w.locked_version >= 0 then begin
       R.set w.wvar.lock (Unlocked w.locked_version);
@@ -1162,98 +1203,205 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     if n <= 0 then []
     else match l with [] -> [] | x :: rest -> x :: take_chain (n - 1) rest
 
-  let write_back tx wv =
-    Flat_table.iter_ascending
-      (fun _ (WEntry w) ->
-        let d = R.get w.wvar.data in
-        R.set w.wvar.data
-          {
-            value = w.wvalue;
-            version = wv;
-            older =
-              take_chain (tx.stm.versions - 1) ((d.value, d.version) :: d.older);
-          };
-        record_event tx w.wvar ~is_write:true;
-        R.set w.wvar.lock (Unlocked wv);
-        w.locked_version <- -1)
-      tx.writes
+  (* NOrec commit intent for a transaction committing alone: CAS the
+     clock from the transaction's timestamp to odd; a failed CAS means
+     someone committed, so revalidate (read set by value, window by
+     version) and retry at the new timestamp.  A first-try CAS is this
+     policy's fast path: the reads were valid at [rv] and nothing has
+     committed since, so no commit-time validation is needed at all. *)
+  let rec norec_acquire_seqlock tx first =
+    if R.cas tx.stm.clock tx.rv (tx.rv + 1) then begin
+      if first then R.add_counter tx.stm.c_fast_commits 1
+    end
+    else begin
+      tx.rv <- norec_validate tx;
+      norec_acquire_seqlock tx false
+    end
 
-  (* Draw the commit's write version, validate (or prove validation
-     unnecessary), and write back.  GV1 is TL2's baseline: every write
-     commit fetch-and-adds the shared clock.  GV4 ("pass on failure")
-     CASes the clock once; when the CAS loses, another committer
-     already advanced the clock, and that newer value is adopted as
-     this commit's write version without retrying — two commits may
-     then share a wv, which is safe because per-location locks already
+  (* Seize a NOrec member's sequence lock without blocking.  A CAS from
+     the current even clock both locks out every other commit on that
+     instance and freezes its read validity; when the clock moved past
+     the member's timestamp, the read set is value-checked under the
+     held lock (the clock cannot move again), releasing on failure. *)
+  let multi_norec_seize tx =
+    let stm = tx.stm in
+    let rec go () =
+      let time = R.get stm.clock in
+      if time land 1 = 1 then abort_with Lock_busy
+      else if R.cas stm.clock time (time + 1) then begin
+        if
+          time <> tx.rv
+          && (not (has_fault stm `Skip_validation))
+          && not (norec_reads_hold tx && norec_window_holds tx)
+        then begin
+          R.set stm.clock time;
+          abort_with Read_invalid
+        end;
+        tx.rv <- time
+      end
+      else go ()
+    in
+    go ()
+
+  (* Value-validate a read-only NOrec member at a pinned even clock,
+     never waiting: while a multi holds intents on other members,
+     waiting out another instance's write-back could deadlock two
+     multis against each other, so an in-flight commit aborts this
+     attempt instead (the retry loop, and ultimately the token
+     escalation, restore progress). *)
+  let multi_norec_validate tx =
+    let stm = tx.stm in
+    if not (has_fault stm `Skip_validation) then begin
+      let time = R.get stm.clock in
+      if time land 1 = 1 then abort_with Lock_busy;
+      if not (norec_reads_hold tx) then abort_with Read_invalid;
+      if not (norec_window_holds tx) then abort_with Window_broken;
+      if R.get stm.clock <> time then abort_with Read_invalid;
+      tx.rv <- time
+    end
+
+  (* Phase 1 for one member.  Ascending id order keeps TL2 locking
+     deadlock-free; a token holder skips the kill check: a straggling
+     [Greedy] killer must not be able to abort the guaranteed serial
+     attempt.  NOrec blocks for its sequence lock only when committing
+     alone — a cross-instance member already holds intents elsewhere.
+     A NOrec writer's version is fixed by the seized timestamp. *)
+  let[@inline] intent tx =
+    match tx.stm.algo with
+    | `Tl2 ->
+        Flat_table.iter_ascending (fun _ e -> acquire tx e) tx.writes;
+        if (not tx.holds_token) && R.get tx.owner.killed then
+          abort_with Killed
+    | `Norec ->
+        if not (Flat_table.is_empty tx.writes) then begin
+          if tx.alone then norec_acquire_seqlock tx true
+          else multi_norec_seize tx;
+          tx.wv <- tx.rv + 2
+        end
+
+  (* Draw a TL2 writer's version, then validate — or prove validation
+     unnecessary.  GV1 is TL2's baseline: every write commit
+     fetch-and-adds the shared clock.  GV4 ("pass on failure") CASes
+     the clock once; when the CAS loses, another committer already
+     advanced the clock, and that newer value is adopted as this
+     commit's write version without retrying — two commits may then
+     share a wv, which is safe because per-location locks already
      serialise overlapping write sets.  The wv = rv + 1 fast path
      (nothing committed since this transaction started, reads cannot
      have been invalidated) requires the clock increment to be
      exclusively ours: a GV4 adopter always validates, since the
-     committer it shares wv with could have invalidated its reads. *)
-  (* The durability hook fires after validation succeeds and before
-     write-back: the per-location locks are still held, so no
-     dependent commit can start until this one's record is handed to
-     the logger — hook invocation order is serialization order. *)
-  let fire_commit_hook stm wv =
-    match stm.commit_hook with None -> () | Some h -> h wv
-
-  let version_and_write_back tx =
-    match tx.stm.gv with
-    | `Gv1 ->
-        let wv = R.fetch_and_add tx.stm.clock 1 + 1 in
-        if wv = tx.rv + 1 then R.add_counter tx.stm.c_fast_commits 1
-        else validate tx;
-        fire_commit_hook tx.stm wv;
-        write_back tx wv
-    | `Gv4 ->
-        let cur = R.get tx.stm.clock in
-        let wv, exclusive =
-          if R.cas tx.stm.clock cur (cur + 1) then (cur + 1, true)
-          else (R.get tx.stm.clock, false)
-        in
-        if exclusive && wv = tx.rv + 1 then
-          R.add_counter tx.stm.c_fast_commits 1
-        else validate tx;
-        fire_commit_hook tx.stm wv;
-        write_back tx wv
-
-  (* NOrec write commit: acquire the sequence lock by CASing the clock
-     from the transaction's timestamp to odd; a failed CAS means
-     someone committed, so revalidate (read set by value, window by
-     version) and retry at the new timestamp.  Write-back happens under the lock — locations are
-     stamped with the new even version for the snapshot chain, but no
-     per-location lock word is ever acquired, so no [Lock_acquire]
-     event fires and no lock spin can happen — and releasing the lock
-     publishes the new clock.  A first-try CAS is this policy's fast
-     path: the reads were valid at [rv] and nothing has committed
-     since, so no commit-time validation is needed at all. *)
-  let norec_commit_writes tx =
+     committer it shares wv with could have invalidated its reads.  A
+     cross-instance member always validates. *)
+  let[@inline] tl2_version tx =
     let stm = tx.stm in
-    let rec acquire_seqlock first =
-      if R.cas stm.clock tx.rv (tx.rv + 1) then begin
-        if first then R.add_counter stm.c_fast_commits 1
-      end
-      else begin
-        tx.rv <- norec_validate tx;
-        acquire_seqlock false
-      end
+    let exclusive =
+      match stm.gv with
+      | `Gv1 ->
+          tx.wv <- R.fetch_and_add stm.clock 1 + 1;
+          true
+      | `Gv4 ->
+          let cur = R.get stm.clock in
+          if R.cas stm.clock cur (cur + 1) then begin
+            tx.wv <- cur + 1;
+            true
+          end
+          else begin
+            tx.wv <- R.get stm.clock;
+            false
+          end
     in
-    acquire_seqlock true;
-    let wv = tx.rv + 2 in
-    fire_commit_hook stm wv;
-    Flat_table.iter_ascending
-      (fun _ (WEntry w) ->
-        let d = R.get w.wvar.data in
-        R.set w.wvar.data
-          {
-            value = w.wvalue;
-            version = wv;
-            older =
-              take_chain (stm.versions - 1) ((d.value, d.version) :: d.older);
-          };
-        record_event tx w.wvar ~is_write:true)
-      tx.writes;
-    R.set stm.clock wv
+    if tx.alone && exclusive && tx.wv = tx.rv + 1 then
+      R.add_counter stm.c_fast_commits 1
+    else validate tx
+
+  (* Phase 1b for one member, every intent held.  A seized NOrec
+     member was already value-checked under its sequence lock. *)
+  let[@inline] validate_member tx =
+    if (not tx.alone) && R.get tx.stm.multi_inflight > 1 then
+      abort_with Lock_busy;
+    match tx.stm.algo with
+    | `Tl2 ->
+        if Flat_table.is_empty tx.writes then validate tx else tl2_version tx
+    | `Norec -> if tx.wv < 0 then multi_norec_validate tx
+
+  (* A failed phase 1: TL2 locks go back to their pre-lock versions, a
+     seized NOrec sequence lock back to the timestamp it was seized
+     at. *)
+  let[@inline] abandon tx =
+    match tx.stm.algo with
+    | `Tl2 -> release_all tx
+    | `Norec -> if tx.wv >= 0 then R.set tx.stm.clock tx.rv
+
+  (* The durability hook fires after validation succeeds and before
+     write-back: the intents are still held, so no dependent commit
+     (nor, across instances, a snapshot bound) can start until this
+     commit's records are handed to the logger — hook invocation order
+     is serialization order. *)
+  let[@inline] fire_commit_hook tx =
+    if tx.wv >= 0 then
+      match tx.stm.commit_hook with None -> () | Some h -> h tx.wv
+
+  (* Publish a member's buffered writes at its write version, pushing
+     each location's previous (value, version) onto its backup chain.
+     Alone, a TL2 transaction unlocks each location as it writes it
+     back; a cross-instance member keeps every lock until all members
+     have published (see [release_intent]).  NOrec writes back under its
+     sequence lock: no per-location lock word is ever acquired, so no
+     [Lock_acquire] event fires and no lock spin can happen. *)
+  let[@inline] write_back tx =
+    let wv = tx.wv in
+    let unlock = tx.alone && tx.stm.algo = `Tl2 in
+    if wv >= 0 then
+      Flat_table.iter_ascending
+        (fun _ (WEntry w) ->
+          let d = R.get w.wvar.data in
+          R.set w.wvar.data
+            {
+              value = w.wvalue;
+              version = wv;
+              older =
+                take_chain (tx.stm.versions - 1)
+                  ((d.value, d.version) :: d.older);
+            };
+          record_event tx w.wvar ~is_write:true;
+          if unlock then begin
+            R.set w.wvar.lock (Unlocked wv);
+            w.locked_version <- -1
+          end)
+        tx.writes
+
+  (* Release a published member's intent: a cross-instance TL2
+     member's locks, NOrec's sequence lock — releasing it publishes the
+     new clock. *)
+  let[@inline] release_intent tx =
+    if tx.wv >= 0 then
+      match tx.stm.algo with
+      | `Tl2 ->
+          if not tx.alone then
+            Flat_table.iter_ascending
+              (fun _ (WEntry w) ->
+                R.set w.wvar.lock (Unlocked tx.wv);
+                w.locked_version <- -1)
+              tx.writes
+      | `Norec -> R.set tx.stm.clock tx.wv
+
+  (* Admission: while some serialized transaction (irrevocable or
+     fallback) holds a member's token, write commits stall here —
+     before taking any intent, so there is no hold-and-wait — and then
+     join the in-flight count [enter_serial_mode] drains. *)
+  let[@inline] admit tx =
+    if not tx.holds_token then
+      while R.token_held tx.stm.serial_token do
+        R.pause 4
+      done
+
+  let[@inline] join tx =
+    ignore (R.fetch_and_add tx.stm.active_commits 1);
+    if not tx.alone then ignore (R.fetch_and_add tx.stm.multi_inflight 1)
+
+  let[@inline] leave tx =
+    if not tx.alone then ignore (R.fetch_and_add tx.stm.multi_inflight (-1));
+    ignore (R.fetch_and_add tx.stm.active_commits (-1))
 
   (* Wake parked [retry]ers whose wait sets this commit may have
      enabled.  Runs after write-back, with every lock released.  The
@@ -1272,68 +1420,79 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
             tx.writes
       | `Norec -> Wq.notify_global tx.stm.waitq
 
-  let commit tx =
-    if Flat_table.is_empty tx.writes then begin
-      (* Read-only transactions of every semantics commit for free —
-         no clock fetch-and-add, no locks: every read was validated
-         against a single coherent timestamp when it happened. *)
-      R.add_counter tx.stm.c_ro_commits 1;
-      match tx.stm.telemetry with
-      | None -> ()
-      | Some s ->
-          let reads, _ = tx_sets tx in
-          send tx s (T.Commit { reads; writes = 0; lock_hold = 0 })
-    end
+  (* Read-only transactions of every semantics commit for free — no
+     clock fetch-and-add, no locks: every read was validated against a
+     single coherent timestamp when it happened (a lone member's armed
+     clock, or a cross-instance snapshot's bound vector).  Read-only
+     members of a cross-instance update still go through validation:
+     their timestamps were drawn independently. *)
+  let ro_commit tx =
+    R.add_counter tx.stm.c_ro_commits 1;
+    match tx.stm.telemetry with
+    | None -> ()
+    | Some s ->
+        let reads, _ = tx_sets tx in
+        send tx s (T.Commit { reads; writes = 0; lock_hold = 0 })
+
+  (* Each phase runs on every member in canonical order: a direct call
+     for a lone member (passing the phase to a helper would make it an
+     indirect call on the hottest path there is). *)
+  let commit txs =
+    let lead = txs.(0) in
+    let one = lead.alone in
+    if
+      if one then Flat_table.is_empty lead.writes
+      else lead.sem = Semantics.Snapshot
+    then (if one then ro_commit lead else Array.iter ro_commit txs)
     else begin
-      (* Serial mode: while some serialized transaction (irrevocable
-         or fallback) holds the token, ordinary write commits stall
-         here — before taking any lock, so there is no hold-and-wait. *)
-      if not tx.holds_token then
-        while R.token_held tx.stm.serial_token do
-          R.pause 4
-        done;
-      ignore (R.fetch_and_add tx.stm.active_commits 1);
+      if one then admit lead else Array.iter admit txs;
+      if one then join lead else Array.iter join txs;
       let t_acquire =
-        match tx.stm.telemetry with None -> 0 | Some _ -> R.now ()
+        match lead.stm.telemetry with None -> 0 | Some _ -> R.now ()
       in
       match
-        match tx.stm.algo with
-        | `Norec -> norec_commit_writes tx
-        | `Tl2 ->
-            (* Ascending id order keeps locking deadlock-free.  A token
-               holder skips the kill check: a straggling [Greedy] killer
-               must not be able to abort the guaranteed serial attempt. *)
-            Flat_table.iter_ascending (fun _ e -> acquire tx e) tx.writes;
-            if (not tx.holds_token) && R.get tx.owner.killed then
-              abort_with Killed;
-            version_and_write_back tx
+        if one then intent lead else Array.iter intent txs;
+        if one then validate_member lead
+        else Array.iter validate_member txs
       with
-      | () ->
-          ignore (R.fetch_and_add tx.stm.active_commits (-1));
-          (match tx.stm.telemetry with
-          | None -> ()
-          | Some s ->
-              let reads, writes = tx_sets tx in
-              send tx s
-                (T.Commit { reads; writes; lock_hold = R.now () - t_acquire }));
-          notify_waiters tx
       | exception e ->
-          release_all tx;
-          ignore (R.fetch_and_add tx.stm.active_commits (-1));
+          if one then abandon lead else Array.iter abandon txs;
+          if one then leave lead else Array.iter leave txs;
           raise e
+      | () ->
+          if one then fire_commit_hook lead
+          else Array.iter fire_commit_hook txs;
+          if one then write_back lead else Array.iter write_back txs;
+          if one then release_intent lead
+          else Array.iter release_intent txs;
+          if one then leave lead else Array.iter leave txs;
+          for i = 0 to Array.length txs - 1 do
+            let tx = txs.(i) in
+            (match tx.stm.telemetry with
+            | None -> ()
+            | Some s ->
+                let reads, writes = tx_sets tx in
+                let lock_hold = R.now () - t_acquire in
+                send tx s (T.Commit { reads; writes; lock_hold }));
+            if tx.wv >= 0 then notify_waiters tx
+          done
     end
 
   (* ------------------------------------------------------------------ *)
   (* The transaction loop                                                *)
 
-  let fresh_tx stm s sem label =
+  let fresh_tx ~alone stm ctx sem label =
+    let s = ctx.stores in
     {
       stm;
+      ctx;
       serial = -1;
       sem;
       label;
       owner = dummy_owner;
       rv = 0;
+      wv = -1;
+      alone;
       snapshot_ub = 0;
       r_vars = s.sr_vars;
       r_vers = s.sr_vers;
@@ -1370,6 +1529,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
        | `Tl2 -> R.get tx.stm.clock
        | `Norec -> norec_stable_clock tx.stm);
     tx.snapshot_ub <- tx.rv;
+    tx.wv <- -1;
     Vec.clear tx.r_vars;
     Vec.clear tx.r_vers;
     Vec.clear tx.r_vals;
@@ -1399,9 +1559,9 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
      until the token is released, so the holder's reads can (almost)
      never be invalidated.  "Almost": a committer that passed the
      token stall before we took the token may still be drained here
-     while holding locks, so one serial-fallback attempt can lose a
-     race and retry — see [serial_fallback], which keeps the token
-     across that retry so the second attempt truly runs alone. *)
+     while holding locks, so one serialized attempt can lose a race
+     and retry — see [after_abort], which re-enters before that retry
+     so the second attempt truly runs alone. *)
   let enter_serial_mode stm =
     let rec take () =
       if not (R.token_try_acquire stm.serial_token) then begin
@@ -1500,9 +1660,13 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
      wait-set entry against its lock word ([Locked] counts as changed:
      the committer is writing that very location); NOrec can only
      compare the clock against the timestamp the aborted attempt was
-     valid at — coarser, but wrong only towards extra re-runs. *)
-  let park_for_wakeup stm ctx tx ~deadline ~wvars ~wvers ~wrv =
-    let w = ctx.waiter in
+     valid at — coarser, but wrong only towards extra re-runs.  The
+     [`Skip_wake_validation] fault parks without re-validating: the
+     classic lost-wakeup bug, kept so the Explore model check can prove
+     it would catch one. *)
+  let park_for_wakeup tx ~deadline ~wvars ~wvers ~wrv =
+    let stm = tx.stm in
+    let w = tx.ctx.waiter in
     R.park_prepare w.Wq.parker;
     (match stm.algo with
     | `Tl2 ->
@@ -1510,7 +1674,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
           (Array.map (fun (v : Obj.t tvar) -> v.id) wvars)
     | `Norec -> Wq.register_global stm.waitq w);
     let unchanged =
-      if stm.skip_wake_validation then true
+      if has_fault stm `Skip_wake_validation then true
       else
         match stm.algo with
         | `Tl2 ->
@@ -1541,279 +1705,312 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     Wq.cancel stm.waitq w;
     result
 
+  (* The bound vector of a cross-instance snapshot, from a double
+     collect: pass 1 draws every member's stable clock while that
+     member has no serial-token holder and no cross-instance commit in
+     flight; pass 2 re-checks that every member's clock and both flags
+     are unchanged.  Success means every bound was simultaneously
+     current throughout a common interval (between the end of pass 1
+     and the start of pass 2), so the vector is a consistent cut of
+     the whole store; per-location in-flight write-backs below a bound
+     are absorbed by the ordinary snapshot reads.  A member created
+     with the [`No_stabilize] fault skips its pass-2 re-check — the
+     deliberately-torn ordering the Explore model check must catch. *)
+  let snapshot_collect txs =
+    let k = Array.length txs in
+    let stable_clock (stm : t) =
+      match stm.algo with
+      | `Tl2 -> R.get stm.clock
+      | `Norec -> norec_stable_clock stm
+    in
+    let quiescent (stm : t) =
+      (not (R.token_held stm.serial_token)) && R.get stm.multi_inflight = 0
+    in
+    let rec collect () =
+      for i = 0 to k - 1 do
+        let stm = txs.(i).stm in
+        while not (quiescent stm) do
+          R.pause 2
+        done;
+        txs.(i).snapshot_ub <- stable_clock stm
+      done;
+      let ok = ref true in
+      for i = 0 to k - 1 do
+        let tx = txs.(i) in
+        if
+          not
+            (has_fault tx.stm `No_stabilize
+            || (quiescent tx.stm && stable_clock tx.stm = tx.snapshot_ub))
+        then ok := false
+      done;
+      if not !ok then begin
+        R.pause 2;
+        collect ()
+      end
+    in
+    collect ();
+    Array.iter (fun tx -> tx.rv <- tx.snapshot_ub) txs
+
+  (* One call's settings.  Every entry point — [atomically],
+     [try_atomically], irrevocable execution and the cross-instance
+     forms — runs this loop; what differs is the member count and
+     these fields.  The serial fallback is the same loop after it took
+     the members' serialization tokens. *)
+  type 'a run = {
+    txs : tx array;
+        (** one descriptor per member instance, canonical order,
+            re-armed every attempt *)
+    body : tx -> 'a;  (** applied to the first member's descriptor *)
+    cap : int;  (** optimistic attempts before exhaustion *)
+    deadline : int option;
+    escalates : bool;
+        (** conflict exhaustion (or the adaptive CM) takes the
+            serialization tokens rather than giving up *)
+    irrevocable : bool;  (** holds the tokens from the first attempt *)
+  }
+
+  (* Arm every member for attempt [n] and enter its extent.  A
+     cross-instance snapshot then replaces the armed clocks with a
+     consistent bound vector (under the tokens the armed clocks already
+     are one: nothing can commit). *)
+  let[@inline] arm r n ~token =
+    let txs = r.txs in
+    for i = 0 to Array.length txs - 1 do
+      let tx = txs.(i) in
+      arm_tx tx;
+      tx.attempt <- n;
+      tx.holds_token <- token;
+      R.add_counter tx.stm.c_starts 1;
+      emit_begin tx n;
+      if token then emit_serialize tx n;
+      tx.ctx.cur_tx <- Some tx
+    done;
+    if (not txs.(0).alone) && (not token) && txs.(0).sem = Semantics.Snapshot
+    then snapshot_collect txs
+
+  (* Leave the attempt's extent; a serialized attempt then releases the
+     tokens (reverse canonical order) — before any hook runs: a hook
+     may itself run a transaction on a member, and a write commit made
+     from under the token would stall on the holder, ourselves. *)
+  let[@inline] finish r ~token =
+    let txs = r.txs in
+    for i = 0 to Array.length txs - 1 do
+      txs.(i).live <- false;
+      txs.(i).ctx.cur_tx <- None
+    done;
+    if token then
+      for i = Array.length txs - 1 downto 0 do
+        exit_serial_mode txs.(i).stm
+      done
+
+  let enter_serial r = Array.iter (fun tx -> enter_serial_mode tx.stm) r.txs
+
+  let account_commit tx =
+    R.add_counter tx.stm.c_commits 1;
+    if not tx.alone then R.add_counter tx.stm.c_multi_commits 1;
+    if tx.holds_token then R.add_counter tx.stm.c_serial_commits 1
+
   (* Abort accounting — history record, counters, telemetry — always
      runs before the lifecycle hooks, on every exit path: a hook may
      itself raise (or run a transaction that inspects the stats), and
      an attempt must never vanish from the books because its hook
-     blew up.  The abort-event set sizes are still captured first,
-     before anything can reuse the pooled stores. *)
+     blew up.  The abort-event set sizes are captured first, before
+     anything can reuse the pooled stores. *)
+  let account_abort r reason =
+    for i = 0 to Array.length r.txs - 1 do
+      let tx = r.txs.(i) in
+      let sets = abort_sets tx in
+      record_aborted tx;
+      R.add_counter tx.stm.c_aborts 1;
+      R.add_counter (abort_counter tx.stm reason) 1;
+      emit_abort tx reason sets
+    done
 
-  (* One guaranteed attempt under the serialization token, entered when
-     a transaction's optimistic retry budget is spent (or the adaptive
-     CM decides optimism is hopeless).  With the token held and
-     in-flight commits drained, no other transaction can commit, so
-     the attempt cannot lose a conflict — except to a committer that
-     had already passed the token stall when the token was taken.
-     Such stragglers can abort at most the first serial attempt (the
-     drain in [enter_serial_mode] waits them out), and the retry
-     reacquires the token, so a later attempt runs alone.
+  let exhausted r n reason =
+    for i = 0 to Array.length r.txs - 1 do
+      let tx = r.txs.(i) in
+      R.add_counter tx.stm.c_budget_exhaustions 1;
+      emit_budget_exhausted tx ~attempts:n reason
+    done
 
-     Hooks never run while the token is held: a hook may itself run a
-     transaction on this instance, and a write commit made from under
-     the token would stall on the holder — ourselves.  Every path
-     releases the token before invoking hooks; the conflict-retry path
-     re-enters afterwards. *)
-  let serial_fallback stm ctx sem label f n0 =
-    enter_serial_mode stm;
-    let tx = fresh_tx stm ctx.stores sem label in
-    let rec go n =
-      arm_tx tx;
-      tx.attempt <- n;
-      tx.holds_token <- true;
-      R.add_counter stm.c_starts 1;
-      emit_begin tx n;
-      emit_serialize tx n;
-      ctx.cur_tx <- Some tx;
-      let cleanup () =
-        tx.live <- false;
-        ctx.cur_tx <- None
-      in
-      match
-        let result = f tx in
-        commit tx;
-        result
-      with
-      | result ->
-          cleanup ();
-          exit_serial_mode stm;
-          R.add_counter stm.c_commits 1;
-          R.add_counter stm.c_serial_commits 1;
-          run_hooks tx ~aborted:false;
-          result
-      | exception Abort_tx reason ->
-          let sets = abort_sets tx in
-          cleanup ();
-          record_aborted tx;
-          R.add_counter stm.c_aborts 1;
-          R.add_counter (abort_counter stm reason) 1;
-          emit_abort tx reason sets;
-          exit_serial_mode stm;
-          run_hooks tx ~aborted:true;
-          (match reason with
-          | Explicit ->
-              (* A user abort is a decision, not contention: the token
-                 cannot make it commit.  The budget was already spent,
-                 so surface the exhaustion. *)
-              raise (Too_many_attempts (Explicit, n))
-          | _ ->
-              enter_serial_mode stm;
-              go (n + 1))
-      | exception e ->
-          let sets = abort_sets tx in
-          cleanup ();
-          record_aborted tx;
-          R.add_counter stm.c_aborts 1;
-          R.add_counter stm.c_explicit 1;
-          emit_abort tx Explicit sets;
-          exit_serial_mode stm;
-          run_hooks tx ~aborted:true;
-          raise e
-    in
-    go n0
+  let[@inline] run_all_hooks r ~aborted =
+    for i = 0 to Array.length r.txs - 1 do
+      run_hooks r.txs.(i) ~aborted
+    done
 
-  (* The optimistic retry loop shared by [atomically] (which unwraps
-     the outcome, raising on exhaustion) and [try_atomically] (which
-     returns it).  [serial_ok] gates the serial fallback: the
-     structured API never serializes — it hands the exhaustion back to
-     the caller as data instead. *)
-  let run_optimistic (type a) stm ctx sem label ~budget ~deadline ~serial_ok
-      (f : tx -> a) : a outcome =
-    let cap =
-      match budget with Some b -> max 1 b | None -> stm.max_attempts
-    in
-    let past_deadline () =
-      match deadline with Some d -> R.now () >= d | None -> false
-    in
-    (* One descriptor for the whole call, re-armed across attempts. *)
-    let tx = fresh_tx stm ctx.stores sem label in
-    let rec attempt n =
-      arm_tx tx;
-      tx.attempt <- n;
-      R.add_counter stm.c_starts 1;
-      emit_begin tx n;
-      ctx.cur_tx <- Some tx;
-      let cleanup () =
-        tx.live <- false;
-        ctx.cur_tx <- None
-      in
-      match
-        let result = f tx in
-        commit tx;
-        result
-      with
-      | result ->
-          cleanup ();
-          R.add_counter stm.c_commits 1;
-          run_hooks tx ~aborted:false;
-          Committed result
-      | exception Abort_tx reason ->
-          let sets = abort_sets tx in
-          (* The wait set must also outlive the pooled stores (hooks,
-             next arming); capture alongside the abort-event sets. *)
-          let wait =
-            match reason with
-            | Retry -> Some (capture_wait_set tx)
-            | _ -> None
-          in
-          cleanup ();
-          record_aborted tx;
-          R.add_counter stm.c_aborts 1;
-          R.add_counter (abort_counter stm reason) 1;
-          emit_abort tx reason sets;
-          run_hooks tx ~aborted:true;
-          decide n reason wait
-      | exception e ->
-          (* User exception: discard effects, count the attempt as
-             aborted, propagate. *)
-          let sets = abort_sets tx in
-          cleanup ();
-          record_aborted tx;
-          R.add_counter stm.c_aborts 1;
-          R.add_counter stm.c_explicit 1;
-          emit_abort tx Explicit sets;
-          run_hooks tx ~aborted:true;
-          raise e
-    (* After an aborted attempt [n]: give up, serialize, park, or back
-       off and go round again.  [Explicit] aborts never serialize — the
-       token cannot change a user's decision to abort — and a deadline
-       outranks the budget: the caller asked to be done by then. *)
-    and decide n reason wait =
+  let past_deadline = function Some d -> R.now () >= d | None -> false
+
+  let rec attempt r n ~token =
+    arm r n ~token;
+    match
+      let result = r.body r.txs.(0) in
+      commit r.txs;
+      result
+    with
+    | result ->
+        finish r ~token;
+        Array.iter account_commit r.txs;
+        run_all_hooks r ~aborted:false;
+        Committed result
+    | exception Abort_tx reason ->
+        (* The wait set must also outlive the pooled stores (hooks,
+           next arming); capture it before anything runs. *)
+        let wait =
+          if reason = Retry && r.txs.(0).alone then
+            Some (capture_wait_set r.txs.(0))
+          else None
+        in
+        account_abort r reason;
+        finish r ~token;
+        run_all_hooks r ~aborted:true;
+        after_abort r n reason wait ~token
+    | exception e ->
+        (* User exception: discard effects, count the attempt as
+           aborted, propagate. *)
+        account_abort r Explicit;
+        finish r ~token;
+        run_all_hooks r ~aborted:true;
+        raise e
+
+  (* After an aborted attempt [n]: give up, serialize, park, or back
+     off and go round again.  Under the tokens, only a committer that
+     had already passed the token stall when they were taken can abort
+     an attempt; [enter_serial_mode] drains it, so the re-entered
+     retry runs alone.  [Explicit] aborts never serialize — the token
+     cannot change a user's decision to abort — and a deadline
+     outranks the budget: the caller asked to be done by then. *)
+  and after_abort r n reason wait ~token =
+    let lead = r.txs.(0).stm in
+    if token then
+      if r.irrevocable then
+        raise
+          (Invalid_operation "explicit abort inside an irrevocable transaction")
+      else if reason = Explicit then Exhausted { reason; attempts = n }
+      else begin
+        enter_serial r;
+        attempt r (n + 1) ~token:true
+      end
+    else
+      let serializes = r.escalates && reason <> Explicit && reason <> Retry in
       match wait with
-      | Some (wvars, wvers, wrv) ->
+      | None when reason = Retry ->
+          raise
+            (Invalid_operation
+               "retry inside a cross-instance transaction (a parked waiter \
+                cannot span instances)")
+      | Some (wvars, _, _) when Array.length wvars = 0 ->
+          raise
+            (Invalid_operation
+               "retry with an empty read set would wait forever")
+      | _ when past_deadline r.deadline ->
+          Deadline_exceeded { reason; attempts = n }
+      | _ when n >= r.cap ->
+          exhausted r n reason;
+          if serializes then escalate r (n + 1)
+          else Exhausted { reason; attempts = n }
+      | Some (wvars, wvers, wrv) -> (
           (* A [retry] waiter.  Never serialized: a parked token holder
-             would stall every committer, including its own waker.  An
-             exhausted or deadline-bounded waiter surfaces as data. *)
-          if Array.length wvars = 0 then
-            raise
-              (Invalid_operation
-                 "retry with an empty read set would wait forever")
-          else if past_deadline () then
-            Deadline_exceeded { reason; attempts = n }
-          else if n >= cap then begin
-            R.add_counter stm.c_budget_exhaustions 1;
-            emit_budget_exhausted tx ~attempts:n reason;
-            Exhausted { reason; attempts = n }
-          end
-          else begin
-            match park_for_wakeup stm ctx tx ~deadline ~wvars ~wvers ~wrv with
-            | `Woken -> attempt (n + 1)
-            | `Timeout -> Deadline_exceeded { reason; attempts = n }
-          end
+             would stall every committer, including its own waker. *)
+          let deadline = r.deadline in
+          match park_for_wakeup r.txs.(0) ~deadline ~wvars ~wvers ~wrv with
+          | `Woken -> attempt r (n + 1) ~token:false
+          | `Timeout -> Deadline_exceeded { reason; attempts = n })
       | None ->
-          if past_deadline () then Deadline_exceeded { reason; attempts = n }
-          else if n >= cap then begin
-            R.add_counter stm.c_budget_exhaustions 1;
-            emit_budget_exhausted tx ~attempts:n reason;
-            if serial_ok && reason <> Explicit && stm.on_exhaustion = `Serialize
-            then Committed (serial_fallback stm ctx sem label f (n + 1))
-            else Exhausted { reason; attempts = n }
-          end
-          else if
-            serial_ok && reason <> Explicit
-            && Contention.serializes_at stm.cm ~attempt:n
-                 ~abort_rate_pct:(abort_rate_pct stm)
-          then begin
+          if
+            serializes
+            && Contention.serializes_at lead.cm ~attempt:n
+                 ~abort_rate_pct:(abort_rate_pct lead)
+          then
             (* The adaptive CM concluded optimism is hopeless before the
                budget ran out. *)
-            Committed (serial_fallback stm ctx sem label f (n + 1))
-          end
+            escalate r (n + 1)
           else begin
-            let pause = Contention.retry_pause stm.cm ~attempt:n in
+            let pause = Contention.retry_pause lead.cm ~attempt:n in
             if pause > 0 then R.pause pause;
-            attempt (n + 1)
+            attempt r (n + 1) ~token:false
           end
+
+  (* The serial fallback: take every member's serialization token in
+     canonical order, drain in-flight commits, and re-run with a commit
+     that cannot lose a conflict (bar the straggler race above), so no
+     workload can livelock a transaction out of existence. *)
+  and escalate r n =
+    if not r.txs.(0).alone then
+      Array.iter (fun tx -> R.add_counter tx.stm.c_multi_escalations 1) r.txs;
+    enter_serial r;
+    attempt r n ~token:true
+
+  (* The optimistic budget before a cross-instance transaction
+     escalates.  Deliberately small for updates: a multi's conflict
+     window spans every member, so a few rounds of backoff tell us what
+     thousands would.  A snapshot's redraws are cheap — only a
+     sustained update storm outrunning the backup chains gets that
+     far. *)
+  let multi_optimistic_cap = 16
+  let multi_snapshot_cap = 64
+
+  let start ~raising ~irrevocable ~budget ~deadline txs body =
+    let lead = txs.(0).stm in
+    let r =
+      {
+        txs;
+        body;
+        cap =
+          (match budget with
+          | Some b -> max 1 b
+          | None ->
+              if txs.(0).alone then lead.max_attempts
+              else if txs.(0).sem = Semantics.Snapshot then multi_snapshot_cap
+              else multi_optimistic_cap);
+        deadline;
+        (* A caller's budget is a hard limit for the structured form;
+           otherwise exhaustion follows the instance's policy. *)
+        escalates =
+          (raising || Option.is_none budget) && lead.on_exhaustion = `Serialize;
+        irrevocable;
+      }
     in
-    attempt 1
+    if irrevocable then begin
+      enter_serial r;
+      attempt r 1 ~token:true
+    end
+    else attempt r 1 ~token:false
+
+  let[@inline] value = function
+    | Committed result -> result
+    | Exhausted { reason; attempts } | Deadline_exceeded { reason; attempts } ->
+        raise (Too_many_attempts (reason, attempts))
 
   let atomically ?(sem = Semantics.Classic) ?(irrevocable = false)
       ?(label = "") ?budget ?deadline stm f =
     let ctx = R.tls_get stm.current in
     match ctx.cur_tx with
-    | Some outer when outer.live && outer.stm == stm ->
+    | Some outer when outer.live ->
         (* Flat nesting: the outer label prevails (Section 4.2). *)
         let (_ : Semantics.t) = Semantics.compose ~outer:outer.sem ~inner:sem in
         f outer
-    | Some _ | None when irrevocable ->
-        if sem = Semantics.Snapshot then
+    | Some _ | None ->
+        if irrevocable && sem = Semantics.Snapshot then
           raise
             (Invalid_operation "irrevocable snapshot transactions are pointless");
-        enter_serial_mode stm;
-        let tx = fresh_tx stm ctx.stores sem label in
-        arm_tx tx;
-        tx.attempt <- 1;
-        tx.holds_token <- true;
-        R.add_counter stm.c_starts 1;
-        emit_begin tx 1;
-        ctx.cur_tx <- Some tx;
-        let cleanup () =
-          tx.live <- false;
-          ctx.cur_tx <- None;
-          exit_serial_mode stm
-        in
-        (match
-           let result = f tx in
-           commit tx;
-           result
-         with
-        | result ->
-            cleanup ();
-            R.add_counter stm.c_commits 1;
-            R.add_counter stm.c_serial_commits 1;
-            run_hooks tx ~aborted:false;
-            result
-        | exception Abort_tx reason ->
-            let sets = abort_sets tx in
-            cleanup ();
-            record_aborted tx;
-            R.add_counter stm.c_aborts 1;
-            R.add_counter (abort_counter stm reason) 1;
-            emit_abort tx reason sets;
-            run_hooks tx ~aborted:true;
-            raise
-              (Invalid_operation
-                 "explicit abort inside an irrevocable transaction")
-        | exception e ->
-            (* A user exception: with the world stopped, conflict
-               aborts are impossible, so nothing else reaches here. *)
-            let sets = abort_sets tx in
-            cleanup ();
-            record_aborted tx;
-            R.add_counter stm.c_aborts 1;
-            R.add_counter stm.c_explicit 1;
-            emit_abort tx Explicit sets;
-            run_hooks tx ~aborted:true;
-            raise e)
-    | Some _ | None -> (
-        match
-          run_optimistic stm ctx sem label ~budget ~deadline ~serial_ok:true f
-        with
-        | Committed result -> result
-        | Exhausted { reason; attempts } ->
-            raise (Too_many_attempts (reason, attempts))
-        | Deadline_exceeded { reason; attempts } ->
-            raise (Too_many_attempts (reason, attempts)))
+        value
+          (start ~raising:true ~irrevocable ~budget ~deadline
+             [| fresh_tx ~alone:true stm ctx sem label |]
+             f)
 
   let try_atomically ?(sem = Semantics.Classic) ?(label = "") ?budget
       ?deadline stm f =
     let ctx = R.tls_get stm.current in
     match ctx.cur_tx with
-    | Some outer when outer.live && outer.stm == stm ->
+    | Some outer when outer.live ->
         (* Flat nesting joins the outer transaction; its fate is the
            outer call's to report. *)
         let (_ : Semantics.t) = Semantics.compose ~outer:outer.sem ~inner:sem in
         Committed (f outer)
     | Some _ | None ->
-        run_optimistic stm ctx sem label ~budget ~deadline ~serial_ok:false f
+        start ~raising:false ~irrevocable:false ~budget ~deadline
+          [| fresh_tx ~alone:true stm ctx sem label |]
+          f
 
   (* ------------------------------------------------------------------ *)
   (* Cross-instance transactions — the sharded store's commit engine     *)
@@ -1835,610 +2032,70 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     done;
     Array.sub arr 0 !uniq
 
-  (* Value-validate a read-only NOrec member at a pinned even clock,
-     never waiting: while a multi holds intents on other members,
-     waiting out another instance's write-back could deadlock two
-     multis against each other, so an in-flight commit aborts this
-     attempt instead (the retry loop, and ultimately the token
-     escalation, restore progress). *)
-  let multi_norec_validate tx =
-    let stm = tx.stm in
-    if not stm.skip_validation then begin
-      let time = R.get stm.clock in
-      if time land 1 = 1 then abort_with Lock_busy;
-      if not (norec_reads_hold tx) then abort_with Read_invalid;
-      if not (norec_window_holds tx) then abort_with Window_broken;
-      if R.get stm.clock <> time then abort_with Read_invalid;
-      tx.rv <- time
+  let multi ~raising ?(sem = Semantics.Classic) ?(label = "") ?budget
+      ?deadline ?bounds stms f =
+    let members = canonical_instances stms in
+    if Array.length members = 0 then
+      raise (Invalid_operation "atomically_multi: no instances");
+    let ctxs = Array.map (fun (stm : t) -> R.tls_get stm.current) members in
+    let live (ctx : thread_ctx) =
+      match ctx.cur_tx with Some o -> o.live | None -> false
+    in
+    (* [bounds] receives each member's clock bound: for a snapshot, the
+       cut vector the checkpointer hands to log compaction. *)
+    let put_bounds txs =
+      match bounds with
+      | None -> ()
+      | Some b ->
+          b := Array.to_list (Array.map (fun t -> (t.stm, t.snapshot_ub)) txs)
+    in
+    if Array.for_all live ctxs then begin
+      (* Every member already carries a live transaction: an enclosing
+         transaction spans (at least) these instances, so this call
+         flattens into it exactly as a nested [atomically] flattens
+         into its outer transaction — the enclosing commit provides the
+         atomicity, and its bounds the cut.  This is what lets a
+         sharded structure's aggregate run unchanged inside a
+         cross-shard [MULTI]. *)
+      let result = f () in
+      put_bounds (Array.map (fun ctx -> Option.get ctx.cur_tx) ctxs);
+      Committed result
     end
-
-  (* Seize a NOrec member's sequence lock without blocking.  A CAS from
-     the current even clock both locks out every other commit on that
-     instance and freezes its read validity; when the clock moved past
-     the member's timestamp, the read set is value-checked under the
-     held lock (the clock cannot move again), releasing on failure. *)
-  let multi_norec_seize tx =
-    let stm = tx.stm in
-    let rec go () =
-      let time = R.get stm.clock in
-      if time land 1 = 1 then abort_with Lock_busy
-      else if R.cas stm.clock time (time + 1) then begin
-        if
-          time <> tx.rv
-          && (not stm.skip_validation)
-          && not (norec_reads_hold tx && norec_window_holds tx)
-        then begin
-          R.set stm.clock time;
-          abort_with Read_invalid
-        end;
-        tx.rv <- time
-      end
-      else go ()
-    in
-    go ()
-
-  (* The TL2 pieces of [write_back]/[version_and_write_back], split so
-     a multi can publish EVERY member's values before releasing ANY
-     lock.  No fast path: a multi always validated in phase 1b, so the
-     wv draw never needs the exclusive-increment proof. *)
-  let multi_draw_wv tx =
-    match tx.stm.gv with
-    | `Gv1 -> R.fetch_and_add tx.stm.clock 1 + 1
-    | `Gv4 ->
-        let cur = R.get tx.stm.clock in
-        if R.cas tx.stm.clock cur (cur + 1) then cur + 1
-        else R.get tx.stm.clock
-
-  let multi_write_back tx wv =
-    Flat_table.iter_ascending
-      (fun _ (WEntry w) ->
-        let d = R.get w.wvar.data in
-        R.set w.wvar.data
-          {
-            value = w.wvalue;
-            version = wv;
-            older =
-              take_chain (tx.stm.versions - 1) ((d.value, d.version) :: d.older);
-          };
-        record_event tx w.wvar ~is_write:true)
-      tx.writes
-
-  let multi_unlock tx wv =
-    Flat_table.iter_ascending
-      (fun _ (WEntry w) ->
-        R.set w.wvar.lock (Unlocked wv);
-        w.locked_version <- -1)
-      tx.writes
-
-  (* Commit a cross-instance transaction: two-phase commit over the
-     member instances' clocks.  Phase 1 acquires every member's commit
-     intent in canonical order — TL2 write locks in ascending location
-     order, the NOrec sequence lock — then validates every member,
-     including read-only ones, refusing to block on foreign state
-     while holding any intent.  Phase 2 is the commit point: draw each
-     member's write version, publish every member's values, and only
-     then release any intent, so no reader can observe one member's
-     writes without the others'.
-
-     [multi_inflight] is raised on every member before validation and
-     dropped after the last release.  Validation treats a foreign
-     raised flag as a conflict, and [snapshot_multi] refuses to draw a
-     bound while one is raised: without that fence, a third
-     transaction could close a serialization cycle through an instance
-     this multi only reads — commit on a member after our validation,
-     be observed by a reader that then validates against another
-     member we have not written back yet (the privatization-safety
-     argument, DESIGN §S20). *)
-  let multi_commit txs =
-    let n = Array.length txs in
-    (* Admission, member order: respect a serial-token holder (before
-       holding any intent — no hold-and-wait), then join the in-flight
-       count [enter_serial_mode] drains, and raise the flag. *)
-    Array.iter
-      (fun tx ->
-        if not tx.holds_token then
-          while R.token_held tx.stm.serial_token do
-            R.pause 4
-          done)
-      txs;
-    Array.iter
-      (fun tx ->
-        ignore (R.fetch_and_add tx.stm.active_commits 1);
-        ignore (R.fetch_and_add tx.stm.multi_inflight 1))
-      txs;
-    let seized = Array.make n false in
-    let leave () =
-      Array.iter
-        (fun tx ->
-          ignore (R.fetch_and_add tx.stm.multi_inflight (-1));
-          ignore (R.fetch_and_add tx.stm.active_commits (-1)))
-        txs
-    in
-    let release_intents () =
-      Array.iteri
-        (fun i tx ->
-          match tx.stm.algo with
-          | `Tl2 -> release_all tx
-          | `Norec -> if seized.(i) then R.set tx.stm.clock tx.rv)
-        txs
-    in
-    match
-      (* Phase 1: intents, canonical instance order. *)
-      Array.iteri
-        (fun i tx ->
-          match tx.stm.algo with
-          | `Tl2 ->
-              Flat_table.iter_ascending (fun _ e -> acquire tx e) tx.writes;
-              if (not tx.holds_token) && R.get tx.owner.killed then
-                abort_with Killed
-          | `Norec ->
-              if not (Flat_table.is_empty tx.writes) then begin
-                multi_norec_seize tx;
-                seized.(i) <- true
-              end)
-        txs;
-      (* Phase 1b: validate every member (a seized NOrec member was
-         already value-checked under its held sequence lock). *)
-      Array.iteri
-        (fun i tx ->
-          if R.get tx.stm.multi_inflight > 1 then abort_with Lock_busy;
-          if not seized.(i) then
-            match tx.stm.algo with
-            | `Tl2 -> validate tx
-            | `Norec -> multi_norec_validate tx)
-        txs
-    with
-    | exception e ->
-        release_intents ();
-        leave ();
-        raise e
-    | () ->
-        let wvs =
-          Array.map
-            (fun tx ->
-              if Flat_table.is_empty tx.writes then -1
-              else
-                match tx.stm.algo with
-                | `Tl2 -> multi_draw_wv tx
-                | `Norec -> tx.rv + 2)
-            txs
-        in
-        (* Durability hooks before any member writes back: every
-           member still holds its intents, so a dependent commit (or a
-           snapshot bound, via the [multi_inflight] fence) cannot
-           interleave between the members' log records. *)
-        Array.iteri
-          (fun i tx -> if wvs.(i) >= 0 then fire_commit_hook tx.stm wvs.(i))
-          txs;
-        Array.iteri
-          (fun i tx -> if wvs.(i) >= 0 then multi_write_back tx wvs.(i))
-          txs;
-        Array.iteri
-          (fun i tx ->
-            if wvs.(i) >= 0 then
-              match tx.stm.algo with
-              | `Tl2 -> multi_unlock tx wvs.(i)
-              | `Norec -> R.set tx.stm.clock wvs.(i))
-          txs;
-        leave ();
-        Array.iteri (fun i tx -> if wvs.(i) >= 0 then notify_waiters tx) txs
-
-  (* The optimistic budget before a multi escalates to the token slow
-     path.  Deliberately small: a multi's conflict window spans every
-     member, so a few rounds of backoff tell us what thousands would. *)
-  let multi_optimistic_cap = 16
-
-  let atomically_multi ?(sem = Semantics.Classic) ?(label = "") ?budget stms f
-      =
-    if Semantics.equal sem Semantics.Snapshot then
+    else if Array.exists live ctxs then
       raise
         (Invalid_operation
-           "atomically_multi is for updating transactions; use snapshot_multi");
-    match stms with
-    | [] -> raise (Invalid_operation "atomically_multi: no instances")
-    | [ stm ] -> atomically ~sem ~label ?budget stm (fun _tx -> f ())
+           "atomically_multi inside a live transaction on a member instance")
+    else begin
+      let txs =
+        let alone = Array.length members = 1 in
+        Array.map2
+          (fun stm ctx -> fresh_tx ~alone stm ctx sem label)
+          members ctxs
+      in
+      let outcome =
+        start ~raising ~irrevocable:false ~budget ~deadline txs (fun _ -> f ())
+      in
+      (match outcome with
+      | Committed _ -> put_bounds txs
+      | Exhausted _ | Deadline_exceeded _ -> ());
+      outcome
+    end
+
+  (* A one-member list without [bounds] is exactly [atomically] /
+     [try_atomically]: the same loop, without sorting the list or
+     allocating a context per member. *)
+  let atomically_multi ?sem ?label ?budget ?deadline ?bounds stms f =
+    match (stms, bounds) with
+    | [ stm ], None ->
+        atomically ?sem ?label ?budget ?deadline stm (fun _ -> f ())
     | _ ->
-        let arr = canonical_instances stms in
-        if Array.length arr = 1 then
-          atomically ~sem ~label ?budget arr.(0) (fun _tx -> f ())
-        else begin
-          let k = Array.length arr in
-          let ctxs = Array.map (fun stm -> R.tls_get stm.current) arr in
-          let live (ctx : thread_ctx) =
-            match ctx.cur_tx with Some o when o.live -> true | _ -> false
-          in
-          if Array.for_all live ctxs then
-            (* Every member already carries a live transaction: an
-               enclosing cross-instance transaction spans (at least)
-               these instances, so this call flattens into it exactly
-               as a nested [atomically] flattens into its outer
-               transaction — the enclosing commit provides the
-               atomicity.  This is what lets a sharded structure's
-               aggregate run unchanged inside a cross-shard [MULTI]. *)
-            f ()
-          else begin
-          Array.iter
-            (fun (ctx : thread_ctx) ->
-              match ctx.cur_tx with
-              | Some outer when outer.live ->
-                  raise
-                    (Invalid_operation
-                       "atomically_multi inside a live transaction on a \
-                        member instance")
-              | Some _ | None -> ())
-            ctxs;
-          (* One descriptor per member, re-armed across attempts; the
-             thunk's nested [atomically] calls flatten into them. *)
-          let txs =
-            Array.mapi (fun i stm -> fresh_tx stm ctxs.(i).stores sem label) arr
-          in
-          let cap =
-            match budget with Some b -> max 1 b | None -> multi_optimistic_cap
-          in
-          let arm_all ~token n =
-            Array.iteri
-              (fun i tx ->
-                arm_tx tx;
-                tx.attempt <- n;
-                tx.holds_token <- token;
-                R.add_counter tx.stm.c_starts 1;
-                emit_begin tx n;
-                if token then emit_serialize tx n;
-                ctxs.(i).cur_tx <- Some tx)
-              txs
-          in
-          let cleanup_all () =
-            Array.iteri
-              (fun i tx ->
-                tx.live <- false;
-                ctxs.(i).cur_tx <- None)
-              txs
-          in
-          let account_commit () =
-            Array.iter
-              (fun tx ->
-                R.add_counter tx.stm.c_commits 1;
-                R.add_counter tx.stm.c_multi_commits 1;
-                if tx.holds_token then R.add_counter tx.stm.c_serial_commits 1)
-              txs
-          in
-          let account_abort reason =
-            Array.iter
-              (fun tx ->
-                let sets = abort_sets tx in
-                record_aborted tx;
-                R.add_counter tx.stm.c_aborts 1;
-                R.add_counter (abort_counter tx.stm reason) 1;
-                emit_abort tx reason sets)
-              txs
-          in
-          let run_all_hooks ~aborted =
-            Array.iter (fun tx -> run_hooks tx ~aborted) txs
-          in
-          let fail_retry () =
-            raise
-              (Invalid_operation
-                 "retry inside a cross-instance transaction (a parked \
-                  waiter cannot span instances)")
-          in
-          let enter_all () = Array.iter enter_serial_mode arr in
-          let exit_all () =
-            for i = k - 1 downto 0 do
-              exit_serial_mode arr.(i)
-            done
-          in
-          (* The slow path: serialize every member — tokens in
-             canonical order, in-flight commits drained — then re-run
-             with a commit that cannot lose a conflict (bar the same
-             straggler race [serial_fallback] tolerates; the loop
-             re-enters and a later attempt truly runs alone). *)
-          let rec escalate n0 =
-            Array.iter
-              (fun (stm : t) ->
-                R.add_counter stm.c_multi_escalations 1;
-                R.add_counter stm.c_budget_exhaustions 1)
-              arr;
-            enter_all ();
-            let rec go n =
-              arm_all ~token:true n;
-              match
-                let result = f () in
-                multi_commit txs;
-                result
-              with
-              | result ->
-                  cleanup_all ();
-                  exit_all ();
-                  account_commit ();
-                  run_all_hooks ~aborted:false;
-                  result
-              | exception Abort_tx reason -> (
-                  account_abort reason;
-                  cleanup_all ();
-                  exit_all ();
-                  run_all_hooks ~aborted:true;
-                  match reason with
-                  | Explicit -> raise (Too_many_attempts (Explicit, n))
-                  | Retry -> fail_retry ()
-                  | _ ->
-                      enter_all ();
-                      go (n + 1))
-              | exception e ->
-                  account_abort Explicit;
-                  cleanup_all ();
-                  exit_all ();
-                  run_all_hooks ~aborted:true;
-                  raise e
-            in
-            go n0
-          and attempt n =
-            arm_all ~token:false n;
-            match
-              let result = f () in
-              multi_commit txs;
-              result
-            with
-            | result ->
-                cleanup_all ();
-                account_commit ();
-                run_all_hooks ~aborted:false;
-                result
-            | exception Abort_tx reason -> (
-                account_abort reason;
-                cleanup_all ();
-                run_all_hooks ~aborted:true;
-                match reason with
-                | Retry -> fail_retry ()
-                | Explicit when n >= cap ->
-                    raise (Too_many_attempts (Explicit, n))
-                | reason ->
-                    if n >= cap && reason <> Explicit then escalate (n + 1)
-                    else begin
-                      let pause =
-                        Contention.retry_pause arr.(0).cm ~attempt:n
-                      in
-                      if pause > 0 then R.pause pause;
-                      attempt (n + 1)
-                    end)
-            | exception e ->
-                account_abort Explicit;
-                cleanup_all ();
-                run_all_hooks ~aborted:true;
-                raise e
-          in
-          attempt 1
-          end
-        end
+        value (multi ~raising:true ?sem ?label ?budget ?deadline ?bounds stms f)
 
-  (* A consistent cross-instance read-only snapshot.  The bound vector
-     comes from a double collect: pass 1 draws every member's stable
-     clock while that member has no serial-token holder and no
-     cross-instance commit in flight; pass 2 re-checks that every
-     member's clock and both flags are unchanged.  Success means every
-     bound was simultaneously current throughout a common interval
-     (between the end of pass 1 and the start of pass 2), so the
-     vector is a consistent cut of the whole store; per-location
-     in-flight write-backs below a bound are absorbed by the ordinary
-     single-instance snapshot reads.  [unsafe_no_stabilize] skips
-     pass 2 — the deliberately-torn ordering the Explore model check
-     must catch — and must never be used otherwise. *)
-  let snapshot_collect arr ~unsafe =
-    let k = Array.length arr in
-    let ubs = Array.make k 0 in
-    let stable_clock (stm : t) =
-      match stm.algo with
-      | `Tl2 -> R.get stm.clock
-      | `Norec -> norec_stable_clock stm
-    in
-    let quiescent (stm : t) =
-      (not (R.token_held stm.serial_token)) && R.get stm.multi_inflight = 0
-    in
-    let rec collect () =
-      for i = 0 to k - 1 do
-        let stm = arr.(i) in
-        while not (quiescent stm) do
-          R.pause 2
-        done;
-        ubs.(i) <- stable_clock stm
-      done;
-      if not unsafe then begin
-        let ok = ref true in
-        for i = 0 to k - 1 do
-          let stm = arr.(i) in
-          if not (quiescent stm && stable_clock stm = ubs.(i)) then ok := false
-        done;
-        if not !ok then begin
-          R.pause 2;
-          collect ()
-        end
-      end
-    in
-    collect ();
-    ubs
-
-  (* Bound-vector redraws before a cross-instance snapshot escalates to
-     the token path (each redraw is cheap; only a sustained update
-     storm outrunning the backup chains ever gets this far). *)
-  let snapshot_multi_cap = 64
-
-  let snapshot_multi ?(label = "") ?(unsafe_no_stabilize = false) ?bounds stms
-      f =
-    (* [bounds], when supplied, receives the committed attempt's
-       per-instance clock bound — the vector the checkpointer hands to
-       log compaction: every commit with stamp <= bound for its
-       instance is inside the snapshot, every stamp > bound is not
-       (the [multi_inflight] fence in [snapshot_collect] makes the cut
-       atomic even across 2PC commits). *)
-    let put_bounds l = match bounds with None -> () | Some b -> b := l in
-    let single stm =
-      atomically ~sem:Semantics.Snapshot ~label stm (fun tx ->
-          let r = f () in
-          put_bounds [ (stm, tx.snapshot_ub) ];
-          r)
-    in
-    match stms with
-    | [] -> raise (Invalid_operation "snapshot_multi: no instances")
-    | [ stm ] -> single stm
-    | _ ->
-        let arr = canonical_instances stms in
-        if Array.length arr = 1 then single arr.(0)
-        else begin
-          let k = Array.length arr in
-          let ctxs = Array.map (fun stm -> R.tls_get stm.current) arr in
-          let live (ctx : thread_ctx) =
-            match ctx.cur_tx with Some o when o.live -> true | _ -> false
-          in
-          if Array.for_all live ctxs then begin
-            (* Flatten into an enclosing cross-instance transaction
-               spanning every member (see [atomically_multi]); its
-               bound vector / commit governs consistency. *)
-            put_bounds
-              (Array.to_list
-                 (Array.map
-                    (fun (ctx : thread_ctx) ->
-                      match ctx.cur_tx with
-                      | Some tx -> (tx.stm, tx.snapshot_ub)
-                      | None -> assert false)
-                    ctxs));
-            f ()
-          end
-          else begin
-          Array.iter
-            (fun (ctx : thread_ctx) ->
-              match ctx.cur_tx with
-              | Some outer when outer.live ->
-                  raise
-                    (Invalid_operation
-                       "snapshot_multi inside a live transaction on a member \
-                        instance")
-              | Some _ | None -> ())
-            ctxs;
-          let txs =
-            Array.mapi
-              (fun i stm ->
-                fresh_tx stm ctxs.(i).stores Semantics.Snapshot label)
-              arr
-          in
-          let arm_all ~token n =
-            Array.iteri
-              (fun i tx ->
-                arm_tx tx;
-                tx.attempt <- n;
-                tx.holds_token <- token;
-                R.add_counter tx.stm.c_starts 1;
-                emit_begin tx n;
-                if token then emit_serialize tx n;
-                ctxs.(i).cur_tx <- Some tx)
-              txs
-          in
-          let cleanup_all () =
-            Array.iteri
-              (fun i tx ->
-                tx.live <- false;
-                ctxs.(i).cur_tx <- None)
-              txs
-          in
-          let capture_bounds () =
-            put_bounds
-              (Array.to_list
-                 (Array.map (fun tx -> (tx.stm, tx.snapshot_ub)) txs))
-          in
-          let account_commit () =
-            Array.iter
-              (fun tx ->
-                (* Read-only by construction: the free commit path. *)
-                commit tx;
-                R.add_counter tx.stm.c_commits 1;
-                R.add_counter tx.stm.c_multi_commits 1;
-                if tx.holds_token then R.add_counter tx.stm.c_serial_commits 1)
-              txs
-          in
-          let account_abort reason =
-            Array.iter
-              (fun tx ->
-                let sets = abort_sets tx in
-                record_aborted tx;
-                R.add_counter tx.stm.c_aborts 1;
-                R.add_counter (abort_counter tx.stm reason) 1;
-                emit_abort tx reason sets)
-              txs
-          in
-          let run_all_hooks ~aborted =
-            Array.iter (fun tx -> run_hooks tx ~aborted) txs
-          in
-          let enter_all () = Array.iter enter_serial_mode arr in
-          let exit_all () =
-            for i = k - 1 downto 0 do
-              exit_serial_mode arr.(i)
-            done
-          in
-          (* Token slow path: with every member serialized nothing can
-             commit, so freshly-armed bounds are trivially consistent
-             and every read is a current version. *)
-          let rec escalate n =
-            Array.iter
-              (fun (stm : t) -> R.add_counter stm.c_multi_escalations 1)
-              arr;
-            enter_all ();
-            arm_all ~token:true n;
-            match f () with
-            | result ->
-                capture_bounds ();
-                cleanup_all ();
-                exit_all ();
-                account_commit ();
-                run_all_hooks ~aborted:false;
-                result
-            | exception Abort_tx reason -> (
-                account_abort reason;
-                cleanup_all ();
-                exit_all ();
-                run_all_hooks ~aborted:true;
-                match reason with
-                | Snapshot_too_old ->
-                    (* A straggler committed past a chain: re-enter. *)
-                    escalate (n + 1)
-                | reason -> raise (Too_many_attempts (reason, n)))
-            | exception e ->
-                account_abort Explicit;
-                cleanup_all ();
-                exit_all ();
-                run_all_hooks ~aborted:true;
-                raise e
-          and attempt n =
-            if n > snapshot_multi_cap then escalate n
-            else begin
-              arm_all ~token:false n;
-              let ubs = snapshot_collect arr ~unsafe:unsafe_no_stabilize in
-              Array.iteri
-                (fun i tx ->
-                  tx.rv <- ubs.(i);
-                  tx.snapshot_ub <- ubs.(i))
-                txs;
-              match f () with
-              | result ->
-                  capture_bounds ();
-                  cleanup_all ();
-                  account_commit ();
-                  run_all_hooks ~aborted:false;
-                  result
-              | exception Abort_tx reason -> (
-                  account_abort reason;
-                  cleanup_all ();
-                  run_all_hooks ~aborted:true;
-                  match reason with
-                  | Snapshot_too_old -> attempt (n + 1)
-                  | reason -> raise (Too_many_attempts (reason, n)))
-              | exception e ->
-                  account_abort Explicit;
-                  cleanup_all ();
-                  run_all_hooks ~aborted:true;
-                  raise e
-            end
-          in
-          attempt 1
-          end
-        end
+  let try_atomically_multi ?sem ?label ?budget ?deadline ?bounds stms f =
+    match (stms, bounds) with
+    | [ stm ], None ->
+        try_atomically ?sem ?label ?budget ?deadline stm (fun _ -> f ())
+    | _ -> multi ~raising:false ?sem ?label ?budget ?deadline ?bounds stms f
 
   (* ------------------------------------------------------------------ *)
   (* Statistics and recording                                            *)

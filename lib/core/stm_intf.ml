@@ -41,6 +41,25 @@ module type S = sig
   (** Misuse: writing inside a snapshot transaction, using a [tx]
       outside its dynamic extent, or mixing instances. *)
 
+  type fault = [ `Skip_validation | `Skip_wake_validation | `No_stabilize ]
+  (** A deliberate bug an instance can be created with ([create
+      ~fault]), so a checker can prove it would catch that bug.  Each
+      exists solely as a standing self-test and must never be used
+      otherwise:
+
+      - [`Skip_validation] (NOrec only): revalidation skips the value
+        comparison, yielding a backend that loses updates under
+        contention — the conformance harness must reject it;
+      - [`Skip_wake_validation]: a {!retry}ing transaction parks {e
+        without} re-validating its wait set after registering — the
+        classic lost-wakeup bug: a commit that lands between the
+        aborting read and the registration is never noticed, and the
+        waiter can sleep forever; the [Explore] model check must find
+        the deadlock;
+      - [`No_stabilize]: a cross-instance snapshot skips this member's
+        re-check when drawing its bound vector, allowing a torn
+        cross-instance read; the [Explore] model check must find it. *)
+
   (** {1 Instance management} *)
 
   val create :
@@ -52,8 +71,7 @@ module type S = sig
     ?versions:int ->
     ?gv:[ `Gv1 | `Gv4 ] ->
     ?algo:[ `Tl2 | `Norec ] ->
-    ?unsafe_skip_validation:bool ->
-    ?unsafe_skip_wake_validation:bool ->
+    ?fault:fault ->
     unit ->
     t
   (** [create ()] makes a fresh STM instance.  [cm] is the contention
@@ -125,21 +143,8 @@ module type S = sig
       reasons cannot occur — no per-location lock or owner is ever
       published for a contention manager to spin on or kill.
 
-      [unsafe_skip_validation] (NOrec only) disables the value
-      comparison during revalidation, yielding a backend that loses
-      updates under contention.  It exists solely as the conformance
-      harness's standing self-test — proof the differential battery
-      rejects a broken validation — and must never be used
-      otherwise.
-
-      [unsafe_skip_wake_validation] (either algorithm) makes a
-      {!retry}ing transaction park {e without} re-validating its wait
-      set after registering — the classic lost-wakeup bug: a commit
-      that lands between the aborting read and the registration is
-      never noticed, and the waiter can sleep forever.  It exists
-      solely so the [Explore] model check can demonstrate it {e would}
-      catch that bug (the broken variant deadlocks, the correct
-      protocol never does) and must never be used otherwise. *)
+      [fault] (test-only, see {!fault}) builds a deliberately broken
+      instance; [`Skip_validation] is rejected for TL2. *)
 
   val tvar : t -> 'a -> 'a tvar
   (** Allocate a transactional variable with an initial value
@@ -158,7 +163,16 @@ module type S = sig
       a smaller window silently loses the hand-over-hand protection
       (caught by the library at construction time). *)
 
-  (** {1 Running transactions} *)
+  (** {1 Running transactions}
+
+      Every form below — {!atomically}, {!try_atomically}, irrevocable
+      execution and the cross-instance {!atomically_multi} — runs one
+      attempt loop and one commit over its {e member} instances: one
+      for the single-instance forms, which is the base case, several
+      for a cross-instance transaction.  Arming, flat nesting, abort
+      accounting, lifecycle hooks, [retry] parking, deadlines, budgets
+      and the serial fallback are the same code for every form; only
+      the settings differ. *)
 
   val atomically :
     ?sem:Semantics.t ->
@@ -235,8 +249,11 @@ module type S = sig
       outcome: budget exhaustion and deadline expiry come back as
       {!Exhausted} / {!Deadline_exceeded} values instead of a raised
       {!Too_many_attempts}, leaving the response policy to the caller.
-      It never escalates to the serial fallback — returning the
-      exhaustion {e is} its exhaustion policy — and never raises
+      A [budget] is a hard limit here: spending it returns
+      [Exhausted] and the serial fallback never runs.  Without one,
+      conflict exhaustion of the instance's [max_attempts] follows
+      [on_exhaustion] as in {!atomically} — a serialized re-run that
+      commits, or [Exhausted] under [`Raise].  It never raises
       [Too_many_attempts]; exceptions from [f] still propagate.  Under
       flat nesting it joins the outer transaction and returns
       [Committed] of [f]'s result (the outer call reports the fate of
@@ -245,78 +262,78 @@ module type S = sig
   (** {1 Cross-instance transactions}
 
       The sharded store's commit engine (DESIGN §S20).  A shard router
-      owns one instance per shard; single-shard operations use plain
-      {!atomically} on the owner instance, and only operations that
-      genuinely span shards pay for the protocols below. *)
+      owns one instance per shard; single-shard operations run on the
+      owner instance alone, and only operations that genuinely span
+      shards pay for the protocol below. *)
 
   val atomically_multi :
     ?sem:Semantics.t ->
     ?label:string ->
     ?budget:int ->
-    t list ->
-    (unit -> 'a) ->
-    'a
-  (** [atomically_multi stms f] runs [f] as one atomic transaction
-      spanning every instance in [stms]: nested {!atomically} calls on
-      a member instance flatten into that member's sub-transaction,
-      and all members commit together via a two-phase commit over
-      their clocks — per-member commit intents acquired in canonical
-      (creation-order) instance order, every member's read set
-      validated against its own clock, then every member's values
-      written back before any intent is released.  A reader can never
-      observe one member's writes without the others'.
-
-      Conflicts abort and re-run the whole multi under backoff;
-      [budget] (default 16) optimistic rounds later it {e escalates}:
-      the serialization token of every member is taken in canonical
-      order, in-flight commits drain, and the re-run commits
-      guaranteed — the same slow path as the single-instance serial
-      fallback, so cross-shard batches are livelock-free.
-
-      With zero or one (distinct) instances this is exactly
-      {!atomically} — the single-shard path is untouched.
-
-      @raise Invalid_operation for [sem:Snapshot] (use
-      {!snapshot_multi}), for {!retry} inside [f] (a parked waiter
-      cannot span instances), or when the calling thread already has a
-      live transaction on a member instance.
-      @raise Too_many_attempts when [f] aborts explicitly on every
-      attempt (a user decision escalation cannot override). *)
-
-  val snapshot_multi :
-    ?label:string ->
-    ?unsafe_no_stabilize:bool ->
+    ?deadline:int ->
     ?bounds:(t * int) list ref ->
     t list ->
     (unit -> 'a) ->
     'a
-  (** [snapshot_multi stms f] runs [f] as a read-only snapshot
-      spanning every instance in [stms]: nested calls on a member
-      flatten into a [Snapshot]-semantics sub-transaction whose bound
-      is that member's slot in a {e consistent bound vector} — drawn
-      by double collect (read every member's stable clock while no
-      serial token is held and no cross-instance commit is in flight
-      there, then re-check all of them unchanged), so the reads across
-      all members form one consistent cut of the whole store.  Like
-      single-instance snapshots it never impedes updaters; unlike
-      them it may redraw its bounds (update storms outrunning the
-      backup chains) and, after 64 redraws, escalates to the
-      serialization tokens.
+  (** [atomically_multi stms f] runs [f] as one transaction of [sem]
+      spanning every instance in [stms]: nested {!atomically} calls on
+      a member instance flatten into that member's sub-transaction.
+      With one (distinct) instance this is {!atomically}.  With more,
+      the loop and the commit add, and only then:
 
-      [unsafe_no_stabilize] skips the re-check pass, deliberately
-      allowing a torn cross-instance read; it exists solely so the
-      Explore model check can prove it would catch that bug, and must
-      never be used otherwise.
+      - the {e two-phase commit}: per-member commit intents acquired in
+        canonical (creation-order) instance order, every member —
+        read-only ones too — validated against its own clock under the
+        [multi_inflight] fence, then every member's values published
+        before any intent is released.  A reader can never observe one
+        member's writes without the others';
+      - for [sem:Snapshot], a {e consistent bound vector} in place of
+        one armed clock: drawn by double collect (read every member's
+        stable clock while no serialization token is held and no
+        cross-instance commit is in flight there, then re-check all of
+        them unchanged), so the reads across all members form one
+        consistent cut of the whole store.  Like a single-instance
+        snapshot it never impedes updaters and commits for free; it may
+        redraw its bounds when update storms outrun the backup chains;
+      - the escalation cap: without a [budget], 16 optimistic rounds
+        (64 bound redraws for a snapshot) before the serial fallback
+        takes every member's serialization token in canonical order —
+        so cross-shard batches are livelock-free.  [retry] cannot park
+        across instances.
 
-      [bounds], when supplied, receives the committed attempt's
-      per-instance clock bounds: a commit on a member instance is
-      inside the snapshot iff its stamp is [<=] the member's bound.
-      This is the cut vector the checkpointer hands to log compaction
-      (every logged record with a larger stamp must be replayed on
-      recovery, every smaller one is already in the checkpoint).
+      [label], [budget] and [deadline] mean what they mean for
+      {!atomically}; the first member's contention manager and
+      [on_exhaustion] policy govern the loop.  [bounds], when supplied,
+      receives the committed attempt's per-instance clock bounds: for a
+      snapshot, a commit on a member instance is inside the snapshot
+      iff its stamp is [<=] the member's bound.  This is the cut
+      vector the checkpointer hands to log compaction (every logged
+      record with a larger stamp must be replayed on recovery, every
+      smaller one is already in the checkpoint).
 
-      @raise Invalid_operation on a write inside [f], or when the
-      calling thread already has a live transaction on a member. *)
+      When every member already runs a live transaction on the calling
+      thread, the call flattens into them (the enclosing commit
+      provides the atomicity).
+
+      @raise Invalid_operation on {!retry} inside a multi-member [f],
+      on a write inside a snapshot, or when the calling thread already
+      has a live transaction on some but not all members.
+      @raise Too_many_attempts as {!atomically} does. *)
+
+  val try_atomically_multi :
+    ?sem:Semantics.t ->
+    ?label:string ->
+    ?budget:int ->
+    ?deadline:int ->
+    ?bounds:(t * int) list ref ->
+    t list ->
+    (unit -> 'a) ->
+    'a outcome
+  (** {!atomically_multi} with {!try_atomically}'s structured outcome:
+      a spent [budget] comes back as [Exhausted], a passed [deadline]
+      as [Deadline_exceeded].  Without a [budget] a multi-member call
+      still escalates after its optimistic rounds and commits.  With a
+      one-member list and no [bounds] it is {!try_atomically}. *)
 
   val read : tx -> 'a tvar -> 'a
   (** Transactional read, honouring the transaction's semantics. *)
@@ -478,8 +495,7 @@ module type S = sig
     wake_timeouts : int;  (** parks ended by the call's deadline *)
     multi_commits : int;
         (** commits this instance took part in as a member of a
-            cross-instance transaction ({!atomically_multi} /
-            {!snapshot_multi}) *)
+            cross-instance transaction ({!atomically_multi}) *)
     multi_escalations : int;
         (** times a cross-instance transaction on this instance gave
             up optimism and escalated to the serialization tokens *)

@@ -16,12 +16,17 @@ type t = {
   max_multi : int;  (** commands accepted inside one [MULTI] batch *)
   max_frame : int;  (** bytes per wire frame (header excluded) *)
   op_budget : int option;
-      (** optimistic retry budget per operation, mapped onto
-          [try_atomically ~budget]; [None] uses the STM instance's
-          [max_attempts] *)
+      (** optimistic retry budget per request, single- or cross-shard,
+          mapped onto [try_atomically_multi ~budget]: a request that
+          spends it is answered [EXHAUSTED].  [None] leaves the STM's
+          default — the instance's [max_attempts] for one shard, 16
+          rounds across shards — after which the transaction escalates
+          to the serialization tokens and commits *)
   op_deadline_us : int option;
-      (** per-operation deadline in microseconds, mapped onto
-          [try_atomically ~deadline]; [None] means no deadline *)
+      (** per-request deadline in microseconds, single- or
+          cross-shard, mapped onto [try_atomically_multi ~deadline]; a
+          request still retrying when it passes is answered
+          [DEADLINE].  [None] means no deadline *)
   max_waiters : int;
       (** parked blocking ops ([BLPOP]/[BTAKE] waiters, watch polls)
           tolerated server-wide, across every STM instance and shard;

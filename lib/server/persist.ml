@@ -28,7 +28,7 @@
     {2 Checkpoints}
 
     A checkpoint folds every registered structure inside {e one}
-    [snapshot_multi] spanning every shard of both routers.  Writers
+    snapshot transaction spanning every shard of both routers.  Writers
     stay live throughout — snapshots never impede updaters — and the
     captured bound vector is an {e exact} cut: the STM's snapshot
     reads wait out in-flight write-backs, and the [multi_inflight]
@@ -170,8 +170,8 @@ type contents =
   | Cqueue of string list
 
 (* One consistent cut of the whole store: every shard of both routers
-   inside a single [snapshot_multi].  The nested per-structure folds
-   flatten into the live member transactions.  Only the in-memory
+   inside a single snapshot [atomically_multi].  The nested
+   per-structure folds flatten into the live member transactions.  Only the in-memory
    collection happens inside the snapshot — file writing happens
    after, so an aborted attempt (bound redraw) re-collects instead of
    leaving a half-written file. *)
@@ -181,7 +181,8 @@ let collect t =
     Registry.instances t.reg `Tl2 @ Registry.instances t.reg `Norec
   in
   let state =
-    S.snapshot_multi ~label:"checkpoint" ~bounds insts (fun () ->
+    S.atomically_multi ~sem:Polytm.Semantics.Snapshot ~label:"checkpoint"
+      ~bounds insts (fun () ->
         List.map
           (fun (name, (slot : Registry.slot)) ->
             let c =
@@ -334,12 +335,8 @@ let apply_op reg (req : Wire.request) =
   match Registry.resolve reg req.cmd with
   | Error (Wire.Error (_, msg)) -> refuse "unreplayable record: %s" msg
   | Error _ -> refuse "unreplayable record"
-  | Ok r -> (
-      match r.site with
-      | Registry.Single stm ->
-          ignore (S.atomically ~label:"replay" stm (fun _tx -> r.run ()))
-      | Registry.Spanning stms ->
-          ignore (S.atomically_multi ~label:"replay" stms (fun () -> r.run ())))
+  | Ok r ->
+      ignore (S.atomically_multi ~label:"replay" (Registry.members r.site) r.run)
 
 let apply_new reg ~algo (req : Wire.request) =
   match req.cmd with

@@ -9,15 +9,15 @@
     behind the unchanged structure API, and a queue (whose FIFO order
     cannot be hash-partitioned) is pinned whole to the shard owning
     its name.  Each structure is pinned at creation to one algorithm;
-    the session runs the per-request transaction on the instance(s)
+    the session runs the per-request transaction over the instance(s)
     the operation touches — the owner shard for a point operation, the
     whole router for a cross-shard aggregate — which is what lets
     nested structure operations flatten into it.  With [shards = 1]
-    (the default) every path degenerates to the single-instance code
-    the pre-sharding server ran.  The name table itself is a
-    persistent association list behind an [Atomic]: lookups on the
-    request hot path are a single atomic load, and the rare creations
-    CAS a new list in.  The {e contents} of every structure are
+    (the default) every member list has one entry, and the transaction
+    is the single-instance one the pre-sharding server ran.  The name
+    table itself is a persistent association list behind an [Atomic]:
+    lookups on the request hot path are a single atomic load, and the
+    rare creations CAS a new list in.  The {e contents} of every structure are
     transactional — the registry only maps names to roots.
 
     Command execution is split in two phases on purpose:
@@ -26,11 +26,10 @@
       structure exists and the operation matches its kind, returning
       either an error response or a {!resolved} record naming the
       {!site} (which instances are involved) and the thunk.
-    - the thunk runs {e inside} the session's transaction — a plain
-      [try_atomically] on the owner instance for a {!Single} site, a
-      cross-instance [atomically_multi]/[snapshot_multi] for a
-      {!Spanning} one; the structure operations it calls open nested
-      transactions that flatten into it either way.
+    - the thunk runs {e inside} the session's transaction, one
+      [try_atomically_multi] over the site's {!members}; the structure
+      operations it calls open nested transactions that flatten into
+      it.
 
     Pre-resolving keeps failures atomic: a [MULTI] batch either
     resolves completely or executes not at all, so no partial batch is
@@ -306,9 +305,11 @@ let mismatch cmd entry =
 (* Where a resolved command's transaction must run: one owner instance
    (point operations, anything on a pinned queue, every operation of a
    1-shard server) or the set of instances a cross-shard aggregate
-   spans.  The session opens the matching transaction shape and the
-   thunk flattens into it. *)
+   spans.  Consumers only ask for the {!members}: the session runs one
+   transaction over them, and the thunk flattens into it. *)
 type site = Single of S.t | Spanning of S.t list
+
+let members = function Single s -> [ s ] | Spanning l -> l
 
 type resolved = {
   algo : algo;

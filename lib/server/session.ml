@@ -236,17 +236,20 @@ let reply t resp =
           t.stats.other_errors <- t.stats.other_errors + 1)
   | _ -> ())
 
-(* Run [f] as one transaction of [sem] on [stm] — the owner instance
-   the registry resolved, so the nested structure operations flatten
-   into this transaction — translating the structured outcome and the
-   semantics-violation exception into typed error replies.  This is
-   where the wire meets PR 4's liveness API.  A structural-invariant
-   violation surfaces here as a typed error too: the exception rode
-   the abort path out of [try_atomically], so the attempt's effects
-   are already discarded and the server survives a corrupted node
-   instead of dying on an assertion. *)
-let run_tx t ~stm ~sem ~label ?budget ?deadline_us
-    (f : S.tx -> Wire.response) : Wire.response =
+(* Run [f] as one transaction of [sem] over [stms] — the members of the
+   site the registry resolved: the owner shard of a point operation, or
+   the shards a whole-structure aggregate or a [MULTI] batch spans — so
+   the nested structure operations flatten into it.  The structured
+   outcome and the semantics-violation exception become typed error
+   replies: this is where the wire meets the liveness API, and both
+   limits ([op_budget], [op_deadline_us]) apply to every request,
+   however many shards it spans.  A structural-invariant violation
+   surfaces here as a typed error too: the exception rode the abort
+   path out of the transaction, so the attempt's effects are already
+   discarded and the server survives a corrupted node instead of dying
+   on an assertion. *)
+let run_tx t ~stms ~sem ~label ?budget ?deadline_us
+    (f : unit -> Wire.response) : Wire.response =
   let budget = match budget with Some _ as b -> b | None -> t.limits.op_budget in
   let deadline_us =
     match deadline_us with Some _ as d -> d | None -> t.limits.op_deadline_us
@@ -254,42 +257,12 @@ let run_tx t ~stm ~sem ~label ?budget ?deadline_us
   let t0 = R.now () in
   let deadline = Option.map (fun us -> t0 + (us * 1000)) deadline_us in
   let resp =
-    match S.try_atomically ?budget ?deadline ~sem ~label stm f with
+    match S.try_atomically_multi ?budget ?deadline ~sem ~label stms f with
     | S.Committed r -> r
     | S.Exhausted { attempts; _ } ->
         err Wire.Exhausted "retry budget spent after %d attempts" attempts
     | S.Deadline_exceeded { attempts; _ } ->
         err Wire.Deadline "deadline passed after %d attempts" attempts
-    | exception S.Invalid_operation m -> err Wire.Sem_violation "%s" m
-    | exception Polytm_structs.Stm_map.Invariant_violation m ->
-        err Wire.Bad_op "invariant violation (transaction aborted): %s" m
-  in
-  let dt = R.now () - t0 in
-  Hist.record t.stats.lat_by_sem.(sem_index sem) dt;
-  Hist.record t.stats.lat_all dt;
-  resp
-
-(* Run [f] as one cross-shard transaction spanning [stms] — the
-   registry resolved a {!Registry.Spanning} site (a whole-structure
-   aggregate on a multi-shard server, or a [MULTI] batch whose keys
-   hash to several shards).  A snapshot hint takes the consistent
-   bound vector; anything else is the two-phase commit over the member
-   shard clocks, escalating to the serialization tokens when the
-   optimistic budget runs dry ([Too_many_attempts] is the analogue of
-   [Exhausted]).  Single-shard batches never reach this function: they
-   keep the one-shot [run_tx] path untouched. *)
-let run_spanning t ~stms ~sem ~label (f : unit -> Wire.response) :
-    Wire.response =
-  let t0 = R.now () in
-  let resp =
-    match
-      if Polytm.Semantics.equal sem Polytm.Semantics.Snapshot then
-        S.snapshot_multi ~label stms f
-      else S.atomically_multi ~sem ~label ?budget:t.limits.op_budget stms f
-    with
-    | r -> r
-    | exception S.Too_many_attempts (_, attempts) ->
-        err Wire.Exhausted "retry budget spent after %d attempts" attempts
     | exception S.Invalid_operation m -> err Wire.Sem_violation "%s" m
     | exception Polytm_structs.Stm_map.Invariant_violation m ->
         err Wire.Bad_op "invariant violation (transaction aborted): %s" m
@@ -361,30 +334,16 @@ let exec_multi_end t =
               Wire.Array
                 (List.map (fun (r : Registry.resolved) -> r.Registry.run ()) rs)
             in
-            (* The batch's site is the union of its commands' sites:
-               one owner instance keeps the existing one-shot path
-               (every batch of a 1-shard server lands here, so its
-               wire behaviour is untouched); several instances commit
-               through the cross-shard two-phase protocol, the thunks
-               flattening into the armed member transactions. *)
-            let insts =
+            (* One transaction over every command's members (the STM
+               drops duplicates); the thunks flatten into it. *)
+            let stms =
               List.concat_map
                 (fun (r : Registry.resolved) ->
-                  match r.Registry.site with
-                  | Registry.Single s -> [ s ]
-                  | Registry.Spanning l -> l)
+                  Registry.members r.Registry.site)
                 rs
             in
-            let distinct =
-              List.fold_left
-                (fun acc s -> if List.memq s acc then acc else s :: acc)
-                [] insts
-            in
             let resp =
-              with_persist t cmds (fun () ->
-                  match distinct with
-                  | [ stm ] -> run_tx t ~stm ~sem ~label (fun _tx -> body ())
-                  | stms -> run_spanning t ~stms ~sem ~label body)
+              with_persist t cmds (fun () -> run_tx t ~stms ~sem ~label body)
             in
             touch_committed t rs resp;
             resp)
@@ -397,11 +356,9 @@ let exec_single t (r : Wire.request) cmd =
       let label = label_of cmd sem in
       let resp =
         with_persist t [ cmd ] (fun () ->
-            match res.Registry.site with
-            | Registry.Single stm ->
-                run_tx t ~stm ~sem ~label (fun _tx -> res.Registry.run ())
-            | Registry.Spanning stms ->
-                run_spanning t ~stms ~sem ~label res.Registry.run)
+            run_tx t
+              ~stms:(Registry.members res.Registry.site)
+              ~sem ~label res.Registry.run)
       in
       touch_committed t [ res ] resp;
       resp
@@ -478,13 +435,12 @@ let exec_request t (r : Wire.request) : Wire.response =
            budget [try_atomically] reports Exhausted, with a spent
            deadline Deadline_exceeded — the two error reply paths,
            exercisable deterministically. *)
+        let stm = Registry.stm_for t.reg (Registry.default_algo t.reg) in
         let budget = Some (Option.value budget ~default:2) in
-        run_tx t
-          ~stm:(Registry.stm_for t.reg (Registry.default_algo t.reg))
-          ~sem:Polytm.Semantics.Classic
+        run_tx t ~stms:[ stm ] ~sem:Polytm.Semantics.Classic
           ~label:(label_of r.cmd Polytm.Semantics.Classic)
           ?budget ?deadline_us
-          (fun tx -> S.abort tx)
+          (fun () -> S.atomically stm S.abort)
   | cmd ->
       if t.in_multi then
         if t.multi_count >= t.limits.Limits.max_multi then begin
@@ -511,54 +467,17 @@ let exec_snapshot_iter t (r : Wire.request) name =
   let label = label_of cmd sem in
   match Registry.snapshot_stream t.reg name t.scratch with
   | Error e -> reply t e
-  | Ok (Registry.Single stm, enc) ->
-      let budget = t.limits.Limits.op_budget in
-      let deadline_us = t.limits.Limits.op_deadline_us in
-      let t0 = R.now () in
-      let deadline = Option.map (fun us -> t0 + (us * 1000)) deadline_us in
-      (match
-         S.try_atomically ?budget ?deadline ~sem ~label stm (fun _tx ->
-             enc ())
-       with
-      | S.Committed count ->
+  | Ok (site, enc) -> (
+      (* The committed attempt's element count rides out as an [Int];
+         every error reply is an [Error]. *)
+      match
+        run_tx t ~stms:(Registry.members site) ~sem ~label (fun () ->
+            Wire.Int (enc ()))
+      with
+      | Wire.Int count ->
           Wire.write_framed_array t.out ~count ~items:t.scratch;
           t.stats.replies <- t.stats.replies + 1
-      | S.Exhausted { attempts; _ } ->
-          reply t
-            (err Wire.Exhausted "retry budget spent after %d attempts" attempts)
-      | S.Deadline_exceeded { attempts; _ } ->
-          reply t
-            (err Wire.Deadline "deadline passed after %d attempts" attempts)
-      | exception S.Invalid_operation m ->
-          reply t (err Wire.Sem_violation "%s" m));
-      let dt = R.now () - t0 in
-      Hist.record t.stats.lat_by_sem.(sem_index sem) dt;
-      Hist.record t.stats.lat_all dt
-  | Ok (Registry.Spanning stms, enc) ->
-      (* The structure spans several shards: the stream runs under the
-         cross-instance protocol — a consistent bound vector for the
-         default snapshot hint, the two-phase commit otherwise.  The
-         encoder clears the scratch on every attempt, so a redrawn
-         bound vector's retry never leaks a torn prefix. *)
-      let t0 = R.now () in
-      (match
-         if Polytm.Semantics.equal sem Polytm.Semantics.Snapshot then
-           S.snapshot_multi ~label stms enc
-         else
-           S.atomically_multi ~sem ~label ?budget:t.limits.Limits.op_budget
-             stms enc
-       with
-      | count ->
-          Wire.write_framed_array t.out ~count ~items:t.scratch;
-          t.stats.replies <- t.stats.replies + 1
-      | exception S.Too_many_attempts (_, attempts) ->
-          reply t
-            (err Wire.Exhausted "retry budget spent after %d attempts" attempts)
-      | exception S.Invalid_operation m ->
-          reply t (err Wire.Sem_violation "%s" m));
-      let dt = R.now () - t0 in
-      Hist.record t.stats.lat_by_sem.(sem_index sem) dt;
-      Hist.record t.stats.lat_all dt
+      | e -> reply t e)
 
 (* ---- output ------------------------------------------------------------- *)
 

@@ -7,14 +7,13 @@
     instance.  Point operations hash-route to the owner part and run
     exactly the one-shot single-instance transaction they always did —
     no cross-shard cost.  Whole-structure aggregates ([size], [fold],
-    [to_list]) span every shard through the STM's cross-instance
-    protocols: a consistent bound vector when the structure's
-    [size_sem] is [Snapshot], a cross-shard atomic transaction
-    otherwise — so the polymorphic-semantics story survives sharding
-    unchanged.  A [MULTI]-style batch touching several shards wraps
-    its point operations in {!Polytm.Stm_intf.S.atomically_multi}; the
-    nested calls flatten into the members exactly as they flatten into
-    a single instance.
+    [to_list]) run as one {!Polytm.Stm_intf.S.atomically_multi} of the
+    structure's [size_sem] over every shard — a consistent bound vector
+    for [Snapshot], a cross-shard atomic transaction otherwise — so the
+    polymorphic-semantics story survives sharding unchanged.  A
+    [MULTI]-style batch touching several shards wraps its point
+    operations in the same call; the nested calls flatten into the
+    members exactly as they flatten into a single instance.
 
     With a 1-shard router every operation degenerates to the
     single-instance code path, which is what the differential battery
@@ -28,13 +27,6 @@ module Make (S : Stm_intf.S) = struct
   module Map_part = Stm_map.Make (S)
   module Hash_part = Stm_hash_set.Make (S)
   module Queue_part = Stm_queue.Make (S)
-
-  (* Aggregate dispatch shared by the structures: one consistent cut
-     across every member shard. *)
-  let aggregate router size_sem label f =
-    match size_sem with
-    | Semantics.Snapshot -> Router.snapshot_all ~label router f
-    | sem -> Router.atomically_all ~sem ~label router f
 
   module Map = struct
     type 'v t = {
@@ -68,13 +60,15 @@ module Make (S : Stm_intf.S) = struct
     let mem t k = Map_part.mem (part t k) k
 
     let size t =
-      aggregate t.router t.size_sem "size" (fun () ->
+      Router.atomically_all ~sem:t.size_sem ~label:"size" t.router
+        (fun () ->
           Array.fold_left (fun acc m -> acc + Map_part.size m) 0 t.parts)
 
     (* Each part folds in ascending key order; a k-way merge keeps the
        global order without re-sorting. *)
     let to_list t =
-      aggregate t.router t.size_sem "to-list" (fun () ->
+      Router.atomically_all ~sem:t.size_sem ~label:"to-list" t.router
+        (fun () ->
           Array.fold_left
             (fun acc m ->
               List.merge
@@ -115,11 +109,13 @@ module Make (S : Stm_intf.S) = struct
     let contains t v = Hash_part.contains (part t v) v
 
     let size t =
-      aggregate t.router t.size_sem "size" (fun () ->
+      Router.atomically_all ~sem:t.size_sem ~label:"size" t.router
+        (fun () ->
           Array.fold_left (fun acc s -> acc + Hash_part.size s) 0 t.parts)
 
     let to_list t =
-      aggregate t.router t.size_sem "to-list" (fun () ->
+      Router.atomically_all ~sem:t.size_sem ~label:"to-list" t.router
+        (fun () ->
           List.sort compare
             (Array.fold_left
                (fun acc s -> List.rev_append (Hash_part.to_list s) acc)

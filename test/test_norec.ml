@@ -275,7 +275,7 @@ let test_norec_read_only_commits_free () =
 (* The standing self-test: broken validation must be caught.           *)
 (* ------------------------------------------------------------------ *)
 
-(* [unsafe_skip_validation] turns NORec's value revalidation off.  The
+(* The [`Skip_validation] fault turns NORec's value revalidation off.  The
    backend then loses updates under write-write races — shown directly
    here (the differential oracle diverges) and via the conformance
    harness (the [buggy-norec-validation] impl is rejected with a
@@ -285,7 +285,7 @@ let test_broken_validation_diverges () =
   let lost_updates = ref false in
   let seed = ref 1 in
   while (not !lost_updates) && !seed <= 40 do
-    let stm = S.create ~algo:`Norec ~unsafe_skip_validation:true () in
+    let stm = S.create ~algo:`Norec ~fault:`Skip_validation () in
     let v = S.tvar stm 0 in
     let threads = 4 and ops = 8 in
     let (), _ =
@@ -322,7 +322,7 @@ let test_harness_rejects_broken_validation () =
 let test_skip_validation_rejected_for_tl2 () =
   let rejected =
     try
-      ignore (S.create ~algo:`Tl2 ~unsafe_skip_validation:true ());
+      ignore (S.create ~algo:`Tl2 ~fault:`Skip_validation ());
       false
     with S.Invalid_operation _ -> true
   in

@@ -120,7 +120,7 @@ let write_file path s =
    preserved). *)
 let dump reg =
   let insts = Registry.instances reg `Tl2 @ Registry.instances reg `Norec in
-  S.snapshot_multi insts (fun () ->
+  S.atomically_multi ~sem:Polytm.Semantics.Snapshot insts (fun () ->
       String.concat "\n"
         (List.map
            (fun (name, (slot : Registry.slot)) ->

@@ -241,7 +241,9 @@ let test_orelse_conflict_abort_restarts_whole_tx () =
    (register, re-validate, park) must survive every interleaving. *)
 let lost_wakeup_program ~skip_wake_validation algo () =
   let stm =
-    S.create ~algo ~unsafe_skip_wake_validation:skip_wake_validation ()
+    S.create ~algo
+      ?fault:(if skip_wake_validation then Some `Skip_wake_validation else None)
+      ()
   in
   let q = Q.create stm in
   let got = ref None in

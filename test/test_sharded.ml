@@ -10,8 +10,13 @@
      conserved total (domains runtime — real parallelism).
    - Explore model check of the 2PC window: no schedule lets a
      snapshot reader observe one member's writes without the others';
-     the [unsafe_no_stabilize] variant deliberately reintroduces the
-     torn read and the explorer must find it. *)
+     the [`No_stabilize] fault deliberately reintroduces the torn read
+     and the explorer must find it.  A second explore races two
+     cross-shard increments: no schedule may lose one.
+
+   The concurrent cases run over TL2 and over NORec shards: the
+   cross-instance commit seizes NORec's sequence lock where it locks
+   TL2's locations, and both must hold up under real interleavings. *)
 
 module Sim = Polytm_runtime.Sim
 module Explore = Polytm_runtime.Explore
@@ -159,10 +164,10 @@ let test_placement_and_order () =
 module SD = Polytm.Stm.Make (Polytm_runtime.Domain_runtime)
 module ShdD = Polytm_structs.Sharded.Make (SD)
 
-let test_bank_conservation () =
+let test_bank_conservation algo () =
   let accounts = 64 and initial = 100 in
   let total = accounts * initial in
-  let router = ShdD.Router.create ~shards:16 (fun _ -> SD.create ()) in
+  let router = ShdD.Router.create ~shards:16 (fun _ -> SD.create ~algo ()) in
   let m = ShdD.Map.create ~size_sem:Sem.Snapshot router in
   for a = 0 to accounts - 1 do
     ignore (ShdD.Map.add m a initial)
@@ -213,14 +218,51 @@ let test_bank_conservation () =
   Alcotest.(check bool) "tree invariants hold on every shard" true
     (ShdD.Map.invariants_hold m)
 
+(* Conflict exhaustion of a cross-shard transaction.  Every optimistic
+   attempt reads [x] on shard 0 and then has a fresh domain commit to
+   [x] (a thread with no live transaction of its own, so the write does
+   not flatten into ours), which fails our validation.  Without a
+   budget the transaction escalates after 16 rounds and commits under
+   the tokens — where it no longer interferes, since the interfering
+   commit would stall on the token we hold.  A caller's budget is a
+   hard limit instead. *)
+let test_multi_exhaustion () =
+  let s0 = SD.create () and s1 = SD.create () in
+  let x = SD.tvar s0 0 and y = SD.tvar s1 0 in
+  let body () =
+    let v = SD.atomically s0 (fun tx -> SD.read tx x) in
+    if (SD.stats s0).SD.multi_escalations = 0 then
+      Domain.join
+        (Domain.spawn (fun () ->
+             SD.atomically s0 (fun tx -> SD.write tx x (SD.read tx x + 1))));
+    SD.atomically s1 (fun tx -> SD.write tx y v)
+  in
+  (match SD.try_atomically_multi ~budget:3 [ s0; s1 ] body with
+  | SD.Exhausted { reason = SD.Read_invalid; attempts = 3 } -> ()
+  | _ -> Alcotest.fail "expected Exhausted{Read_invalid; 3}");
+  Alcotest.(check int) "budget is a hard limit: no escalation" 0
+    (SD.stats s0).SD.multi_escalations;
+  (match SD.try_atomically_multi [ s0; s1 ] body with
+  | SD.Committed () -> ()
+  | _ -> Alcotest.fail "expected the escalated attempt to commit");
+  List.iter
+    (fun stm ->
+      let st = SD.stats stm in
+      Alcotest.(check int) "escalated once" 1 st.SD.multi_escalations;
+      Alcotest.(check int) "serial commit" 1 st.SD.serial_commits)
+    [ s0; s1 ];
+  Alcotest.(check int) "the 17th attempt read the 19th write" 19
+    (SD.atomically s1 (fun tx -> SD.read tx y))
+
 (* ---- Explore: the 2PC window cannot be read torn (sim runtime) --------- *)
 
 (* A writer commits [a := 1] on shard 0 and [b := 1] on shard 1 as one
    cross-instance transaction; a reader takes a cross-instance
    snapshot of both.  Atomicity of the 2PC means the reader sees
    either neither write or both — under EVERY schedule. *)
-let torn_read_program ~stabilize () =
-  let s0 = S.create () and s1 = S.create () in
+let torn_read_program ~algo ~stabilize () =
+  let fault = if stabilize then None else Some `No_stabilize in
+  let s0 = S.create ~algo ?fault () and s1 = S.create ~algo ?fault () in
   let stms = [ s0; s1 ] in
   let a = S.tvar s0 0 and b = S.tvar s1 0 in
   let writer () =
@@ -230,8 +272,7 @@ let torn_read_program ~stabilize () =
   in
   let reader () =
     let av, bv =
-      S.snapshot_multi ~label:"span-read"
-        ~unsafe_no_stabilize:(not stabilize) stms (fun () ->
+      S.atomically_multi ~sem:Sem.Snapshot ~label:"span-read" stms (fun () ->
           ( S.atomically s0 (fun tx -> S.read tx a),
             S.atomically s1 (fun tx -> S.read tx b) ))
     in
@@ -243,30 +284,149 @@ let torn_read_program ~stabilize () =
   assert (S.atomically s0 (fun tx -> S.read tx a) = 1);
   assert (S.atomically s1 (fun tx -> S.read tx b) = 1)
 
-let explore_2pc ~stabilize =
+let explore program =
   Explore.check ~max_executions:20_000 ~max_depth:60 ~step_limit:2_000
-    ~max_preemptions:2
-    (torn_read_program ~stabilize)
+    ~max_preemptions:2 program
 
-let test_2pc_no_torn_read () =
-  let outcome = explore_2pc ~stabilize:true in
+let test_2pc_no_torn_read algo () =
+  let outcome = explore (torn_read_program ~algo ~stabilize:true) in
   Alcotest.(check bool)
     (Printf.sprintf "explored many schedules (%d)" outcome.Explore.executions)
     true
     (outcome.Explore.executions > 50)
 
-let test_2pc_broken_ordering_caught () =
+let test_2pc_broken_ordering_caught algo () =
   (* Skipping the bound vector's re-check pass reintroduces the torn
      read; the explorer must find a schedule that observes it.  This
      is the self-test that the model check has teeth. *)
   let found =
     try
-      ignore (explore_2pc ~stabilize:false);
+      ignore (explore (torn_read_program ~algo ~stabilize:false));
       false
     with Explore.Violation _ -> true
   in
   Alcotest.(check bool) "explorer catches the torn cross-shard read" true
     found
+
+(* Two writers each increment [a] on shard 0 and [b] on shard 1 in one
+   cross-shard transaction.  Whatever the interleaving of their
+   intents, validations and write-backs, both increments land on both
+   shards. *)
+let lost_increment_program ~algo () =
+  let s0 = S.create ~algo () and s1 = S.create ~algo () in
+  let stms = [ s0; s1 ] in
+  let a = S.tvar s0 0 and b = S.tvar s1 0 in
+  let incr_both () =
+    S.atomically_multi ~label:"span-incr" stms (fun () ->
+        S.atomically s0 (fun tx -> S.write tx a (S.read tx a + 1));
+        S.atomically s1 (fun tx -> S.write tx b (S.read tx b + 1)))
+  in
+  let t1 = Sim.spawn incr_both and t2 = Sim.spawn incr_both in
+  Sim.join t1;
+  Sim.join t2;
+  assert (S.atomically s0 (fun tx -> S.read tx a) = 2);
+  assert (S.atomically s1 (fun tx -> S.read tx b) = 2)
+
+let test_2pc_no_lost_increment algo () =
+  let outcome = explore (lost_increment_program ~algo) in
+  Alcotest.(check bool)
+    (Printf.sprintf "explored many schedules (%d)" outcome.Explore.executions)
+    true
+    (outcome.Explore.executions > 50)
+
+(* A cross-shard commit [m] reads [x] and writes [y] on shard 0 (and
+   [z] on shard 1) while a single-shard commit overwrites [x] and a
+   single-shard snapshot reads [x] then [y].  If [m] read the old [x],
+   the snapshot must not see the new [x] beside the old [y]: that
+   orders [m] before the overwrite, the overwrite before the snapshot,
+   and the snapshot before [m] — a cycle.  A member's write version is
+   drawn before the member is validated, so a commit on a location [m]
+   only read cannot slip in underneath it with a smaller version.
+   Returns what [m] read and what the snapshot saw. *)
+let read_member_cycle_program () =
+  let s0 = S.create ~cm:Polytm.Contention.Suicide () in
+  let s1 = S.create ~cm:Polytm.Contention.Suicide () in
+  let x = S.tvar s0 0 and y = S.tvar s0 0 and z = S.tvar s1 0 in
+  let seen_x = ref (-1) and snap = ref (-1, -1) in
+  let m () =
+    S.atomically_multi ~label:"span" [ s0; s1 ] (fun () ->
+        seen_x :=
+          S.atomically s0 (fun tx ->
+              let v = S.read tx x in
+              S.write tx y 1;
+              v);
+        S.atomically s1 (fun tx -> S.write tx z 1))
+  in
+  let overwrite () = S.atomically s0 (fun tx -> S.write tx x 1) in
+  let reader () =
+    snap :=
+      S.atomically ~sem:Sem.Snapshot s0 (fun tx ->
+          let xv = S.read tx x in
+          (xv, S.read tx y))
+  in
+  let t1 = Sim.spawn m in
+  let t2 = Sim.spawn overwrite in
+  let t3 = Sim.spawn reader in
+  Sim.join t1;
+  Sim.join t2;
+  Sim.join t3;
+  (!seen_x, !snap)
+
+(* The schedules are built directly rather than explored: the snapshot
+   spins on [m]'s lock on [y], and the explorer's default continuation
+   keeps a spinner running until the run is pruned as a livelock,
+   together with the schedule that resumes [m].  So: preempt [m] at
+   every decision where the overwrite (thread 2) could run instead, run
+   the overwrite to completion, then the reader (thread 3) for [n]
+   steps, then resume [m] (thread 1).  Against a commit that validates
+   a member before drawing its version, some of these schedules
+   produce the cycle. *)
+let test_2pc_read_member_no_cycle () =
+  let outcome = ref (-1, (-1, -1)) in
+  let run prefix =
+    match
+      Sim.run ~policy:(Sim.Scripted prefix) ~record_trace:true
+        ~step_limit:5_000 (fun () -> outcome := read_member_cycle_program ())
+    with
+    | (), info -> Some (Array.of_list info.Sim.trace)
+    | exception Sim.Step_limit_exceeded -> None
+  in
+  let chosen tr = Array.map (fun (d : Sim.decision) -> d.Sim.chosen) tr in
+  let ready (d : Sim.decision) t = List.mem t d.Sim.ready in
+  let base = Option.get (run [||]) in
+  let schedules = ref 0 in
+  Array.iteri
+    (fun i (d : Sim.decision) ->
+      if d.Sim.chosen = 1 && ready d 2 then
+        let p1 = Array.append (Array.sub (chosen base) 0 i) [| 2 |] in
+        match run p1 with
+        | None -> ()
+        | Some tr -> (
+            let rec after_overwrite j =
+              if j >= Array.length tr then None
+              else if (not (ready tr.(j) 2)) && ready tr.(j) 3 then Some j
+              else after_overwrite (j + 1)
+            in
+            match after_overwrite (i + 1) with
+            | None -> ()
+            | Some j ->
+                let p2 = Array.append (Array.sub (chosen tr) 0 j) [| 3 |] in
+                for n = 0 to 20 do
+                  if run (Array.concat [ p2; Array.make n 3; [| 1 |] ]) <> None
+                  then begin
+                    incr schedules;
+                    let seen_x, snap = !outcome in
+                    if seen_x = 0 && snap = (1, 0) then
+                      Alcotest.failf
+                        "serialization cycle: the cross-shard commit read \
+                         x=0 but a snapshot saw x=1, y=0 (preempted at %d)"
+                        i
+                  end
+                done))
+    base;
+  Alcotest.(check bool)
+    (Printf.sprintf "ran many directed schedules (%d)" !schedules)
+    true (!schedules > 100)
 
 (* ---- flattening: sharded point ops inside a spanning transaction ------- *)
 
@@ -298,11 +458,25 @@ let suite =
       Alcotest.test_case "placement and merged iteration order" `Quick
         test_placement_and_order;
       Alcotest.test_case "bank total conserved across cross-shard MULTI"
-        `Quick test_bank_conservation;
+        `Quick (test_bank_conservation `Tl2);
+      Alcotest.test_case "NORec bank total conserved across MULTI" `Quick
+        (test_bank_conservation `Norec);
+      Alcotest.test_case "cross-shard exhaustion: budget vs escalation"
+        `Quick test_multi_exhaustion;
       Alcotest.test_case "2PC window: no torn read under any schedule" `Quick
-        test_2pc_no_torn_read;
+        (test_2pc_no_torn_read `Tl2);
       Alcotest.test_case "2PC window: broken ordering is caught" `Quick
-        test_2pc_broken_ordering_caught;
+        (test_2pc_broken_ordering_caught `Tl2);
+      Alcotest.test_case "NORec 2PC window: no torn read" `Quick
+        (test_2pc_no_torn_read `Norec);
+      Alcotest.test_case "NORec 2PC window: broken ordering caught" `Quick
+        (test_2pc_broken_ordering_caught `Norec);
+      Alcotest.test_case "2PC increments: none lost under any schedule"
+        `Quick (test_2pc_no_lost_increment `Tl2);
+      Alcotest.test_case "NORec 2PC increments: none lost" `Quick
+        (test_2pc_no_lost_increment `Norec);
+      Alcotest.test_case "2PC read-only location: no snapshot cycle" `Quick
+        test_2pc_read_member_no_cycle;
       Alcotest.test_case "point ops flatten into a spanning tx" `Quick
         test_point_ops_flatten_into_spanning_tx;
     ] )

@@ -752,7 +752,42 @@ let test_try_atomically_outcomes () =
   (* A deadline never interrupts a committing attempt. *)
   (match S.try_atomically ~deadline:0 stm (fun tx -> S.read tx v) with
   | S.Committed 7 -> ()
-  | _ -> Alcotest.fail "expected Committed despite stale deadline")
+  | _ -> Alcotest.fail "expected Committed despite stale deadline");
+  (* The same outcomes from a transaction spanning two instances: the
+     cross-instance form runs the same loop, so a caller's budget is a
+     hard limit there too, and its deadline is honoured. *)
+  let s0 = S.create ~max_attempts:100 () in
+  let s1 = S.create ~max_attempts:100 () in
+  let a = S.tvar s0 0 and b = S.tvar s1 0 in
+  let both = [ s0; s1 ] in
+  (match
+     S.try_atomically_multi both (fun () ->
+         S.atomically s0 (fun tx -> S.write tx a 1);
+         S.atomically s1 (fun tx -> S.write tx b 2);
+         "ok")
+   with
+  | S.Committed s -> Alcotest.(check string) "2-member committed" "ok" s
+  | _ -> Alcotest.fail "expected Committed (2 members)");
+  Alcotest.(check (pair int int)) "both members' writes visible" (1, 2)
+    ( S.atomically s0 (fun tx -> S.read tx a),
+      S.atomically s1 (fun tx -> S.read tx b) );
+  (match
+     S.try_atomically_multi ~budget:3 both (fun () -> S.atomically s0 S.abort)
+   with
+  | S.Exhausted { reason = S.Explicit; attempts = 3 } -> ()
+  | _ -> Alcotest.fail "expected Exhausted{Explicit; 3} (2 members)");
+  List.iter
+    (fun stm ->
+      let st = S.stats stm in
+      Alcotest.(check int) "member exhaustion counted" 1
+        st.S.budget_exhaustions;
+      Alcotest.(check int) "no member escalation" 0 st.S.multi_escalations)
+    both;
+  (match
+     S.try_atomically_multi ~deadline:0 both (fun () -> S.atomically s0 S.abort)
+   with
+  | S.Deadline_exceeded { reason = S.Explicit; attempts = 1 } -> ()
+  | _ -> Alcotest.fail "expected Deadline_exceeded (2 members)")
 
 let test_budget_overrides_max_attempts () =
   let stm = S.create ~max_attempts:100 () in
