@@ -79,17 +79,21 @@ let append t hdr ~payload =
   Mutex.unlock t.mu;
   seq
 
-let write_all fd b pos len =
-  let pos = ref pos and len = ref len in
-  while !len > 0 do
-    match Unix.write fd b !pos !len with
-    | n ->
-        pos := !pos + n;
-        len := !len - n
+(* Write [b] from [!pos] to its end, advancing [pos] past every byte
+   written, so a caller whose write raises knows exactly which tail is
+   still unwritten. *)
+let write_all fd b pos =
+  while !pos < Bytes.length b do
+    match Unix.write fd b !pos (Bytes.length b - !pos) with
+    | n -> pos := !pos + n
     | exception Unix.Unix_error (EINTR, _, _) -> ()
   done
 
-(* Drain the buffer to the fd and fsync; must hold [sync_mu]. *)
+(* Drain the buffer to the fd and fsync; must hold [sync_mu].  Bytes
+   leave the buffers only once written: when a write raises, the
+   unwritten tail goes back in front of whatever was appended meanwhile
+   and the exception propagates, so the next sync writes it first, and
+   [synced_seq] moves only after a write and its fsync both succeed. *)
 let sync_locked t =
   if not t.closed then begin
     Mutex.lock t.mu;
@@ -101,8 +105,20 @@ let sync_locked t =
     (* Appends continue into the other buffer while we do I/O. *)
     if Buffer.length pending > 0 then begin
       let b = Buffer.to_bytes pending in
-      Buffer.clear pending;
-      write_all t.fd b 0 (Bytes.length b)
+      let pos = ref 0 in
+      match write_all t.fd b pos with
+      | () -> Buffer.clear pending
+      | exception e ->
+          Mutex.lock t.mu;
+          let live = t.buf in
+          Buffer.clear pending;
+          Buffer.add_subbytes pending b !pos (Bytes.length b - !pos);
+          Buffer.add_buffer pending live;
+          Buffer.clear live;
+          t.buf <- pending;
+          t.spare <- live;
+          Mutex.unlock t.mu;
+          raise e
     end;
     Unix.fsync t.fd;
     t.syncs <- t.syncs + 1;

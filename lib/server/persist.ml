@@ -313,9 +313,11 @@ exception Refuse of string
 
 let refuse fmt = Printf.ksprintf (fun m -> raise (Refuse m)) fmt
 
-(* Parse a record payload back into its wire request frames. *)
-let requests_of_payload payload =
-  let dec = Wire.Decoder.create () in
+(* Parse a record payload back into its wire request frames.  [dec] is
+   the one decoder of this recovery: a payload that parses leaves it
+   empty, and one that does not refuses the whole recovery, so no state
+   carries from one record to the next. *)
+let requests_of_payload dec payload =
   Wire.Decoder.feed_string dec payload;
   let rec loop acc =
     match Wire.Decoder.next_request dec with
@@ -346,9 +348,11 @@ let apply_new reg ~algo (req : Wire.request) =
       ignore (Registry.ensure ?algo reg kind name)
   | _ -> refuse "structure record without NEW frame"
 
-let apply_record reg ~bounds (r : P.Frame.record) =
+let apply_record reg dec ~bounds (r : P.Frame.record) =
   if r.hdr.rtype = P.Frame.rt_new then begin
-    List.iter (apply_new reg ~algo:(algo_of_code r.hdr.algo)) (requests_of_payload r.payload);
+    List.iter
+      (apply_new reg ~algo:(algo_of_code r.hdr.algo))
+      (requests_of_payload dec r.payload);
     true
   end
   else if r.hdr.rtype = P.Frame.rt_op then begin
@@ -358,7 +362,7 @@ let apply_record reg ~bounds (r : P.Frame.record) =
       | None -> -1
     in
     if r.hdr.stamp > bound then begin
-      List.iter (apply_op reg) (requests_of_payload r.payload);
+      List.iter (apply_op reg) (requests_of_payload dec r.payload);
       true
     end
     else false
@@ -370,7 +374,7 @@ let apply_record reg ~bounds (r : P.Frame.record) =
    applied.  An invalid named checkpoint refuses service — unlike a
    log tail, there is no "longest valid prefix" story for a file that
    claims to be a complete state. *)
-let load_checkpoint reg ~path =
+let load_checkpoint reg dec ~path =
   let records = ref [] in
   let scan =
     try
@@ -402,9 +406,9 @@ let load_checkpoint reg ~path =
                   if r.hdr.rtype = P.Frame.rt_new then
                     List.iter
                       (apply_new reg ~algo:(algo_of_code r.hdr.algo))
-                      (requests_of_payload r.payload)
+                      (requests_of_payload dec r.payload)
                   else if r.hdr.rtype = P.Frame.rt_op then
-                    List.iter (apply_op reg) (requests_of_payload r.payload)
+                    List.iter (apply_op reg) (requests_of_payload dec r.payload)
                   else refuse "unexpected record type in checkpoint")
                 (List.rev body_rev);
               let bounds = Hashtbl.create 16 in
@@ -419,11 +423,11 @@ let load_checkpoint reg ~path =
 
 (* Replay a log file against the bound vector.  A missing file is an
    empty log.  Returns (records applied, tear description option). *)
-let replay_log reg ~bounds ~path =
+let replay_log reg dec ~bounds ~path =
   let applied = ref 0 in
   match
     P.Frame.scan_file ~magic:P.Frame.log_magic ~path ~f:(fun _ r ->
-        if apply_record reg ~bounds r then incr applied)
+        if apply_record reg dec ~bounds r then incr applied)
   with
   | scan ->
       let tear =
@@ -459,11 +463,12 @@ let recover ~dir reg =
       match P.Layout.read_manifest ~dir with
       | None -> { r_replayed = 0; r_tear = None; r_ms = 0.0 }
       | Some gen ->
+          let dec = Wire.Decoder.create () in
           let bounds, ckpt_records =
-            load_checkpoint reg ~path:(P.Layout.ckpt_path ~dir gen)
+            load_checkpoint reg dec ~path:(P.Layout.ckpt_path ~dir gen)
           in
           let n1, tear1 =
-            replay_log reg ~bounds ~path:(P.Layout.log_path ~dir gen)
+            replay_log reg dec ~bounds ~path:(P.Layout.log_path ~dir gen)
           in
           (* The next generation's log exists only when a checkpoint
              was interrupted; its records strictly follow the old
@@ -474,7 +479,8 @@ let recover ~dir reg =
             match tear1 with
             | Some _ -> (0, None)
             | None ->
-                replay_log reg ~bounds ~path:(P.Layout.log_path ~dir (gen + 1))
+                replay_log reg dec ~bounds
+                  ~path:(P.Layout.log_path ~dir (gen + 1))
           in
           {
             r_replayed = ckpt_records + n1 + n2;

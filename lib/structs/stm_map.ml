@@ -9,7 +9,13 @@
     window cannot protect); read-only aggregates ([size], [fold],
     [to_list]) honour [size_sem], so a [Snapshot] map supports
     consistent iteration that never aborts concurrent inserts —
-    Section 5.1's Iterator story on a tree. *)
+    Section 5.1's Iterator story on a tree.
+
+    An insert or delete retraces as the sequential algorithm does: up
+    from the changed leaf only while subtree heights change, a level
+    or two on a random tree.  Every ancestor it does not visit is a
+    set of reads the transaction neither logs, validates nor conflicts
+    on. *)
 
 open Polytm
 
@@ -40,57 +46,93 @@ module Make (S : Stm_intf.S) = struct
     | Leaf -> 0
     | Node c -> S.read tx c.height
 
-  let update_height tx c =
+  (* What an update did to the subtree it ran on: nothing (the key was
+     already bound, for [add]; absent, for [remove]), a change of shape
+     at the same height, or a change of height.  Only the last makes
+     the parent retrace: its balance and height are functions of its
+     children's heights alone. *)
+  type change = Unchanged | Same_height | New_height
+
+  let left c = c.left
+  let right c = c.right
+
+  let set_height tx c ~old h = if h <> old then S.write tx c.height h
+
+  (* [c], the root of the subtree in [ptr] with stored height [h0], has
+     a child [x] (the node [xn], height [hx]) on the side [near]
+     selects, two taller than its sibling of height [hf] on the side
+     [far] selects.  Rotate [x] up, first rotating [x]'s [far] child up
+     inside it when that grandchild is the taller one, and return the
+     subtree's new height.  A height is written only where it changed.
+     [xa]/[xb] are [x]'s near and far children, [ya]/[yb] those of the
+     double rotation's pivot [y]. *)
+  let rotate tx ptr c ~h0 ~near ~far xn x ~hx ~hf =
+    let xa = S.read tx (near x) in
+    let xb = S.read tx (far x) in
+    let ha = node_height tx xa in
+    let hb = node_height tx xb in
+    if ha >= hb then begin
+      S.write tx (near c) xb;
+      let hc = 1 + max hb hf in
+      set_height tx c ~old:h0 hc;
+      S.write tx (far x) (Node c);
+      let h = 1 + max ha hc in
+      set_height tx x ~old:hx h;
+      S.write tx ptr xn;
+      h
+    end
+    else
+      match xb with
+      | Leaf ->
+          raise
+            (Invariant_violation
+               "stm_map.rebalance: the taller grandchild is empty")
+      | Node y ->
+          let ya = S.read tx (near y) in
+          let yb = S.read tx (far y) in
+          let hya = node_height tx ya in
+          let hyb = node_height tx yb in
+          S.write tx (far x) ya;
+          let hx' = 1 + max ha hya in
+          set_height tx x ~old:hx hx';
+          S.write tx (near c) yb;
+          let hc = 1 + max hyb hf in
+          set_height tx c ~old:h0 hc;
+          S.write tx (near y) xn;
+          S.write tx (far y) (Node c);
+          let h = 1 + max hx' hc in
+          set_height tx y ~old:hb h;
+          S.write tx ptr xb;
+          h
+
+  (* Restore the AVL invariant at [c], the cell in [ptr], after one
+     child subtree changed height by one.  Each child's height is read
+     once.  Returns whether the subtree's height changed: when it did
+     not, no ancestor's balance or height can have, so the caller stops
+     retracing there. *)
+  let rebalance tx ptr c =
+    let l = S.read tx c.left in
+    let r = S.read tx c.right in
+    let hl = node_height tx l in
+    let hr = node_height tx r in
+    let h0 = S.read tx c.height in
     let h =
-      1 + max (node_height tx (S.read tx c.left)) (node_height tx (S.read tx c.right))
+      match (l, r) with
+      | Node x, _ when hl > hr + 1 ->
+          rotate tx ptr c ~h0 ~near:left ~far:right l x ~hx:hl ~hf:hr
+      | _, Node x when hr > hl + 1 ->
+          rotate tx ptr c ~h0 ~near:right ~far:left r x ~hx:hr ~hf:hl
+      | _ ->
+          let h = 1 + max hl hr in
+          set_height tx c ~old:h0 h;
+          h
     in
-    if S.read tx c.height <> h then S.write tx c.height h
+    h <> h0
 
-  let balance_factor tx c =
-    node_height tx (S.read tx c.left) - node_height tx (S.read tx c.right)
-
-  (* Right rotation of the subtree held in [ptr]; [c] is its root cell
-     whose left child [l] becomes the new subtree root. *)
-  let rotate_right tx ptr c =
-    match S.read tx c.left with
-    | Leaf -> ()
-    | Node l ->
-        S.write tx c.left (S.read tx l.right);
-        update_height tx c;
-        S.write tx l.right (Node c);
-        update_height tx l;
-        S.write tx ptr (Node l)
-
-  let rotate_left tx ptr c =
-    match S.read tx c.right with
-    | Leaf -> ()
-    | Node r ->
-        S.write tx c.right (S.read tx r.left);
-        update_height tx c;
-        S.write tx r.left (Node c);
-        update_height tx r;
-        S.write tx ptr (Node r)
-
-  (* Restore the AVL invariant at [ptr] after a child subtree changed
-     height by at most one. *)
-  let rebalance tx ptr =
-    match S.read tx ptr with
-    | Leaf -> ()
-    | Node c ->
-        update_height tx c;
-        let bf = balance_factor tx c in
-        if bf > 1 then begin
-          (match S.read tx c.left with
-          | Node l when balance_factor tx l < 0 -> rotate_left tx c.left l
-          | Node _ | Leaf -> ());
-          rotate_right tx ptr c
-        end
-        else if bf < -1 then begin
-          (match S.read tx c.right with
-          | Node r when balance_factor tx r > 0 -> rotate_right tx c.right r
-          | Node _ | Leaf -> ());
-          rotate_left tx ptr c
-        end
+  (* Retrace one level up from a child subtree that underwent [change]. *)
+  let retrace tx ptr c = function
+    | New_height -> if rebalance tx ptr c then New_height else Same_height
+    | (Unchanged | Same_height) as change -> change
 
   let make_cell stm k v =
     {
@@ -107,19 +149,15 @@ module Make (S : Stm_intf.S) = struct
           match S.read tx ptr with
           | Leaf ->
               S.write tx ptr (Node (make_cell t.stm k v));
-              true
+              New_height
           | Node c ->
               if k = c.key then begin
                 S.write tx c.value v;
-                false
+                Unchanged
               end
-              else begin
-                let added = go (if k < c.key then c.left else c.right) in
-                if added then rebalance tx ptr;
-                added
-              end
+              else retrace tx ptr c (go (if k < c.key then c.left else c.right))
         in
-        go t.root)
+        go t.root <> Unchanged)
 
   let find_opt t k =
     S.atomically ~label:"find" t.stm (fun tx ->
@@ -134,66 +172,51 @@ module Make (S : Stm_intf.S) = struct
 
   let mem t k = Option.is_some (find_opt t k)
 
-  (* Remove the minimum of the subtree in [ptr], returning its
-     (key, value); the caller re-keys the deleted node's slot. *)
-  let rec take_min tx ptr =
-    match S.read tx ptr with
-    | Leaf -> None
-    | Node c -> (
-        match S.read tx c.left with
-        | Leaf ->
-            let kv = (c.key, S.read tx c.value) in
-            S.write tx ptr (S.read tx c.right);
-            Some kv
-        | Node _ ->
-            let kv = take_min tx c.left in
-            rebalance tx ptr;
-            kv)
+  (* Unlink the minimum cell of the subtree rooted at [c] in [ptr];
+     returns it and whether the subtree's height changed. *)
+  let rec take_min tx ptr c =
+    match S.read tx c.left with
+    | Leaf ->
+        S.write tx ptr (S.read tx c.right);
+        (c, true)
+    | Node l ->
+        let m, shrank = take_min tx c.left l in
+        (m, shrank && rebalance tx ptr c)
 
   let remove t k =
     S.atomically ~label:"remove" t.stm (fun tx ->
         let rec go ptr =
           match S.read tx ptr with
-          | Leaf -> false
-          | Node c ->
-              if k < c.key then begin
-                let removed = go c.left in
-                if removed then rebalance tx ptr;
-                removed
-              end
-              else if k > c.key then begin
-                let removed = go c.right in
-                if removed then rebalance tx ptr;
-                removed
-              end
-              else begin
-                (match (S.read tx c.left, S.read tx c.right) with
-                | Leaf, other | other, Leaf -> S.write tx ptr other
-                | Node _, Node _ -> (
+          | Leaf -> Unchanged
+          | Node c -> (
+              if k <> c.key then
+                retrace tx ptr c (go (if k < c.key then c.left else c.right))
+              else
+                match (S.read tx c.left, S.read tx c.right) with
+                | Leaf, other | other, Leaf ->
+                    S.write tx ptr other;
+                    New_height
+                | (Node _ as l), Node r ->
                     (* Replace by the successor: splice the right
-                       subtree's minimum into this slot. *)
-                    match take_min tx c.right with
-                    | None ->
-                        (* Both children read [Node] above, yet the
-                           right subtree produced no minimum: the tree
-                           is structurally corrupt (a rebalance bug,
-                           not a data race — the transaction reread
-                           the same tvars).  Fail the transaction, not
-                           the process. *)
-                        raise
-                          (Invariant_violation
-                             "stm_map.remove: interior node with two \
-                              children has no successor")
-                    | Some (sk, sv) ->
-                        let cell = make_cell t.stm sk sv in
-                        S.write tx cell.left (S.read tx c.left);
-                        S.write tx cell.right (S.read tx c.right);
-                        S.write tx ptr (Node cell);
-                        rebalance tx ptr));
-                true
-              end
+                       subtree's minimum into this slot, in a cell
+                       that starts at the removed node's height so
+                       that [rebalance] sees exactly whether the
+                       height changed. *)
+                    let m, shrank = take_min tx c.right r in
+                    let cell =
+                      {
+                        key = m.key;
+                        value = S.tvar t.stm (S.read tx m.value);
+                        left = S.tvar t.stm l;
+                        right = S.tvar t.stm (S.read tx c.right);
+                        height = S.tvar t.stm (S.read tx c.height);
+                      }
+                    in
+                    S.write tx ptr (Node cell);
+                    if shrank then retrace tx ptr cell New_height
+                    else Same_height)
         in
-        go t.root)
+        go t.root <> Unchanged)
 
   let fold t f init =
     S.atomically ~sem:t.size_sem ~label:"fold" t.stm (fun tx ->

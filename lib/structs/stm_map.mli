@@ -10,9 +10,9 @@
 open Polytm
 
 exception Invariant_violation of string
-(** A structural invariant did not hold mid-operation (e.g. an
-    interior node with two children but no successor — a rebalance
-    bug).  Raised inside the enclosing transaction so the attempt's
+(** A structural invariant did not hold mid-operation (e.g. cached
+    heights that call for a double rotation whose pivot is empty — a
+    rebalance bug).  Raised inside the enclosing transaction so the attempt's
     effects are discarded through the ordinary abort path: the
     transaction fails, the process survives, and a server can answer a
     typed error instead of dying. *)

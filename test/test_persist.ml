@@ -41,10 +41,12 @@ let write_all fd s =
     off := !off + Unix.write_substring fd s !off (len - !off)
   done
 
-let send fd cmds =
+let frames cmds =
   let b = Buffer.create 256 in
   List.iter (fun cmd -> Wire.write_request b { Wire.hint = None; cmd }) cmds;
-  write_all fd (Buffer.contents b)
+  Buffer.contents b
+
+let send fd cmds = write_all fd (frames cmds)
 
 let recv_n fd n =
   let dec = Wire.Decoder.create () in
@@ -620,6 +622,113 @@ let test_blocking_pop_logged () =
     (String.length live > 0 && live = "q{b}");
   rm_rf dir
 
+(* ---- replay refusals and the decoder's lifetime ------------------------- *)
+
+(* A data directory at generation 1 by hand: an empty checkpoint (its
+   bounds record and trailer) and a log holding [records]. *)
+let write_store ~dir records =
+  Unix.mkdir dir 0o755;
+  let zero rtype = { P.Frame.rtype; algo = 0; shard = 0; stamp = 0 } in
+  let ckpt = Buffer.create 64 in
+  Buffer.add_string ckpt P.Frame.ckpt_magic;
+  P.Frame.encode ckpt (zero P.Frame.rt_bounds)
+    ~payload:(P.Frame.encode_bounds []);
+  P.Frame.encode ckpt (zero P.Frame.rt_trailer)
+    ~payload:(P.Frame.encode_count 1);
+  write_file (P.Layout.ckpt_path ~dir 1) (Buffer.contents ckpt);
+  write_file (P.Layout.log_path ~dir 1) (fst (encode_log records));
+  P.Layout.write_manifest ~dir ~gen:1
+
+let mentions m sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length m && (String.sub m i n = sub || at (i + 1))
+  in
+  at 0
+
+(* A log whose records pass their CRC but whose payloads are not wire
+   frames refuses recovery with a typed error, and a later recovery in
+   the same process starts from a clean decoder: one that outlived a
+   refused recovery would still hold a partial frame, or be latched
+   dead by the broken one. *)
+let test_replay_refusals () =
+  let record rtype stamp payload =
+    { P.Frame.hdr = { P.Frame.rtype; algo = 0; shard = 0; stamp }; payload }
+  in
+  let records payload =
+    [
+      record P.Frame.rt_new 0 (frames [ Wire.New (Wire.Kmap, "m") ]);
+      record P.Frame.rt_op 1 payload;
+    ]
+  in
+  let recover payload =
+    let dir = fresh_dir "refuse" in
+    write_store ~dir (records payload);
+    let reg = Registry.create ~shards:1 ~default_algo:`Tl2 () in
+    let r = Persist.recover ~dir reg in
+    rm_rf dir;
+    (reg, r)
+  in
+  let refused what payload expect =
+    match recover payload with
+    | _, Ok _ -> Alcotest.failf "%s: recovery succeeded" what
+    | _, Error m ->
+        if not (mentions m expect) then
+          Alcotest.failf "%s: %S does not mention %S" what m expect
+  in
+  refused "broken framing" "PUT m 1 x" "bad frame in record payload";
+  let put = frames [ Wire.Put ("m", 1, "x") ] in
+  refused "partial trailing frame"
+    (put ^ String.sub put 0 (String.length put - 2))
+    "trailing bytes";
+  match
+    recover
+      (frames
+         [ Wire.Put ("m", 1, "a"); Wire.Put ("m", 2, "b"); Wire.Put ("m", 3, "c") ])
+  with
+  | _, Error m -> Alcotest.failf "clean log refused: %s" m
+  | reg, Ok _ ->
+      Alcotest.(check string) "every frame of the MULTI record replayed"
+        "m{1=a;2=b;3=c}" (dump reg)
+
+(* ---- a failed log write loses nothing ----------------------------------- *)
+
+(* A write that raises (here ENOSPC, from /dev/full put in place of the
+   log's fd) must leave its records buffered: the next successful sync
+   writes them first, and [synced_seq] never covers a record that is
+   not in the file. *)
+let test_aof_failed_write () =
+  let dir = fresh_dir "enospc" in
+  Unix.mkdir dir 0o755;
+  let path = P.Layout.log_path ~dir 1 in
+  let aof = P.Aof.open_log path in
+  let append stamp =
+    ignore
+      (P.Aof.append aof
+         { P.Frame.rtype = P.Frame.rt_op; algo = 0; shard = 0; stamp }
+         ~payload:(string_of_int stamp))
+  in
+  List.iter append [ 1; 2; 3 ];
+  let saved = Unix.dup aof.P.Aof.fd in
+  let full = Unix.openfile "/dev/full" [ Unix.O_WRONLY ] 0 in
+  Unix.dup2 full aof.P.Aof.fd;
+  Unix.close full;
+  (match P.Aof.sync aof with
+  | () -> Alcotest.fail "a write to /dev/full succeeded"
+  | exception Unix.Unix_error (Unix.ENOSPC, _, _) -> ());
+  Alcotest.(check int) "a failed sync covers nothing" 0 (P.Aof.synced_seq aof);
+  Unix.dup2 saved aof.P.Aof.fd;
+  Unix.close saved;
+  List.iter append [ 4; 5 ];
+  P.Aof.sync aof;
+  Alcotest.(check int) "synced_seq" 5 (P.Aof.synced_seq aof);
+  let records, scan = scan_records path in
+  Alcotest.(check (list int)) "every record on disk, in order" [ 1; 2; 3; 4; 5 ]
+    (List.map (fun (r : P.Frame.record) -> r.hdr.stamp) records);
+  Alcotest.(check bool) "no tear" true (scan.P.Frame.tear = None);
+  P.Aof.close aof;
+  rm_rf dir
+
 let suite =
   ( "persist",
     [
@@ -641,4 +750,8 @@ let suite =
         `Quick test_info_and_off_refusals;
       Alcotest.test_case "blocking pop is logged and recovers" `Quick
         test_blocking_pop_logged;
+      Alcotest.test_case "replay refuses malformed payloads; decoder per recovery"
+        `Quick test_replay_refusals;
+      Alcotest.test_case "a failed log write keeps its records" `Quick
+        test_aof_failed_write;
     ] )

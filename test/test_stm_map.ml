@@ -28,33 +28,36 @@ let test_ordered_iteration () =
     (M.to_list m);
   Alcotest.(check int) "size" 5 (M.size m)
 
+(* Keys from a narrow range under a remove-heavy mix keep a tree of a
+   few dozen keys churning, so two-child deletes and double rotations
+   both occur; the structure and the contents are checked after every
+   operation, so a retrace that stops too early fails at the op that
+   broke it. *)
 let model_property =
   QCheck.Test.make ~name:"stm_map behaves like Map.Make(Int)" ~count:120
     QCheck.(
-      list_of_size Gen.(0 -- 80)
-        (pair (int_range 0 2) (int_range 0 30)))
+      list_of_size Gen.(0 -- 200)
+        (pair (int_range 0 9) (int_range 0 63)))
     (fun ops ->
       let stm = S.create () in
       let m = M.create stm in
       let model = ref IMap.empty in
-      let ok = ref true in
-      List.iter
+      List.for_all
         (fun (op, k) ->
-          match op with
-          | 0 ->
-              let expected = not (IMap.mem k !model) in
-              model := IMap.add k (k * 2) !model;
-              if M.add m k (k * 2) <> expected then ok := false
-          | 1 ->
-              let expected = IMap.mem k !model in
-              model := IMap.remove k !model;
-              if M.remove m k <> expected then ok := false
-          | _ ->
-              if M.find_opt m k <> IMap.find_opt k !model then ok := false)
-        ops;
-      !ok
-      && M.to_list m = IMap.bindings !model
-      && M.invariants_hold m)
+          (if op < 4 then begin
+             let expected = not (IMap.mem k !model) in
+             model := IMap.add k (k * 2) !model;
+             M.add m k (k * 2) = expected
+           end
+           else if op < 9 then begin
+             let expected = IMap.mem k !model in
+             model := IMap.remove k !model;
+             M.remove m k = expected
+           end
+           else M.find_opt m k = IMap.find_opt k !model)
+          && M.invariants_hold m
+          && M.to_list m = IMap.bindings !model)
+        ops)
 
 let balance_property =
   (* After any sequence of inserts, the tree height is logarithmic and
@@ -176,6 +179,59 @@ let test_invariant_violation_aborts_not_crashes () =
   Alcotest.(check bool) "instance usable afterwards" true (M.add m 42 420);
   Alcotest.(check int) "size reflects only committed ops" 6 (M.size m)
 
+(* An insert or delete retraces only while subtree heights change,
+   which on a random AVL tree is a level or two on average: its read
+   set is the search path plus a handful of cells, not every ancestor's
+   children and heights.  Replay and every live PUT and DEL pay this
+   read set, and every read is logged, validated at commit and able to
+   conflict. *)
+let test_update_read_sets () =
+  let stm = S.create () in
+  let m = M.create stm in
+  let rng = Polytm_util.Rng.create Test_seed.seed in
+  let keys = Array.init 4096 Fun.id in
+  for i = Array.length keys - 1 downto 1 do
+    let j = Polytm_util.Rng.int rng (i + 1) in
+    let x = keys.(i) in
+    keys.(i) <- keys.(j);
+    keys.(j) <- x
+  done;
+  (* [keys.(0 .. 2047)] are present, the rest absent. *)
+  for i = 0 to 2047 do
+    ignore (M.add m keys.(i) i)
+  done;
+  (* Read-set sizes and commit counts, for inserts and for deletes. *)
+  let ins = [| 0; 0 |] and del = [| 0; 0 |] in
+  let into = ref ins in
+  S.set_sink stm
+    (Some
+       {
+         Polytm_telemetry.emit =
+           (fun e ->
+             match e.Polytm_telemetry.kind with
+             | Polytm_telemetry.Commit { reads; _ } ->
+                 !into.(0) <- !into.(0) + reads;
+                 !into.(1) <- !into.(1) + 1
+             | _ -> ());
+       });
+  (* Alternate, so the map stays at about 2,048 keys. *)
+  for i = 0 to 999 do
+    into := ins;
+    if not (M.add m keys.(2048 + i) i) then Alcotest.fail "absent key bound";
+    into := del;
+    if not (M.remove m keys.(i)) then Alcotest.fail "present key unbound"
+  done;
+  S.set_sink stm None;
+  Alcotest.(check bool) "still an AVL tree" true (M.invariants_hold m);
+  Alcotest.(check int) "size" 2048 (M.size m);
+  let bounded what c =
+    let mean = float_of_int c.(0) /. float_of_int c.(1) in
+    if mean > 40. then
+      Alcotest.failf "%s: %.1f reads per commit (bound 40)" what mean
+  in
+  bounded "insert of an absent key" ins;
+  bounded "delete of a present key" del
+
 let suite =
   ( "stm-map",
     [
@@ -185,6 +241,8 @@ let suite =
       Alcotest.test_case "ordered iteration" `Quick test_ordered_iteration;
       Test_seed.to_alcotest model_property;
       Test_seed.to_alcotest balance_property;
+      Alcotest.test_case "insert and delete read sets stay small" `Quick
+        test_update_read_sets;
       Alcotest.test_case "concurrent disjoint" `Quick test_concurrent_disjoint;
       Alcotest.test_case "concurrent contended" `Quick test_concurrent_contended;
       Alcotest.test_case "snapshot iteration" `Quick
