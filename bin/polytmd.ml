@@ -132,13 +132,6 @@ let checkpoint_sec_t =
                  checkpoints on demand).  Only meaningful with
                  $(b,--dir).")
 
-let no_persist_t =
-  Arg.(value & flag
-       & info [ "no-persist" ]
-           ~doc:"Ignore $(b,--dir) and run in memory — for comparing a
-                 durable configuration against its in-memory baseline
-                 without editing the command line.")
-
 let parse_listener s =
   if String.length s > 5 && String.sub s 0 5 = "unix:" then
     Ok (Srv.Unix_sock (String.sub s 5 (String.length s - 5)))
@@ -191,7 +184,7 @@ let collect parse = function
 
 let main listen workers shards max_inflight max_multi op_budget op_deadline_us
     debug_ops structs default_algo stats_json trace max_seconds quiet dir fsync
-    checkpoint_sec no_persist =
+    checkpoint_sec =
   let listeners =
     match collect parse_listener listen with
     | Ok [] -> Ok [ Srv.Tcp ("127.0.0.1", 7411) ]
@@ -223,7 +216,7 @@ let main listen workers shards max_inflight max_multi op_budget op_deadline_us
           trace;
           max_seconds;
           quiet;
-          persist_dir = (if no_persist then None else dir);
+          persist_dir = dir;
           fsync;
           checkpoint_sec;
         }
@@ -247,6 +240,6 @@ let () =
            $ max_multi_t
            $ budget_t $ deadline_t $ debug_ops_t $ struct_t $ algo_t
            $ stats_json_t $ trace_t $ max_seconds_t $ quiet_t $ dir_t
-           $ fsync_t $ checkpoint_sec_t $ no_persist_t))
+           $ fsync_t $ checkpoint_sec_t))
   in
   exit (Cmd.eval (Cmd.v (Cmd.info "polytmd" ~version:"1.0.0" ~doc) term))

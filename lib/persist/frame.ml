@@ -43,6 +43,10 @@ let min_body = body_hdr_len
 type header = { rtype : int; algo : int; shard : int; stamp : int }
 type record = { hdr : header; payload : string }
 
+(* The [algo] field: which algorithm's router holds the instance. *)
+let algo_code = function `Tl2 -> 0 | `Norec -> 1
+let algo_of_code = function 0 -> Some `Tl2 | 1 -> Some `Norec | _ -> None
+
 let encode_body hdr ~payload =
   let b = Buffer.create (body_hdr_len + String.length payload) in
   Buffer.add_uint8 b hdr.rtype;

@@ -25,6 +25,16 @@ let ckpt_name gen = Printf.sprintf "checkpoint-%08d.ptmckp" gen
 let log_path ~dir gen = Filename.concat dir (log_name gen)
 let ckpt_path ~dir gen = Filename.concat dir (ckpt_name gen)
 
+(* The generations that have a log or a checkpoint file in [dir]. *)
+let gens ~dir =
+  let gen name =
+    match Scanf.sscanf_opt name "log-%u.ptmlog%!" Fun.id with
+    | Some g -> Some g
+    | None -> Scanf.sscanf_opt name "checkpoint-%u.ptmckp%!" Fun.id
+  in
+  List.filter_map gen
+    (Array.to_list (try Sys.readdir dir with Sys_error _ -> [||]))
+
 let fsync_dir dir =
   match Unix.openfile dir [ O_RDONLY ] 0 with
   | fd ->

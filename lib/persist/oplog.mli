@@ -1,0 +1,132 @@
+(** The live op log of one durable server: the writer of the active
+    generation, the commit-hook arming protocol, the group-commit wait,
+    and the counters and trace spans that INFO, [--stats-json] and the
+    trace all read.
+
+    One value per server, held by the server's registry; the session
+    and the registry call it directly.  Checkpoints, recovery and
+    activation live above the registry (the server's [Persist]): they
+    rotate this log, report each published generation to it, and time
+    their own work on its trace lane.  The generation bookkeeping — the
+    published generation versus the one appends go to, when a save
+    counts — stays in here.
+
+    {2 Arming}
+
+    Every acknowledged mutation becomes one log record whose payload
+    is the mutation's wire request frames.  Append order must equal
+    commit (serialization) order or replay diverges, and no post-commit
+    scheme can guarantee that: two sessions can commit dependent
+    transactions and reach their append calls in the opposite order.
+    So the append happens {e inside} the STM commit, from the commit
+    hook ({!hook}), while the commit still holds its locks (TL2) or
+    sequence lock (NOrec): no dependent commit can start until the
+    record is buffered, so the log is a linear extension of the store's
+    serialization order.  The hook only learns the commit stamp;
+    {e what} to log is armed per thread beforehand ({!arm}) and
+    collected after ({!finish}) — a transaction that never
+    write-commits (a [DEL] of an absent key, a failed op) leaves its
+    armed payload unconsumed and nothing is logged, which is exactly
+    right because nothing changed. *)
+
+type t
+
+val create :
+  dir:string ->
+  policy:Aof.policy ->
+  gen:int ->
+  replayed:int ->
+  recover_ms:float ->
+  tear:string ->
+  t
+(** Open generation [gen]'s log in [dir].  [replayed], [recover_ms]
+    and [tear] ("none", or where recovery cut the log) describe the
+    recovery that preceded it, for INFO. *)
+
+val dir : t -> string
+val policy : t -> Aof.policy
+
+val gen : t -> int
+(** The published (manifest) generation. *)
+
+val last_save : t -> float
+(** Unix time of the last published checkpoint. *)
+
+(** {1 The commit path} *)
+
+val arm : t -> string -> unit
+(** Arm the calling thread with a payload: the next write commit
+    {e on this thread} appends it.  Arm and finish must run on the
+    thread that commits. *)
+
+val finish : t -> (Aof.t * int) option
+(** Disarm.  The ticket is the log writer and the record's sequence
+    number when the armed payload was appended (the op mutated and
+    committed), [None] when it never reached a write commit.  The
+    writer is part of the ticket because a checkpoint can rotate the
+    active log between the append and the ack. *)
+
+val hook : t -> algo:int -> shard:int -> int -> unit
+(** The commit hook for instance ([algo] code, [shard]), given the
+    commit stamp.  Runs inside the commit critical section: brief,
+    never raises (a failure counts in [hook_errors]), runs no
+    transaction.  Unarmed threads (internal commits: dirty marks, drain
+    flags, watch polls) pay one mutex and a hashtable miss. *)
+
+val log_new : t -> algo:[ `Tl2 | `Norec ] -> string -> unit
+(** Append a structure-creation record; the payload is the [NEW]
+    request frame.  Creations are registry CAS publications, not
+    commits, so [Registry.ensure] logs them directly, {e before} the
+    CAS publishes the name: a racing session can only reach the
+    structure after the CAS, so its op records always follow the NEW
+    record, and the CAS loser's duplicate NEW replays as an idempotent
+    ensure. *)
+
+val wait_durable : t -> Aof.t -> int -> unit
+(** Block until record [seq] of that writer is fsynced (group commit:
+    one fsync covers every record buffered before it). *)
+
+val tick : t -> unit
+(** The once-a-second group sync behind [`Everysec], called from the
+    server's background thread. *)
+
+val close : t -> unit
+(** Shutdown: sync whatever the final acks left buffered, and close. *)
+
+(** {1 Checkpoints} *)
+
+val checkpointing : t -> (unit -> 'a) -> 'a option
+(** Run the function as this server's only running checkpoint;
+    [None], without running it, while another one runs. *)
+
+val rotate : t -> gen:int -> unit
+(** Send every append from here on to generation [gen]'s fresh log and
+    retire the old one (its close syncs what it still buffers; its
+    totals carry over).  A no-op when appends already go to [gen]: the
+    retry of a failed checkpoint reuses the log it rotated to. *)
+
+val published : t -> gen:int -> unit
+(** A checkpoint of generation [gen] is on disk and the manifest names
+    it: count it, and report [gen] and the time from now on. *)
+
+(** {1 What INFO, [--stats-json] and the trace read} *)
+
+type span = { name : string; ts_us : int; dur_us : int }
+
+val now_us : unit -> int
+
+val span : t -> name:string -> ts_us:int -> dur_us:int -> unit
+(** Record a completed span (a checkpoint, a recovery, an fsync, a
+    wait for one) on this server's trace lane.  Lock-free; the oldest
+    spans are overwritten past a fixed capacity. *)
+
+val spans : t -> span list
+(** The recorded spans, oldest first. *)
+
+val counters : t -> (string * int) list
+(** [--stats-json]'s [persist] section: [appends], [append_bytes]
+    (framed log bytes, magic included), [fsyncs], [replayed],
+    [checkpoints] (published), [hook_errors]. *)
+
+val info : t -> (string * string) list
+(** INFO's [persist_*] lines, from the same counters. *)

@@ -18,7 +18,10 @@
     table itself is a persistent association list behind an [Atomic]:
     lookups on the request hot path are a single atomic load, and the
     rare creations CAS a new list in.  The {e contents} of every structure are
-    transactional — the registry only maps names to roots.
+    transactional — the registry only maps names to roots.  On a
+    durable server the registry also holds the server's op log
+    ({!Polytm_persist.Oplog}), which the session and {!ensure} call
+    directly.
 
     Command execution is split in two phases on purpose:
 
@@ -51,16 +54,13 @@ type algo = [ `Tl2 | `Norec ]
 (* A structure is pinned to the algorithm (and router) it was created
    on.  [dirty] and [watchers] drive WATCH push subscriptions: the
    dirty flag lives on the router's {e control shard} (shard 0), where
-   watch waits park; mutating operations mark it — inside their own
-   transaction when the server runs one shard (so the mark is atomic
-   with the mutation, exactly the pre-sharding behaviour), after the
-   commit when it runs several (the mutation's owner shard cannot
-   host a transaction over the control shard's tvar, and marking
-   {e before} the data commit could let a watcher consume the
-   notification, re-read stale data, and never hear about the actual
-   change).  A watching session's poll transaction reads (and clears)
-   the flag, parking via [S.retry] until the next mark's commit wakes
-   it. *)
+   watch waits park; the session marks it after a mutation's commit
+   (the mutation's owner shard cannot host a transaction over the
+   control shard's tvar, and marking {e before} the data commit could
+   let a watcher consume the notification, re-read stale data, and
+   never hear about the actual change).  A watching session's poll
+   transaction reads (and clears) the flag, parking via [S.retry]
+   until the next mark's commit wakes it. *)
 type slot = {
   entry : entry;
   algo : algo;
@@ -70,41 +70,6 @@ type slot = {
       (** structure operations resolved against this slot, for [INFO]
           — counted at {!resolve} time (admitted, whether or not the
           transaction later succeeds) *)
-}
-
-(* The durability subsystem, seen from the session and registry side
-   as a record of closures: [lib/persist] cannot depend on the server
-   (the server depends on it), and threading a concrete handle through
-   every session/evloop signature would churn every test.  [None]
-   (the default) disables persistence: each field is consulted behind
-   an option test, so the non-persistent server charges nothing.  See
-   [Persist] for the implementation and the arm/finish protocol. *)
-type persist_ops = {
-  p_arm : string -> unit;
-      (** arm the calling thread's pending-record slot with an encoded
-          wire frame; the next committing write transaction {e on this
-          thread} appends it to the op log (from inside the STM commit
-          hook, stamped with the commit version) *)
-  p_finish : unit -> (Polytm_persist.Aof.t * int) option;
-      (** disarm: returns the log writer and record sequence number
-          when the armed payload was appended (the op mutated and
-          committed), [None] when it never reached a write commit
-          (read-only / failed op).  The writer is part of the ticket
-          because a checkpoint can rotate the active log between the
-          append and the ack. *)
-  p_wait_durable : Polytm_persist.Aof.t -> int -> unit;
-      (** block until record [seq] of that log writer is fsynced
-          (group commit: one [fsync] covers every record buffered
-          before it) *)
-  p_always : bool;  (** fsync policy is [`Always]: sessions must call
-                        [p_wait_durable] before acking mutations *)
-  p_log_new : Wire.kind -> string -> algo -> unit;
-      (** append a structure-creation record (registry creations are
-          CAS-published outside any transaction, so the commit hook
-          never sees them) *)
-  p_bgsave : unit -> Wire.response;
-  p_lastsave : unit -> Wire.response;
-  p_info : unit -> (string * string) list;
 }
 
 type t = {
@@ -118,9 +83,11 @@ type t = {
       (** parked blocking ops, server-wide: one budget across every
           instance of both routers (see {!reserve_waiter}) *)
   started_at : float;  (** wall-clock creation time, for [INFO] uptime *)
-  mutable persist : persist_ops option;
-      (** installed once, after recovery and before the listeners
-          open; [None] while recovering and on non-persistent servers *)
+  mutable persist : Polytm_persist.Oplog.t option;
+      (** this server's op log: the session arms it and waits on it,
+          {!ensure} logs creations to it, INFO reads it.  Set once,
+          after recovery and before the listeners open; [None] while
+          recovering and on non-persistent servers *)
 }
 
 let create ?(shards = 1) ?stm ?stm_norec ?(default_algo = `Tl2) () =
@@ -281,7 +248,9 @@ let ensure ?algo t kind name =
            precedes the ops that need it.  A CAS loser's duplicate NEW
            replays as an idempotent ensure. *)
         (match t.persist with
-        | Some p -> p.p_log_new kind name algo
+        | Some log ->
+            Polytm_persist.Oplog.log_new log ~algo
+              (Wire.encode_cmds [ Wire.New (kind, name) ])
         | None -> ());
         if Atomic.compare_and_set t.entries cur ((name, fresh ()) :: cur) then
           Ok `Created
@@ -315,19 +284,16 @@ type resolved = {
   algo : algo;
   site : site;
   touched : slot option;
-      (** mark this slot dirty once the transaction committed — only
-          set on mutating commands of a multi-shard server; 1-shard
-          mutators mark inline, inside their own transaction *)
+      (** mark this slot dirty once the transaction committed — set on
+          every mutating command *)
   run : unit -> Wire.response;
 }
 
-(* Mark [slot] changed.  On a 1-shard server this is called inside the
-   mutating transaction (the nested transaction flattens into it, so
-   the mark commits atomically with the mutation); on a multi-shard
-   server the session calls it after the commit, as its own small
-   transaction on the control shard.  Watch-free structures pay one
-   atomic load and no transactional write — enabling subscriptions
-   costs nothing until someone subscribes. *)
+(* Mark [slot] changed.  The session calls it after the mutation's
+   commit, as its own small transaction on the control shard.
+   Watch-free structures pay one atomic load and no transactional
+   write — enabling subscriptions costs nothing until someone
+   subscribes. *)
 let touch t slot =
   if Atomic.get slot.watchers > 0 then
     S.atomically ~label:"mark-dirty" (stm_for t slot.algo) (fun tx ->
@@ -349,23 +315,8 @@ let resolve t cmd : (resolved, Wire.response) result =
         k s
   in
   let ok (s : slot) site run = Ok { algo = s.algo; site; touched = None; run } in
-  (* A mutating thunk also marks the slot dirty for its watchers:
-     inline when one shard (atomic with the mutation), deferred to
-     the session's post-commit hook when several (see [touch]). *)
-  let mutating (s : slot) site thunk =
-    if shard_count t = 1 then
-      Ok
-        {
-          algo = s.algo;
-          site;
-          touched = None;
-          run =
-            (fun () ->
-              let r = thunk () in
-              touch t s;
-              r);
-        }
-    else Ok { algo = s.algo; site; touched = Some s; run = thunk }
+  let mutating (s : slot) site run =
+    Ok { algo = s.algo; site; touched = Some s; run }
   in
   match cmd with
   | Wire.Get (name, key) ->
@@ -495,8 +446,8 @@ let resolve t cmd : (resolved, Wire.response) result =
    caller's scratch {!Wire.Obuf} — never materialising the
    [Wire.Array] response tree.  The emitted bytes, once wrapped by
    [Wire.write_framed_array] with the returned element count, are
-   byte-identical to [Wire.write_response] of the tree the slow path
-   builds.  The thunk clears the scratch first so an aborted attempt's
+   byte-identical to [Wire.write_response_obuf] of the tree the slow
+   path builds.  The thunk clears the scratch first so an aborted attempt's
    partial output never leaks into the retry.  A sharded map streams
    the k-way merge of its parts' ascending-order lists, so global key
    order on the wire is unchanged. *)
@@ -541,37 +492,32 @@ let snapshot_stream t name (items : Wire.Obuf.t) :
 
 (* ---- blocking ops and subscriptions ------------------------------------ *)
 
-(* Resolve a blocking queue pop into a thunk for the session to run
-   inside its own deadline-bounded transaction on the queue's home
-   instance (returned alongside).  The home shard's drain flag is read
-   {e first}, so it is in the read set when [retry] parks: the
-   shutdown path's [set_draining] commit on that shard wakes the
-   waiter, which re-runs, sees the flag, and surfaces [`Drained] — no
-   session ever sleeps through a drain.  A successful pop marks the
-   slot dirty like any mutation (the mark follows the pop's own
-   transaction, so it is post-commit by construction). *)
+(* Resolve a blocking queue pop into a transaction body for the session
+   to run as its own deadline-bounded transaction on the queue's home
+   instance (returned alongside, with the queue's slot).  The home
+   shard's drain flag is read {e first}, so it is in the read set when
+   [retry] parks: the shutdown path's [set_draining] commit on that
+   shard wakes the waiter, which re-runs, sees the flag, and surfaces
+   [`Drained] — no session ever sleeps through a drain.  A successful
+   pop is a mutation: the session marks the slot once it committed. *)
 let blocking_pop t name :
-    (S.t * (unit -> [ `Got of string | `Drained ]), Wire.response) result =
+    (S.t * slot * (S.tx -> [ `Got of string | `Drained ]), Wire.response)
+    result =
   match List.assoc_opt name (Atomic.get t.entries) with
   | None -> Error (err Wire.No_struct "no structure named %S" name)
   | Some s -> (
       match s.entry with
       | Equeue (q, home) ->
-          let stm = home_of t s home in
           let drain = (drains_for t s.algo).(home) in
           Ok
-            ( stm,
-              fun () ->
-                let r =
-                  S.atomically stm (fun tx ->
-                      if S.read tx drain then `Drained
-                      else
-                        match Squeue.dequeue_opt_tx tx q with
-                        | Some v -> `Got v
-                        | None -> S.retry tx)
-                in
-                (match r with `Got _ -> touch t s | `Drained -> ());
-                r )
+            ( home_of t s home,
+              s,
+              fun tx ->
+                if S.read tx drain then `Drained
+                else
+                  match Squeue.dequeue_opt_tx tx q with
+                  | Some v -> `Got v
+                  | None -> S.retry tx )
       | e -> Error (mismatch (Wire.Blpop (name, 0)) e))
 
 type watch = { wslot : slot; wname : string }
@@ -675,7 +621,7 @@ let info t =
   let persist =
     match t.persist with
     | None -> [ ("persist", "off") ]
-    | Some p -> ("persist", "on") :: p.p_info ()
+    | Some log -> ("persist", "on") :: Polytm_persist.Oplog.info log
   in
   base @ per_struct @ persist
 

@@ -24,6 +24,7 @@
 module T = Polytm_telemetry
 module S = Registry.S
 module Hist = Polytm_util.Stats.Hist
+module Oplog = Polytm_persist.Oplog
 
 type listener = Tcp of string * int | Unix_sock of string
 
@@ -214,6 +215,36 @@ let stats_json_doc ~elapsed_s ~registry ?persist (stats : Session.stats)
         ("telemetry_events_lost", T.Json.Int events_lost);
       ])
 
+(* The op log's spans (checkpoints, recovery, fsyncs and the waits for
+   them) as complete slices on a synthetic thread of their own, so
+   they line up under the transaction lanes in Perfetto. *)
+let persist_lane log =
+  let tid = 9999 in
+  match Oplog.spans log with
+  | [] -> []
+  | spans ->
+      T.Json.Obj
+        [
+          ("name", T.Json.Str "thread_name");
+          ("ph", T.Json.Str "M");
+          ("pid", T.Json.Int 0);
+          ("tid", T.Json.Int tid);
+          ("args", T.Json.Obj [ ("name", T.Json.Str "persist") ]);
+        ]
+      :: List.map
+           (fun (s : Oplog.span) ->
+             T.Json.Obj
+               [
+                 ("name", T.Json.Str s.name);
+                 ("cat", T.Json.Str "persist");
+                 ("ph", T.Json.Str "X");
+                 ("ts", T.Json.Int s.ts_us);
+                 ("dur", T.Json.Int (max 1 s.dur_us));
+                 ("pid", T.Json.Int 0);
+                 ("tid", T.Json.Int tid);
+               ])
+           spans
+
 let write_file path s =
   let oc = open_out path in
   output_string oc s;
@@ -327,7 +358,7 @@ let run ?registry cfg =
                 let now = Unix.gettimeofday () in
                 let last_sync =
                   if cfg.fsync = `Everysec && now -. last_sync >= 1.0 then begin
-                    Persist.tick p;
+                    Oplog.tick p.Persist.log;
                     now
                   end
                   else last_sync
@@ -337,7 +368,7 @@ let run ?registry cfg =
                     cfg.checkpoint_sec > 0.
                     && now -. last_ckpt >= cfg.checkpoint_sec
                   then begin
-                    ignore (Persist.bgsave p);
+                    ignore (Persist.bgsave registry p.Persist.log);
                     now
                   end
                   else last_ckpt
@@ -435,7 +466,7 @@ let run ?registry cfg =
     (fun path ->
       let doc =
         stats_json_doc ~elapsed_s ~registry
-          ?persist:(Option.map (fun _ -> T.Persist.counters ()) persist)
+          ?persist:(Option.map (fun p -> Oplog.counters p.Persist.log) persist)
           stats ~events_lost (T.Agg.of_events events)
       in
       write_file path (T.Json.to_string doc))
@@ -445,7 +476,11 @@ let run ?registry cfg =
       write_file path
         (T.Json.to_string
            (T.Export.chrome_trace ~process_name:"polytmd"
-              ~extra:(T.Persist.lane ()) events)))
+              ~extra:
+                (match persist with
+                | Some p -> persist_lane p.Persist.log
+                | None -> [])
+              events)))
     cfg.trace;
   if not cfg.quiet then
     Printf.printf

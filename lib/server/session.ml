@@ -42,6 +42,7 @@
 module S = Registry.S
 module R = Polytm_runtime.Domain_runtime
 module Hist = Polytm_util.Stats.Hist
+module Oplog = Polytm_persist.Oplog
 
 (* ---- per-session / per-worker statistics ------------------------------- *)
 
@@ -173,41 +174,35 @@ let err = Registry.err
 
 (* ---- durability arming --------------------------------------------------
 
-   The persist layer's commit hook runs inside the STM commit and only
-   knows the commit stamp; the session tells it {e what} to log by
-   arming the executing thread with the encoded mutation before the
-   transaction and disarming after (see [Registry.persist_ops]).  Arm
-   and finish must run on the thread that commits — the loop thread
-   for ordinary requests, the helper thread for parked blocking ops. *)
+   The op log's commit hook runs inside the STM commit and only knows
+   the commit stamp; the session tells it {e what} to log by arming the
+   executing thread with the encoded mutation before the transaction
+   and disarming after (see {!Oplog.arm}).  Arm and finish must run on
+   the thread that commits — the loop thread for ordinary requests, the
+   helper thread for parked blocking ops. *)
 
 let arm_persist t cmds =
   match t.reg.Registry.persist with
   | None -> false
-  | Some p -> (
+  | Some log -> (
       match List.filter Wire.is_mutation cmds with
       | [] -> false
       | muts ->
-          let b = Buffer.create 64 in
-          List.iter
-            (fun cmd -> Wire.write_request b { Wire.hint = None; cmd })
-            muts;
-          p.Registry.p_arm (Buffer.contents b);
+          Oplog.arm log (Wire.encode_cmds muts);
           true)
 
 (* Disarm on the committing thread; the ticket is [Some] iff the armed
    payload reached the log (the transaction write-committed). *)
 let finish_persist t ~armed =
   if not armed then None
-  else
-    match t.reg.Registry.persist with
-    | None -> None
-    | Some p -> p.Registry.p_finish ()
+  else Option.bind t.reg.Registry.persist Oplog.finish
 
 (* Loop thread only: under [`Always] the reply may not leave before
    the record is on disk, so queue the ticket for [try_flush]. *)
 let note_durable t ticket =
   match (ticket, t.reg.Registry.persist) with
-  | Some tk, Some p when p.Registry.p_always -> t.durables <- tk :: t.durables
+  | Some tk, Some log when Oplog.policy log = `Always ->
+      t.durables <- tk :: t.durables
   | _ -> ()
 
 let with_persist t cmds (f : unit -> Wire.response) : Wire.response =
@@ -272,10 +267,9 @@ let run_tx t ~stms ~sem ~label ?budget ?deadline_us
   Hist.record t.stats.lat_all dt;
   resp
 
-(* Post-commit dirty marks for watchers: a multi-shard server's
-   mutators defer their mark to here (the data commit must precede the
-   notification — see the registry).  An error reply means nothing
-   committed, so nothing is marked. *)
+(* Dirty marks for watchers, made after the mutation's commit (the
+   data commit must precede the notification — see the registry).  An
+   error reply means nothing committed, so nothing is marked. *)
 let touch_committed t (resolved : Registry.resolved list) resp =
   match resp with
   | Wire.Error _ -> ()
@@ -411,7 +405,7 @@ let exec_request t (r : Wire.request) : Wire.response =
       else
         match t.reg.Registry.persist with
         | None -> err Wire.Bad_op "persistence is disabled"
-        | Some p -> p.Registry.p_lastsave ())
+        | Some log -> Wire.Int (int_of_float (Oplog.last_save log)))
   | Wire.Bgsave ->
       (* only reachable inside MULTI; [exec_step] routes BGSAVE to a
          helper thread otherwise (a checkpoint would stall the loop) *)
@@ -499,7 +493,7 @@ let try_flush t =
         t.durables <- [];
         match t.reg.Registry.persist with
         | None -> ()
-        | Some p ->
+        | Some log ->
             let latest =
               List.fold_left
                 (fun acc (aof, seq) ->
@@ -512,9 +506,7 @@ let try_flush t =
                   bump acc)
                 [] ds
             in
-            List.iter
-              (fun (aof, seq) -> p.Registry.p_wait_durable aof seq)
-              latest));
+            List.iter (fun (aof, seq) -> Oplog.wait_durable log aof seq) latest));
     let buf, off, len = Wire.Obuf.peek t.out in
     match Unix.write t.fd buf off len with
     | n -> Wire.Obuf.consumed t.out n
@@ -636,10 +628,10 @@ and exec_bgsave t : [ `Done | `Parked ] =
   | None ->
       reply t (err Wire.Bad_op "persistence is disabled");
       `Done
-  | Some p ->
+  | Some log ->
       t.parked <- true;
       t.services.submit (fun () ->
-          let resp = p.Registry.p_bgsave () in
+          let resp = Persist.bgsave t.reg log in
           t.services.post (fun () ->
               t.parked <- false;
               if not t.closed then begin
@@ -669,7 +661,7 @@ and exec_blocking t cmd hint name timeout_ms ~wrap : [ `Done | `Parked ] =
   | Error e ->
       reply t e;
       `Done
-  | Ok (stm, thunk) ->
+  | Ok (stm, slot, pop) ->
       let sem = Option.value hint ~default:Polytm.Semantics.Classic in
       let label = label_of cmd sem in
       let t0 = R.now () in
@@ -735,11 +727,10 @@ and exec_blocking t cmd hint name timeout_ms ~wrap : [ `Done | `Parked ] =
                    hook) happens here, not on the loop. *)
                 let armed = arm_persist t [ Wire.Deq name ] in
                 let resp =
-                  match
-                    S.try_atomically ?deadline ~sem ~label stm (fun _tx ->
-                        thunk ())
-                  with
-                  | S.Committed (`Got v) -> wrap v
+                  match S.try_atomically ?deadline ~sem ~label stm pop with
+                  | S.Committed (`Got v) ->
+                      Registry.touch t.reg slot;
+                      wrap v
                   | S.Committed `Drained -> Wire.Nil
                   | S.Deadline_exceeded _ -> Wire.Nil
                   | S.Exhausted { attempts; _ } ->

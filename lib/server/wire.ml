@@ -273,64 +273,20 @@ let write_request buf r =
   Buffer.add_char buf '\n';
   List.iter (add_bulk buf) fields
 
+let encode_cmds cmds =
+  let b = Buffer.create 64 in
+  List.iter (fun cmd -> write_request b { hint = None; cmd }) cmds;
+  Buffer.contents b
+
 let no_newline what s =
   if String.contains s '\n' then
-    invalid_arg (Printf.sprintf "Wire.write_response: newline in %s" what)
+    invalid_arg (Printf.sprintf "Wire.write_response_obuf: newline in %s" what)
 
-let rec response_body_len = function
-  | Simple s -> 1 + String.length s + 1
-  | Int n -> 1 + String.length (string_of_int n) + 1
-  | Bulk s -> bulk_len s
-  | Nil -> 2
-  | Error (c, m) ->
-      1 + String.length (err_code_to_string c) + 1 + String.length m + 1
-  | Array l ->
-      1 + digits (List.length l) + 1
-      + List.fold_left (fun acc r -> acc + response_body_len r) 0 l
-  | Push s -> 1 + String.length s + 1
+(* ---- reply encoding ------------------------------------------------------ *)
 
-let rec add_response_body buf = function
-  | Simple s ->
-      no_newline "simple string" s;
-      Buffer.add_char buf '+';
-      Buffer.add_string buf s;
-      Buffer.add_char buf '\n'
-  | Int n ->
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (string_of_int n);
-      Buffer.add_char buf '\n'
-  | Bulk s -> add_bulk buf s
-  | Nil -> Buffer.add_string buf "_\n"
-  | Error (c, m) ->
-      no_newline "error message" m;
-      Buffer.add_char buf '-';
-      Buffer.add_string buf (err_code_to_string c);
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf m;
-      Buffer.add_char buf '\n'
-  | Array l ->
-      Buffer.add_char buf '*';
-      Buffer.add_string buf (string_of_int (List.length l));
-      Buffer.add_char buf '\n';
-      List.iter (add_response_body buf) l
-  | Push s ->
-      no_newline "push name" s;
-      Buffer.add_char buf '>';
-      Buffer.add_string buf s;
-      Buffer.add_char buf '\n'
-
-let write_response buf r =
-  add_frame_header buf (response_body_len r);
-  add_response_body buf r
-
-(* ---- direct-to-buffer encoding ------------------------------------------ *)
-
-(* Same grammar as [add_response_body]/[write_response], emitted
-   straight into an {!Obuf} with inlined integer formatting: the
-   steady-state reply path allocates nothing (buffer growth amortizes
-   to zero on a reused session buffer).  Byte-for-byte identical to
-   the [Buffer] encoders — the protocol tests hold both to the same
-   goldens. *)
+(* Replies are emitted straight into an {!Obuf} with inlined integer
+   formatting: the steady-state reply path allocates nothing (buffer
+   growth amortizes to zero on a reused session buffer). *)
 
 (* Body length without [string_of_int]: the frame header needs it
    before the body is written. *)
@@ -409,7 +365,7 @@ let write_response_obuf ob r =
 (* Frame a pre-encoded array body: [items] holds [count] response
    bodies already encoded (the snapshot fast path streams entries into
    it during its fold, skipping the intermediate response tree).  The
-   emitted bytes equal [write_response ob (Array [...])]. *)
+   emitted bytes equal [write_response_obuf ob (Array [...])]. *)
 let write_framed_array ob ~count ~(items : Obuf.t) =
   let body_len = 1 + digits count + 1 + Obuf.length items in
   obuf_add_frame_header ob body_len;
@@ -620,27 +576,6 @@ module Decoder = struct
 
   let buffered t = t.len - t.pos
 
-  let feed t b off n =
-    if n < 0 || off < 0 || off + n > Bytes.length b then
-      invalid_arg "Wire.Decoder.feed";
-    let need = t.len - t.pos + n in
-    if t.len + n > Bytes.length t.buf then begin
-      (* Compact, growing if the live bytes plus input still overflow. *)
-      let cap = ref (Bytes.length t.buf) in
-      while need > !cap do
-        cap := !cap * 2
-      done;
-      let dst = if !cap > Bytes.length t.buf then Bytes.create !cap else t.buf in
-      Bytes.blit t.buf t.pos dst 0 (t.len - t.pos);
-      t.buf <- dst;
-      t.len <- t.len - t.pos;
-      t.pos <- 0
-    end;
-    Bytes.blit b off t.buf t.len n;
-    t.len <- t.len + n
-
-  let feed_string t s = feed t (Bytes.unsafe_of_string s) 0 (String.length s)
-
   type 'a item =
     [ `Ok of 'a | `Bad of string | `Await | `Corrupt of string ]
 
@@ -673,6 +608,15 @@ module Decoder = struct
     (t.buf, t.len)
 
   let commit t n = t.len <- t.len + n
+
+  let feed t b off n =
+    if n < 0 || off < 0 || off + n > Bytes.length b then
+      invalid_arg "Wire.Decoder.feed";
+    let buf, at = reserve t n in
+    Bytes.blit b off buf at n;
+    commit t n
+
+  let feed_string t s = feed t (Bytes.unsafe_of_string s) 0 (String.length s)
 
   (* Scan (and consume) the next complete frame, returning the body's
      bounds inside [t.buf].  The region stays valid only until the
@@ -743,22 +687,13 @@ module Decoder = struct
   let next_request t = next_with parse_request_body t
   let next_response t = next_with parse_response_body t
 
-  (* Frame-level classification without building the response tree:
-     load generators only need the reply's type byte (was it an
-     error?), not its payload, and skipping the tree keeps the client
-     from becoming the bottleneck it is trying to measure. *)
-  let next_response_class t : char item =
-    match next_frame t with
-    | (`Await | `Corrupt _ | `Bad _) as r -> r
-    | `Ok (_, 0) -> `Bad "truncated body"
-    | `Ok (off, _) -> `Ok (Bytes.get t.buf off)
-
-  (* One notch richer than [next_response_class]: split the error
-     class on the BUSY code (load generators count backpressure
-     refusals separately from application errors) and surface [Nil]
-     (miss / blocking-op timeout).  Still skips the body — a framed
-     snapshot reply of thousands of items costs one length-prefixed
-     hop, not a tree of allocations. *)
+  (* Classify the next reply without building the response tree: split
+     the error class on the BUSY code (load generators count
+     backpressure refusals separately from application errors) and
+     surface [Nil] (miss / blocking-op timeout).  The body is skipped —
+     a framed snapshot reply of thousands of items costs one
+     length-prefixed hop, not a tree of allocations, so the measuring
+     client never becomes the bottleneck it is measuring. *)
   let next_response_brief t : [ `Value | `Nil | `Busy | `Err ] item =
     match next_frame t with
     | (`Await | `Corrupt _ | `Bad _) as r -> r

@@ -24,8 +24,9 @@
     connection.
 
     This module performs no I/O and touches no sockets: encoders
-    append to a caller-supplied [Buffer.t], the decoder is fed byte
-    slices and hands back parsed frames.  That is what makes it
+    append to a caller-supplied [Buffer.t] (requests) or {!Obuf.t}
+    (replies), the decoder is fed byte slices and hands back parsed
+    frames.  That is what makes it
     testable by the qcheck round-trip/fuzz suite without a file
     descriptor in sight. *)
 
@@ -148,9 +149,10 @@ val queued : response
 
 val write_request : Buffer.t -> request -> unit
 
-val write_response : Buffer.t -> response -> unit
-(** @raise Invalid_argument if a {!Simple} or {!Error} payload
-    contains a newline (they are line-delimited on the wire). *)
+val encode_cmds : cmd list -> string
+(** The hint-less request frames of [cmds], concatenated: the payload
+    of an op-log or checkpoint record, parsed back on replay by
+    {!Decoder.next_request}. *)
 
 (** {1 Zero-copy output}
 
@@ -187,9 +189,11 @@ module Obuf : sig
 end
 
 val write_response_obuf : Obuf.t -> response -> unit
-(** One complete frame, byte-identical to {!write_response}, with no
-    intermediate allocation (inlined integer formatting, direct byte
-    stores). *)
+(** One complete frame, with no intermediate allocation (inlined
+    integer formatting, direct byte stores).
+    @raise Invalid_argument if a {!Simple}, {!Error} or {!Push}
+    payload contains a newline (they are line-delimited on the
+    wire). *)
 
 val response_len : response -> int
 (** Body length of the encoded response, allocation-free. *)
@@ -199,7 +203,7 @@ val response_len : response -> int
     encode items into a scratch {!Obuf} as it walks the structure and
     wrap them with {!write_framed_array}, never materialising the
     response tree.  The emitted bytes equal
-    [write_response ob (Array items)]. *)
+    [write_response_obuf ob (Array items)]. *)
 
 val obuf_add_int_item : Obuf.t -> int -> unit
 (** [:n\n] *)
@@ -254,15 +258,10 @@ module Decoder : sig
   val next_request : t -> request item
   val next_response : t -> response item
 
-  val next_response_class : t -> char item
-  (** Consume the next response frame returning only its type byte
-      ([+ : $ _ - * >]), without building the response tree — for
-      load generators that count reply classes at full rate. *)
-
   val next_response_brief : t -> [ `Value | `Nil | `Busy | `Err ] item
-  (** Like {!next_response_class} but splits errors on the [BUSY]
-      code and surfaces [Nil], the classes a load generator counts.
-      The body is skipped in O(1): a snapshot reply of thousands of
-      items costs one frame-length hop, so the measuring client never
-      becomes the bottleneck it is measuring. *)
+  (** Consume the next response frame returning only its class, the
+      ones a load generator counts: errors split on the [BUSY] code,
+      and [Nil].  The body is skipped in O(1): a snapshot reply of
+      thousands of items costs one frame-length hop, so the measuring
+      client never becomes the bottleneck it is measuring. *)
 end

@@ -649,84 +649,3 @@ module Export = struct
         ("displayTimeUnit", Json.Str "ms");
       ]
 end
-
-(* -------------------------------------------------------------------- *)
-(* Durability-side counters and trace lane                               *)
-
-module Persist = struct
-  (* Process-global counters: the durability subsystem is per-process
-     (one data directory), and keeping these out of the event taxonomy
-     means the exhaustive [cause]/[kind] matches — and every golden
-     trace — are untouched.  Updated from inside commit hooks, so
-     plain [Atomic]s, no locks. *)
-  let appends = Atomic.make 0
-  let append_bytes = Atomic.make 0
-  let fsyncs = Atomic.make 0
-  let replayed = Atomic.make 0
-  let checkpoints = Atomic.make 0
-  let hook_errors = Atomic.make 0
-
-  let counters () =
-    [
-      ("appends", Atomic.get appends);
-      ("append_bytes", Atomic.get append_bytes);
-      ("fsyncs", Atomic.get fsyncs);
-      ("replayed", Atomic.get replayed);
-      ("checkpoints", Atomic.get checkpoints);
-      ("hook_errors", Atomic.get hook_errors);
-    ]
-
-  (* The trace lane: a lock-free overwrite ring of completed
-     persist-side spans (fsync, checkpoint, replay), exported as
-     Chrome-trace "X" slices on a dedicated synthetic thread so they
-     line up under the transaction lanes in Perfetto. *)
-  let lane_tid = 9999
-  let ring_cap = 4096
-
-  type span = { s_name : string; s_ts : int; s_dur : int }
-
-  let ring : span option array = Array.make ring_cap None
-  let cursor = Atomic.make 0
-
-  let span ~name ~ts_us ~dur_us =
-    let i = Atomic.fetch_and_add cursor 1 in
-    ring.(i mod ring_cap) <- Some { s_name = name; s_ts = ts_us; s_dur = dur_us }
-
-  let spans () =
-    let out = ref [] in
-    Array.iter (function None -> () | Some s -> out := s :: !out) ring;
-    List.sort (fun a b -> compare a.s_ts b.s_ts) !out
-
-  let lane () =
-    match spans () with
-    | [] -> []
-    | spans ->
-        Json.Obj
-          [
-            ("name", Json.Str "thread_name");
-            ("ph", Json.Str "M");
-            ("pid", Json.Int 0);
-            ("tid", Json.Int lane_tid);
-            ("args", Json.Obj [ ("name", Json.Str "persist") ]);
-          ]
-        :: List.map
-             (fun s ->
-               Json.Obj
-                 [
-                   ("name", Json.Str s.s_name);
-                   ("cat", Json.Str "persist");
-                   ("ph", Json.Str "X");
-                   ("ts", Json.Int s.s_ts);
-                   ("dur", Json.Int (max 1 s.s_dur));
-                   ("pid", Json.Int 0);
-                   ("tid", Json.Int lane_tid);
-                 ])
-             spans
-
-  let reset () =
-    List.iter
-      (fun c -> Atomic.set c 0)
-      [ appends; append_bytes; fsyncs; replayed; checkpoints; hook_errors ];
-    Array.fill ring 0 ring_cap None;
-    Atomic.set cursor 0
-end

@@ -228,48 +228,6 @@ module Export : sig
       and set sizes in [args]; lock acquisitions become instant
       events.  Timestamps are emitted as microseconds, so one virtual
       tick displays as 1 µs in Perfetto.  [extra] appends
-      caller-supplied trace events verbatim (see {!Persist.lane}). *)
-end
-
-(** {1 Durability counters}
-
-    Process-global counters and a trace lane for the persistence
-    subsystem ([lib/persist] + the server glue).  Kept apart from the
-    event taxonomy on purpose: persist activity is not a transaction
-    lifecycle, and extending {!kind} would touch every exhaustive
-    match and golden trace.  Updated from commit hooks, so everything
-    here is lock-free. *)
-module Persist : sig
-  val appends : int Atomic.t
-  (** op-log records appended *)
-
-  val append_bytes : int Atomic.t
-  (** op-log bytes appended *)
-
-  val fsyncs : int Atomic.t
-  (** [fsync] calls issued on the log *)
-
-  val replayed : int Atomic.t
-  (** records applied during recovery *)
-
-  val checkpoints : int Atomic.t
-  (** checkpoints published *)
-
-  val hook_errors : int Atomic.t
-  (** exceptions swallowed by the commit hook — always zero unless the
-      log device failed mid-run (the store stays up; durability is
-      degraded and INFO exposes the count) *)
-
-  val counters : unit -> (string * int) list
-  (** Name/value snapshot of every counter above, for INFO. *)
-
-  val span : name:string -> ts_us:int -> dur_us:int -> unit
-  (** Record a completed persist-side span (an fsync, a checkpoint, a
-      recovery replay) into a bounded overwrite ring. *)
-
-  val lane : unit -> Json.t list
-  (** The recorded spans as Chrome-trace slices on a dedicated
-      "persist" thread lane, for {!Export.chrome_trace}'s [extra]. *)
-
-  val reset : unit -> unit
+      caller-supplied trace events verbatim (the server's persist
+      lane, for one). *)
 end

@@ -27,6 +27,7 @@ module Registry = Polytm_server.Registry
 module Session = Polytm_server.Session
 module Evloop = Polytm_server.Evloop
 module Persist = Polytm_server.Persist
+module Server = Polytm_server.Server
 module P = Polytm_persist
 module S = Registry.S
 
@@ -622,6 +623,101 @@ let test_blocking_pop_logged () =
     (String.length live > 0 && live = "q{b}");
   rm_rf dir
 
+(* A parked BLPOP on a watched queue whose home is not the control
+   shard (8 shards): the watcher mark is a commit of its own on the
+   control shard, and it must come after the pop's commit, so the DEQ
+   record carries the pop's own shard and stamp — and the pop must
+   still mark the watcher. *)
+let test_parked_pop_marks_after_commit () =
+  let dir = fresh_dir "parked-pop" in
+  let registry = Registry.create ~shards:8 () in
+  let recovered =
+    match Persist.recover ~dir registry with
+    | Ok r -> r
+    | Error m -> Alcotest.failf "recover: %s" m
+  in
+  let p =
+    match Persist.activate ~dir ~policy:`Always registry recovered with
+    | Ok p -> p
+    | Error m -> Alcotest.failf "activate: %s" m
+  in
+  let router = Registry.router_for registry `Tl2 in
+  let name =
+    List.find
+      (fun n -> Registry.Router.index_of_key router n <> 0)
+      (List.init 16 (Printf.sprintf "q%d"))
+  in
+  let pairs =
+    Array.init 2 (fun _ -> Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0)
+  in
+  let doms =
+    Array.map
+      (fun (sfd, _) ->
+        Domain.spawn (fun () ->
+            Evloop.handle
+              ~stop:(fun () -> false)
+              ~limits:Limits.default ~registry
+              ~stats:(Session.create_stats ())
+              sfd))
+      pairs
+  in
+  let consumer = snd pairs.(0) and producer = snd pairs.(1) in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun (_, cfd) ->
+          try Unix.shutdown cfd Unix.SHUTDOWN_SEND with _ -> ())
+        pairs;
+      Array.iter Domain.join doms;
+      Array.iter
+        (fun (sfd, cfd) ->
+          (try Unix.close cfd with _ -> ());
+          try Unix.close sfd with _ -> ())
+        pairs;
+      Persist.stop p)
+    (fun () ->
+      ignore (roundtrip producer [ Wire.New (Wire.Kqueue, name) ]);
+      let w =
+        match Registry.watch registry name with
+        | Ok w -> w
+        | Error _ -> Alcotest.fail "WATCH"
+      in
+      send consumer [ Wire.Blpop (name, 0) ];
+      let t0 = Unix.gettimeofday () in
+      while Registry.waiting registry = 0 do
+        if Unix.gettimeofday () -. t0 > 10. then Alcotest.fail "BLPOP never parked";
+        Unix.sleepf 0.002
+      done;
+      (* The item is enqueued outside any session, which marks
+         nothing: the only mark left to see is the pop's. *)
+      (match Registry.resolve registry (Wire.Enq (name, "x")) with
+      | Ok r -> ignore (r.Registry.run () : Wire.response)
+      | Error _ -> Alcotest.fail "resolve ENQ");
+      (match recv_n consumer 1 with
+      | [ Wire.Array [ Wire.Bulk _; Wire.Bulk "x" ] ] -> ()
+      | _ -> Alcotest.fail "the parked BLPOP did not get the item");
+      (* The session marks before it replies. *)
+      Alcotest.(check (list string)) "the pop marked the watcher" [ name ]
+        (Registry.wait_dirty registry [ w ] ~timeout_ns:1_000_000_000);
+      Registry.unwatch registry w);
+  let gen =
+    match P.Layout.read_manifest ~dir with
+    | Some g -> g
+    | None -> Alcotest.fail "no manifest"
+  in
+  let records, _ = scan_records (P.Layout.log_path ~dir gen) in
+  (match
+     List.find_opt
+       (fun (r : P.Frame.record) -> r.payload = frames [ Wire.Deq name ])
+       records
+   with
+  | Some r ->
+      Alcotest.(check int) "the DEQ record is stamped on the queue's shard"
+        (Registry.Router.index_of_key router name)
+        r.hdr.shard
+  | None -> Alcotest.fail "the pop was not logged");
+  rm_rf dir
+
 (* ---- replay refusals and the decoder's lifetime ------------------------- *)
 
 (* A data directory at generation 1 by hand: an empty checkpoint (its
@@ -729,6 +825,145 @@ let test_aof_failed_write () =
   P.Aof.close aof;
   rm_rf dir
 
+(* ---- counters, INFO and the trace lane are per server -------------------- *)
+
+(* Non-overlapping occurrences of [sub] in [s]. *)
+let count sub s =
+  let n = String.length sub in
+  let rec go i acc =
+    if i + n > String.length s then acc
+    else if String.sub s i n = sub then go (i + n) (acc + 1)
+    else go (i + 1) acc
+  in
+  go 0 0
+
+(* The stats document's persist object, as (key, value) pairs. *)
+let persist_counters stats =
+  let marker = "\"persist\":{" in
+  let rec start i =
+    if i + String.length marker > String.length stats then
+      Alcotest.failf "no persist section in %s" stats
+    else if String.sub stats i (String.length marker) = marker then
+      i + String.length marker
+    else start (i + 1)
+  in
+  let a = start 0 in
+  List.map
+    (fun kv ->
+      match String.split_on_char ':' kv with
+      | [ k; v ] -> (String.sub k 1 (String.length k - 2), int_of_string v)
+      | _ -> Alcotest.failf "bad persist field %S" kv)
+    (String.split_on_char ','
+       (String.sub stats a (String.index_from stats a '}' - a)))
+
+(* One durable polytmd, run in this process through [Server.run] for
+   half a second and fed by a client domain: [puts] PUTs of new keys
+   from [first] in one pipelined batch, then an INFO if [info].
+   Returns the stats document, the trace and INFO's fields. *)
+let serve_once ~dir ~tag ~first ~puts ~info =
+  let file ext =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "polytm-persist-%d-%s.%s" (Unix.getpid ()) tag ext)
+  in
+  let sock = file "sock" and stats = file "stats" and trace = file "trace" in
+  let client =
+    Domain.spawn (fun () ->
+        let rec connect tries =
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          match Unix.connect fd (Unix.ADDR_UNIX sock) with
+          | () -> fd
+          | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+            when tries > 0 ->
+              Unix.close fd;
+              Unix.sleepf 0.002;
+              connect (tries - 1)
+        in
+        let fd = connect 1000 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            List.iter
+              (function
+                | Wire.Int 1 -> () | r -> Alcotest.failf "PUT: %s" (resp_str r))
+              (roundtrip fd
+                 (List.init puts (fun i -> Wire.Put ("m", first + i, "v"))));
+            if not info then []
+            else
+              match roundtrip fd [ Wire.Info ] with
+              | [ Wire.Bulk s ] ->
+                  List.filter_map
+                    (fun l ->
+                      Option.map
+                        (fun i ->
+                          ( String.sub l 0 i,
+                            String.sub l (i + 1) (String.length l - i - 1) ))
+                        (String.index_opt l ':'))
+                    (String.split_on_char '\n' s)
+              | _ -> Alcotest.fail "INFO failed"))
+  in
+  ignore
+    (Server.run
+       {
+         Server.default_config with
+         listeners = [ Server.Unix_sock sock ];
+         workers = 1;
+         prestructs = [ (Wire.Kmap, "m", `Tl2) ];
+         stats_json = Some stats;
+         trace = Some trace;
+         max_seconds = Some 0.5;
+         quiet = true;
+         persist_dir = Some dir;
+         fsync = `Always;
+         checkpoint_sec = 0.;
+       });
+  let info = Domain.join client in
+  let take path =
+    let s = read_file path in
+    Sys.remove path;
+    s
+  in
+  (take stats, take trace, info)
+
+(* Two servers, one after the other, in one process (the second
+   recovers the first's store): each reports its own counters, without
+   waiting for an INFO, they agree with INFO, and each trace holds only
+   its own server's persist spans. *)
+let test_counters_per_server () =
+  let dir = fresh_dir "per-server" in
+  let stats1, trace1, _ = serve_once ~dir ~tag:"a" ~first:0 ~puts:40 ~info:false in
+  let stats2, trace2, info =
+    serve_once ~dir ~tag:"b" ~first:1000 ~puts:50 ~info:true
+  in
+  let c1 = persist_counters stats1 and c2 = persist_counters stats2 in
+  let inf key = int_of_string (List.assoc key info) in
+  Alcotest.(check int) "first server: its own appends" 40 (List.assoc "appends" c1);
+  Alcotest.(check int) "second server: its own appends" 50 (List.assoc "appends" c2);
+  Alcotest.(check int) "first server: one checkpoint" 1 (List.assoc "checkpoints" c1);
+  Alcotest.(check int) "second server: one checkpoint" 1 (List.assoc "checkpoints" c2);
+  Alcotest.(check bool) "fsyncs counted without an INFO" true
+    (List.assoc "fsyncs" c1 >= 1);
+  Alcotest.(check int) "appends = INFO's" (inf "persist_appends")
+    (List.assoc "appends" c2);
+  Alcotest.(check int) "append_bytes = INFO's bytes" (inf "persist_bytes")
+    (List.assoc "append_bytes" c2);
+  Alcotest.(check int) "replayed = INFO's" (inf "persist_replayed")
+    (List.assoc "replayed" c2);
+  Alcotest.(check bool) "fsyncs >= INFO's (plus the shutdown sync)" true
+    (List.assoc "fsyncs" c2 >= inf "persist_fsyncs");
+  List.iter
+    (fun (which, trace) ->
+      List.iter
+        (fun slice ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s server: one %s slice on its persist lane" which
+               slice)
+            1
+            (count (Printf.sprintf "{\"name\":%S,\"cat\":\"persist\"" slice) trace))
+        [ "checkpoint"; "recovery" ])
+    [ ("first", trace1); ("second", trace2) ];
+  rm_rf dir
+
 let suite =
   ( "persist",
     [
@@ -750,8 +985,12 @@ let suite =
         `Quick test_info_and_off_refusals;
       Alcotest.test_case "blocking pop is logged and recovers" `Quick
         test_blocking_pop_logged;
+      Alcotest.test_case "a parked pop on a watched queue marks after its commit"
+        `Quick test_parked_pop_marks_after_commit;
       Alcotest.test_case "replay refuses malformed payloads; decoder per recovery"
         `Quick test_replay_refusals;
       Alcotest.test_case "a failed log write keeps its records" `Quick
         test_aof_failed_write;
+      Alcotest.test_case "counters, INFO and the trace lane are per server"
+        `Quick test_counters_per_server;
     ] )

@@ -544,15 +544,19 @@ let test_blpop_busy_when_wait_table_full () =
         (eventually (fun () -> Registry.waiting reg = 0)))
 
 let test_watch_pushes_notifications () =
-  with_session (fun fd reg _ _ ->
+  with_sessions ~conns:2 (fun fds _reg ->
+      let fd = fds.(0) and writer = fds.(1) in
+      (* a lost push fails the test instead of hanging it *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
       write_all fd
         (encode [ req (Wire.New (Wire.Kmap, "m")); req (Wire.Watch "m") ]);
       Alcotest.check resps_t "watch accepted" [ Wire.ok; Wire.ok ]
         (recv_n fd 2);
-      (* A mutation committed by another client pushes a frame. *)
-      (match Registry.resolve reg (Wire.Put ("m", 1, "x")) with
-      | Ok r -> ignore (r.Registry.run () : Wire.response)
-      | Error _ -> Alcotest.fail "resolve PUT");
+      (* A mutation committed by another client pushes a frame: the
+         writer's session marks the watched map once its PUT committed. *)
+      write_all writer (encode [ req (Wire.Put ("m", 1, "x")) ]);
+      Alcotest.check resps_t "the other client's PUT" [ Wire.Int 1 ]
+        (recv_n writer 1);
       Alcotest.check resps_t "push notification arrives" [ Wire.Push "m" ]
         (recv_n fd 1);
       (* Requests are still served while watching, and UNWATCH stops
@@ -560,9 +564,9 @@ let test_watch_pushes_notifications () =
       write_all fd (encode [ req (Wire.Get ("m", 1)); req (Wire.Unwatch "m") ]);
       Alcotest.check resps_t "served while watching"
         [ Wire.Bulk "x"; Wire.ok ] (recv_n fd 2);
-      (match Registry.resolve reg (Wire.Put ("m", 2, "y")) with
-      | Ok r -> ignore (r.Registry.run () : Wire.response)
-      | Error _ -> Alcotest.fail "resolve PUT");
+      write_all writer (encode [ req (Wire.Put ("m", 2, "y")) ]);
+      Alcotest.check resps_t "a PUT after UNWATCH" [ Wire.Int 1 ]
+        (recv_n writer 1);
       write_all fd (encode [ req Wire.Ping ]);
       (* No Push frame precedes the PONG: the subscription is gone. *)
       Alcotest.check resps_t "no push after UNWATCH" [ Wire.pong ]
@@ -671,17 +675,15 @@ let test_sharded_server_surface () =
       Alcotest.check resps_t "woken by the producer's commit"
         [ Wire.Array [ Wire.Bulk "q"; Wire.Bulk "job" ] ]
         (recv_n fd 1);
-      (* WATCH still observes commits: with K > 1 the dirty mark is
-         made after the data commit, and must still arrive. *)
+      (* WATCH still observes commits: the session marks the map on
+         the control shard after the PUT committed on its owner shard,
+         so the reply leaves before the push. *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
       write_all fd (encode [ req (Wire.Watch "m") ]);
       Alcotest.check resps_t "watch accepted" [ Wire.ok ] (recv_n fd 1);
-      (match Registry.resolve reg (Wire.Put ("m", 7, "update")) with
-      | Ok r ->
-          ignore (r.Registry.run () : Wire.response);
-          Option.iter (Registry.touch reg) r.Registry.touched
-      | Error _ -> Alcotest.fail "resolve PUT");
+      write_all fd (encode [ req (Wire.Put ("m", 7, "update")) ]);
       Alcotest.check resps_t "push notification crosses the shard router"
-        [ Wire.Push "m" ] (recv_n fd 1))
+        [ Wire.Int 0; Wire.Push "m" ] (recv_n fd 2))
 
 (* ---- registry creation races (4 connections) ---------------------------- *)
 

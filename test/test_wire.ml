@@ -102,9 +102,9 @@ let arb_request = QCheck.make ~print:(fun r ->
     gen_request
 
 let arb_response = QCheck.make ~print:(fun r ->
-    let b = Buffer.create 64 in
-    Wire.write_response b r;
-    String.escaped (Buffer.contents b))
+    let ob = Wire.Obuf.create () in
+    Wire.write_response_obuf ob r;
+    String.escaped (Wire.Obuf.contents ob))
     gen_response
 
 (* ---- helpers ----------------------------------------------------------- *)
@@ -115,9 +115,9 @@ let encode_requests rs =
   Buffer.contents b
 
 let encode_responses rs =
-  let b = Buffer.create 256 in
-  List.iter (Wire.write_response b) rs;
-  Buffer.contents b
+  let ob = Wire.Obuf.create () in
+  List.iter (Wire.write_response_obuf ob) rs;
+  Wire.Obuf.contents ob
 
 (* Feed [s] in chunks whose boundaries come from [cuts] (positions),
    pulling every available item after each feed — the decoder must
@@ -283,9 +283,27 @@ let test_trailing_bytes_rejected () =
 
 let test_newline_in_simple_rejected () =
   Alcotest.check_raises "newline"
-    (Invalid_argument "Wire.write_response: newline in simple string")
+    (Invalid_argument "Wire.write_response_obuf: newline in simple string")
     (fun () ->
-      Wire.write_response (Buffer.create 16) (Wire.Simple "a\nb"))
+      Wire.write_response_obuf (Wire.Obuf.create ()) (Wire.Simple "a\nb"))
+
+(* The reply grammar byte for byte: the round-trip properties only hold
+   the encoder to the decoder, so a change to both would pass them. *)
+let test_reply_goldens () =
+  List.iter
+    (fun (r, bytes) ->
+      let ob = Wire.Obuf.create () in
+      Wire.write_response_obuf ob r;
+      Alcotest.(check string) (String.escaped bytes) bytes (Wire.Obuf.contents ob))
+    [
+      (Wire.Simple "OK", "#4\n+OK\n");
+      (Wire.Int (-42), "#5\n:-42\n");
+      (Wire.Bulk "a\nb", "#7\n$3\na\nb\n");
+      (Wire.Nil, "#2\n_\n");
+      (Wire.Error (Wire.Busy, "full"), "#11\n-BUSY full\n");
+      (Wire.Array [ Wire.Int 1; Wire.Nil ], "#8\n*2\n:1\n_\n");
+      (Wire.Push "m", "#3\n>m\n");
+    ]
 
 let test_nested_response_depth_bounded () =
   let dec = Wire.Decoder.create () in
@@ -323,6 +341,8 @@ let suite =
         test_trailing_bytes_rejected;
       Alcotest.test_case "newline in simple rejected" `Quick
         test_newline_in_simple_rejected;
+      Alcotest.test_case "reply bytes match the grammar" `Quick
+        test_reply_goldens;
       Alcotest.test_case "response nesting bounded" `Quick
         test_nested_response_depth_bounded;
     ] )
