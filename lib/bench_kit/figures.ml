@@ -113,7 +113,6 @@ let mixed_system_of ?trace structure =
   stm_system ?trace ~structure "mixed (elastic + snapshot)" A.mixed_profile
 
 let classic_system = classic_system_of List_structure
-let elastic_system = elastic_system_of List_structure
 let mixed_system = mixed_system_of List_structure
 
 (* ---- sweeping --------------------------------------------------------- *)

@@ -23,12 +23,6 @@ let policy_to_string = function
   | `Everysec -> "everysec"
   | `No -> "no"
 
-let policy_of_string = function
-  | "always" -> Some `Always
-  | "everysec" -> Some `Everysec
-  | "no" -> Some `No
-  | _ -> None
-
 type t = {
   path : string;
   fd : Unix.file_descr;

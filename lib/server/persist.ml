@@ -45,17 +45,13 @@ type t = { reg : Registry.t; log : Oplog.t }
 
 (* ---- checkpointing ----------------------------------------------------- *)
 
-type contents =
-  | Cmap of (int * string) list
-  | Cset of int list
-  | Cqueue of string list
-
 (* One consistent cut of the whole store: every shard of both routers
    inside a single snapshot [atomically_multi].  The nested
-   per-structure folds flatten into the live member transactions.  Only the in-memory
-   collection happens inside the snapshot — file writing happens
-   after, so an aborted attempt (bound redraw) re-collects instead of
-   leaving a half-written file. *)
+   per-structure reads ({!Registry.contents}) flatten into the live
+   member transactions.  Only the in-memory collection happens inside
+   the snapshot — file writing happens after, so an aborted attempt
+   (bound redraw) re-collects instead of leaving a half-written
+   file. *)
 let collect reg =
   let bounds = ref [] in
   let insts = Registry.instances reg `Tl2 @ Registry.instances reg `Norec in
@@ -63,14 +59,7 @@ let collect reg =
     S.atomically_multi ~sem:Polytm.Semantics.Snapshot ~label:"checkpoint"
       ~bounds insts (fun () ->
         List.map
-          (fun (name, (slot : Registry.slot)) ->
-            let c =
-              match slot.entry with
-              | Registry.Emap m -> Cmap (Registry.Shd.Map.to_list m)
-              | Registry.Eset h -> Cset (Registry.Shd.Hash_set.to_list h)
-              | Registry.Equeue (q, _) -> Cqueue (Registry.Squeue.to_list q)
-            in
-            (name, Registry.kind_of_entry slot.entry, slot.algo, c))
+          (fun (name, slot) -> (name, slot, Registry.contents slot))
           (Registry.slots reg))
   in
   (state, !bounds)
@@ -119,20 +108,17 @@ let write_checkpoint reg log ~gen =
   let zero rtype = { P.Frame.rtype; algo = 0; shard = 0; stamp = 0 } in
   emit (zero P.Frame.rt_bounds) (P.Frame.encode_bounds bound_entries);
   List.iter
-    (fun (name, kind, algo, c) ->
+    (fun (name, (slot : Registry.slot), c) ->
       emit
-        {
-          P.Frame.rtype = P.Frame.rt_new;
-          algo = P.Frame.algo_code algo;
-          shard = 0;
-          stamp = 0;
-        }
-        (Wire.encode_cmds [ Wire.New (kind, name) ]);
+        { (zero P.Frame.rt_new) with algo = P.Frame.algo_code slot.algo }
+        (Wire.encode_cmds
+           [ Wire.New (Registry.kind_of_entry slot.entry, name) ]);
       let ops =
         match c with
-        | Cmap kvs -> List.map (fun (k, v) -> Wire.Put (name, k, v)) kvs
-        | Cset ks -> List.map (fun k -> Wire.Add (name, k)) ks
-        | Cqueue vs -> List.map (fun v -> Wire.Enq (name, v)) vs
+        | Registry.Pairs kvs ->
+            List.map (fun (k, v) -> Wire.Put (name, k, v)) kvs
+        | Registry.Keys ks -> List.map (fun k -> Wire.Add (name, k)) ks
+        | Registry.Values vs -> List.map (fun v -> Wire.Enq (name, v)) vs
       in
       List.iter
         (fun cmd -> emit (zero P.Frame.rt_op) (Wire.encode_cmds [ cmd ]))

@@ -28,7 +28,11 @@
     - {!resolve} runs {e outside} any transaction: it checks the
       structure exists and the operation matches its kind, returning
       either an error response or a {!resolved} record naming the
-      {!site} (which instances are involved) and the thunk.
+      {!site} (which instances are involved) and the thunk.  Blocking
+      pops resolve like every other command: their thunk parks via
+      [S.retry] on an empty queue, and the session decides whether it
+      may (on a helper thread) or may not (under [orelse] on the loop
+      thread).
     - the thunk runs {e inside} the session's transaction, one
       [try_atomically_multi] over the site's {!members}; the structure
       operations it calls open nested transactions that flatten into
@@ -36,7 +40,9 @@
 
     Pre-resolving keeps failures atomic: a [MULTI] batch either
     resolves completely or executes not at all, so no partial batch is
-    ever visible. *)
+    ever visible.  Whole-structure reads — SNAPSHOT-ITER's reply tree
+    and stream, and the checkpoint writer — share one per-kind read,
+    {!contents}. *)
 
 module S = Polytm.Stm.Make (Polytm_runtime.Domain_runtime)
 module Shd = Polytm_structs.Sharded.Make (S)
@@ -52,14 +58,16 @@ type entry =
 type algo = [ `Tl2 | `Norec ]
 
 (* A structure is pinned to the algorithm (and router) it was created
-   on.  [dirty] and [watchers] drive WATCH push subscriptions: the
-   dirty flag lives on the router's {e control shard} (shard 0), where
-   watch waits park; the session marks it after a mutation's commit
-   (the mutation's owner shard cannot host a transaction over the
-   control shard's tvar, and marking {e before} the data commit could
-   let a watcher consume the notification, re-read stale data, and
-   never hear about the actual change).  A watching session's poll
-   transaction reads (and clears) the flag, parking via [S.retry]
+   on.  [dirty] and [watchers] drive WATCH push subscriptions: every
+   dirty flag, whatever the structure's algorithm, lives on the TL2
+   router's {e control shard} (shard 0), so one watch wait covers a
+   session's watches on both algorithms.  The session marks the flag
+   after a mutation's commit, as a transaction of its own (the
+   mutation's owner shard cannot host a transaction over the control
+   shard's tvar, and marking {e before} the data commit could let a
+   watcher consume the notification, re-read stale data, and never
+   hear about the actual change).  A watching session's wait
+   transaction reads (and clears) the flags, parking via [S.retry]
    until the next mark's commit wakes it. *)
 type slot = {
   entry : entry;
@@ -128,9 +136,10 @@ let create ?(shards = 1) ?stm ?stm_norec ?(default_algo = `Tl2) () =
 let router_for t = function `Tl2 -> t.tl2 | `Norec -> t.norec
 let shard_count t = Router.count t.tl2
 
-(* The control shard: shard 0, home of the dirty and drain flags.
-   With one shard it {e is} the instance, so these accessors keep
-   their pre-sharding meaning. *)
+(* The control shard: shard 0 of a router.  The TL2 one holds every
+   WATCH dirty flag and the drain flag watch waits read.  With one
+   shard it {e is} the instance, so these accessors keep their
+   pre-sharding meaning. *)
 let stm t = Router.shard t.tl2 0
 let stm_for t algo = Router.shard (router_for t algo) 0
 let instances t algo = Router.all (router_for t algo)
@@ -182,9 +191,6 @@ let algo_of_name = function
   | "norec" -> Some `Norec
   | _ -> None
 
-let find t name =
-  Option.map (fun s -> s.entry) (List.assoc_opt name (Atomic.get t.entries))
-
 let algo_of t name =
   Option.map (fun s -> s.algo) (List.assoc_opt name (Atomic.get t.entries))
 
@@ -225,7 +231,7 @@ let ensure ?algo t kind name =
     {
       entry;
       algo;
-      dirty = S.tvar (Router.shard router 0) false;
+      dirty = S.tvar (stm t) false;
       watchers = Atomic.make 0;
       ops = Atomic.make 0;
     }
@@ -258,12 +264,10 @@ let ensure ?algo t kind name =
   in
   go ()
 
-let names t =
-  List.sort compare (List.map fst (Atomic.get t.entries))
-
 (* ---- command resolution ------------------------------------------------ *)
 
 let err code fmt = Printf.ksprintf (fun m -> Wire.Error (code, m)) fmt
+let no_struct name = Error (err Wire.No_struct "no structure named %S" name)
 
 let bool_resp b = Wire.Int (if b then 1 else 0)
 
@@ -296,7 +300,7 @@ type resolved = {
    subscribes. *)
 let touch t slot =
   if Atomic.get slot.watchers > 0 then
-    S.atomically ~label:"mark-dirty" (stm_for t slot.algo) (fun tx ->
+    S.atomically ~label:"mark-dirty" (stm t) (fun tx ->
         S.write tx slot.dirty true)
 
 let home_of t (s : slot) home = Router.shard (router_for t s.algo) home
@@ -306,225 +310,169 @@ let home_of t (s : slot) home = Router.shard (router_for t s.algo) home
    single-instance transaction — exactly the pre-sharding path). *)
 let span insts = match insts with [ s ] -> Single s | l -> Spanning l
 
+(* The site of a whole-structure read: a map's or set's aggregate
+   site, or a queue's home shard. *)
+let whole t s =
+  match s.entry with
+  | Emap m -> span (Shd.Map.instances m)
+  | Eset hs -> span (Shd.Hash_set.instances hs)
+  | Equeue (_, home) -> Single (home_of t s home)
+
+type contents =
+  | Pairs of (int * string) list  (** a map's bindings, ascending keys *)
+  | Keys of int list  (** a set's members, ascending *)
+  | Values of string list  (** a queue's elements, front first *)
+
+(* The one per-kind read of a structure's whole contents, in wire
+   order: a sharded map or set reads in global key order, whatever the
+   shard count.  It runs inside the caller's transaction over
+   {!whole}'s members (or a wider one: the checkpoint's snapshot spans
+   every shard). *)
+let contents s =
+  match s.entry with
+  | Emap m -> Pairs (Shd.Map.to_list m)
+  | Eset hs -> Keys (Shd.Hash_set.to_list hs)
+  | Equeue (q, _) -> Values (Squeue.to_list q)
+
+let ok (s : slot) site run = Ok { algo = s.algo; site; touched = None; run }
+
+let mutating (s : slot) site run =
+  Ok { algo = s.algo; site; touched = Some s; run }
+
 let resolve t cmd : (resolved, Wire.response) result =
-  let with_slot name k =
-    match List.assoc_opt name (Atomic.get t.entries) with
-    | None -> Error (err Wire.No_struct "no structure named %S" name)
-    | Some s ->
-        Atomic.incr s.ops;
-        k s
-  in
-  let ok (s : slot) site run = Ok { algo = s.algo; site; touched = None; run } in
-  let mutating (s : slot) site run =
-    Ok { algo = s.algo; site; touched = Some s; run }
-  in
   match cmd with
-  | Wire.Get (name, key) ->
-      with_slot name (fun s ->
-          match s.entry with
-          | Emap m ->
+  | Wire.Get (name, _) | Wire.Put (name, _, _) | Wire.Del (name, _)
+  | Wire.Contains (name, _) | Wire.Add (name, _) | Wire.Remove (name, _)
+  | Wire.Size name | Wire.Snapshot_iter name | Wire.Enq (name, _)
+  | Wire.Deq name | Wire.Blpop (name, _) | Wire.Btake (name, _) -> (
+      match List.assoc_opt name (Atomic.get t.entries) with
+      | None -> no_struct name
+      | Some s -> (
+          Atomic.incr s.ops;
+          match (cmd, s.entry) with
+          | Wire.Get (_, key), Emap m ->
               ok s
                 (Single (Shd.Map.owner m key))
                 (fun () ->
                   match Shd.Map.find_opt m key with
                   | Some v -> Wire.Bulk v
                   | None -> Wire.Nil)
-          | e -> Error (mismatch cmd e))
-  | Wire.Put (name, key, v) ->
-      with_slot name (fun s ->
-          match s.entry with
-          | Emap m ->
+          | Wire.Put (_, key, v), Emap m ->
               mutating s
                 (Single (Shd.Map.owner m key))
                 (fun () -> bool_resp (Shd.Map.add m key v))
-          | e -> Error (mismatch cmd e))
-  | Wire.Del (name, key) ->
-      with_slot name (fun s ->
-          match s.entry with
-          | Emap m ->
+          | Wire.Del (_, key), Emap m ->
               mutating s
                 (Single (Shd.Map.owner m key))
                 (fun () -> bool_resp (Shd.Map.remove m key))
-          | e -> Error (mismatch cmd e))
-  | Wire.Contains (name, key) ->
-      with_slot name (fun s ->
-          match s.entry with
-          | Emap m ->
+          | Wire.Contains (_, key), Emap m ->
               ok s
                 (Single (Shd.Map.owner m key))
                 (fun () -> bool_resp (Shd.Map.mem m key))
-          | Eset hs ->
+          | Wire.Contains (_, key), Eset hs ->
               ok s
                 (Single (Shd.Hash_set.owner hs key))
                 (fun () -> bool_resp (Shd.Hash_set.contains hs key))
-          | e -> Error (mismatch cmd e))
-  | Wire.Add (name, key) ->
-      with_slot name (fun s ->
-          match s.entry with
-          | Eset hs ->
+          | Wire.Add (_, key), Eset hs ->
               mutating s
                 (Single (Shd.Hash_set.owner hs key))
                 (fun () -> bool_resp (Shd.Hash_set.add hs key))
-          | e -> Error (mismatch cmd e))
-  | Wire.Remove (name, key) ->
-      with_slot name (fun s ->
-          match s.entry with
-          | Eset hs ->
+          | Wire.Remove (_, key), Eset hs ->
               mutating s
                 (Single (Shd.Hash_set.owner hs key))
                 (fun () -> bool_resp (Shd.Hash_set.remove hs key))
-          | e -> Error (mismatch cmd e))
-  | Wire.Size name ->
-      with_slot name (fun s ->
-          match s.entry with
-          | Emap m ->
-              ok s
-                (span (Shd.Map.instances m))
-                (fun () -> Wire.Int (Shd.Map.size m))
-          | Eset hs ->
-              ok s
-                (span (Shd.Hash_set.instances hs))
-                (fun () -> Wire.Int (Shd.Hash_set.size hs))
-          | Equeue (q, home) ->
-              ok s
-                (Single (home_of t s home))
-                (fun () -> Wire.Int (Squeue.length q)))
-  | Wire.Snapshot_iter name ->
-      with_slot name (fun s ->
-          match s.entry with
-          | Emap m ->
-              ok s
-                (span (Shd.Map.instances m))
-                (fun () ->
+          | Wire.Size _, e ->
+              ok s (whole t s) (fun () ->
+                  Wire.Int
+                    (match e with
+                    | Emap m -> Shd.Map.size m
+                    | Eset hs -> Shd.Hash_set.size hs
+                    | Equeue (q, _) -> Squeue.length q))
+          | Wire.Snapshot_iter _, _ ->
+              ok s (whole t s) (fun () ->
                   Wire.Array
-                    (List.map
-                       (fun (k, v) -> Wire.Array [ Wire.Int k; Wire.Bulk v ])
-                       (Shd.Map.to_list m)))
-          | Eset hs ->
-              ok s
-                (span (Shd.Hash_set.instances hs))
-                (fun () ->
-                  Wire.Array
-                    (List.map (fun k -> Wire.Int k) (Shd.Hash_set.to_list hs)))
-          | Equeue (q, home) ->
-              ok s
-                (Single (home_of t s home))
-                (fun () ->
-                  Wire.Array
-                    (List.map (fun v -> Wire.Bulk v) (Squeue.to_list q))))
-  | Wire.Enq (name, v) ->
-      with_slot name (fun s ->
-          match s.entry with
-          | Equeue (q, home) ->
+                    (match contents s with
+                    | Pairs l ->
+                        List.map
+                          (fun (k, v) -> Wire.Array [ Wire.Int k; Wire.Bulk v ])
+                          l
+                    | Keys l -> List.map (fun k -> Wire.Int k) l
+                    | Values l -> List.map (fun v -> Wire.Bulk v) l))
+          | Wire.Enq (_, v), Equeue (q, home) ->
               mutating s
                 (Single (home_of t s home))
                 (fun () ->
                   Squeue.enqueue q v;
                   Wire.ok)
-          | e -> Error (mismatch cmd e))
-  | Wire.Deq name ->
-      with_slot name (fun s ->
-          match s.entry with
-          | Equeue (q, home) ->
+          | Wire.Deq _, Equeue (q, home) ->
               mutating s
                 (Single (home_of t s home))
                 (fun () ->
                   match Squeue.dequeue_opt q with
                   | Some v -> Wire.Bulk v
                   | None -> Wire.Nil)
-          | e -> Error (mismatch cmd e))
+          | (Wire.Blpop _ | Wire.Btake _), Equeue (q, home) ->
+              (* A blocking pop: the home shard's drain flag is read
+                 {e first}, so it is in the read set when [retry]
+                 parks — the shutdown path's [set_draining] commit on
+                 that shard wakes the waiter, which re-runs, sees the
+                 flag and answers [Nil]; no session ever sleeps
+                 through a drain. *)
+              let stm = home_of t s home in
+              let drain = (drains_for t s.algo).(home) in
+              mutating s (Single stm) (fun () ->
+                  S.atomically stm (fun tx ->
+                      if S.read tx drain then Wire.Nil
+                      else
+                        match (Squeue.dequeue_opt_tx tx q, cmd) with
+                        | None, _ -> S.retry tx
+                        | Some v, Wire.Btake _ -> Wire.Bulk v
+                        | Some v, _ ->
+                            Wire.Array [ Wire.Bulk name; Wire.Bulk v ]))
+          | _, e -> Error (mismatch cmd e)))
   | Wire.Ping | Wire.New _ | Wire.Multi | Wire.Multi_end | Wire.Debug_abort _
-  | Wire.Blpop _ | Wire.Btake _ | Wire.Watch _ | Wire.Unwatch _ | Wire.Info
-  | Wire.Bgsave | Wire.Lastsave ->
+  | Wire.Watch _ | Wire.Unwatch _ | Wire.Info | Wire.Bgsave | Wire.Lastsave ->
       Error
         (err Wire.Bad_op "%s is not a structure operation" (Wire.cmd_name cmd))
 
 (* ---- streaming snapshot fast path -------------------------------------- *)
 
 (* Resolve SNAPSHOT-ITER into an encoder thunk that runs inside the
-   session's transaction and writes each element straight into the
-   caller's scratch {!Wire.Obuf} — never materialising the
-   [Wire.Array] response tree.  The emitted bytes, once wrapped by
-   [Wire.write_framed_array] with the returned element count, are
-   byte-identical to [Wire.write_response_obuf] of the tree the slow
-   path builds.  The thunk clears the scratch first so an aborted attempt's
-   partial output never leaks into the retry.  A sharded map streams
-   the k-way merge of its parts' ascending-order lists, so global key
-   order on the wire is unchanged. *)
+   session's transaction and writes each element of {!contents}
+   straight into the caller's scratch {!Wire.Obuf} — never
+   materialising the [Wire.Array] response tree.  The emitted bytes,
+   once wrapped by [Wire.write_framed_array] with the returned element
+   count, are byte-identical to [Wire.write_response_obuf] of the tree
+   {!resolve} builds.  The thunk clears the scratch first so an
+   aborted attempt's partial output never leaks into the retry. *)
 let snapshot_stream t name (items : Wire.Obuf.t) :
     (site * (unit -> int), Wire.response) result =
   match List.assoc_opt name (Atomic.get t.entries) with
-  | None -> Error (err Wire.No_struct "no structure named %S" name)
-  | Some s -> (
-      match s.entry with
-      | Emap m ->
-          let enc () =
-            Wire.Obuf.clear items;
-            List.fold_left
-              (fun n (k, v) ->
+  | None -> no_struct name
+  | Some s ->
+      let enc () =
+        Wire.Obuf.clear items;
+        let each f l = List.fold_left (fun n x -> f x; n + 1) 0 l in
+        match contents s with
+        | Pairs l ->
+            each
+              (fun (k, v) ->
                 Wire.obuf_add_array_header items 2;
                 Wire.obuf_add_int_item items k;
-                Wire.obuf_add_bulk items v;
-                n + 1)
-              0 (Shd.Map.to_list m)
-          in
-          Ok (span (Shd.Map.instances m), enc)
-      | Eset hs ->
-          let enc () =
-            Wire.Obuf.clear items;
-            List.fold_left
-              (fun n k ->
-                Wire.obuf_add_int_item items k;
-                n + 1)
-              0 (Shd.Hash_set.to_list hs)
-          in
-          Ok (span (Shd.Hash_set.instances hs), enc)
-      | Equeue (q, home) ->
-          let enc () =
-            Wire.Obuf.clear items;
-            List.fold_left
-              (fun n v ->
-                Wire.obuf_add_bulk items v;
-                n + 1)
-              0 (Squeue.to_list q)
-          in
-          Ok (Single (home_of t s home), enc))
+                Wire.obuf_add_bulk items v)
+              l
+        | Keys l -> each (Wire.obuf_add_int_item items) l
+        | Values l -> each (Wire.obuf_add_bulk items) l
+      in
+      Ok (whole t s, enc)
 
-(* ---- blocking ops and subscriptions ------------------------------------ *)
-
-(* Resolve a blocking queue pop into a transaction body for the session
-   to run as its own deadline-bounded transaction on the queue's home
-   instance (returned alongside, with the queue's slot).  The home
-   shard's drain flag is read {e first}, so it is in the read set when
-   [retry] parks: the shutdown path's [set_draining] commit on that
-   shard wakes the waiter, which re-runs, sees the flag, and surfaces
-   [`Drained] — no session ever sleeps through a drain.  A successful
-   pop is a mutation: the session marks the slot once it committed. *)
-let blocking_pop t name :
-    (S.t * slot * (S.tx -> [ `Got of string | `Drained ]), Wire.response)
-    result =
-  match List.assoc_opt name (Atomic.get t.entries) with
-  | None -> Error (err Wire.No_struct "no structure named %S" name)
-  | Some s -> (
-      match s.entry with
-      | Equeue (q, home) ->
-          let drain = (drains_for t s.algo).(home) in
-          Ok
-            ( home_of t s home,
-              s,
-              fun tx ->
-                if S.read tx drain then `Drained
-                else
-                  match Squeue.dequeue_opt_tx tx q with
-                  | Some v -> `Got v
-                  | None -> S.retry tx )
-      | e -> Error (mismatch (Wire.Blpop (name, 0)) e))
+(* ---- subscriptions ----------------------------------------------------- *)
 
 type watch = { wslot : slot; wname : string }
 
 let watch t name =
   match List.assoc_opt name (Atomic.get t.entries) with
-  | None -> Error (err Wire.No_struct "no structure named %S" name)
+  | None -> no_struct name
   | Some s ->
       Atomic.incr s.watchers;
       Ok { wslot = s; wname = name }
@@ -535,50 +483,33 @@ let watch_name w = w.wname
 module R = Polytm_runtime.Domain_runtime
 
 (* Collect the names of watched structures that changed since the last
-   call, clearing their dirty flags.  Dirty flags live on the control
-   shard of their algorithm, so when every watch lives on one
-   algorithm the session genuinely {e parks} ([S.retry] on the dirty
-   flags plus the control shard's drain flag) until a mark's commit
-   wakes it or [timeout_ns] passes — push latency is one commit, not
-   one poll interval.  Watches spanning both algorithms cannot share a
-   transaction, so they fall back to a non-blocking per-algorithm
-   check and the caller's pacing. *)
+   call, clearing their dirty flags.  Every dirty flag lives on the TL2
+   control shard, so the wait is one transaction there: it genuinely
+   {e parks} ([S.retry] on the dirty flags plus the control shard's
+   drain flag) until a mark's commit wakes it or [timeout_ns] passes —
+   push latency is one commit, not one poll interval, whatever
+   algorithms the watched structures run on. *)
 let wait_dirty t ws ~timeout_ns =
-  let collect tx ws =
-    List.filter_map
-      (fun w ->
-        if S.read tx w.wslot.dirty then begin
-          S.write tx w.wslot.dirty false;
-          Some w.wname
-        end
-        else None)
-      ws
-  in
-  match ws with
-  | [] -> []
-  | _ -> (
-      match List.sort_uniq compare (List.map (fun w -> w.wslot.algo) ws) with
-      | [ algo ] -> (
-          let stm = stm_for t algo in
-          let drain = (drains_for t algo).(0) in
-          let deadline = R.now () + timeout_ns in
+  match
+    S.try_atomically ~deadline:(R.now () + timeout_ns) ~label:"watch-wait"
+      (stm t) (fun tx ->
+        if S.read tx t.draining.(0) then []
+        else
           match
-            S.try_atomically ~deadline ~label:"watch-wait" stm (fun tx ->
-                if S.read tx drain then []
-                else
-                  match collect tx ws with
-                  | [] -> S.retry tx
-                  | names -> names)
+            List.filter_map
+              (fun w ->
+                if S.read tx w.wslot.dirty then begin
+                  S.write tx w.wslot.dirty false;
+                  Some w.wname
+                end
+                else None)
+              ws
           with
-          | S.Committed names -> names
-          | S.Exhausted _ | S.Deadline_exceeded _ -> [])
-      | algos ->
-          List.concat_map
-            (fun algo ->
-              let wsg = List.filter (fun w -> w.wslot.algo = algo) ws in
-              S.atomically ~label:"watch-check" (stm_for t algo) (fun tx ->
-                  collect tx wsg))
-            algos)
+          | [] -> S.retry tx
+          | names -> names)
+  with
+  | S.Committed names -> names
+  | S.Exhausted _ | S.Deadline_exceeded _ -> []
 
 (* Default transaction semantics when the request carries no hint: the
    paper's novice default, except consistent iteration which is the

@@ -13,15 +13,20 @@
     hands the pending region to a single [Unix.write]; a partial
     write leaves the tail for the loop's writability notification.
 
-    Blocking operations ([BLPOP]/[BTAKE] parks, watch waits) would
-    stall the loop, so they are offloaded: the session flips to
-    [parked], ships the waiting transaction to a helper thread via
-    [services.submit], and the helper delivers the finished reply
-    back onto the loop thread via [services.post].  The fd stays
-    registered throughout (reads are simply masked while parked), the
-    existing commit-driven wakeup completes the wait, and the reply
-    is flushed by the loop like any other.  All session state is
-    mutated on the loop thread only.
+    Every request that runs a transaction runs it through one runner,
+    [run_tx], which applies both op limits and records the latency;
+    [exec_tx] wraps it with the op-log arming and the post-commit
+    watcher marks.  A blocking pop ([BLPOP]/[BTAKE]) resolves like
+    any other command and first runs its body on the loop thread
+    under [orelse], where a pop that would park answers [Nil]; only
+    then would it stall the loop, so the session flips to [parked],
+    ships the same body to a helper thread via [park] (which BGSAVE
+    shares), and the helper delivers the finished reply back onto the
+    loop thread via [services.post].  Watch waits ride the helpers
+    too.  The fd stays registered throughout (reads are simply masked
+    while parked), the existing commit-driven wakeup completes the
+    wait, and the reply is flushed by the loop like any other.  All
+    session state is mutated on the loop thread only.
 
     {b Privatization safety} (the response-buffer argument, DESIGN.md
     §S16): a reply's payload is the value returned by the {e committed}
@@ -205,16 +210,6 @@ let note_durable t ticket =
       t.durables <- tk :: t.durables
   | _ -> ()
 
-let with_persist t cmds (f : unit -> Wire.response) : Wire.response =
-  let armed = arm_persist t cmds in
-  match f () with
-  | resp ->
-      note_durable t (finish_persist t ~armed);
-      resp
-  | exception e ->
-      ignore (finish_persist t ~armed);
-      raise e
-
 let reply t resp =
   Wire.write_response_obuf t.out resp;
   t.stats.replies <- t.stats.replies + 1;
@@ -231,6 +226,11 @@ let reply t resp =
           t.stats.other_errors <- t.stats.other_errors + 1)
   | _ -> ())
 
+let record_latency t sem t0 =
+  let dt = R.now () - t0 in
+  Hist.record t.stats.lat_by_sem.(sem_index sem) dt;
+  Hist.record t.stats.lat_all dt
+
 (* Run [f] as one transaction of [sem] over [stms] — the members of the
    site the registry resolved: the owner shard of a point operation, or
    the shards a whole-structure aggregate or a [MULTI] batch spans — so
@@ -238,12 +238,14 @@ let reply t resp =
    outcome and the semantics-violation exception become typed error
    replies: this is where the wire meets the liveness API, and both
    limits ([op_budget], [op_deadline_us]) apply to every request,
-   however many shards it spans.  A structural-invariant violation
-   surfaces here as a typed error too: the exception rode the abort
-   path out of the transaction, so the attempt's effects are already
-   discarded and the server survives a corrupted node instead of dying
-   on an assertion. *)
-let run_tx t ~stms ~sem ~label ?budget ?deadline_us
+   however many shards it spans, a blocking pop's loop-thread try
+   included.  A structural-invariant violation surfaces here as a
+   typed error too: the exception rode the abort path out of the
+   transaction, so the attempt's effects are already discarded and the
+   server survives a corrupted node instead of dying on an assertion.
+   The request's latency is recorded here unless [timed] is false: a
+   blocking pop records its own, once its wait (if any) ended. *)
+let run_tx t ~stms ~sem ~label ?(timed = true) ?budget ?deadline_us
     (f : unit -> Wire.response) : Wire.response =
   let budget = match budget with Some _ as b -> b | None -> t.limits.op_budget in
   let deadline_us =
@@ -262,22 +264,35 @@ let run_tx t ~stms ~sem ~label ?budget ?deadline_us
     | exception Polytm_structs.Stm_map.Invariant_violation m ->
         err Wire.Bad_op "invariant violation (transaction aborted): %s" m
   in
-  let dt = R.now () - t0 in
-  Hist.record t.stats.lat_by_sem.(sem_index sem) dt;
-  Hist.record t.stats.lat_all dt;
+  if timed then record_latency t sem t0;
   resp
 
 (* Dirty marks for watchers, made after the mutation's commit (the
    data commit must precede the notification — see the registry).  An
-   error reply means nothing committed, so nothing is marked. *)
+   error reply means nothing committed and a [Nil] one that a pop took
+   nothing, so neither marks anything. *)
 let touch_committed t (resolved : Registry.resolved list) resp =
   match resp with
-  | Wire.Error _ -> ()
+  | Wire.Error _ | Wire.Nil -> ()
   | _ ->
       List.iter
         (fun (r : Registry.resolved) ->
           Option.iter (Registry.touch t.reg) r.Registry.touched)
         resolved
+
+(* One request's transaction over resolved commands [rs]: arm the op
+   log with [cmds], run [f] through [run_tx], and mark the watchers of
+   what it mutated once it committed. *)
+let exec_tx t ?timed ~cmds ~stms ~sem ~label rs f =
+  let armed = arm_persist t cmds in
+  match run_tx t ~stms ~sem ~label ?timed f with
+  | resp ->
+      note_durable t (finish_persist t ~armed);
+      touch_committed t rs resp;
+      resp
+  | exception e ->
+      ignore (finish_persist t ~armed);
+      raise e
 
 let reset_multi t =
   t.in_multi <- false;
@@ -287,142 +302,119 @@ let reset_multi t =
 
 let exec_multi_end t =
   let cmds = List.rev t.multi_rev in
-  let hint = t.multi_hint in
+  let sem = Option.value t.multi_hint ~default:Polytm.Semantics.Classic in
   reset_multi t;
+  (* Resolve the whole batch first: a batch that cannot execute
+     completely executes not at all (atomicity also for errors). *)
+  let rec resolve_all acc = function
+    | [] -> Ok (List.rev acc)
+    | c :: rest -> (
+        match Registry.resolve t.reg c with
+        | Ok r -> resolve_all (r :: acc) rest
+        | Error (Wire.Error (code, m)) ->
+            Error (err code "batch rejected at %s: %s" (Wire.cmd_name c) m)
+        | Error e -> Error e)
+  in
   if cmds = [] then Wire.Array []
   else
-    (* Resolve the whole batch first: a batch that cannot execute
-       completely executes not at all (atomicity also for errors). *)
-    let rec resolve_all acc = function
-      | [] -> Ok (List.rev acc)
-      | c :: rest -> (
-          match Registry.resolve t.reg c with
-          | Ok r -> resolve_all ((c, r) :: acc) rest
-          | Error e -> Error (c, e))
-    in
     match resolve_all [] cmds with
-    | Error (c, Wire.Error (code, m)) ->
-        err code "batch rejected at %s: %s" (Wire.cmd_name c) m
-    | Error (_, e) -> e
-    | Ok resolved -> (
+    | Error e -> e
+    | Ok rs -> (
         (* A batch spanning structures pinned to different algorithms
            is refused before executing anything (same all-or-nothing
            rule as a resolution failure): TL2 and NORec instances
            validate against incomparable clocks, so one batch cannot
            promise one serialization point across both. *)
-        let algos =
+        match
           List.sort_uniq compare
-            (List.map (fun (_, (r : Registry.resolved)) -> r.Registry.algo)
-               resolved)
-        in
-        match algos with
-        | [] | _ :: _ :: _ ->
-            err Wire.Bad_op
-              "batch mixes structures on different algorithms (%s)"
-              (String.concat ", " (List.map Registry.algo_name algos))
+            (List.map (fun (r : Registry.resolved) -> r.Registry.algo) rs)
+        with
         | [ _ ] ->
-            let sem = Option.value hint ~default:Polytm.Semantics.Classic in
-            let label = label_of Wire.Multi_end sem in
-            let rs = List.map snd resolved in
-            let body () =
-              Wire.Array
-                (List.map (fun (r : Registry.resolved) -> r.Registry.run ()) rs)
-            in
             (* One transaction over every command's members (the STM
                drops duplicates); the thunks flatten into it. *)
-            let stms =
-              List.concat_map
-                (fun (r : Registry.resolved) ->
-                  Registry.members r.Registry.site)
-                rs
-            in
-            let resp =
-              with_persist t cmds (fun () -> run_tx t ~stms ~sem ~label body)
-            in
-            touch_committed t rs resp;
-            resp)
+            exec_tx t ~cmds
+              ~stms:
+                (List.concat_map
+                   (fun (r : Registry.resolved) ->
+                     Registry.members r.Registry.site)
+                   rs)
+              ~sem ~label:(label_of Wire.Multi_end sem) rs
+              (fun () ->
+                Wire.Array
+                  (List.map
+                     (fun (r : Registry.resolved) -> r.Registry.run ())
+                     rs))
+        | algos ->
+            err Wire.Bad_op
+              "batch mixes structures on different algorithms (%s)"
+              (String.concat ", " (List.map Registry.algo_name algos)))
 
-let exec_single t (r : Wire.request) cmd =
-  let sem = Option.value r.hint ~default:(Registry.default_sem cmd) in
-  match Registry.resolve t.reg cmd with
-  | Error e -> e
-  | Ok res ->
-      let label = label_of cmd sem in
-      let resp =
-        with_persist t [ cmd ] (fun () ->
-            run_tx t
-              ~stms:(Registry.members res.Registry.site)
-              ~sem ~label res.Registry.run)
-      in
-      touch_committed t [ res ] resp;
-      resp
+(* Inside MULTI: structure operations queue up (one past [max_multi]
+   discards the batch), MULTI-END runs the batch, PING still answers,
+   and every other command is refused — blocking pops because a parked
+   batch would pin the session's pipeline. *)
+let exec_in_multi t (r : Wire.request) =
+  match r.cmd with
+  | Wire.Ping -> Wire.pong
+  | Wire.Multi_end -> exec_multi_end t
+  | ( Wire.Get _ | Wire.Put _ | Wire.Del _ | Wire.Contains _ | Wire.Add _
+    | Wire.Remove _ | Wire.Size _ | Wire.Snapshot_iter _ | Wire.Enq _
+    | Wire.Deq _ ) as cmd ->
+      if t.multi_count >= t.limits.Limits.max_multi then begin
+        reset_multi t;
+        err Wire.Bad_op "MULTI batch exceeds %d commands (batch discarded)"
+          t.limits.Limits.max_multi
+      end
+      else begin
+        t.multi_rev <- cmd :: t.multi_rev;
+        t.multi_count <- t.multi_count + 1;
+        Wire.queued
+      end
+  | cmd -> err Wire.Bad_op "%s is not allowed inside MULTI" (Wire.cmd_name cmd)
 
-(* Non-parking requests: everything except BLPOP/BTAKE outside MULTI
-   (those park on a helper thread, handled in [exec_step]) and the
-   SNAPSHOT-ITER streaming fast path. *)
+let sem_of (r : Wire.request) =
+  Option.value r.hint ~default:(Registry.default_sem r.cmd)
+
+(* Requests outside MULTI that neither park nor stream (those are
+   [exec_step]'s). *)
 let exec_request t (r : Wire.request) : Wire.response =
   match r.cmd with
   | Wire.Ping -> Wire.pong
-  | (Wire.Blpop _ | Wire.Btake _) as cmd ->
-      (* only reachable inside MULTI; the parking path intercepts
-         these before [exec_request] otherwise *)
-      err Wire.Bad_op "%s is not allowed inside MULTI (it can park)"
-        (Wire.cmd_name cmd)
-  | Wire.Watch name ->
-      if t.in_multi then err Wire.Bad_op "WATCH is not allowed inside MULTI"
-      else if
-        List.exists (fun w -> Registry.watch_name w = name) t.watches
-      then Wire.ok (* already watching: idempotent *)
-      else (
+  | Wire.Watch name -> (
+      if List.exists (fun w -> Registry.watch_name w = name) t.watches then
+        Wire.ok (* already watching: idempotent *)
+      else
         match Registry.watch t.reg name with
         | Ok w ->
             t.watches <- w :: t.watches;
             Wire.ok
         | Error e -> e)
-  | Wire.Unwatch name ->
-      if t.in_multi then err Wire.Bad_op "UNWATCH is not allowed inside MULTI"
-      else (
-        match
-          List.partition (fun w -> Registry.watch_name w = name) t.watches
-        with
-        | [], _ -> err Wire.Bad_op "not watching %S" name
-        | ws, rest ->
-            List.iter (Registry.unwatch t.reg) ws;
-            t.watches <- rest;
-            Wire.ok)
+  | Wire.Unwatch name -> (
+      match
+        List.partition (fun w -> Registry.watch_name w = name) t.watches
+      with
+      | [], _ -> err Wire.Bad_op "not watching %S" name
+      | ws, rest ->
+          List.iter (Registry.unwatch t.reg) ws;
+          t.watches <- rest;
+          Wire.ok)
   | Wire.New (kind, name) -> (
-      if t.in_multi then err Wire.Bad_op "NEW is not allowed inside MULTI"
-      else
-        match Registry.ensure t.reg kind name with
-        | Ok `Created -> Wire.ok
-        | Ok `Existed -> Wire.Simple "EXISTS"
-        | Error e -> e)
-  | Wire.Info ->
-      if t.in_multi then err Wire.Bad_op "INFO is not allowed inside MULTI"
-      else Registry.info_response t.reg
+      match Registry.ensure t.reg kind name with
+      | Ok `Created -> Wire.ok
+      | Ok `Existed -> Wire.Simple "EXISTS"
+      | Error e -> e)
+  | Wire.Info -> Registry.info_response t.reg
   | Wire.Lastsave -> (
-      if t.in_multi then err Wire.Bad_op "LASTSAVE is not allowed inside MULTI"
-      else
-        match t.reg.Registry.persist with
-        | None -> err Wire.Bad_op "persistence is disabled"
-        | Some log -> Wire.Int (int_of_float (Oplog.last_save log)))
-  | Wire.Bgsave ->
-      (* only reachable inside MULTI; [exec_step] routes BGSAVE to a
-         helper thread otherwise (a checkpoint would stall the loop) *)
-      err Wire.Bad_op "BGSAVE is not allowed inside MULTI"
+      match t.reg.Registry.persist with
+      | None -> err Wire.Bad_op "persistence is disabled"
+      | Some log -> Wire.Int (int_of_float (Oplog.last_save log)))
   | Wire.Multi ->
-      if t.in_multi then err Wire.Bad_op "MULTI cannot nest"
-      else begin
-        t.in_multi <- true;
-        t.multi_hint <- r.hint;
-        Wire.ok
-      end
-  | Wire.Multi_end ->
-      if not t.in_multi then err Wire.Bad_op "MULTI-END without MULTI"
-      else exec_multi_end t
+      t.in_multi <- true;
+      t.multi_hint <- r.hint;
+      Wire.ok
+  | Wire.Multi_end -> err Wire.Bad_op "MULTI-END without MULTI"
   | Wire.Debug_abort { budget; deadline_us } ->
-      if t.in_multi then err Wire.Bad_op "DEBUG-ABORT inside MULTI"
-      else if not t.limits.Limits.debug_ops then
+      if not t.limits.Limits.debug_ops then
         err Wire.Bad_op "debug ops are disabled"
       else
         (* A transaction that aborts every attempt: with a finite
@@ -435,19 +427,14 @@ let exec_request t (r : Wire.request) : Wire.response =
           ~label:(label_of r.cmd Polytm.Semantics.Classic)
           ?budget ?deadline_us
           (fun () -> S.atomically stm S.abort)
-  | cmd ->
-      if t.in_multi then
-        if t.multi_count >= t.limits.Limits.max_multi then begin
-          reset_multi t;
-          err Wire.Bad_op "MULTI batch exceeds %d commands (batch discarded)"
-            t.limits.Limits.max_multi
-        end
-        else begin
-          t.multi_rev <- cmd :: t.multi_rev;
-          t.multi_count <- t.multi_count + 1;
-          Wire.queued
-        end
-      else exec_single t r cmd
+  | cmd -> (
+      match Registry.resolve t.reg cmd with
+      | Error e -> e
+      | Ok res ->
+          let sem = sem_of r in
+          exec_tx t ~cmds:[ cmd ]
+            ~stms:(Registry.members res.Registry.site)
+            ~sem ~label:(label_of cmd sem) [ res ] res.Registry.run)
 
 (* SNAPSHOT-ITER outside MULTI: the zero-copy path.  The registry's
    encoder thunk streams each element into [t.scratch] during the
@@ -456,17 +443,15 @@ let exec_request t (r : Wire.request) : Wire.response =
    tree, no per-element boxing — the reply bytes are identical to the
    tree path's. *)
 let exec_snapshot_iter t (r : Wire.request) name =
-  let cmd = r.Wire.cmd in
-  let sem = Option.value r.hint ~default:(Registry.default_sem cmd) in
-  let label = label_of cmd sem in
+  let sem = sem_of r in
   match Registry.snapshot_stream t.reg name t.scratch with
   | Error e -> reply t e
   | Ok (site, enc) -> (
       (* The committed attempt's element count rides out as an [Int];
          every error reply is an [Error]. *)
       match
-        run_tx t ~stms:(Registry.members site) ~sem ~label (fun () ->
-            Wire.Int (enc ()))
+        run_tx t ~stms:(Registry.members site) ~sem ~label:(label_of r.cmd sem)
+          (fun () -> Wire.Int (enc ()))
       with
       | Wire.Int count ->
           Wire.write_framed_array t.out ~count ~items:t.scratch;
@@ -606,132 +591,107 @@ let rec pump t =
 
 and exec_step t (r : Wire.request) : [ `Done | `Parked ] =
   match r.Wire.cmd with
-  | Wire.Blpop (name, ms) as cmd when not t.in_multi ->
-      exec_blocking t cmd r.Wire.hint name ms ~wrap:(fun v ->
-          Wire.Array [ Wire.Bulk name; Wire.Bulk v ])
-  | Wire.Btake (name, ms) as cmd when not t.in_multi ->
-      exec_blocking t cmd r.Wire.hint name ms ~wrap:(fun v -> Wire.Bulk v)
-  | Wire.Snapshot_iter name when not t.in_multi ->
+  | _ when t.in_multi ->
+      reply t (exec_in_multi t r);
+      `Done
+  | Wire.Blpop (name, ms) | Wire.Btake (name, ms) -> exec_pop t r name ms
+  | Wire.Snapshot_iter name ->
       exec_snapshot_iter t r name;
       `Done
-  | Wire.Bgsave when not t.in_multi -> exec_bgsave t
+  | Wire.Bgsave -> (
+      (* A checkpoint would stall the loop: its snapshot fold and file
+         write run on a helper, writers on other connections keep
+         committing (snapshots never impede updaters), and this
+         session resumes when the save is published. *)
+      match t.reg.Registry.persist with
+      | None ->
+          reply t (err Wire.Bad_op "persistence is disabled");
+          `Done
+      | Some log ->
+          park t (fun () ->
+              let resp = Persist.bgsave t.reg log in
+              fun () -> resp))
   | _ ->
       reply t (exec_request t r);
       `Done
 
-(* BGSAVE rides the same helper/park/post machinery as a blocking op:
-   the checkpoint's snapshot fold and file write run off-loop, writers
-   on other connections keep committing (snapshots never impede
-   updaters), and this session resumes when the save is published. *)
-and exec_bgsave t : [ `Done | `Parked ] =
-  match t.reg.Registry.persist with
-  | None ->
-      reply t (err Wire.Bad_op "persistence is disabled");
-      `Done
-  | Some log ->
-      t.parked <- true;
-      t.services.submit (fun () ->
-          let resp = Persist.bgsave t.reg log in
-          t.services.post (fun () ->
-              t.parked <- false;
-              if not t.closed then begin
-                reply t resp;
-                pump t;
-                try_flush t
-              end));
-      `Parked
+(* Run [job] on a helper thread with the session parked: reads masked,
+   the pipeline paused.  [job] may block; what it returns runs back on
+   the loop thread and yields the reply, then the session replies,
+   resumes the pump and flushes. *)
+and park t job : [ `Done | `Parked ] =
+  t.parked <- true;
+  t.services.submit (fun () ->
+      let finish = job () in
+      t.services.post (fun () ->
+          t.parked <- false;
+          let resp = finish () in
+          if not t.closed then begin
+            reply t resp;
+            pump t;
+            try_flush t
+          end));
+  `Parked
 
-(* A blocking queue pop ([BLPOP]/[BTAKE]).  [timeout_ms <= 0] means
-   wait indefinitely — the waiter is still bounded by shutdown (its
-   home shard's drain flag is in its read set) and by the server-wide
-   waiter budget: a slot is {e reserved} before parking (atomically,
-   so racing sessions cannot jointly overshoot the cap, whatever
-   instances they park on) and released when the wait completes; a
-   blocking op that cannot reserve gets [BUSY] instead of filling the
-   helper pool.  Timing out is not an error for a blocking op: it
-   replies [Nil], like Redis.
+(* A blocking queue pop ([BLPOP]/[BTAKE]), logged as the [DEQ] it
+   behaves as: replaying a plain pop reproduces the taken element.
+   The resolved body first runs on the loop thread through [run_tx]
+   under [orelse], so a pop that would park answers [Nil] instead —
+   under a producer backlog this is what keeps consumption at pop
+   speed instead of at park-wakeup speed.  Only a [Nil], or a try
+   that spent an op limit, parks the same body on a helper thread.
 
-   The wait runs on a helper thread; the session stays registered
-   with the loop (reads masked) and other sessions keep being
-   served.  The helper computes the reply off-loop, then [post]s a
-   closure that re-enters the session on the loop thread: record the
-   latency, reply, resume the pump, flush. *)
-and exec_blocking t cmd hint name timeout_ms ~wrap : [ `Done | `Parked ] =
-  match Registry.blocking_pop t.reg name with
+   [timeout_ms <= 0] means wait indefinitely — the waiter is still
+   bounded by shutdown (its home shard's drain flag is in its read
+   set) and by the server-wide waiter budget: a slot is {e reserved}
+   before parking (atomically, so racing sessions cannot jointly
+   overshoot the cap, whatever instances they park on) and released
+   when the wait completes; a blocking op that cannot reserve gets
+   [BUSY] instead of filling the helper pool.  Timing out is not an
+   error for a blocking op: it replies [Nil], like Redis.  One latency
+   sample covers the try and the wait. *)
+and exec_pop t (r : Wire.request) name timeout_ms : [ `Done | `Parked ] =
+  match Registry.resolve t.reg r.cmd with
   | Error e ->
       reply t e;
       `Done
-  | Ok (stm, slot, pop) ->
-      let sem = Option.value hint ~default:Polytm.Semantics.Classic in
-      let label = label_of cmd sem in
+  | Ok res -> (
+      let sem = sem_of r in
+      let label = label_of r.cmd sem in
+      let stms = Registry.members res.Registry.site in
+      let cmds = [ Wire.Deq name ] in
       let t0 = R.now () in
-      (* Fast path: an item is already queued, so the pop cannot
-         block — take it on the loop thread and skip the whole
-         helper/park/post hop (no reservation needed: nothing parks).
-         Under a producer backlog this is what keeps consumption at
-         pop speed instead of at park-wakeup speed; the helper path
-         below is only for a genuinely empty queue. *)
-      let fast =
-        match Registry.resolve t.reg (Wire.Deq name) with
-        | Error _ -> None
-        | Ok deq ->
-            (* Logged as the [DEQ] it behaves as: replaying a plain
-               pop reproduces the taken element. *)
-            let armed = arm_persist t [ Wire.Deq name ] in
-            let out =
-              match
-                S.try_atomically ?budget:t.limits.Limits.op_budget ~sem ~label
-                  stm
-                  (fun _tx -> deq.Registry.run ())
-              with
-              | S.Committed (Wire.Bulk v) ->
-                  touch_committed t [ deq ] (Wire.Bulk v);
-                  Some (wrap v)
-              | S.Committed _ (* Nil: genuinely empty *)
-              | S.Exhausted _ | S.Deadline_exceeded _ ->
-                  None
-              | exception S.Invalid_operation _ ->
-                  (* e.g. a snapshot-hinted pop: let the ordinary
-                     path produce its usual typed reply *)
-                  None
-            in
-            note_durable t (finish_persist t ~armed);
-            out
+      let or_nil () =
+        (* a queue's site is its home shard *)
+        S.atomically (List.hd stms) (fun tx ->
+            S.orelse tx (fun _ -> res.Registry.run ()) (fun _ -> Wire.Nil))
       in
-      (match fast with
-      | Some resp ->
-          let dt = R.now () - t0 in
-          Hist.record t.stats.lat_by_sem.(sem_index sem) dt;
-          Hist.record t.stats.lat_all dt;
-          reply t resp;
-          `Done
-      | None ->
+      match exec_tx t ~timed:false ~cmds ~stms ~sem ~label [ res ] or_nil with
+      | Wire.Nil | Wire.Error ((Wire.Exhausted | Wire.Deadline), _) ->
           if
             not
-              (Registry.reserve_waiter t.reg
-                 ~limit:t.limits.Limits.max_waiters)
+              (Registry.reserve_waiter t.reg ~limit:t.limits.Limits.max_waiters)
           then begin
             reply t
               (err Wire.Busy "wait table full (%d waiters)"
                  (Registry.waiting t.reg));
             `Done
           end
-          else begin
+          else
             let deadline =
               if timeout_ms <= 0 then None
               else Some (t0 + (timeout_ms * 1_000_000))
             in
-            t.parked <- true;
-            t.services.submit (fun () ->
-                (* Arm on {e this} thread: the commit (and so the
-                   hook) happens here, not on the loop. *)
-                let armed = arm_persist t [ Wire.Deq name ] in
+            park t (fun () ->
+                (* Arm on {e this} thread: the commit (and so the hook)
+                   happens here, not on the loop. *)
+                let armed = arm_persist t cmds in
                 let resp =
-                  match S.try_atomically ?deadline ~sem ~label stm pop with
-                  | S.Committed (`Got v) ->
-                      Registry.touch t.reg slot;
-                      wrap v
-                  | S.Committed `Drained -> Wire.Nil
+                  match
+                    S.try_atomically_multi ?deadline ~sem ~label stms
+                      res.Registry.run
+                  with
+                  | S.Committed resp -> resp
                   | S.Deadline_exceeded _ -> Wire.Nil
                   | S.Exhausted { attempts; _ } ->
                       err Wire.Exhausted "retry budget spent after %d attempts"
@@ -740,22 +700,18 @@ and exec_blocking t cmd hint name timeout_ms ~wrap : [ `Done | `Parked ] =
                       err Wire.Sem_violation "%s" m
                 in
                 let ticket = finish_persist t ~armed in
+                touch_committed t [ res ] resp;
                 (* Release on wake {e and} on timeout: the reservation
                    covers exactly the interval the helper may park. *)
                 Registry.release_waiter t.reg;
-                let dt = R.now () - t0 in
-                t.services.post (fun () ->
-                    note_durable t ticket;
-                    Hist.record t.stats.lat_by_sem.(sem_index sem) dt;
-                    Hist.record t.stats.lat_all dt;
-                    t.parked <- false;
-                    if not t.closed then begin
-                      reply t resp;
-                      pump t;
-                      try_flush t
-                    end));
-            `Parked
-          end)
+                fun () ->
+                  note_durable t ticket;
+                  record_latency t sem t0;
+                  resp)
+      | resp ->
+          record_latency t sem t0;
+          reply t resp;
+          `Done)
 
 (* Keep one watch wait outstanding while the session has
    subscriptions: the helper parks in [wait_dirty] (commit-woken,

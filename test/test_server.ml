@@ -510,7 +510,7 @@ let test_blocking_timeout_and_refusals () =
    park 2x the cap, and K shards would have made it Kx.) *)
 let test_blpop_busy_when_wait_table_full () =
   let limits = { Limits.default with Limits.max_waiters = 1 } in
-  with_session ~limits (fun fd reg _ _ ->
+  with_session ~limits (fun fd reg stats _ ->
       write_all fd (encode [ req (Wire.New (Wire.Kqueue, "q")) ]);
       Alcotest.check resps_t "queue created" [ Wire.ok ] (recv_n fd 1);
       (match Registry.ensure ~algo:`Norec reg Wire.Kqueue "nq" with
@@ -541,7 +541,20 @@ let test_blpop_busy_when_wait_table_full () =
         [ Wire.Array [ Wire.Bulk "nq"; Wire.Bulk "wake" ] ]
         (recv_n fd 1);
       Alcotest.(check bool) "budget returned on wake" true
-        (eventually (fun () -> Registry.waiting reg = 0)))
+        (eventually (fun () -> Registry.waiting reg = 0));
+      (* A pop that finds its item and one that times out. *)
+      produce reg "q" "ready";
+      write_all fd
+        (encode [ req (Wire.Btake ("q", 0)); req (Wire.Btake ("q", 30)) ]);
+      Alcotest.check resps_t "taken, then timed out"
+        [ Wire.Bulk "ready"; Wire.Nil ]
+        (recv_n fd 2);
+      (* One latency sample per pop that ran: the parked one, the taken
+         one and the timed-out one — none for the two BUSY refusals,
+         and one, not two, for a pop that tried on the loop thread and
+         then parked. *)
+      Alcotest.(check int) "latency samples" 3
+        (Polytm_util.Stats.Hist.count stats.Session.lat_all))
 
 let test_watch_pushes_notifications () =
   with_sessions ~conns:2 (fun fds _reg ->
@@ -571,6 +584,71 @@ let test_watch_pushes_notifications () =
       (* No Push frame precedes the PONG: the subscription is gone. *)
       Alcotest.check resps_t "no push after UNWATCH" [ Wire.pong ]
         (recv_n fd 1))
+
+(* Every dirty flag lives on the TL2 control shard, so one session
+   watching a TL2 map and a NORec map parks in one wait transaction
+   instead of polling the two algorithms in turn. *)
+let test_idle_watches_on_both_algorithms_park () =
+  with_sessions ~conns:2 (fun fds reg ->
+      let fd = fds.(0) and writer = fds.(1) in
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+      (match Registry.ensure ~algo:`Norec reg Wire.Kmap "n" with
+      | Ok `Created -> ()
+      | _ -> Alcotest.fail "could not create the NORec map");
+      write_all fd
+        (encode
+           [
+             req (Wire.New (Wire.Kmap, "m"));
+             req (Wire.Watch "m");
+             req (Wire.Watch "n");
+           ]);
+      Alcotest.check resps_t "both watches accepted"
+        [ Wire.ok; Wire.ok; Wire.ok ]
+        (recv_n fd 3);
+      let starts () =
+        List.fold_left
+          (fun n stm -> n + (S.stats stm).S.starts)
+          0
+          (Registry.instances reg `Tl2 @ Registry.instances reg `Norec)
+      in
+      let before = starts () in
+      Unix.sleepf 0.3;
+      let idle = starts () - before in
+      if idle >= 100 then
+        Alcotest.failf "an idle session started %d transactions in 300 ms" idle;
+      write_all writer (encode [ req (Wire.Put ("n", 1, "x")) ]);
+      Alcotest.check resps_t "the other client's PUT" [ Wire.Int 1 ]
+        (recv_n writer 1);
+      Alcotest.check resps_t "the NORec map's change is pushed"
+        [ Wire.Push "n" ] (recv_n fd 1))
+
+(* A pop that takes nothing changed nothing, so it marks no watcher:
+   neither a DEQ of the empty queue nor a timed-out BTAKE pushes.  The
+   pause before each PING gives a wrongly made mark time to push. *)
+let test_empty_pop_marks_nothing () =
+  with_session (fun fd _reg _ _ ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+      write_all fd
+        (encode [ req (Wire.New (Wire.Kqueue, "q")); req (Wire.Watch "q") ]);
+      Alcotest.check resps_t "watching the queue" [ Wire.ok; Wire.ok ]
+        (recv_n fd 2);
+      List.iter
+        (fun (what, cmd) ->
+          write_all fd (encode [ req cmd ]);
+          Alcotest.check resps_t what [ Wire.Nil ] (recv_n fd 1);
+          Unix.sleepf 0.05;
+          write_all fd (encode [ req Wire.Ping ]);
+          Alcotest.check resps_t (what ^ " pushed nothing") [ Wire.pong ]
+            (recv_n fd 1))
+        [ ("DEQ of the empty queue", Wire.Deq "q");
+          ("timed-out BTAKE", Wire.Btake ("q", 30)) ];
+      write_all fd (encode [ req (Wire.Enq ("q", "a")) ]);
+      Alcotest.check resps_t "ENQ pushes" [ Wire.ok; Wire.Push "q" ]
+        (recv_n fd 2);
+      write_all fd (encode [ req (Wire.Blpop ("q", 0)) ]);
+      Alcotest.check resps_t "a BLPOP that takes the item pushes"
+        [ Wire.Array [ Wire.Bulk "q"; Wire.Bulk "a" ]; Wire.Push "q" ]
+        (recv_n fd 2))
 
 (* Shutdown must wake parked waiters and answer them — a session
    sleeping in the STM cannot be allowed to sleep through its own
@@ -1148,6 +1226,10 @@ let suite =
         test_blpop_busy_when_wait_table_full;
       Alcotest.test_case "WATCH pushes commit notifications" `Quick
         test_watch_pushes_notifications;
+      Alcotest.test_case "idle watches on both algorithms park" `Quick
+        test_idle_watches_on_both_algorithms_park;
+      Alcotest.test_case "a pop that takes nothing marks nothing" `Quick
+        test_empty_pop_marks_nothing;
       Alcotest.test_case "shutdown wakes and answers parked waiters" `Quick
         test_shutdown_wakes_parked_waiter;
       Alcotest.test_case "kind mismatch and unknown structure" `Quick
