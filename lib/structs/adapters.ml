@@ -176,11 +176,18 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) = struct
   let sharded_map ?(profile = classic_profile) ?(shards = 4) mk =
     let router = Sharded.Router.create ~shards mk in
     let t = Sharded.Map.create ~size_sem:profile.size_sem router in
+    (* A point op runs in the profile's parse semantics on its key's
+       owner instance, as the server runs a request under a client's
+       hint: the map's own transaction flattens into it. *)
+    let hinted op k =
+      S.atomically ~sem:profile.parse_sem (Sharded.Map.owner t k) (fun _ ->
+          op t k)
+    in
     {
       name = Printf.sprintf "sharded-map(%s,%d)" profile.profile_name shards;
-      add = (fun k -> Sharded.Map.add t k ());
-      remove = Sharded.Map.remove t;
-      contains = Sharded.Map.mem t;
+      add = hinted (fun t k -> Sharded.Map.add t k ());
+      remove = hinted Sharded.Map.remove;
+      contains = hinted Sharded.Map.mem;
       size = (fun () -> Sharded.Map.size t);
       to_list = (fun () -> List.map fst (Sharded.Map.to_list t));
     }

@@ -1,21 +1,39 @@
-(** Transactional ordered map (AVL tree over per-node transactional
-    variables).
+(** Transactional ordered map: fat leaves under one index.
 
-    The sequential AVL algorithm, with every mutable field (child
-    pointers, heights, values) in a tvar and each operation delimited
-    by one transaction — sequential-code preservation on a structure
-    with non-trivial rebalancing.  Lookups and updates run classically
-    (rotations rewrite several ancestors, which a bounded elastic
-    window cannot protect); read-only aggregates ([size], [fold],
-    [to_list]) honour [size_sem], so a [Snapshot] map supports
-    consistent iteration that never aborts concurrent inserts —
-    Section 5.1's Iterator story on a tree.
+    Two kinds of tvar hold the map.  One {e index} tvar holds an
+    immutable [Map.Make (Int)] from each leaf's high key to that leaf's
+    tvar; the last leaf's high key is [max_int].  Each {e leaf} tvar
+    holds an immutable record: at most [capacity] sorted keys, their
+    values, and the leaf's high key.  A leaf covers the keys above its
+    predecessor's high key, up to its own.
 
-    An insert or delete retraces as the sequential algorithm does: up
-    from the changed leaf only while subtree heights change, a level
-    or two on a random tree.  Every ancestor it does not visit is a
-    set of reads the transaction neither logs, validates nor conflicts
-    on. *)
+    A GET reads two tvars, the index and then one leaf.  A PUT or DEL
+    reads the same two and writes one copied leaf.  A fold, or [size],
+    reads the index and every leaf: about n/B tvars for n bindings in
+    leaves of about B.  A full leaf splits: its lower half stays in its
+    tvar under a lower high key and its upper half moves to a new tvar.
+    An emptied leaf, other than the last, is written [Dead] and dropped
+    from the index, so its successor covers its range.  So at most one
+    leaf is empty, and the map holds at most one leaf per binding, plus
+    one.
+
+    {b The write rule.}  Every tvar an operation writes is either the
+    last read before its first write (the leaf, which it writes first)
+    or a read made after that write: a split or an unlink reads the
+    index again only once the leaf is written.  An elastic transaction
+    validates at commit its last [elastic_window] reads before its
+    first write and every read after it, so under any window of 1 or
+    more the map validates everything it writes.  The index read that
+    a window may drop only located the leaf, and that location cannot
+    go wrong.  A leaf's range loses keys only at its top (a split lowers
+    its high key) and gains them only at its bottom (its predecessor is
+    unlinked), and a [Dead] leaf never comes back.  So a live leaf whose
+    high key is at least [k] still covers [k].  A leaf that is [Dead],
+    or whose high key is below [k], sends the lookup back to the index.
+    The map is therefore correct under whatever semantics a caller
+    runs it in; [size], [fold] and [to_list] run in [size_sem], so a
+    [Snapshot] map iterates consistently without aborting updaters
+    (Section 5.1's Iterator). *)
 
 open Polytm
 
@@ -26,232 +44,184 @@ exception Invariant_violation of string
     accounting done — the transaction fails, the process survives.  A
     server catches it per-request and answers a typed error. *)
 
-module Make (S : Stm_intf.S) = struct
-  type 'v node = Leaf | Node of 'v cell
+module Index = Map.Make (Int)
 
-  and 'v cell = {
-    key : int;
-    value : 'v S.tvar;
-    left : 'v node S.tvar;
-    right : 'v node S.tvar;
-    height : int S.tvar;
+(* Bindings per leaf.  A split leaves two leaves of about half. *)
+let capacity = 32
+
+let rec search keys k lo hi =
+  if lo >= hi then -(lo + 1)
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = Array.unsafe_get keys mid in
+    if c = k then mid
+    else if c < k then search keys k (mid + 1) hi
+    else search keys k lo mid
+
+(* The position of [k] in the sorted [keys], or [-(i + 1)] where [i] is
+   the position it would take. *)
+let position keys k = search keys k 0 (Array.length keys)
+
+let insert_at a i x =
+  let n = Array.length a in
+  let b = Array.make (n + 1) x in
+  Array.blit a 0 b 0 i;
+  Array.blit a i b (i + 1) (n - i);
+  b
+
+let remove_at a i =
+  let b = Array.sub a 0 (Array.length a - 1) in
+  Array.blit a (i + 1) b i (Array.length b - i);
+  b
+
+module Make (S : Stm_intf.S) = struct
+  type 'v leaf = { keys : int array; vals : 'v array; high : int }
+  type 'v slot = Live of 'v leaf | Dead
+
+  type 'v t = {
+    stm : S.t;
+    index : 'v slot S.tvar Index.t S.tvar;
+    size_sem : Semantics.t;
   }
 
-  type 'v t = { stm : S.t; root : 'v node S.tvar; size_sem : Semantics.t }
-
   let create ?(size_sem = Semantics.Classic) stm =
-    { stm; root = S.tvar stm Leaf; size_sem }
-
-  let node_height tx = function
-    | Leaf -> 0
-    | Node c -> S.read tx c.height
-
-  (* What an update did to the subtree it ran on: nothing (the key was
-     already bound, for [add]; absent, for [remove]), a change of shape
-     at the same height, or a change of height.  Only the last makes
-     the parent retrace: its balance and height are functions of its
-     children's heights alone. *)
-  type change = Unchanged | Same_height | New_height
-
-  let left c = c.left
-  let right c = c.right
-
-  let set_height tx c ~old h = if h <> old then S.write tx c.height h
-
-  (* [c], the root of the subtree in [ptr] with stored height [h0], has
-     a child [x] (the node [xn], height [hx]) on the side [near]
-     selects, two taller than its sibling of height [hf] on the side
-     [far] selects.  Rotate [x] up, first rotating [x]'s [far] child up
-     inside it when that grandchild is the taller one, and return the
-     subtree's new height.  A height is written only where it changed.
-     [xa]/[xb] are [x]'s near and far children, [ya]/[yb] those of the
-     double rotation's pivot [y]. *)
-  let rotate tx ptr c ~h0 ~near ~far xn x ~hx ~hf =
-    let xa = S.read tx (near x) in
-    let xb = S.read tx (far x) in
-    let ha = node_height tx xa in
-    let hb = node_height tx xb in
-    if ha >= hb then begin
-      S.write tx (near c) xb;
-      let hc = 1 + max hb hf in
-      set_height tx c ~old:h0 hc;
-      S.write tx (far x) (Node c);
-      let h = 1 + max ha hc in
-      set_height tx x ~old:hx h;
-      S.write tx ptr xn;
-      h
-    end
-    else
-      match xb with
-      | Leaf ->
-          raise
-            (Invariant_violation
-               "stm_map.rebalance: the taller grandchild is empty")
-      | Node y ->
-          let ya = S.read tx (near y) in
-          let yb = S.read tx (far y) in
-          let hya = node_height tx ya in
-          let hyb = node_height tx yb in
-          S.write tx (far x) ya;
-          let hx' = 1 + max ha hya in
-          set_height tx x ~old:hx hx';
-          S.write tx (near c) yb;
-          let hc = 1 + max hyb hf in
-          set_height tx c ~old:h0 hc;
-          S.write tx (near y) xn;
-          S.write tx (far y) (Node c);
-          let h = 1 + max hx' hc in
-          set_height tx y ~old:hb h;
-          S.write tx ptr xb;
-          h
-
-  (* Restore the AVL invariant at [c], the cell in [ptr], after one
-     child subtree changed height by one.  Each child's height is read
-     once.  Returns whether the subtree's height changed: when it did
-     not, no ancestor's balance or height can have, so the caller stops
-     retracing there. *)
-  let rebalance tx ptr c =
-    let l = S.read tx c.left in
-    let r = S.read tx c.right in
-    let hl = node_height tx l in
-    let hr = node_height tx r in
-    let h0 = S.read tx c.height in
-    let h =
-      match (l, r) with
-      | Node x, _ when hl > hr + 1 ->
-          rotate tx ptr c ~h0 ~near:left ~far:right l x ~hx:hl ~hf:hr
-      | _, Node x when hr > hl + 1 ->
-          rotate tx ptr c ~h0 ~near:right ~far:left r x ~hx:hr ~hf:hl
-      | _ ->
-          let h = 1 + max hl hr in
-          set_height tx c ~old:h0 h;
-          h
+    let last =
+      S.tvar stm (Live { keys = [||]; vals = [||]; high = max_int })
     in
-    h <> h0
+    { stm; index = S.tvar stm (Index.singleton max_int last); size_sem }
 
-  (* Retrace one level up from a child subtree that underwent [change]. *)
-  let retrace tx ptr c = function
-    | New_height -> if rebalance tx ptr c then New_height else Same_height
-    | (Unchanged | Same_height) as change -> change
+  (* The leaf covering [k] and its tvar.  A leaf that no longer covers
+     [k] was split or unlinked after [idx] was read, and either rewrote
+     the index: finding the index unchanged means the map is broken. *)
+  let rec locate tx t k stale =
+    let idx = S.read tx t.index in
+    if idx == stale then
+      raise (Invariant_violation "stm_map: a leaf does not cover its range");
+    let _, l = Index.find_first (fun h -> h >= k) idx in
+    match S.read tx l with
+    | Live r when k <= r.high -> (l, r)
+    | Live _ | Dead -> locate tx t k idx
 
-  let make_cell stm k v =
-    {
-      key = k;
-      value = S.tvar stm v;
-      left = S.tvar stm Leaf;
-      right = S.tvar stm Leaf;
-      height = S.tvar stm 1;
-    }
+  let locate tx t k = locate tx t k Index.empty
+
+  (* Rewrite the index, read again after the leaf [l] was written, from
+     [l]'s entry under [high]. *)
+  let reindex tx t l high f =
+    let idx = S.read tx t.index in
+    match Index.find_opt high idx with
+    | Some l' when l' == l -> S.write tx t.index (f idx)
+    | _ -> raise (Invariant_violation "stm_map: a live leaf is not indexed")
+
+  (* [keys] and [vals], one binding over [capacity], replace the leaf
+     [l] whose high key is [high]. *)
+  let split tx t l high keys vals =
+    let n = Array.length keys in
+    let h = n / 2 in
+    let mid = keys.(h - 1) in
+    S.write tx l
+      (Live
+         { keys = Array.sub keys 0 h; vals = Array.sub vals 0 h; high = mid });
+    let upper =
+      S.tvar t.stm
+        (Live
+           {
+             keys = Array.sub keys h (n - h);
+             vals = Array.sub vals h (n - h);
+             high;
+           })
+    in
+    reindex tx t l high (fun idx -> Index.add mid l (Index.add high upper idx))
 
   let add t k v =
     S.atomically ~label:"add" t.stm (fun tx ->
-        let rec go ptr =
-          match S.read tx ptr with
-          | Leaf ->
-              S.write tx ptr (Node (make_cell t.stm k v));
-              New_height
-          | Node c ->
-              if k = c.key then begin
-                S.write tx c.value v;
-                Unchanged
-              end
-              else retrace tx ptr c (go (if k < c.key then c.left else c.right))
-        in
-        go t.root <> Unchanged)
-
-  let find_opt t k =
-    S.atomically ~label:"find" t.stm (fun tx ->
-        let rec go ptr =
-          match S.read tx ptr with
-          | Leaf -> None
-          | Node c ->
-              if k = c.key then Some (S.read tx c.value)
-              else go (if k < c.key then c.left else c.right)
-        in
-        go t.root)
-
-  let mem t k = Option.is_some (find_opt t k)
-
-  (* Unlink the minimum cell of the subtree rooted at [c] in [ptr];
-     returns it and whether the subtree's height changed. *)
-  let rec take_min tx ptr c =
-    match S.read tx c.left with
-    | Leaf ->
-        S.write tx ptr (S.read tx c.right);
-        (c, true)
-    | Node l ->
-        let m, shrank = take_min tx c.left l in
-        (m, shrank && rebalance tx ptr c)
+        let l, r = locate tx t k in
+        let i = position r.keys k in
+        if i >= 0 then begin
+          let vals = Array.copy r.vals in
+          vals.(i) <- v;
+          S.write tx l (Live { r with vals });
+          false
+        end
+        else begin
+          let i = -i - 1 in
+          let keys = insert_at r.keys i k and vals = insert_at r.vals i v in
+          if Array.length keys <= capacity then
+            S.write tx l (Live { r with keys; vals })
+          else split tx t l r.high keys vals;
+          true
+        end)
 
   let remove t k =
     S.atomically ~label:"remove" t.stm (fun tx ->
-        let rec go ptr =
-          match S.read tx ptr with
-          | Leaf -> Unchanged
-          | Node c -> (
-              if k <> c.key then
-                retrace tx ptr c (go (if k < c.key then c.left else c.right))
-              else
-                match (S.read tx c.left, S.read tx c.right) with
-                | Leaf, other | other, Leaf ->
-                    S.write tx ptr other;
-                    New_height
-                | (Node _ as l), Node r ->
-                    (* Replace by the successor: splice the right
-                       subtree's minimum into this slot, in a cell
-                       that starts at the removed node's height so
-                       that [rebalance] sees exactly whether the
-                       height changed. *)
-                    let m, shrank = take_min tx c.right r in
-                    let cell =
-                      {
-                        key = m.key;
-                        value = S.tvar t.stm (S.read tx m.value);
-                        left = S.tvar t.stm l;
-                        right = S.tvar t.stm (S.read tx c.right);
-                        height = S.tvar t.stm (S.read tx c.height);
-                      }
-                    in
-                    S.write tx ptr (Node cell);
-                    if shrank then retrace tx ptr cell New_height
-                    else Same_height)
-        in
-        go t.root <> Unchanged)
+        let l, r = locate tx t k in
+        let i = position r.keys k in
+        if i < 0 then false
+        else begin
+          if Array.length r.keys > 1 || r.high = max_int then
+            let keys = remove_at r.keys i and vals = remove_at r.vals i in
+            S.write tx l (Live { r with keys; vals })
+          else begin
+            S.write tx l Dead;
+            reindex tx t l r.high (Index.remove r.high)
+          end;
+          true
+        end)
 
-  let fold t f init =
+  let find_opt t k =
+    S.atomically ~label:"find" t.stm (fun tx ->
+        let _, r = locate tx t k in
+        let i = position r.keys k in
+        if i >= 0 then Some r.vals.(i) else None)
+
+  let mem t k = Option.is_some (find_opt t k)
+
+  (* Leaves in key order, as one transaction of [size_sem].  Only a
+     fold that cuts its reads (an elastic one) can meet a leaf unlinked
+     since it read the index; that leaf held nothing. *)
+  let fold_leaves t f init =
     S.atomically ~sem:t.size_sem ~label:"fold" t.stm (fun tx ->
-        let rec go acc ptr =
-          match S.read tx ptr with
-          | Leaf -> acc
-          | Node c ->
-              let acc = go acc c.left in
-              let acc = f acc c.key (S.read tx c.value) in
-              go acc c.right
-        in
-        go init t.root)
+        Index.fold
+          (fun _ l acc ->
+            match S.read tx l with Live r -> f acc r | Dead -> acc)
+          (S.read tx t.index) init)
 
-  let size t = fold t (fun n _ _ -> n + 1) 0
+  let rec fold_bindings f r i acc =
+    if i = Array.length r.keys then acc
+    else fold_bindings f r (i + 1) (f acc r.keys.(i) r.vals.(i))
+
+  let fold t f init = fold_leaves t (fun acc r -> fold_bindings f r 0 acc) init
+
+  let size t = fold_leaves t (fun n r -> n + Array.length r.keys) 0
 
   let to_list t = List.rev (fold t (fun acc k v -> (k, v) :: acc) [])
 
-  (* Structure check for tests: AVL balance and key order. *)
+  (* Structure check for tests: see the interface. *)
   let invariants_hold t =
     S.atomically ~label:"invariants" t.stm (fun tx ->
-        let rec check lo hi ptr =
-          match S.read tx ptr with
-          | Leaf -> Some 0
-          | Node c -> (
-              if (match lo with Some l -> c.key <= l | None -> false) then None
-              else if (match hi with Some h -> c.key >= h | None -> false)
-              then None
-              else
-                match
-                  (check lo (Some c.key) c.left, check (Some c.key) hi c.right)
-                with
-                | Some hl, Some hr when abs (hl - hr) <= 1 ->
-                    let h = 1 + max hl hr in
-                    if S.read tx c.height = h then Some h else None
-                | _ -> None)
+        (* Keys strictly increase from above [lo] (the previous leaf's
+           high key, [None] for the first leaf) up to [high]. *)
+        let rec ordered keys i lo high =
+          i = Array.length keys
+          || (let k = keys.(i) in
+              (match lo with None -> true | Some p -> p < k)
+              && k <= high
+              && ordered keys (i + 1) (Some k) high)
         in
-        Option.is_some (check None None t.root))
+        let rec check lo = function
+          | [] -> false
+          | (high, l) :: rest -> (
+              match S.read tx l with
+              | Dead -> false
+              | Live r ->
+                  let n = Array.length r.keys in
+                  r.high = high
+                  && Array.length r.vals = n
+                  && n <= capacity
+                  && ordered r.keys 0 lo high
+                  &&
+                  match rest with
+                  | [] -> high = max_int
+                  | _ -> n > 0 && check (Some high) rest)
+        in
+        check None (Index.bindings (S.read tx t.index)))
 end

@@ -158,7 +158,7 @@ let test_map_under_domains () =
            ignore (M.add m ((i * threads) + d) d)
          done));
   Alcotest.(check int) "all bindings present" (threads * per) (M.size m);
-  Alcotest.(check bool) "AVL invariants hold" true (M.invariants_hold m)
+  Alcotest.(check bool) "map invariants hold" true (M.invariants_hold m)
 
 (* The skiplist, queue and stack run through the full conformance
    pipeline under real domains: recorded histories from preemptive
@@ -201,7 +201,7 @@ let suite =
       Alcotest.test_case "adaptive serial fallback" `Quick
         test_adaptive_serial_fallback_under_domains;
       Alcotest.test_case "elastic list" `Quick test_list_set_under_domains;
-      Alcotest.test_case "avl map" `Quick test_map_under_domains;
+      Alcotest.test_case "ordered map" `Quick test_map_under_domains;
       Alcotest.test_case "irrevocable" `Quick test_irrevocable_under_domains;
       Alcotest.test_case "skiplist conformance" `Quick
         (conformance_under_domains "stm-skiplist");
