@@ -18,6 +18,12 @@
     filters against (replay a record iff its stamp exceeds the
     checkpoint's bound for that instance).
 
+    Encoding is one pass into the caller's buffer: the length, the CRC,
+    the body header and the payload are appended in place, the CRC
+    running over the header and then the payload, so a record costs no
+    intermediate body string — it is what the commit hook pays inside
+    every write commit.
+
     Scanning never raises on malformed input: a file is parsed as the
     longest valid prefix plus a typed {!tear} describing where and why
     parsing stopped — the caller decides whether a tear is a benign
@@ -47,21 +53,20 @@ type record = { hdr : header; payload : string }
 let algo_code = function `Tl2 -> 0 | `Norec -> 1
 let algo_of_code = function 0 -> Some `Tl2 | 1 -> Some `Norec | _ -> None
 
-let encode_body hdr ~payload =
-  let b = Buffer.create (body_hdr_len + String.length payload) in
-  Buffer.add_uint8 b hdr.rtype;
-  Buffer.add_uint8 b hdr.algo;
-  Buffer.add_uint16_le b hdr.shard;
-  Buffer.add_int64_le b (Int64.of_int hdr.stamp);
-  Buffer.add_string b payload;
-  Buffer.contents b
-
-(* Append one framed record to [buf]. *)
+(* Append one framed record to [buf] in one pass (see the header). *)
 let encode buf hdr ~payload =
-  let body = encode_body hdr ~payload in
-  Buffer.add_int32_le buf (Int32.of_int (String.length body));
-  Buffer.add_int32_le buf (Int32.of_int (Crc32.string body));
-  Buffer.add_string buf body
+  let h = Bytes.create body_hdr_len in
+  Bytes.set_uint8 h 0 hdr.rtype;
+  Bytes.set_uint8 h 1 hdr.algo;
+  Bytes.set_uint16_le h 2 hdr.shard;
+  Bytes.set_int64_le h 4 (Int64.of_int hdr.stamp);
+  let h = Bytes.unsafe_to_string h in
+  let plen = String.length payload in
+  let crc = Crc32.update (Crc32.string h) payload 0 plen in
+  Buffer.add_int32_le buf (Int32.of_int (body_hdr_len + plen));
+  Buffer.add_int32_le buf (Int32.of_int crc);
+  Buffer.add_string buf h;
+  Buffer.add_string buf payload
 
 let decode_body body =
   let n = String.length body in

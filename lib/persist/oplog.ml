@@ -1,7 +1,19 @@
 (* The live op log of one durable server.  See oplog.mli for the
    arming protocol and who calls what; this file keeps the mechanics. *)
 
+module Tls = Polytm_runtime.Domain_runtime
+
 type span = { name : string; ts_us : int; dur_us : int }
+
+(* One thread's arming state for one log: the payload its next write
+   commit appends, and the ticket that append leaves ([seq = 0]: none).
+   Only its own thread reads or writes it. *)
+type slot = {
+  mutable armed : bool;
+  mutable payload : string;
+  mutable aof : Aof.t;  (** the writer of the ticket's record *)
+  mutable seq : int;
+}
 
 (* Spans kept for the trace lane; older ones are overwritten. *)
 let ring_cap = 4096
@@ -15,11 +27,7 @@ type t = {
   mutable aof : Aof.t;
   mutable gen : int;  (** published (manifest) generation *)
   mutable active_gen : int;  (** generation of the log [aof] writes *)
-  pending_mu : Mutex.t;
-  pending : (int * int, string) Hashtbl.t;
-      (** per-thread armed payloads, keyed by (domain id, thread id) *)
-  appended : (int * int, Aof.t * int) Hashtbl.t;
-      (** per-thread append tickets, same key *)
+  slots : slot Tls.tls;  (** per-systhread arming slots of this log *)
   ckpt_mu : Mutex.t;  (** one checkpoint at a time *)
   mutable last_save : float;  (** unix time of last published checkpoint *)
   replayed : int;  (** records recovery applied before this log opened *)
@@ -35,21 +43,21 @@ type t = {
           activation before serving) *)
   hook_errors : int Atomic.t;
       (** exceptions swallowed by the commit hook and {!log_new} *)
+  sync_errors : int Atomic.t;  (** failed syncs of {!tick} *)
   spans : span option array;  (** overwrite ring of [ring_cap] spans *)
   span_next : int Atomic.t;
 }
 
 let create ~dir ~policy ~gen ~replayed ~recover_ms ~tear =
+  let aof = Aof.open_log (Layout.log_path ~dir gen) in
   {
     dir;
     policy;
     log_mu = Mutex.create ();
-    aof = Aof.open_log (Layout.log_path ~dir gen);
+    aof;
     gen;
     active_gen = gen;
-    pending_mu = Mutex.create ();
-    pending = Hashtbl.create 64;
-    appended = Hashtbl.create 64;
+    slots = Tls.tls (fun () -> { armed = false; payload = ""; aof; seq = 0 });
     ckpt_mu = Mutex.create ();
     last_save = 0.0;
     replayed;
@@ -60,6 +68,7 @@ let create ~dir ~policy ~gen ~replayed ~recover_ms ~tear =
     retired_bytes = 0;
     checkpoints = 0;
     hook_errors = Atomic.make 0;
+    sync_errors = Atomic.make 0;
     spans = Array.make ring_cap None;
     span_next = Atomic.make 0;
   }
@@ -85,54 +94,44 @@ let spans t =
 
 (* ---- arming protocol --------------------------------------------------- *)
 
-let thread_key () = ((Domain.self () :> int), Thread.id (Thread.self ()))
-
 let arm t payload =
-  let key = thread_key () in
-  Mutex.lock t.pending_mu;
-  Hashtbl.replace t.pending key payload;
-  Hashtbl.remove t.appended key;
-  Mutex.unlock t.pending_mu
+  let s = Tls.tls_get t.slots in
+  s.armed <- true;
+  s.payload <- payload;
+  s.seq <- 0
 
 let finish t =
-  let key = thread_key () in
-  Mutex.lock t.pending_mu;
-  Hashtbl.remove t.pending key;
-  let ticket = Hashtbl.find_opt t.appended key in
-  if ticket <> None then Hashtbl.remove t.appended key;
-  Mutex.unlock t.pending_mu;
-  ticket
+  let s = Tls.tls_get t.slots in
+  s.armed <- false;
+  s.payload <- "";
+  if s.seq = 0 then None
+  else begin
+    let ticket = Some (s.aof, s.seq) in
+    s.seq <- 0;
+    ticket
+  end
 
 let hook t ~algo ~shard stamp =
-  try
-    let key = thread_key () in
-    Mutex.lock t.pending_mu;
-    match Hashtbl.find_opt t.pending key with
-    | None -> Mutex.unlock t.pending_mu
-    | Some payload ->
-        Hashtbl.remove t.pending key;
-        Mutex.unlock t.pending_mu;
-        Mutex.lock t.log_mu;
-        let aof = t.aof in
-        let seq =
-          Aof.append aof { Frame.rtype = Frame.rt_op; algo; shard; stamp }
-            ~payload
-        in
-        Mutex.unlock t.log_mu;
-        Mutex.lock t.pending_mu;
-        Hashtbl.replace t.appended key (aof, seq);
-        Mutex.unlock t.pending_mu
-  with _ -> Atomic.incr t.hook_errors
+  let s = Tls.tls_get t.slots in
+  if s.armed then begin
+    s.armed <- false;
+    let hdr = { Frame.rtype = Frame.rt_op; algo; shard; stamp } in
+    try
+      Mutex.protect t.log_mu (fun () ->
+          let aof = t.aof in
+          s.seq <- Aof.append aof hdr ~payload:s.payload;
+          s.aof <- aof);
+      s.payload <- ""
+    with _ -> Atomic.incr t.hook_errors
+  end
 
 let log_new t ~algo payload =
+  let hdr =
+    { Frame.rtype = Frame.rt_new; algo = Frame.algo_code algo; shard = 0;
+      stamp = 0 }
+  in
   try
-    Mutex.lock t.log_mu;
-    ignore
-      (Aof.append t.aof
-         { Frame.rtype = Frame.rt_new; algo = Frame.algo_code algo; shard = 0;
-           stamp = 0 }
-         ~payload);
-    Mutex.unlock t.log_mu
+    Mutex.protect t.log_mu (fun () -> ignore (Aof.append t.aof hdr ~payload))
   with _ -> Atomic.incr t.hook_errors
 
 (* Waits long enough to matter show on the trace lane. *)
@@ -149,14 +148,18 @@ let current t =
   aof
 
 (* Syncing a just-rotated-out log is a harmless no-op (rotation's
-   close already synced it). *)
+   close already synced it).  A failed sync keeps its bytes buffered
+   ({!Aof.sync}), so counting it and returning lets the next tick
+   retry. *)
 let tick t =
   let aof = current t in
   let t0 = now_us () in
   let before = Aof.synced_seq aof in
-  Aof.sync aof;
-  if Aof.synced_seq aof > before then
-    span t ~name:"fsync" ~ts_us:t0 ~dur_us:(now_us () - t0)
+  match Aof.sync aof with
+  | () ->
+      if Aof.synced_seq aof > before then
+        span t ~name:"fsync" ~ts_us:t0 ~dur_us:(now_us () - t0)
+  | exception Unix.Unix_error _ -> Atomic.incr t.sync_errors
 
 let close t = Aof.close (current t)
 
@@ -201,6 +204,7 @@ let counters t =
     ("replayed", t.replayed);
     ("checkpoints", t.checkpoints);
     ("hook_errors", Atomic.get t.hook_errors);
+    ("sync_errors", Atomic.get t.sync_errors);
   ]
 
 let info t =
@@ -217,4 +221,5 @@ let info t =
     ("persist_recover_ms", Printf.sprintf "%.1f" t.recover_ms);
     ("persist_tear", t.tear);
     ("persist_hook_errors", string_of_int (Atomic.get t.hook_errors));
+    ("persist_sync_errors", string_of_int (Atomic.get t.sync_errors));
   ]

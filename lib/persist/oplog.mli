@@ -27,7 +27,17 @@
     collected after ({!finish}) — a transaction that never
     write-commits (a [DEL] of an absent key, a failed op) leaves its
     armed payload unconsumed and nothing is logged, which is exactly
-    right because nothing changed. *)
+    right because nothing changed.
+
+    Arming state lives in one slot per log and per systhread, reached
+    through the runtime's per-thread lookup
+    ([Polytm_runtime.Domain_runtime.tls], the one that holds the STM's
+    per-thread context): [arm] fills the calling thread's slot, the
+    hook empties it and leaves its ticket there, [finish] takes the
+    ticket.  Per systhread, not per domain, because a parked pop
+    commits on a helper thread of its loop's domain; per log, because
+    two servers in one process must never log each other's
+    payloads. *)
 
 type t
 
@@ -55,23 +65,26 @@ val last_save : t -> float
 (** {1 The commit path} *)
 
 val arm : t -> string -> unit
-(** Arm the calling thread with a payload: the next write commit
-    {e on this thread} appends it.  Arm and finish must run on the
-    thread that commits. *)
+(** Arm the calling thread's slot with a payload, dropping any ticket
+    it still holds: the next write commit {e on this thread} appends
+    it.  Arm and finish must run on the thread that commits. *)
 
 val finish : t -> (Aof.t * int) option
-(** Disarm.  The ticket is the log writer and the record's sequence
-    number when the armed payload was appended (the op mutated and
-    committed), [None] when it never reached a write commit.  The
-    writer is part of the ticket because a checkpoint can rotate the
-    active log between the append and the ack. *)
+(** Disarm the calling thread's slot and take its ticket: the log
+    writer and the record's sequence number when the armed payload was
+    appended (the op mutated and committed), [None] when it never
+    reached a write commit.  The writer is part of the ticket because
+    a checkpoint can rotate the active log between the append and the
+    ack. *)
 
 val hook : t -> algo:int -> shard:int -> int -> unit
 (** The commit hook for instance ([algo] code, [shard]), given the
     commit stamp.  Runs inside the commit critical section: brief,
     never raises (a failure counts in [hook_errors]), runs no
-    transaction.  Unarmed threads (internal commits: dirty marks, drain
-    flags, watch polls) pay one mutex and a hashtable miss. *)
+    transaction.  An armed thread appends its payload while holding
+    the log's mutex and leaves the ticket in its slot; an unarmed one
+    (internal commits: dirty marks, drain flags, watch polls) pays one
+    per-thread lookup and takes no lock. *)
 
 val log_new : t -> algo:[ `Tl2 | `Norec ] -> string -> unit
 (** Append a structure-creation record; the payload is the [NEW]
@@ -88,7 +101,9 @@ val wait_durable : t -> Aof.t -> int -> unit
 
 val tick : t -> unit
 (** The once-a-second group sync behind [`Everysec], called from the
-    server's background thread. *)
+    server's background thread.  A sync that fails with a
+    [Unix.Unix_error] (ENOSPC, EIO) counts in [sync_errors] and
+    returns: its records stay buffered and the next tick retries. *)
 
 val close : t -> unit
 (** Shutdown: sync whatever the final acks left buffered, and close. *)
@@ -126,7 +141,8 @@ val spans : t -> span list
 val counters : t -> (string * int) list
 (** [--stats-json]'s [persist] section: [appends], [append_bytes]
     (framed log bytes, magic included), [fsyncs], [replayed],
-    [checkpoints] (published), [hook_errors]. *)
+    [checkpoints] (published), [hook_errors], [sync_errors] (failed
+    {!tick} syncs). *)
 
 val info : t -> (string * string) list
 (** INFO's [persist_*] lines, from the same counters. *)

@@ -11,6 +11,10 @@
     simply "parse the frame, resolve it against the registry, run the
     transaction", one code path shared by log replay and checkpoint
     loading, exercised by the same codec fuzzers as the live server.
+    The encoder writes integers straight into its buffer; the wire
+    tests pin its bytes per command and hold it to a [string_of_int]
+    reference, because a change to those bytes is a change to every
+    log and checkpoint on disk.
 
     {2 Checkpoints}
 

@@ -183,8 +183,12 @@ let digits n =
   let rec go acc n = if n < 10 then acc else go (acc + 1) (n / 10) in
   go 1 (if n < 0 then 0 else n)
 
-(* Decimal width of any int, sign included. *)
-let int_width n = if n < 0 then 1 + digits (-n) else digits n
+(* Decimal width of any int, sign included.  Negative ints are
+   counted without negating them, which would overflow at [min_int];
+   the integer writers below take their digits from the non-positive
+   [-|n|] for the same reason. *)
+let rec neg_width acc n = if n > -10 then acc else neg_width (acc + 1) (n / 10)
+let int_width n = if n < 0 then neg_width 2 n else digits n
 
 (* Append the decimal form of [n] without going through
    [string_of_int] — the reply hot path must not allocate. *)
@@ -196,14 +200,27 @@ let obuf_add_int (t : Obuf.t) n =
   let neg = n < 0 in
   if neg then Bytes.unsafe_set buf base '-';
   let fin = if neg then base + 1 else base in
-  let v = ref (if neg then -n else n) in
+  let v = ref (if neg then n else -n) in
   let i = ref (base + w - 1) in
   while !i >= fin do
-    Bytes.unsafe_set buf !i (Char.unsafe_chr (Char.code '0' + (!v mod 10)));
+    Bytes.unsafe_set buf !i (Char.unsafe_chr (Char.code '0' - (!v mod 10)));
     v := !v / 10;
     decr i
   done;
   t.Obuf.len <- base + w
+
+(* The same for a [Buffer.t], which has no reserve: the digits of
+   [v <= 0] most significant first. *)
+let rec add_nonpos_digits buf v =
+  if v <= -10 then add_nonpos_digits buf (v / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (v mod 10)))
+
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_nonpos_digits buf n
+  end
+  else add_nonpos_digits buf (-n)
 
 let sem_field = function
   | Polytm.Semantics.Classic -> "~classic"
@@ -216,66 +233,103 @@ let sem_of_field = function
   | "~snapshot" -> Some Polytm.Semantics.Snapshot
   | _ -> None
 
-let opt_int_field = function None -> "_" | Some n -> string_of_int n
-
-let fields_of_request r =
-  let base =
-    match r.cmd with
-    | Ping -> [ "PING" ]
-    | New (k, name) -> [ "NEW"; kind_to_string k; name ]
-    | Get (s, k) -> [ "GET"; s; string_of_int k ]
-    | Put (s, k, v) -> [ "PUT"; s; string_of_int k; v ]
-    | Del (s, k) -> [ "DEL"; s; string_of_int k ]
-    | Contains (s, k) -> [ "CONTAINS"; s; string_of_int k ]
-    | Add (s, k) -> [ "ADD"; s; string_of_int k ]
-    | Remove (s, k) -> [ "REMOVE"; s; string_of_int k ]
-    | Size s -> [ "SIZE"; s ]
-    | Snapshot_iter s -> [ "SNAPSHOT-ITER"; s ]
-    | Enq (s, v) -> [ "ENQ"; s; v ]
-    | Deq s -> [ "DEQ"; s ]
-    | Blpop (s, ms) -> [ "BLPOP"; s; string_of_int ms ]
-    | Btake (s, ms) -> [ "BTAKE"; s; string_of_int ms ]
-    | Watch s -> [ "WATCH"; s ]
-    | Unwatch s -> [ "UNWATCH"; s ]
-    | Multi -> [ "MULTI" ]
-    | Multi_end -> [ "MULTI-END" ]
-    | Info -> [ "INFO" ]
-    | Bgsave -> [ "BGSAVE" ]
-    | Lastsave -> [ "LASTSAVE" ]
-    | Debug_abort { budget; deadline_us } ->
-        [ "DEBUG-ABORT"; opt_int_field budget; opt_int_field deadline_us ]
-  in
-  match r.hint with None -> base | Some s -> sem_field s :: base
-
 let bulk_len s = 1 + digits (String.length s) + 1 + String.length s + 1
 
-let request_body_len fields =
-  1 + digits (List.length fields) + 1
-  + List.fold_left (fun acc f -> acc + bulk_len f) 0 fields
+let int_bulk_len n =
+  let w = int_width n in
+  1 + digits w + 1 + w + 1
+
+let opt_int_bulk_len = function None -> bulk_len "_" | Some n -> int_bulk_len n
 
 let add_bulk buf s =
   Buffer.add_char buf '$';
-  Buffer.add_string buf (string_of_int (String.length s));
+  add_int buf (String.length s);
   Buffer.add_char buf '\n';
   Buffer.add_string buf s;
   Buffer.add_char buf '\n'
 
-let add_frame_header buf body_len =
-  Buffer.add_char buf '#';
-  Buffer.add_string buf (string_of_int body_len);
+let add_int_bulk buf n =
+  Buffer.add_char buf '$';
+  add_int buf (int_width n);
+  Buffer.add_char buf '\n';
+  add_int buf n;
   Buffer.add_char buf '\n'
 
-let write_request buf r =
-  let fields = fields_of_request r in
-  add_frame_header buf (request_body_len fields);
-  Buffer.add_char buf '*';
-  Buffer.add_string buf (string_of_int (List.length fields));
+let add_opt_int_bulk buf = function
+  | None -> add_bulk buf "_"
+  | Some n -> add_int_bulk buf n
+
+(* A request's fields after its name: how many, their encoded length,
+   and their bytes.  Integers are written straight into the buffer,
+   so encoding builds no field list and no [string_of_int] strings. *)
+let arg_count = function
+  | Ping | Multi | Multi_end | Info | Bgsave | Lastsave -> 0
+  | Size _ | Snapshot_iter _ | Deq _ | Watch _ | Unwatch _ -> 1
+  | New _ | Enq _ | Get _ | Del _ | Contains _ | Add _ | Remove _ | Blpop _
+  | Btake _ | Debug_abort _ ->
+      2
+  | Put _ -> 3
+
+let args_len = function
+  | Ping | Multi | Multi_end | Info | Bgsave | Lastsave -> 0
+  | Size s | Snapshot_iter s | Deq s | Watch s | Unwatch s -> bulk_len s
+  | New (k, s) -> bulk_len (kind_to_string k) + bulk_len s
+  | Enq (s, v) -> bulk_len s + bulk_len v
+  | Get (s, n) | Del (s, n) | Contains (s, n) | Add (s, n) | Remove (s, n)
+  | Blpop (s, n) | Btake (s, n) ->
+      bulk_len s + int_bulk_len n
+  | Put (s, n, v) -> bulk_len s + int_bulk_len n + bulk_len v
+  | Debug_abort { budget; deadline_us } ->
+      opt_int_bulk_len budget + opt_int_bulk_len deadline_us
+
+let add_args buf = function
+  | Ping | Multi | Multi_end | Info | Bgsave | Lastsave -> ()
+  | Size s | Snapshot_iter s | Deq s | Watch s | Unwatch s -> add_bulk buf s
+  | New (k, s) ->
+      add_bulk buf (kind_to_string k);
+      add_bulk buf s
+  | Enq (s, v) ->
+      add_bulk buf s;
+      add_bulk buf v
+  | Get (s, n) | Del (s, n) | Contains (s, n) | Add (s, n) | Remove (s, n)
+  | Blpop (s, n) | Btake (s, n) ->
+      add_bulk buf s;
+      add_int_bulk buf n
+  | Put (s, n, v) ->
+      add_bulk buf s;
+      add_int_bulk buf n;
+      add_bulk buf v
+  | Debug_abort { budget; deadline_us } ->
+      add_opt_int_bulk buf budget;
+      add_opt_int_bulk buf deadline_us
+
+let field_count hint cmd =
+  1 + arg_count cmd + match hint with None -> 0 | Some _ -> 1
+
+let request_body_len hint cmd =
+  let n = field_count hint cmd in
+  1 + digits n + 1
+  + (match hint with None -> 0 | Some s -> bulk_len (sem_field s))
+  + bulk_len (cmd_name cmd)
+  + args_len cmd
+
+(* One frame: [#body_len\n*n\n], the hint, the name, the arguments. *)
+let add_request buf hint cmd =
+  Buffer.add_char buf '#';
+  add_int buf (request_body_len hint cmd);
   Buffer.add_char buf '\n';
-  List.iter (add_bulk buf) fields
+  Buffer.add_char buf '*';
+  add_int buf (field_count hint cmd);
+  Buffer.add_char buf '\n';
+  (match hint with None -> () | Some s -> add_bulk buf (sem_field s));
+  add_bulk buf (cmd_name cmd);
+  add_args buf cmd
+
+let write_request buf r = add_request buf r.hint r.cmd
 
 let encode_cmds cmds =
   let b = Buffer.create 64 in
-  List.iter (fun cmd -> write_request b { hint = None; cmd }) cmds;
+  List.iter (add_request b None) cmds;
   Buffer.contents b
 
 let no_newline what s =

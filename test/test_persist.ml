@@ -300,6 +300,67 @@ let prop_bitflip =
           && List.for_all2 record_eq got expected
           && scan.P.Frame.tear <> None))
 
+(* ---- CRC-32 against a reference ------------------------------------------ *)
+
+(* Bit by bit, one byte at a time: the definition the tables of
+   [Crc32] unroll, resumed from [crc] like [Crc32.update]. *)
+let crc_reference crc s pos len =
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let gen_bytes = QCheck.Gen.(string_size ~gen:(map Char.chr (0 -- 255)) (0 -- 80))
+
+let test_crc_check_value () =
+  Alcotest.(check int) "CRC-32 of \"123456789\"" 0xCBF43926
+    (P.Crc32.string "123456789");
+  Alcotest.(check int) "empty" 0 (P.Crc32.string "");
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "update at %d for %d of 9 bytes" pos len)
+        (Invalid_argument "Crc32.update")
+        (fun () -> ignore (P.Crc32.update 0 "123456789" pos len)))
+    [ (-1, 1); (0, -1); (5, 5); (10, 0); (0, max_int); (max_int, 1) ]
+
+(* Random start accumulators (the CRC of a random prefix), strings,
+   offsets and lengths: every alignment and every leftover count of
+   the 4-byte loop. *)
+let prop_crc_reference =
+  QCheck.Test.make ~count:1000 ~name:"Crc32.update = the bitwise reference"
+    QCheck.(
+      make
+        Gen.(
+          let* prefix = gen_bytes in
+          let* s = gen_bytes in
+          let* pos = int_range 0 (String.length s) in
+          let+ len = int_range 0 (String.length s - pos) in
+          (prefix, s, pos, len)))
+    (fun (prefix, s, pos, len) ->
+      let start = P.Crc32.string prefix in
+      start = crc_reference 0 prefix 0 (String.length prefix)
+      && P.Crc32.update start s pos len = crc_reference start s pos len)
+
+(* [Frame.encode] runs the CRC over the body header and then the
+   payload: feeding a string in two pieces must equal one call. *)
+let prop_crc_pieces =
+  QCheck.Test.make ~count:1000 ~name:"Crc32.update over two pieces = one call"
+    QCheck.(
+      make
+        Gen.(
+          let* s = gen_bytes in
+          let+ cut = int_range 0 (String.length s) in
+          (s, cut)))
+    (fun (s, cut) ->
+      let n = String.length s in
+      P.Crc32.update (P.Crc32.update 0 s 0 cut) s cut (n - cut)
+      = P.Crc32.string s)
+
 (* ---- deterministic recovery differential -------------------------------- *)
 
 let gen_ops st n =
@@ -825,6 +886,164 @@ let test_aof_failed_write () =
   P.Aof.close aof;
   rm_rf dir
 
+(* ---- the op log's own paths ---------------------------------------------- *)
+
+let open_oplog ?(policy = `Everysec) dir =
+  Unix.mkdir dir 0o755;
+  P.Oplog.create ~dir ~policy ~gen:1 ~replayed:0 ~recover_ms:0. ~tear:"none"
+
+(* A failed once-a-second sync is counted and returns, so the
+   housekeeper that calls [tick] lives on; the record stays buffered
+   and the next tick writes it. *)
+let test_tick_survives_failed_sync () =
+  let dir = fresh_dir "tick" in
+  let log = open_oplog dir in
+  let payload = frames [ Wire.Put ("m", 1, "v") ] in
+  P.Oplog.arm log payload;
+  P.Oplog.hook log ~algo:0 ~shard:0 7;
+  let aof, seq =
+    match P.Oplog.finish log with
+    | Some ticket -> ticket
+    | None -> Alcotest.fail "an armed hook left no ticket"
+  in
+  Alcotest.(check int) "the first record" 1 seq;
+  let sync_errors () = List.assoc "sync_errors" (P.Oplog.counters log) in
+  let saved = Unix.dup aof.P.Aof.fd in
+  let full = Unix.openfile "/dev/full" [ Unix.O_WRONLY ] 0 in
+  Unix.dup2 full aof.P.Aof.fd;
+  Unix.close full;
+  P.Oplog.tick log;
+  Alcotest.(check int) "the failed sync is counted" 1 (sync_errors ());
+  Alcotest.(check string) "and reported by INFO" "1"
+    (List.assoc "persist_sync_errors" (P.Oplog.info log));
+  Alcotest.(check int) "a failed sync covers nothing" 0 (P.Aof.synced_seq aof);
+  Unix.dup2 saved aof.P.Aof.fd;
+  Unix.close saved;
+  P.Oplog.tick log;
+  Alcotest.(check int) "the next tick syncs the record" seq
+    (P.Aof.synced_seq aof);
+  Alcotest.(check int) "no further error" 1 (sync_errors ());
+  let records, scan = scan_records (P.Layout.log_path ~dir 1) in
+  Alcotest.(check (list (pair int string)))
+    "the record on disk" [ (7, payload) ]
+    (List.map (fun (r : P.Frame.record) -> (r.hdr.stamp, r.payload)) records);
+  Alcotest.(check bool) "no tear" true (scan.P.Frame.tear = None);
+  P.Oplog.close log;
+  rm_rf dir
+
+(* A reusable rendezvous of [n] threads. *)
+let barrier n =
+  let mu = Mutex.create () and cv = Condition.create () in
+  let arrived = ref 0 and round = ref 0 in
+  fun () ->
+    Mutex.protect mu (fun () ->
+        let r = !round in
+        incr arrived;
+        if !arrived = n then begin
+          arrived := 0;
+          incr round;
+          Condition.broadcast cv
+        end
+        else
+          while !round = r do
+            Condition.wait cv mu
+          done)
+
+(* Two systhreads of one domain share one log and one STM instance
+   whose hook appends to it; each arms its own payload, yields, commits
+   a write, yields and finishes.  Both arm before either commits (they
+   meet after arming), so a slot shared by the domain's threads would
+   log one thread's payload under the other's commit.  Each record must
+   carry its own thread's payload and stamp in commit order, and each
+   ticket must name its own record.  A second log in the same process
+   never logs what was armed for the first. *)
+let test_arming_per_thread_and_log () =
+  let dir_a = fresh_dir "arm-a" and dir_b = fresh_dir "arm-b" in
+  let log_a = open_oplog ~policy:`No dir_a in
+  let log_b = open_oplog ~policy:`No dir_b in
+  let stm_a = S.create () and stm_b = S.create () in
+  let order_mu = Mutex.create () in
+  let commits = ref [] in
+  S.set_commit_hook stm_a
+    (Some
+       (fun stamp ->
+         Mutex.protect order_mu (fun () ->
+             commits := (Thread.id (Thread.self ()), stamp) :: !commits);
+         P.Oplog.hook log_a ~algo:0 ~shard:0 stamp));
+  S.set_commit_hook stm_b (Some (P.Oplog.hook log_b ~algo:0 ~shard:1));
+  let tv = S.tvar stm_a 0 in
+  let rounds = 200 in
+  let payload tid i = Printf.sprintf "thread %d op %d" tid i in
+  let tickets = Array.make 2 (0, []) in
+  let armed = barrier 2 in
+  let run k () =
+    let tid = Thread.id (Thread.self ()) in
+    let mine = ref [] in
+    for i = 1 to rounds do
+      P.Oplog.arm log_a (payload tid i);
+      Thread.yield ();
+      armed ();
+      S.atomically stm_a (fun tx -> S.write tx tv (S.read tx tv + 1));
+      Thread.yield ();
+      mine := P.Oplog.finish log_a :: !mine
+    done;
+    tickets.(k) <- (tid, List.rev !mine)
+  in
+  List.iter Thread.join [ Thread.create (run 0) (); Thread.create (run 1) () ];
+  (* Armed for log A, committed on an instance whose hook goes to B. *)
+  P.Oplog.arm log_a "armed for A";
+  S.atomically stm_b (fun tx -> S.write tx (S.tvar stm_b 0) 1);
+  Alcotest.(check bool) "A's payload never reached a commit" true
+    (P.Oplog.finish log_a = None);
+  P.Oplog.arm log_b "armed for B";
+  S.atomically stm_b (fun tx -> S.write tx (S.tvar stm_b 0) 2);
+  Alcotest.(check bool) "B's payload is B's first record" true
+    (match P.Oplog.finish log_b with Some (_, 1) -> true | _ -> false);
+  P.Oplog.close log_a;
+  P.Oplog.close log_b;
+  let records_a, _ = scan_records (P.Layout.log_path ~dir:dir_a 1) in
+  let records_b, _ = scan_records (P.Layout.log_path ~dir:dir_b 1) in
+  (* What commit order says the log holds: each thread's payloads in
+     its own order, each with the stamp of the commit that logged it. *)
+  let next = Hashtbl.create 2 in
+  let expected =
+    List.map
+      (fun (tid, stamp) ->
+        let i = 1 + Option.value (Hashtbl.find_opt next tid) ~default:0 in
+        Hashtbl.replace next tid i;
+        (stamp, payload tid i))
+      (List.rev !commits)
+  in
+  Alcotest.(check int) "one commit per op" (2 * rounds) (List.length expected);
+  Alcotest.(check (list (pair int string)))
+    "log A: each thread's payloads with their own stamps, in commit order"
+    expected
+    (List.map (fun (r : P.Frame.record) -> (r.hdr.stamp, r.payload)) records_a);
+  let by_seq = Array.of_list records_a in
+  let named (tid, mine) =
+    List.mapi
+      (fun i ticket ->
+        match ticket with
+        | Some (_, seq) when seq >= 1 && seq <= Array.length by_seq ->
+            by_seq.(seq - 1).P.Frame.payload
+        | Some _ | None -> Printf.sprintf "no record for thread %d op %d" tid (i + 1))
+      mine
+  in
+  Array.iter
+    (fun (tid, mine) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "thread %d: each ticket names its own record" tid)
+        (List.init rounds (fun i -> payload tid (i + 1)))
+        (named (tid, mine)))
+    tickets;
+  Alcotest.(check (list (pair int string)))
+    "log B: only what was armed for B" [ (1, "armed for B") ]
+    (List.map
+       (fun (r : P.Frame.record) -> (r.hdr.shard, r.payload))
+       records_b);
+  rm_rf dir_a;
+  rm_rf dir_b
+
 (* ---- counters, INFO and the trace lane are per server -------------------- *)
 
 (* Non-overlapping occurrences of [sub] in [s]. *)
@@ -969,6 +1188,10 @@ let suite =
     [
       prop prop_torn_tail;
       prop prop_bitflip;
+      Alcotest.test_case "CRC-32 check value; update checks its range" `Quick
+        test_crc_check_value;
+      prop prop_crc_reference;
+      prop prop_crc_pieces;
       Alcotest.test_case "recovery differential (tl2, 1 shard)" `Quick
         (test_recovery_differential ~algo:`Tl2 ~shards:1);
       Alcotest.test_case "recovery differential (tl2, 8 shards)" `Quick
@@ -991,6 +1214,10 @@ let suite =
         `Quick test_replay_refusals;
       Alcotest.test_case "a failed log write keeps its records" `Quick
         test_aof_failed_write;
+      Alcotest.test_case "a failed tick sync is counted and retried" `Quick
+        test_tick_survives_failed_sync;
+      Alcotest.test_case "arming is per thread and per log" `Quick
+        test_arming_per_thread_and_log;
       Alcotest.test_case "counters, INFO and the trace lane are per server"
         `Quick test_counters_per_server;
     ] )

@@ -24,7 +24,10 @@ let gen_sem = QCheck.Gen.oneofl [ Sem.Classic; Sem.Elastic; Sem.Snapshot ]
 let gen_blob =
   QCheck.Gen.(string_size ~gen:(map Char.chr (0 -- 255)) (0 -- 40))
 
-let gen_key = QCheck.Gen.(frequency [ (9, small_signed_int); (1, int) ])
+let gen_key =
+  QCheck.Gen.(
+    frequency
+      [ (9, small_signed_int); (1, int); (1, oneofl [ min_int; max_int; 0; -1 ]) ])
 
 let gen_cmd =
   let open QCheck.Gen in
@@ -42,8 +45,13 @@ let gen_cmd =
       (1, map (fun s -> Wire.Snapshot_iter s) gen_blob);
       (2, map2 (fun s v -> Wire.Enq (s, v)) gen_blob gen_blob);
       (1, map (fun s -> Wire.Deq s) gen_blob);
+      (1, map2 (fun s ms -> Wire.Blpop (s, ms)) gen_blob small_nat);
+      (1, map2 (fun s ms -> Wire.Btake (s, ms)) gen_blob small_nat);
+      (1, map (fun s -> Wire.Watch s) gen_blob);
+      (1, map (fun s -> Wire.Unwatch s) gen_blob);
       (1, return Wire.Multi);
       (1, return Wire.Multi_end);
+      (1, oneofl [ Wire.Info; Wire.Bgsave; Wire.Lastsave ]);
       ( 1,
         map2
           (fun b d -> Wire.Debug_abort { budget = b; deadline_us = d })
@@ -119,6 +127,54 @@ let encode_responses rs =
   List.iter (Wire.write_response_obuf ob) rs;
   Wire.Obuf.contents ob
 
+(* A second request encoder, built the way the codec once was: a field
+   list of [string_of_int] strings, framed by [Printf].  The encoder
+   under test writes integers straight into its buffer and must produce
+   these bytes exactly — they are also the op log's payload format. *)
+let reference_request (r : Wire.request) =
+  let i = string_of_int in
+  let opt = function None -> "_" | Some n -> i n in
+  let fields =
+    match r.cmd with
+    | Wire.Ping -> [ "PING" ]
+    | Wire.New (k, s) -> [ "NEW"; Wire.kind_to_string k; s ]
+    | Wire.Get (s, k) -> [ "GET"; s; i k ]
+    | Wire.Put (s, k, v) -> [ "PUT"; s; i k; v ]
+    | Wire.Del (s, k) -> [ "DEL"; s; i k ]
+    | Wire.Contains (s, k) -> [ "CONTAINS"; s; i k ]
+    | Wire.Add (s, k) -> [ "ADD"; s; i k ]
+    | Wire.Remove (s, k) -> [ "REMOVE"; s; i k ]
+    | Wire.Size s -> [ "SIZE"; s ]
+    | Wire.Snapshot_iter s -> [ "SNAPSHOT-ITER"; s ]
+    | Wire.Enq (s, v) -> [ "ENQ"; s; v ]
+    | Wire.Deq s -> [ "DEQ"; s ]
+    | Wire.Blpop (s, ms) -> [ "BLPOP"; s; i ms ]
+    | Wire.Btake (s, ms) -> [ "BTAKE"; s; i ms ]
+    | Wire.Watch s -> [ "WATCH"; s ]
+    | Wire.Unwatch s -> [ "UNWATCH"; s ]
+    | Wire.Multi -> [ "MULTI" ]
+    | Wire.Multi_end -> [ "MULTI-END" ]
+    | Wire.Info -> [ "INFO" ]
+    | Wire.Bgsave -> [ "BGSAVE" ]
+    | Wire.Lastsave -> [ "LASTSAVE" ]
+    | Wire.Debug_abort { budget; deadline_us } ->
+        [ "DEBUG-ABORT"; opt budget; opt deadline_us ]
+  in
+  let hint = function
+    | Sem.Classic -> "~classic"
+    | Sem.Elastic -> "~elastic"
+    | Sem.Snapshot -> "~snapshot"
+  in
+  let fields =
+    match r.hint with None -> fields | Some s -> hint s :: fields
+  in
+  let body = Buffer.create 64 in
+  Printf.bprintf body "*%d\n" (List.length fields);
+  List.iter
+    (fun f -> Printf.bprintf body "$%d\n%s\n" (String.length f) f)
+    fields;
+  Printf.sprintf "#%d\n%s" (Buffer.length body) (Buffer.contents body)
+
 (* Feed [s] in chunks whose boundaries come from [cuts] (positions),
    pulling every available item after each feed — the decoder must
    produce the same items no matter where the stream is sliced. *)
@@ -156,6 +212,13 @@ let oks items =
   List.filter_map (function `Ok v -> Some v | _ -> None) items
 
 (* ---- properties -------------------------------------------------------- *)
+
+let request_bytes_reference =
+  QCheck.Test.make ~name:"write_request = the string_of_int reference"
+    ~count:1000 arb_request (fun r ->
+      let b = Buffer.create 64 in
+      Wire.write_request b r;
+      String.equal (Buffer.contents b) (reference_request r))
 
 let request_roundtrip =
   QCheck.Test.make ~name:"request round-trips at any chunking" ~count:500
@@ -298,12 +361,89 @@ let test_reply_goldens () =
     [
       (Wire.Simple "OK", "#4\n+OK\n");
       (Wire.Int (-42), "#5\n:-42\n");
+      (Wire.Int min_int, "#22\n:-4611686018427387904\n");
+      (Wire.Int max_int, "#21\n:4611686018427387903\n");
       (Wire.Bulk "a\nb", "#7\n$3\na\nb\n");
       (Wire.Nil, "#2\n_\n");
       (Wire.Error (Wire.Busy, "full"), "#11\n-BUSY full\n");
       (Wire.Array [ Wire.Int 1; Wire.Nil ], "#8\n*2\n:1\n_\n");
       (Wire.Push "m", "#3\n>m\n");
     ]
+
+(* The request grammar byte for byte, one frame per command.  These
+   bytes are the payload format of the op log and of checkpoints too,
+   so a change here is a change to every log on disk; [encode_cmds],
+   which writes those payloads, must give the hint-less frames the
+   same bytes. *)
+let test_request_goldens () =
+  let cases =
+    [
+      (None, Wire.Ping,
+        "#11\n*1\n$4\nPING\n");
+      (Some Sem.Classic, Wire.New (Wire.Kmap, "m"),
+        "#34\n*4\n$8\n~classic\n$3\nNEW\n$3\nmap\n$1\nm\n");
+      (None, Wire.New (Wire.Kqueue, ""),
+        "#23\n*3\n$3\nNEW\n$5\nqueue\n$0\n\n");
+      (Some Sem.Elastic, Wire.Get ("m", 0),
+        "#32\n*4\n$8\n~elastic\n$3\nGET\n$1\nm\n$1\n0\n");
+      (None, Wire.Put ("m", -1, ""),
+        "#25\n*4\n$3\nPUT\n$1\nm\n$2\n-1\n$0\n\n");
+      (Some Sem.Classic, Wire.Put ("m", max_int, "a\nb\000\255"),
+        "#60\n*5\n$8\n~classic\n$3\nPUT\n$1\nm\n$19\n4611686018427387903\n$5\na\nb\000\255\n");
+      (None, Wire.Del ("m", min_int),
+        "#40\n*3\n$3\nDEL\n$1\nm\n$20\n-4611686018427387904\n");
+      (None, Wire.Contains ("s", 42),
+        "#26\n*3\n$8\nCONTAINS\n$1\ns\n$2\n42\n");
+      (None, Wire.Add ("s", -7),
+        "#21\n*3\n$3\nADD\n$1\ns\n$2\n-7\n");
+      (None, Wire.Remove ("s", 1234567890),
+        "#33\n*3\n$6\nREMOVE\n$1\ns\n$10\n1234567890\n");
+      (Some Sem.Snapshot, Wire.Size "m",
+        "#29\n*3\n$9\n~snapshot\n$4\nSIZE\n$1\nm\n");
+      (None, Wire.Snapshot_iter "m",
+        "#26\n*2\n$13\nSNAPSHOT-ITER\n$1\nm\n");
+      (None, Wire.Enq ("q", "$1\n#"),
+        "#23\n*3\n$3\nENQ\n$1\nq\n$4\n$1\n#\n");
+      (None, Wire.Deq "q",
+        "#15\n*2\n$3\nDEQ\n$1\nq\n");
+      (None, Wire.Blpop ("q", 0),
+        "#22\n*3\n$5\nBLPOP\n$1\nq\n$1\n0\n");
+      (None, Wire.Btake ("q", 250),
+        "#24\n*3\n$5\nBTAKE\n$1\nq\n$3\n250\n");
+      (None, Wire.Watch "m",
+        "#17\n*2\n$5\nWATCH\n$1\nm\n");
+      (None, Wire.Unwatch "m",
+        "#19\n*2\n$7\nUNWATCH\n$1\nm\n");
+      (None, Wire.Multi,
+        "#12\n*1\n$5\nMULTI\n");
+      (None, Wire.Multi_end,
+        "#16\n*1\n$9\nMULTI-END\n");
+      (None, Wire.Info,
+        "#11\n*1\n$4\nINFO\n");
+      (None, Wire.Bgsave,
+        "#13\n*1\n$6\nBGSAVE\n");
+      (None, Wire.Lastsave,
+        "#15\n*1\n$8\nLASTSAVE\n");
+      (None, Wire.Debug_abort { budget = None; deadline_us = None },
+        "#29\n*3\n$11\nDEBUG-ABORT\n$1\n_\n$1\n_\n");
+      (Some Sem.Elastic,
+        Wire.Debug_abort { budget = Some 3; deadline_us = Some 1500 },
+        "#44\n*4\n$8\n~elastic\n$11\nDEBUG-ABORT\n$1\n3\n$4\n1500\n");
+    ]
+  in
+  List.iter
+    (fun (hint, cmd, bytes) ->
+      let b = Buffer.create 64 in
+      Wire.write_request b { Wire.hint; cmd };
+      Alcotest.(check string) (String.escaped bytes) bytes (Buffer.contents b);
+      if hint = None then
+        Alcotest.(check string) ("encode_cmds " ^ String.escaped bytes) bytes
+          (Wire.encode_cmds [ cmd ]))
+    cases;
+  let plain = List.filter (fun (hint, _, _) -> hint = None) cases in
+  Alcotest.(check string) "encode_cmds concatenates its frames"
+    (String.concat "" (List.map (fun (_, _, bytes) -> bytes) plain))
+    (Wire.encode_cmds (List.map (fun (_, cmd, _) -> cmd) plain))
 
 let test_nested_response_depth_bounded () =
   let dec = Wire.Decoder.create () in
@@ -322,6 +462,7 @@ let test_nested_response_depth_bounded () =
 let suite =
   ( "wire",
     [
+      prop request_bytes_reference;
       prop request_roundtrip;
       prop response_roundtrip;
       prop request_roundtrip_bytewise;
@@ -341,6 +482,8 @@ let suite =
         test_trailing_bytes_rejected;
       Alcotest.test_case "newline in simple rejected" `Quick
         test_newline_in_simple_rejected;
+      Alcotest.test_case "request bytes match the grammar" `Quick
+        test_request_goldens;
       Alcotest.test_case "reply bytes match the grammar" `Quick
         test_reply_goldens;
       Alcotest.test_case "response nesting bounded" `Quick
