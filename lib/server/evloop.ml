@@ -8,7 +8,8 @@
     - thread-safe {e injections} (completed blocking ops, watch
       notifications, newly accepted connections) run first, on the
       loop thread — all session state is single-threaded by
-      construction;
+      construction.  A cycle with nothing posted reads one atomic flag
+      and skips the queue, its mutex and the wake pipe;
     - finished sessions are reaped (watches released, fd closed);
     - [select] waits on the wake pipe plus every session that wants
       readiness: reads are level-triggered and masked while a session
@@ -106,7 +107,11 @@ type t = {
   load : int Atomic.t;  (** connection count, readable cross-thread *)
   inject : (unit -> unit) Queue.t;
   mu : Mutex.t;
-  mutable wake_armed : bool;  (** a wake byte is already in the pipe *)
+  posted : bool Atomic.t;
+      (** [inject] is not empty.  [post] sets it, and writes a wake
+          byte if it was clear; the loop clears it when it takes the
+          batch.  Both under [mu]; the loop reads it without the mutex
+          to skip a cycle's injections *)
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
 }
@@ -123,7 +128,7 @@ let create ?(exit_on_empty = false) ~stop () =
     load = Atomic.make 0;
     inject = Queue.create ();
     mu = Mutex.create ();
-    wake_armed = false;
+    posted = Atomic.make false;
     wake_r;
     wake_w;
   }
@@ -132,12 +137,12 @@ let load t = Atomic.get t.load
 
 (* Run [f] on the loop thread at the top of its next cycle.  Safe from
    any thread; the self-pipe byte interrupts a parked [select].  The
-   [wake_armed] latch keeps a burst of completions to one byte. *)
+   [posted] flag keeps a burst of completions to one byte. *)
 let post t f =
   Mutex.lock t.mu;
   Queue.push f t.inject;
-  let need_wake = not t.wake_armed in
-  t.wake_armed <- true;
+  let need_wake = not (Atomic.get t.posted) in
+  Atomic.set t.posted true;
   Mutex.unlock t.mu;
   if need_wake then
     try ignore (Unix.write_substring t.wake_w "x" 0 1)
@@ -153,14 +158,19 @@ let drain_wake t =
   in
   go ()
 
+(* The wake byte is read when [select] reports it, not here: a [post]
+   sets [posted] before it writes its byte, so the byte can land after
+   this cycle took the batch, and a byte left in the pipe would make
+   every later [select] return at once. *)
 let run_injections t =
-  let batch = Queue.create () in
-  Mutex.lock t.mu;
-  Queue.transfer t.inject batch;
-  t.wake_armed <- false;
-  Mutex.unlock t.mu;
-  drain_wake t;
-  Queue.iter (fun f -> f ()) batch
+  if Atomic.get t.posted then begin
+    let batch = Queue.create () in
+    Mutex.lock t.mu;
+    Queue.transfer t.inject batch;
+    Atomic.set t.posted false;
+    Mutex.unlock t.mu;
+    Queue.iter (fun f -> f ()) batch
+  end
 
 (* Register a connection on the loop thread. *)
 let attach t ?(on_close = fun () -> ()) ~limits ~registry ~stats fd =
@@ -207,13 +217,7 @@ let run t =
       List.iter (fun c -> Session.begin_drain c.sess) t.conns;
     reap t;
     let idle =
-      t.conns = []
-      && (t.exit_on_empty || t.stop ())
-      &&
-      (Mutex.lock t.mu;
-       let empty = Queue.is_empty t.inject in
-       Mutex.unlock t.mu;
-       empty)
+      t.conns = [] && (t.exit_on_empty || t.stop ()) && not (Atomic.get t.posted)
     in
     if not idle then begin
       let rds =
@@ -233,6 +237,7 @@ let run t =
       in
       (match Unix.select rds wrs [] tick with
       | rs, ws, _ ->
+          if List.memq t.wake_r rs then drain_wake t;
           List.iter
             (fun c ->
               if List.memq (Session.fd c.sess) ws then

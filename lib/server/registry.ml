@@ -191,8 +191,15 @@ let algo_of_name = function
   | "norec" -> Some `Norec
   | _ -> None
 
-let algo_of t name =
-  Option.map (fun s -> s.algo) (List.assoc_opt name (Atomic.get t.entries))
+(* The slot named [name] in a name table: one [String.equal]
+   per entry, where [List.assoc_opt] calls the polymorphic [compare].
+   Every lookup by name goes through here. *)
+let rec find_slot name = function
+  | [] -> None
+  | (n, s) :: rest -> if String.equal n name then Some s else find_slot name rest
+
+let lookup t name = find_slot name (Atomic.get t.entries)
+let algo_of t name = Option.map (fun s -> s.algo) (lookup t name)
 
 let kind_of_entry = function
   | Emap _ -> Wire.Kmap
@@ -238,14 +245,15 @@ let ensure ?algo t kind name =
   in
   let rec go () =
     let cur = Atomic.get t.entries in
-    match List.assoc_opt name cur with
+    match find_slot name cur with
     | Some s ->
         if kind_of_entry s.entry = kind then Ok `Existed
         else
+          (* [%S]: an error line may not hold the name's raw bytes *)
           Error
             (Wire.Error
                ( Wire.Bad_op,
-                 Printf.sprintf "%s exists with kind %s" name
+                 Printf.sprintf "%S exists with kind %s" name
                    (Wire.kind_to_string (kind_of_entry s.entry)) ))
     | None ->
         (* Log the creation {e before} the CAS publishes the name: a
@@ -345,7 +353,7 @@ let resolve t cmd : (resolved, Wire.response) result =
   | Wire.Contains (name, _) | Wire.Add (name, _) | Wire.Remove (name, _)
   | Wire.Size name | Wire.Snapshot_iter name | Wire.Enq (name, _)
   | Wire.Deq name | Wire.Blpop (name, _) | Wire.Btake (name, _) -> (
-      match List.assoc_opt name (Atomic.get t.entries) with
+      match lookup t name with
       | None -> no_struct name
       | Some s -> (
           Atomic.incr s.ops;
@@ -447,7 +455,7 @@ let resolve t cmd : (resolved, Wire.response) result =
    aborted attempt's partial output never leaks into the retry. *)
 let snapshot_stream t name (items : Wire.Obuf.t) :
     (site * (unit -> int), Wire.response) result =
-  match List.assoc_opt name (Atomic.get t.entries) with
+  match lookup t name with
   | None -> no_struct name
   | Some s ->
       let enc () =
@@ -470,9 +478,14 @@ let snapshot_stream t name (items : Wire.Obuf.t) :
 
 type watch = { wslot : slot; wname : string }
 
+(* A push frame carries the name on one line, so a name holding a
+   newline cannot be watched; NEW still accepts it, because recovery
+   replays every NEW record a log holds. *)
 let watch t name =
-  match List.assoc_opt name (Atomic.get t.entries) with
+  match lookup t name with
   | None -> no_struct name
+  | Some _ when String.contains name '\n' ->
+      Error (err Wire.Bad_op "cannot watch %S: a push frame is one line" name)
   | Some s ->
       Atomic.incr s.watchers;
       Ok { wslot = s; wname = name }

@@ -108,32 +108,63 @@ let merge_stats ~into src =
 
    Call-site labels are "op@semantics" ("contains@elastic",
    "size@snapshot", ...), so the per-site abort breakdown doubles as a
-   per-semantics-class commit/abort table.  They are interned once at
-   module load; the request hot path only does lookups (the table is
-   never mutated after initialisation, so concurrent reads from worker
-   domains are safe). *)
+   per-semantics-class commit/abort table.  They are built once at
+   module load into an array indexed by the command's constructor and
+   the semantics, so the request hot path reads one array cell (the
+   array is never mutated after initialisation, so concurrent reads
+   from worker domains are safe). *)
 
-let op_classes =
-  [ "PING"; "NEW"; "GET"; "PUT"; "DEL"; "CONTAINS"; "ADD"; "REMOVE"; "SIZE";
-    "SNAPSHOT-ITER"; "ENQ"; "DEQ"; "BLPOP"; "BTAKE"; "WATCH"; "UNWATCH";
-    "MULTI"; "MULTI-END"; "INFO"; "BGSAVE"; "LASTSAVE"; "DEBUG-ABORT" ]
+let op_index = function
+  | Wire.Ping -> 0
+  | Wire.New _ -> 1
+  | Wire.Get _ -> 2
+  | Wire.Put _ -> 3
+  | Wire.Del _ -> 4
+  | Wire.Contains _ -> 5
+  | Wire.Add _ -> 6
+  | Wire.Remove _ -> 7
+  | Wire.Size _ -> 8
+  | Wire.Snapshot_iter _ -> 9
+  | Wire.Enq _ -> 10
+  | Wire.Deq _ -> 11
+  | Wire.Blpop _ -> 12
+  | Wire.Btake _ -> 13
+  | Wire.Watch _ -> 14
+  | Wire.Unwatch _ -> 15
+  | Wire.Multi -> 16
+  | Wire.Multi_end -> 17
+  | Wire.Info -> 18
+  | Wire.Bgsave -> 19
+  | Wire.Lastsave -> 20
+  | Wire.Debug_abort _ -> 21
 
-let label_table : (string * int, string) Hashtbl.t =
-  let t = Hashtbl.create 64 in
+(* One command of each constructor, each labelled in [op_index]'s
+   cell: a cell filled twice or left empty fails at load. *)
+let labels =
+  let ops =
+    Wire.
+      [ Ping; New (Kmap, ""); Get ("", 0); Put ("", 0, ""); Del ("", 0);
+        Contains ("", 0); Add ("", 0); Remove ("", 0); Size "";
+        Snapshot_iter ""; Enq ("", ""); Deq ""; Blpop ("", 0); Btake ("", 0);
+        Watch ""; Unwatch ""; Multi; Multi_end; Info; Bgsave; Lastsave;
+        Debug_abort { budget = None; deadline_us = None } ]
+  in
+  let t = Array.make (3 * List.length ops) "" in
   List.iter
-    (fun op ->
+    (fun cmd ->
       for i = 0 to 2 do
-        let sem = sem_of_index i in
-        Hashtbl.add t (op, i)
-          (String.lowercase_ascii op ^ "@" ^ Polytm.Semantics.to_string sem)
+        let cell = (3 * op_index cmd) + i in
+        assert (t.(cell) = "");
+        t.(cell) <-
+          String.lowercase_ascii (Wire.cmd_name cmd)
+          ^ "@"
+          ^ Polytm.Semantics.to_string (sem_of_index i)
       done)
-    op_classes;
+    ops;
+  assert (Array.for_all (fun l -> l <> "") t);
   t
 
-let label_of cmd sem =
-  match Hashtbl.find_opt label_table (Wire.cmd_name cmd, sem_index sem) with
-  | Some l -> l
-  | None -> Wire.cmd_name cmd
+let label_of cmd sem = labels.((3 * op_index cmd) + sem_index sem)
 
 (* ---- the session ------------------------------------------------------- *)
 

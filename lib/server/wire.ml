@@ -227,12 +227,6 @@ let sem_field = function
   | Polytm.Semantics.Elastic -> "~elastic"
   | Polytm.Semantics.Snapshot -> "~snapshot"
 
-let sem_of_field = function
-  | "~classic" -> Some Polytm.Semantics.Classic
-  | "~elastic" -> Some Polytm.Semantics.Elastic
-  | "~snapshot" -> Some Polytm.Semantics.Snapshot
-  | _ -> None
-
 let bulk_len s = 1 + digits (String.length s) + 1 + String.length s + 1
 
 let int_bulk_len n =
@@ -439,8 +433,9 @@ let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
 (* The cursor walks a frame body {e in place}: [body] is (a view of)
    the decoder's internal buffer, [base]/[limit] bound this frame.
-   Field payloads are copied out with [String.sub]; the frame body
-   itself is never copied into a per-frame string. *)
+   Only payloads that escape the parser are copied out with
+   [String.sub]; the frame body itself is never copied into a
+   per-frame string. *)
 type cursor = { body : string; base : int; mutable pos : int; limit : int }
 
 let peek c = if c.pos >= c.limit then bad "truncated body" else c.body.[c.pos]
@@ -453,18 +448,20 @@ let expect c ch =
   advance c
 
 (* Unsigned decimal int followed by '\n'; bounded to 15 digits so no
-   overflow games are possible. *)
-let parse_nat c =
-  let start = c.pos in
-  let n = ref 0 in
-  while (match peek c with '0' .. '9' -> true | _ -> false) do
-    n := (!n * 10) + (Char.code c.body.[c.pos] - Char.code '0');
-    advance c;
-    if c.pos - start > 15 then bad "integer too long"
-  done;
-  if c.pos = start then bad "expected digit at byte %d" c.pos;
-  expect c '\n';
-  !n
+   overflow games are possible.  Every frame header and field length
+   is one, so the digits are read unchecked, [i] below [c.limit]. *)
+let rec nat c i acc =
+  if i >= c.limit then bad "truncated body";
+  match String.unsafe_get c.body i with
+  | '0' .. '9' as d ->
+      if i - c.pos >= 15 then bad "integer too long";
+      nat c (i + 1) ((acc * 10) + Char.code d - 48)
+  | '\n' when i > c.pos ->
+      c.pos <- i + 1;
+      acc
+  | ch -> bad "expected digit, got %C at byte %d" ch i
+
+let parse_nat c = nat c c.pos 0
 
 (* Signed decimal int line (for ':' integer responses). *)
 let parse_int_line c =
@@ -491,82 +488,173 @@ let parse_line c =
       s
   | Some _ | None -> bad "unterminated line"
 
-let parse_bulk c =
+(* One bulk field: [field] checks its framing and moves the cursor
+   past it, returning its length [len]; its bytes are the [len] bytes
+   that end one before [c.pos]. *)
+let field c =
   expect c '$';
   let len = parse_nat c in
   if c.pos + len + 1 > c.limit then bad "bulk overruns frame";
-  let s = String.sub c.body c.pos len in
   c.pos <- c.pos + len;
   expect c '\n';
-  s
+  len
+
+let copy c len = String.sub c.body (c.pos - len - 1) len
+
+let str c =
+  let len = field c in
+  copy c len
 
 let at_end c = c.pos = c.limit
 
-let int_arg what s =
-  match int_of_string_opt s with
-  | Some n -> n
-  | None -> bad "%s must be an integer, got %S" what s
+(* ---- requests, parsed in place ----------------------------------------
 
-let opt_int_arg what = function
-  | "_" -> None
-  | s -> Some (int_arg what s)
+   A request is parsed where its fields lie in the frame.  The hint,
+   the op name, a structure kind and a key of plain decimal digits are
+   matched or read from the field's bytes; only a structure name or a
+   value is copied out ({!str}), so nothing the parser returns aliases
+   the decoder's buffer.  Every helper is a top-level function: the
+   parser allocates no closure. *)
 
-let request_of_fields fields =
-  let hint, fields =
-    match fields with
-    | f :: rest when String.length f > 0 && f.[0] = '~' -> (
-        match sem_of_field f with
-        | Some s -> (Some s, rest)
-        | None -> bad "unknown semantics hint %S" f)
-    | fields -> (None, fields)
+(* Unchecked reads: [is] compares only inside a field that [field]
+   bounded within the frame. *)
+let rec same_from s off lit i =
+  i = String.length lit
+  || String.unsafe_get s (off + i) = String.unsafe_get lit i
+     && same_from s off lit (i + 1)
+
+(* Whether the field of [len] bytes just passed is [lit]. *)
+let is c len lit =
+  len = String.length lit && same_from c.body (c.pos - len - 1) lit 0
+
+(* The value of the decimal digits of [s] from [i] to [stop], or -1 at
+   a non-digit. *)
+let rec decimal s i stop acc =
+  if i = stop then acc
+  else
+    match String.unsafe_get s i with
+    | '0' .. '9' as d -> decimal s (i + 1) stop ((acc * 10) + Char.code d - 48)
+    | _ -> -1
+
+(* An integer field of [len] bytes just passed.  An optional '-' and at
+   most 18 digits cannot overflow, so they are read from the bytes; any
+   other form goes through [int_of_string_opt], so "0x10", "+5" and
+   "1_000" parse as OCaml reads them. *)
+let int_of_field c len what =
+  let start = c.pos - len - 1 in
+  let neg = len > 0 && String.unsafe_get c.body start = '-' in
+  let first = if neg then start + 1 else start in
+  let width = start + len - first in
+  let v =
+    if width >= 1 && width <= 18 then decimal c.body first (start + len) 0
+    else -1
   in
-  let cmd =
-    match fields with
-    | [ "PING" ] -> Ping
-    | [ "NEW"; k; name ] -> (
-        match kind_of_string k with
-        | Some k -> New (k, name)
-        | None -> bad "unknown structure kind %S" k)
-    | [ "GET"; s; k ] -> Get (s, int_arg "key" k)
-    | [ "PUT"; s; k; v ] -> Put (s, int_arg "key" k, v)
-    | [ "DEL"; s; k ] -> Del (s, int_arg "key" k)
-    | [ "CONTAINS"; s; k ] -> Contains (s, int_arg "key" k)
-    | [ "ADD"; s; k ] -> Add (s, int_arg "key" k)
-    | [ "REMOVE"; s; k ] -> Remove (s, int_arg "key" k)
-    | [ "SIZE"; s ] -> Size s
-    | [ "SNAPSHOT-ITER"; s ] -> Snapshot_iter s
-    | [ "ENQ"; s; v ] -> Enq (s, v)
-    | [ "DEQ"; s ] -> Deq s
-    | [ "BLPOP"; s; ms ] -> Blpop (s, int_arg "timeout" ms)
-    | [ "BTAKE"; s; ms ] -> Btake (s, int_arg "timeout" ms)
-    | [ "WATCH"; s ] -> Watch s
-    | [ "UNWATCH"; s ] -> Unwatch s
-    | [ "MULTI" ] -> Multi
-    | [ "MULTI-END" ] -> Multi_end
-    | [ "INFO" ] -> Info
-    | [ "BGSAVE" ] -> Bgsave
-    | [ "LASTSAVE" ] -> Lastsave
-    | [ "DEBUG-ABORT"; b; d ] ->
-        Debug_abort
-          {
-            budget = opt_int_arg "budget" b;
-            deadline_us = opt_int_arg "deadline" d;
-          }
-    | op :: _ -> bad "unknown op or arity: %S (%d fields)" op (List.length fields)
-    | [] -> bad "empty request"
-  in
-  { hint; cmd }
+  if v >= 0 then if neg then -v else v
+  else
+    let s = copy c len in
+    match int_of_string_opt s with
+    | Some v -> v
+    | None -> bad "%s must be an integer, got %S" what s
 
+(* Argument fields. *)
+let num c what =
+  let len = field c in
+  int_of_field c len what
+
+let opt_num c what =
+  let len = field c in
+  if is c len "_" then None else Some (int_of_field c len what)
+
+let kind c =
+  let len = field c in
+  if is c len "map" then Kmap
+  else if is c len "set" then Kset
+  else if is c len "queue" then Kqueue
+  else bad "unknown structure kind %S" (copy c len)
+
+let hint_of c len =
+  if is c len "~classic" then Some Polytm.Semantics.Classic
+  else if is c len "~elastic" then Some Polytm.Semantics.Elastic
+  else if is c len "~snapshot" then Some Polytm.Semantics.Snapshot
+  else bad "unknown semantics hint %S" (copy c len)
+
+let unknown c len args =
+  bad "unknown op or arity: %S (%d fields)" (copy c len) (args + 1)
+
+(* The command named by the [len]-byte field just passed, whose [args]
+   argument fields follow. *)
+let command c len args =
+  match args with
+  | 0 ->
+      if is c len "PING" then Ping
+      else if is c len "MULTI" then Multi
+      else if is c len "MULTI-END" then Multi_end
+      else if is c len "INFO" then Info
+      else if is c len "BGSAVE" then Bgsave
+      else if is c len "LASTSAVE" then Lastsave
+      else unknown c len args
+  | 1 ->
+      if is c len "DEQ" then Deq (str c)
+      else if is c len "SIZE" then Size (str c)
+      else if is c len "SNAPSHOT-ITER" then Snapshot_iter (str c)
+      else if is c len "WATCH" then Watch (str c)
+      else if is c len "UNWATCH" then Unwatch (str c)
+      else unknown c len args
+  | 2 ->
+      if is c len "GET" then
+        let s = str c in
+        Get (s, num c "key")
+      else if is c len "DEL" then
+        let s = str c in
+        Del (s, num c "key")
+      else if is c len "CONTAINS" then
+        let s = str c in
+        Contains (s, num c "key")
+      else if is c len "ADD" then
+        let s = str c in
+        Add (s, num c "key")
+      else if is c len "REMOVE" then
+        let s = str c in
+        Remove (s, num c "key")
+      else if is c len "ENQ" then
+        let s = str c in
+        Enq (s, str c)
+      else if is c len "NEW" then
+        let k = kind c in
+        New (k, str c)
+      else if is c len "BLPOP" then
+        let s = str c in
+        Blpop (s, num c "timeout")
+      else if is c len "BTAKE" then
+        let s = str c in
+        Btake (s, num c "timeout")
+      else if is c len "DEBUG-ABORT" then
+        let budget = opt_num c "budget" in
+        Debug_abort { budget; deadline_us = opt_num c "deadline" }
+      else unknown c len args
+  | 3 when is c len "PUT" ->
+      let s = str c in
+      let k = num c "key" in
+      Put (s, k, str c)
+  | _ -> unknown c len args
+
+(* [*n] then the fields: an optional hint (a first field that starts
+   with '~'), the op name, its arguments. *)
 let parse_request_body ~off ~len body =
-  let limit = off + len in
-  let c = { body; base = off; pos = off; limit } in
+  let c = { body; base = off; pos = off; limit = off + len } in
   expect c '*';
   let n = parse_nat c in
   if n = 0 then bad "empty request array";
   if n > 64 then bad "request array too long (%d)" n;
-  let fields = List.init n (fun _ -> parse_bulk c) in
+  let first = field c in
+  let hinted = first > 0 && String.unsafe_get body (c.pos - first - 1) = '~' in
+  let hint = if hinted then hint_of c first else None in
+  let args = if hinted then n - 2 else n - 1 in
+  if args < 0 then bad "empty request";
+  let name = if hinted then field c else first in
+  let cmd = command c name args in
   if not (at_end c) then bad "trailing bytes in frame";
-  request_of_fields fields
+  { hint; cmd }
 
 let max_response_depth = 8
 
@@ -579,7 +667,7 @@ let rec parse_response c depth =
   | ':' ->
       advance c;
       Int (parse_int_line c)
-  | '$' -> Bulk (parse_bulk c)
+  | '$' -> Bulk (str c)
   | '_' ->
       advance c;
       expect c '\n';

@@ -66,7 +66,9 @@ type cmd =
       (** subscribe to change notifications for a structure: after a
           transaction that mutates it commits, the session emits a
           [Push] frame carrying the structure's name (at most one per
-          poll interval — notifications coalesce, they do not queue) *)
+          poll interval — notifications coalesce, they do not queue).
+          A push frame is one line, so a name holding a newline is
+          refused with [Bad_op]. *)
   | Unwatch of string  (** drop a {!Watch} subscription *)
   | Multi  (** open a batch: following commands queue up *)
   | Multi_end

@@ -49,7 +49,10 @@ module Index = Map.Make (Int)
 (* Bindings per leaf.  A split leaves two leaves of about half. *)
 let capacity = 32
 
-let rec search keys k lo hi =
+(* Typed [int]: left generic, every probe of the key array would call
+   the C primitives [caml_equal] and [caml_lessthan] instead of
+   comparing two machine words inline. *)
+let rec search (keys : int array) (k : int) lo hi =
   if lo >= hi then -(lo + 1)
   else
     let mid = (lo + hi) lsr 1 in
@@ -60,7 +63,7 @@ let rec search keys k lo hi =
 
 (* The position of [k] in the sorted [keys], or [-(i + 1)] where [i] is
    the position it would take. *)
-let position keys k = search keys k 0 (Array.length keys)
+let position (keys : int array) (k : int) = search keys k 0 (Array.length keys)
 
 let insert_at a i x =
   let n = Array.length a in

@@ -101,7 +101,10 @@ module Hist = struct
   type t = {
     counts : int array;
     mutable total : int;
-    mutable sum : float;  (** float: sums of ns values overflow int *)
+    sum : Float.Array.t;
+        (** one element: float, since sums of ns values overflow int,
+            and in a float array, so [record] stores it unboxed where
+            a mutable float field would allocate a box per call *)
     mutable vmin : int;
     mutable vmax : int;
   }
@@ -110,7 +113,7 @@ module Hist = struct
     {
       counts = Array.make num_buckets 0;
       total = 0;
-      sum = 0.;
+      sum = Float.Array.make 1 0.;
       vmin = max_int;
       vmax = 0;
     }
@@ -118,7 +121,7 @@ module Hist = struct
   let clear t =
     Array.fill t.counts 0 num_buckets 0;
     t.total <- 0;
-    t.sum <- 0.;
+    Float.Array.set t.sum 0 0.;
     t.vmin <- max_int;
     t.vmax <- 0
 
@@ -153,21 +156,23 @@ module Hist = struct
     let i = index v in
     t.counts.(i) <- t.counts.(i) + 1;
     t.total <- t.total + 1;
-    t.sum <- t.sum +. float_of_int v;
+    Float.Array.set t.sum 0 (Float.Array.get t.sum 0 +. float_of_int v);
     if v < t.vmin then t.vmin <- v;
     if v > t.vmax then t.vmax <- v
 
   let count t = t.total
   let max t = if t.total = 0 then 0 else t.vmax
   let min t = if t.total = 0 then 0 else t.vmin
-  let mean t = if t.total = 0 then 0. else t.sum /. float_of_int t.total
+  let mean t =
+    if t.total = 0 then 0. else Float.Array.get t.sum 0 /. float_of_int t.total
 
   let merge_into ~into src =
     Array.iteri
       (fun i c -> if c <> 0 then into.counts.(i) <- into.counts.(i) + c)
       src.counts;
     into.total <- into.total + src.total;
-    into.sum <- into.sum +. src.sum;
+    Float.Array.set into.sum 0
+      (Float.Array.get into.sum 0 +. Float.Array.get src.sum 0);
     if src.total > 0 then begin
       if src.vmin < into.vmin then into.vmin <- src.vmin;
       if src.vmax > into.vmax then into.vmax <- src.vmax

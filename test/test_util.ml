@@ -186,6 +186,22 @@ let test_stats_pp () =
      in
      find 0)
 
+(* A server records two latencies per request, so [Hist.record] must
+   allocate nothing: its float sum is stored unboxed.  The mean checks
+   that the sum still adds up. *)
+let test_hist_record_allocates_nothing () =
+  let h = Stats.Hist.create () in
+  Stats.Hist.record h 1;
+  let w0 = Gc.minor_words () in
+  for v = 1 to 10_000 do
+    Stats.Hist.record h v
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "minor words over 10k records" 0. words;
+  Alcotest.(check (float 1e-9)) "mean"
+    (float_of_int (1 + (10_000 * 10_001 / 2)) /. 10_001.)
+    (Stats.Hist.mean h)
+
 let suite =
   ( "util",
     [
@@ -211,6 +227,8 @@ let suite =
       Alcotest.test_case "heap pop_exn/to_list" `Quick
         test_heap_pop_exn_and_to_list;
       Alcotest.test_case "stats pp" `Quick test_stats_pp;
+      Alcotest.test_case "hist record allocates nothing" `Quick
+        test_hist_record_allocates_nothing;
       Test_seed.to_alcotest heap_property;
       Test_seed.to_alcotest percentile_property;
     ] )

@@ -175,6 +175,92 @@ let reference_request (r : Wire.request) =
     fields;
   Printf.sprintf "#%d\n%s" (Buffer.length body) (Buffer.contents body)
 
+(* A second request parser, built the way the codec once parsed: the
+   body split into a list of copied field strings, the list matched,
+   and every integer read by [int_of_string_opt].  The parser under
+   test reads its fields in place and must accept exactly the bodies
+   this one accepts, with the same request. *)
+exception Reference_bad
+
+let reference_parse body =
+  let pos = ref 0 and limit = String.length body in
+  let peek () = if !pos >= limit then raise Reference_bad else body.[!pos] in
+  let expect ch =
+    if peek () <> ch then raise Reference_bad;
+    incr pos
+  in
+  let nat () =
+    let start = !pos and n = ref 0 in
+    while match peek () with '0' .. '9' -> true | _ -> false do
+      n := (!n * 10) + Char.code body.[!pos] - Char.code '0';
+      incr pos;
+      if !pos - start > 15 then raise Reference_bad
+    done;
+    if !pos = start then raise Reference_bad;
+    expect '\n';
+    !n
+  in
+  let bulk () =
+    expect '$';
+    let len = nat () in
+    if !pos + len + 1 > limit then raise Reference_bad;
+    let s = String.sub body !pos len in
+    pos := !pos + len;
+    expect '\n';
+    s
+  in
+  let int_arg s =
+    match int_of_string_opt s with Some n -> n | None -> raise Reference_bad
+  in
+  let opt_int_arg = function "_" -> None | s -> Some (int_arg s) in
+  expect '*';
+  let n = nat () in
+  if n = 0 || n > 64 then raise Reference_bad;
+  let fields = List.init n (fun _ -> bulk ()) in
+  if !pos <> limit then raise Reference_bad;
+  let hint, fields =
+    match fields with
+    | f :: rest when String.length f > 0 && f.[0] = '~' -> (
+        match f with
+        | "~classic" -> (Some Sem.Classic, rest)
+        | "~elastic" -> (Some Sem.Elastic, rest)
+        | "~snapshot" -> (Some Sem.Snapshot, rest)
+        | _ -> raise Reference_bad)
+    | fields -> (None, fields)
+  in
+  let cmd =
+    match fields with
+    | [ "PING" ] -> Wire.Ping
+    | [ "NEW"; k; name ] -> (
+        match Wire.kind_of_string k with
+        | Some k -> Wire.New (k, name)
+        | None -> raise Reference_bad)
+    | [ "GET"; s; k ] -> Wire.Get (s, int_arg k)
+    | [ "PUT"; s; k; v ] -> Wire.Put (s, int_arg k, v)
+    | [ "DEL"; s; k ] -> Wire.Del (s, int_arg k)
+    | [ "CONTAINS"; s; k ] -> Wire.Contains (s, int_arg k)
+    | [ "ADD"; s; k ] -> Wire.Add (s, int_arg k)
+    | [ "REMOVE"; s; k ] -> Wire.Remove (s, int_arg k)
+    | [ "SIZE"; s ] -> Wire.Size s
+    | [ "SNAPSHOT-ITER"; s ] -> Wire.Snapshot_iter s
+    | [ "ENQ"; s; v ] -> Wire.Enq (s, v)
+    | [ "DEQ"; s ] -> Wire.Deq s
+    | [ "BLPOP"; s; ms ] -> Wire.Blpop (s, int_arg ms)
+    | [ "BTAKE"; s; ms ] -> Wire.Btake (s, int_arg ms)
+    | [ "WATCH"; s ] -> Wire.Watch s
+    | [ "UNWATCH"; s ] -> Wire.Unwatch s
+    | [ "MULTI" ] -> Wire.Multi
+    | [ "MULTI-END" ] -> Wire.Multi_end
+    | [ "INFO" ] -> Wire.Info
+    | [ "BGSAVE" ] -> Wire.Bgsave
+    | [ "LASTSAVE" ] -> Wire.Lastsave
+    | [ "DEBUG-ABORT"; b; d ] ->
+        Wire.Debug_abort
+          { budget = opt_int_arg b; deadline_us = opt_int_arg d }
+    | _ -> raise Reference_bad
+  in
+  { Wire.hint; cmd }
+
 (* Feed [s] in chunks whose boundaries come from [cuts] (positions),
    pulling every available item after each feed — the decoder must
    produce the same items no matter where the stream is sliced. *)
@@ -249,6 +335,113 @@ let response_roundtrip =
           s
       in
       oks items = resps && List.length items = List.length resps)
+
+(* Request bodies assembled from a pool of fields: mostly an op with
+   arguments of its own shape, where a key may be any form the
+   in-place integer reader must hand to [int_of_string_opt] or refuse,
+   and otherwise any op name, known or not, with any fields.  A hint
+   may lead, known or not, a few bodies declare one field too many or
+   too few, and a few write their lengths zero-padded to the 15 digits
+   a length may have, or to 16. *)
+let gen_field_body =
+  let open QCheck.Gen in
+  let key =
+    oneofl
+      [ "0"; "7"; "-7"; "007"; "-0"; "0x10"; "-0x10"; "+5"; "1_000"; "0b101";
+        "0o17"; "-"; ""; "_"; " 5"; "5 "; "1e3"; "999999999999999999";
+        "-999999999999999999"; "1000000000000000000"; "9999999999999999999";
+        "-9999999999999999999"; "9300000000000000000"; "00000000000000000001";
+        "12345678901234567890"; string_of_int max_int; string_of_int min_int;
+        "4611686018427387904"; "-4611686018427387905" ]
+  in
+  let name = oneofl [ "m"; "a\nb"; ""; "~elastic"; "GET" ] in
+  let arg = function
+    | `Key -> key
+    | `Opt -> frequency [ (1, return "_"); (3, key) ]
+    | `Kind -> oneofl [ "map"; "set"; "queue"; "list"; "Map"; "" ]
+    | `Name -> name
+    | `Value -> frequency [ (3, gen_blob); (1, key) ]
+  in
+  let shapes =
+    [ ("PING", []); ("NEW", [ `Kind; `Name ]); ("GET", [ `Name; `Key ]);
+      ("PUT", [ `Name; `Key; `Value ]); ("DEL", [ `Name; `Key ]);
+      ("CONTAINS", [ `Name; `Key ]); ("ADD", [ `Name; `Key ]);
+      ("REMOVE", [ `Name; `Key ]); ("SIZE", [ `Name ]);
+      ("SNAPSHOT-ITER", [ `Name ]); ("ENQ", [ `Name; `Value ]);
+      ("DEQ", [ `Name ]); ("BLPOP", [ `Name; `Key ]); ("BTAKE", [ `Name; `Key ]);
+      ("WATCH", [ `Name ]); ("UNWATCH", [ `Name ]); ("MULTI", []);
+      ("MULTI-END", []); ("INFO", []); ("BGSAVE", []); ("LASTSAVE", []);
+      ("DEBUG-ABORT", [ `Opt; `Opt ]) ]
+  in
+  let shaped =
+    oneofl shapes >>= fun (op, kinds) ->
+    map (fun args -> op :: args) (flatten_l (List.map arg kinds))
+  in
+  let any_op =
+    oneof
+      [ map fst (oneofl shapes);
+        oneofl [ "get"; "GETX"; "GE"; "PINGS"; ""; "~classic"; "MULTI-" ] ]
+  in
+  let loose =
+    map2 (fun op args -> op :: args) any_op
+      (list_size (0 -- 4) (oneof [ key; name; gen_blob ]))
+  in
+  let hint =
+    oneofl [ "~classic"; "~elastic"; "~snapshot"; "~"; "~bogus"; "~Classic" ]
+  in
+  let fields =
+    map2
+      (fun h fields -> match h with None -> fields | Some h -> h :: fields)
+      (opt hint)
+      (frequency [ (3, shaped); (1, loose) ])
+  in
+  map3
+    (fun fields skew pad ->
+      let b = Buffer.create 64 in
+      Printf.bprintf b "*%0*d\n" pad (List.length fields + skew);
+      List.iter
+        (fun f -> Printf.bprintf b "$%0*d\n%s\n" pad (String.length f) f)
+        fields;
+      Buffer.contents b)
+    fields
+    (frequency [ (12, return 0); (1, return 1); (1, return (-1)) ])
+    (frequency [ (12, return 0); (1, return 15); (1, return 16) ])
+
+(* A body with its request if the reference accepts it. *)
+let reference_of body =
+  match reference_parse body with r -> Some r | exception Reference_bad -> None
+
+let decode_body body =
+  let dec = Wire.Decoder.create () in
+  Wire.Decoder.feed_string dec
+    (Printf.sprintf "#%d\n%s" (String.length body) body);
+  Wire.Decoder.next_request dec
+
+let agrees_with_reference body =
+  match (decode_body body, reference_of body) with
+  | `Ok r, Some r' -> r = r'
+  | `Bad _, None -> true
+  | _ -> false
+
+let parser_matches_reference =
+  QCheck.Test.make ~name:"request parser = the field-list reference"
+    ~count:2000
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(
+         frequency
+           [
+             ( 1,
+               map
+                 (fun r ->
+                   let b = Buffer.create 64 in
+                   Wire.write_request b r;
+                   let s = Buffer.contents b in
+                   String.sub s (String.index s '\n' + 1)
+                     (String.length s - String.index s '\n' - 1))
+                 gen_request );
+             (2, gen_field_body);
+           ]))
+    agrees_with_reference
 
 (* Byte-at-a-time is the worst-case chunking; run it separately so a
    failure names it. *)
@@ -445,6 +638,28 @@ let test_request_goldens () =
     (String.concat "" (List.map (fun (_, _, bytes) -> bytes) plain))
     (Wire.encode_cmds (List.map (fun (_, cmd, _) -> cmd) plain))
 
+(* Keys that are not plain decimal still parse as OCaml reads them,
+   and a key that is no integer is a [`Bad] for its frame alone. *)
+let test_key_forms () =
+  List.iter
+    (fun (key, want) ->
+      let body =
+        Printf.sprintf "*3\n$3\nGET\n$1\nm\n$%d\n%s\n" (String.length key) key
+      in
+      match (decode_body body, want) with
+      | `Ok { Wire.hint = None; cmd = Wire.Get ("m", k) }, Some want ->
+          Alcotest.(check int) ("GET m " ^ key) want k
+      | `Bad _, None -> ()
+      | r, _ -> Alcotest.failf "GET m %S decoded as %s" key (items_pp r))
+    [
+      ("0x10", Some 16); ("+5", Some 5); ("1_000", Some 1000); ("-0", Some 0);
+      ("007", Some 7); ("-999999999999999999", Some (-999999999999999999));
+      (string_of_int min_int, Some min_int);
+      (string_of_int max_int, Some max_int);
+      ("00000000000000000001", Some 1); ("4611686018427387904", None);
+      ("9999999999999999999", None); ("-", None); ("", None); ("5 ", None);
+    ]
+
 let test_nested_response_depth_bounded () =
   let dec = Wire.Decoder.create () in
   (* 12 nested singleton arrays around an int: deeper than the bound *)
@@ -463,6 +678,7 @@ let suite =
   ( "wire",
     [
       prop request_bytes_reference;
+      prop parser_matches_reference;
       prop request_roundtrip;
       prop response_roundtrip;
       prop request_roundtrip_bytewise;
@@ -488,4 +704,6 @@ let suite =
         test_reply_goldens;
       Alcotest.test_case "response nesting bounded" `Quick
         test_nested_response_depth_bounded;
+      Alcotest.test_case "key forms parse as OCaml reads them" `Quick
+        test_key_forms;
     ] )
