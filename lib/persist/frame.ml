@@ -28,7 +28,9 @@
     longest valid prefix plus a typed {!tear} describing where and why
     parsing stopped — the caller decides whether a tear is a benign
     crash artifact (end of the active log) or grounds to refuse
-    service (middle of a checkpoint). *)
+    service (middle of a checkpoint).  It reads the file through one
+    fixed window and hands each checked record to its caller where it
+    lies there, so replaying a record costs no string of its own. *)
 
 let log_magic = "PTMLOG1\n"
 let ckpt_magic = "PTMCKP1\n"
@@ -47,7 +49,6 @@ let body_hdr_len = 1 + 1 + 2 + 8
 let min_body = body_hdr_len
 
 type header = { rtype : int; algo : int; shard : int; stamp : int }
-type record = { hdr : header; payload : string }
 
 (* The [algo] field: which algorithm's router holds the instance. *)
 let algo_code = function `Tl2 -> 0 | `Norec -> 1
@@ -67,22 +68,6 @@ let encode buf hdr ~payload =
   Buffer.add_int32_le buf (Int32.of_int crc);
   Buffer.add_string buf h;
   Buffer.add_string buf payload
-
-let decode_body body =
-  let n = String.length body in
-  if n < min_body then None
-  else
-    Some
-      {
-        hdr =
-          {
-            rtype = Char.code body.[0];
-            algo = Char.code body.[1];
-            shard = String.get_uint16_le body 2;
-            stamp = Int64.to_int (String.get_int64_le body 4);
-          };
-        payload = String.sub body body_hdr_len (n - body_hdr_len);
-      }
 
 (* ------------------------------------------------------------------ *)
 (* Scanning                                                            *)
@@ -115,58 +100,86 @@ type scan = {
 let pp_tear ppf t =
   Format.fprintf ppf "%s at byte %d" (tear_reason_to_string t.reason) t.at
 
-(* Scan [path], calling [f index record] for each valid record in
-   order.  Stops at the first malformed record; never raises on
+(* Records are read through one window of [window] bytes, refilled as
+   the scan moves on and grown only for a record longer than it.  The
+   channel under it already reads 64 KB per system call, so a wider
+   window saves no read and costs memory: a 64 KB one raised a
+   recovered server's peak RSS by about 0.3 MB. *)
+let window = 4096
+
+(* Scan [path], calling [f hdr buf off len] for each valid record in
+   order, where [hdr] is its body header and its payload is the [len]
+   bytes of [buf] from [off]: the record is checked and handed over
+   where it lies in the window, and those bytes stay valid only until
+   [f] returns.  Stops at the first malformed record; never raises on
    malformed {e content} (I/O errors — [ENOENT], permissions — do
-   raise [Sys_error], which callers treat as "no such file"). *)
-let scan_file ~magic ~path ~f =
+   raise [Sys_error], which callers treat as "no such file"), and
+   never reads or allocates past the file's end: every length is
+   checked against the file's size first. *)
+let scan ~magic ~path ~f =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
       let file_len = in_channel_length ic in
-      let read_exactly n =
-        (* [really_input_string] raises [End_of_file] on a short read;
-           we want the short read to be a typed tear instead. *)
-        let pos = pos_in ic in
-        if file_len - pos < n then None
-        else Some (really_input_string ic n)
+      (* [!buf] holds the file's bytes from [!base] to [!base + !filled]. *)
+      let buf = ref (Bytes.create (min window file_len)) in
+      let base = ref 0 and filled = ref 0 in
+      (* Make the [n] bytes at file offset [at] resident, all of which
+         the file holds, and return their offset in [!buf].  Reads
+         resume where the last one stopped, so each byte is read once. *)
+      let need at n =
+        let kept = !base + !filled - at in
+        if n > kept then begin
+          if n > Bytes.length !buf then begin
+            let grown = Bytes.create n in
+            Bytes.blit !buf (at - !base) grown 0 kept;
+            buf := grown
+          end
+          else Bytes.blit !buf (at - !base) !buf 0 kept;
+          let more = min (Bytes.length !buf) (file_len - at) - kept in
+          really_input ic !buf kept more;
+          base := at;
+          filled := kept + more
+        end;
+        at - !base
       in
-      let tear_at at reason records valid_bytes =
-        { records; valid_bytes; tear = Some { at; reason } }
+      let tear_at at reason records =
+        { records; valid_bytes = at; tear = Some { at; reason } }
       in
-      match read_exactly magic_len with
-      | None -> tear_at 0 Bad_magic 0 0
-      | Some m when not (String.equal m magic) -> tear_at 0 Bad_magic 0 0
-      | Some _ ->
-          let rec loop records valid_bytes =
-            let at = pos_in ic in
-            if at = file_len then { records; valid_bytes; tear = None }
-            else
-              match read_exactly 8 with
-              | None -> tear_at at Truncated_header records valid_bytes
-              | Some prefix -> (
-                  let len = Int32.to_int (String.get_int32_le prefix 0) in
-                  let crc =
-                    Int32.to_int (String.get_int32_le prefix 4)
-                    land 0xFFFFFFFF
-                  in
-                  if len < min_body || len > max_body then
-                    tear_at at Bad_length records valid_bytes
-                  else
-                    match read_exactly len with
-                    | None -> tear_at at Truncated_body records valid_bytes
-                    | Some body -> (
-                        if Crc32.string body <> crc then
-                          tear_at at Crc_mismatch records valid_bytes
-                        else
-                          match decode_body body with
-                          | None -> tear_at at Bad_length records valid_bytes
-                          | Some r ->
-                              f records r;
-                              loop (records + 1) (pos_in ic)))
-          in
-          loop 0 magic_len)
+      let rec loop at records =
+        let left = file_len - at in
+        if left = 0 then { records; valid_bytes = at; tear = None }
+        else if left < 8 then tear_at at Truncated_header records
+        else
+          let o = need at 8 in
+          let len = Int32.to_int (Bytes.get_int32_le !buf o) in
+          let crc = Int32.to_int (Bytes.get_int32_le !buf (o + 4)) land 0xFFFFFFFF in
+          if len < min_body || len > max_body then tear_at at Bad_length records
+          else if left - 8 < len then tear_at at Truncated_body records
+          else
+            let o = need at (8 + len) + 8 in
+            let b = !buf in
+            if Crc32.update 0 (Bytes.unsafe_to_string b) o len <> crc then
+              tear_at at Crc_mismatch records
+            else begin
+              f
+                {
+                  rtype = Bytes.get_uint8 b o;
+                  algo = Bytes.get_uint8 b (o + 1);
+                  shard = Bytes.get_uint16_le b (o + 2);
+                  stamp = Int64.to_int (Bytes.get_int64_le b (o + 4));
+                }
+                b (o + body_hdr_len) (len - body_hdr_len);
+              loop (at + 8 + len) (records + 1)
+            end
+      in
+      if file_len < magic_len then tear_at 0 Bad_magic 0
+      else
+        let o = need 0 magic_len in
+        if String.equal (Bytes.sub_string !buf o magic_len) magic then
+          loop magic_len 0
+        else tear_at 0 Bad_magic 0)
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint bound-vector and trailer payloads                        *)

@@ -11,6 +11,8 @@
     simply "parse the frame, resolve it against the registry, run the
     transaction", one code path shared by log replay and checkpoint
     loading, exercised by the same codec fuzzers as the live server.
+    Records are parsed where they lie in the scanner's window, and
+    consecutive frames on one instance share one transaction.
     The encoder writes integers straight into its buffer; the wire
     tests pin its bytes per command and hold it to a [string_of_int]
     reference, because a change to those bytes is a change to every
@@ -169,125 +171,163 @@ exception Refuse of string
 
 let refuse fmt = Printf.ksprintf (fun m -> raise (Refuse m)) fmt
 
-(* Parse a record payload back into its wire request frames.  [dec] is
-   the one decoder of this recovery: a payload that parses leaves it
-   empty, and one that does not refuses the whole recovery, so no state
-   carries from one record to the next. *)
-let requests_of_payload dec payload =
-  Wire.Decoder.feed_string dec payload;
-  let rec loop acc =
-    match Wire.Decoder.next_request dec with
-    | `Await ->
-        if Wire.Decoder.buffered dec > 0 then
-          refuse "trailing bytes in record payload"
-        else List.rev acc
-    | `Ok req -> loop (req :: acc)
-    | `Bad m | `Corrupt m -> refuse "bad frame in record payload: %s" m
-  in
-  loop []
+(* Replay runs single-threaded before any client connects, and STM
+   instances share no tvars, so consecutive frames on one instance
+   replay as one transaction of at most [batch_cap] frames, each
+   resolved and run by the same [Registry.resolve] thunk a live
+   request runs.  The pending batch is flushed before a frame on
+   another instance or spanning several, before a [NEW] record, at
+   the cap and at the end of each file. *)
+let batch_cap = 256
 
-(* Replay one mutation through the normal resolve-and-run path —
-   single-threaded, so a MULTI batch record's frames can be applied
-   one by one. *)
-let apply_op reg (req : Wire.request) =
-  match Registry.resolve reg req.cmd with
+type replay = {
+  reg : Registry.t;
+  runs : (unit -> Wire.response) array;  (** the pending batch, in log order *)
+  mutable pending : int;
+  mutable on : S.t;  (** the instance of the pending batch *)
+}
+
+let replay_state reg =
+  {
+    reg;
+    runs = Array.make batch_cap (fun () -> Wire.ok);
+    pending = 0;
+    on = Registry.stm reg;
+  }
+
+let flush rp =
+  let n = rp.pending in
+  if n > 0 then begin
+    rp.pending <- 0;
+    S.atomically ~label:"replay" rp.on (fun _ ->
+        for i = 0 to n - 1 do
+          ignore (rp.runs.(i) () : Wire.response)
+        done)
+  end
+
+(* Replay one mutation frame through the normal resolve-and-run path. *)
+let replay_op rp (req : Wire.request) =
+  match Registry.resolve rp.reg req.cmd with
   | Error (Wire.Error (_, msg)) -> refuse "unreplayable record: %s" msg
   | Error _ -> refuse "unreplayable record"
-  | Ok r ->
-      ignore (S.atomically_multi ~label:"replay" (Registry.members r.site) r.run)
+  | Ok { site = Registry.Single stm; run; _ } ->
+      if rp.pending > 0 && rp.on != stm then flush rp;
+      rp.on <- stm;
+      rp.runs.(rp.pending) <- run;
+      rp.pending <- rp.pending + 1;
+      if rp.pending = batch_cap then flush rp
+  | Ok { site = Registry.Spanning insts; run; _ } ->
+      flush rp;
+      ignore (S.atomically_multi ~label:"replay" insts run : Wire.response)
 
-let apply_new reg ~algo (req : Wire.request) =
+let replay_new rp ~algo (req : Wire.request) =
   match req.cmd with
   | Wire.New (kind, name) ->
       (* Best-effort: [Error] here means a CAS-losing NEW whose
          runtime ensure also failed — its op records never existed. *)
-      ignore (Registry.ensure ?algo reg kind name)
+      ignore (Registry.ensure ?algo rp.reg kind name)
   | _ -> refuse "structure record without NEW frame"
 
-let apply_record reg dec ~bounds (r : P.Frame.record) =
-  if r.hdr.rtype = P.Frame.rt_new then begin
-    List.iter
-      (apply_new reg ~algo:(P.Frame.algo_of_code r.hdr.algo))
-      (requests_of_payload dec r.payload);
+let frames f buf off len =
+  match Wire.iter_requests f buf off len with
+  | `Ok -> ()
+  | `Partial -> refuse "trailing bytes in record payload"
+  | `Bad m -> refuse "bad frame in record payload: %s" m
+
+(* A checkpoint's bound vector by algo code (a byte) and shard, -1
+   where it holds none: a record's bound is two array reads. *)
+let bound_table entries =
+  let width = List.fold_left (fun w (_, s, _) -> max w (s + 1)) 0 entries in
+  let t = Array.make 256 [||] in
+  List.iter
+    (fun (a, s, b) ->
+      if Array.length t.(a) = 0 then t.(a) <- Array.make width (-1);
+      t.(a).(s) <- b)
+    entries;
+  t
+
+let bound t algo shard =
+  let row = t.(algo) in
+  if shard < Array.length row then row.(shard) else -1
+
+(* Replay one record; [false] when its stamp is within the bound
+   vector, so the checkpoint already holds it. *)
+let replay_record rp ~bounds (h : P.Frame.header) buf off len =
+  if h.rtype = P.Frame.rt_new then begin
+    flush rp;
+    frames (replay_new rp ~algo:(P.Frame.algo_of_code h.algo)) buf off len;
     true
   end
-  else if r.hdr.rtype = P.Frame.rt_op then begin
-    let bound =
-      match Hashtbl.find_opt bounds (r.hdr.algo, r.hdr.shard) with
-      | Some b -> b
-      | None -> -1
-    in
-    if r.hdr.stamp > bound then begin
-      List.iter (apply_op reg) (requests_of_payload dec r.payload);
-      true
-    end
-    else false
+  else if h.rtype = P.Frame.rt_op then begin
+    let fresh = h.stamp > bound bounds h.algo h.shard in
+    if fresh then frames (replay_op rp) buf off len;
+    fresh
   end
-  else refuse "unexpected record type %d" r.hdr.rtype
+  else refuse "unexpected record type %d" h.rtype
 
-(* A checkpoint file is all-or-nothing: validated end to end (clean
-   scan, bounds first, matching trailer) before any record is
-   applied.  An invalid named checkpoint refuses service — unlike a
-   log tail, there is no "longest valid prefix" story for a file that
-   claims to be a complete state. *)
-let load_checkpoint reg dec ~path =
-  let records = ref [] in
-  let scan =
-    try
-      P.Frame.scan_file ~magic:P.Frame.ckpt_magic ~path ~f:(fun _ r ->
-          records := r :: !records)
-    with Sys_error m -> refuse "checkpoint unreadable: %s" m
+(* A checkpoint file is all-or-nothing: a first pass validates it end
+   to end (clean scan, bounds first, matching trailer) and applies
+   nothing, and only then does a second pass apply its body records.
+   An invalid named checkpoint refuses service — unlike a log tail,
+   there is no "longest valid prefix" story for a file that claims to
+   be a complete state. *)
+let load_checkpoint rp ~path =
+  let scan f =
+    match P.Frame.scan ~magic:P.Frame.ckpt_magic ~path ~f with
+    | { tear = Some tear; _ } ->
+        refuse "checkpoint %s: %s" path (Format.asprintf "%a" P.Frame.pp_tear tear)
+    | { records; _ } -> records
+    | exception Sys_error m -> refuse "checkpoint unreadable: %s" m
   in
-  (match scan.tear with
-  | Some tear ->
-      refuse "checkpoint %s: %s" path
-        (Format.asprintf "%a" P.Frame.pp_tear tear)
-  | None -> ());
-  let records = List.rev !records in
-  match records with
-  | { P.Frame.hdr = { rtype; _ }; payload } :: rest
-    when rtype = P.Frame.rt_bounds -> (
-      let bounds_list =
-        match P.Frame.decode_bounds payload with
-        | Some l -> l
-        | None -> refuse "checkpoint bounds record malformed"
-      in
-      match List.rev rest with
-      | { P.Frame.hdr = { rtype = tr; _ }; payload = tp } :: body_rev
-        when tr = P.Frame.rt_trailer -> (
-          match P.Frame.decode_count tp with
-          | Some n when n = List.length body_rev + 1 ->
-              (* no bounds: every body record (stamp 0) applies *)
-              let unbounded = Hashtbl.create 0 in
-              List.iter
-                (fun r -> ignore (apply_record reg dec ~bounds:unbounded r))
-                (List.rev body_rev);
-              let bounds = Hashtbl.create 16 in
-              List.iter
-                (fun (a, s, b) -> Hashtbl.replace bounds (a, s) b)
-                bounds_list;
-              (bounds, scan.records)
-          | Some _ -> refuse "checkpoint trailer count mismatch"
-          | None -> refuse "checkpoint trailer malformed")
-      | _ -> refuse "checkpoint missing trailer")
-  | _ -> refuse "checkpoint missing bounds record"
+  let first = ref (-1) and bounds = ref "" in
+  let last = ref (-1) and trailer = ref "" in
+  let records =
+    scan (fun h buf off len ->
+        if !first < 0 then begin
+          first := h.rtype;
+          if h.rtype = P.Frame.rt_bounds then bounds := Bytes.sub_string buf off len
+        end;
+        last := h.rtype;
+        if h.rtype = P.Frame.rt_trailer then trailer := Bytes.sub_string buf off len)
+  in
+  if !first <> P.Frame.rt_bounds then refuse "checkpoint missing bounds record";
+  let entries =
+    match P.Frame.decode_bounds !bounds with
+    | Some l -> l
+    | None -> refuse "checkpoint bounds record malformed"
+  in
+  if !last <> P.Frame.rt_trailer then refuse "checkpoint missing trailer";
+  (match P.Frame.decode_count !trailer with
+  | Some n when n = records - 1 -> ()
+  | Some _ -> refuse "checkpoint trailer count mismatch"
+  | None -> refuse "checkpoint trailer malformed");
+  (* no bounds: every body record (stamp 0) applies *)
+  let none = bound_table [] in
+  let i = ref 0 in
+  ignore
+    (scan (fun h buf off len ->
+         if !i > 0 && !i < records - 1 then
+           ignore (replay_record rp ~bounds:none h buf off len : bool);
+         incr i));
+  flush rp;
+  (bound_table entries, records)
 
 (* Replay a log file against the bound vector.  A missing file is an
    empty log.  Returns (records applied, tear description option). *)
-let replay_log reg dec ~bounds ~path =
+let replay_log rp ~bounds ~path =
   let applied = ref 0 in
-  match
-    P.Frame.scan_file ~magic:P.Frame.log_magic ~path ~f:(fun _ r ->
-        if apply_record reg dec ~bounds r then incr applied)
-  with
-  | scan ->
-      let tear =
-        Option.map
-          (fun tr -> Format.asprintf "%s: %a" (Filename.basename path) P.Frame.pp_tear tr)
-          scan.tear
-      in
-      (!applied, tear)
-  | exception Sys_error _ -> (0, None)
+  let scan =
+    try
+      P.Frame.scan ~magic:P.Frame.log_magic ~path ~f:(fun h buf off len ->
+          if replay_record rp ~bounds h buf off len then incr applied)
+    with Sys_error _ -> { P.Frame.records = 0; valid_bytes = 0; tear = None }
+  in
+  flush rp;
+  ( !applied,
+    Option.map
+      (fun tr ->
+        Format.asprintf "%s: %a" (Filename.basename path) P.Frame.pp_tear tr)
+      scan.tear )
 
 type recovered = {
   r_replayed : int;  (** records applied (checkpoint + log tail) *)
@@ -315,12 +355,12 @@ let recover ~dir reg =
       match P.Layout.read_manifest ~dir with
       | None -> (0, None)
       | Some gen ->
-          let dec = Wire.Decoder.create () in
+          let rp = replay_state reg in
           let bounds, ckpt_records =
-            load_checkpoint reg dec ~path:(P.Layout.ckpt_path ~dir gen)
+            load_checkpoint rp ~path:(P.Layout.ckpt_path ~dir gen)
           in
           let n1, tear1 =
-            replay_log reg dec ~bounds ~path:(P.Layout.log_path ~dir gen)
+            replay_log rp ~bounds ~path:(P.Layout.log_path ~dir gen)
           in
           (* The next generation's log exists only when a checkpoint
              was interrupted; its records strictly follow the old
@@ -331,7 +371,7 @@ let recover ~dir reg =
             match tear1 with
             | Some _ -> (0, None)
             | None ->
-                replay_log reg dec ~bounds
+                replay_log rp ~bounds
                   ~path:(P.Layout.log_path ~dir (gen + 1))
           in
           ( ckpt_records + n1 + n2,

@@ -553,10 +553,11 @@ let info t =
       ("waiting", string_of_int (waiting t));
     ]
   in
+  (* [%S]: a quoted name can neither end its line nor start a key *)
   let per_struct =
     List.map
       (fun (name, s) ->
-        ( "struct_" ^ name,
+        ( Printf.sprintf "struct_%S" name,
           Printf.sprintf "kind=%s,algo=%s,ops=%d"
             (Wire.kind_to_string (kind_of_entry s.entry))
             (algo_name s.algo) (Atomic.get s.ops) ))

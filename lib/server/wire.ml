@@ -702,6 +702,70 @@ let parse_response_body ~off ~len body =
   if not (at_end c) then bad "trailing bytes in frame";
   r
 
+(* ---- frames ----------------------------------------------------------- *)
+
+(* Longest header: '#' + digits of max_frame + '\n'. *)
+let max_header = 2 + 10
+let default_max_frame = 8 * 1024 * 1024
+
+(* The header scan every frame reader shares: the frame whose header
+   starts at [pos] of [buf], whose bytes end at [stop].  [`Ok (off,
+   len)] bounds its body once the whole frame is there, [`Await] asks
+   for more bytes, and [`Corrupt] means the framing itself is broken. *)
+let frame_at buf pos stop ~max_frame =
+  if pos >= stop then `Await
+  else if Bytes.get buf pos <> '#' then
+    `Corrupt (Printf.sprintf "bad frame header byte %C" (Bytes.get buf pos))
+  else begin
+    (* Scan the bounded header region for the terminating '\n'. *)
+    let limit = min stop (pos + max_header) in
+    let i = ref (pos + 1) in
+    while
+      !i < limit && (match Bytes.get buf !i with '0' .. '9' -> true | _ -> false)
+    do
+      incr i
+    done;
+    if !i >= limit then
+      if limit = pos + max_header then `Corrupt "frame header too long"
+      else `Await
+    else if Bytes.get buf !i <> '\n' then
+      `Corrupt (Printf.sprintf "bad byte %C in frame header" (Bytes.get buf !i))
+    else if !i = pos + 1 then `Corrupt "frame header without length"
+    else begin
+      (* Digits only, bounded width: accumulate directly. *)
+      let body_len = ref 0 in
+      for j = pos + 1 to !i - 1 do
+        body_len := (!body_len * 10) + (Char.code (Bytes.get buf j) - Char.code '0')
+      done;
+      let body_len = !body_len in
+      if body_len > max_frame then
+        `Corrupt (Printf.sprintf "frame of %d bytes exceeds limit" body_len)
+      else if stop - (!i + 1) < body_len then `Await
+      else `Ok (!i + 1, body_len)
+    end
+  end
+
+(* The request frames filling [len] bytes of [buf] from [off], each
+   parsed where it lies by the live parser and handed to [f] in order.
+   [Bytes.unsafe_to_string] is sound for the reason {!Decoder.next_with}
+   gives: nothing mutates [buf] during the walk, and the parser copies
+   out every byte sequence it returns. *)
+let iter_requests f buf off len =
+  let stop = off + len in
+  let body = Bytes.unsafe_to_string buf in
+  let rec go pos =
+    match frame_at buf pos stop ~max_frame:default_max_frame with
+    | `Await -> if pos = stop then `Ok else `Partial
+    | `Corrupt m -> `Bad m
+    | `Ok (at, n) -> (
+        match parse_request_body ~off:at ~len:n body with
+        | req ->
+            f req;
+            go (at + n)
+        | exception Bad m -> `Bad m)
+  in
+  go off
+
 (* ---- incremental decoder ----------------------------------------------- *)
 
 module Decoder = struct
@@ -713,10 +777,8 @@ module Decoder = struct
     mutable dead : string option;
   }
 
-  let create ?(max_frame = 8 * 1024 * 1024) () =
+  let create ?(max_frame = default_max_frame) () =
     { buf = Bytes.create 4096; pos = 0; len = 0; max_frame; dead = None }
-
-  let buffered t = t.len - t.pos
 
   type 'a item =
     [ `Ok of 'a | `Bad of string | `Await | `Corrupt of string ]
@@ -724,9 +786,6 @@ module Decoder = struct
   let die t msg =
     t.dead <- Some msg;
     `Corrupt msg
-
-  (* Longest header: '#' + digits of max_frame + '\n'. *)
-  let max_header = 2 + 10
 
   (* Direct-fill API: [reserve t n] compacts/grows so at least [n]
      writable bytes exist past the filled prefix and returns the
@@ -766,53 +825,17 @@ module Decoder = struct
   let next_frame t : (int * int) item =
     match t.dead with
     | Some m -> `Corrupt m
-    | None ->
-        if buffered t = 0 then `Await
-        else if Bytes.get t.buf t.pos <> '#' then
-          die t
-            (Printf.sprintf "bad frame header byte %C"
-               (Bytes.get t.buf t.pos))
-        else begin
-          (* Scan the bounded header region for the terminating '\n'. *)
-          let limit = min t.len (t.pos + max_header) in
-          let i = ref (t.pos + 1) in
-          while
-            !i < limit
-            && (match Bytes.get t.buf !i with '0' .. '9' -> true | _ -> false)
-          do
-            incr i
-          done;
-          if !i >= limit then
-            if limit = t.pos + max_header then die t "frame header too long"
-            else `Await
-          else if Bytes.get t.buf !i <> '\n' then
-            die t
-              (Printf.sprintf "bad byte %C in frame header" (Bytes.get t.buf !i))
-          else if !i = t.pos + 1 then die t "frame header without length"
-          else begin
-            (* Digits only, bounded width: accumulate directly. *)
-            let body_len = ref 0 in
-            for j = t.pos + 1 to !i - 1 do
-              body_len := (!body_len * 10) + (Char.code (Bytes.get t.buf j) - Char.code '0')
-            done;
-            let body_len = !body_len in
-            if body_len > t.max_frame then
-              die t (Printf.sprintf "frame of %d bytes exceeds limit" body_len)
-            else begin
-              let total = !i + 1 - t.pos + body_len in
-              if buffered t < total then `Await
-              else begin
-                let off = !i + 1 in
-                t.pos <- t.pos + total;
-                if t.pos = t.len then begin
-                  t.pos <- 0;
-                  t.len <- 0
-                end;
-                `Ok (off, body_len)
-              end
-            end
-          end
-        end
+    | None -> (
+        match frame_at t.buf t.pos t.len ~max_frame:t.max_frame with
+        | `Ok (off, len) as frame ->
+            t.pos <- off + len;
+            if t.pos = t.len then begin
+              t.pos <- 0;
+              t.len <- 0
+            end;
+            frame
+        | `Await -> `Await
+        | `Corrupt m -> die t m)
 
   (* Parse a consumed frame in place.  [Bytes.unsafe_to_string] is
      sound here: the buffer is not mutated between the scan and the

@@ -76,9 +76,11 @@ type cmd =
           array with one element per queued command *)
   | Info
       (** server introspection: replies one [Bulk] of "key:value"
-          lines — uptime, per-structure op counts, waiting gauge, and
-          (when durability is on) persist stats — so smoke jobs and
-          operators need not scrape [--stats-json] files *)
+          lines — uptime, per-structure op counts (keyed
+          [struct_"name"], the name quoted as [%S] quotes it, so no
+          name can end a line), waiting gauge, and (when durability is
+          on) persist stats — so smoke jobs and operators need not
+          scrape [--stats-json] files *)
   | Bgsave
       (** force a checkpoint now: folds every structure inside a
           snapshot transaction (writers stay live) and truncates the
@@ -154,7 +156,17 @@ val write_request : Buffer.t -> request -> unit
 val encode_cmds : cmd list -> string
 (** The hint-less request frames of [cmds], concatenated: the payload
     of an op-log or checkpoint record, parsed back on replay by
-    {!Decoder.next_request}. *)
+    {!iter_requests}. *)
+
+val iter_requests :
+  (request -> unit) -> Bytes.t -> int -> int -> [ `Ok | `Partial | `Bad of string ]
+(** [iter_requests f buf off len] parses the request frames that fill
+    the [len] bytes of [buf] from [off] (a record's payload) where they
+    lie, with the parser and the frame-header scan of {!Decoder}, and
+    calls [f] on each in order; [f] must not modify [buf].  It stops at
+    the first frame that does not parse: [`Partial] when the region
+    ends inside a frame, [`Bad m] when a frame's header or body is
+    malformed. *)
 
 (** {1 Zero-copy output}
 
@@ -243,9 +255,6 @@ module Decoder : sig
 
   val commit : t -> int -> unit
   (** Publish [n] bytes deposited after {!reserve}. *)
-
-  val buffered : t -> int
-  (** Bytes held but not yet consumed by a complete frame. *)
 
   type 'a item =
     [ `Ok of 'a  (** a well-formed frame *)

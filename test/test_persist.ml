@@ -14,7 +14,10 @@
    - Torn-tail cut exactness on a {e real} crash log: truncating the
      log mid-record recovers the same state as truncating at the
      preceding record boundary, and the boundary states are exactly
-     the write prefixes.
+     the write prefixes — also on an 8-shard log long enough that
+     replay closes batches at its cap, cut on both sides of each.
+   - A checkpoint that is not whole refuses recovery and applies
+     nothing.
    - BGSAVE concurrency: the server keeps answering writes while a
      checkpoint folds, and the checkpoint truncates the log
      (generation bump, old files deleted).
@@ -194,6 +197,10 @@ let recover_fresh ?(shards = 1) ?(algo = `Tl2) ~dir () =
 
 (* ---- frame-level fuzz --------------------------------------------------- *)
 
+(* A record as the tests build and read them: its body header and a
+   copy of its payload. *)
+type record = { hdr : P.Frame.header; payload : string }
+
 let gen_record =
   QCheck.Gen.(
     let* rtype = oneofl [ P.Frame.rt_op; P.Frame.rt_new ] in
@@ -201,14 +208,14 @@ let gen_record =
     let* shard = int_range 0 64 in
     let* stamp = int_range 0 1_000_000 in
     let+ payload = string_size ~gen:(map Char.chr (0 -- 255)) (0 -- 60) in
-    { P.Frame.hdr = { P.Frame.rtype; algo; shard; stamp }; payload })
+    { hdr = { P.Frame.rtype; algo; shard; stamp }; payload })
 
 let encode_log records =
   let b = Buffer.create 1024 in
   Buffer.add_string b P.Frame.log_magic;
   let ends = ref [ Buffer.length b ] in
   List.iter
-    (fun (r : P.Frame.record) ->
+    (fun (r : record) ->
       P.Frame.encode b r.hdr ~payload:r.payload;
       ends := Buffer.length b :: !ends)
     records;
@@ -217,12 +224,12 @@ let encode_log records =
 let scan_records path =
   let acc = ref [] in
   let scan =
-    P.Frame.scan_file ~magic:P.Frame.log_magic ~path ~f:(fun _ r ->
-        acc := r :: !acc)
+    P.Frame.scan ~magic:P.Frame.log_magic ~path ~f:(fun hdr buf off len ->
+        acc := { hdr; payload = Bytes.sub_string buf off len } :: !acc)
   in
   (List.rev !acc, scan)
 
-let record_eq (a : P.Frame.record) (b : P.Frame.record) =
+let record_eq (a : record) (b : record) =
   a.hdr = b.hdr && String.equal a.payload b.payload
 
 (* A file cut at byte [x] scans as exactly the records fully before
@@ -299,6 +306,53 @@ let prop_bitflip =
           List.length got = List.length expected
           && List.for_all2 record_eq got expected
           && scan.P.Frame.tear <> None))
+
+(* The scanner reads through a window of [P.Frame.window] bytes: records
+   that straddle its end, or are several windows long, scan like any
+   other.  A log of payloads from empty to three windows long, cut at
+   each record boundary and one byte short of it, scans as exactly the
+   records before the cut. *)
+let test_scan_long_records () =
+  let w = P.Frame.window in
+  let sizes = [ 0; 100; w - 20; w; (3 * w) + 7; 5; 2 * w; 1; w - 1 ] in
+  let records =
+    List.mapi
+      (fun i n ->
+        {
+          hdr = { P.Frame.rtype = P.Frame.rt_op; algo = i mod 2; shard = i; stamp = i };
+          payload = String.init n (fun j -> Char.chr (((i * 31) + j) land 0xff));
+        })
+      sizes
+  in
+  let bytes, ends = encode_log records in
+  let path = Filename.temp_file "polytm-long" ".ptmlog" in
+  let scan_cut cut =
+    write_file path (String.sub bytes 0 cut);
+    scan_records path
+  in
+  let first k = List.filteri (fun i _ -> i < k) records in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      List.iteri
+        (fun k e ->
+          let got, scan = scan_cut e in
+          Alcotest.(check bool)
+            (Printf.sprintf "cut after %d records: those records" k)
+            true
+            (List.length got = k && List.for_all2 record_eq got (first k));
+          Alcotest.(check bool) "no tear" true (scan.P.Frame.tear = None);
+          if k > 0 then begin
+            let got, scan = scan_cut (e - 1) in
+            Alcotest.(check bool)
+              (Printf.sprintf "cut inside record %d: the records before it" (k - 1))
+              true
+              (List.length got = k - 1 && List.for_all2 record_eq got (first (k - 1)));
+            Alcotest.(check int) "the tear is at the record's start"
+              (List.nth ends (k - 1))
+              (match scan.P.Frame.tear with Some t -> t.P.Frame.at | None -> -1)
+          end)
+        ends)
 
 (* ---- CRC-32 against a reference ------------------------------------------ *)
 
@@ -503,6 +557,201 @@ let test_torn_tail_real () =
   write_file path full;
   rm_rf dir
 
+(* ---- recovery across batch boundaries ----------------------------------- *)
+
+(* The store a log's records describe, by a model that reads each
+   record's frames with a decoder of its own, printed as [dump] prints
+   the store. *)
+type model_value =
+  | Mmap of (int * string) list
+  | Mset of int list
+  | Mqueue of string list
+
+let model_after records =
+  let tbl = Hashtbl.create 8 in
+  let update name f =
+    match Hashtbl.find_opt tbl name with
+    | Some v -> Hashtbl.replace tbl name (f v)
+    | None -> Alcotest.failf "an op on %S before its NEW" name
+  in
+  let wrong (req : Wire.request) =
+    Alcotest.failf "%s on the wrong kind" (Wire.cmd_name req.cmd)
+  in
+  let apply (req : Wire.request) =
+    match req.cmd with
+    | Wire.New (kind, name) ->
+        if not (Hashtbl.mem tbl name) then
+          Hashtbl.replace tbl name
+            (match kind with
+            | Wire.Kmap -> Mmap []
+            | Wire.Kset -> Mset []
+            | Wire.Kqueue -> Mqueue [])
+    | Wire.Put (name, k, v) ->
+        update name (function
+          | Mmap l -> Mmap ((k, v) :: List.remove_assoc k l)
+          | _ -> wrong req)
+    | Wire.Del (name, k) ->
+        update name (function
+          | Mmap l -> Mmap (List.remove_assoc k l)
+          | _ -> wrong req)
+    | Wire.Add (name, k) ->
+        update name (function
+          | Mset l -> Mset (k :: List.filter (( <> ) k) l)
+          | _ -> wrong req)
+    | Wire.Remove (name, k) ->
+        update name (function
+          | Mset l -> Mset (List.filter (( <> ) k) l)
+          | _ -> wrong req)
+    | Wire.Enq (name, v) ->
+        update name (function Mqueue l -> Mqueue (l @ [ v ]) | _ -> wrong req)
+    | Wire.Deq name ->
+        update name (function
+          | Mqueue (_ :: rest) -> Mqueue rest
+          | Mqueue [] -> Mqueue []
+          | _ -> wrong req)
+    | _ -> Alcotest.failf "unexpected %s in the log" (Wire.cmd_name req.cmd)
+  in
+  List.iter
+    (fun r ->
+      let dec = Wire.Decoder.create () in
+      Wire.Decoder.feed_string dec r.payload;
+      let rec go () =
+        match Wire.Decoder.next_request dec with
+        | `Ok req ->
+            apply req;
+            go ()
+        | `Await -> ()
+        | `Bad m | `Corrupt m -> Alcotest.failf "bad record payload: %s" m
+      in
+      go ())
+    records;
+  let body = function
+    | Mmap l ->
+        List.sort compare l
+        |> List.map (fun (k, v) -> Printf.sprintf "%d=%s" k v)
+    | Mset l -> List.map string_of_int (List.sort compare l)
+    | Mqueue l -> l
+  in
+  Hashtbl.fold (fun name v acc -> (name, v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.map (fun (name, v) -> name ^ "{" ^ String.concat ";" (body v) ^ "}")
+  |> String.concat "\n"
+
+(* An 8-shard store holding a map, a queue and, from mid-log on, a set,
+   written through a live session: stretches of ops on random keys
+   around two long runs on one instance (the queue's home shard and the
+   map keys it owns), each longer than the replay's batch cap.  The
+   clean log, and the log cut one byte short of the record boundaries
+   on both sides of every point where replay closes a batch at the cap,
+   must each recover exactly the model's store after the records before
+   the cut. *)
+let test_recovery_across_batches () =
+  let dir = fresh_dir "batches" in
+  let cap = Persist.batch_cap in
+  let st = Random.State.make [| Test_seed.seed; 21 |] in
+  let live =
+    run_session ~dir ~policy:`Always ~shards:8 (fun fd reg _p ->
+        let send_all cmds =
+          List.iter (fun batch -> ignore (roundtrip fd batch)) (chunks 32 cmds)
+        in
+        send_all [ Wire.New (Wire.Kmap, "m"); Wire.New (Wire.Kqueue, "q") ];
+        let m, home =
+          match (Registry.lookup reg "m", Registry.lookup reg "q") with
+          | ( Some { Registry.entry = Registry.Emap m; _ },
+              Some { Registry.entry = Registry.Equeue (_, home); _ } ) ->
+              (m, Registry.Router.shard (Registry.router_for reg `Tl2) home)
+          | _ -> Alcotest.fail "NEW m, q"
+        in
+        let local =
+          Array.of_list
+            (List.filter
+               (fun k -> Registry.Shd.Map.owner m k == home)
+               (List.init 400 Fun.id))
+        in
+        let op i key =
+          let k = key () and v = Printf.sprintf "v%d" i in
+          match Random.State.int st 10 with
+          | 0 | 1 | 2 | 3 -> Wire.Put ("m", k, v)
+          | 4 | 5 -> Wire.Del ("m", k)
+          | 6 | 7 | 8 -> Wire.Enq ("q", v)
+          | _ -> Wire.Deq "q"
+        in
+        let anywhere () = Random.State.int st 400 in
+        let on_home () = local.(Random.State.int st (Array.length local)) in
+        send_all (List.init 100 (fun i -> op i anywhere));
+        send_all (List.init (cap + 100) (fun i -> op (1000 + i) on_home));
+        send_all [ Wire.New (Wire.Kset, "s") ];
+        send_all
+          (List.init 100 (fun i ->
+               match Random.State.int st 3 with
+               | 0 -> Wire.Add ("s", anywhere ())
+               | 1 -> Wire.Remove ("s", anywhere ())
+               | _ -> op (2000 + i) anywhere));
+        send_all (List.init ((2 * cap) + 100) (fun i -> op (3000 + i) on_home));
+        dump reg)
+  in
+  let gen =
+    match P.Layout.read_manifest ~dir with
+    | Some g -> g
+    | None -> Alcotest.fail "no manifest"
+  in
+  let path = P.Layout.log_path ~dir gen in
+  let full = read_file path in
+  let records, _ = scan_records path in
+  let n = List.length records in
+  Alcotest.(check string) "the model reads the live store" live
+    (model_after records);
+  (* [ends.(k)]: the offset one past the first [k] records *)
+  let ends = Array.make (n + 1) P.Frame.magic_len in
+  List.iteri
+    (fun i r -> ends.(i + 1) <- ends.(i) + 8 + P.Frame.body_hdr_len + String.length r.payload)
+    records;
+  (* Where replay closes a batch at the cap: after record [i] when the
+     batch it ends holds [cap] frames of one instance (one frame per
+     record here). *)
+  let cap_ends =
+    let rec go i on run acc = function
+      | [] -> List.rev acc
+      | r :: rest ->
+          if r.hdr.P.Frame.rtype = P.Frame.rt_new then go (i + 1) None 0 acc rest
+          else
+            let here = Some (r.hdr.algo, r.hdr.shard) in
+            let run = if here = on then run + 1 else 1 in
+            if run = cap then go (i + 1) None 0 (i :: acc) rest
+            else go (i + 1) here run acc rest
+    in
+    go 0 None 0 [] records
+  in
+  Alcotest.(check bool) "the log crosses the cap at least twice" true
+    (List.length cap_ends >= 2);
+  let records_a = Array.of_list records in
+  let expect k = model_after (Array.to_list (Array.sub records_a 0 k)) in
+  let recover_cut ~cut ~torn =
+    write_file path (String.sub full 0 cut);
+    let reg, r = recover_fresh ~shards:8 ~dir () in
+    Alcotest.(check bool)
+      (Printf.sprintf "a tear reported for a cut at byte %d" cut)
+      torn (r.Persist.r_tear <> None);
+    dump reg
+  in
+  Alcotest.(check string) "the clean log" live
+    (recover_cut ~cut:(String.length full) ~torn:false);
+  List.iter
+    (fun i ->
+      (* record [i] closes a full batch: cut inside it, and inside the
+         records just after it *)
+      List.iter
+        (fun k ->
+          if k <= n then
+            Alcotest.(check string)
+              (Printf.sprintf "cut one byte short of the end of record %d" (k - 1))
+              (expect (k - 1))
+              (recover_cut ~cut:(ends.(k) - 1) ~torn:true))
+        [ i + 1; i + 2; i + 3 ])
+    cap_ends;
+  write_file path full;
+  rm_rf dir
+
 (* ---- BGSAVE concurrency and log truncation ------------------------------ *)
 
 let test_bgsave_concurrent () =
@@ -607,7 +856,7 @@ let test_bgsave_concurrent () =
           Alcotest.(check bool)
             "INFO persist_gen" true
             (has (Printf.sprintf "persist_gen:%d" gen1));
-          Alcotest.(check bool) "INFO struct ops" true (has "struct_m:")
+          Alcotest.(check bool) "INFO struct ops" true (has "struct_\"m\":")
       | _ -> Alcotest.fail "INFO failed");
   (* the checkpointed store recovers *)
   let reg2, r = recover_fresh ~dir () in
@@ -652,7 +901,7 @@ let test_info_and_off_refusals () =
           in
           Alcotest.(check bool) "uptime" true (has "uptime_sec:");
           Alcotest.(check bool) "structures" true (has "structures:1");
-          Alcotest.(check bool) "struct ops" true (has "struct_m:kind=map");
+          Alcotest.(check bool) "struct ops" true (has "struct_\"m\":kind=map");
           Alcotest.(check bool) "persist off" true (has "persist:off")
       | _ -> Alcotest.fail "INFO failed");
       (match roundtrip client_fd [ Wire.Bgsave ] with
@@ -769,7 +1018,7 @@ let test_parked_pop_marks_after_commit () =
   let records, _ = scan_records (P.Layout.log_path ~dir gen) in
   (match
      List.find_opt
-       (fun (r : P.Frame.record) -> r.payload = frames [ Wire.Deq name ])
+       (fun (r : record) -> r.payload = frames [ Wire.Deq name ])
        records
    with
   | Some r ->
@@ -805,12 +1054,11 @@ let mentions m sub =
 
 (* A log whose records pass their CRC but whose payloads are not wire
    frames refuses recovery with a typed error, and a later recovery in
-   the same process starts from a clean decoder: one that outlived a
-   refused recovery would still hold a partial frame, or be latched
-   dead by the broken one. *)
+   the same process starts clean: no parser state or pending batch
+   outlives a refused recovery. *)
 let test_replay_refusals () =
   let record rtype stamp payload =
-    { P.Frame.hdr = { P.Frame.rtype; algo = 0; shard = 0; stamp }; payload }
+    { hdr = { P.Frame.rtype; algo = 0; shard = 0; stamp }; payload }
   in
   let records payload =
     [
@@ -848,6 +1096,71 @@ let test_replay_refusals () =
       Alcotest.(check string) "every frame of the MULTI record replayed"
         "m{1=a;2=b;3=c}" (dump reg)
 
+(* ---- a bad checkpoint refuses and applies nothing ----------------------- *)
+
+(* Three checkpoints that each hold a map with two bindings but are
+   not whole: one without its bounds record, one whose trailer counts
+   wrong, one whose last body record fails its CRC.  Each refuses
+   recovery, and the registry it ran on stays empty: the checkpoint is
+   validated to its end before any record applies. *)
+let test_bad_checkpoint_applies_nothing () =
+  let zero rtype = { P.Frame.rtype; algo = 0; shard = 0; stamp = 0 } in
+  let body =
+    [
+      (zero P.Frame.rt_new, frames [ Wire.New (Wire.Kmap, "m") ]);
+      (zero P.Frame.rt_op, frames [ Wire.Put ("m", 1, "a") ]);
+      (zero P.Frame.rt_op, frames [ Wire.Put ("m", 2, "b") ]);
+    ]
+  in
+  let bounds = (zero P.Frame.rt_bounds, P.Frame.encode_bounds [ (0, 0, 0) ]) in
+  let checkpoint ?(trailer = List.length body + 1) records =
+    let b = Buffer.create 256 in
+    Buffer.add_string b P.Frame.ckpt_magic;
+    List.iter (fun (hdr, payload) -> P.Frame.encode b hdr ~payload) records;
+    let last_body_end = Buffer.length b in
+    P.Frame.encode b (zero P.Frame.rt_trailer) ~payload:(P.Frame.encode_count trailer);
+    (Buffer.contents b, last_body_end)
+  in
+  let refused what ckpt expect =
+    let dir = fresh_dir "bad-ckpt" in
+    Unix.mkdir dir 0o755;
+    write_file (P.Layout.ckpt_path ~dir 1) ckpt;
+    write_file (P.Layout.log_path ~dir 1) P.Frame.log_magic;
+    P.Layout.write_manifest ~dir ~gen:1;
+    let reg = Registry.create ~shards:1 ~default_algo:`Tl2 () in
+    (match Persist.recover ~dir reg with
+    | Ok _ -> Alcotest.failf "%s: recovery succeeded" what
+    | Error m ->
+        if not (mentions m expect) then
+          Alcotest.failf "%s: %S does not mention %S" what m expect);
+    Alcotest.(check (list string))
+      (what ^ ": no structure recovered") []
+      (List.map fst (Registry.slots reg));
+    rm_rf dir
+  in
+  let whole, _ = checkpoint (bounds :: body) in
+  (let dir = fresh_dir "good-ckpt" in
+   Unix.mkdir dir 0o755;
+   write_file (P.Layout.ckpt_path ~dir 1) whole;
+   P.Layout.write_manifest ~dir ~gen:1;
+   let reg, _ = recover_fresh ~dir () in
+   Alcotest.(check string) "the whole checkpoint loads" "m{1=a;2=b}" (dump reg);
+   rm_rf dir);
+  refused "no bounds record" (fst (checkpoint ~trailer:3 body))
+    "missing bounds record";
+  refused "a wrong trailer count"
+    (fst (checkpoint ~trailer:(List.length body + 2) (bounds :: body)))
+    "trailer count mismatch";
+  let flipped =
+    let bytes, last_body_end = checkpoint (bounds :: body) in
+    let b = Bytes.of_string bytes in
+    (* the last byte of the last body record's payload *)
+    let i = last_body_end - 1 in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
+    Bytes.to_string b
+  in
+  refused "a CRC mismatch in the last body record" flipped "crc-mismatch"
+
 (* ---- a failed log write loses nothing ----------------------------------- *)
 
 (* A write that raises (here ENOSPC, from /dev/full put in place of the
@@ -881,7 +1194,7 @@ let test_aof_failed_write () =
   Alcotest.(check int) "synced_seq" 5 (P.Aof.synced_seq aof);
   let records, scan = scan_records path in
   Alcotest.(check (list int)) "every record on disk, in order" [ 1; 2; 3; 4; 5 ]
-    (List.map (fun (r : P.Frame.record) -> r.hdr.stamp) records);
+    (List.map (fun (r : record) -> r.hdr.stamp) records);
   Alcotest.(check bool) "no tear" true (scan.P.Frame.tear = None);
   P.Aof.close aof;
   rm_rf dir
@@ -926,7 +1239,7 @@ let test_tick_survives_failed_sync () =
   let records, scan = scan_records (P.Layout.log_path ~dir 1) in
   Alcotest.(check (list (pair int string)))
     "the record on disk" [ (7, payload) ]
-    (List.map (fun (r : P.Frame.record) -> (r.hdr.stamp, r.payload)) records);
+    (List.map (fun (r : record) -> (r.hdr.stamp, r.payload)) records);
   Alcotest.(check bool) "no tear" true (scan.P.Frame.tear = None);
   P.Oplog.close log;
   rm_rf dir
@@ -1018,14 +1331,14 @@ let test_arming_per_thread_and_log () =
   Alcotest.(check (list (pair int string)))
     "log A: each thread's payloads with their own stamps, in commit order"
     expected
-    (List.map (fun (r : P.Frame.record) -> (r.hdr.stamp, r.payload)) records_a);
+    (List.map (fun (r : record) -> (r.hdr.stamp, r.payload)) records_a);
   let by_seq = Array.of_list records_a in
   let named (tid, mine) =
     List.mapi
       (fun i ticket ->
         match ticket with
         | Some (_, seq) when seq >= 1 && seq <= Array.length by_seq ->
-            by_seq.(seq - 1).P.Frame.payload
+            by_seq.(seq - 1).payload
         | Some _ | None -> Printf.sprintf "no record for thread %d op %d" tid (i + 1))
       mine
   in
@@ -1039,7 +1352,7 @@ let test_arming_per_thread_and_log () =
   Alcotest.(check (list (pair int string)))
     "log B: only what was armed for B" [ (1, "armed for B") ]
     (List.map
-       (fun (r : P.Frame.record) -> (r.hdr.shard, r.payload))
+       (fun (r : record) -> (r.hdr.shard, r.payload))
        records_b);
   rm_rf dir_a;
   rm_rf dir_b
@@ -1188,6 +1501,8 @@ let suite =
     [
       prop prop_torn_tail;
       prop prop_bitflip;
+      Alcotest.test_case "scan reads records longer than its window" `Quick
+        test_scan_long_records;
       Alcotest.test_case "CRC-32 check value; update checks its range" `Quick
         test_crc_check_value;
       prop prop_crc_reference;
@@ -1202,6 +1517,8 @@ let suite =
         (test_recovery_differential ~algo:`Norec ~shards:8);
       Alcotest.test_case "torn-tail cut exactness on a crash log" `Quick
         test_torn_tail_real;
+      Alcotest.test_case "recovery across batch boundaries" `Quick
+        test_recovery_across_batches;
       Alcotest.test_case "BGSAVE concurrent with writers truncates the log"
         `Quick test_bgsave_concurrent;
       Alcotest.test_case "INFO lines; BGSAVE/LASTSAVE refused without --dir"
@@ -1212,6 +1529,8 @@ let suite =
         `Quick test_parked_pop_marks_after_commit;
       Alcotest.test_case "replay refuses malformed payloads; decoder per recovery"
         `Quick test_replay_refusals;
+      Alcotest.test_case "a bad checkpoint refuses and applies nothing" `Quick
+        test_bad_checkpoint_applies_nothing;
       Alcotest.test_case "a failed log write keeps its records" `Quick
         test_aof_failed_write;
       Alcotest.test_case "a failed tick sync is counted and retried" `Quick

@@ -898,6 +898,29 @@ let test_newline_name_watch_refused () =
       Alcotest.check resps_t "the refused watcher still answers" [ Wire.pong ]
         (recv_n fd 1))
 
+(* INFO is one "key:value" line per fact, so a name that holds a newline
+   and a key of its own must not add a line: INFO quotes it. *)
+let test_newline_name_info_quoted () =
+  with_session (fun fd _ _ _ ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+      write_all fd
+        (encode [ req (Wire.New (Wire.Kmap, "a\nuptime_sec:999")); req Wire.Info ]);
+      match recv_n fd 2 with
+      | [ Wire.Simple "OK"; Wire.Bulk info ] ->
+          let lines = String.split_on_char '\n' info in
+          let starting p =
+            List.length
+              (List.filter (String.starts_with ~prefix:p) lines)
+          in
+          Alcotest.(check int) "one uptime_sec line" 1 (starting "uptime_sec:");
+          Alcotest.(check int) "one struct_ line" 1 (starting "struct_");
+          Alcotest.(check bool) "the name is quoted" true
+            (List.mem "struct_\"a\\nuptime_sec:999\":kind=map,algo=tl2,ops=0"
+               lines)
+      | got ->
+          Alcotest.failf "NEW then INFO, got %s"
+            (String.concat " | " (List.map pp_resp got)))
+
 (* ---- dual-backend hosting: a NORec structure next to a TL2 one --------- *)
 
 let test_mixed_algo_structures () =
@@ -1301,6 +1324,8 @@ let suite =
         test_newline_name_kind_mismatch;
       Alcotest.test_case "WATCH of a name with a newline is refused" `Quick
         test_newline_name_watch_refused;
+      Alcotest.test_case "INFO quotes a name with a newline" `Quick
+        test_newline_name_info_quoted;
       Alcotest.test_case "NORec structure next to a TL2 one" `Quick
         test_mixed_algo_structures;
       Test_seed.to_alcotest session_short_io_property;
