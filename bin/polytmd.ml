@@ -22,7 +22,13 @@ let listen_t =
 let workers_t =
   Arg.(value & opt int 4
        & info [ "workers"; "w" ] ~docv:"N"
-           ~doc:"Worker domains serving connections.")
+           ~doc:
+             (Printf.sprintf
+                "Worker domains serving connections.  Each waits with \
+                 select(2), which takes no fd at or above %d \
+                 (FD_SETSIZE): a connection whose fd is that high is \
+                 closed on arrival and counted in INFO's fd_refused."
+                Limits.fd_limit))
 
 let shards_t =
   Arg.(value & opt int 1

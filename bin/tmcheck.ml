@@ -164,6 +164,39 @@ let shard_2pc_program ~algo ~stabilize () =
   assert (AM.S.atomically s0 (fun tx -> AM.S.read tx a) = 1);
   assert (AM.S.atomically s1 (fun tx -> AM.S.read tx b) = 1)
 
+(* The registering wait (DESIGN.md §S19): a loop-like thread runs a
+   blocking dequeue through [try_atomically_or_wait].  When it gets a
+   wait back it parks on its own parker, as an event loop blocks in
+   [select], and the wake unparks it, as a post writes the loop's wake
+   pipe; on waking it cancels the wait and re-runs.  A producer's
+   commit races the window between the empty read and the
+   registration.  [fault] builds the store with
+   [`Skip_wake_validation] for the [--expect-violation] self-test. *)
+let loop_wait_program ?fault () =
+  let stm = AM.S.create ~cm:Polytm.Contention.Suicide ?fault () in
+  let q = AM.Queue.create stm in
+  let loop = R.parker () in
+  let got = ref None in
+  let rec serve () =
+    match
+      AM.S.try_atomically_or_wait
+        ~wake:(fun () -> R.unpark loop)
+        [ stm ]
+        (fun () -> AM.S.atomically stm (fun tx -> AM.Queue.take_tx tx q))
+    with
+    | AM.S.Outcome outcome -> got := Some outcome
+    | AM.S.Waiting w ->
+        ignore (R.park loop ~deadline:None);
+        AM.S.cancel_wait w;
+        serve ()
+  in
+  let c = Sim.spawn serve in
+  let p = Sim.spawn (fun () -> AM.Queue.enqueue q 7) in
+  Sim.join c;
+  Sim.join p;
+  assert (!got = Some (AM.S.Committed 7));
+  assert (AM.S.waiting stm = 0)
+
 let scenarios : (string * string * (unit -> unit)) list =
   [
     ( "stm-increments",
@@ -230,6 +263,17 @@ let scenarios : (string * string * (unit -> unit)) list =
         Sim.join c;
         Sim.join p;
         assert (!got = Some 7) );
+    ( "retry-loop-wake",
+      "a loop-like waiter registers its retry wait instead of parking in \
+       the STM, blocks on its own parker and re-runs on the wake; a \
+       producer's commit races the register/revalidate window and the \
+       wake is never lost",
+      fun () -> loop_wait_program () );
+    ( "retry-loop-wake-broken",
+      "self-test, run with --expect-violation: retry-loop-wake on a store \
+       whose registration skips the re-validation misses a commit that \
+       lands before it and blocks forever (deadlock)",
+      fun () -> loop_wait_program ~fault:`Skip_wake_validation () );
     ( "shard-2pc",
       "a cross-shard transaction writing two shards is never read torn: \
        a concurrent spanning snapshot sees neither write or both, under \

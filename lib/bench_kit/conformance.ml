@@ -154,9 +154,12 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) = struct
     | "sharded-queue" ->
         (* Pinned whole to its key's owner shard: FIFO order cannot be
            hash-partitioned, so the history must be indistinguishable
-           from a single-instance queue's. *)
+           from a single-instance queue's.  Each op runs elastic, as a
+           client's hint runs it. *)
         let q, events =
-          AM.record_queue (AM.sharded_queue ~shards:8 (fun _ -> stm ()))
+          AM.record_queue
+            (AM.sharded_queue ~profile:Ad.mixed_profile ~shards:8 (fun _ ->
+                 stm ()))
         in
         Queue_impl (q, events)
     | "stm-queue-blocking" ->

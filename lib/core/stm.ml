@@ -318,8 +318,11 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
   and thread_ctx = {
     mutable cur_tx : tx option;
     stores : stores;
-    waiter : Wq.waiter;  (** pooled like the stores: flat nesting means
-                             at most one waiter per thread per instance *)
+    parker : R.parker;
+    waiter : Wq.waiter;
+        (** a blocking park's waiter, whose wake unparks [parker];
+            pooled like the stores: flat nesting means at most one
+            park per thread per instance *)
   }
 
   (* Creation order defines the canonical instance order (a plain
@@ -361,6 +364,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
       versions;
       current =
         R.tls (fun () ->
+            let parker = R.parker () in
             {
               cur_tx = None;
               stores =
@@ -376,7 +380,8 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
                   s_retry_vars = Vec.create dummy_tvar;
                   s_retry_vers = Vec.create 0;
                 };
-              waiter = Wq.waiter ();
+              parker;
+              waiter = Wq.waiter (fun () -> R.unpark parker);
             });
       c_starts = R.counter ();
       c_commits = R.counter ();
@@ -1649,61 +1654,58 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     done;
     (vars, vers, tx.rv)
 
-  (* Park until a commit plausibly changed the wait set, the deadline
-     passes, or a (harmless) spurious wakeup.  The lost-wakeup-free
-     order is: clear stale permits, REGISTER, then re-validate, then
-     park.  A commit that finished before registration left a version
-     (TL2) or clock (NOrec) change behind, which the validation sees —
-     skip the park, re-run now.  A commit after registration finds the
-     waiter in the table and deposits a permit, which makes the park
-     return even if it wins the race to run first.  TL2 validates each
-     wait-set entry against its lock word ([Locked] counts as changed:
-     the committer is writing that very location); NOrec can only
-     compare the clock against the timestamp the aborted attempt was
-     valid at — coarser, but wrong only towards extra re-runs.  The
-     [`Skip_wake_validation] fault parks without re-validating: the
-     classic lost-wakeup bug, kept so the Explore model check can prove
-     it would catch one. *)
-  let park_for_wakeup tx ~deadline ~wvars ~wvers ~wrv =
-    let stm = tx.stm in
-    let w = tx.ctx.waiter in
-    R.park_prepare w.Wq.parker;
-    (match stm.algo with
+  (* Register [w] on the wait set of an attempt that retried, then
+     re-validate the set: the one step both ways of waiting share.
+     [true] means nothing in the set changed since the attempt read
+     it, so the caller may wait for [w]'s wake; [false] that a commit
+     already changed it, so the caller cancels [w] and re-runs now.
+     The order is what makes it lost-wakeup free: a commit that
+     finished before registration left a version (TL2) or clock
+     (NOrec) change behind, which the validation sees, and a commit
+     after registration finds [w] in the table and calls its wake.
+     TL2 validates each wait-set entry against its lock word ([Locked]
+     counts as changed: the committer is writing that very location);
+     NOrec can only compare the clock against the timestamp the
+     aborted attempt was valid at — coarser, but wrong only towards
+     extra re-runs.  The [`Skip_wake_validation] fault skips the
+     validation: the classic lost-wakeup bug, kept so the Explore
+     model check can prove it would catch one: [retry-lost-wakeup]
+     and [retry-loop-wake] schedule a commit between the attempt's
+     last read and this registration, and must find the lost wake. *)
+  let register_wait stm w ~wvars ~wvers ~wrv =
+    Wq.register stm.waitq w
+      (match stm.algo with
+      | `Tl2 -> Array.map (fun (v : Obj.t tvar) -> v.id) wvars
+      | `Norec -> [||]);
+    has_fault stm `Skip_wake_validation
+    ||
+    match stm.algo with
     | `Tl2 ->
-        Wq.register stm.waitq w
-          (Array.map (fun (v : Obj.t tvar) -> v.id) wvars)
-    | `Norec -> Wq.register_global stm.waitq w);
-    let unchanged =
-      if has_fault stm `Skip_wake_validation then true
-      else
-        match stm.algo with
-        | `Tl2 ->
-            let ok = ref true in
-            let i = ref 0 in
-            let n = Array.length wvars in
-            while !ok && !i < n do
-              (match R.get wvars.(!i).lock with
-              | Unlocked ver when ver = wvers.(!i) -> incr i
-              | Unlocked _ | Locked _ -> ok := false)
-            done;
-            !ok
-        | `Norec -> R.get stm.clock = wrv
-    in
-    let result =
-      if unchanged then begin
-        R.add_counter stm.c_parks 1;
-        emit_park tx (Array.length wvars);
-        let r = R.park w.Wq.parker ~deadline in
-        R.add_counter
-          (match r with `Woken -> stm.c_wakes | `Timeout -> stm.c_wake_timeouts)
-          1;
-        emit_wake tx r;
-        r
-      end
-      else `Woken
-    in
-    Wq.cancel stm.waitq w;
-    result
+        let rec unchanged i =
+          i = Array.length wvars
+          || (match R.get wvars.(i).lock with
+             | Unlocked ver -> ver = wvers.(i)
+             | Locked _ -> false)
+             && unchanged (i + 1)
+        in
+        unchanged 0
+    | `Norec -> R.get stm.clock = wrv
+
+  (* A wait registered instead of parked ([try_atomically_or_wait]):
+     its own waiter, whose wake calls the caller's at most once, and
+     not once the wait is cancelled. *)
+  type wait = { wstm : t; waiter : Wq.waiter; fired : bool Atomic.t }
+
+  exception Registered of wait
+
+  let registered stm wake =
+    let fired = Atomic.make false in
+    let once () = if not (Atomic.exchange fired true) then wake () in
+    { wstm = stm; waiter = Wq.waiter once; fired }
+
+  let cancel_wait w =
+    Atomic.set w.fired true;
+    Wq.cancel w.wstm.waitq w.waiter
 
   (* The bound vector of a cross-instance snapshot, from a double
      collect: pass 1 draws every member's stable clock while that
@@ -1767,6 +1769,9 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
         (** conflict exhaustion (or the adaptive CM) takes the
             serialization tokens rather than giving up *)
     irrevocable : bool;  (** holds the tokens from the first attempt *)
+    wake : (unit -> unit) option;
+        (** [try_atomically_or_wait]: a [retry] registers a wait with
+            this wake and returns it instead of parking *)
   }
 
   (* Arm every member for attempt [n] and enter its extent.  A
@@ -1909,12 +1914,44 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
           if serializes then escalate r (n + 1)
           else Exhausted { reason; attempts = n }
       | Some (wvars, wvers, wrv) -> (
-          (* A [retry] waiter.  Never serialized: a parked token holder
-             would stall every committer, including its own waker. *)
-          let deadline = r.deadline in
-          match park_for_wakeup r.txs.(0) ~deadline ~wvars ~wvers ~wrv with
-          | `Woken -> attempt r (n + 1) ~token:false
-          | `Timeout -> Deadline_exceeded { reason; attempts = n })
+          (* A [retry] waiter: it registers, re-validates, then parks on
+             the thread's parker (after clearing stale permits; a
+             pending permit makes the park return even if the waker ran
+             first), or hands its registered wait to the caller of
+             [try_atomically_or_wait].  Never serialized: a parked
+             token holder would stall every committer, including its
+             own waker. *)
+          let tx = r.txs.(0) in
+          let stm = tx.stm and ctx = tx.ctx in
+          let wait = Option.map (registered stm) r.wake in
+          let w =
+            match wait with
+            | Some wt -> wt.waiter
+            | None ->
+                R.park_prepare ctx.parker;
+                ctx.waiter
+          in
+          if not (register_wait stm w ~wvars ~wvers ~wrv) then begin
+            Option.iter (fun wt -> Atomic.set wt.fired true) wait;
+            Wq.cancel stm.waitq w;
+            attempt r (n + 1) ~token:false
+          end
+          else begin
+            R.add_counter stm.c_parks 1;
+            emit_park tx (Array.length wvars);
+            match wait with
+            | Some wt -> raise (Registered wt)
+            | None -> (
+                let woken = R.park ctx.parker ~deadline:r.deadline in
+                R.add_counter
+                  (if woken = `Woken then stm.c_wakes else stm.c_wake_timeouts)
+                  1;
+                emit_wake tx woken;
+                Wq.cancel stm.waitq w;
+                match woken with
+                | `Woken -> attempt r (n + 1) ~token:false
+                | `Timeout -> Deadline_exceeded { reason; attempts = n })
+          end)
       | None ->
           if
             serializes
@@ -1949,7 +1986,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
   let multi_optimistic_cap = 16
   let multi_snapshot_cap = 64
 
-  let start ~raising ~irrevocable ~budget ~deadline txs body =
+  let start ?wake ~raising ~irrevocable ~budget ~deadline txs body =
     let lead = txs.(0).stm in
     let r =
       {
@@ -1968,6 +2005,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
         escalates =
           (raising || Option.is_none budget) && lead.on_exhaustion = `Serialize;
         irrevocable;
+        wake;
       }
     in
     if irrevocable then begin
@@ -2032,7 +2070,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     done;
     Array.sub arr 0 !uniq
 
-  let multi ~raising ?(sem = Semantics.Classic) ?(label = "") ?budget
+  let multi ?wake ~raising ?(sem = Semantics.Classic) ?(label = "") ?budget
       ?deadline ?bounds stms f =
     let members = canonical_instances stms in
     if Array.length members = 0 then
@@ -2073,7 +2111,8 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
           members ctxs
       in
       let outcome =
-        start ~raising ~irrevocable:false ~budget ~deadline txs (fun _ -> f ())
+        start ?wake ~raising ~irrevocable:false ~budget ~deadline txs (fun _ ->
+            f ())
       in
       (match outcome with
       | Committed _ -> put_bounds txs
@@ -2096,6 +2135,13 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     | [ stm ], None ->
         try_atomically ?sem ?label ?budget ?deadline stm (fun _ -> f ())
     | _ -> multi ~raising:false ?sem ?label ?budget ?deadline ?bounds stms f
+
+  type 'a or_wait = Outcome of 'a outcome | Waiting of wait
+
+  let try_atomically_or_wait ?sem ?label ?budget ?deadline ~wake stms f =
+    match multi ~wake ~raising:false ?sem ?label ?budget ?deadline stms f with
+    | outcome -> Outcome outcome
+    | exception Registered w -> Waiting w
 
   (* ------------------------------------------------------------------ *)
   (* Statistics and recording                                            *)

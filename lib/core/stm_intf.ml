@@ -335,6 +335,53 @@ module type S = sig
       still escalates after its optimistic rounds and commits.  With a
       one-member list and no [bounds] it is {!try_atomically}. *)
 
+  (** {1 Waiting without blocking}
+
+      A thread that serves many clients, such as an event loop, cannot
+      park in {!retry}.  It runs the transaction through
+      {!try_atomically_or_wait} instead, and gets the wait back. *)
+
+  type wait
+  (** A [retry] wait set registered with a caller's wake function.  It
+      stays registered, and counts in {!waiting}, until {!cancel_wait}. *)
+
+  type 'a or_wait =
+    | Outcome of 'a outcome  (** the call ended as {!try_atomically_multi}'s *)
+    | Waiting of wait  (** the body retried and its wait set is registered *)
+
+  val try_atomically_or_wait :
+    ?sem:Semantics.t ->
+    ?label:string ->
+    ?budget:int ->
+    ?deadline:int ->
+    wake:(unit -> unit) ->
+    t list ->
+    (unit -> 'a) ->
+    'a or_wait
+  (** [try_atomically_or_wait ~wake stms f] runs [f] as
+      {!try_atomically_multi} does, except where {!retry} would park:
+      there the attempt's wait set is registered with [wake] and the
+      call returns [Waiting w] at once.  Registration takes the same
+      register-then-revalidate step as a park, so a commit that changed
+      the wait set before the registration makes the call re-run [f]
+      instead of returning, and the first later commit that writes the
+      set calls [wake] (from the committing thread, outside every STM
+      lock; possibly spuriously: the write need not enable [f]).  [wake]
+      runs at most once per wait, and not once {!cancel_wait} has
+      marked it.  It must therefore only hand the resume to its
+      caller's own thread — post it to an event loop — and must not
+      block or run a transaction.
+      The resume is the caller's: {!cancel_wait} [w], then call this
+      function again, which may register anew.  A deadline or budget
+      applies to one call, not across waits; the caller owns the time
+      it waits.  Counted in [parks] when registered; [wakes] and
+      [wake_timeouts] count blocking parks only.
+      @raise Invalid_operation as {!retry} does. *)
+
+  val cancel_wait : wait -> unit
+  (** Deregister a wait and silence its wake.  Idempotent; a wake that
+      had already begun when the cancel ran may still finish. *)
+
   val read : tx -> 'a tvar -> 'a
   (** Transactional read, honouring the transaction's semantics. *)
 
@@ -361,6 +408,8 @@ module type S = sig
       per-location metadata), but never lost: the waiter registers,
       re-validates its wait set, and only then parks, so a racing
       commit either fails the validation or deposits a wakeup permit.
+      Under {!try_atomically_or_wait} the same wait set is registered
+      and handed back to the caller instead of parking the thread.
 
       Liveness bounds compose: [atomically ~deadline] / [~budget] cap
       the wait — a deadline wakes the parked thread and surfaces as
@@ -377,10 +426,12 @@ module type S = sig
       read nothing (an empty wait set would wait forever). *)
 
   val waiting : t -> int
-  (** Number of transactions currently registered as [retry] waiters
-      (parked or about to park).  Uncharged read; used by shutdown
-      drains and admission control.  With no transaction in flight it
-      must be 0 — no waiter outlives its [atomically] call. *)
+  (** Number of [retry] waiters currently registered: threads parked or
+      about to park, and waits from {!try_atomically_or_wait} not yet
+      cancelled.  Uncharged read; used by shutdown drains and admission
+      control.  With no transaction in flight and every registered wait
+      cancelled it must be 0 — no park outlives its [atomically]
+      call. *)
 
   val orelse : tx -> (tx -> 'a) -> (tx -> 'a) -> 'a
   (** [orelse tx f g] runs [f]; if [f] aborts explicitly via {!abort}
@@ -489,10 +540,11 @@ module type S = sig
             budget (whether it then serialized or raised) *)
     retry_waits : int;  (** attempts aborted by {!retry} *)
     parks : int;
-        (** times a retrying thread actually parked (a pre-park
-            validation failure re-runs immediately without parking) *)
-    wakes : int;  (** parks ended by a committing writer's notify *)
-    wake_timeouts : int;  (** parks ended by the call's deadline *)
+        (** times a retrying thread actually parked, or registered a
+            wait with {!try_atomically_or_wait} (a validation failure
+            after registering re-runs immediately instead) *)
+    wakes : int;  (** blocking parks ended by a committing writer's notify *)
+    wake_timeouts : int;  (** blocking parks ended by the call's deadline *)
     multi_commits : int;
         (** commits this instance took part in as a member of a
             cross-instance transaction ({!atomically_multi}) *)

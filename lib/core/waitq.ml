@@ -8,11 +8,17 @@
     releasing their locks and wake the waiters parked on the locations
     they wrote.
 
+    A waiter carries a {e wake} function, which a notifying commit
+    calls.  A blocking park's wake unparks the thread's pooled parker;
+    a wait registered by [try_atomically_or_wait] has its caller's
+    wake, which an event loop uses to post the session's resume to
+    itself.
+
     Lost-wakeup freedom is the caller's protocol, not the registry's:
     the waiter registers {e first}, then re-validates its read set, and
-    only then parks — so a commit that lands before registration is
-    caught by validation, and one that lands after deposits a permit in
-    the waiter's parker (see {!Runtime_intf.RUNTIME}).
+    only then waits — so a commit that lands before registration is
+    caught by validation, and one that lands after calls the wake (for
+    a park, a permit in the parker; see {!Runtime_intf.RUNTIME}).
 
     All registry operations are uncharged: registration and
     notification live outside the transactional cost model, so enabling
@@ -22,14 +28,16 @@
 
     Concurrency discipline: the table is mutated only under the
     runtime's exclusion, and bodies are tick-free by that contract.
-    [unpark] is always called {e outside} the exclusion — under the
-    simulator a wakeup reschedules the wakee, and under domains it
-    takes the parker's own mutex; neither may happen while holding the
-    registry lock. *)
+    A wake is always called {e outside} the exclusion — under the
+    simulator an unpark reschedules the wakee, and under domains it
+    takes the parker's (or the loop's) own mutex; neither may happen
+    while holding the registry lock. *)
 
 module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) = struct
   type waiter = {
-    parker : R.parker;
+    wake : unit -> unit;
+        (** called once per notify that finds the waiter; must not
+            block or run a transaction *)
     mutable locs : int array;  (** registered location ids; [[||]] = global *)
     mutable active : bool;
   }
@@ -49,30 +57,26 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) = struct
       count = R.counter ();
     }
 
-  let waiter () = { parker = R.parker (); locs = [||]; active = false }
+  let waiter wake = { wake; locs = [||]; active = false }
 
   let waiting t = R.read_counter t.count
 
-  (* Register [w] on every location in [ids] (duplicates are tolerated:
-     a double entry means a double unpark, which permit semantics absorb,
-     and [cancel] removes all copies). *)
+  (* Register [w] on every location in [ids], or on the global list
+     when [ids] is empty (duplicates are tolerated: a double entry means
+     a double wake, which a parker's permit and a registered wait's
+     once-only wake both absorb, and [cancel] removes all copies). *)
   let register t w ids =
     R.exclusive t.lock (fun () ->
         w.active <- true;
         w.locs <- ids;
-        Array.iter
-          (fun id ->
-            match Hashtbl.find_opt t.tbl id with
-            | Some l -> l := w :: !l
-            | None -> Hashtbl.replace t.tbl id (ref [ w ]))
-          ids);
-    R.add_counter t.count 1
-
-  let register_global t w =
-    R.exclusive t.lock (fun () ->
-        w.active <- true;
-        w.locs <- [||];
-        t.global <- w :: t.global);
+        if Array.length ids = 0 then t.global <- w :: t.global
+        else
+          Array.iter
+            (fun id ->
+              match Hashtbl.find_opt t.tbl id with
+              | Some l -> l := w :: !l
+              | None -> Hashtbl.replace t.tbl id (ref [ w ]))
+            ids);
     R.add_counter t.count 1
 
   (* Deregister after the wait round (wakeup, timeout, or pre-park
@@ -100,25 +104,17 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) = struct
     in
     if was_active then R.add_counter t.count (-1)
 
-  (* Wake everyone parked on location [id].  Waiters are collected under
-     the exclusion but unparked outside it (see the module comment). *)
+  (* Wake everyone waiting on location [id].  Waiters are collected
+     under the exclusion but woken outside it (see the module comment). *)
   let notify t id =
     let ws =
       R.exclusive t.lock (fun () ->
           match Hashtbl.find_opt t.tbl id with Some l -> !l | None -> [])
     in
-    List.iter (fun w -> R.unpark w.parker) ws
+    List.iter (fun w -> w.wake ()) ws
 
   (* Wake every globally-registered waiter (NORec commits). *)
   let notify_global t =
     let ws = R.exclusive t.lock (fun () -> t.global) in
-    List.iter (fun w -> R.unpark w.parker) ws
-
-  (* Wake everybody, per-location and global alike (shutdown drains). *)
-  let notify_all t =
-    let ws =
-      R.exclusive t.lock (fun () ->
-          Hashtbl.fold (fun _ l acc -> !l @ acc) t.tbl t.global)
-    in
-    List.iter (fun w -> R.unpark w.parker) ws
+    List.iter (fun w -> w.wake ()) ws
 end

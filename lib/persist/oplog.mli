@@ -34,9 +34,10 @@
     ([Polytm_runtime.Domain_runtime.tls], the one that holds the STM's
     per-thread context): [arm] fills the calling thread's slot, the
     hook empties it and leaves its ticket there, [finish] takes the
-    ticket.  Per systhread, not per domain, because a parked pop
-    commits on a helper thread of its loop's domain; per log, because
-    two servers in one process must never log each other's
+    ticket.  Per systhread, not per domain, because one domain can run
+    several threads that commit (a BGSAVE's checkpoint runs beside its
+    loop thread, and tests arm two threads of one domain); per log,
+    because two servers in one process must never log each other's
     payloads. *)
 
 type t

@@ -5,95 +5,41 @@
 
     Anatomy of one cycle:
 
-    - thread-safe {e injections} (completed blocking ops, watch
-      notifications, newly accepted connections) run first, on the
-      loop thread — all session state is single-threaded by
-      construction.  A cycle with nothing posted reads one atomic flag
-      and skips the queue, its mutex and the wake pipe;
+    - thread-safe {e injections} (the resumes that wakes of
+      registered waits post, BGSAVE completions, newly accepted
+      connections) run first, on the loop thread — all session state
+      is single-threaded by construction.  A cycle with nothing posted
+      reads one atomic flag and skips the queue, its mutex and the
+      wake pipe;
     - finished sessions are reaped (watches released, fd closed);
     - [select] waits on the wake pipe plus every session that wants
       readiness: reads are level-triggered and masked while a session
       is parked, mid-batch, or has unflushed output (the session
       write-before-next-read discipline, which is also the
-      backpressure bound);
+      backpressure bound).  Its timeout is the tick, or sooner the
+      earliest timeout of a waiting pop; a cycle with no timed wait
+      reads no clock for it;
     - writable sessions flush their pending {!Wire.Obuf} region with
       one coalesced [write]; readable sessions read once, decode the
       batch, execute, and encode replies.
 
-    Blocking STM waits never run on the loop thread: a {!Pool} of
-    lazily-spawned helper threads (same domain, so systhread-keyed
-    TLS keeps their transactions apart) carries them, and completion
-    re-enters the loop via the injection queue and a self-pipe wake.
+    No wait holds a thread.  A blocking pop or a watch registers its
+    STM wait set with a wake that only {!post}s the session's resume
+    here; the resume re-runs the transaction on the loop thread.  The
+    one job that leaves the loop thread is a BGSAVE's checkpoint,
+    which gets a systhread of its own ({!submit}).
+
+    A connection whose fd [select] cannot wait on (at or above
+    {!Limits.fd_limit}) is closed when it reaches the loop, and INFO
+    counts it: passing it to [select] would stop the worker.
 
     Shutdown: when [stop] flips, the loop begins each session's drain
-    (answer what already arrived, flush, close); parked waiters are
-    woken by the registry's drain-flag commit exactly as before, and
-    their completions finish the drain.  The loop exits when its last
-    session closes, then joins its helpers. *)
+    (answer what already arrived, flush, close); waiting pops and
+    watches are woken by the registry's drain-flag commit, and their
+    resumes finish the drain.  The loop exits when its last session
+    closes, then joins its checkpoint threads. *)
 
-module Pool = struct
-  type t = {
-    mu : Mutex.t;
-    cv : Condition.t;
-    jobs : (unit -> unit) Queue.t;
-    mutable idle : int;
-    mutable threads : Thread.t list;
-    mutable closed : bool;
-  }
-
-  let create () =
-    {
-      mu = Mutex.create ();
-      cv = Condition.create ();
-      jobs = Queue.create ();
-      idle = 0;
-      threads = [];
-      closed = false;
-    }
-
-  let rec worker p =
-    Mutex.lock p.mu;
-    let rec next () =
-      if not (Queue.is_empty p.jobs) then Some (Queue.pop p.jobs)
-      else if p.closed then None
-      else begin
-        p.idle <- p.idle + 1;
-        Condition.wait p.cv p.mu;
-        p.idle <- p.idle - 1;
-        next ()
-      end
-    in
-    match next () with
-    | None -> Mutex.unlock p.mu
-    | Some job ->
-        Mutex.unlock p.mu;
-        (try job () with _ -> ());
-        worker p
-
-  (* Spawn-on-demand with idle reuse: the helper population converges
-     to the peak number of concurrent waits, which the session layer
-     already bounds by [max_waiters] per instance. *)
-  let submit p job =
-    Mutex.lock p.mu;
-    if p.closed then begin
-      Mutex.unlock p.mu;
-      invalid_arg "Evloop.Pool: submit after shutdown"
-    end
-    else begin
-      Queue.push job p.jobs;
-      if p.idle = 0 then p.threads <- Thread.create worker p :: p.threads
-      else Condition.signal p.cv;
-      Mutex.unlock p.mu
-    end
-
-  let shutdown p =
-    Mutex.lock p.mu;
-    p.closed <- true;
-    Condition.broadcast p.cv;
-    let threads = p.threads in
-    Mutex.unlock p.mu;
-    List.iter Thread.join threads
-end
+module R = Polytm_runtime.Domain_runtime
 
 type conn = { sess : Session.t; on_close : unit -> unit }
 
@@ -102,7 +48,7 @@ type t = {
   exit_on_empty : bool;
       (** [handle] mode: return once the last session closes even if
           [stop] never flips (the server's loops outlive idle gaps) *)
-  pool : Pool.t;
+  mutable helpers : Thread.t list;  (** BGSAVE threads, joined at exit *)
   mutable conns : conn list;
   load : int Atomic.t;  (** connection count, readable cross-thread *)
   inject : (unit -> unit) Queue.t;
@@ -123,7 +69,7 @@ let create ?(exit_on_empty = false) ~stop () =
   {
     stop;
     exit_on_empty;
-    pool = Pool.create ();
+    helpers = [];
     conns = [];
     load = Atomic.make 0;
     inject = Queue.create ();
@@ -172,17 +118,34 @@ let run_injections t =
     Queue.iter (fun f -> f ()) batch
   end
 
-(* Register a connection on the loop thread. *)
+(* A BGSAVE's checkpoint, on a systhread of this loop's domain.  Only
+   the loop thread calls it. *)
+let submit t job = t.helpers <- Thread.create job () :: t.helpers
+
+(* [select] refuses an fd at or above [FD_SETSIZE] with EINVAL before
+   any syscall; ask it, with no wait. *)
+let rec selectable fd =
+  match Unix.select [ fd ] [] [] 0.0 with
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> selectable fd
+  | exception Unix.Unix_error _ -> false
+
+(* Register a connection on the loop thread, or refuse one the cycle
+   could not wait on: [on_close] closes it. *)
 let attach t ?(on_close = fun () -> ()) ~limits ~registry ~stats fd =
-  Unix.set_nonblock fd;
-  let services =
-    { Session.submit = Pool.submit t.pool; post = post t }
-  in
-  let sess =
-    Session.create ~stop:t.stop ~limits ~registry ~stats ~services fd
-  in
-  Atomic.incr t.load;
-  t.conns <- { sess; on_close } :: t.conns
+  if not (selectable fd) then begin
+    Atomic.incr registry.Registry.fd_refused;
+    on_close ()
+  end
+  else begin
+    Unix.set_nonblock fd;
+    let services = { Session.submit = submit t; post = post t } in
+    let sess =
+      Session.create ~stop:t.stop ~limits ~registry ~stats ~services fd
+    in
+    Atomic.incr t.load;
+    t.conns <- { sess; on_close } :: t.conns
+  end
 
 (* Hand a connection to the loop from another thread (the acceptor). *)
 let add_conn t ?on_close ~limits ~registry ~stats fd =
@@ -220,22 +183,20 @@ let run t =
       t.conns = [] && (t.exit_on_empty || t.stop ()) && not (Atomic.get t.posted)
     in
     if not idle then begin
-      let rds =
-        t.wake_r
-        :: List.filter_map
-             (fun c ->
-               if Session.wants_read c.sess then Some (Session.fd c.sess)
-               else None)
-             t.conns
+      let rds = ref [ t.wake_r ] and wrs = ref [] and next = ref max_int in
+      List.iter
+        (fun c ->
+          let s = c.sess in
+          if Session.wants_read s then rds := Session.fd s :: !rds;
+          if Session.wants_write s then wrs := Session.fd s :: !wrs;
+          let d = Session.deadline s in
+          if d < !next then next := d)
+        t.conns;
+      let timeout =
+        if !next = max_int then tick
+        else Float.min tick (Float.max 0. (float (!next - R.now ()) /. 1e9))
       in
-      let wrs =
-        List.filter_map
-          (fun c ->
-            if Session.wants_write c.sess then Some (Session.fd c.sess)
-            else None)
-          t.conns
-      in
-      (match Unix.select rds wrs [] tick with
+      (match Unix.select !rds !wrs [] timeout with
       | rs, ws, _ ->
           if List.memq t.wake_r rs then drain_wake t;
           List.iter
@@ -249,11 +210,15 @@ let run t =
                 Session.on_readable c.sess)
             t.conns
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      if !next < max_int then begin
+        let now = R.now () in
+        List.iter (fun c -> Session.on_deadline c.sess now) t.conns
+      end;
       cycle ()
     end
   in
   cycle ();
-  Pool.shutdown t.pool;
+  List.iter Thread.join t.helpers;
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
   try Unix.close t.wake_w with Unix.Unix_error _ -> ()
 

@@ -28,18 +28,26 @@ type t = {
           request still retrying when it passes is answered
           [DEADLINE].  [None] means no deadline *)
   max_waiters : int;
-      (** parked blocking ops ([BLPOP]/[BTAKE] waiters, watch polls)
-          tolerated server-wide, across every STM instance and shard;
-          a blocking op arriving when the shared budget
-          ([Registry.reserve_waiter]) is exhausted is answered [BUSY]
-          instead of parking, so a flood of blocking clients cannot
-          pin every worker domain.  (Earlier versions checked the
-          limit against one instance's wait table, so [N] instances
-          admitted [N * max_waiters] parked ops.) *)
+      (** registered blocking pops ([BLPOP]/[BTAKE] waiting on an
+          empty queue) tolerated server-wide, across every STM
+          instance and shard; a pop that would register when the
+          shared budget ([Registry.reserve_waiter]) is exhausted is
+          answered [BUSY] instead, so a flood of blocking clients
+          cannot grow the wait tables without bound.  A registered
+          wait holds no thread, only its entry in a wait table.
+          Watches are not counted: a session holds at most one
+          registered watch wait, so connections bound them.  (Earlier
+          versions checked the limit against one instance's wait
+          table, so [N] instances admitted [N * max_waiters].) *)
   debug_ops : bool;
       (** accept [DEBUG-ABORT] probe requests (tests and CI smoke);
           off by default *)
 }
+
+(* [select]'s [FD_SETSIZE]: a loop cannot wait on an fd at or above
+   it, so a connection whose fd is that high is closed when it reaches
+   its loop (counted in INFO's [fd_refused]). *)
+let fd_limit = 1024
 
 let default =
   {

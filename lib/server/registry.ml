@@ -29,10 +29,12 @@
       structure exists and the operation matches its kind, returning
       either an error response or a {!resolved} record naming the
       {!site} (which instances are involved) and the thunk.  Blocking
-      pops resolve like every other command: their thunk parks via
-      [S.retry] on an empty queue, and the session decides whether it
-      may (on a helper thread) or may not (under [orelse] on the loop
-      thread).
+      pops resolve like every other command: their thunk calls
+      [S.retry] on an empty queue, and the session runs it through
+      [S.try_atomically_or_wait], which registers the wait with a wake
+      that posts the session's resume to its own loop.  Counting a
+      request in INFO's [ops] is the session's job, not [resolve]'s:
+      replay resolves every logged record too.
     - the thunk runs {e inside} the session's transaction, one
       [try_atomically_multi] over the site's {!members}; the structure
       operations it calls open nested transactions that flatten into
@@ -67,17 +69,17 @@ type algo = [ `Tl2 | `Norec ]
    shard's tvar, and marking {e before} the data commit could let a
    watcher consume the notification, re-read stale data, and never
    hear about the actual change).  A watching session's wait
-   transaction reads (and clears) the flags, parking via [S.retry]
-   until the next mark's commit wakes it. *)
+   transaction reads (and clears) the flags, registering its wait via
+   [S.retry] until the next mark's commit wakes it. *)
 type slot = {
   entry : entry;
   algo : algo;
   dirty : bool S.tvar;
   watchers : int Atomic.t;
   ops : int Atomic.t;
-      (** structure operations resolved against this slot, for [INFO]
-          — counted at {!resolve} time (admitted, whether or not the
-          transaction later succeeds) *)
+      (** client requests resolved against this slot, for [INFO]: the
+          session counts each once when it resolves, whether or not
+          its transaction later succeeds; replay never counts *)
 }
 
 type t = {
@@ -88,8 +90,11 @@ type t = {
   draining : bool S.tvar array;  (** per TL2 shard, element [i] on shard [i] *)
   draining_norec : bool S.tvar array;
   waiters : int Atomic.t;
-      (** parked blocking ops, server-wide: one budget across every
-          instance of both routers (see {!reserve_waiter}) *)
+      (** registered blocking pops, server-wide: one budget across
+          every instance of both routers (see {!reserve_waiter}) *)
+  fd_refused : int Atomic.t;
+      (** connections closed on arrival because their fd was at or
+          above {!Limits.fd_limit}, for [INFO] *)
   started_at : float;  (** wall-clock creation time, for [INFO] uptime *)
   mutable persist : Polytm_persist.Oplog.t option;
       (** this server's op log: the session arms it and waits on it,
@@ -129,6 +134,7 @@ let create ?(shards = 1) ?stm ?stm_norec ?(default_algo = `Tl2) () =
     draining_norec =
       Array.init shards (fun i -> S.tvar (Router.shard norec i) false);
     waiters = Atomic.make 0;
+    fd_refused = Atomic.make 0;
     started_at = Unix.gettimeofday ();
     persist = None;
   }
@@ -164,15 +170,16 @@ let set_draining t =
 
 (* ---- the server-wide waiter budget ------------------------------------- *)
 
-(* One atomic budget for every parked blocking op on the server,
-   whatever instance it parks on.  The pre-sharding admission check
+(* One atomic budget for every registered blocking pop on the server,
+   whatever instance it waits on.  The pre-sharding admission check
    compared [S.waiting] of the {e one} instance the op targeted
    against the cap, which (a) let TL2 and NORec waiters each fill a
    whole cap — and K shards fill K caps — and (b) raced: two sessions
    could both pass the check and both park past the limit.  Reserving
-   a slot {e before} parking (and releasing it on wake or timeout)
-   closes both holes: the CAS admits at most [limit] reservations no
-   matter how many instances exist or how the checks interleave. *)
+   a slot when the pop first registers (and releasing it when the pop
+   replies, times out or its session closes) closes both holes: the
+   CAS admits at most [limit] reservations no matter how many
+   instances exist or how the checks interleave. *)
 let reserve_waiter t ~limit =
   let rec go () =
     let n = Atomic.get t.waiters in
@@ -295,21 +302,22 @@ let members = function Single s -> [ s ] | Spanning l -> l
 type resolved = {
   algo : algo;
   site : site;
-  touched : slot option;
-      (** mark this slot dirty once the transaction committed — set on
-          every mutating command *)
+  slot : slot;
+  mutates : bool;
+      (** a mutating command: mark [slot] dirty once the transaction
+          committed *)
   run : unit -> Wire.response;
 }
 
-(* Mark [slot] changed.  The session calls it after the mutation's
-   commit, as its own small transaction on the control shard.
-   Watch-free structures pay one atomic load and no transactional
-   write — enabling subscriptions costs nothing until someone
-   subscribes. *)
-let touch t slot =
-  if Atomic.get slot.watchers > 0 then
+(* Mark a mutated slot changed.  The session calls it after the
+   mutation's commit, as its own small transaction on the control
+   shard.  Watch-free structures pay one atomic load and no
+   transactional write — enabling subscriptions costs nothing until
+   someone subscribes. *)
+let touch t r =
+  if r.mutates && Atomic.get r.slot.watchers > 0 then
     S.atomically ~label:"mark-dirty" (stm t) (fun tx ->
-        S.write tx slot.dirty true)
+        S.write tx r.slot.dirty true)
 
 let home_of t (s : slot) home = Router.shard (router_for t s.algo) home
 
@@ -342,10 +350,11 @@ let contents s =
   | Eset hs -> Keys (Shd.Hash_set.to_list hs)
   | Equeue (q, _) -> Values (Squeue.to_list q)
 
-let ok (s : slot) site run = Ok { algo = s.algo; site; touched = None; run }
+let ok (s : slot) site run =
+  Ok { algo = s.algo; site; slot = s; mutates = false; run }
 
 let mutating (s : slot) site run =
-  Ok { algo = s.algo; site; touched = Some s; run }
+  Ok { algo = s.algo; site; slot = s; mutates = true; run }
 
 let resolve t cmd : (resolved, Wire.response) result =
   match cmd with
@@ -356,7 +365,6 @@ let resolve t cmd : (resolved, Wire.response) result =
       match lookup t name with
       | None -> no_struct name
       | Some s -> (
-          Atomic.incr s.ops;
           match (cmd, s.entry) with
           | Wire.Get (_, key), Emap m ->
               ok s
@@ -421,10 +429,10 @@ let resolve t cmd : (resolved, Wire.response) result =
                   | None -> Wire.Nil)
           | (Wire.Blpop _ | Wire.Btake _), Equeue (q, home) ->
               (* A blocking pop: the home shard's drain flag is read
-                 {e first}, so it is in the read set when [retry]
-                 parks — the shutdown path's [set_draining] commit on
-                 that shard wakes the waiter, which re-runs, sees the
-                 flag and answers [Nil]; no session ever sleeps
+                 {e first}, so it is in the wait set when [retry]
+                 registers — the shutdown path's [set_draining] commit
+                 on that shard wakes the waiter, which re-runs, sees
+                 the flag and answers [Nil]; no session ever waits
                  through a drain. *)
               let stm = home_of t s home in
               let drain = (drains_for t s.algo).(home) in
@@ -453,26 +461,25 @@ let resolve t cmd : (resolved, Wire.response) result =
    count, are byte-identical to [Wire.write_response_obuf] of the tree
    {!resolve} builds.  The thunk clears the scratch first so an
    aborted attempt's partial output never leaks into the retry. *)
-let snapshot_stream t name (items : Wire.Obuf.t) :
+let stream s (items : Wire.Obuf.t) () =
+  Wire.Obuf.clear items;
+  let each f l = List.fold_left (fun n x -> f x; n + 1) 0 l in
+  match contents s with
+  | Pairs l ->
+      each
+        (fun (k, v) ->
+          Wire.obuf_add_array_header items 2;
+          Wire.obuf_add_int_item items k;
+          Wire.obuf_add_bulk items v)
+        l
+  | Keys l -> each (Wire.obuf_add_int_item items) l
+  | Values l -> each (Wire.obuf_add_bulk items) l
+
+let snapshot_stream t name items :
     (site * (unit -> int), Wire.response) result =
   match lookup t name with
   | None -> no_struct name
-  | Some s ->
-      let enc () =
-        Wire.Obuf.clear items;
-        let each f l = List.fold_left (fun n x -> f x; n + 1) 0 l in
-        match contents s with
-        | Pairs l ->
-            each
-              (fun (k, v) ->
-                Wire.obuf_add_array_header items 2;
-                Wire.obuf_add_int_item items k;
-                Wire.obuf_add_bulk items v)
-              l
-        | Keys l -> each (Wire.obuf_add_int_item items) l
-        | Values l -> each (Wire.obuf_add_bulk items) l
-      in
-      Ok (whole t s, enc)
+  | Some s -> Ok (whole t s, stream s items)
 
 (* ---- subscriptions ----------------------------------------------------- *)
 
@@ -493,36 +500,29 @@ let watch t name =
 let unwatch _t w = Atomic.decr w.wslot.watchers
 let watch_name w = w.wname
 
-module R = Polytm_runtime.Domain_runtime
-
-(* Collect the names of watched structures that changed since the last
-   call, clearing their dirty flags.  Every dirty flag lives on the TL2
-   control shard, so the wait is one transaction there: it genuinely
-   {e parks} ([S.retry] on the dirty flags plus the control shard's
-   drain flag) until a mark's commit wakes it or [timeout_ns] passes —
-   push latency is one commit, not one poll interval, whatever
-   algorithms the watched structures run on. *)
-let wait_dirty t ws ~timeout_ns =
-  match
-    S.try_atomically ~deadline:(R.now () + timeout_ns) ~label:"watch-wait"
-      (stm t) (fun tx ->
-        if S.read tx t.draining.(0) then []
-        else
-          match
-            List.filter_map
-              (fun w ->
-                if S.read tx w.wslot.dirty then begin
-                  S.write tx w.wslot.dirty false;
-                  Some w.wname
-                end
-                else None)
-              ws
-          with
-          | [] -> S.retry tx
-          | names -> names)
-  with
-  | S.Committed names -> names
-  | S.Exhausted _ | S.Deadline_exceeded _ -> []
+(* The watch body: the names of the watched structures that changed
+   since the last take, their dirty flags cleared.  Every dirty flag
+   lives on the TL2 control shard, so it runs as one transaction
+   there ({!stm}), whatever algorithms the watched structures run on.
+   When nothing changed it calls [S.retry] on the dirty flags plus the
+   control shard's drain flag, so a session that registers it is woken
+   by the next mark's commit, or by the drain, which answers []. *)
+let take_dirty t ws () =
+  S.atomically ~label:"watch-wait" (stm t) (fun tx ->
+      if S.read tx t.draining.(0) then []
+      else
+        match
+          List.filter_map
+            (fun w ->
+              if S.read tx w.wslot.dirty then begin
+                S.write tx w.wslot.dirty false;
+                Some w.wname
+              end
+              else None)
+            ws
+        with
+        | [] -> S.retry tx
+        | names -> names)
 
 (* Default transaction semantics when the request carries no hint: the
    paper's novice default, except consistent iteration which is the
@@ -551,6 +551,8 @@ let info t =
       ("default_algo", algo_name t.default_algo);
       ("structures", string_of_int (List.length (Atomic.get t.entries)));
       ("waiting", string_of_int (waiting t));
+      ("fd_limit", string_of_int Limits.fd_limit);
+      ("fd_refused", string_of_int (Atomic.get t.fd_refused));
     ]
   in
   (* [%S]: a quoted name can neither end its line nor start a key *)

@@ -17,16 +17,18 @@
     [run_tx], which applies both op limits and records the latency;
     [exec_tx] wraps it with the op-log arming and the post-commit
     watcher marks.  A blocking pop ([BLPOP]/[BTAKE]) resolves like
-    any other command and first runs its body on the loop thread
-    under [orelse], where a pop that would park answers [Nil]; only
-    then would it stall the loop, so the session flips to [parked],
-    ships the same body to a helper thread via [park] (which BGSAVE
-    shares), and the helper delivers the finished reply back onto the
-    loop thread via [services.post].  Watch waits ride the helpers
-    too.  The fd stays registered throughout (reads are simply masked
-    while parked), the existing commit-driven wakeup completes the
-    wait, and the reply is flushed by the loop like any other.  All
-    session state is mutated on the loop thread only.
+    any other command and runs its body through the same runner, by
+    [S.try_atomically_or_wait]: where the body's [retry] would park,
+    its wait set is registered instead, with a wake that only posts
+    the pop's resume to this session's loop ([services.post]).  The
+    session stays [parked] (reads masked, the pipeline paused) until
+    the resume cancels the wait and re-runs the body on the loop
+    thread, which replies or registers again, or until the loop's
+    timer passes the pop's timeout.  A watch is the registry's
+    take-dirty body, registered the same way and again after each
+    push.  No wait holds a thread: all session state is mutated on
+    the loop thread only, and only a BGSAVE's checkpoint runs
+    elsewhere, on a thread of its own ([services.submit]).
 
     {b Privatization safety} (the response-buffer argument, DESIGN.md
     §S16): a reply's payload is the value returned by the {e committed}
@@ -170,12 +172,23 @@ let label_of cmd sem = labels.((3 * op_index cmd) + sem_index sem)
 
 type services = {
   submit : (unit -> unit) -> unit;
-      (** run a job on a helper thread that may park in the STM *)
+      (** run a BGSAVE's checkpoint off the loop thread *)
   post : (unit -> unit) -> unit;
-      (** run a closure on the loop thread (and wake the loop) *)
+      (** run a closure on the loop thread (and wake the loop); safe
+          from any thread *)
 }
 
 type action = Exec of Wire.request | Refuse of Wire.response
+
+(* A blocking pop, from its arrival until its reply. *)
+type pop = {
+  run : wake:(unit -> unit) -> Wire.response;
+      (** one run of its body; raises [Wait] when it registers *)
+  sem : Polytm.Semantics.t;
+  t0 : int;  (** arrival: one latency sample covers every run *)
+  deadline : int;  (** the pop's timeout, absolute; [max_int] if none *)
+  mutable reserved : bool;  (** holds a [max_waiters] slot *)
+}
 
 type t = {
   fd : Unix.file_descr;
@@ -198,8 +211,9 @@ type t = {
           leave the socket — only populated under [--fsync always];
           drained by [try_flush] (group commit: one wait covers the
           whole pipelined batch).  Loop-thread state, like the rest. *)
-  mutable watch_inflight : bool;  (** a watch wait is out on a helper *)
-  mutable parked : bool;  (** a blocking op is out on a helper *)
+  mutable watch : S.wait option;  (** the registered watch wait *)
+  mutable pop : (pop * S.wait) option;  (** a pop that waits *)
+  mutable parked : bool;  (** a pop waits or a BGSAVE runs *)
   mutable draining : bool;  (** stop observed: answer, flush, close *)
   mutable input_done : bool;  (** EOF or corrupt framing: read no more *)
   mutable closing : bool;  (** flush [out], then close *)
@@ -214,8 +228,7 @@ let err = Registry.err
    the commit stamp; the session tells it {e what} to log by arming the
    executing thread with the encoded mutation before the transaction
    and disarming after (see {!Oplog.arm}).  Arm and finish must run on
-   the thread that commits — the loop thread for ordinary requests, the
-   helper thread for parked blocking ops. *)
+   the thread that commits: the loop thread, for every request. *)
 
 let arm_persist t cmds =
   match t.reg.Registry.persist with
@@ -227,18 +240,16 @@ let arm_persist t cmds =
           Oplog.arm log (Wire.encode_cmds muts);
           true)
 
-(* Disarm on the committing thread; the ticket is [Some] iff the armed
-   payload reached the log (the transaction write-committed). *)
+(* Disarm.  A ticket means the armed payload reached the log (the
+   transaction write-committed); under [`Always] the reply may not
+   leave before that record is on disk, so queue the ticket for
+   [try_flush]. *)
 let finish_persist t ~armed =
-  if not armed then None
-  else Option.bind t.reg.Registry.persist Oplog.finish
-
-(* Loop thread only: under [`Always] the reply may not leave before
-   the record is on disk, so queue the ticket for [try_flush]. *)
-let note_durable t ticket =
-  match (ticket, t.reg.Registry.persist) with
-  | Some tk, Some log when Oplog.policy log = `Always ->
-      t.durables <- tk :: t.durables
+  match t.reg.Registry.persist with
+  | Some log when armed -> (
+      match Oplog.finish log with
+      | Some tk when Oplog.policy log = `Always -> t.durables <- tk :: t.durables
+      | _ -> ())
   | _ -> ()
 
 let reply t resp =
@@ -262,6 +273,9 @@ let record_latency t sem t0 =
   Hist.record t.stats.lat_by_sem.(sem_index sem) dt;
   Hist.record t.stats.lat_all dt
 
+(* A blocking pop's body retried and its wait is registered. *)
+exception Wait of S.wait
+
 (* Run [f] as one transaction of [sem] over [stms] — the members of the
    site the registry resolved: the owner shard of a point operation, or
    the shards a whole-structure aggregate or a [MULTI] batch spans — so
@@ -269,14 +283,15 @@ let record_latency t sem t0 =
    outcome and the semantics-violation exception become typed error
    replies: this is where the wire meets the liveness API, and both
    limits ([op_budget], [op_deadline_us]) apply to every request,
-   however many shards it spans, a blocking pop's loop-thread try
-   included.  A structural-invariant violation surfaces here as a
-   typed error too: the exception rode the abort path out of the
-   transaction, so the attempt's effects are already discarded and the
-   server survives a corrupted node instead of dying on an assertion.
-   The request's latency is recorded here unless [timed] is false: a
-   blocking pop records its own, once its wait (if any) ended. *)
-let run_tx t ~stms ~sem ~label ?(timed = true) ?budget ?deadline_us
+   however many shards it spans, each run of a blocking pop included.
+   A structural-invariant violation surfaces here as a typed error
+   too: the exception rode the abort path out of the transaction, so
+   the attempt's effects are already discarded and the server survives
+   a corrupted node instead of dying on an assertion.  With [wake], a
+   body that retries registers its wait with it and this raises
+   [Wait].  The request's latency is recorded here unless [timed] is
+   false: a blocking pop records its own, once it replies. *)
+let run_tx t ~stms ~sem ~label ?(timed = true) ?budget ?deadline_us ?wake
     (f : unit -> Wire.response) : Wire.response =
   let budget = match budget with Some _ as b -> b | None -> t.limits.op_budget in
   let deadline_us =
@@ -285,7 +300,16 @@ let run_tx t ~stms ~sem ~label ?(timed = true) ?budget ?deadline_us
   let t0 = R.now () in
   let deadline = Option.map (fun us -> t0 + (us * 1000)) deadline_us in
   let resp =
-    match S.try_atomically_multi ?budget ?deadline ~sem ~label stms f with
+    match
+      match wake with
+      | None -> S.try_atomically_multi ?budget ?deadline ~sem ~label stms f
+      | Some wake -> (
+          match
+            S.try_atomically_or_wait ?budget ?deadline ~sem ~label ~wake stms f
+          with
+          | S.Outcome o -> o
+          | S.Waiting w -> raise (Wait w))
+    with
     | S.Committed r -> r
     | S.Exhausted { attempts; _ } ->
         err Wire.Exhausted "retry budget spent after %d attempts" attempts
@@ -305,24 +329,20 @@ let run_tx t ~stms ~sem ~label ?(timed = true) ?budget ?deadline_us
 let touch_committed t (resolved : Registry.resolved list) resp =
   match resp with
   | Wire.Error _ | Wire.Nil -> ()
-  | _ ->
-      List.iter
-        (fun (r : Registry.resolved) ->
-          Option.iter (Registry.touch t.reg) r.Registry.touched)
-        resolved
+  | _ -> List.iter (Registry.touch t.reg) resolved
 
 (* One request's transaction over resolved commands [rs]: arm the op
    log with [cmds], run [f] through [run_tx], and mark the watchers of
    what it mutated once it committed. *)
-let exec_tx t ?timed ~cmds ~stms ~sem ~label rs f =
+let exec_tx t ?timed ?wake ~cmds ~stms ~sem ~label rs f =
   let armed = arm_persist t cmds in
-  match run_tx t ~stms ~sem ~label ?timed f with
+  match run_tx t ~stms ~sem ~label ?timed ?wake f with
   | resp ->
-      note_durable t (finish_persist t ~armed);
+      finish_persist t ~armed;
       touch_committed t rs resp;
       resp
   | exception e ->
-      ignore (finish_persist t ~armed);
+      finish_persist t ~armed;
       raise e
 
 let reset_multi t =
@@ -330,6 +350,15 @@ let reset_multi t =
   t.multi_hint <- None;
   t.multi_rev <- [];
   t.multi_count <- 0
+
+(* Every client structure request resolves here, and replay never
+   does, so INFO's per-structure [ops] counts each client request once:
+   whether or not its transaction then commits, inside MULTI or not,
+   and however often a waiting pop re-runs. *)
+let resolve t cmd =
+  let r = Registry.resolve t.reg cmd in
+  Result.iter (fun r -> Atomic.incr r.Registry.slot.Registry.ops) r;
+  r
 
 let exec_multi_end t =
   let cmds = List.rev t.multi_rev in
@@ -340,7 +369,7 @@ let exec_multi_end t =
   let rec resolve_all acc = function
     | [] -> Ok (List.rev acc)
     | c :: rest -> (
-        match Registry.resolve t.reg c with
+        match resolve t c with
         | Ok r -> resolve_all (r :: acc) rest
         | Error (Wire.Error (code, m)) ->
             Error (err code "batch rejected at %s: %s" (Wire.cmd_name c) m)
@@ -406,6 +435,12 @@ let exec_in_multi t (r : Wire.request) =
 let sem_of (r : Wire.request) =
   Option.value r.hint ~default:(Registry.default_sem r.cmd)
 
+(* Cancel the registered watch wait, if any: a change of subscriptions
+   re-registers over the new set when the pipeline next empties. *)
+let drop_watch t =
+  Option.iter S.cancel_wait t.watch;
+  t.watch <- None
+
 (* Requests outside MULTI that neither park nor stream (those are
    [exec_step]'s). *)
 let exec_request t (r : Wire.request) : Wire.response =
@@ -418,6 +453,7 @@ let exec_request t (r : Wire.request) : Wire.response =
         match Registry.watch t.reg name with
         | Ok w ->
             t.watches <- w :: t.watches;
+            drop_watch t;
             Wire.ok
         | Error e -> e)
   | Wire.Unwatch name -> (
@@ -428,6 +464,7 @@ let exec_request t (r : Wire.request) : Wire.response =
       | ws, rest ->
           List.iter (Registry.unwatch t.reg) ws;
           t.watches <- rest;
+          drop_watch t;
           Wire.ok)
   | Wire.New (kind, name) -> (
       match Registry.ensure t.reg kind name with
@@ -459,7 +496,7 @@ let exec_request t (r : Wire.request) : Wire.response =
           ?budget ?deadline_us
           (fun () -> S.atomically stm S.abort)
   | cmd -> (
-      match Registry.resolve t.reg cmd with
+      match resolve t cmd with
       | Error e -> e
       | Ok res ->
           let sem = sem_of r in
@@ -473,16 +510,17 @@ let exec_request t (r : Wire.request) : Wire.response =
    the frame and array headers straight into [t.out].  No response
    tree, no per-element boxing — the reply bytes are identical to the
    tree path's. *)
-let exec_snapshot_iter t (r : Wire.request) name =
+let exec_snapshot_iter t (r : Wire.request) =
   let sem = sem_of r in
-  match Registry.snapshot_stream t.reg name t.scratch with
+  match resolve t r.cmd with
   | Error e -> reply t e
-  | Ok (site, enc) -> (
+  | Ok res -> (
       (* The committed attempt's element count rides out as an [Int];
          every error reply is an [Error]. *)
+      let enc = Registry.stream res.Registry.slot t.scratch in
       match
-        run_tx t ~stms:(Registry.members site) ~sem ~label:(label_of r.cmd sem)
-          (fun () -> Wire.Int (enc ()))
+        run_tx t ~stms:(Registry.members res.Registry.site) ~sem
+          ~label:(label_of r.cmd sem) (fun () -> Wire.Int (enc ()))
       with
       | Wire.Int count ->
           Wire.write_framed_array t.out ~count ~items:t.scratch;
@@ -498,31 +536,17 @@ let exec_snapshot_iter t (r : Wire.request) name =
 let try_flush t =
   if (not t.closed) && Wire.Obuf.pending t.out > 0 then begin
     (* Under [--fsync always] no ack may leave before its op-log
-       record is synced.  One wait per distinct log writer suffices —
-       syncing is ordered, so the highest sequence number covers every
-       earlier ticket (group commit over the whole pipelined batch).
-       Distinct writers appear only when a checkpoint rotated the log
-       mid-batch. *)
-    (match t.durables with
-    | [] -> ()
-    | ds -> (
+       record is synced.  The tickets are newest first and syncing is
+       ordered, so the first wait syncs its writer's whole batch and
+       every later ticket of that writer finds itself synced without
+       a lock (group commit over the whole pipelined batch).  Another
+       writer appears only when a checkpoint rotated the log
+       mid-batch, and rotation synced the old one. *)
+    (match (t.durables, t.reg.Registry.persist) with
+    | [], _ | _, None -> ()
+    | ds, Some log ->
         t.durables <- [];
-        match t.reg.Registry.persist with
-        | None -> ()
-        | Some log ->
-            let latest =
-              List.fold_left
-                (fun acc (aof, seq) ->
-                  let rec bump = function
-                    | [] -> [ (aof, seq) ]
-                    | (a, s) :: rest when a == aof ->
-                        (a, max s seq) :: rest
-                    | x :: rest -> x :: bump rest
-                  in
-                  bump acc)
-                [] ds
-            in
-            List.iter (fun (aof, seq) -> Oplog.wait_durable log aof seq) latest));
+        List.iter (fun (aof, seq) -> Oplog.wait_durable log aof seq) ds);
     let buf, off, len = Wire.Obuf.peek t.out in
     match Unix.write t.fd buf off len with
     | n -> Wire.Obuf.consumed t.out n
@@ -588,11 +612,12 @@ let decode_batch t =
   in
   collect ()
 
-(* How long one watch wait may park before its helper thread reports
-   back: the ceiling on shutdown observance while watching (push
-   latency stays one commit — the mutator's commit wakes the parked
-   wait immediately). *)
-let watch_poll_ns = 50_000_000
+(* The wake of a registered wait.  It runs on a committing thread, so
+   it only posts: [resume] runs on this session's loop, the one thread
+   that touches session state and may run the re-run's transaction.
+   The STM calls it at most once per wait, and not once the wait is
+   cancelled; a wake racing a cancel makes one spurious re-run. *)
+let posting t resume () = t.services.post (fun () -> resume t)
 
 (* [pump] drains the pending queue in order; a blocking op consumes
    its queue slot and parks the session, and its completion resumes
@@ -615,7 +640,8 @@ let rec pump t =
         | Wire.Snapshot_iter _ when Wire.Obuf.pending t.out > 0 ->
             try_flush t
         | _ -> ());
-        match exec_step t r with `Done -> pump t | `Parked -> ())
+        (* A parked session keeps its watch registered. *)
+        match exec_step t r with `Done -> pump t | `Parked -> arm_watch t)
     | None ->
         if t.draining || t.input_done then t.closing <- true;
         arm_watch t
@@ -626,160 +652,157 @@ and exec_step t (r : Wire.request) : [ `Done | `Parked ] =
       reply t (exec_in_multi t r);
       `Done
   | Wire.Blpop (name, ms) | Wire.Btake (name, ms) -> exec_pop t r name ms
-  | Wire.Snapshot_iter name ->
-      exec_snapshot_iter t r name;
+  | Wire.Snapshot_iter _ ->
+      exec_snapshot_iter t r;
       `Done
   | Wire.Bgsave -> (
-      (* A checkpoint would stall the loop: its snapshot fold and file
-         write run on a helper, writers on other connections keep
-         committing (snapshots never impede updaters), and this
-         session resumes when the save is published. *)
       match t.reg.Registry.persist with
       | None ->
           reply t (err Wire.Bad_op "persistence is disabled");
           `Done
       | Some log ->
-          park t (fun () ->
-              let resp = Persist.bgsave t.reg log in
-              fun () -> resp))
+          (* A checkpoint would stall the loop: its snapshot fold and
+             file write run on a thread of their own, writers on other
+             connections keep committing (snapshots never impede
+             updaters), and this session resumes when the save is
+             published.  Whatever the job raises becomes the reply. *)
+          t.parked <- true;
+          t.services.submit (fun () ->
+              let resp =
+                try Persist.bgsave t.reg log
+                with e ->
+                  err Wire.Proto "checkpoint failed: %s" (Printexc.to_string e)
+              in
+              t.services.post (fun () ->
+                  t.parked <- false;
+                  if not t.closed then begin
+                    reply t resp;
+                    pump t;
+                    try_flush t
+                  end));
+          `Parked)
   | _ ->
       reply t (exec_request t r);
       `Done
 
-(* Run [job] on a helper thread with the session parked: reads masked,
-   the pipeline paused.  [job] may block; what it returns runs back on
-   the loop thread and yields the reply, then the session replies,
-   resumes the pump and flushes. *)
-and park t job : [ `Done | `Parked ] =
-  t.parked <- true;
-  t.services.submit (fun () ->
-      let finish = job () in
-      t.services.post (fun () ->
-          t.parked <- false;
-          let resp = finish () in
-          if not t.closed then begin
-            reply t resp;
-            pump t;
-            try_flush t
-          end));
-  `Parked
-
 (* A blocking queue pop ([BLPOP]/[BTAKE]), logged as the [DEQ] it
    behaves as: replaying a plain pop reproduces the taken element.
-   The resolved body first runs on the loop thread through [run_tx]
-   under [orelse], so a pop that would park answers [Nil] instead —
-   under a producer backlog this is what keeps consumption at pop
-   speed instead of at park-wakeup speed.  Only a [Nil], or a try
-   that spent an op limit, parks the same body on a helper thread.
 
    [timeout_ms <= 0] means wait indefinitely — the waiter is still
-   bounded by shutdown (its home shard's drain flag is in its read
+   bounded by shutdown (its home shard's drain flag is in its wait
    set) and by the server-wide waiter budget: a slot is {e reserved}
-   before parking (atomically, so racing sessions cannot jointly
-   overshoot the cap, whatever instances they park on) and released
-   when the wait completes; a blocking op that cannot reserve gets
-   [BUSY] instead of filling the helper pool.  Timing out is not an
-   error for a blocking op: it replies [Nil], like Redis.  One latency
-   sample covers the try and the wait. *)
+   when the pop first registers (atomically, so racing sessions cannot
+   jointly overshoot the cap, whatever instances they wait on) and
+   released when it replies; a pop that cannot reserve gets [BUSY].
+   Timing out is not an error for a blocking op: it replies [Nil],
+   like Redis.  One latency sample covers every run and the wait. *)
 and exec_pop t (r : Wire.request) name timeout_ms : [ `Done | `Parked ] =
-  match Registry.resolve t.reg r.cmd with
+  match resolve t r.cmd with
   | Error e ->
       reply t e;
       `Done
-  | Ok res -> (
-      let sem = sem_of r in
-      let label = label_of r.cmd sem in
-      let stms = Registry.members res.Registry.site in
-      let cmds = [ Wire.Deq name ] in
-      let t0 = R.now () in
-      let or_nil () =
-        (* a queue's site is its home shard *)
-        S.atomically (List.hd stms) (fun tx ->
-            S.orelse tx (fun _ -> res.Registry.run ()) (fun _ -> Wire.Nil))
+  | Ok res ->
+      let sem = sem_of r and t0 = R.now () in
+      let run ~wake =
+        exec_tx t ~timed:false ~wake ~cmds:[ Wire.Deq name ]
+          ~stms:(Registry.members res.Registry.site)
+          ~sem ~label:(label_of r.cmd sem) [ res ] res.Registry.run
       in
-      match exec_tx t ~timed:false ~cmds ~stms ~sem ~label [ res ] or_nil with
-      | Wire.Nil | Wire.Error ((Wire.Exhausted | Wire.Deadline), _) ->
-          if
-            not
-              (Registry.reserve_waiter t.reg ~limit:t.limits.Limits.max_waiters)
-          then begin
-            reply t
-              (err Wire.Busy "wait table full (%d waiters)"
-                 (Registry.waiting t.reg));
-            `Done
-          end
-          else
-            let deadline =
-              if timeout_ms <= 0 then None
-              else Some (t0 + (timeout_ms * 1_000_000))
-            in
-            park t (fun () ->
-                (* Arm on {e this} thread: the commit (and so the hook)
-                   happens here, not on the loop. *)
-                let armed = arm_persist t cmds in
-                let resp =
-                  match
-                    S.try_atomically_multi ?deadline ~sem ~label stms
-                      res.Registry.run
-                  with
-                  | S.Committed resp -> resp
-                  | S.Deadline_exceeded _ -> Wire.Nil
-                  | S.Exhausted { attempts; _ } ->
-                      err Wire.Exhausted "retry budget spent after %d attempts"
-                        attempts
-                  | exception S.Invalid_operation m ->
-                      err Wire.Sem_violation "%s" m
-                in
-                let ticket = finish_persist t ~armed in
-                touch_committed t [ res ] resp;
-                (* Release on wake {e and} on timeout: the reservation
-                   covers exactly the interval the helper may park. *)
-                Registry.release_waiter t.reg;
-                fun () ->
-                  note_durable t ticket;
-                  record_latency t sem t0;
-                  resp)
-      | resp ->
-          record_latency t sem t0;
-          reply t resp;
-          `Done)
+      let deadline =
+        if timeout_ms <= 0 then max_int else t0 + (timeout_ms * 1_000_000)
+      in
+      run_pop t { run; sem; t0; deadline; reserved = false }
 
-(* Keep one watch wait outstanding while the session has
-   subscriptions: the helper parks in [wait_dirty] (commit-woken,
-   [watch_poll_ns]-bounded) and reports the changed names back to the
-   loop, which emits the [Push] frames.  Pushes are server-initiated:
-   they bypass [reply] so they never count as request replies.  The
-   session keeps serving requests while the wait is out — that is the
-   point of offloading it. *)
+(* One run of a pop's body on the loop thread, through [exec_tx] like
+   any request: its reply, or its wait registered with a wake that
+   posts [resume_pop], the session parked until then. *)
+and run_pop t p =
+  match p.run ~wake:(posting t resume_pop) with
+  | resp ->
+      end_pop t p resp;
+      `Done
+  | exception Wait wait ->
+      if
+        p.reserved
+        || Registry.reserve_waiter t.reg ~limit:t.limits.Limits.max_waiters
+      then begin
+        p.reserved <- true;
+        t.pop <- Some (p, wait);
+        t.parked <- true;
+        `Parked
+      end
+      else begin
+        S.cancel_wait wait;
+        reply t
+          (err Wire.Busy "wait table full (%d waiters)" (Registry.waiting t.reg));
+        `Done
+      end
+
+and end_pop t p resp =
+  if p.reserved then Registry.release_waiter t.reg;
+  record_latency t p.sem p.t0;
+  reply t resp
+
+(* The waiting pop's wait ends, by its wake or its timeout: cancel it
+   and unpark, then [k] replies or registers again. *)
+and end_wait t (p, w) k =
+  S.cancel_wait w;
+  t.pop <- None;
+  t.parked <- false;
+  if k p = `Done then begin
+    pump t;
+    try_flush t
+  end
+
+and resume_pop t = Option.iter (fun w -> end_wait t w (run_pop t)) t.pop
+
+(* Keep one watch wait registered while the session has subscriptions:
+   the take-dirty body runs on the loop thread, and when nothing is
+   dirty its wait is registered with a wake that posts [resume_watch].
+   Each resume pushes what changed and registers again; a drain wakes
+   it, and a stopped or closing session does not register.  Pushes are
+   server-initiated: they bypass [reply] so they never count as request
+   replies.  The session keeps serving requests while it waits. *)
 and arm_watch t =
   if
-    (not t.watch_inflight)
+    Option.is_none t.watch
     && t.watches <> []
     && (not t.closed)
     && (not t.closing)
     && not (t.stop ())
   then begin
-    t.watch_inflight <- true;
-    let ws = t.watches in
-    t.services.submit (fun () ->
-        let names = Registry.wait_dirty t.reg ws ~timeout_ns:watch_poll_ns in
-        t.services.post (fun () ->
-            t.watch_inflight <- false;
-            if not t.closed then begin
-              List.iter
-                (fun n ->
-                  if
-                    List.exists
-                      (fun w -> Registry.watch_name w = n)
-                      t.watches
-                  then Wire.write_response_obuf t.out (Wire.Push n))
-                names;
-              try_flush t;
-              arm_watch t
-            end))
+    match
+      S.try_atomically_or_wait ~label:"watch-wait"
+        ~wake:(posting t resume_watch) [ Registry.stm t.reg ]
+        (Registry.take_dirty t.reg t.watches)
+    with
+    | S.Waiting w -> t.watch <- Some w
+    | S.Outcome (S.Committed names) ->
+        List.iter (fun n -> Wire.write_response_obuf t.out (Wire.Push n)) names;
+        if names <> [] then arm_watch t
+    | S.Outcome _ -> (* unreachable without a budget or a deadline *) ()
+  end
+
+and resume_watch t =
+  if Option.is_some t.watch then begin
+    drop_watch t;
+    arm_watch t;
+    try_flush t
   end
 
 (* ---- loop-facing surface ------------------------------------------------ *)
+
+(* When the loop must call [on_deadline]: the waiting pop's timeout,
+   or [max_int]. *)
+let deadline t = match t.pop with Some (p, _) -> p.deadline | None -> max_int
+
+let on_deadline t now =
+  match t.pop with
+  | Some ((p, _) as w) when now >= p.deadline ->
+      end_wait t w (fun p ->
+          end_pop t p Wire.Nil;
+          `Done)
+  | _ -> ()
 
 let on_readable t =
   if not t.closed then begin
@@ -832,11 +855,19 @@ let finished t =
 
 let fd t = t.fd
 
-(* Release watch subscriptions and mark the session dead; late helper
-   completions find [closed] set and drop their output. *)
+(* Release watch subscriptions, cancel every registered wait and mark
+   the session dead; a late wake or BGSAVE completion finds nothing to
+   resume or [closed] set. *)
 let teardown t =
   List.iter (Registry.unwatch t.reg) t.watches;
   t.watches <- [];
+  drop_watch t;
+  Option.iter
+    (fun (p, w) ->
+      S.cancel_wait w;
+      if p.reserved then Registry.release_waiter t.reg)
+    t.pop;
+  t.pop <- None;
   t.closed <- true
 
 let create ?(stop = fun () -> false) ~limits ~registry ~stats ~services fd =
@@ -858,7 +889,8 @@ let create ?(stop = fun () -> false) ~limits ~registry ~stats ~services fd =
     multi_count = 0;
     watches = [];
     durables = [];
-    watch_inflight = false;
+    watch = None;
+    pop = None;
     parked = false;
     draining = false;
     input_done = false;

@@ -210,14 +210,18 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) = struct
   (* A sharded queue is pinned whole to its key's owner shard (FIFO
      cannot be hash-partitioned element-wise); the adapter's point is
      that the pinned queue behaves exactly like a single-instance
-     one. *)
-  let sharded_queue ?(shards = 4) mk =
+     one.  Each op runs in the profile's parse semantics on that shard,
+     as the server runs a hinted ENQ or DEQ: the queue's own
+     transaction flattens into it. *)
+  let sharded_queue ?(profile = classic_profile) ?(shards = 4) mk =
     let router = Sharded.Router.create ~shards mk in
-    let t = Sharded.queue_on router "conformance-queue" in
+    let home = Sharded.Router.owner router "conformance-queue" in
+    let t = Sharded.Queue_part.create home in
+    let hinted f = S.atomically ~sem:profile.parse_sem home (fun _ -> f ()) in
     {
-      q_name = "sharded-queue";
-      enq = Sharded.Queue_part.enqueue t;
-      deq = (fun () -> Sharded.Queue_part.dequeue_opt t);
+      q_name = Printf.sprintf "sharded-queue(%s,%d)" profile.profile_name shards;
+      enq = (fun v -> hinted (fun () -> Sharded.Queue_part.enqueue t v));
+      deq = (fun () -> hinted (fun () -> Sharded.Queue_part.dequeue_opt t));
     }
 
   let boosted ?buckets stm =

@@ -933,6 +933,19 @@ let test_blocking_pop_logged () =
     (String.length live > 0 && live = "q{b}");
   rm_rf dir
 
+(* The watch body run once, as a session's watch runs it but without
+   waiting: the names marked dirty, or [] when none are. *)
+let take_dirty_now registry ws =
+  match
+    S.try_atomically_or_wait ~wake:ignore [ Registry.stm registry ]
+      (Registry.take_dirty registry ws)
+  with
+  | S.Outcome (S.Committed names) -> names
+  | S.Outcome _ -> []
+  | S.Waiting w ->
+      S.cancel_wait w;
+      []
+
 (* A parked BLPOP on a watched queue whose home is not the control
    shard (8 shards): the watcher mark is a commit of its own on the
    control shard, and it must come after the pop's commit, so the DEQ
@@ -1008,7 +1021,7 @@ let test_parked_pop_marks_after_commit () =
       | _ -> Alcotest.fail "the parked BLPOP did not get the item");
       (* The session marks before it replies. *)
       Alcotest.(check (list string)) "the pop marked the watcher" [ name ]
-        (Registry.wait_dirty registry [ w ] ~timeout_ns:1_000_000_000);
+        (take_dirty_now registry [ w ]);
       Registry.unwatch registry w);
   let gen =
     match P.Layout.read_manifest ~dir with
@@ -1097,6 +1110,27 @@ let test_replay_refusals () =
         "m{1=a;2=b;3=c}" (dump reg)
 
 (* ---- a bad checkpoint refuses and applies nothing ----------------------- *)
+
+(* Replay resolves every logged frame through the registry, as a client
+   request does, but INFO's [ops] counts client requests only. *)
+let test_replay_counts_no_ops () =
+  let dir = fresh_dir "ops" in
+  write_store ~dir
+    [
+      {
+        hdr = { P.Frame.rtype = P.Frame.rt_new; algo = 0; shard = 0; stamp = 0 };
+        payload = frames [ Wire.New (Wire.Kmap, "m") ];
+      };
+      {
+        hdr = { P.Frame.rtype = P.Frame.rt_op; algo = 0; shard = 0; stamp = 1 };
+        payload = frames [ Wire.Put ("m", 1, "a"); Wire.Put ("m", 2, "b") ];
+      };
+    ];
+  let reg, _ = recover_fresh ~dir () in
+  rm_rf dir;
+  Alcotest.(check string) "replayed" "m{1=a;2=b}" (dump reg);
+  Alcotest.(check string) "no client request counted" "kind=map,algo=tl2,ops=0"
+    (List.assoc "struct_\"m\"" (Registry.info reg))
 
 (* Three checkpoints that each hold a map with two bindings but are
    not whole: one without its bounds record, one whose trailer counts
@@ -1529,6 +1563,8 @@ let suite =
         `Quick test_parked_pop_marks_after_commit;
       Alcotest.test_case "replay refuses malformed payloads; decoder per recovery"
         `Quick test_replay_refusals;
+      Alcotest.test_case "replay counts no client ops" `Quick
+        test_replay_counts_no_ops;
       Alcotest.test_case "a bad checkpoint refuses and applies nothing" `Quick
         test_bad_checkpoint_applies_nothing;
       Alcotest.test_case "a failed log write keeps its records" `Quick

@@ -281,6 +281,65 @@ let test_explore_catches_broken_waiter () =
         found)
     [ `Tl2; `Norec ]
 
+(* {1 Explore: the registering wait}
+
+   An event loop cannot park in [retry]: it registers the wait through
+   [try_atomically_or_wait], blocks on its own parker (as it blocks in
+   [select]) and re-runs when the wake unparks it.  The producer's
+   commit races the same read-empty/register window, which the
+   registration charges as [park_prepare] does; skipping the
+   re-validation must deadlock on some schedule. *)
+let loop_wait_program ~skip_wake_validation algo () =
+  let stm =
+    S.create ~algo
+      ?fault:(if skip_wake_validation then Some `Skip_wake_validation else None)
+      ()
+  in
+  let q = Q.create stm in
+  let loop = Polytm_runtime.Sim_runtime.parker () in
+  let got = ref None in
+  let rec serve () =
+    match
+      S.try_atomically_or_wait
+        ~wake:(fun () -> Polytm_runtime.Sim_runtime.unpark loop)
+        [ stm ]
+        (fun () -> S.atomically stm (fun tx -> Q.take_tx tx q))
+    with
+    | S.Outcome o -> got := Some o
+    | S.Waiting w ->
+        ignore (Polytm_runtime.Sim_runtime.park loop ~deadline:None);
+        S.cancel_wait w;
+        serve ()
+  in
+  let c = Sim.spawn serve in
+  let p = Sim.spawn (fun () -> Q.enqueue q 7) in
+  Sim.join c;
+  Sim.join p;
+  assert (!got = Some (S.Committed 7));
+  assert (S.waiting stm = 0)
+
+let test_explore_loop_wait () =
+  List.iter
+    (fun algo ->
+      let outcome =
+        Explore.check ~max_executions:5_000 ~max_depth:120 ~step_limit:2_000
+          (loop_wait_program ~skip_wake_validation:false algo)
+      in
+      Alcotest.(check bool) "schedules explored" true
+        (outcome.Explore.executions > 50);
+      let found =
+        try
+          ignore
+            (Explore.check ~max_executions:5_000 ~max_depth:120
+               ~step_limit:2_000
+               (loop_wait_program ~skip_wake_validation:true algo));
+          false
+        with Explore.Violation _ -> true
+      in
+      Alcotest.(check bool)
+        "a registration that skips the re-validation loses a wakeup" true found)
+    [ `Tl2; `Norec ]
+
 (* {1 Conservation through blocking consumers} *)
 
 (* [producers] threads each enqueue [per] tagged items, then one poison
@@ -433,6 +492,8 @@ let suite =
         test_explore_no_lost_wakeup;
       Alcotest.test_case "broken waiter caught (explore)" `Slow
         test_explore_catches_broken_waiter;
+      Alcotest.test_case "registered wait, loop-like waiter (explore)" `Slow
+        test_explore_loop_wait;
       QCheck_alcotest.to_alcotest qcheck_sim_conservation;
       Alcotest.test_case "domains conservation" `Quick
         test_domains_conservation;

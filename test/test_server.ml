@@ -448,7 +448,7 @@ let produce reg name v =
   | Ok r ->
       ignore (r.Registry.run () : Wire.response);
       (* a session marks watched structures dirty post-commit *)
-      Option.iter (Registry.touch reg) r.Registry.touched
+      Registry.touch reg r
   | Error _ -> Alcotest.fail "producer could not resolve ENQ"
 
 (* The acceptance-criteria scenario: the server answers a BLPOP issued
@@ -614,7 +614,7 @@ let test_idle_watches_on_both_algorithms_park () =
       let before = starts () in
       Unix.sleepf 0.3;
       let idle = starts () - before in
-      if idle >= 100 then
+      if idle > 0 then
         Alcotest.failf "an idle session started %d transactions in 300 ms" idle;
       write_all writer (encode [ req (Wire.Put ("n", 1, "x")) ]);
       Alcotest.check resps_t "the other client's PUT" [ Wire.Int 1 ]
@@ -669,6 +669,227 @@ let test_shutdown_wakes_parked_waiter () =
         [ Wire.Nil ] (recv_n fd 1);
       Alcotest.(check bool) "no waiter survives the drain" true
         (eventually (fun () -> S.waiting (Registry.stm reg) = 0)))
+
+(* No wait holds a thread.  The session is driven with no event loop:
+   its [submit] fails the test, and its [post] queues the closure for
+   the test to run later, as the loop runs what is posted to it.  A
+   BLPOP parks until a later ENQ's wake posts its resume, a BTAKE
+   times out when the loop's timer says so, and watches on a TL2 map
+   and a NORec map each push after a mark. *)
+let test_waits_post_to_their_loop () =
+  let server_fd, fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock server_fd;
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  let reg = Registry.create () in
+  let posted = Queue.create () in
+  let services =
+    {
+      Session.submit = (fun _ -> Alcotest.fail "a wait asked for a thread");
+      post = (fun f -> Queue.push f posted);
+    }
+  in
+  let sess =
+    Session.create ~limits:Limits.default ~registry:reg
+      ~stats:(Session.create_stats ()) ~services server_fd
+  in
+  let send reqs =
+    write_all fd (encode reqs);
+    Session.on_readable sess
+  in
+  let run_posted () =
+    let n = ref 0 in
+    while not (Queue.is_empty posted) do
+      incr n;
+      (Queue.pop posted) ()
+    done;
+    !n
+  in
+  let waiting what n =
+    Alcotest.(check int) (what ^ ": STM waiters") n (S.waiting (Registry.stm reg))
+  in
+  let mark name v =
+    match Registry.resolve reg (Wire.Put (name, 1, v)) with
+    | Ok r ->
+        ignore (r.Registry.run () : Wire.response);
+        Registry.touch reg r
+    | Error _ -> Alcotest.fail "resolve PUT"
+  in
+  (match Registry.ensure ~algo:`Norec reg Wire.Kmap "n" with
+  | Ok `Created -> ()
+  | _ -> Alcotest.fail "could not create the NORec map");
+  send
+    [
+      req (Wire.New (Wire.Kqueue, "q"));
+      req (Wire.New (Wire.Kmap, "m"));
+      req (Wire.Blpop ("q", 0));
+    ];
+  Alcotest.check resps_t "created" [ Wire.ok; Wire.ok ] (recv_n fd 2);
+  waiting "the BLPOP registered" 1;
+  Alcotest.(check int) "it holds a waiter slot" 1 (Registry.waiting reg);
+  Alcotest.(check int) "nothing posted while it waits" 0 (run_posted ());
+  produce reg "q" "job";
+  Alcotest.(check int) "the ENQ's commit posted one resume" 1 (run_posted ());
+  Alcotest.check resps_t "the resume answers the BLPOP"
+    [ Wire.Array [ Wire.Bulk "q"; Wire.Bulk "job" ] ]
+    (recv_n fd 1);
+  waiting "the BLPOP's wait cancelled" 0;
+  Alcotest.(check int) "its slot returned" 0 (Registry.waiting reg);
+  send [ req (Wire.Btake ("q", 30)) ];
+  waiting "the BTAKE registered" 1;
+  Alcotest.(check bool) "its timeout is the loop's deadline" true
+    (Session.deadline sess < max_int);
+  Unix.sleepf 0.04;
+  Session.on_deadline sess (Polytm_runtime.Domain_runtime.now ());
+  Alcotest.check resps_t "the timer answers Nil" [ Wire.Nil ] (recv_n fd 1);
+  waiting "the BTAKE's wait cancelled" 0;
+  Alcotest.(check int) "no deadline left" max_int (Session.deadline sess);
+  send [ req (Wire.Watch "m"); req (Wire.Watch "n") ];
+  Alcotest.check resps_t "watching both" [ Wire.ok; Wire.ok ] (recv_n fd 2);
+  waiting "one watch wait registered" 1;
+  List.iter
+    (fun name ->
+      mark name "x";
+      Alcotest.(check int) (name ^ "'s mark posted one resume") 1 (run_posted ());
+      Alcotest.check resps_t (name ^ " pushed") [ Wire.Push name ] (recv_n fd 1);
+      waiting (name ^ ": the watch registered again") 1)
+    [ "m"; "n" ];
+  (* UNWATCH cancels the watch wait and the pop parks in the same batch:
+     the parked session registers its watch again and keeps pushing. *)
+  send [ req (Wire.Unwatch "n"); req (Wire.Blpop ("q", 0)) ];
+  Alcotest.check resps_t "unwatched" [ Wire.ok ] (recv_n fd 1);
+  waiting "a parked pop and a watch" 2;
+  mark "m" "y";
+  Alcotest.(check int) "the mark posted one resume" 1 (run_posted ());
+  Alcotest.check resps_t "pushed while the pop waits" [ Wire.Push "m" ]
+    (recv_n fd 1);
+  produce reg "q" "last";
+  Alcotest.(check int) "the ENQ posted the pop's resume" 1 (run_posted ());
+  Alcotest.check resps_t "the pop answers"
+    [ Wire.Array [ Wire.Bulk "q"; Wire.Bulk "last" ] ]
+    (recv_n fd 1);
+  Session.teardown sess;
+  waiting "teardown cancels the watch" 0;
+  Unix.close fd;
+  Unix.close server_fd
+
+(* A drain that finds pops waiting on a TL2 and a NORec queue of a
+   sharded registry, and a session watching both algorithms, answers
+   every pop and leaves no wait registered on any instance. *)
+let test_drain_leaves_no_wait () =
+  let reg = Registry.create ~shards:4 () in
+  let stop = Atomic.make false in
+  let loop = Evloop.create ~stop:(fun () -> Atomic.get stop) () in
+  let dom = Domain.spawn (fun () -> Evloop.run loop) in
+  let pairs =
+    Array.init 3 (fun _ -> Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0)
+  in
+  Array.iter
+    (fun (sfd, cfd) ->
+      Unix.setsockopt_float cfd Unix.SO_RCVTIMEO 10.;
+      Evloop.add_conn loop ~limits:Limits.default ~registry:reg
+        ~stats:(Session.create_stats ()) sfd)
+    pairs;
+  let fd i = snd pairs.(i) in
+  List.iter
+    (fun (algo, kind, name) ->
+      match Registry.ensure ~algo reg kind name with
+      | Ok `Created -> ()
+      | _ -> Alcotest.failf "could not create %s" name)
+    [
+      (`Tl2, Wire.Kqueue, "q");
+      (`Norec, Wire.Kqueue, "nq");
+      (`Tl2, Wire.Kmap, "m");
+      (`Norec, Wire.Kmap, "n");
+    ];
+  write_all (fd 2) (encode [ req (Wire.Watch "m"); req (Wire.Watch "n") ]);
+  Alcotest.check resps_t "watching" [ Wire.ok; Wire.ok ] (recv_n (fd 2) 2);
+  write_all (fd 0) (encode [ req (Wire.Blpop ("q", 0)) ]);
+  write_all (fd 1) (encode [ req (Wire.Btake ("nq", 0)) ]);
+  Alcotest.(check bool) "both pops wait" true
+    (eventually (fun () -> Registry.waiting reg = 2));
+  let all = Registry.instances reg `Tl2 @ Registry.instances reg `Norec in
+  let registered () = List.fold_left (fun n stm -> n + S.waiting stm) 0 all in
+  Alcotest.(check int) "two pops and a watch registered" 3 (registered ());
+  Atomic.set stop true;
+  Registry.set_draining reg;
+  Array.iter
+    (fun (sfd, _) -> try Unix.shutdown sfd Unix.SHUTDOWN_RECEIVE with _ -> ())
+    pairs;
+  Alcotest.check resps_t "the TL2 pop answers Nil" [ Wire.Nil ] (recv_n (fd 0) 1);
+  Alcotest.check resps_t "the NORec pop answers Nil" [ Wire.Nil ]
+    (recv_n (fd 1) 1);
+  Domain.join dom;
+  List.iteri
+    (fun i stm ->
+      Alcotest.(check int) (Printf.sprintf "instance %d: no wait" i) 0
+        (S.waiting stm))
+    all;
+  Alcotest.(check int) "no waiter slot held" 0 (Registry.waiting reg);
+  Array.iter
+    (fun (sfd, cfd) ->
+      Unix.close cfd;
+      Unix.close sfd)
+    pairs
+
+(* INFO's [ops] counts each client request once: SNAPSHOT-ITER's
+   stream path counts as the same command inside MULTI does. *)
+let test_snapshot_iter_counts_once () =
+  with_session (fun fd reg _ _ ->
+      let ops () = List.assoc "struct_\"m\"" (Registry.info reg) in
+      write_all fd (encode [ req (Wire.New (Wire.Kmap, "m")) ]);
+      Alcotest.check resps_t "created" [ Wire.ok ] (recv_n fd 1);
+      write_all fd (encode (List.init 5 (fun _ -> req (Wire.Snapshot_iter "m"))));
+      ignore (recv_n fd 5);
+      Alcotest.(check string) "five streamed SNAPSHOT-ITERs"
+        "kind=map,algo=tl2,ops=5" (ops ());
+      write_all fd
+        (encode
+           [ req Wire.Multi; req (Wire.Snapshot_iter "m"); req Wire.Multi_end ]);
+      ignore (recv_n fd 3);
+      Alcotest.(check string) "and one inside MULTI" "kind=map,algo=tl2,ops=6"
+        (ops ()))
+
+(* A loop waits with [select], which cannot take an fd at or above
+   FD_SETSIZE: such a connection is closed where it enters the loop and
+   counted in INFO, and the loop keeps serving its other connections.
+   The high fd is a [dup2] of one socket, so the test opens a handful
+   of fds. *)
+let test_unselectable_fd_refused () =
+  let reg = Registry.create () in
+  let stop = Atomic.make false in
+  let loop = Evloop.create ~stop:(fun () -> Atomic.get stop) () in
+  let dom = Domain.spawn (fun () -> Evloop.run loop) in
+  let hs, hc = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let high : Unix.file_descr = Obj.magic Limits.fd_limit in
+  (try Unix.dup2 ~cloexec:true hs high
+   with Unix.Unix_error (e, _, _) ->
+     Alcotest.failf "dup2 onto fd %d: %s" Limits.fd_limit (Unix.error_message e));
+  Unix.close hs;
+  let ns, nc = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float hc Unix.SO_RCVTIMEO 10.;
+  Unix.setsockopt_float nc Unix.SO_RCVTIMEO 10.;
+  let stats = Session.create_stats () in
+  Evloop.add_conn loop
+    ~on_close:(fun () -> Unix.close high)
+    ~limits:Limits.default ~registry:reg ~stats high;
+  Evloop.add_conn loop ~limits:Limits.default ~registry:reg ~stats ns;
+  Alcotest.(check int) "the refused fd is closed" 0
+    (Unix.read hc (Bytes.create 1) 0 1);
+  write_all nc (encode [ req Wire.Ping; req Wire.Info ]);
+  (match recv_n nc 2 with
+  | [ Wire.Simple "PONG"; Wire.Bulk info ] ->
+      let lines = String.split_on_char '\n' info in
+      Alcotest.(check bool) "INFO states the limit" true
+        (List.mem (Printf.sprintf "fd_limit:%d" Limits.fd_limit) lines);
+      Alcotest.(check bool) "INFO counts the refusal" true
+        (List.mem "fd_refused:1" lines)
+  | got ->
+      Alcotest.failf "PING then INFO, got %s"
+        (String.concat " | " (List.map pp_resp got)));
+  Atomic.set stop true;
+  Unix.shutdown nc Unix.SHUTDOWN_SEND;
+  Domain.join dom;
+  List.iter Unix.close [ hc; ns; nc ]
 
 (* ---- sharded server: --shards K behind the same wire protocol ---------- *)
 
@@ -1316,6 +1537,14 @@ let suite =
         test_idle_watches_on_both_algorithms_park;
       Alcotest.test_case "a pop that takes nothing marks nothing" `Quick
         test_empty_pop_marks_nothing;
+      Alcotest.test_case "waits post to their loop, never to a thread" `Quick
+        test_waits_post_to_their_loop;
+      Alcotest.test_case "a drain leaves no wait registered" `Quick
+        test_drain_leaves_no_wait;
+      Alcotest.test_case "SNAPSHOT-ITER counts once in INFO" `Quick
+        test_snapshot_iter_counts_once;
+      Alcotest.test_case "an fd select cannot take is refused" `Quick
+        test_unselectable_fd_refused;
       Alcotest.test_case "shutdown wakes and answers parked waiters" `Quick
         test_shutdown_wakes_parked_waiter;
       Alcotest.test_case "kind mismatch and unknown structure" `Quick

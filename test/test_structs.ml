@@ -364,6 +364,98 @@ let test_queue_transfer_all_atomic () =
       (AM.Queue.to_list dst)
   done
 
+(* The hint question for the queue: a client's [~elastic] hint runs
+   the queue's operations as elastic transactions (flat nesting lets
+   the outer label win).  Four simulator threads share two queues: a
+   producer ENQs 24 items, then sets a drain flag; a consumer DEQs; a
+   blocking pop runs the server's body (read the drain flag, dequeue,
+   [retry] when empty) until it sees the flag; and a mover takes from
+   one queue and puts on the other in one transaction, as a MULTI
+   would.  Every item must end up exactly once: taken, or still in a
+   queue.  Returns what went wrong, if anything. *)
+let elastic_queue_failure ?fault ~algo ~window seed =
+  let stm = AM.S.create ~algo ~elastic_window:window ?fault () in
+  let q = AM.Queue.create stm and q2 = AM.Queue.create stm in
+  let drain = AM.S.tvar stm false in
+  let elastic f = AM.S.atomically ~sem:Semantics.Elastic stm f in
+  let items = 24 and taken = ref [] in
+  let take = Option.iter (fun v -> taken := v :: !taken) in
+  let blocking_pop tx =
+    if AM.S.read tx drain then None
+    else
+      match AM.Queue.dequeue_opt_tx tx q with
+      | None -> AM.S.retry tx
+      | v -> v
+  in
+  let move tx =
+    Option.iter (AM.Queue.enqueue_tx tx q2) (AM.Queue.dequeue_opt_tx tx q)
+  in
+  match
+    Sim.run ~policy:(Sim.Random_sched seed) (fun () ->
+        R.parallel
+          [
+            (fun () ->
+              for i = 1 to items do
+                elastic (fun _ -> AM.Queue.enqueue q i)
+              done;
+              elastic (fun tx -> AM.S.write tx drain true));
+            (fun () ->
+              for _ = 1 to 12 do
+                take (elastic (fun _ -> AM.Queue.dequeue_opt q))
+              done);
+            (fun () ->
+              let rec go () =
+                match elastic blocking_pop with
+                | Some _ as v ->
+                    take v;
+                    go ()
+                | None -> ()
+              in
+              go ());
+            (fun () ->
+              for _ = 1 to 12 do
+                elastic move
+              done);
+          ])
+  with
+  | exception e -> Some (Printexc.to_string e)
+  | (), _ ->
+      let all = List.sort compare (!taken @ AM.Queue.to_list q @ AM.Queue.to_list q2) in
+      if all = List.init items succ then None
+      else
+        Some
+          (Printf.sprintf "items lost or duplicated: [%s]"
+             (String.concat ";" (List.map string_of_int all)))
+
+(* Seeds 1-100 at elastic windows 2 and 1, on TL2 and NORec. *)
+let queue_hint_seeds = List.init 100 succ
+
+let test_elastic_hint_queue () =
+  List.iter
+    (fun (algo, name) ->
+      List.iter
+        (fun window ->
+          let failed =
+            List.filter_map
+              (fun seed ->
+                Option.map
+                  (Printf.sprintf "seed %d: %s" seed)
+                  (elastic_queue_failure ~algo ~window seed))
+              queue_hint_seeds
+          in
+          if failed <> [] then
+            Alcotest.failf "%s, window %d: %s" name window
+              (String.concat "; " failed))
+        [ 2; 1 ])
+    [ (`Tl2, "tl2"); (`Norec, "norec") ];
+  (* The same check rejects a store that loses updates, on every seed. *)
+  Alcotest.(check int) "a NORec store that skips validation fails"
+    (List.length queue_hint_seeds)
+    (List.length
+       (List.filter_map
+          (elastic_queue_failure ~fault:`Skip_validation ~algo:`Norec ~window:2)
+          queue_hint_seeds))
+
 let test_undersized_elastic_window_rejected () =
   let stm = AM.S.create ~elastic_window:1 () in
   Alcotest.check_raises "window 1 rejected for elastic lists"
@@ -394,4 +486,6 @@ let suite =
           test_queue_concurrent_producers_consumers;
         Alcotest.test_case "queue transfer atomic" `Quick
           test_queue_transfer_all_atomic;
+        Alcotest.test_case "an elastic hint cannot break the queue" `Quick
+          test_elastic_hint_queue;
       ] )
