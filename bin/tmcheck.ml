@@ -184,8 +184,8 @@ let loop_wait_program ?fault () =
         [ stm ]
         (fun () -> AM.S.atomically stm (fun tx -> AM.Queue.take_tx tx q))
     with
-    | AM.S.Outcome outcome -> got := Some outcome
-    | AM.S.Waiting w ->
+    | outcome -> got := Some outcome
+    | exception AM.S.Waiting w ->
         ignore (R.park loop ~deadline:None);
         AM.S.cancel_wait w;
         serve ()

@@ -1696,7 +1696,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
      not once the wait is cancelled. *)
   type wait = { wstm : t; waiter : Wq.waiter; fired : bool Atomic.t }
 
-  exception Registered of wait
+  exception Waiting of wait
 
   let registered stm wake =
     let fired = Atomic.make false in
@@ -1769,10 +1769,15 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
         (** conflict exhaustion (or the adaptive CM) takes the
             serialization tokens rather than giving up *)
     irrevocable : bool;  (** holds the tokens from the first attempt *)
-    wake : (unit -> unit) option;
+    wake : unit -> unit;
         (** [try_atomically_or_wait]: a [retry] registers a wait with
-            this wake and returns it instead of parking *)
+            this wake and returns it instead of parking; {!no_wake}
+            parks *)
   }
+
+  (* The [wake] of a call that parks: compared physically, so a call
+     that cannot register pays no option box. *)
+  let no_wake () = ()
 
   (* Arm every member for attempt [n] and enter its extent.  A
      cross-instance snapshot then replaces the armed clocks with a
@@ -1923,7 +1928,9 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
              own waker. *)
           let tx = r.txs.(0) in
           let stm = tx.stm and ctx = tx.ctx in
-          let wait = Option.map (registered stm) r.wake in
+          let wait =
+            if r.wake == no_wake then None else Some (registered stm r.wake)
+          in
           let w =
             match wait with
             | Some wt -> wt.waiter
@@ -1940,7 +1947,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
             R.add_counter stm.c_parks 1;
             emit_park tx (Array.length wvars);
             match wait with
-            | Some wt -> raise (Registered wt)
+            | Some wt -> raise (Waiting wt)
             | None -> (
                 let woken = R.park ctx.parker ~deadline:r.deadline in
                 R.add_counter
@@ -1986,7 +1993,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
   let multi_optimistic_cap = 16
   let multi_snapshot_cap = 64
 
-  let start ?wake ~raising ~irrevocable ~budget ~deadline txs body =
+  let start ~wake ~raising ~irrevocable ~budget ~deadline txs body =
     let lead = txs.(0).stm in
     let r =
       {
@@ -2032,12 +2039,13 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
           raise
             (Invalid_operation "irrevocable snapshot transactions are pointless");
         value
-          (start ~raising:true ~irrevocable ~budget ~deadline
+          (start ~wake:no_wake ~raising:true ~irrevocable ~budget ~deadline
              [| fresh_tx ~alone:true stm ctx sem label |]
              f)
 
-  let try_atomically ?(sem = Semantics.Classic) ?(label = "") ?budget
-      ?deadline stm f =
+  (* [try_atomically], and the one-member path of
+     [try_atomically_or_wait] (with its [wake]). *)
+  let try_alone ~wake ~sem ~label ?budget ?deadline stm f =
     let ctx = R.tls_get stm.current in
     match ctx.cur_tx with
     | Some outer when outer.live ->
@@ -2046,9 +2054,13 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
         let (_ : Semantics.t) = Semantics.compose ~outer:outer.sem ~inner:sem in
         Committed (f outer)
     | Some _ | None ->
-        start ~raising:false ~irrevocable:false ~budget ~deadline
+        start ~wake ~raising:false ~irrevocable:false ~budget ~deadline
           [| fresh_tx ~alone:true stm ctx sem label |]
           f
+
+  let try_atomically ?(sem = Semantics.Classic) ?(label = "") ?budget
+      ?deadline stm f =
+    try_alone ~wake:no_wake ~sem ~label ?budget ?deadline stm f
 
   (* ------------------------------------------------------------------ *)
   (* Cross-instance transactions — the sharded store's commit engine     *)
@@ -2070,8 +2082,8 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     done;
     Array.sub arr 0 !uniq
 
-  let multi ?wake ~raising ?(sem = Semantics.Classic) ?(label = "") ?budget
-      ?deadline ?bounds stms f =
+  let multi ?(wake = no_wake) ~raising ?(sem = Semantics.Classic)
+      ?(label = "") ?budget ?deadline ?bounds stms f =
     let members = canonical_instances stms in
     if Array.length members = 0 then
       raise (Invalid_operation "atomically_multi: no instances");
@@ -2111,7 +2123,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
           members ctxs
       in
       let outcome =
-        start ?wake ~raising ~irrevocable:false ~budget ~deadline txs (fun _ ->
+        start ~wake ~raising ~irrevocable:false ~budget ~deadline txs (fun _ ->
             f ())
       in
       (match outcome with
@@ -2136,12 +2148,14 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
         try_atomically ?sem ?label ?budget ?deadline stm (fun _ -> f ())
     | _ -> multi ~raising:false ?sem ?label ?budget ?deadline ?bounds stms f
 
-  type 'a or_wait = Outcome of 'a outcome | Waiting of wait
-
-  let try_atomically_or_wait ?sem ?label ?budget ?deadline ~wake stms f =
-    match multi ~wake ~raising:false ?sem ?label ?budget ?deadline stms f with
-    | outcome -> Outcome outcome
-    | exception Registered w -> Waiting w
+  (* One member takes [try_atomically_multi]'s one-member path, with the
+     same flat nesting. *)
+  let try_atomically_or_wait ?(sem = Semantics.Classic) ?(label = "") ?budget
+      ?deadline ~wake stms f =
+    match stms with
+    | [ stm ] ->
+        try_alone ~wake ~sem ~label ?budget ?deadline stm (fun _ -> f ())
+    | _ -> multi ~wake ~raising:false ~sem ~label ?budget ?deadline stms f
 
   (* ------------------------------------------------------------------ *)
   (* Statistics and recording                                            *)

@@ -345,9 +345,9 @@ module type S = sig
   (** A [retry] wait set registered with a caller's wake function.  It
       stays registered, and counts in {!waiting}, until {!cancel_wait}. *)
 
-  type 'a or_wait =
-    | Outcome of 'a outcome  (** the call ended as {!try_atomically_multi}'s *)
-    | Waiting of wait  (** the body retried and its wait set is registered *)
+  exception Waiting of wait
+  (** The body of {!try_atomically_or_wait} retried and its wait set is
+      registered. *)
 
   val try_atomically_or_wait :
     ?sem:Semantics.t ->
@@ -357,11 +357,12 @@ module type S = sig
     wake:(unit -> unit) ->
     t list ->
     (unit -> 'a) ->
-    'a or_wait
+    'a outcome
   (** [try_atomically_or_wait ~wake stms f] runs [f] as
-      {!try_atomically_multi} does, except where {!retry} would park:
-      there the attempt's wait set is registered with [wake] and the
-      call returns [Waiting w] at once.  Registration takes the same
+      {!try_atomically_multi} does, one member through the same
+      one-member path, except where {!retry} would park: there the
+      attempt's wait set is registered with [wake] and the call raises
+      [Waiting w] at once.  Registration takes the same
       register-then-revalidate step as a park, so a commit that changed
       the wait set before the registration makes the call re-run [f]
       instead of returning, and the first later commit that writes the

@@ -1,13 +1,18 @@
 (** The append-only op log writer.
 
     Records are appended by the STM commit hook {e inside} the commit
-    critical section, so the append path must never block on disk:
-    [append] serialises the record into an in-memory buffer under the
-    append mutex and returns a sequence number; the actual
-    [write]+[fsync] happens later, under a {e separate} sync mutex, on
-    whichever thread needs durability first — the event-loop flush
-    path ([`Always]), the once-a-second tick ([`Everysec]), or
-    shutdown ([`No]).
+    critical section, so the append path must never block on disk: an
+    append frames the record in place at the end of an in-memory
+    writer under the append lock and returns a sequence number; the
+    actual [write]+[fsync] happens later, under a {e separate} sync
+    mutex, on whichever thread needs durability first — the
+    event-loop flush path ([`Always]), the once-a-second tick
+    ([`Everysec]), or shutdown ([`No]).  The op log passes its own
+    mutex as the append lock, so one lock covers both its choice of
+    writer and the append.
+
+    Two writers take turns: appends go to one while a sync writes the
+    other's pending region straight to the fd, with no copy.
 
     Group commit falls out of the split: while one thread is inside
     [fsync], every other session keeps appending to the buffer; when
@@ -23,13 +28,15 @@ let policy_to_string = function
   | `Everysec -> "everysec"
   | `No -> "no"
 
+module Obuf = Polytm_util.Obuf
+
 type t = {
   path : string;
   fd : Unix.file_descr;
-  mu : Mutex.t;  (** guards [buf], [seq], [bytes] — the append side *)
-  mutable buf : Buffer.t;
-  mutable spare : Buffer.t;  (** double buffer: swapped in under [mu],
-                                 drained to the fd outside it *)
+  mu : Mutex.t;  (** the append lock: guards [buf], [seq], [bytes] *)
+  mutable buf : Obuf.t;  (** where appends frame their records *)
+  mutable spare : Obuf.t;  (** the other writer: swapped in under [mu],
+                               drained to the fd outside it *)
   mutable seq : int;  (** records appended (buffered or written) *)
   mutable bytes : int;  (** bytes appended since open *)
   sync_mu : Mutex.t;  (** serialises write+fsync and [closed] *)
@@ -40,8 +47,10 @@ type t = {
 
 (* Open (creating if absent) for append; an empty file gets the
    magic.  The caller is responsible for having scanned/truncated the
-   file first — this writer only ever moves forward. *)
-let open_log path =
+   file first — this writer only ever moves forward.  [mu] is the
+   append lock: the op log passes its own, shared by the writers it
+   rotates through. *)
+let open_log ?(mu = Mutex.create ()) path =
   let fd = Unix.openfile path [ O_WRONLY; O_CREAT; O_APPEND ] 0o644 in
   let size = (Unix.fstat fd).st_size in
   if size = 0 then begin
@@ -52,9 +61,9 @@ let open_log path =
   {
     path;
     fd;
-    mu = Mutex.create ();
-    buf = Buffer.create 4096;
-    spare = Buffer.create 4096;
+    mu;
+    buf = Obuf.create ();
+    spare = Obuf.create ();
     seq = 0;
     bytes = (if size = 0 then Frame.magic_len else size);
     sync_mu = Mutex.create ();
@@ -63,31 +72,45 @@ let open_log path =
     syncs = 0;
   }
 
-let append t hdr ~payload =
-  Mutex.lock t.mu;
-  let before = Buffer.length t.buf in
-  Frame.encode t.buf hdr ~payload;
-  t.bytes <- t.bytes + (Buffer.length t.buf - before);
+(* Frame a record whose payload [write buf x] writes, and return its
+   sequence number; the caller holds [mu]. *)
+let append_locked t ~rtype ~algo ~shard ~stamp write x =
+  let before = Obuf.length t.buf in
+  Frame.add t.buf ~rtype ~algo ~shard ~stamp write x;
+  t.bytes <- t.bytes + (Obuf.length t.buf - before);
   t.seq <- t.seq + 1;
-  let seq = t.seq in
-  Mutex.unlock t.mu;
-  seq
+  t.seq
 
-(* Write [b] from [!pos] to its end, advancing [pos] past every byte
-   written, so a caller whose write raises knows exactly which tail is
-   still unwritten. *)
-let write_all fd b pos =
-  while !pos < Bytes.length b do
-    match Unix.write fd b !pos (Bytes.length b - !pos) with
-    | n -> pos := !pos + n
+let append t (hdr : Frame.header) ~payload =
+  Mutex.lock t.mu;
+  match
+    append_locked t ~rtype:hdr.rtype ~algo:hdr.algo ~shard:hdr.shard
+      ~stamp:hdr.stamp Obuf.add_string payload
+  with
+  | seq ->
+      Mutex.unlock t.mu;
+      seq
+  | exception e ->
+      Mutex.unlock t.mu;
+      raise e
+
+(* Write [ob]'s pending region to [fd].  Each write consumes what it
+   wrote, so when one raises, the pending region is exactly the
+   unwritten tail. *)
+let write_all fd ob =
+  while Obuf.pending ob > 0 do
+    let b, off, len = Obuf.peek ob in
+    match Unix.single_write fd b off len with
+    | n -> Obuf.consumed ob n
     | exception Unix.Unix_error (EINTR, _, _) -> ()
   done
 
-(* Drain the buffer to the fd and fsync; must hold [sync_mu].  Bytes
-   leave the buffers only once written: when a write raises, the
-   unwritten tail goes back in front of whatever was appended meanwhile
-   and the exception propagates, so the next sync writes it first, and
-   [synced_seq] moves only after a write and its fsync both succeed. *)
+(* Drain the pending writer to the fd and fsync; must hold [sync_mu].
+   Bytes leave the writers only once written: when a write raises, the
+   unwritten tail goes back in front of whatever was appended
+   meanwhile and the exception propagates, so the next sync writes it
+   first, and [synced_seq] moves only after a write and its fsync both
+   succeed. *)
 let sync_locked t =
   if not t.closed then begin
     Mutex.lock t.mu;
@@ -96,24 +119,18 @@ let sync_locked t =
     t.buf <- t.spare;
     t.spare <- pending;
     Mutex.unlock t.mu;
-    (* Appends continue into the other buffer while we do I/O. *)
-    if Buffer.length pending > 0 then begin
-      let b = Buffer.to_bytes pending in
-      let pos = ref 0 in
-      match write_all t.fd b pos with
-      | () -> Buffer.clear pending
-      | exception e ->
-          Mutex.lock t.mu;
-          let live = t.buf in
-          Buffer.clear pending;
-          Buffer.add_subbytes pending b !pos (Bytes.length b - !pos);
-          Buffer.add_buffer pending live;
-          Buffer.clear live;
-          t.buf <- pending;
-          t.spare <- live;
-          Mutex.unlock t.mu;
-          raise e
-    end;
+    (* Appends continue into the other writer while we do I/O. *)
+    (match write_all t.fd pending with
+    | () -> ()
+    | exception e ->
+        Mutex.lock t.mu;
+        let live = t.buf in
+        Obuf.add_obuf pending live;
+        Obuf.clear live;
+        t.buf <- pending;
+        t.spare <- live;
+        Mutex.unlock t.mu;
+        raise e);
     Unix.fsync t.fd;
     t.syncs <- t.syncs + 1;
     if target > t.synced_seq then t.synced_seq <- target

@@ -9,20 +9,25 @@
       body    = u8 rtype | u8 algo | u16_le shard | u64_le stamp | payload
     v}
 
-    [rtype] distinguishes ops ([rt_op], payload = the mutation's wire
-    request frame, exactly as the client sent it), structure creations
-    ([rt_new], payload = a [NEW] wire frame), a checkpoint's bound
-    vector ([rt_bounds]) and its trailer ([rt_trailer]).  [algo] and
-    [shard] locate the STM instance the record committed on; [stamp]
-    is that instance's commit version, which is what log compaction
-    filters against (replay a record iff its stamp exceeds the
-    checkpoint's bound for that instance).
+    [rtype] distinguishes ops ([rt_op]), structure creations
+    ([rt_new]), a checkpoint's bound vector ([rt_bounds]) and its
+    trailer ([rt_trailer]).  An op's payload is the hint-free request
+    frames of the mutation it committed, re-encoded by the server
+    rather than copied from the client: no [~classic]/[~elastic]/
+    [~snapshot] field, one frame per mutation of a [MULTI] batch, and
+    a [BLPOP] or [BTAKE] as the [DEQ] it performed.  A creation's
+    payload is a [NEW] frame.  [algo] and [shard] locate the STM
+    instance the record committed on; [stamp] is that instance's
+    commit version, which is what log compaction filters against
+    (replay a record iff its stamp exceeds the checkpoint's bound for
+    that instance).
 
-    Encoding is one pass into the caller's buffer: the length, the CRC,
-    the body header and the payload are appended in place, the CRC
-    running over the header and then the payload, so a record costs no
-    intermediate body string — it is what the commit hook pays inside
-    every write commit.
+    A record is framed in place, by {!add}, at the end of the writer
+    that will carry it to disk: the length and CRC slots are reserved,
+    the body header and the payload written after them, the CRC run
+    over the body where it lies, and the two slots patched.  A record
+    costs no payload string, header or copy — it is what the commit
+    hook pays inside every write commit.
 
     Scanning never raises on malformed input: a file is parsed as the
     longest valid prefix plus a typed {!tear} describing where and why
@@ -31,6 +36,8 @@
     service (middle of a checkpoint).  It reads the file through one
     fixed window and hands each checked record to its caller where it
     lies there, so replaying a record costs no string of its own. *)
+
+module Obuf = Polytm_util.Obuf
 
 let log_magic = "PTMLOG1\n"
 let ckpt_magic = "PTMCKP1\n"
@@ -54,20 +61,28 @@ type header = { rtype : int; algo : int; shard : int; stamp : int }
 let algo_code = function `Tl2 -> 0 | `Norec -> 1
 let algo_of_code = function 0 -> Some `Tl2 | 1 -> Some `Norec | _ -> None
 
-(* Append one framed record to [buf] in one pass (see the header). *)
-let encode buf hdr ~payload =
-  let h = Bytes.create body_hdr_len in
-  Bytes.set_uint8 h 0 hdr.rtype;
-  Bytes.set_uint8 h 1 hdr.algo;
-  Bytes.set_uint16_le h 2 hdr.shard;
-  Bytes.set_int64_le h 4 (Int64.of_int hdr.stamp);
-  let h = Bytes.unsafe_to_string h in
-  let plen = String.length payload in
-  let crc = Crc32.update (Crc32.string h) payload 0 plen in
-  Buffer.add_int32_le buf (Int32.of_int (body_hdr_len + plen));
-  Buffer.add_int32_le buf (Int32.of_int crc);
-  Buffer.add_string buf h;
-  Buffer.add_string buf payload
+(* Frame one record at the end of [ob], its payload written by [write
+   ob x] (see the header).  If [write] raises, [ob] is cut back to the
+   record's start and the exception goes on. *)
+let add (ob : Obuf.t) ~rtype ~algo ~shard ~stamp write x =
+  let start = ob.len in
+  Obuf.reserve ob (8 + body_hdr_len);
+  let b = ob.buf in
+  (* bytes [start, start + 8) are the length and CRC slots *)
+  Bytes.set_uint8 b (start + 8) rtype;
+  Bytes.set_uint8 b (start + 9) algo;
+  Bytes.set_uint16_le b (start + 10) shard;
+  Bytes.set_int64_le b (start + 12) (Int64.of_int stamp);
+  ob.len <- start + 8 + body_hdr_len;
+  match write ob x with
+  | () ->
+      let b = ob.buf and len = ob.len - start - 8 in
+      let crc = Crc32.update 0 (Bytes.unsafe_to_string b) (start + 8) len in
+      Bytes.set_int32_le b start (Int32.of_int len);
+      Bytes.set_int32_le b (start + 4) (Int32.of_int crc)
+  | exception e ->
+      Obuf.truncate ob start;
+      raise e
 
 (* ------------------------------------------------------------------ *)
 (* Scanning                                                            *)

@@ -5,12 +5,14 @@ module Tls = Polytm_runtime.Domain_runtime
 
 type span = { name : string; ts_us : int; dur_us : int }
 
-(* One thread's arming state for one log: the payload its next write
+module Obuf = Polytm_util.Obuf
+
+(* One thread's arming state for one log: the commands its next write
    commit appends, and the ticket that append leaves ([seq = 0]: none).
    Only its own thread reads or writes it. *)
-type slot = {
+type 'c slot = {
   mutable armed : bool;
-  mutable payload : string;
+  mutable cmds : 'c list;
   mutable aof : Aof.t;  (** the writer of the ticket's record *)
   mutable seq : int;
 }
@@ -18,16 +20,18 @@ type slot = {
 (* Spans kept for the trace lane; older ones are overwritten. *)
 let ring_cap = 4096
 
-type t = {
+type 'c t = {
   dir : string;
   policy : Aof.policy;
+  encode : Obuf.t -> 'c list -> unit;  (** writes a record's payload *)
   log_mu : Mutex.t;
-      (** guards [aof]/[active_gen]; held across the (buffer-only)
-          append so a rotation never strands a record in a closed log *)
+      (** guards [aof]/[active_gen], and is every writer's append lock:
+          held across the (buffer-only) append so a rotation never
+          strands a record in a closed log *)
   mutable aof : Aof.t;
   mutable gen : int;  (** published (manifest) generation *)
   mutable active_gen : int;  (** generation of the log [aof] writes *)
-  slots : slot Tls.tls;  (** per-systhread arming slots of this log *)
+  slots : 'c slot Tls.tls;  (** per-systhread arming slots of this log *)
   ckpt_mu : Mutex.t;  (** one checkpoint at a time *)
   mutable last_save : float;  (** unix time of last published checkpoint *)
   replayed : int;  (** records recovery applied before this log opened *)
@@ -48,16 +52,18 @@ type t = {
   span_next : int Atomic.t;
 }
 
-let create ~dir ~policy ~gen ~replayed ~recover_ms ~tear =
-  let aof = Aof.open_log (Layout.log_path ~dir gen) in
+let create ~dir ~policy ~encode ~gen ~replayed ~recover_ms ~tear =
+  let log_mu = Mutex.create () in
+  let aof = Aof.open_log ~mu:log_mu (Layout.log_path ~dir gen) in
   {
     dir;
     policy;
-    log_mu = Mutex.create ();
+    encode;
+    log_mu;
     aof;
     gen;
     active_gen = gen;
-    slots = Tls.tls (fun () -> { armed = false; payload = ""; aof; seq = 0 });
+    slots = Tls.tls (fun () -> { armed = false; cmds = []; aof; seq = 0 });
     ckpt_mu = Mutex.create ();
     last_save = 0.0;
     replayed;
@@ -94,44 +100,52 @@ let spans t =
 
 (* ---- arming protocol --------------------------------------------------- *)
 
-let arm t payload =
+let arm t cmds =
   let s = Tls.tls_get t.slots in
   s.armed <- true;
-  s.payload <- payload;
+  s.cmds <- cmds;
   s.seq <- 0
 
 let finish t =
   let s = Tls.tls_get t.slots in
   s.armed <- false;
-  s.payload <- "";
-  if s.seq = 0 then None
-  else begin
-    let ticket = Some (s.aof, s.seq) in
-    s.seq <- 0;
-    ticket
-  end
+  s.cmds <- [];
+  s.seq > 0
 
+let ticket t =
+  let s = Tls.tls_get t.slots in
+  (s.aof, s.seq)
+
+(* An append takes one lock, [log_mu], which is also its writer's
+   append lock; the writer is read under it, so the ticket names the
+   log the record went to.  An encoder that raises leaves no partial
+   record behind ({!Frame.add}). *)
 let hook t ~algo ~shard stamp =
   let s = Tls.tls_get t.slots in
   if s.armed then begin
     s.armed <- false;
-    let hdr = { Frame.rtype = Frame.rt_op; algo; shard; stamp } in
-    try
-      Mutex.protect t.log_mu (fun () ->
-          let aof = t.aof in
-          s.seq <- Aof.append aof hdr ~payload:s.payload;
-          s.aof <- aof);
-      s.payload <- ""
-    with _ -> Atomic.incr t.hook_errors
+    Mutex.lock t.log_mu;
+    let aof = t.aof in
+    match
+      Aof.append_locked aof ~rtype:Frame.rt_op ~algo ~shard ~stamp t.encode
+        s.cmds
+    with
+    | seq ->
+        Mutex.unlock t.log_mu;
+        s.seq <- seq;
+        s.aof <- aof;
+        s.cmds <- []
+    | exception _ ->
+        Mutex.unlock t.log_mu;
+        Atomic.incr t.hook_errors
   end
 
-let log_new t ~algo payload =
-  let hdr =
-    { Frame.rtype = Frame.rt_new; algo = Frame.algo_code algo; shard = 0;
-      stamp = 0 }
-  in
+let log_new t ~algo cmds =
   try
-    Mutex.protect t.log_mu (fun () -> ignore (Aof.append t.aof hdr ~payload))
+    Mutex.protect t.log_mu (fun () ->
+        ignore
+          (Aof.append_locked t.aof ~rtype:Frame.rt_new
+             ~algo:(Frame.algo_code algo) ~shard:0 ~stamp:0 t.encode cmds))
   with _ -> Atomic.incr t.hook_errors
 
 (* Waits long enough to matter show on the trace lane. *)
@@ -173,7 +187,7 @@ let checkpointing t f =
    here without [log_mu]. *)
 let rotate t ~gen =
   if t.active_gen <> gen then begin
-    let fresh = Aof.open_log (Layout.log_path ~dir:t.dir gen) in
+    let fresh = Aof.open_log ~mu:t.log_mu (Layout.log_path ~dir:t.dir gen) in
     Mutex.lock t.log_mu;
     let old = t.aof in
     t.aof <- fresh;

@@ -14,8 +14,11 @@
     {2 Arming}
 
     Every acknowledged mutation becomes one log record whose payload
-    is the mutation's wire request frames.  Append order must equal
-    commit (serialization) order or replay diverges, and no post-commit
+    is the mutation's hint-free request frames: the commands the
+    session armed, re-encoded by the encoder given to {!create} (one
+    frame per mutation of a [MULTI] batch; a [BLPOP] or [BTAKE] armed
+    as the [DEQ] it performs).  Append order must equal commit
+    (serialization) order or replay diverges, and no post-commit
     scheme can guarantee that: two sessions can commit dependent
     transactions and reach their append calls in the opposite order.
     So the append happens {e inside} the STM commit, from the commit
@@ -24,104 +27,114 @@
     record is buffered, so the log is a linear extension of the store's
     serialization order.  The hook only learns the commit stamp;
     {e what} to log is armed per thread beforehand ({!arm}) and
-    collected after ({!finish}) — a transaction that never
-    write-commits (a [DEL] of an absent key, a failed op) leaves its
-    armed payload unconsumed and nothing is logged, which is exactly
+    collected after ({!finish}).  The hook frames the record straight
+    into the log's buffer, encoding the armed commands there, so a
+    transaction that never write-commits (a [DEL] of an absent key, a
+    failed op) encodes nothing and logs nothing, which is exactly
     right because nothing changed.
 
     Arming state lives in one slot per log and per systhread, reached
     through the runtime's per-thread lookup
     ([Polytm_runtime.Domain_runtime.tls], the one that holds the STM's
     per-thread context): [arm] fills the calling thread's slot, the
-    hook empties it and leaves its ticket there, [finish] takes the
-    ticket.  Per systhread, not per domain, because one domain can run
-    several threads that commit (a BGSAVE's checkpoint runs beside its
-    loop thread, and tests arm two threads of one domain); per log,
-    because two servers in one process must never log each other's
-    payloads. *)
+    hook empties it and leaves its ticket there, [finish] disarms it
+    and says whether a ticket is there.  Per systhread, not per
+    domain, because one domain can run several threads that commit (a
+    BGSAVE's checkpoint runs beside its loop thread, and tests arm two
+    threads of one domain); per log, because two servers in one
+    process must never log each other's commands. *)
 
-type t
+type 'c t
+(** A log whose records' payloads are written from commands of type
+    ['c]. *)
 
 val create :
   dir:string ->
   policy:Aof.policy ->
+  encode:(Polytm_util.Obuf.t -> 'c list -> unit) ->
   gen:int ->
   replayed:int ->
   recover_ms:float ->
   tear:string ->
-  t
-(** Open generation [gen]'s log in [dir].  [replayed], [recover_ms]
-    and [tear] ("none", or where recovery cut the log) describe the
+  'c t
+(** Open generation [gen]'s log in [dir].  [encode] writes a record's
+    payload from the commands it logs.  [replayed], [recover_ms] and
+    [tear] ("none", or where recovery cut the log) describe the
     recovery that preceded it, for INFO. *)
 
-val dir : t -> string
-val policy : t -> Aof.policy
+val dir : _ t -> string
+val policy : _ t -> Aof.policy
 
-val gen : t -> int
+val gen : _ t -> int
 (** The published (manifest) generation. *)
 
-val last_save : t -> float
+val last_save : _ t -> float
 (** Unix time of the last published checkpoint. *)
 
 (** {1 The commit path} *)
 
-val arm : t -> string -> unit
-(** Arm the calling thread's slot with a payload, dropping any ticket
-    it still holds: the next write commit {e on this thread} appends
-    it.  Arm and finish must run on the thread that commits. *)
+val arm : 'c t -> 'c list -> unit
+(** Arm the calling thread's slot with a mutation's commands, dropping
+    any ticket it still holds: the next write commit {e on this
+    thread} appends them.  Arm and finish must run on the thread that
+    commits. *)
 
-val finish : t -> (Aof.t * int) option
-(** Disarm the calling thread's slot and take its ticket: the log
-    writer and the record's sequence number when the armed payload was
-    appended (the op mutated and committed), [None] when it never
-    reached a write commit.  The writer is part of the ticket because
-    a checkpoint can rotate the active log between the append and the
-    ack. *)
+val finish : _ t -> bool
+(** Disarm the calling thread's slot: whether the armed commands were
+    appended (the op mutated and committed), in which case {!ticket}
+    names their record until the next {!arm}.  Allocates nothing. *)
 
-val hook : t -> algo:int -> shard:int -> int -> unit
+val ticket : _ t -> Aof.t * int
+(** The calling thread's ticket after a [finish] that returned [true]:
+    the log writer and the record's sequence number.  The writer is
+    part of the ticket because a checkpoint can rotate the active log
+    between the append and the ack. *)
+
+val hook : _ t -> algo:int -> shard:int -> int -> unit
 (** The commit hook for instance ([algo] code, [shard]), given the
     commit stamp.  Runs inside the commit critical section: brief,
-    never raises (a failure counts in [hook_errors]), runs no
-    transaction.  An armed thread appends its payload while holding
-    the log's mutex and leaves the ticket in its slot; an unarmed one
+    never raises (a failure, the encoder's included, counts in
+    [hook_errors] and leaves no partial record), runs no transaction.
+    An armed thread frames its record in place under the log's one
+    append lock and leaves the ticket in its slot; an unarmed one
     (internal commits: dirty marks, drain flags, watch polls) pays one
     per-thread lookup and takes no lock. *)
 
-val log_new : t -> algo:[ `Tl2 | `Norec ] -> string -> unit
+val log_new : 'c t -> algo:[ `Tl2 | `Norec ] -> 'c list -> unit
 (** Append a structure-creation record; the payload is the [NEW]
-    request frame.  Creations are registry CAS publications, not
+    command's frame.  Creations are registry CAS publications, not
     commits, so [Registry.ensure] logs them directly, {e before} the
     CAS publishes the name: a racing session can only reach the
     structure after the CAS, so its op records always follow the NEW
     record, and the CAS loser's duplicate NEW replays as an idempotent
     ensure. *)
 
-val wait_durable : t -> Aof.t -> int -> unit
+val wait_durable : _ t -> Aof.t -> int -> unit
 (** Block until record [seq] of that writer is fsynced (group commit:
     one fsync covers every record buffered before it). *)
 
-val tick : t -> unit
+val tick : _ t -> unit
 (** The once-a-second group sync behind [`Everysec], called from the
     server's background thread.  A sync that fails with a
     [Unix.Unix_error] (ENOSPC, EIO) counts in [sync_errors] and
     returns: its records stay buffered and the next tick retries. *)
 
-val close : t -> unit
+val close : _ t -> unit
 (** Shutdown: sync whatever the final acks left buffered, and close. *)
 
 (** {1 Checkpoints} *)
 
-val checkpointing : t -> (unit -> 'a) -> 'a option
+val checkpointing : _ t -> (unit -> 'a) -> 'a option
 (** Run the function as this server's only running checkpoint;
     [None], without running it, while another one runs. *)
 
-val rotate : t -> gen:int -> unit
+val rotate : _ t -> gen:int -> unit
 (** Send every append from here on to generation [gen]'s fresh log and
     retire the old one (its close syncs what it still buffers; its
     totals carry over).  A no-op when appends already go to [gen]: the
     retry of a failed checkpoint reuses the log it rotated to. *)
 
-val published : t -> gen:int -> unit
+val published : _ t -> gen:int -> unit
 (** A checkpoint of generation [gen] is on disk and the manifest names
     it: count it, and report [gen] and the time from now on. *)
 
@@ -131,19 +144,19 @@ type span = { name : string; ts_us : int; dur_us : int }
 
 val now_us : unit -> int
 
-val span : t -> name:string -> ts_us:int -> dur_us:int -> unit
+val span : _ t -> name:string -> ts_us:int -> dur_us:int -> unit
 (** Record a completed span (a checkpoint, a recovery, an fsync, a
     wait for one) on this server's trace lane.  Lock-free; the oldest
     spans are overwritten past a fixed capacity. *)
 
-val spans : t -> span list
+val spans : _ t -> span list
 (** The recorded spans, oldest first. *)
 
-val counters : t -> (string * int) list
+val counters : _ t -> (string * int) list
 (** [--stats-json]'s [persist] section: [appends], [append_bytes]
     (framed log bytes, magic included), [fsyncs], [replayed],
     [checkpoints] (published), [hook_errors], [sync_errors] (failed
     {!tick} syncs). *)
 
-val info : t -> (string * string) list
+val info : _ t -> (string * string) list
 (** INFO's [persist_*] lines, from the same counters. *)

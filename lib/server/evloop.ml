@@ -14,11 +14,12 @@
     - finished sessions are reaped (watches released, fd closed);
     - [select] waits on the wake pipe plus every session that wants
       readiness: reads are level-triggered and masked while a session
-      is parked, mid-batch, or has unflushed output (the session
+      is mid-batch or has unflushed output (the session
       write-before-next-read discipline, which is also the
-      backpressure bound).  Its timeout is the tick, or sooner the
-      earliest timeout of a waiting pop; a cycle with no timed wait
-      reads no clock for it;
+      backpressure bound), or is parked, except that a waiting pop
+      keeps reading so that its client's hang-up ends its wait.  Its
+      timeout is the tick, or sooner the earliest timeout of a waiting
+      pop; a cycle with no timed wait reads no clock for it;
     - writable sessions flush their pending {!Wire.Obuf} region with
       one coalesced [write]; readable sessions read once, decode the
       batch, execute, and encode replies.

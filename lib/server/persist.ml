@@ -6,8 +6,9 @@
 
     {2 Records}
 
-    Every op-log and checkpoint record's payload is wire request frames
-    ({!Wire.encode_cmds}), the same bytes a client sends, so replay is
+    Every op-log and checkpoint record's payload is hint-free wire
+    request frames ({!Wire.write_cmds}), framed in place into the
+    writer that carries them ({!Polytm_persist.Frame.add}), so replay is
     simply "parse the frame, resolve it against the registry, run the
     transaction", one code path shared by log replay and checkpoint
     loading, exercised by the same codec fuzzers as the live server.
@@ -44,10 +45,11 @@
 
 module P = Polytm_persist
 module Oplog = P.Oplog
+module Obuf = Polytm_util.Obuf
 module S = Registry.S
 
 (* A durable server: its registry and the log the registry holds. *)
-type t = { reg : Registry.t; log : Oplog.t }
+type t = { reg : Registry.t; log : Wire.cmd Oplog.t }
 
 (* ---- checkpointing ----------------------------------------------------- *)
 
@@ -83,18 +85,16 @@ let locate reg stm =
   in
   match find `Tl2 with Some x -> Some x | None -> find `Norec
 
-let write_file_durably path contents =
+let write_file_durably path ob =
   let fd = Unix.openfile path [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
-      let b = Bytes.unsafe_of_string contents in
-      let pos = ref 0 in
-      while !pos < Bytes.length b do
-        pos := !pos + Unix.write fd b !pos (Bytes.length b - !pos)
-      done;
+      P.Aof.write_all fd ob;
       Unix.fsync fd)
 
+(* The checkpoint's records are framed in place, in one writer that is
+   then written out whole. *)
 let write_checkpoint reg log ~gen =
   let t0 = Oplog.now_us () in
   let state, bounds = collect reg in
@@ -104,37 +104,29 @@ let write_checkpoint reg log ~gen =
         Option.map (fun (a, s) -> (a, s, b)) (locate reg stm))
       bounds
   in
-  let buf = Buffer.create 65536 in
-  Buffer.add_string buf P.Frame.ckpt_magic;
+  let ob = Obuf.create ~initial:65536 () in
+  Obuf.add_string ob P.Frame.ckpt_magic;
   let nrecords = ref 0 in
-  let emit hdr payload =
-    P.Frame.encode buf hdr ~payload;
+  let emit rtype ~algo write x =
+    P.Frame.add ob ~rtype ~algo ~shard:0 ~stamp:0 write x;
     incr nrecords
   in
-  let zero rtype = { P.Frame.rtype; algo = 0; shard = 0; stamp = 0 } in
-  emit (zero P.Frame.rt_bounds) (P.Frame.encode_bounds bound_entries);
+  let op cmd = emit P.Frame.rt_op ~algo:0 Wire.write_cmds [ cmd ] in
+  emit P.Frame.rt_bounds ~algo:0 Obuf.add_string
+    (P.Frame.encode_bounds bound_entries);
   List.iter
     (fun (name, (slot : Registry.slot), c) ->
-      emit
-        { (zero P.Frame.rt_new) with algo = P.Frame.algo_code slot.algo }
-        (Wire.encode_cmds
-           [ Wire.New (Registry.kind_of_entry slot.entry, name) ]);
-      let ops =
-        match c with
-        | Registry.Pairs kvs ->
-            List.map (fun (k, v) -> Wire.Put (name, k, v)) kvs
-        | Registry.Keys ks -> List.map (fun k -> Wire.Add (name, k)) ks
-        | Registry.Values vs -> List.map (fun v -> Wire.Enq (name, v)) vs
-      in
-      List.iter
-        (fun cmd -> emit (zero P.Frame.rt_op) (Wire.encode_cmds [ cmd ]))
-        ops)
+      emit P.Frame.rt_new ~algo:(P.Frame.algo_code slot.algo) Wire.write_cmds
+        [ Wire.New (Registry.kind_of_entry slot.entry, name) ];
+      match c with
+      | Registry.Pairs kvs ->
+          List.iter (fun (k, v) -> op (Wire.Put (name, k, v))) kvs
+      | Registry.Keys ks -> List.iter (fun k -> op (Wire.Add (name, k))) ks
+      | Registry.Values vs -> List.iter (fun v -> op (Wire.Enq (name, v))) vs)
     state;
-  let body_records = !nrecords in
-  emit (zero P.Frame.rt_trailer) (P.Frame.encode_count body_records);
-  write_file_durably
-    (P.Layout.ckpt_path ~dir:(Oplog.dir log) gen)
-    (Buffer.contents buf);
+  emit P.Frame.rt_trailer ~algo:0 Obuf.add_string
+    (P.Frame.encode_count !nrecords);
+  write_file_durably (P.Layout.ckpt_path ~dir:(Oplog.dir log) gen) ob;
   Oplog.span log ~name:"checkpoint" ~ts_us:t0 ~dur_us:(Oplog.now_us () - t0)
 
 (* Checkpoint + publish + compact.  Rotation happens first, so every
@@ -419,7 +411,8 @@ let activate ~dir ~policy reg (recovered : recovered) =
     let g' = 1 + List.fold_left max manifest_gen gens in
     P.Layout.remove_if_exists (P.Layout.log_path ~dir g');
     let log =
-      Oplog.create ~dir ~policy ~gen:g' ~replayed:recovered.r_replayed
+      Oplog.create ~dir ~policy ~encode:Wire.write_cmds ~gen:g'
+        ~replayed:recovered.r_replayed
         ~recover_ms:recovered.r_ms
         ~tear:(match recovered.r_tear with None -> "none" | Some m -> m)
     in

@@ -96,7 +96,7 @@ type t = {
       (** connections closed on arrival because their fd was at or
           above {!Limits.fd_limit}, for [INFO] *)
   started_at : float;  (** wall-clock creation time, for [INFO] uptime *)
-  mutable persist : Polytm_persist.Oplog.t option;
+  mutable persist : Wire.cmd Polytm_persist.Oplog.t option;
       (** this server's op log: the session arms it and waits on it,
           {!ensure} logs creations to it, INFO reads it.  Set once,
           after recovery and before the listeners open; [None] while
@@ -270,8 +270,7 @@ let ensure ?algo t kind name =
            replays as an idempotent ensure. *)
         (match t.persist with
         | Some log ->
-            Polytm_persist.Oplog.log_new log ~algo
-              (Wire.encode_cmds [ Wire.New (kind, name) ])
+            Polytm_persist.Oplog.log_new log ~algo [ Wire.New (kind, name) ]
         | None -> ());
         if Atomic.compare_and_set t.entries cur ((name, fresh ()) :: cur) then
           Ok `Created

@@ -21,14 +21,17 @@
     [S.try_atomically_or_wait]: where the body's [retry] would park,
     its wait set is registered instead, with a wake that only posts
     the pop's resume to this session's loop ([services.post]).  The
-    session stays [parked] (reads masked, the pipeline paused) until
-    the resume cancels the wait and re-runs the body on the loop
-    thread, which replies or registers again, or until the loop's
-    timer passes the pop's timeout.  A watch is the registry's
-    take-dirty body, registered the same way and again after each
-    push.  No wait holds a thread: all session state is mutated on
-    the loop thread only, and only a BGSAVE's checkpoint runs
-    elsewhere, on a thread of its own ([services.submit]).
+    session stays [parked] (the pipeline paused) until the resume
+    cancels the wait and re-runs the body on the loop thread, which
+    replies or registers again, until the loop's timer passes the
+    pop's timeout, or until the client hangs up: a waiting pop keeps
+    reading its connection, deferring what arrives, so an EOF or a
+    reset ends the wait before a later commit can hand it an item.
+    A watch is the registry's take-dirty body, registered the same way
+    and again after each push.  No wait holds a thread: all session
+    state is mutated on the loop thread only, and only a BGSAVE's
+    checkpoint runs elsewhere, on a thread of its own
+    ([services.submit]).
 
     {b Privatization safety} (the response-buffer argument, DESIGN.md
     §S16): a reply's payload is the value returned by the {e committed}
@@ -214,6 +217,9 @@ type t = {
   mutable watch : S.wait option;  (** the registered watch wait *)
   mutable pop : (pop * S.wait) option;  (** a pop that waits *)
   mutable parked : bool;  (** a pop waits or a BGSAVE runs *)
+  mutable deferred : bool;
+      (** bytes read while parked wait in the decoder, to be decoded
+          when the pipeline resumes *)
   mutable draining : bool;  (** stop observed: answer, flush, close *)
   mutable input_done : bool;  (** EOF or corrupt framing: read no more *)
   mutable closing : bool;  (** flush [out], then close *)
@@ -226,31 +232,35 @@ let err = Registry.err
 
    The op log's commit hook runs inside the STM commit and only knows
    the commit stamp; the session tells it {e what} to log by arming the
-   executing thread with the encoded mutation before the transaction
-   and disarming after (see {!Oplog.arm}).  Arm and finish must run on
-   the thread that commits: the loop thread, for every request. *)
+   executing thread with the mutation's commands before the
+   transaction and disarming after (see {!Oplog.arm}): the hook
+   encodes them only if the transaction write-commits.  Arm and finish
+   must run on the thread that commits: the loop thread, for every
+   request. *)
 
+(* The log it armed, if any. *)
 let arm_persist t cmds =
   match t.reg.Registry.persist with
-  | None -> false
-  | Some log -> (
-      match List.filter Wire.is_mutation cmds with
-      | [] -> false
+  | None -> None
+  | Some log as armed -> (
+      match
+        if List.for_all Wire.is_mutation cmds then cmds
+        else List.filter Wire.is_mutation cmds
+      with
+      | [] -> None
       | muts ->
-          Oplog.arm log (Wire.encode_cmds muts);
-          true)
+          Oplog.arm log muts;
+          armed)
 
-(* Disarm.  A ticket means the armed payload reached the log (the
+(* Disarm.  A ticket means the armed commands reached the log (the
    transaction write-committed); under [`Always] the reply may not
    leave before that record is on disk, so queue the ticket for
    [try_flush]. *)
-let finish_persist t ~armed =
-  match t.reg.Registry.persist with
-  | Some log when armed -> (
-      match Oplog.finish log with
-      | Some tk when Oplog.policy log = `Always -> t.durables <- tk :: t.durables
-      | _ -> ())
-  | _ -> ()
+let finish_persist t = function
+  | Some log ->
+      if Oplog.finish log && Oplog.policy log = `Always then
+        t.durables <- Oplog.ticket log :: t.durables
+  | None -> ()
 
 let reply t resp =
   Wire.write_response_obuf t.out resp;
@@ -273,9 +283,6 @@ let record_latency t sem t0 =
   Hist.record t.stats.lat_by_sem.(sem_index sem) dt;
   Hist.record t.stats.lat_all dt
 
-(* A blocking pop's body retried and its wait is registered. *)
-exception Wait of S.wait
-
 (* Run [f] as one transaction of [sem] over [stms] — the members of the
    site the registry resolved: the owner shard of a point operation, or
    the shards a whole-structure aggregate or a [MULTI] batch spans — so
@@ -289,8 +296,8 @@ exception Wait of S.wait
    the attempt's effects are already discarded and the server survives
    a corrupted node instead of dying on an assertion.  With [wake], a
    body that retries registers its wait with it and this raises
-   [Wait].  The request's latency is recorded here unless [timed] is
-   false: a blocking pop records its own, once it replies. *)
+   [S.Waiting].  The request's latency is recorded here unless [timed]
+   is false: a blocking pop records its own, once it replies. *)
 let run_tx t ~stms ~sem ~label ?(timed = true) ?budget ?deadline_us ?wake
     (f : unit -> Wire.response) : Wire.response =
   let budget = match budget with Some _ as b -> b | None -> t.limits.op_budget in
@@ -303,12 +310,8 @@ let run_tx t ~stms ~sem ~label ?(timed = true) ?budget ?deadline_us ?wake
     match
       match wake with
       | None -> S.try_atomically_multi ?budget ?deadline ~sem ~label stms f
-      | Some wake -> (
-          match
-            S.try_atomically_or_wait ?budget ?deadline ~sem ~label ~wake stms f
-          with
-          | S.Outcome o -> o
-          | S.Waiting w -> raise (Wait w))
+      | Some wake ->
+          S.try_atomically_or_wait ?budget ?deadline ~sem ~label ~wake stms f
     with
     | S.Committed r -> r
     | S.Exhausted { attempts; _ } ->
@@ -338,11 +341,11 @@ let exec_tx t ?timed ?wake ~cmds ~stms ~sem ~label rs f =
   let armed = arm_persist t cmds in
   match run_tx t ~stms ~sem ~label ?timed ?wake f with
   | resp ->
-      finish_persist t ~armed;
+      finish_persist t armed;
       touch_committed t rs resp;
       resp
   | exception e ->
-      finish_persist t ~armed;
+      finish_persist t armed;
       raise e
 
 let reset_multi t =
@@ -642,6 +645,10 @@ let rec pump t =
         | _ -> ());
         (* A parked session keeps its watch registered. *)
         match exec_step t r with `Done -> pump t | `Parked -> arm_watch t)
+    | None when t.deferred ->
+        t.deferred <- false;
+        decode_batch t;
+        pump t
     | None ->
         if t.draining || t.input_done then t.closing <- true;
         arm_watch t
@@ -715,14 +722,21 @@ and exec_pop t (r : Wire.request) name timeout_ms : [ `Done | `Parked ] =
 
 (* One run of a pop's body on the loop thread, through [exec_tx] like
    any request: its reply, or its wait registered with a wake that
-   posts [resume_pop], the session parked until then. *)
+   posts [resume_pop], the session parked until then.  A client whose
+   input has ended cannot be waited for: its pop answers [Nil] rather
+   than wait. *)
 and run_pop t p =
   match p.run ~wake:(posting t resume_pop) with
   | resp ->
       end_pop t p resp;
       `Done
-  | exception Wait wait ->
-      if
+  | exception S.Waiting wait ->
+      if t.input_done then begin
+        S.cancel_wait wait;
+        end_pop t p Wire.Nil;
+        `Done
+      end
+      else if
         p.reserved
         || Registry.reserve_waiter t.reg ~limit:t.limits.Limits.max_waiters
       then begin
@@ -754,7 +768,19 @@ and end_wait t (p, w) k =
     try_flush t
   end
 
-and resume_pop t = Option.iter (fun w -> end_wait t w (run_pop t)) t.pop
+and resume_pop t =
+  if not t.closed then Option.iter (fun w -> end_wait t w (run_pop t)) t.pop
+
+(* The waiting pop gives up with [Nil], its wait cancelled and its slot
+   freed: its timeout passed, or its client hung up (EOF or reset) — a
+   later commit must not hand it an item nobody will read. *)
+and give_up t =
+  Option.iter
+    (fun w ->
+      end_wait t w (fun p ->
+          end_pop t p Wire.Nil;
+          `Done))
+    t.pop
 
 (* Keep one watch wait registered while the session has subscriptions:
    the take-dirty body runs on the loop thread, and when nothing is
@@ -776,11 +802,12 @@ and arm_watch t =
         ~wake:(posting t resume_watch) [ Registry.stm t.reg ]
         (Registry.take_dirty t.reg t.watches)
     with
-    | S.Waiting w -> t.watch <- Some w
-    | S.Outcome (S.Committed names) ->
+    | S.Committed names ->
         List.iter (fun n -> Wire.write_response_obuf t.out (Wire.Push n)) names;
         if names <> [] then arm_watch t
-    | S.Outcome _ -> (* unreachable without a budget or a deadline *) ()
+    | S.Exhausted _ | S.Deadline_exceeded _ ->
+        (* unreachable without a budget or a deadline *) ()
+    | exception S.Waiting w -> t.watch <- Some w
   end
 
 and resume_watch t =
@@ -798,19 +825,20 @@ let deadline t = match t.pop with Some (p, _) -> p.deadline | None -> max_int
 
 let on_deadline t now =
   match t.pop with
-  | Some ((p, _) as w) when now >= p.deadline ->
-      end_wait t w (fun p ->
-          end_pop t p Wire.Nil;
-          `Done)
+  | Some (p, _) when now >= p.deadline -> give_up t
   | _ -> ()
 
+(* A parked session still reads while its pop waits, so that it hears
+   the client hang up; what the client sends meanwhile stays in the
+   decoder until the pipeline resumes. *)
 let on_readable t =
   if not t.closed then begin
     (match read_chunk t with
-    | `Data -> decode_batch t
+    | `Data -> if t.parked then t.deferred <- true else decode_batch t
     | `Eof -> t.input_done <- true
     | `Nothing -> ()
     | `Reset -> t.closed <- true);
+    if t.input_done || t.closed then give_up t;
     pump t;
     try_flush t
   end
@@ -838,11 +866,16 @@ let begin_drain t =
     end
   end
 
+(* Reads are masked while a batch is mid-flight, and while parked,
+   except that a waiting pop keeps reading (to hear its client hang
+   up) until the decoder holds a frame's worth of bytes. *)
 let wants_read t =
-  (not t.closed) && (not t.closing) && (not t.parked) && (not t.input_done)
-  && (not t.draining)
-  && Queue.is_empty t.pending
-  && Wire.Obuf.pending t.out = 0
+  (not t.closed) && (not t.closing) && (not t.input_done) && (not t.draining)
+  &&
+  if t.parked then
+    Option.is_some t.pop
+    && Wire.Decoder.buffered t.dec < t.limits.Limits.max_frame
+  else Queue.is_empty t.pending && Wire.Obuf.pending t.out = 0
 
 let wants_write t = (not t.closed) && Wire.Obuf.pending t.out > 0
 
@@ -892,6 +925,7 @@ let create ?(stop = fun () -> false) ~limits ~registry ~stats ~services fd =
     watch = None;
     pop = None;
     parked = false;
+    deferred = false;
     draining = false;
     input_done = false;
     closing = false;

@@ -1,5 +1,5 @@
 (* Pure codec for the polytmd wire protocol.  See wire.mli for the
-   grammar.  No I/O, no sockets: Buffers in, byte slices out. *)
+   grammar.  No I/O, no sockets: a byte writer out, byte slices in. *)
 
 type kind = Kmap | Kset | Kqueue
 
@@ -114,148 +114,76 @@ let ok = Simple "OK"
 let pong = Simple "PONG"
 let queued = Simple "QUEUED"
 
-(* ---- output buffer ------------------------------------------------------ *)
-
-(* A grow-only byte sink for the reply path.  Unlike [Buffer.t] it
-   exposes its backing store, so a session can hand the pending region
-   straight to [Unix.write] — no [Buffer.contents] copy, no per-frame
-   string.  [start] tracks the flushed prefix: a partial write just
-   advances it, and the buffer resets to offset 0 once drained. *)
-module Obuf = struct
-  type t = { mutable buf : Bytes.t; mutable start : int; mutable len : int }
-
-  let create ?(initial = 4096) () =
-    { buf = Bytes.create initial; start = 0; len = 0 }
-
-  let clear t =
-    t.start <- 0;
-    t.len <- 0
-
-  let length t = t.len
-  let pending t = t.len - t.start
-
-  let contents t = Bytes.sub_string t.buf t.start (t.len - t.start)
-
-  (* The pending region, for the caller's own [write]. *)
-  let peek t = (t.buf, t.start, t.len - t.start)
-
-  (* [n] pending bytes were written out. *)
-  let consumed t n =
-    t.start <- t.start + n;
-    if t.start = t.len then begin
-      t.start <- 0;
-      t.len <- 0
-    end
-
-  let reserve t n =
-    let need = t.len + n in
-    if need > Bytes.length t.buf then begin
-      let cap = ref (Bytes.length t.buf * 2) in
-      while need > !cap do
-        cap := !cap * 2
-      done;
-      let dst = Bytes.create !cap in
-      Bytes.blit t.buf 0 dst 0 t.len;
-      t.buf <- dst
-    end
-
-  let add_char t c =
-    reserve t 1;
-    Bytes.unsafe_set t.buf t.len c;
-    t.len <- t.len + 1
-
-  let add_string t s =
-    let n = String.length s in
-    reserve t n;
-    Bytes.blit_string s 0 t.buf t.len n;
-    t.len <- t.len + n
-
-  let add_obuf t (src : t) =
-    reserve t src.len;
-    Bytes.blit src.buf 0 t.buf t.len src.len;
-    t.len <- t.len + src.len
-end
+module Obuf = Polytm_util.Obuf
 
 (* ---- encoding ---------------------------------------------------------- *)
 
-let digits n =
-  (* Decimal width of a non-negative int. *)
-  let rec go acc n = if n < 10 then acc else go (acc + 1) (n / 10) in
-  go 1 (if n < 0 then 0 else n)
+(* Every frame is sized first, reserved once, and written with
+   unchecked stores: no per-byte capacity check, no field list, no
+   [string_of_int] string.  The [put_*] writers below write inside such
+   a reservation only: a byte, a string, or an int below 100 (most of a
+   frame's lengths) is stored here, where it inlines, and any other
+   int by the writer.  [width] is the decimal width of an int, sign
+   included. *)
 
-(* Decimal width of any int, sign included.  Negative ints are
-   counted without negating them, which would overflow at [min_int];
-   the integer writers below take their digits from the non-positive
-   [-|n|] for the same reason. *)
-let rec neg_width acc n = if n > -10 then acc else neg_width (acc + 1) (n / 10)
-let int_width n = if n < 0 then neg_width 2 n else digits n
+let width n =
+  if n >= 0 && n < 100 then if n < 10 then 1 else 2 else Obuf.int_width n
 
-(* Append the decimal form of [n] without going through
-   [string_of_int] — the reply hot path must not allocate. *)
-let obuf_add_int (t : Obuf.t) n =
-  let w = int_width n in
-  Obuf.reserve t w;
-  let buf = t.Obuf.buf in
-  let base = t.Obuf.len in
-  let neg = n < 0 in
-  if neg then Bytes.unsafe_set buf base '-';
-  let fin = if neg then base + 1 else base in
-  let v = ref (if neg then n else -n) in
-  let i = ref (base + w - 1) in
-  while !i >= fin do
-    Bytes.unsafe_set buf !i (Char.unsafe_chr (Char.code '0' - (!v mod 10)));
-    v := !v / 10;
-    decr i
-  done;
-  t.Obuf.len <- base + w
+let put_char (ob : Obuf.t) c =
+  Bytes.unsafe_set ob.buf ob.len c;
+  ob.len <- ob.len + 1
 
-(* The same for a [Buffer.t], which has no reserve: the digits of
-   [v <= 0] most significant first. *)
-let rec add_nonpos_digits buf v =
-  if v <= -10 then add_nonpos_digits buf (v / 10);
-  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (v mod 10)))
+let put_int ob n =
+  if n >= 0 && n < 100 then
+    if n < 10 then put_char ob (Char.unsafe_chr (n + 48))
+    else begin
+      put_char ob (Char.unsafe_chr ((n / 10) + 48));
+      put_char ob (Char.unsafe_chr ((n mod 10) + 48))
+    end
+  else Obuf.unsafe_add_int ob n
 
-let add_int buf n =
-  if n < 0 then begin
-    Buffer.add_char buf '-';
-    add_nonpos_digits buf n
-  end
-  else add_nonpos_digits buf (-n)
+let put_string (ob : Obuf.t) s =
+  let n = String.length s in
+  Bytes.unsafe_blit_string s 0 ob.buf ob.len n;
+  ob.len <- ob.len + n
+
+let frame_len body = 1 + width body + 1 + body
 
 let sem_field = function
   | Polytm.Semantics.Classic -> "~classic"
   | Polytm.Semantics.Elastic -> "~elastic"
   | Polytm.Semantics.Snapshot -> "~snapshot"
 
-let bulk_len s = 1 + digits (String.length s) + 1 + String.length s + 1
+let bulk_len s = 1 + width (String.length s) + 1 + String.length s + 1
 
 let int_bulk_len n =
-  let w = int_width n in
-  1 + digits w + 1 + w + 1
+  let w = width n in
+  1 + width w + 1 + w + 1
 
 let opt_int_bulk_len = function None -> bulk_len "_" | Some n -> int_bulk_len n
 
-let add_bulk buf s =
-  Buffer.add_char buf '$';
-  add_int buf (String.length s);
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf s;
-  Buffer.add_char buf '\n'
+(* [#n\n], [*n\n] and [:n\n]. *)
+let put_line ob c n =
+  put_char ob c;
+  put_int ob n;
+  put_char ob '\n'
 
-let add_int_bulk buf n =
-  Buffer.add_char buf '$';
-  add_int buf (int_width n);
-  Buffer.add_char buf '\n';
-  add_int buf n;
-  Buffer.add_char buf '\n'
+let put_bulk ob s =
+  put_line ob '$' (String.length s);
+  put_string ob s;
+  put_char ob '\n'
 
-let add_opt_int_bulk buf = function
-  | None -> add_bulk buf "_"
-  | Some n -> add_int_bulk buf n
+let put_int_bulk ob n =
+  put_line ob '$' (width n);
+  put_int ob n;
+  put_char ob '\n'
+
+let put_opt_int_bulk ob = function
+  | None -> put_bulk ob "_"
+  | Some n -> put_int_bulk ob n
 
 (* A request's fields after its name: how many, their encoded length,
-   and their bytes.  Integers are written straight into the buffer,
-   so encoding builds no field list and no [string_of_int] strings. *)
+   and their bytes. *)
 let arg_count = function
   | Ping | Multi | Multi_end | Info | Bgsave | Lastsave -> 0
   | Size _ | Snapshot_iter _ | Deq _ | Watch _ | Unwatch _ -> 1
@@ -276,148 +204,149 @@ let args_len = function
   | Debug_abort { budget; deadline_us } ->
       opt_int_bulk_len budget + opt_int_bulk_len deadline_us
 
-let add_args buf = function
+let put_args ob = function
   | Ping | Multi | Multi_end | Info | Bgsave | Lastsave -> ()
-  | Size s | Snapshot_iter s | Deq s | Watch s | Unwatch s -> add_bulk buf s
+  | Size s | Snapshot_iter s | Deq s | Watch s | Unwatch s -> put_bulk ob s
   | New (k, s) ->
-      add_bulk buf (kind_to_string k);
-      add_bulk buf s
+      put_bulk ob (kind_to_string k);
+      put_bulk ob s
   | Enq (s, v) ->
-      add_bulk buf s;
-      add_bulk buf v
+      put_bulk ob s;
+      put_bulk ob v
   | Get (s, n) | Del (s, n) | Contains (s, n) | Add (s, n) | Remove (s, n)
   | Blpop (s, n) | Btake (s, n) ->
-      add_bulk buf s;
-      add_int_bulk buf n
+      put_bulk ob s;
+      put_int_bulk ob n
   | Put (s, n, v) ->
-      add_bulk buf s;
-      add_int_bulk buf n;
-      add_bulk buf v
+      put_bulk ob s;
+      put_int_bulk ob n;
+      put_bulk ob v
   | Debug_abort { budget; deadline_us } ->
-      add_opt_int_bulk buf budget;
-      add_opt_int_bulk buf deadline_us
+      put_opt_int_bulk ob budget;
+      put_opt_int_bulk ob deadline_us
 
 let field_count hint cmd =
   1 + arg_count cmd + match hint with None -> 0 | Some _ -> 1
 
 let request_body_len hint cmd =
   let n = field_count hint cmd in
-  1 + digits n + 1
+  1 + width n + 1
   + (match hint with None -> 0 | Some s -> bulk_len (sem_field s))
   + bulk_len (cmd_name cmd)
   + args_len cmd
 
 (* One frame: [#body_len\n*n\n], the hint, the name, the arguments. *)
-let add_request buf hint cmd =
-  Buffer.add_char buf '#';
-  add_int buf (request_body_len hint cmd);
-  Buffer.add_char buf '\n';
-  Buffer.add_char buf '*';
-  add_int buf (field_count hint cmd);
-  Buffer.add_char buf '\n';
-  (match hint with None -> () | Some s -> add_bulk buf (sem_field s));
-  add_bulk buf (cmd_name cmd);
-  add_args buf cmd
+let add_request ob hint cmd =
+  let body = request_body_len hint cmd in
+  Obuf.reserve ob (frame_len body);
+  put_line ob '#' body;
+  put_line ob '*' (field_count hint cmd);
+  (match hint with None -> () | Some s -> put_bulk ob (sem_field s));
+  put_bulk ob (cmd_name cmd);
+  put_args ob cmd
 
-let write_request buf r = add_request buf r.hint r.cmd
+let write_request buf r =
+  let size = frame_len (request_body_len r.hint r.cmd) in
+  let ob = Obuf.create ~initial:size () in
+  add_request ob r.hint r.cmd;
+  let b, off, len = Obuf.peek ob in
+  Buffer.add_subbytes buf b off len
 
-let encode_cmds cmds =
-  let b = Buffer.create 64 in
-  List.iter (add_request b None) cmds;
-  Buffer.contents b
+let rec write_cmds ob = function
+  | [] -> ()
+  | cmd :: rest ->
+      add_request ob None cmd;
+      write_cmds ob rest
+
+(* ---- reply encoding ------------------------------------------------------ *)
+
+(* Replies are sized, then written straight into an {!Obuf}: the
+   steady-state reply path allocates nothing (buffer growth amortizes
+   to zero on a reused session buffer). *)
 
 let no_newline what s =
   if String.contains s '\n' then
     invalid_arg (Printf.sprintf "Wire.write_response_obuf: newline in %s" what)
 
-(* ---- reply encoding ------------------------------------------------------ *)
-
-(* Replies are emitted straight into an {!Obuf} with inlined integer
-   formatting: the steady-state reply path allocates nothing (buffer
-   growth amortizes to zero on a reused session buffer). *)
-
-(* Body length without [string_of_int]: the frame header needs it
-   before the body is written. *)
-let rec response_len = function
-  | Simple s -> 1 + String.length s + 1
-  | Int n -> 1 + int_width n + 1
+(* Body length, checking the line-delimited payloads before a byte is
+   written. *)
+let rec body_len = function
+  | Simple s ->
+      no_newline "simple string" s;
+      1 + String.length s + 1
+  | Int n -> 1 + width n + 1
   | Bulk s -> bulk_len s
   | Nil -> 2
   | Error (c, m) ->
+      no_newline "error message" m;
       1 + String.length (err_code_to_string c) + 1 + String.length m + 1
   | Array l ->
       let rec items acc = function
         | [] -> acc
-        | r :: rest -> items (acc + response_len r) rest
+        | r :: rest -> items (acc + body_len r) rest
       in
-      items (1 + digits (List.length l) + 1) l
-  | Push s -> 1 + String.length s + 1
+      items (1 + width (List.length l) + 1) l
+  | Push s ->
+      no_newline "push name" s;
+      1 + String.length s + 1
 
-let obuf_add_bulk ob s =
-  Obuf.add_char ob '$';
-  obuf_add_int ob (String.length s);
-  Obuf.add_char ob '\n';
-  Obuf.add_string ob s;
-  Obuf.add_char ob '\n'
-
-let obuf_add_int_item ob n =
-  Obuf.add_char ob ':';
-  obuf_add_int ob n;
-  Obuf.add_char ob '\n'
-
-let obuf_add_array_header ob n =
-  Obuf.add_char ob '*';
-  obuf_add_int ob n;
-  Obuf.add_char ob '\n'
-
-let obuf_add_frame_header ob body_len =
-  Obuf.add_char ob '#';
-  obuf_add_int ob body_len;
-  Obuf.add_char ob '\n'
-
-let rec obuf_add_response_body ob = function
+let rec put_body ob = function
   | Simple s ->
-      no_newline "simple string" s;
-      Obuf.add_char ob '+';
-      Obuf.add_string ob s;
-      Obuf.add_char ob '\n'
-  | Int n -> obuf_add_int_item ob n
-  | Bulk s -> obuf_add_bulk ob s
-  | Nil -> Obuf.add_string ob "_\n"
+      put_char ob '+';
+      put_string ob s;
+      put_char ob '\n'
+  | Int n -> put_line ob ':' n
+  | Bulk s -> put_bulk ob s
+  | Nil ->
+      put_char ob '_';
+      put_char ob '\n'
   | Error (c, m) ->
-      no_newline "error message" m;
-      Obuf.add_char ob '-';
-      Obuf.add_string ob (err_code_to_string c);
-      Obuf.add_char ob ' ';
-      Obuf.add_string ob m;
-      Obuf.add_char ob '\n'
+      put_char ob '-';
+      put_string ob (err_code_to_string c);
+      put_char ob ' ';
+      put_string ob m;
+      put_char ob '\n'
   | Array l ->
-      obuf_add_array_header ob (List.length l);
+      put_line ob '*' (List.length l);
       let rec go = function
         | [] -> ()
         | r :: rest ->
-            obuf_add_response_body ob r;
+            put_body ob r;
             go rest
       in
       go l
   | Push s ->
-      no_newline "push name" s;
-      Obuf.add_char ob '>';
-      Obuf.add_string ob s;
-      Obuf.add_char ob '\n'
+      put_char ob '>';
+      put_string ob s;
+      put_char ob '\n'
 
 let write_response_obuf ob r =
-  obuf_add_frame_header ob (response_len r);
-  obuf_add_response_body ob r
+  let body = body_len r in
+  Obuf.reserve ob (frame_len body);
+  put_line ob '#' body;
+  put_body ob r
+
+let obuf_add_bulk ob s =
+  Obuf.reserve ob (bulk_len s);
+  put_bulk ob s
+
+let obuf_add_int_item ob n =
+  Obuf.reserve ob (width n + 2);
+  put_line ob ':' n
+
+let obuf_add_array_header ob n =
+  Obuf.reserve ob (width n + 2);
+  put_line ob '*' n
 
 (* Frame a pre-encoded array body: [items] holds [count] response
    bodies already encoded (the snapshot fast path streams entries into
    it during its fold, skipping the intermediate response tree).  The
    emitted bytes equal [write_response_obuf ob (Array [...])]. *)
 let write_framed_array ob ~count ~(items : Obuf.t) =
-  let body_len = 1 + digits count + 1 + Obuf.length items in
-  obuf_add_frame_header ob body_len;
-  obuf_add_array_header ob count;
+  let body = 1 + width count + 1 + Obuf.pending items in
+  Obuf.reserve ob (frame_len body);
+  put_line ob '#' body;
+  put_line ob '*' count;
   Obuf.add_obuf ob items
 
 (* ---- body parsing ------------------------------------------------------ *)
@@ -809,6 +738,7 @@ module Decoder = struct
     (t.buf, t.len)
 
   let commit t n = t.len <- t.len + n
+  let buffered t = t.len - t.pos
 
   let feed t b off n =
     if n < 0 || off < 0 || off + n > Bytes.length b then

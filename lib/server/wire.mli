@@ -24,9 +24,8 @@
     connection.
 
     This module performs no I/O and touches no sockets: encoders
-    append to a caller-supplied [Buffer.t] (requests) or {!Obuf.t}
-    (replies), the decoder is fed byte slices and hands back parsed
-    frames.  That is what makes it
+    append to a caller-supplied {!Obuf.t}, the decoder is fed byte
+    slices and hands back parsed frames.  That is what makes it
     testable by the qcheck round-trip/fuzz suite without a file
     descriptor in sight. *)
 
@@ -147,16 +146,22 @@ val queued : response
 
 (** {1 Encoding}
 
-    Encoders append one complete frame.  Body sizes are computed
-    up front, so encoding is a single pass with no intermediate
-    buffers. *)
+    Encoders append one complete frame.  Each frame is sized first and
+    reserved once, then written with the writer's unchecked stores:
+    a single pass with no intermediate buffers. *)
+
+module Obuf = Polytm_util.Obuf
+(** The server's one byte writer: replies, request frames and the op
+    log's records all go through it. *)
 
 val write_request : Buffer.t -> request -> unit
+(** One request frame, appended to a [Buffer.t] (for clients and
+    tests). *)
 
-val encode_cmds : cmd list -> string
-(** The hint-less request frames of [cmds], concatenated: the payload
-    of an op-log or checkpoint record, parsed back on replay by
-    {!iter_requests}. *)
+val write_cmds : Obuf.t -> cmd list -> unit
+(** The hint-free request frames of the commands, concatenated: the
+    payload of an op-log or checkpoint record, parsed back on replay
+    by {!iter_requests}. *)
 
 val iter_requests :
   (request -> unit) -> Bytes.t -> int -> int -> [ `Ok | `Partial | `Bad of string ]
@@ -168,49 +173,11 @@ val iter_requests :
     ends inside a frame, [`Bad m] when a frame's header or body is
     malformed. *)
 
-(** {1 Zero-copy output}
-
-    {!Obuf} is the reply path's output sink: a grow-only byte buffer
-    whose backing store is handed straight to [Unix.write] — no
-    [Buffer.contents] copy, no per-frame string.  [start] tracks the
-    flushed prefix so a partial write resumes where it stopped. *)
-
-module Obuf : sig
-  type t
-
-  val create : ?initial:int -> unit -> t
-  val clear : t -> unit
-
-  val length : t -> int
-  (** Total encoded bytes (including any already-flushed prefix). *)
-
-  val pending : t -> int
-  (** Bytes encoded but not yet consumed. *)
-
-  val contents : t -> string
-  (** Copy of the pending region — tests and diagnostics only. *)
-
-  val peek : t -> Bytes.t * int * int
-  (** [(buf, off, len)] of the pending region, for the caller's own
-      [write].  Valid until the next mutation. *)
-
-  val consumed : t -> int -> unit
-  (** Mark [n] pending bytes written; the buffer resets to offset 0
-      once fully drained. *)
-
-  val add_char : t -> char -> unit
-  val add_string : t -> string -> unit
-end
-
 val write_response_obuf : Obuf.t -> response -> unit
-(** One complete frame, with no intermediate allocation (inlined
-    integer formatting, direct byte stores).
-    @raise Invalid_argument if a {!Simple}, {!Error} or {!Push}
-    payload contains a newline (they are line-delimited on the
-    wire). *)
-
-val response_len : response -> int
-(** Body length of the encoded response, allocation-free. *)
+(** One complete frame, with no intermediate allocation.
+    @raise Invalid_argument, writing nothing, if a {!Simple}, {!Error}
+    or {!Push} payload contains a newline (they are line-delimited on
+    the wire). *)
 
 (** Body-fragment writers for streaming encoders: a producer that
     knows its output is one big array (the snapshot fast path) can
@@ -255,6 +222,9 @@ module Decoder : sig
 
   val commit : t -> int -> unit
   (** Publish [n] bytes deposited after {!reserve}. *)
+
+  val buffered : t -> int
+  (** Bytes fed and not yet consumed as frames. *)
 
   type 'a item =
     [ `Ok of 'a  (** a well-formed frame *)

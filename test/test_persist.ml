@@ -33,6 +33,9 @@ module Persist = Polytm_server.Persist
 module Server = Polytm_server.Server
 module P = Polytm_persist
 module S = Registry.S
+module Sem = Polytm.Semantics
+
+let req ?hint cmd = { Wire.hint; cmd }
 
 let prop = Test_seed.to_alcotest
 
@@ -197,6 +200,31 @@ let recover_fresh ?(shards = 1) ?(algo = `Tl2) ~dir () =
 
 (* ---- frame-level fuzz --------------------------------------------------- *)
 
+(* The record encoder as it was before records were framed in place:
+   the body header in a 12-byte [Bytes], the CRC run over it and then
+   over the payload string, and [Buffer] appends.  [Frame.add] must
+   write exactly these bytes, and the tests below build their logs and
+   checkpoints with it. *)
+let reference_record buf (hdr : P.Frame.header) ~payload =
+  let h = Bytes.create P.Frame.body_hdr_len in
+  Bytes.set_uint8 h 0 hdr.rtype;
+  Bytes.set_uint8 h 1 hdr.algo;
+  Bytes.set_uint16_le h 2 hdr.shard;
+  Bytes.set_int64_le h 4 (Int64.of_int hdr.stamp);
+  let h = Bytes.unsafe_to_string h in
+  let plen = String.length payload in
+  let crc = P.Crc32.update (P.Crc32.string h) payload 0 plen in
+  Buffer.add_int32_le buf (Int32.of_int (P.Frame.body_hdr_len + plen));
+  Buffer.add_int32_le buf (Int32.of_int crc);
+  Buffer.add_string buf h;
+  Buffer.add_string buf payload
+
+(* An op record's payload as the reference writes it: the hint-free
+   frames of [cmds] from the wire tests' [string_of_int] encoder. *)
+let reference_payload cmds =
+  String.concat ""
+    (List.map (fun cmd -> Test_wire.reference_request { Wire.hint = None; cmd }) cmds)
+
 (* A record as the tests build and read them: its body header and a
    copy of its payload. *)
 type record = { hdr : P.Frame.header; payload : string }
@@ -216,7 +244,7 @@ let encode_log records =
   let ends = ref [ Buffer.length b ] in
   List.iter
     (fun (r : record) ->
-      P.Frame.encode b r.hdr ~payload:r.payload;
+      reference_record b r.hdr ~payload:r.payload;
       ends := Buffer.length b :: !ends)
     records;
   (Buffer.contents b, List.rev !ends)
@@ -354,6 +382,69 @@ let test_scan_long_records () =
           end)
         ends)
 
+(* ---- records framed in place = the reference's bytes --------------------- *)
+
+(* What the op log and checkpoints record: one mutation (a BLPOP or
+   BTAKE is logged as the DEQ it performs), the mutations of a MULTI
+   batch, or a creation; keys 0, negative, [min_int] and [max_int];
+   values empty, short, or longer than a writer's initial 4 KB. *)
+let gen_logged =
+  QCheck.Gen.(
+    let key =
+      frequency
+        [ (2, oneofl [ 0; -1; min_int; max_int ]); (3, small_signed_int); (1, int) ]
+    in
+    let blob n = string_size ~gen:(map Char.chr (0 -- 255)) n in
+    let value =
+      frequency [ (1, return ""); (4, blob (1 -- 20)); (1, blob (4_000 -- 9_000)) ]
+    in
+    let name = blob (0 -- 12) in
+    let mutation =
+      oneof
+        [
+          map3 (fun s k v -> Wire.Put (s, k, v)) name key value;
+          map2 (fun s k -> Wire.Del (s, k)) name key;
+          map2 (fun s k -> Wire.Add (s, k)) name key;
+          map2 (fun s k -> Wire.Remove (s, k)) name key;
+          map2 (fun s v -> Wire.Enq (s, v)) name value;
+          map (fun s -> Wire.Deq s) name;
+        ]
+    in
+    frequency
+      [
+        (4, map (fun c -> [ c ]) mutation);
+        (2, list_size (2 -- 6) mutation);
+        ( 1,
+          map2
+            (fun k s -> [ Wire.New (k, s) ])
+            (oneofl [ Wire.Kmap; Wire.Kset; Wire.Kqueue ])
+            name );
+      ])
+
+let gen_header =
+  QCheck.Gen.(
+    let* rtype = oneofl [ P.Frame.rt_op; P.Frame.rt_new ] in
+    let* algo = int_range 0 1 in
+    let* shard = int_range 0 65_535 in
+    let+ stamp = oneof [ int_range 0 1_000_000; oneofl [ 0; max_int ]; int ] in
+    { P.Frame.rtype; algo; shard; stamp })
+
+(* Records framed one after another in one writer, each by [Frame.add]
+   from the commands, equal the reference's bytes for the same headers
+   and commands. *)
+let prop_record_reference =
+  QCheck.Test.make ~count:300 ~name:"a record framed in place = the reference record"
+    QCheck.(make Gen.(list_size (1 -- 4) (pair gen_header gen_logged)))
+    (fun records ->
+      let ob = Wire.Obuf.create () and b = Buffer.create 256 in
+      List.iter
+        (fun ((hdr : P.Frame.header), cmds) ->
+          P.Frame.add ob ~rtype:hdr.rtype ~algo:hdr.algo ~shard:hdr.shard
+            ~stamp:hdr.stamp Wire.write_cmds cmds;
+          reference_record b hdr ~payload:(reference_payload cmds))
+        records;
+      String.equal (Wire.Obuf.contents ob) (Buffer.contents b))
+
 (* ---- CRC-32 against a reference ------------------------------------------ *)
 
 (* Bit by bit, one byte at a time: the definition the tables of
@@ -400,8 +491,9 @@ let prop_crc_reference =
       start = crc_reference 0 prefix 0 (String.length prefix)
       && P.Crc32.update start s pos len = crc_reference start s pos len)
 
-(* [Frame.encode] runs the CRC over the body header and then the
-   payload: feeding a string in two pieces must equal one call. *)
+(* The reference record encoder runs the CRC over the body header and
+   then the payload: feeding a string in two pieces must equal one
+   call. *)
 let prop_crc_pieces =
   QCheck.Test.make ~count:1000 ~name:"Crc32.update over two pieces = one call"
     QCheck.(
@@ -940,9 +1032,9 @@ let take_dirty_now registry ws =
     S.try_atomically_or_wait ~wake:ignore [ Registry.stm registry ]
       (Registry.take_dirty registry ws)
   with
-  | S.Outcome (S.Committed names) -> names
-  | S.Outcome _ -> []
-  | S.Waiting w ->
+  | S.Committed names -> names
+  | S.Exhausted _ | S.Deadline_exceeded _ -> []
+  | exception S.Waiting w ->
       S.cancel_wait w;
       []
 
@@ -1050,9 +1142,9 @@ let write_store ~dir records =
   let zero rtype = { P.Frame.rtype; algo = 0; shard = 0; stamp = 0 } in
   let ckpt = Buffer.create 64 in
   Buffer.add_string ckpt P.Frame.ckpt_magic;
-  P.Frame.encode ckpt (zero P.Frame.rt_bounds)
+  reference_record ckpt (zero P.Frame.rt_bounds)
     ~payload:(P.Frame.encode_bounds []);
-  P.Frame.encode ckpt (zero P.Frame.rt_trailer)
+  reference_record ckpt (zero P.Frame.rt_trailer)
     ~payload:(P.Frame.encode_count 1);
   write_file (P.Layout.ckpt_path ~dir 1) (Buffer.contents ckpt);
   write_file (P.Layout.log_path ~dir 1) (fst (encode_log records));
@@ -1150,9 +1242,9 @@ let test_bad_checkpoint_applies_nothing () =
   let checkpoint ?(trailer = List.length body + 1) records =
     let b = Buffer.create 256 in
     Buffer.add_string b P.Frame.ckpt_magic;
-    List.iter (fun (hdr, payload) -> P.Frame.encode b hdr ~payload) records;
+    List.iter (fun (hdr, payload) -> reference_record b hdr ~payload) records;
     let last_body_end = Buffer.length b in
-    P.Frame.encode b (zero P.Frame.rt_trailer) ~payload:(P.Frame.encode_count trailer);
+    reference_record b (zero P.Frame.rt_trailer) ~payload:(P.Frame.encode_count trailer);
     (Buffer.contents b, last_body_end)
   in
   let refused what ckpt expect =
@@ -1235,9 +1327,15 @@ let test_aof_failed_write () =
 
 (* ---- the op log's own paths ---------------------------------------------- *)
 
+(* A log whose records' payloads are the armed strings. *)
 let open_oplog ?(policy = `Everysec) dir =
   Unix.mkdir dir 0o755;
-  P.Oplog.create ~dir ~policy ~gen:1 ~replayed:0 ~recover_ms:0. ~tear:"none"
+  P.Oplog.create ~dir ~policy
+    ~encode:(fun ob l -> List.iter (Wire.Obuf.add_string ob) l)
+    ~gen:1 ~replayed:0 ~recover_ms:0. ~tear:"none"
+
+(* Disarm and take the ticket, if the armed record was appended. *)
+let finish log = if P.Oplog.finish log then Some (P.Oplog.ticket log) else None
 
 (* A failed once-a-second sync is counted and returns, so the
    housekeeper that calls [tick] lives on; the record stays buffered
@@ -1246,10 +1344,10 @@ let test_tick_survives_failed_sync () =
   let dir = fresh_dir "tick" in
   let log = open_oplog dir in
   let payload = frames [ Wire.Put ("m", 1, "v") ] in
-  P.Oplog.arm log payload;
+  P.Oplog.arm log [ payload ];
   P.Oplog.hook log ~algo:0 ~shard:0 7;
   let aof, seq =
-    match P.Oplog.finish log with
+    match finish log with
     | Some ticket -> ticket
     | None -> Alcotest.fail "an armed hook left no ticket"
   in
@@ -1327,25 +1425,25 @@ let test_arming_per_thread_and_log () =
     let tid = Thread.id (Thread.self ()) in
     let mine = ref [] in
     for i = 1 to rounds do
-      P.Oplog.arm log_a (payload tid i);
+      P.Oplog.arm log_a [ payload tid i ];
       Thread.yield ();
       armed ();
       S.atomically stm_a (fun tx -> S.write tx tv (S.read tx tv + 1));
       Thread.yield ();
-      mine := P.Oplog.finish log_a :: !mine
+      mine := finish log_a :: !mine
     done;
     tickets.(k) <- (tid, List.rev !mine)
   in
   List.iter Thread.join [ Thread.create (run 0) (); Thread.create (run 1) () ];
   (* Armed for log A, committed on an instance whose hook goes to B. *)
-  P.Oplog.arm log_a "armed for A";
+  P.Oplog.arm log_a [ "armed for A" ];
   S.atomically stm_b (fun tx -> S.write tx (S.tvar stm_b 0) 1);
   Alcotest.(check bool) "A's payload never reached a commit" true
-    (P.Oplog.finish log_a = None);
-  P.Oplog.arm log_b "armed for B";
+    (finish log_a = None);
+  P.Oplog.arm log_b [ "armed for B" ];
   S.atomically stm_b (fun tx -> S.write tx (S.tvar stm_b 0) 2);
   Alcotest.(check bool) "B's payload is B's first record" true
-    (match P.Oplog.finish log_b with Some (_, 1) -> true | _ -> false);
+    (match finish log_b with Some (_, 1) -> true | _ -> false);
   P.Oplog.close log_a;
   P.Oplog.close log_b;
   let records_a, _ = scan_records (P.Layout.log_path ~dir:dir_a 1) in
@@ -1390,6 +1488,234 @@ let test_arming_per_thread_and_log () =
        records_b);
   rm_rf dir_a;
   rm_rf dir_b
+
+(* ---- a scripted load writes the reference's bytes ----------------------- *)
+
+(* The bytes the reference writes for the file at [path]: its magic,
+   then each of its records as [reference_record] frames it, from the
+   header the file holds and, for an op or a creation, the reference
+   encoding of the commands its payload parses to (a bounds or trailer
+   payload is kept as it is).  Also the op and creation records'
+   commands, in order. *)
+let reference_file ~magic path =
+  let b = Buffer.create 4096 and logged = ref [] in
+  Buffer.add_string b magic;
+  let scan =
+    P.Frame.scan ~magic ~path ~f:(fun hdr buf off len ->
+        let payload =
+          if hdr.P.Frame.rtype = P.Frame.rt_op || hdr.rtype = P.Frame.rt_new
+          then begin
+            let cmds = ref [] in
+            (match
+               Wire.iter_requests (fun r -> cmds := r.Wire.cmd :: !cmds) buf off len
+             with
+            | `Ok -> ()
+            | `Partial | `Bad _ -> Alcotest.failf "%s: a payload does not parse" path);
+            logged := (hdr.rtype, List.rev !cmds) :: !logged;
+            reference_payload (List.rev !cmds)
+          end
+          else Bytes.sub_string buf off len
+        in
+        reference_record b hdr ~payload)
+  in
+  Alcotest.(check bool) (path ^ " scans clean") true (scan.P.Frame.tear = None);
+  (Buffer.contents b, List.rev !logged)
+
+(* A scripted load through a live session under [`Always]: hinted and
+   plain requests, keys 0, negative, [min_int] and [max_int], an empty
+   and a 5,000-byte value, a DEL of an absent key, a MULTI batch, a
+   BLPOP, a BTAKE and DEQs (one of an empty queue), then a BGSAVE and
+   one more write.  Each log and checkpoint file equals the bytes the
+   reference writes for its records, and the logs hold exactly the
+   commands that mutated: hint-free, a pop as its DEQ, the batch as one
+   record, nothing for the absent key or the empty queue. *)
+let test_scripted_load_reference ~algo ~shards () =
+  let dir = fresh_dir "script" in
+  let long = String.init 5_000 (fun i -> Char.chr ((i * 7) land 0xff)) in
+  let script =
+    [
+      req (Wire.New (Wire.Kmap, "m")); req (Wire.New (Wire.Kset, "s"));
+      req (Wire.New (Wire.Kqueue, "q"));
+      req ~hint:Sem.Classic (Wire.Put ("m", 1, "a"));
+      req (Wire.Put ("m", -5, ""));
+      req ~hint:Sem.Elastic (Wire.Put ("m", max_int, long));
+      req (Wire.Put ("m", min_int, "z"));
+      req ~hint:Sem.Elastic (Wire.Get ("m", 1));
+      req (Wire.Del ("m", 1)); req ~hint:Sem.Classic (Wire.Del ("m", 999));
+      req (Wire.Add ("s", 0)); req (Wire.Remove ("s", 0));
+      req (Wire.Enq ("q", "x")); req (Wire.Enq ("q", "")); req (Wire.Enq ("q", "y"));
+      req ~hint:Sem.Classic Wire.Multi; req (Wire.Put ("m", 2, "b"));
+      req (Wire.Enq ("q", "w")); req (Wire.Del ("m", 2)); req Wire.Multi_end;
+      req (Wire.Blpop ("q", 0)); req (Wire.Btake ("q", 0)); req (Wire.Deq "q");
+      req (Wire.Deq "q"); req (Wire.Deq "q");
+    ]
+  in
+  let op cmds = (P.Frame.rt_op, cmds) and mk cmd = (P.Frame.rt_new, [ cmd ]) in
+  let expected =
+    [
+      mk (Wire.New (Wire.Kmap, "m")); mk (Wire.New (Wire.Kset, "s"));
+      mk (Wire.New (Wire.Kqueue, "q"));
+      op [ Wire.Put ("m", 1, "a") ]; op [ Wire.Put ("m", -5, "") ];
+      op [ Wire.Put ("m", max_int, long) ]; op [ Wire.Put ("m", min_int, "z") ];
+      op [ Wire.Del ("m", 1) ]; op [ Wire.Add ("s", 0) ]; op [ Wire.Remove ("s", 0) ];
+      op [ Wire.Enq ("q", "x") ]; op [ Wire.Enq ("q", "") ]; op [ Wire.Enq ("q", "y") ];
+      op [ Wire.Put ("m", 2, "b"); Wire.Enq ("q", "w"); Wire.Del ("m", 2) ];
+      op [ Wire.Deq "q" ]; op [ Wire.Deq "q" ]; op [ Wire.Deq "q" ];
+      op [ Wire.Deq "q" ];
+    ]
+  in
+  let check_file ~magic path =
+    let want, logged = reference_file ~magic path in
+    Alcotest.(check bool) (path ^ " = the reference's bytes") true
+      (String.equal want (read_file path));
+    logged
+  in
+  let logged_t =
+    Alcotest.(list (pair int (list (testable Fmt.(using Wire.cmd_name string) ( = )))))
+  in
+  run_session ~dir ~policy:`Always ~shards ~algo (fun fd _reg _p ->
+      let b = Buffer.create 8192 in
+      List.iter (Wire.write_request b) script;
+      write_all fd (Buffer.contents b);
+      ignore (recv_n fd (List.length script));
+      Alcotest.check logged_t "the activation checkpoint holds no structure" []
+        (check_file ~magic:P.Frame.ckpt_magic (P.Layout.ckpt_path ~dir 1));
+      Alcotest.check logged_t "log 1 holds what mutated" expected
+        (check_file ~magic:P.Frame.log_magic (P.Layout.log_path ~dir 1));
+      (match roundtrip fd [ Wire.Bgsave ] with
+      | [ Wire.Simple "OK" ] -> ()
+      | _ -> Alcotest.fail "BGSAVE failed");
+      let ckpt = check_file ~magic:P.Frame.ckpt_magic (P.Layout.ckpt_path ~dir 2) in
+      Alcotest.(check int) "the checkpoint: three NEWs and the map's three entries" 6
+        (List.length ckpt);
+      ignore (roundtrip fd [ Wire.Put ("m", 3, "c") ]);
+      Alcotest.check logged_t "log 2 holds the last write"
+        [ op [ Wire.Put ("m", 3, "c") ] ]
+        (check_file ~magic:P.Frame.log_magic (P.Layout.log_path ~dir 2)));
+  rm_rf dir
+
+(* ---- the commit hook's failure and allocation paths ---------------------- *)
+
+(* An encoder that raises midway through a record: the commit still
+   commits, [hook_errors] counts the failure, no byte of the record is
+   left in the log, and the next record is appended and scans clean
+   right after the one before. *)
+let test_raising_encoder () =
+  let dir = fresh_dir "raise" in
+  Unix.mkdir dir 0o755;
+  let encode ob l =
+    List.iter
+      (fun s ->
+        Wire.Obuf.add_string ob s;
+        if s = "boom" then failwith "encoder failed")
+      l
+  in
+  let log =
+    P.Oplog.create ~dir ~policy:`No ~encode ~gen:1 ~replayed:0 ~recover_ms:0.
+      ~tear:"none"
+  in
+  let stm = S.create () in
+  S.set_commit_hook stm (Some (P.Oplog.hook log ~algo:0 ~shard:0));
+  let tv = S.tvar stm 0 in
+  let commit payload =
+    P.Oplog.arm log payload;
+    S.atomically stm (fun tx -> S.write tx tv (S.read tx tv + 1));
+    P.Oplog.finish log
+  in
+  Alcotest.(check bool) "the first record is appended" true (commit [ "first" ]);
+  Alcotest.(check bool) "a raising encoder appends nothing" false
+    (commit [ "partial record "; "boom" ]);
+  Alcotest.(check int) "the commit committed" 2 (S.atomically stm (fun tx -> S.read tx tv));
+  Alcotest.(check int) "hook_errors counts it" 1
+    (List.assoc "hook_errors" (P.Oplog.counters log));
+  Alcotest.(check bool) "the next record is appended" true (commit [ "next" ]);
+  Alcotest.(check int) "as the second record" 2 (snd (P.Oplog.ticket log));
+  P.Oplog.close log;
+  let path = P.Layout.log_path ~dir 1 in
+  let records, scan = scan_records path in
+  Alcotest.(check (list string)) "the log holds the two whole records"
+    [ "first"; "next" ]
+    (List.map (fun (r : record) -> r.payload) records);
+  Alcotest.(check bool) "it scans clean" true (scan.P.Frame.tear = None);
+  Alcotest.(check int) "to its last byte" (String.length (read_file path))
+    scan.P.Frame.valid_bytes;
+  rm_rf dir
+
+(* A DEL of an absent key commits read-only: the hook never fires, so
+   nothing is encoded and nothing appended.  The log's encoder counts
+   its calls. *)
+let test_absent_del_encodes_nothing () =
+  let dir = fresh_dir "del-absent" in
+  Unix.mkdir dir 0o755;
+  let encoded = Atomic.make 0 in
+  let encode ob cmds =
+    Atomic.incr encoded;
+    Wire.write_cmds ob cmds
+  in
+  let registry = Registry.create () in
+  let log =
+    P.Oplog.create ~dir ~policy:`Always ~encode ~gen:1 ~replayed:0
+      ~recover_ms:0. ~tear:"none"
+  in
+  Persist.set_hooks registry (Some log);
+  registry.Registry.persist <- Some log;
+  let server_fd, fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let dom =
+    Domain.spawn (fun () ->
+        Evloop.handle ~limits:Limits.default ~registry
+          ~stats:(Session.create_stats ()) server_fd)
+  in
+  let appends () = List.assoc "appends" (P.Oplog.counters log) in
+  let step what cmd reply ~encodes =
+    Alcotest.(check string) what (resp_str reply) (resp_str (List.hd (roundtrip fd [ cmd ])));
+    Alcotest.(check (pair int int)) (what ^ ": encoded and appended") (encodes, encodes)
+      (Atomic.get encoded, appends ())
+  in
+  step "NEW" (Wire.New (Wire.Kmap, "m")) Wire.ok ~encodes:1;
+  step "PUT" (Wire.Put ("m", 1, "a")) (Wire.Int 1) ~encodes:2;
+  step "DEL of an absent key" (Wire.Del ("m", 7)) (Wire.Int 0) ~encodes:2;
+  step "DEL" (Wire.Del ("m", 1)) (Wire.Int 1) ~encodes:3;
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  Domain.join dom;
+  Persist.set_hooks registry None;
+  P.Oplog.close log;
+  Unix.close fd;
+  Unix.close server_fd;
+  rm_rf dir
+
+(* Arm, hook and finish of a logged PUT under [`Everysec], its encoding
+   included, allocate nothing: the record is framed straight into the
+   log's writer.  Both writers are grown first, a round apart, as the
+   once-a-second sync swaps them. *)
+let test_logged_put_allocates_nothing () =
+  let dir = fresh_dir "alloc" in
+  Unix.mkdir dir 0o755;
+  let log =
+    P.Oplog.create ~dir ~policy:`Everysec ~encode:Wire.write_cmds ~gen:1
+      ~replayed:0 ~recover_ms:0. ~tear:"none"
+  in
+  let put = [ Wire.Put ("bench", 123456, "value-00000123") ] in
+  let n = 1_000 in
+  let round () =
+    for i = 1 to n do
+      P.Oplog.arm log put;
+      P.Oplog.hook log ~algo:0 ~shard:0 i;
+      ignore (P.Oplog.finish log : bool)
+    done
+  in
+  round ();
+  P.Oplog.tick log;
+  round ();
+  P.Oplog.tick log;
+  let w0 = Gc.minor_words () in
+  round ();
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check int) "every write appended" (3 * n)
+    (List.assoc "appends" (P.Oplog.counters log));
+  if words > 0.01 then
+    Alcotest.failf "a logged PUT allocates %.2f words (budget 0)" words;
+  P.Oplog.close log;
+  rm_rf dir
 
 (* ---- counters, INFO and the trace lane are per server -------------------- *)
 
@@ -1571,6 +1897,21 @@ let suite =
         test_aof_failed_write;
       Alcotest.test_case "a failed tick sync is counted and retried" `Quick
         test_tick_survives_failed_sync;
+      prop prop_record_reference;
+      Alcotest.test_case "a scripted load writes the reference's bytes (tl2, 1 shard)"
+        `Quick (test_scripted_load_reference ~algo:`Tl2 ~shards:1);
+      Alcotest.test_case "a scripted load writes the reference's bytes (tl2, 4 shards)"
+        `Quick (test_scripted_load_reference ~algo:`Tl2 ~shards:4);
+      Alcotest.test_case "a scripted load writes the reference's bytes (norec, 1 shard)"
+        `Quick (test_scripted_load_reference ~algo:`Norec ~shards:1);
+      Alcotest.test_case "a scripted load writes the reference's bytes (norec, 4 shards)"
+        `Quick (test_scripted_load_reference ~algo:`Norec ~shards:4);
+      Alcotest.test_case "an encoder that raises leaves no partial record" `Quick
+        test_raising_encoder;
+      Alcotest.test_case "a DEL of an absent key encodes nothing" `Quick
+        test_absent_del_encodes_nothing;
+      Alcotest.test_case "a logged PUT allocates nothing" `Quick
+        test_logged_put_allocates_nothing;
       Alcotest.test_case "arming is per thread and per log" `Quick
         test_arming_per_thread_and_log;
       Alcotest.test_case "counters, INFO and the trace lane are per server"

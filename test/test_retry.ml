@@ -305,8 +305,8 @@ let loop_wait_program ~skip_wake_validation algo () =
         [ stm ]
         (fun () -> S.atomically stm (fun tx -> Q.take_tx tx q))
     with
-    | S.Outcome o -> got := Some o
-    | S.Waiting w ->
+    | o -> got := Some o
+    | exception S.Waiting w ->
         ignore (Polytm_runtime.Sim_runtime.park loop ~deadline:None);
         S.cancel_wait w;
         serve ()

@@ -175,6 +175,29 @@ let reference_request (r : Wire.request) =
     fields;
   Printf.sprintf "#%d\n%s" (Buffer.length body) (Buffer.contents body)
 
+(* A reply encoder built the same way, by [Printf] and string
+   concatenation: the sized reply writer must produce these bytes. *)
+let rec reference_body = function
+  | Wire.Simple s -> "+" ^ s ^ "\n"
+  | Wire.Int n -> Printf.sprintf ":%d\n" n
+  | Wire.Bulk s -> Printf.sprintf "$%d\n%s\n" (String.length s) s
+  | Wire.Nil -> "_\n"
+  | Wire.Error (c, m) -> Printf.sprintf "-%s %s\n" (Wire.err_code_to_string c) m
+  | Wire.Array l ->
+      Printf.sprintf "*%d\n" (List.length l)
+      ^ String.concat "" (List.map reference_body l)
+  | Wire.Push s -> ">" ^ s ^ "\n"
+
+let reference_response r =
+  let body = reference_body r in
+  Printf.sprintf "#%d\n%s" (String.length body) body
+
+(* The hint-free frames the op log records, as a string. *)
+let encode_cmds cmds =
+  let ob = Wire.Obuf.create () in
+  Wire.write_cmds ob cmds;
+  Wire.Obuf.contents ob
+
 (* A second request parser, built the way the codec once parsed: the
    body split into a list of copied field strings, the list matched,
    and every integer read by [int_of_string_opt].  The parser under
@@ -305,6 +328,21 @@ let request_bytes_reference =
       let b = Buffer.create 64 in
       Wire.write_request b r;
       String.equal (Buffer.contents b) (reference_request r))
+
+(* Replies appended to a writer that starts small and already holds a
+   prefix, so most frames grow it mid-stream: each frame's sized
+   reservation must cover exactly the bytes the reference writes. *)
+let response_bytes_reference =
+  QCheck.Test.make ~name:"write_response_obuf = the Printf reference"
+    ~count:1000
+    QCheck.(pair (list_of_size Gen.(1 -- 4) arb_response) small_nat)
+    (fun (rs, pad) ->
+      let ob = Wire.Obuf.create ~initial:1 () in
+      let prefix = String.make (pad mod 40) 'x' in
+      Wire.Obuf.add_string ob prefix;
+      List.iter (Wire.write_response_obuf ob) rs;
+      String.equal (Wire.Obuf.contents ob)
+        (prefix ^ String.concat "" (List.map reference_response rs)))
 
 let request_roundtrip =
   QCheck.Test.make ~name:"request round-trips at any chunking" ~count:500
@@ -565,7 +603,7 @@ let test_reply_goldens () =
 
 (* The request grammar byte for byte, one frame per command.  These
    bytes are the payload format of the op log and of checkpoints too,
-   so a change here is a change to every log on disk; [encode_cmds],
+   so a change here is a change to every log on disk; [write_cmds],
    which writes those payloads, must give the hint-less frames the
    same bytes. *)
 let test_request_goldens () =
@@ -630,13 +668,13 @@ let test_request_goldens () =
       Wire.write_request b { Wire.hint; cmd };
       Alcotest.(check string) (String.escaped bytes) bytes (Buffer.contents b);
       if hint = None then
-        Alcotest.(check string) ("encode_cmds " ^ String.escaped bytes) bytes
-          (Wire.encode_cmds [ cmd ]))
+        Alcotest.(check string) ("write_cmds " ^ String.escaped bytes) bytes
+          (encode_cmds [ cmd ]))
     cases;
   let plain = List.filter (fun (hint, _, _) -> hint = None) cases in
-  Alcotest.(check string) "encode_cmds concatenates its frames"
+  Alcotest.(check string) "write_cmds concatenates its frames"
     (String.concat "" (List.map (fun (_, _, bytes) -> bytes) plain))
-    (Wire.encode_cmds (List.map (fun (_, cmd, _) -> cmd) plain))
+    (encode_cmds (List.map (fun (_, cmd, _) -> cmd) plain))
 
 (* Keys that are not plain decimal still parse as OCaml reads them,
    and a key that is no integer is a [`Bad] for its frame alone. *)
@@ -678,6 +716,7 @@ let suite =
   ( "wire",
     [
       prop request_bytes_reference;
+      prop response_bytes_reference;
       prop parser_matches_reference;
       prop request_roundtrip;
       prop response_roundtrip;
