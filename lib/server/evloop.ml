@@ -32,7 +32,10 @@
 
     A connection whose fd [select] cannot wait on (at or above
     {!Limits.fd_limit}) is closed when it reaches the loop, and INFO
-    counts it: passing it to [select] would stop the worker.
+    counts it: passing it to [select] would stop the worker.  A
+    session whose handler raises tears itself down (every {!Session}
+    entry point and posted resume catches), so the loop reaps and
+    closes it like any finished session and keeps serving the rest.
 
     Shutdown: when [stop] flips, the loop begins each session's drain
     (answer what already arrived, flush, close); waiting pops and

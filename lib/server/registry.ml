@@ -95,6 +95,9 @@ type t = {
   fd_refused : int Atomic.t;
       (** connections closed on arrival because their fd was at or
           above {!Limits.fd_limit}, for [INFO] *)
+  handler_errors : int Atomic.t;
+      (** connections closed because a handler of theirs raised, for
+          [INFO] *)
   started_at : float;  (** wall-clock creation time, for [INFO] uptime *)
   mutable persist : Wire.cmd Polytm_persist.Oplog.t option;
       (** this server's op log: the session arms it and waits on it,
@@ -135,6 +138,7 @@ let create ?(shards = 1) ?stm ?stm_norec ?(default_algo = `Tl2) () =
       Array.init shards (fun i -> S.tvar (Router.shard norec i) false);
     waiters = Atomic.make 0;
     fd_refused = Atomic.make 0;
+    handler_errors = Atomic.make 0;
     started_at = Unix.gettimeofday ();
     persist = None;
   }
@@ -552,6 +556,7 @@ let info t =
       ("waiting", string_of_int (waiting t));
       ("fd_limit", string_of_int Limits.fd_limit);
       ("fd_refused", string_of_int (Atomic.get t.fd_refused));
+      ("handler_errors", string_of_int (Atomic.get t.handler_errors));
     ]
   in
   (* [%S]: a quoted name can neither end its line nor start a key *)

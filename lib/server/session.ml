@@ -4,20 +4,27 @@
     The session still executes its requests strictly in order — what
     pipelining clients rely on — but it never blocks the loop: every
     step is a non-blocking poke.  [on_readable] performs one
-    [Unix.read] straight into the decoder's buffer, decodes every
-    complete frame of that batch (applying the [max_inflight]
-    admission bound per batch, BUSY refusals keeping their reply
-    slots), and [pump] executes the admitted queue.  Replies are
-    encoded directly into the session's reusable {!Wire.Obuf} — no
+    [Unix.read] straight into the decoder's buffer, and [pump] decodes
+    each complete frame of that batch where it lies and executes it
+    at once (the [max_inflight] admission bound applies per batch,
+    BUSY refusals keeping their reply slots): the decoder's buffer is
+    the session's queue, and no request is boxed or queued.  Replies
+    are encoded directly into the session's reusable {!Wire.Obuf} — no
     per-frame string, no [Buffer.contents] copy — and [try_flush]
     hands the pending region to a single [Unix.write]; a partial
     write leaves the tail for the loop's writability notification.
 
     Every request that runs a transaction runs it through one runner,
-    [run_tx], which applies both op limits and records the latency;
+    [run_tx], which applies both op limits and marks the request timed;
     [exec_tx] wraps it with the op-log arming and the post-commit
-    watcher marks.  A blocking pop ([BLPOP]/[BTAKE]) resolves like
-    any other command and runs its body through the same runner, by
+    watcher marks.  A latency sample is the request's service time on
+    the loop, from the end of the previous timed request of the same
+    pipeline run (or the run's start) to the end of its own, once its
+    reply is encoded: one clock read per timed request, plus one per
+    run.
+
+    A blocking pop ([BLPOP]/[BTAKE]) resolves like any other command
+    and runs its body through the same runner, by
     [S.try_atomically_or_wait]: where the body's [retry] would park,
     its wait set is registered instead, with a wake that only posts
     the pop's resume to this session's loop ([services.post]).  The
@@ -44,6 +51,11 @@
     attempt, and the scratch reaches the output buffer only once the
     transaction committed.  The wire never carries a value from a
     doomed transaction.
+
+    A handler that raises ends its own connection, never the loop: each
+    entry point the loop calls, and each resume the session posts to
+    it, tears the session down on an exception, prints the exception
+    to stderr and counts it in INFO's [handler_errors].
 
     The session knows nothing about sockets beyond a file descriptor,
     so the deterministic end-to-end tests drive it over
@@ -181,14 +193,12 @@ type services = {
           from any thread *)
 }
 
-type action = Exec of Wire.request | Refuse of Wire.response
-
 (* A blocking pop, from its arrival until its reply. *)
 type pop = {
   run : wake:(unit -> unit) -> Wire.response;
       (** one run of its body; raises [Wait] when it registers *)
   sem : Polytm.Semantics.t;
-  t0 : int;  (** arrival: one latency sample covers every run *)
+  t0 : int;  (** its start: one latency sample covers every run *)
   deadline : int;  (** the pop's timeout, absolute; [max_int] if none *)
   mutable reserved : bool;  (** holds a [max_waiters] slot *)
 }
@@ -203,7 +213,18 @@ type t = {
   dec : Wire.Decoder.t;
   out : Wire.Obuf.t;  (** encoded replies awaiting [write] *)
   scratch : Wire.Obuf.t;  (** snapshot fast path's item staging area *)
-  pending : action Queue.t;  (** decoded batch awaiting execution *)
+  mutable admitted : int;  (** requests admitted from this read batch *)
+  mutable deferred : int;
+      (** bytes read while parked that the pipeline has not reached:
+          the next read batch, behind the current one's undecoded
+          frames *)
+  mutable mark : int;
+      (** the clock at the end of the last timed request of this
+          pipeline run, or at the run's start: the next request's
+          start *)
+  mutable timed : int;
+      (** the running request's semantics index ({!sem_index}) if its
+          latency is to be recorded once its reply is encoded, or -1 *)
   mutable in_multi : bool;
   mutable multi_hint : Polytm.Semantics.t option;
   mutable multi_rev : Wire.cmd list;  (** queued batch, newest first *)
@@ -217,9 +238,6 @@ type t = {
   mutable watch : S.wait option;  (** the registered watch wait *)
   mutable pop : (pop * S.wait) option;  (** a pop that waits *)
   mutable parked : bool;  (** a pop waits or a BGSAVE runs *)
-  mutable deferred : bool;
-      (** bytes read while parked wait in the decoder, to be decoded
-          when the pipeline resumes *)
   mutable draining : bool;  (** stop observed: answer, flush, close *)
   mutable input_done : bool;  (** EOF or corrupt framing: read no more *)
   mutable closing : bool;  (** flush [out], then close *)
@@ -278,10 +296,17 @@ let reply t resp =
           t.stats.other_errors <- t.stats.other_errors + 1)
   | _ -> ())
 
-let record_latency t sem t0 =
-  let dt = R.now () - t0 in
-  Hist.record t.stats.lat_by_sem.(sem_index sem) dt;
-  Hist.record t.stats.lat_all dt
+(* A request's latency sample, in semantics class [i], is its service
+   time on the loop: from its start [t0] to now, the end of its reply's
+   encoding, which is the next request's start.  One clock read per
+   timed request, and one per pipeline run ({!pump}). *)
+let record_latency t i t0 =
+  let now = R.now () in
+  let dt = now - t0 in
+  Hist.record t.stats.lat_by_sem.(i) dt;
+  Hist.record t.stats.lat_all dt;
+  t.mark <- now;
+  t.timed <- -1
 
 (* Run [f] as one transaction of [sem] over [stms] — the members of the
    site the registry resolved: the owner shard of a point operation, or
@@ -296,16 +321,19 @@ let record_latency t sem t0 =
    the attempt's effects are already discarded and the server survives
    a corrupted node instead of dying on an assertion.  With [wake], a
    body that retries registers its wait with it and this raises
-   [S.Waiting].  The request's latency is recorded here unless [timed]
-   is false: a blocking pop records its own, once it replies. *)
+   [S.Waiting].  The deadline counts from the request's start,
+   [t.mark].  The request is marked timed unless [timed] is false, and
+   its latency is recorded once its reply is encoded ({!admit}); a
+   blocking pop records its own, once it replies. *)
 let run_tx t ~stms ~sem ~label ?(timed = true) ?budget ?deadline_us ?wake
     (f : unit -> Wire.response) : Wire.response =
   let budget = match budget with Some _ as b -> b | None -> t.limits.op_budget in
   let deadline_us =
     match deadline_us with Some _ as d -> d | None -> t.limits.op_deadline_us
   in
-  let t0 = R.now () in
-  let deadline = Option.map (fun us -> t0 + (us * 1000)) deadline_us in
+  let deadline =
+    match deadline_us with Some us -> Some (t.mark + (us * 1000)) | None -> None
+  in
   let resp =
     match
       match wake with
@@ -322,7 +350,7 @@ let run_tx t ~stms ~sem ~label ?(timed = true) ?budget ?deadline_us ?wake
     | exception Polytm_structs.Stm_map.Invariant_violation m ->
         err Wire.Bad_op "invariant violation (transaction aborted): %s" m
   in
-  if timed then record_latency t sem t0;
+  if timed then t.timed <- sem_index sem;
   resp
 
 (* Dirty marks for watchers, made after the mutation's commit (the
@@ -536,7 +564,7 @@ let exec_snapshot_iter t (r : Wire.request) =
    write keeps the unflushed tail in the Obuf (its [start] offset
    advances); the loop retries on the next writability notification.
    EINTR and EAGAIN leave the buffer untouched for the same retry. *)
-let try_flush t =
+let flush t =
   if (not t.closed) && Wire.Obuf.pending t.out > 0 then begin
     (* Under [--fsync always] no ack may leave before its op-log
        record is synced.  The tickets are newest first and syncing is
@@ -563,17 +591,60 @@ let try_flush t =
         t.closed <- true
   end
 
+(* ---- faults -------------------------------------------------------------- *)
+
+(* Release watch subscriptions, cancel every registered wait and mark
+   the session dead; a late wake or BGSAVE completion finds nothing to
+   resume or [closed] set. *)
+let teardown t =
+  List.iter (Registry.unwatch t.reg) t.watches;
+  t.watches <- [];
+  drop_watch t;
+  Option.iter
+    (fun (p, w) ->
+      S.cancel_wait w;
+      if p.reserved then Registry.release_waiter t.reg)
+    t.pop;
+  t.pop <- None;
+  t.closed <- true
+
+(* A handler that raises ends its own connection, never the loop that
+   serves it: the exception and its backtrace go to stderr, the session
+   is torn down, the loop reaps it and its [on_close] closes the fd,
+   and INFO counts it ([handler_errors]).
+   Every entry point the loop calls runs under [guard], and so does
+   every resume the session posts to its loop. *)
+let guard t f =
+  try f t
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Printf.eprintf "polytmd: closing a connection whose handler raised %s\n%s%!"
+      (Printexc.to_string e)
+      (Printexc.raw_backtrace_to_string bt);
+    Atomic.incr t.reg.Registry.handler_errors;
+    teardown t
+
+let try_flush t = guard t flush
+
 (* ---- input and execution ------------------------------------------------ *)
 
 (* One non-blocking read deposited straight into the decoder's buffer
-   (no intermediate copy).  EINTR is a no-op: the loop's readiness is
-   level-triggered, so the read simply happens on the next cycle. *)
+   (no intermediate copy).  Its bytes are a new read batch, which the
+   [max_inflight] bound counts; while the pipeline is paused they wait
+   behind the undecoded rest of the batch before, as [deferred] bytes.
+   EINTR is a no-op: the loop's readiness is level-triggered, so the
+   read simply happens on the next cycle. *)
 let read_chunk t =
   let buf, off = Wire.Decoder.reserve t.dec 65536 in
   match Unix.read t.fd buf off 65536 with
   | 0 -> `Eof
   | n ->
       Wire.Decoder.commit t.dec n;
+      if t.parked then t.deferred <- t.deferred + n
+      else begin
+        t.admitted <- 0;
+        t.deferred <- 0
+      end;
       `Data
   | exception
       Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -581,77 +652,87 @@ let read_chunk t =
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.ENOTCONN), _, _) ->
       `Reset
 
-(* Decode everything buffered, applying the in-flight bound per
-   batch.  Refusals (BUSY, protocol errors) take a slot in the same
-   queue as admitted requests so that replies always come back in
-   request order — a pipelining client matches them up positionally. *)
-let decode_batch t =
-  let admitted = ref 0 in
-  let rec collect () =
-    match Wire.Decoder.next_request t.dec with
-    | `Ok r ->
-        t.stats.requests <- t.stats.requests + 1;
-        if !admitted >= t.limits.Limits.max_inflight then
-          Queue.push
-            (Refuse
-               (err Wire.Busy "more than %d requests in flight"
-                  t.limits.Limits.max_inflight))
-            t.pending
-        else begin
-          incr admitted;
-          Queue.push (Exec r) t.pending
-        end;
-        collect ()
-    | `Bad m ->
-        Queue.push (Refuse (err Wire.Proto "%s" m)) t.pending;
-        collect ()
-    | `Await -> ()
-    | `Corrupt m ->
-        Queue.push
-          (Refuse (err Wire.Proto "corrupt stream: %s" m))
-          t.pending;
-        (* framing is gone: answer what decoded, then close *)
-        t.input_done <- true
-  in
-  collect ()
-
 (* The wake of a registered wait.  It runs on a committing thread, so
    it only posts: [resume] runs on this session's loop, the one thread
    that touches session state and may run the re-run's transaction.
    The STM calls it at most once per wait, and not once the wait is
    cancelled; a wake racing a cancel makes one spurious re-run. *)
-let posting t resume () = t.services.post (fun () -> resume t)
+let posting t resume () = t.services.post (fun () -> guard t resume)
 
-(* [pump] drains the pending queue in order; a blocking op consumes
-   its queue slot and parks the session, and its completion resumes
-   the pump.  When the queue empties after EOF or a drain request the
-   session flips to [closing] (flush, then the loop closes the fd). *)
+let runnable t = (not t.parked) && (not t.closed) && not t.closing
+
+(* The pipeline.  The decoder's buffer is the session's queue: [serve]
+   decodes the next complete frame where it lies, executes it and
+   encodes its reply, in request order, until no complete frame is
+   buffered, a pop parks or a BGSAVE runs (the rest of the batch waits
+   in the buffer), or the session closes.  [pump] opens such a run with
+   the one clock read that starts its first request.  Once the input
+   has ended (EOF, corrupt framing or a drain) and nothing is left to
+   run, the session flips to [closing]: flush, then the loop closes the
+   fd. *)
 let rec pump t =
-  if (not t.parked) && not t.closed then
-    match Queue.take_opt t.pending with
-    | Some (Refuse e) ->
-        reply t e;
-        pump t
-    | Some (Exec r) -> (
-        (* Release already-encoded replies before a full-structure
-           stream: the cheap replies of a pipelined batch must not
-           wait out a traversal three orders of magnitude costlier
-           than they are, and the client drains them while we fold.
-           This also bounds output growth across a run of consecutive
-           snapshot requests to about one reply. *)
-        (match r.Wire.cmd with
-        | Wire.Snapshot_iter _ when Wire.Obuf.pending t.out > 0 ->
-            try_flush t
-        | _ -> ());
-        (* A parked session keeps its watch registered. *)
-        match exec_step t r with `Done -> pump t | `Parked -> arm_watch t)
-    | None when t.deferred ->
-        t.deferred <- false;
-        decode_batch t;
-        pump t
-    | None ->
-        if t.draining || t.input_done then t.closing <- true;
-        arm_watch t
+  if runnable t then begin
+    t.mark <- R.now ();
+    serve t
+  end
+
+and serve t =
+  if runnable t then
+    match Wire.Decoder.next_request t.dec with
+    | `Ok r -> admit t r
+    | `Bad m ->
+        reply t (err Wire.Proto "%s" m);
+        serve t
+    | `Corrupt m ->
+        (* framing is gone: answer what decoded, then close *)
+        reply t (err Wire.Proto "corrupt stream: %s" m);
+        t.input_done <- true;
+        ended t
+    | `Await -> ended t
+
+and ended t =
+  if t.draining || t.input_done then t.closing <- true;
+  arm_watch t
+
+(* The in-flight bound, per read batch: a request past it is refused
+   BUSY in its own reply slot, so that replies always come back in
+   request order (a pipelining client matches them up positionally).
+   The first request that ends in the bytes read while the pipeline was
+   paused opens their batch.  A timed request's latency is recorded
+   once its reply is encoded. *)
+and admit t r =
+  t.stats.requests <- t.stats.requests + 1;
+  if t.deferred > 0 && Wire.Decoder.buffered t.dec < t.deferred then begin
+    t.admitted <- 0;
+    t.deferred <- 0
+  end;
+  if t.admitted >= t.limits.Limits.max_inflight then begin
+    reply t
+      (err Wire.Busy "more than %d requests in flight"
+         t.limits.Limits.max_inflight);
+    serve t
+  end
+  else begin
+    t.admitted <- t.admitted + 1;
+    (* Release already-encoded replies before a full-structure stream:
+       the cheap replies of a pipelined batch must not wait out a
+       traversal three orders of magnitude costlier than they are, and
+       the client drains them while we fold.  This also bounds output
+       growth across a run of consecutive snapshot requests to about
+       one reply.  The write is no part of the snapshot's service time
+       or deadline window, which start after it. *)
+    (match r.Wire.cmd with
+    | Wire.Snapshot_iter _ when Wire.Obuf.pending t.out > 0 ->
+        flush t;
+        t.mark <- R.now ()
+    | _ -> ());
+    (* A parked session keeps its watch registered. *)
+    match exec_step t r with
+    | `Done ->
+        if t.timed >= 0 then record_latency t t.timed t.mark;
+        serve t
+    | `Parked -> arm_watch t
+  end
 
 and exec_step t (r : Wire.request) : [ `Done | `Parked ] =
   match r.Wire.cmd with
@@ -681,12 +762,13 @@ and exec_step t (r : Wire.request) : [ `Done | `Parked ] =
                   err Wire.Proto "checkpoint failed: %s" (Printexc.to_string e)
               in
               t.services.post (fun () ->
-                  t.parked <- false;
-                  if not t.closed then begin
-                    reply t resp;
-                    pump t;
-                    try_flush t
-                  end));
+                  guard t (fun t ->
+                      t.parked <- false;
+                      if not t.closed then begin
+                        reply t resp;
+                        pump t;
+                        flush t
+                      end)));
           `Parked)
   | _ ->
       reply t (exec_request t r);
@@ -702,14 +784,16 @@ and exec_step t (r : Wire.request) : [ `Done | `Parked ] =
    jointly overshoot the cap, whatever instances they wait on) and
    released when it replies; a pop that cannot reserve gets [BUSY].
    Timing out is not an error for a blocking op: it replies [Nil],
-   like Redis.  One latency sample covers every run and the wait. *)
+   like Redis.  One latency sample covers every run and the wait, from
+   the pop's start to its reply, and its timeout counts from its
+   start. *)
 and exec_pop t (r : Wire.request) name timeout_ms : [ `Done | `Parked ] =
   match resolve t r.cmd with
   | Error e ->
       reply t e;
       `Done
   | Ok res ->
-      let sem = sem_of r and t0 = R.now () in
+      let sem = sem_of r and t0 = t.mark in
       let run ~wake =
         exec_tx t ~timed:false ~wake ~cmds:[ Wire.Deq name ]
           ~stms:(Registry.members res.Registry.site)
@@ -754,18 +838,20 @@ and run_pop t p =
 
 and end_pop t p resp =
   if p.reserved then Registry.release_waiter t.reg;
-  record_latency t p.sem p.t0;
-  reply t resp
+  reply t resp;
+  record_latency t (sem_index p.sem) p.t0
 
 (* The waiting pop's wait ends, by its wake or its timeout: cancel it
-   and unpark, then [k] replies or registers again. *)
+   and unpark, then [k] replies or registers again, in a pipeline run
+   of its own that carries on with the requests behind the pop. *)
 and end_wait t (p, w) k =
   S.cancel_wait w;
   t.pop <- None;
   t.parked <- false;
+  t.mark <- R.now ();
   if k p = `Done then begin
-    pump t;
-    try_flush t
+    serve t;
+    flush t
   end
 
 and resume_pop t =
@@ -814,7 +900,7 @@ and resume_watch t =
   if Option.is_some t.watch then begin
     drop_watch t;
     arm_watch t;
-    try_flush t
+    flush t
   end
 
 (* ---- loop-facing surface ------------------------------------------------ *)
@@ -825,30 +911,31 @@ let deadline t = match t.pop with Some (p, _) -> p.deadline | None -> max_int
 
 let on_deadline t now =
   match t.pop with
-  | Some (p, _) when now >= p.deadline -> give_up t
+  | Some (p, _) when now >= p.deadline -> guard t give_up
   | _ -> ()
 
 (* A parked session still reads while its pop waits, so that it hears
    the client hang up; what the client sends meanwhile stays in the
    decoder until the pipeline resumes. *)
-let on_readable t =
+let readable t =
   if not t.closed then begin
     (match read_chunk t with
-    | `Data -> if t.parked then t.deferred <- true else decode_batch t
+    | `Data | `Nothing -> ()
     | `Eof -> t.input_done <- true
-    | `Nothing -> ()
     | `Reset -> t.closed <- true);
     if t.input_done || t.closed then give_up t;
     pump t;
-    try_flush t
+    flush t
   end
+
+let on_readable t = guard t readable
 
 (* After a shutdown request: consume whatever already arrived (without
    blocking), answer it, flush, and let the loop close.  In-flight
    requests are drained, not dropped — including a blocking op the
    drain decodes: it parks, [set_draining]'s commit wakes it to a
    [Nil], and its completion finishes the drain. *)
-let begin_drain t =
+let drain t =
   if (not t.draining) && not t.closed then begin
     t.draining <- true;
     let rec slurp () =
@@ -859,14 +946,13 @@ let begin_drain t =
       | `Reset -> t.closed <- true
     in
     slurp ();
-    if not t.closed then begin
-      decode_batch t;
-      pump t;
-      try_flush t
-    end
+    pump t;
+    flush t
   end
 
-(* Reads are masked while a batch is mid-flight, and while parked,
+let begin_drain t = guard t drain
+
+(* Reads are masked while replies wait to be flushed, and while parked,
    except that a waiting pop keeps reading (to hear its client hang
    up) until the decoder holds a frame's worth of bytes. *)
 let wants_read t =
@@ -875,33 +961,14 @@ let wants_read t =
   if t.parked then
     Option.is_some t.pop
     && Wire.Decoder.buffered t.dec < t.limits.Limits.max_frame
-  else Queue.is_empty t.pending && Wire.Obuf.pending t.out = 0
+  else Wire.Obuf.pending t.out = 0
 
 let wants_write t = (not t.closed) && Wire.Obuf.pending t.out > 0
 
 let finished t =
-  t.closed
-  || t.closing
-     && (not t.parked)
-     && Queue.is_empty t.pending
-     && Wire.Obuf.pending t.out = 0
+  t.closed || (t.closing && (not t.parked) && Wire.Obuf.pending t.out = 0)
 
 let fd t = t.fd
-
-(* Release watch subscriptions, cancel every registered wait and mark
-   the session dead; a late wake or BGSAVE completion finds nothing to
-   resume or [closed] set. *)
-let teardown t =
-  List.iter (Registry.unwatch t.reg) t.watches;
-  t.watches <- [];
-  drop_watch t;
-  Option.iter
-    (fun (p, w) ->
-      S.cancel_wait w;
-      if p.reserved then Registry.release_waiter t.reg)
-    t.pop;
-  t.pop <- None;
-  t.closed <- true
 
 let create ?(stop = fun () -> false) ~limits ~registry ~stats ~services fd =
   Limits.validate limits;
@@ -915,7 +982,10 @@ let create ?(stop = fun () -> false) ~limits ~registry ~stats ~services fd =
     dec = Wire.Decoder.create ~max_frame:limits.Limits.max_frame ();
     out = Wire.Obuf.create ~initial:8192 ();
     scratch = Wire.Obuf.create ~initial:4096 ();
-    pending = Queue.create ();
+    admitted = 0;
+    deferred = 0;
+    mark = 0;
+    timed = -1;
     in_multi = false;
     multi_hint = None;
     multi_rev = [];
@@ -925,7 +995,6 @@ let create ?(stop = fun () -> false) ~limits ~registry ~stats ~services fd =
     watch = None;
     pop = None;
     parked = false;
-    deferred = false;
     draining = false;
     input_done = false;
     closing = false;

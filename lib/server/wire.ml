@@ -349,261 +349,316 @@ let write_framed_array ob ~count ~(items : Obuf.t) =
   put_line ob '*' count;
   Obuf.add_obuf ob items
 
-(* ---- body parsing ------------------------------------------------------ *)
 
-(* Body parsers work on a complete frame body; any failure raises
-   [Bad], which the decoder turns into a [`Bad] item.  Because the
-   frame boundary came from the outer length prefix, a bad body never
-   costs more than its own frame. *)
+(* ---- decoding ------------------------------------------------------------
+
+   A frame is scanned and parsed in one pass, where it lies in the
+   decoder's buffer: the header scan bounds the body with two of the
+   decoder's own fields, and the parser walks it with a third ([at]).
+   Nothing else is allocated per frame but what the parse returns, and
+   only bytes that escape into a request (a structure name or a value)
+   are copied out, so nothing the parser returns aliases the buffer,
+   which the next read overwrites.  A body that fails to parse raises
+   [Bad], which becomes a [`Bad] item; the header already said where the
+   next frame starts, so a bad body never costs more than its own frame.
+   Every helper is a top-level function, so the parser allocates no
+   closure, and the per-field ones are inlined, so a field costs no
+   call. *)
 
 exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
-(* The cursor walks a frame body {e in place}: [body] is (a view of)
-   the decoder's internal buffer, [base]/[limit] bound this frame.
-   Only payloads that escape the parser are copied out with
-   [String.sub]; the frame body itself is never copied into a
-   per-frame string. *)
-type cursor = { body : string; base : int; mutable pos : int; limit : int }
+(* Longest header: '#' + digits of max_frame + '\n'. *)
+let max_header = 2 + 10
+let default_max_frame = 8 * 1024 * 1024
 
-let peek c = if c.pos >= c.limit then bad "truncated body" else c.body.[c.pos]
+type decoder = {
+  mutable buf : Bytes.t;
+  mutable pos : int;  (* consumed prefix *)
+  mutable len : int;  (* filled prefix *)
+  max_frame : int;
+  mutable dead : string option;
+  mutable at : int;  (* the parse position in the current frame's body *)
+  mutable stop : int;  (* the end of the current frame *)
+}
 
-let advance c = c.pos <- c.pos + 1
+let decoder buf ~pos ~len ~max_frame =
+  { buf; pos; len; max_frame; dead = None; at = 0; stop = 0 }
 
-let expect c ch =
-  let got = peek c in
-  if got <> ch then bad "expected %C, got %C at byte %d" ch got c.pos;
-  advance c
+let die d msg =
+  d.dead <- Some msg;
+  `Corrupt msg
+
+(* The header digits from [i], worth [n] so far.  Once the whole frame
+   is buffered it is consumed (an emptied buffer restarts at 0), its
+   body bounded by [at] and [stop]; bytes stay where they are until the
+   next read, so the parse that follows still finds them. *)
+let rec header d i n =
+  let limit = d.pos + max_header in
+  if i >= d.len || i >= limit then
+    if i >= limit then die d "frame header too long" else `Await
+  else
+    match Bytes.unsafe_get d.buf i with
+    | '0' .. '9' as c -> header d (i + 1) ((n * 10) + Char.code c - 48)
+    | '\n' when i > d.pos + 1 ->
+        if n > d.max_frame then
+          die d (Printf.sprintf "frame of %d bytes exceeds limit" n)
+        else if d.len - (i + 1) < n then `Await
+        else begin
+          d.at <- i + 1;
+          d.stop <- i + 1 + n;
+          if d.stop = d.len then d.len <- 0;
+          d.pos <- (if d.len = 0 then 0 else d.stop);
+          `Frame
+        end
+    | '\n' -> die d "frame header without length"
+    | c -> die d (Printf.sprintf "bad byte %C in frame header" c)
+
+(* The next frame: [`Frame] once it is all there, [`Await] for more
+   bytes, and [`Corrupt], latched, when the framing itself is broken. *)
+let frame d =
+  match d.dead with
+  | Some m -> `Corrupt m
+  | None ->
+      if d.pos >= d.len then `Await
+      else if Bytes.unsafe_get d.buf d.pos <> '#' then
+        die d
+          (Printf.sprintf "bad frame header byte %C"
+             (Bytes.unsafe_get d.buf d.pos))
+      else header d (d.pos + 1) 0
+
+let[@inline] peek d =
+  if d.at >= d.stop then bad "truncated body" else Bytes.unsafe_get d.buf d.at
+
+let[@inline] advance d = d.at <- d.at + 1
+
+let[@inline] expect d ch =
+  let got = peek d in
+  if got <> ch then bad "expected %C, got %C at byte %d" ch got d.at;
+  advance d
 
 (* Unsigned decimal int followed by '\n'; bounded to 15 digits so no
-   overflow games are possible.  Every frame header and field length
-   is one, so the digits are read unchecked, [i] below [c.limit]. *)
-let rec nat c i acc =
-  if i >= c.limit then bad "truncated body";
-  match String.unsafe_get c.body i with
-  | '0' .. '9' as d ->
-      if i - c.pos >= 15 then bad "integer too long";
-      nat c (i + 1) ((acc * 10) + Char.code d - 48)
-  | '\n' when i > c.pos ->
-      c.pos <- i + 1;
-      acc
-  | ch -> bad "expected digit, got %C at byte %d" ch i
-
-let parse_nat c = nat c c.pos 0
+   overflow games are possible.  Every field length is one. *)
+let[@inline] nat d =
+  let start = d.at and i = ref d.at and n = ref 0 in
+  while
+    !i < d.stop
+    && match Bytes.unsafe_get d.buf !i with '0' .. '9' -> true | _ -> false
+  do
+    if !i - start >= 15 then bad "integer too long";
+    n := (!n * 10) + Char.code (Bytes.unsafe_get d.buf !i) - 48;
+    incr i
+  done;
+  if !i >= d.stop then bad "truncated body";
+  let c = Bytes.unsafe_get d.buf !i in
+  if c <> '\n' || !i = start then bad "expected digit, got %C at byte %d" c !i;
+  d.at <- !i + 1;
+  !n
 
 (* Signed decimal int line (for ':' integer responses). *)
-let parse_int_line c =
-  let neg = peek c = '-' in
-  if neg then advance c;
-  let start = c.pos in
+let parse_int_line d =
+  let neg = peek d = '-' in
+  if neg then advance d;
+  let start = d.at in
   let n = ref 0 in
-  while (match peek c with '0' .. '9' -> true | _ -> false) do
-    n := (!n * 10) + (Char.code c.body.[c.pos] - Char.code '0');
-    advance c;
+  while (match peek d with '0' .. '9' -> true | _ -> false) do
+    n := (!n * 10) + (Char.code (Bytes.unsafe_get d.buf d.at) - Char.code '0');
+    advance d;
     (* string_of_int of a 63-bit int is at most 19 digits *)
-    if c.pos - start > 19 then bad "integer too long"
+    if d.at - start > 19 then bad "integer too long"
   done;
-  if c.pos = start then bad "expected digit at byte %d" c.pos;
-  expect c '\n';
+  if d.at = start then bad "expected digit at byte %d" d.at;
+  expect d '\n';
   if neg then - !n else !n
 
-let parse_line c =
-  (* Bytes up to the next '\n' (consumed). *)
-  match String.index_from_opt c.body c.pos '\n' with
-  | Some i when i < c.limit ->
-      let s = String.sub c.body c.pos (i - c.pos) in
-      c.pos <- i + 1;
+(* Bytes up to the next '\n' (consumed). *)
+let parse_line d =
+  match Bytes.index_from_opt d.buf d.at '\n' with
+  | Some i when i < d.stop ->
+      let s = Bytes.sub_string d.buf d.at (i - d.at) in
+      d.at <- i + 1;
       s
   | Some _ | None -> bad "unterminated line"
 
-(* One bulk field: [field] checks its framing and moves the cursor
-   past it, returning its length [len]; its bytes are the [len] bytes
-   that end one before [c.pos]. *)
-let field c =
-  expect c '$';
-  let len = parse_nat c in
-  if c.pos + len + 1 > c.limit then bad "bulk overruns frame";
-  c.pos <- c.pos + len;
-  expect c '\n';
+(* One bulk field: [field] checks its framing and moves [at] past it,
+   returning its length [len]; its bytes are the [len] bytes that end
+   one before [at]. *)
+let[@inline] field d =
+  expect d '$';
+  let len = nat d in
+  if d.at + len + 1 > d.stop then bad "bulk overruns frame";
+  d.at <- d.at + len;
+  expect d '\n';
   len
 
-let copy c len = String.sub c.body (c.pos - len - 1) len
+let copy d len = Bytes.sub_string d.buf (d.at - len - 1) len
 
-let str c =
-  let len = field c in
-  copy c len
+let str d = copy d (field d)
 
-let at_end c = c.pos = c.limit
+(* Whether the [len] bytes at [off] are [lit].  Unchecked reads: the
+   bytes must lie within the frame. *)
+let[@inline] same d off len lit =
+  len = String.length lit
+  &&
+  let i = ref 0 in
+  while
+    !i < len && Bytes.unsafe_get d.buf (off + !i) = String.unsafe_get lit !i
+  do
+    incr i
+  done;
+  !i = len
 
-(* ---- requests, parsed in place ----------------------------------------
+(* Whether the field of [len] bytes just passed, which [field] bounded
+   within the frame, is [lit]. *)
+let[@inline] is d len lit = same d (d.at - len - 1) len lit
 
-   A request is parsed where its fields lie in the frame.  The hint,
-   the op name, a structure kind and a key of plain decimal digits are
-   matched or read from the field's bytes; only a structure name or a
-   value is copied out ({!str}), so nothing the parser returns aliases
-   the decoder's buffer.  Every helper is a top-level function: the
-   parser allocates no closure. *)
-
-(* Unchecked reads: [is] compares only inside a field that [field]
-   bounded within the frame. *)
-let rec same_from s off lit i =
-  i = String.length lit
-  || String.unsafe_get s (off + i) = String.unsafe_get lit i
-     && same_from s off lit (i + 1)
-
-(* Whether the field of [len] bytes just passed is [lit]. *)
-let is c len lit =
-  len = String.length lit && same_from c.body (c.pos - len - 1) lit 0
-
-(* The value of the decimal digits of [s] from [i] to [stop], or -1 at
+(* The value of the decimal digits of [b] from [i] to [stop], or -1 at
    a non-digit. *)
-let rec decimal s i stop acc =
+let rec decimal b i stop acc =
   if i = stop then acc
   else
-    match String.unsafe_get s i with
-    | '0' .. '9' as d -> decimal s (i + 1) stop ((acc * 10) + Char.code d - 48)
+    match Bytes.unsafe_get b i with
+    | '0' .. '9' as c -> decimal b (i + 1) stop ((acc * 10) + Char.code c - 48)
     | _ -> -1
 
 (* An integer field of [len] bytes just passed.  An optional '-' and at
    most 18 digits cannot overflow, so they are read from the bytes; any
    other form goes through [int_of_string_opt], so "0x10", "+5" and
    "1_000" parse as OCaml reads them. *)
-let int_of_field c len what =
-  let start = c.pos - len - 1 in
-  let neg = len > 0 && String.unsafe_get c.body start = '-' in
+let int_of_field d len what =
+  let start = d.at - len - 1 in
+  let neg = len > 0 && Bytes.unsafe_get d.buf start = '-' in
   let first = if neg then start + 1 else start in
   let width = start + len - first in
   let v =
-    if width >= 1 && width <= 18 then decimal c.body first (start + len) 0
+    if width >= 1 && width <= 18 then decimal d.buf first (start + len) 0
     else -1
   in
   if v >= 0 then if neg then -v else v
   else
-    let s = copy c len in
+    let s = copy d len in
     match int_of_string_opt s with
     | Some v -> v
     | None -> bad "%s must be an integer, got %S" what s
 
 (* Argument fields. *)
-let num c what =
-  let len = field c in
-  int_of_field c len what
+let num d what = int_of_field d (field d) what
 
-let opt_num c what =
-  let len = field c in
-  if is c len "_" then None else Some (int_of_field c len what)
+let opt_num d what =
+  let len = field d in
+  if is d len "_" then None else Some (int_of_field d len what)
 
-let kind c =
-  let len = field c in
-  if is c len "map" then Kmap
-  else if is c len "set" then Kset
-  else if is c len "queue" then Kqueue
-  else bad "unknown structure kind %S" (copy c len)
+let kind d =
+  let len = field d in
+  if is d len "map" then Kmap
+  else if is d len "set" then Kset
+  else if is d len "queue" then Kqueue
+  else bad "unknown structure kind %S" (copy d len)
 
-let hint_of c len =
-  if is c len "~classic" then Some Polytm.Semantics.Classic
-  else if is c len "~elastic" then Some Polytm.Semantics.Elastic
-  else if is c len "~snapshot" then Some Polytm.Semantics.Snapshot
-  else bad "unknown semantics hint %S" (copy c len)
+let hint_of d len =
+  if is d len "~classic" then Some Polytm.Semantics.Classic
+  else if is d len "~elastic" then Some Polytm.Semantics.Elastic
+  else if is d len "~snapshot" then Some Polytm.Semantics.Snapshot
+  else bad "unknown semantics hint %S" (copy d len)
 
-let unknown c len args =
-  bad "unknown op or arity: %S (%d fields)" (copy c len) (args + 1)
+let unknown d len args =
+  bad "unknown op or arity: %S (%d fields)" (copy d len) (args + 1)
 
 (* The command named by the [len]-byte field just passed, whose [args]
    argument fields follow. *)
-let command c len args =
+let command d len args =
   match args with
   | 0 ->
-      if is c len "PING" then Ping
-      else if is c len "MULTI" then Multi
-      else if is c len "MULTI-END" then Multi_end
-      else if is c len "INFO" then Info
-      else if is c len "BGSAVE" then Bgsave
-      else if is c len "LASTSAVE" then Lastsave
-      else unknown c len args
+      if is d len "PING" then Ping
+      else if is d len "MULTI" then Multi
+      else if is d len "MULTI-END" then Multi_end
+      else if is d len "INFO" then Info
+      else if is d len "BGSAVE" then Bgsave
+      else if is d len "LASTSAVE" then Lastsave
+      else unknown d len args
   | 1 ->
-      if is c len "DEQ" then Deq (str c)
-      else if is c len "SIZE" then Size (str c)
-      else if is c len "SNAPSHOT-ITER" then Snapshot_iter (str c)
-      else if is c len "WATCH" then Watch (str c)
-      else if is c len "UNWATCH" then Unwatch (str c)
-      else unknown c len args
+      if is d len "DEQ" then Deq (str d)
+      else if is d len "SIZE" then Size (str d)
+      else if is d len "SNAPSHOT-ITER" then Snapshot_iter (str d)
+      else if is d len "WATCH" then Watch (str d)
+      else if is d len "UNWATCH" then Unwatch (str d)
+      else unknown d len args
   | 2 ->
-      if is c len "GET" then
-        let s = str c in
-        Get (s, num c "key")
-      else if is c len "DEL" then
-        let s = str c in
-        Del (s, num c "key")
-      else if is c len "CONTAINS" then
-        let s = str c in
-        Contains (s, num c "key")
-      else if is c len "ADD" then
-        let s = str c in
-        Add (s, num c "key")
-      else if is c len "REMOVE" then
-        let s = str c in
-        Remove (s, num c "key")
-      else if is c len "ENQ" then
-        let s = str c in
-        Enq (s, str c)
-      else if is c len "NEW" then
-        let k = kind c in
-        New (k, str c)
-      else if is c len "BLPOP" then
-        let s = str c in
-        Blpop (s, num c "timeout")
-      else if is c len "BTAKE" then
-        let s = str c in
-        Btake (s, num c "timeout")
-      else if is c len "DEBUG-ABORT" then
-        let budget = opt_num c "budget" in
-        Debug_abort { budget; deadline_us = opt_num c "deadline" }
-      else unknown c len args
-  | 3 when is c len "PUT" ->
-      let s = str c in
-      let k = num c "key" in
-      Put (s, k, str c)
-  | _ -> unknown c len args
+      if is d len "GET" then
+        let s = str d in
+        Get (s, num d "key")
+      else if is d len "DEL" then
+        let s = str d in
+        Del (s, num d "key")
+      else if is d len "CONTAINS" then
+        let s = str d in
+        Contains (s, num d "key")
+      else if is d len "ADD" then
+        let s = str d in
+        Add (s, num d "key")
+      else if is d len "REMOVE" then
+        let s = str d in
+        Remove (s, num d "key")
+      else if is d len "ENQ" then
+        let s = str d in
+        Enq (s, str d)
+      else if is d len "NEW" then
+        let k = kind d in
+        New (k, str d)
+      else if is d len "BLPOP" then
+        let s = str d in
+        Blpop (s, num d "timeout")
+      else if is d len "BTAKE" then
+        let s = str d in
+        Btake (s, num d "timeout")
+      else if is d len "DEBUG-ABORT" then
+        let budget = opt_num d "budget" in
+        Debug_abort { budget; deadline_us = opt_num d "deadline" }
+      else unknown d len args
+  | 3 when is d len "PUT" ->
+      let s = str d in
+      let k = num d "key" in
+      Put (s, k, str d)
+  | _ -> unknown d len args
 
-(* [*n] then the fields: an optional hint (a first field that starts
-   with '~'), the op name, its arguments. *)
-let parse_request_body ~off ~len body =
-  let c = { body; base = off; pos = off; limit = off + len } in
-  expect c '*';
-  let n = parse_nat c in
+(* The body of the frame just scanned: [*n] then the fields, an
+   optional hint (a first field that starts with '~'), the op name, its
+   arguments. *)
+let request d =
+  expect d '*';
+  let n = nat d in
   if n = 0 then bad "empty request array";
   if n > 64 then bad "request array too long (%d)" n;
-  let first = field c in
-  let hinted = first > 0 && String.unsafe_get body (c.pos - first - 1) = '~' in
-  let hint = if hinted then hint_of c first else None in
+  let first = field d in
+  let hinted = first > 0 && Bytes.unsafe_get d.buf (d.at - first - 1) = '~' in
+  let hint = if hinted then hint_of d first else None in
   let args = if hinted then n - 2 else n - 1 in
   if args < 0 then bad "empty request";
-  let name = if hinted then field c else first in
-  let cmd = command c name args in
-  if not (at_end c) then bad "trailing bytes in frame";
+  let op = if hinted then field d else first in
+  let cmd = command d op args in
+  if d.at <> d.stop then bad "trailing bytes in frame";
   { hint; cmd }
 
 let max_response_depth = 8
 
-let rec parse_response c depth =
+let rec response d depth =
   if depth > max_response_depth then bad "response nested too deeply";
-  match peek c with
+  match peek d with
   | '+' ->
-      advance c;
-      Simple (parse_line c)
+      advance d;
+      Simple (parse_line d)
   | ':' ->
-      advance c;
-      Int (parse_int_line c)
-  | '$' -> Bulk (str c)
+      advance d;
+      Int (parse_int_line d)
+  | '$' -> Bulk (str d)
   | '_' ->
-      advance c;
-      expect c '\n';
+      advance d;
+      expect d '\n';
       Nil
   | '-' ->
-      advance c;
-      let line = parse_line c in
+      advance d;
+      let line = parse_line d in
       let code, msg =
         match String.index_opt line ' ' with
         | Some i ->
@@ -615,106 +670,52 @@ let rec parse_response c depth =
       | Some c -> Error (c, msg)
       | None -> bad "unknown error code %S" code)
   | '*' ->
-      advance c;
-      let n = parse_nat c in
-      if n > c.limit - c.base then bad "array longer than frame";
-      Array (List.init n (fun _ -> parse_response c (depth + 1)))
+      advance d;
+      let n = nat d in
+      if n > d.stop - d.at then bad "array longer than frame";
+      Array (List.init n (fun _ -> response d (depth + 1)))
   | '>' ->
-      advance c;
-      Push (parse_line c)
+      advance d;
+      Push (parse_line d)
   | ch -> bad "unknown response type byte %C" ch
 
-let parse_response_body ~off ~len body =
-  let limit = off + len in
-  let c = { body; base = off; pos = off; limit } in
-  let r = parse_response c 0 in
-  if not (at_end c) then bad "trailing bytes in frame";
+let response_body d =
+  let r = response d 0 in
+  if d.at <> d.stop then bad "trailing bytes in frame";
   r
 
-(* ---- frames ----------------------------------------------------------- *)
-
-(* Longest header: '#' + digits of max_frame + '\n'. *)
-let max_header = 2 + 10
-let default_max_frame = 8 * 1024 * 1024
-
-(* The header scan every frame reader shares: the frame whose header
-   starts at [pos] of [buf], whose bytes end at [stop].  [`Ok (off,
-   len)] bounds its body once the whole frame is there, [`Await] asks
-   for more bytes, and [`Corrupt] means the framing itself is broken. *)
-let frame_at buf pos stop ~max_frame =
-  if pos >= stop then `Await
-  else if Bytes.get buf pos <> '#' then
-    `Corrupt (Printf.sprintf "bad frame header byte %C" (Bytes.get buf pos))
-  else begin
-    (* Scan the bounded header region for the terminating '\n'. *)
-    let limit = min stop (pos + max_header) in
-    let i = ref (pos + 1) in
-    while
-      !i < limit && (match Bytes.get buf !i with '0' .. '9' -> true | _ -> false)
-    do
-      incr i
-    done;
-    if !i >= limit then
-      if limit = pos + max_header then `Corrupt "frame header too long"
-      else `Await
-    else if Bytes.get buf !i <> '\n' then
-      `Corrupt (Printf.sprintf "bad byte %C in frame header" (Bytes.get buf !i))
-    else if !i = pos + 1 then `Corrupt "frame header without length"
-    else begin
-      (* Digits only, bounded width: accumulate directly. *)
-      let body_len = ref 0 in
-      for j = pos + 1 to !i - 1 do
-        body_len := (!body_len * 10) + (Char.code (Bytes.get buf j) - Char.code '0')
-      done;
-      let body_len = !body_len in
-      if body_len > max_frame then
-        `Corrupt (Printf.sprintf "frame of %d bytes exceeds limit" body_len)
-      else if stop - (!i + 1) < body_len then `Await
-      else `Ok (!i + 1, body_len)
-    end
-  end
-
 (* The request frames filling [len] bytes of [buf] from [off], each
-   parsed where it lies by the live parser and handed to [f] in order.
-   [Bytes.unsafe_to_string] is sound for the reason {!Decoder.next_with}
-   gives: nothing mutates [buf] during the walk, and the parser copies
-   out every byte sequence it returns. *)
+   parsed where it lies by the decoder's own scan and parser, over a
+   decoder that borrows [buf] for the walk. *)
 let iter_requests f buf off len =
-  let stop = off + len in
-  let body = Bytes.unsafe_to_string buf in
-  let rec go pos =
-    match frame_at buf pos stop ~max_frame:default_max_frame with
-    | `Await -> if pos = stop then `Ok else `Partial
-    | `Corrupt m -> `Bad m
-    | `Ok (at, n) -> (
-        match parse_request_body ~off:at ~len:n body with
-        | req ->
-            f req;
-            go (at + n)
-        | exception Bad m -> `Bad m)
+  if off < 0 || len < 0 || off + len > Bytes.length buf then
+    invalid_arg "Wire.iter_requests";
+  let d =
+    decoder buf ~pos:off ~len:(off + len) ~max_frame:default_max_frame
   in
-  go off
+  let rec go () =
+    match frame d with
+    | `Frame -> (
+        match request d with
+        | r ->
+            f r;
+            go ()
+        | exception Bad m -> `Bad m)
+    | `Await -> if d.pos = d.len then `Ok else `Partial
+    | `Corrupt m -> `Bad m
+  in
+  go ()
 
 (* ---- incremental decoder ----------------------------------------------- *)
 
 module Decoder = struct
-  type t = {
-    mutable buf : Bytes.t;
-    mutable pos : int;  (* consumed prefix *)
-    mutable len : int;  (* filled prefix *)
-    max_frame : int;
-    mutable dead : string option;
-  }
+  type t = decoder
 
   let create ?(max_frame = default_max_frame) () =
-    { buf = Bytes.create 4096; pos = 0; len = 0; max_frame; dead = None }
+    decoder (Bytes.create 4096) ~pos:0 ~len:0 ~max_frame
 
   type 'a item =
     [ `Ok of 'a | `Bad of string | `Await | `Corrupt of string ]
-
-  let die t msg =
-    t.dead <- Some msg;
-    `Corrupt msg
 
   (* Direct-fill API: [reserve t n] compacts/grows so at least [n]
      writable bytes exist past the filled prefix and returns the
@@ -749,38 +750,16 @@ module Decoder = struct
 
   let feed_string t s = feed t (Bytes.unsafe_of_string s) 0 (String.length s)
 
-  (* Scan (and consume) the next complete frame, returning the body's
-     bounds inside [t.buf].  The region stays valid only until the
-     next [feed]/[reserve] — callers parse immediately. *)
-  let next_frame t : (int * int) item =
-    match t.dead with
-    | Some m -> `Corrupt m
-    | None -> (
-        match frame_at t.buf t.pos t.len ~max_frame:t.max_frame with
-        | `Ok (off, len) as frame ->
-            t.pos <- off + len;
-            if t.pos = t.len then begin
-              t.pos <- 0;
-              t.len <- 0
-            end;
-            frame
-        | `Await -> `Await
-        | `Corrupt m -> die t m)
+  let next_request t =
+    match frame t with
+    | `Frame -> ( match request t with r -> `Ok r | exception Bad m -> `Bad m)
+    | (`Await | `Corrupt _) as r -> r
 
-  (* Parse a consumed frame in place.  [Bytes.unsafe_to_string] is
-     sound here: the buffer is not mutated between the scan and the
-     parse, and every byte sequence that escapes the parser is copied
-     out with [String.sub]. *)
-  let next_with parse t =
-    match next_frame t with
-    | (`Await | `Corrupt _ | `Bad _) as r -> r
-    | `Ok (off, len) -> (
-        match parse ~off ~len (Bytes.unsafe_to_string t.buf) with
-        | v -> `Ok v
-        | exception Bad m -> `Bad m)
-
-  let next_request t = next_with parse_request_body t
-  let next_response t = next_with parse_response_body t
+  let next_response t =
+    match frame t with
+    | `Frame -> (
+        match response_body t with r -> `Ok r | exception Bad m -> `Bad m)
+    | (`Await | `Corrupt _) as r -> r
 
   (* Classify the next reply without building the response tree: split
      the error class on the BUSY code (load generators count
@@ -790,20 +769,16 @@ module Decoder = struct
      length-prefixed hop, not a tree of allocations, so the measuring
      client never becomes the bottleneck it is measuring. *)
   let next_response_brief t : [ `Value | `Nil | `Busy | `Err ] item =
-    match next_frame t with
-    | (`Await | `Corrupt _ | `Bad _) as r -> r
-    | `Ok (_, 0) -> `Bad "truncated body"
-    | `Ok (off, len) -> (
-        match Bytes.get t.buf off with
-        | '_' -> `Ok `Nil
-        | '-' ->
-            if
-              len >= 5
-              && Bytes.get t.buf (off + 1) = 'B'
-              && Bytes.get t.buf (off + 2) = 'U'
-              && Bytes.get t.buf (off + 3) = 'S'
-              && Bytes.get t.buf (off + 4) = 'Y'
-            then `Ok `Busy
-            else `Ok `Err
-        | _ -> `Ok `Value)
+    match frame t with
+    | (`Await | `Corrupt _) as r -> r
+    | `Frame -> (
+        let off = t.at in
+        if t.stop = off then `Bad "truncated body"
+        else
+          match Bytes.get t.buf off with
+          | '_' -> `Ok `Nil
+          | '-' ->
+              if t.stop - off >= 5 && same t (off + 1) 4 "BUSY" then `Ok `Busy
+              else `Ok `Err
+          | _ -> `Ok `Value)
 end

@@ -237,6 +237,10 @@ module Decoder : sig
           and every further call returns [`Corrupt] *) ]
 
   val next_request : t -> request item
+  (** The next request, scanned and parsed in one pass where it lies in
+      the buffer.  Only a structure name or a value is copied out, so
+      the result never aliases the buffer. *)
+
   val next_response : t -> response item
 
   val next_response_brief : t -> [ `Value | `Nil | `Busy | `Err ] item

@@ -1,6 +1,10 @@
-(* Aggregates every test suite in the repository. *)
+(* Aggregates every test suite in the repository.  SIGPIPE is ignored
+   for the whole run, as [Server.run] ignores it: a session that writes
+   to a client the test already closed gets EPIPE, instead of ending
+   the run with no report. *)
 
 let () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Alcotest.run "polytm"
     [
       Test_util.suite;

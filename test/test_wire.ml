@@ -449,37 +449,84 @@ let gen_field_body =
 let reference_of body =
   match reference_parse body with r -> Some r | exception Reference_bad -> None
 
+let framed body = Printf.sprintf "#%d\n%s" (String.length body) body
+
 let decode_body body =
   let dec = Wire.Decoder.create () in
-  Wire.Decoder.feed_string dec
-    (Printf.sprintf "#%d\n%s" (String.length body) body);
+  Wire.Decoder.feed_string dec (framed body);
   Wire.Decoder.next_request dec
 
-let agrees_with_reference body =
-  match (decode_body body, reference_of body) with
+(* The replay parser: the frame lies inside a larger buffer, between
+   bytes that are no frame. *)
+let iter_body body =
+  let frame = framed body in
+  let got = ref [] in
+  match
+    Wire.iter_requests
+      (fun r -> got := r :: !got)
+      (Bytes.of_string ("$~" ^ frame ^ "*#"))
+      2 (String.length frame)
+  with
+  | `Ok -> ( match !got with [ r ] -> `Ok r | _ -> `Await)
+  | `Bad m -> `Bad m
+  | `Partial -> `Await
+
+let agrees decode body =
+  match (decode body, reference_of body) with
   | `Ok r, Some r' -> r = r'
   | `Bad _, None -> true
   | _ -> false
 
+let agrees_with_reference = agrees decode_body
+
+(* Bodies both built by the encoder and assembled from fields. *)
+let arb_body =
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(
+      frequency
+        [
+          ( 1,
+            map
+              (fun r ->
+                let b = Buffer.create 64 in
+                Wire.write_request b r;
+                let s = Buffer.contents b in
+                String.sub s (String.index s '\n' + 1)
+                  (String.length s - String.index s '\n' - 1))
+              gen_request );
+          (2, gen_field_body);
+        ])
+
 let parser_matches_reference =
   QCheck.Test.make ~name:"request parser = the field-list reference"
+    ~count:2000 arb_body agrees_with_reference
+
+let iter_matches_reference =
+  QCheck.Test.make
+    ~name:"request parser = the field-list reference, through iter_requests"
+    ~count:2000 arb_body (agrees iter_body)
+
+(* The same bodies fed to a decoder in chunks cut at random points,
+   behind a PING frame, so the frame's header and fields straddle feeds
+   and the buffer is compacted under the parse. *)
+let cuts_match_reference =
+  QCheck.Test.make
+    ~name:"request parser = the field-list reference, fed at random cuts"
     ~count:2000
-    (QCheck.make ~print:String.escaped
-       QCheck.Gen.(
-         frequency
-           [
-             ( 1,
-               map
-                 (fun r ->
-                   let b = Buffer.create 64 in
-                   Wire.write_request b r;
-                   let s = Buffer.contents b in
-                   String.sub s (String.index s '\n' + 1)
-                     (String.length s - String.index s '\n' - 1))
-                 gen_request );
-             (2, gen_field_body);
-           ]))
-    agrees_with_reference
+    QCheck.(pair arb_body (list_of_size Gen.(0 -- 6) small_nat))
+    (fun (body, cuts) ->
+      let ping = { Wire.hint = None; cmd = Wire.Ping } in
+      let s = encode_requests [ ping ] ^ framed body in
+      let decode _ =
+        match
+          decode_chunked Wire.Decoder.next_request
+            (List.map (fun c -> c mod String.length s) cuts)
+            s
+        with
+        | [ `Ok r; ((`Ok _ | `Bad _) as item) ] when r = ping -> item
+        | _ -> `Await
+      in
+      agrees decode body)
 
 (* Byte-at-a-time is the worst-case chunking; run it separately so a
    failure names it. *)
@@ -698,6 +745,55 @@ let test_key_forms () =
       ("9999999999999999999", None); ("-", None); ("", None); ("5 ", None);
     ]
 
+(* A frame costs only what its request holds: the [`Ok] (3 words), the
+   request record (3), its command (3 for a GET, 4 for a PUT) and the
+   strings copied out of the frame (2 words for a 5-byte name, 3 for a
+   10-byte value).  Frames already buffered are decoded, so the words
+   are the parse's alone. *)
+let test_decode_allocation () =
+  let words what req budget =
+    let n = 1000 in
+    let dec = Wire.Decoder.create () in
+    Wire.Decoder.feed_string dec (encode_requests (List.init n (fun _ -> req)));
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      match Wire.Decoder.next_request dec with
+      | `Ok r -> if r <> req then Alcotest.failf "%s decoded wrong" what
+      | _ -> Alcotest.failf "%s did not decode" what
+    done;
+    let w = (Gc.minor_words () -. w0) /. float_of_int n in
+    if w > budget then
+      Alcotest.failf "%s allocates %.1f words per frame (budget %.0f)" what w
+        budget
+  in
+  words "GET ~elastic"
+    { Wire.hint = Some Sem.Elastic; cmd = Wire.Get ("bench", 1234) }
+    11.;
+  words "PUT ~classic of a 10-byte value"
+    { Wire.hint = Some Sem.Classic; cmd = Wire.Put ("bench", 1234, "0123456789") }
+    15.
+
+(* The load generators' reply classes, read from a frame's first bytes
+   without parsing its body. *)
+let test_brief_reply_classes () =
+  let dec = Wire.Decoder.create () in
+  Wire.Decoder.feed_string dec
+    (encode_responses
+       [ Wire.Bulk "x"; Wire.Nil; Wire.Error (Wire.Busy, "full");
+         Wire.Error (Wire.Proto, "BUSY"); Wire.Array [ Wire.Nil ] ]
+    ^ "#4\n-BUS#0\n");
+  let brief () =
+    match Wire.Decoder.next_response_brief dec with
+    | `Ok `Value -> "Value"
+    | `Ok `Nil -> "Nil"
+    | `Ok `Busy -> "Busy"
+    | `Ok `Err -> "Err"
+    | item -> items_pp item
+  in
+  Alcotest.(check (list string)) "classes"
+    [ "Value"; "Nil"; "Busy"; "Err"; "Value"; "Err"; "Bad"; "Await" ]
+    (List.init 8 (fun _ -> brief ()))
+
 let test_nested_response_depth_bounded () =
   let dec = Wire.Decoder.create () in
   (* 12 nested singleton arrays around an int: deeper than the bound *)
@@ -718,6 +814,8 @@ let suite =
       prop request_bytes_reference;
       prop response_bytes_reference;
       prop parser_matches_reference;
+      prop iter_matches_reference;
+      prop cuts_match_reference;
       prop request_roundtrip;
       prop response_roundtrip;
       prop request_roundtrip_bytewise;
@@ -745,4 +843,7 @@ let suite =
         test_nested_response_depth_bounded;
       Alcotest.test_case "key forms parse as OCaml reads them" `Quick
         test_key_forms;
+      Alcotest.test_case "a decoded frame allocates what its request holds"
+        `Quick test_decode_allocation;
+      Alcotest.test_case "brief reply classes" `Quick test_brief_reply_classes;
     ] )
