@@ -24,10 +24,14 @@ let workers_t =
        & info [ "workers"; "w" ] ~docv:"N"
            ~doc:
              (Printf.sprintf
-                "Worker domains serving connections.  Each waits with \
-                 select(2), which takes no fd at or above %d \
-                 (FD_SETSIZE): a connection whose fd is that high is \
-                 closed on arrival and counted in INFO's fd_refused."
+                "Event loops serving connections, one per domain.  The \
+                 first runs on the daemon's own domain and accepts every \
+                 connection, handing each to the least-loaded loop; each \
+                 other loop gets a domain of its own, so N loops run N \
+                 domains.  Each loop waits with select(2), which takes no \
+                 fd at or above %d (FD_SETSIZE): a connection whose fd is \
+                 that high is closed on arrival and counted in INFO's \
+                 fd_refused."
                 Limits.fd_limit))
 
 let shards_t =

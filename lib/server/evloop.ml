@@ -1,7 +1,9 @@
 (** The event-loop core of [polytmd]: one loop multiplexes many
-    {!Session}s over a [select]-based readiness cycle, so a worker
-    domain serves every connection assigned to it instead of one
-    blocking session at a time.
+    {!Session}s over a [select]-based readiness cycle, so a domain
+    serves every connection assigned to it instead of one blocking
+    session at a time.  A server runs one loop per domain; its loop 0
+    runs on the domain that called {!Server.run} and also reads the
+    listening sockets ({!run}'s [?listen]).
 
     Anatomy of one cycle:
 
@@ -18,11 +20,14 @@
       write-before-next-read discipline, which is also the
       backpressure bound), or is parked, except that a waiting pop
       keeps reading so that its client's hang-up ends its wait.  Its
-      timeout is the tick, or sooner the earliest timeout of a waiting
-      pop; a cycle with no timed wait reads no clock for it;
+      timeout is the earliest timeout of a waiting pop, and a
+      listening loop's {!tick} at most; a loop that reads no listener
+      and has no timed wait blocks until a descriptor or a {!post}
+      wakes it, and a cycle with no timed wait reads no clock for it;
     - writable sessions flush their pending {!Wire.Obuf} region with
       one coalesced [write]; readable sessions read once, decode the
-      batch, execute, and encode replies.
+      batch, execute, and encode replies; a listening loop then takes
+      one connection from each readable listener.
 
     No wait holds a thread.  A blocking pop or a watch registers its
     STM wait set with a wake that only {!post}s the session's resume
@@ -32,20 +37,31 @@
 
     A connection whose fd [select] cannot wait on (at or above
     {!Limits.fd_limit}) is closed when it reaches the loop, and INFO
-    counts it: passing it to [select] would stop the worker.  A
-    session whose handler raises tears itself down (every {!Session}
-    entry point and posted resume catches), so the loop reaps and
-    closes it like any finished session and keeps serving the rest.
+    counts it: passing it to [select] would stop the loop.  A session
+    whose handler raises tears itself down (every {!Session} entry
+    point and posted resume catches), so the loop reaps and closes it
+    like any finished session and keeps serving the rest.
 
-    Shutdown: when [stop] flips, the loop begins each session's drain
-    (answer what already arrived, flush, close); waiting pops and
-    watches are woken by the registry's drain-flag commit, and their
-    resumes finish the drain.  The loop exits when its last session
-    closes, then joins its checkpoint threads. *)
+    Shutdown: when [stop] flips, a listening loop first stops listening
+    and runs its [closing] step (the server's drain sequence, which
+    wakes every other loop); then every loop begins each session's
+    drain (answer what already arrived, flush, close); waiting pops
+    and watches are woken by the registry's drain-flag commit, and
+    their resumes finish the drain.  The loop exits when its last
+    session closes, then joins its checkpoint threads. *)
 
 module R = Polytm_runtime.Domain_runtime
 
 type conn = { sess : Session.t; on_close : unit -> unit }
+
+(* What a server's loop 0 does besides serving its sessions. *)
+type listen = {
+  fds : Unix.file_descr list;  (** non-blocking listening sockets *)
+  accept : Unix.file_descr -> unit;
+      (** a listener is readable: take at most one connection *)
+  tick : unit -> unit;  (** once per cycle, before [stop] is read *)
+  closing : unit -> unit;  (** once, in the first cycle that sees [stop] *)
+}
 
 type t = {
   stop : unit -> bool;
@@ -151,7 +167,8 @@ let attach t ?(on_close = fun () -> ()) ~limits ~registry ~stats fd =
     t.conns <- { sess; on_close } :: t.conns
   end
 
-(* Hand a connection to the loop from another thread (the acceptor). *)
+(* Hand a connection to the loop from any thread, the loop's own
+   included (a server's loop 0 accepts for every loop). *)
 let add_conn t ?on_close ~limits ~registry ~stats fd =
   Atomic.incr t.load;
   post t (fun () ->
@@ -172,22 +189,28 @@ let reap t =
       finished
   end
 
-(* The stop flag is observed at most one [tick] after it flips (the
-   wake pipe shortcuts completions, not flag flips from a signal
-   handler). *)
+(* A listening loop observes the stop flag at most one [tick] after it
+   flips: a signal handler cannot post.  Other loops are woken by the
+   listening loop's [closing] step. *)
 let tick = 0.2
 
-let run t =
+let run ?listen t =
+  let listen = ref listen in
   let rec cycle () =
     run_injections t;
-    if t.stop () then
-      List.iter (fun c -> Session.begin_drain c.sess) t.conns;
+    Option.iter (fun l -> l.tick ()) !listen;
+    if t.stop () then begin
+      Option.iter (fun l -> l.closing ()) !listen;
+      listen := None;
+      List.iter (fun c -> Session.begin_drain c.sess) t.conns
+    end;
     reap t;
     let idle =
       t.conns = [] && (t.exit_on_empty || t.stop ()) && not (Atomic.get t.posted)
     in
     if not idle then begin
-      let rds = ref [ t.wake_r ] and wrs = ref [] and next = ref max_int in
+      let lfds = Option.fold ~none:[] ~some:(fun l -> l.fds) !listen in
+      let rds = ref (t.wake_r :: lfds) and wrs = ref [] and next = ref max_int in
       List.iter
         (fun c ->
           let s = c.sess in
@@ -196,10 +219,13 @@ let run t =
           let d = Session.deadline s in
           if d < !next then next := d)
         t.conns;
+      let tick = if lfds = [] then infinity else tick in
       let timeout =
         if !next = max_int then tick
         else Float.min tick (Float.max 0. (float (!next - R.now ()) /. 1e9))
       in
+      (* [select] waits with no timeout for a negative one *)
+      let timeout = if timeout = infinity then -1. else timeout in
       (match Unix.select !rds !wrs [] timeout with
       | rs, ws, _ ->
           if List.memq t.wake_r rs then drain_wake t;
@@ -212,7 +238,10 @@ let run t =
             (fun c ->
               if List.memq (Session.fd c.sess) rs then
                 Session.on_readable c.sess)
-            t.conns
+            t.conns;
+          Option.iter
+            (fun l -> List.iter (fun fd -> if List.memq fd rs then l.accept fd) lfds)
+            !listen
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       if !next < max_int then begin
         let now = R.now () in

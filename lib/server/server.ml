@@ -1,25 +1,30 @@
-(** The [polytmd] driver: listeners, event-loop worker domains,
-    graceful shutdown, and observability export.
+(** The [polytmd] driver: listeners, event loops, graceful shutdown,
+    and observability export.
 
-    Topology: the calling domain runs the accept loop (a [select] over
-    every listener with a short tick so it can notice the stop flag),
-    handing each accepted connection to the least-loaded of [workers]
-    event loops ({!Evloop}), one loop per domain.  A loop multiplexes
-    all of its connections over one readiness cycle, so a parked or
-    slow session never monopolises a domain.  All loops share one
-    {!Registry} — and therefore one STM instance per algorithm over
-    the domains runtime — which is the whole point: transactions from
-    different connections really do contend and compose on the same
-    tvars.
+    Topology: one event loop ({!Evloop}) per domain, [workers] in all.
+    Loop 0 runs on the domain that calls {!run} and is also the
+    acceptor: the listening sockets are non-blocking descriptors in its
+    [select], and it hands each accepted connection to the
+    least-loaded loop, itself included.  Loops 1..[workers]-1 run on a
+    spawned domain each.  A loop multiplexes all of its connections
+    over one readiness cycle, so a parked or slow session never
+    monopolises a domain.  All loops share one {!Registry} — and
+    therefore one STM instance per algorithm over the domains runtime
+    — which is the whole point: transactions from different
+    connections really do contend and compose on the same tvars.  No
+    domain idles beside the loops: in OCaml 5 every minor collection
+    stops every domain, so an idle acceptor domain would take part in
+    each of them (DESIGN §S19, "One domain per loop").
 
-    Shutdown ([SIGTERM]/[SIGINT], or [max_seconds]) is graceful: the
-    stop flag flips, listeners close (no new connections), the
-    registry's drain-flag commit wakes every parked waiter, and every
-    active connection is nudged with [shutdown SHUTDOWN_RECEIVE]; each
-    loop drains its sessions — in-flight requests are answered and
-    flushed, never dropped — and exits once its last connection
-    closes.  Only then are the loop domains joined and the
-    stats/trace files written. *)
+    Shutdown ([SIGTERM]/[SIGINT], or [max_seconds], which loop 0 checks
+    once per cycle) is graceful.  When loop 0 first sees the stop flag,
+    it closes the listeners (no new connections), commits the
+    registry's drain flag (which wakes every parked waiter), nudges
+    every active connection with [shutdown SHUTDOWN_RECEIVE], and
+    wakes every other loop; each loop drains its sessions — in-flight
+    requests are answered and flushed, never dropped — and exits once
+    its last connection closes.  Only then are the other loops'
+    domains joined and the stats/trace files written. *)
 
 module T = Polytm_telemetry
 module S = Registry.S
@@ -336,12 +341,16 @@ let run ?registry cfg =
   in
   let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   let listeners = List.map open_listener cfg.listeners in
+  (* Non-blocking: loop 0 serves sessions, so an [accept] that finds
+     nothing must return to it, never block. *)
+  List.iter Unix.set_nonblock listeners;
   let active = Active.create () in
   let t_start = Unix.gettimeofday () in
   let worker_stats = Array.init cfg.workers (fun _ -> Session.create_stats ()) in
   let loops = Array.init cfg.workers (fun _ -> Evloop.create ~stop:stop_fn ()) in
   let loop_doms =
-    Array.map (fun l -> Domain.spawn (fun () -> Evloop.run l)) loops
+    Array.init (cfg.workers - 1) (fun i ->
+        Domain.spawn (fun () -> Evloop.run loops.(i + 1)))
   in
   (* The persistence housekeeper: the [`Everysec] group sync and the
      automatic checkpoint cadence.  A plain systhread — both duties
@@ -398,55 +407,50 @@ let run ?registry cfg =
   let total_load () =
     Array.fold_left (fun acc l -> acc + Evloop.load l) 0 loops
   in
-  (* Accept loop: select with a tick so the stop flag and the
-     max_seconds deadline are observed promptly. *)
-  let deadline =
-    Option.map (fun s -> t_start +. s) cfg.max_seconds
+  (* One connection per readable listener per cycle of loop 0.  An
+     accept that finds nothing (EAGAIN, ECONNABORTED, EINTR) returns
+     to the loop. *)
+  let accept lfd =
+    match Unix.accept ~cloexec:true lfd with
+    | fd, _ ->
+        if total_load () >= max_conns then
+          (* accept-level backpressure *)
+          (try Unix.close fd with _ -> ())
+        else begin
+          (try Unix.setsockopt fd Unix.TCP_NODELAY true
+           with Unix.Unix_error _ -> ());
+          Active.add active fd;
+          let i = pick_loop () in
+          Evloop.add_conn loops.(i)
+            ~on_close:(fun () ->
+              Active.remove active fd;
+              try Unix.close fd with _ -> ())
+            ~limits:cfg.limits ~registry ~stats:worker_stats.(i) fd
+        end
+    | exception Unix.Unix_error (_, _, _) -> ()
   in
-  let rec accept_loop () =
-    if Atomic.get stop then ()
-    else begin
-      (match deadline with
-      | Some d when Unix.gettimeofday () >= d -> Atomic.set stop true
-      | _ -> ());
-      if Atomic.get stop then ()
-      else begin
-        (match Unix.select listeners [] [] 0.2 with
-        | ready, _, _ ->
-            List.iter
-              (fun lfd ->
-                match Unix.accept ~cloexec:true lfd with
-                | fd, _ ->
-                    if total_load () >= max_conns then
-                      (* accept-level backpressure *)
-                      (try Unix.close fd with _ -> ())
-                    else begin
-                      (try Unix.setsockopt fd Unix.TCP_NODELAY true
-                       with Unix.Unix_error _ -> ());
-                      Active.add active fd;
-                      let i = pick_loop () in
-                      Evloop.add_conn loops.(i)
-                        ~on_close:(fun () ->
-                          Active.remove active fd;
-                          try Unix.close fd with _ -> ())
-                        ~limits:cfg.limits ~registry ~stats:worker_stats.(i) fd
-                    end
-                | exception Unix.Unix_error (_, _, _) -> ())
-              ready
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        accept_loop ()
-      end
-    end
+  (* [max_seconds]: one clock read per cycle of loop 0. *)
+  let tick =
+    match cfg.max_seconds with
+    | None -> ignore
+    | Some s ->
+        fun () -> if Unix.gettimeofday () -. t_start >= s then Atomic.set stop true
   in
-  accept_loop ();
-  (* ---- graceful drain ---- *)
-  close_listeners cfg listeners;
-  (* Wake every parked waiter (BLPOP/BTAKE, watch polls) before the
-     socket nudge: the drain flag is in each blocking transaction's
-     read set, so this commit resurfaces them to answer [Nil] — no
-     session sleeps in the STM through shutdown. *)
-  Registry.set_draining registry;
-  Active.nudge active;
+  (* ---- graceful drain, when loop 0 first sees the stop flag ---- *)
+  let closing () =
+    close_listeners cfg listeners;
+    (* Wake every parked waiter (BLPOP/BTAKE, watches) before the
+       socket nudge: the drain flag is in each blocking transaction's
+       read set, so this commit resurfaces them to answer [Nil] — no
+       session sleeps in the STM through shutdown. *)
+    Registry.set_draining registry;
+    Active.nudge active;
+    (* The other loops wait with no tick: wake each, so one with no
+       connection sees the flag and exits. *)
+    Array.iteri (fun i l -> if i > 0 then Evloop.post l ignore) loops
+  in
+  Evloop.run loops.(0)
+    ~listen:{ Evloop.fds = listeners; accept; tick; closing };
   Array.iter Domain.join loop_doms;
   (* Every session has answered and flushed, so every armed record is
      appended; [Persist.stop] syncs the tail and closes the log. *)

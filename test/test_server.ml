@@ -21,6 +21,7 @@ module Registry = Polytm_server.Registry
 module Session = Polytm_server.Session
 module Evloop = Polytm_server.Evloop
 module Persist = Polytm_server.Persist
+module Server = Polytm_server.Server
 module Sem = Polytm.Semantics
 module S = Registry.S
 
@@ -1776,6 +1777,124 @@ let test_or_wait_one_member_words () =
     Alcotest.failf "a watch's run allocates %.1f words, %.1f through try_atomically_multi"
       watch_wait watch_multi
 
+(* ---- the whole server, in this process -------------------------------- *)
+
+let server_sock tag =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "polytm-server-%d-%s.sock" (Unix.getpid ()) tag)
+
+(* Connect to a [Server.run] that may not be listening yet. *)
+let connect_when_up sock =
+  let rec go tries =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX sock) with
+    | () ->
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+        fd
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+      when tries > 0 ->
+        Unix.close fd;
+        Unix.sleepf 0.002;
+        go (tries - 1)
+  in
+  go 1000
+
+let serve_config ~sock ~workers ~max_seconds =
+  {
+    Server.default_config with
+    listeners = [ Server.Unix_sock sock ];
+    workers;
+    max_seconds = Some max_seconds;
+    quiet = true;
+  }
+
+(* A minor collection stops every domain, so the server keeps none
+   idle: loop 0 runs on the domain that calls [Server.run].  A commit
+   hook records the domain of each commit, and the client reads the
+   record once its PUTs are acked, before the drain commits at the
+   deadline.  With one worker a PUT from a client domain commits on the
+   caller's domain; with two, the first connection lands on loop 0 and
+   the second on loop 1, a domain of its own. *)
+let test_server_runs_on_callers_domain () =
+  let caller = (Domain.self () :> int) in
+  let commits ~workers ~conns =
+    let reg = Registry.create () in
+    (match Registry.ensure ~algo:`Tl2 reg Wire.Kmap "m" with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "ensure m");
+    let seen = ref [] and mu = Mutex.create () in
+    S.set_commit_hook (Registry.stm reg)
+      (Some
+         (fun _ ->
+           Mutex.protect mu (fun () ->
+               seen := (Domain.self () :> int) :: !seen)));
+    let sock = server_sock (Printf.sprintf "domain%d" workers) in
+    let client =
+      Domain.spawn (fun () ->
+          let fds = List.init conns (fun _ -> connect_when_up sock) in
+          List.iteri
+            (fun i fd ->
+              write_all fd (encode [ req (Wire.Put ("m", i, "v")) ]);
+              Alcotest.check resps_t "PUT acked" [ Wire.Int 1 ] (recv_n fd 1))
+            fds;
+          List.iter Unix.close fds;
+          Mutex.protect mu (fun () -> List.rev !seen))
+    in
+    ignore (Server.run ~registry:reg (serve_config ~sock ~workers ~max_seconds:0.5));
+    Domain.join client
+  in
+  Alcotest.(check (list int)) "one worker: the PUT commits on the caller's domain"
+    [ caller ] (commits ~workers:1 ~conns:1);
+  match commits ~workers:2 ~conns:2 with
+  | [ a; b ] ->
+      Alcotest.(check int) "two workers: the first connection's PUT, on loop 0"
+        caller a;
+      Alcotest.(check bool) "the second connection's PUT, on another domain"
+        true (b <> caller)
+  | got -> Alcotest.failf "two workers: %d commits, want 2" (List.length got)
+
+(* [Server.run] drains on stop.  Two workers and one connection, which
+   lands on loop 0, so loop 1 serves nothing and waits with no tick.
+   The connection parks [BLPOP q 0]: at [max_seconds] the pop answers
+   Nil, and [Server.run] returns within a second of its deadline, so
+   the idle loop was woken.  The listener is closed and its path
+   unlinked, so a connect afterwards fails.  [Server.run] runs on a
+   domain of its own, so a loop that never wakes fails the test
+   instead of hanging it. *)
+let test_server_drains_on_stop () =
+  let sock = server_sock "drain" in
+  let reg = Registry.create () in
+  (match Registry.ensure reg Wire.Kqueue "q" with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "ensure q");
+  let max_seconds = 0.5 in
+  let returned = Atomic.make false in
+  let t0 = Unix.gettimeofday () in
+  let server =
+    Domain.spawn (fun () ->
+        ignore
+          (Server.run ~registry:reg (serve_config ~sock ~workers:2 ~max_seconds));
+        Atomic.set returned true;
+        Unix.gettimeofday ())
+  in
+  let fd = connect_when_up sock in
+  write_all fd (encode [ req (Wire.Blpop ("q", 0)) ]);
+  Alcotest.check resps_t "the parked pop answers Nil" [ Wire.Nil ] (recv_n fd 1);
+  Alcotest.(check bool) "the pop waited for the deadline" true
+    (Unix.gettimeofday () -. t0 >= max_seconds);
+  Unix.close fd;
+  Alcotest.(check bool) "Server.run returns within a second of its deadline"
+    true
+    (eventually ~timeout_s:(max_seconds +. 1.) (fun () -> Atomic.get returned)
+    && Domain.join server -. t0 <= max_seconds +. 1.);
+  let late = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (match Unix.connect late (Unix.ADDR_UNIX sock) with
+  | () -> Alcotest.fail "a connect after the drain succeeded"
+  | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) -> ());
+  Unix.close late;
+  Alcotest.(check bool) "the socket path is unlinked" false (Sys.file_exists sock)
+
 let suite =
   ( "server",
     [
@@ -1829,6 +1948,10 @@ let suite =
         `Quick test_raising_handler_ends_its_connection;
       Alcotest.test_case "one latency sample per transactional request"
         `Quick test_latency_samples_per_request;
+      Alcotest.test_case "a server runs its requests on the caller's domain"
+        `Quick test_server_runs_on_callers_domain;
+      Alcotest.test_case "Server.run drains on stop" `Quick
+        test_server_drains_on_stop;
       Alcotest.test_case "shutdown wakes and answers parked waiters" `Quick
         test_shutdown_wakes_parked_waiter;
       Alcotest.test_case "kind mismatch and unknown structure" `Quick
