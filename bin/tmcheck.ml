@@ -164,6 +164,50 @@ let shard_2pc_program ~algo ~stabilize () =
   assert (AM.S.atomically s0 (fun tx -> AM.S.read tx a) = 1);
   assert (AM.S.atomically s1 (fun tx -> AM.S.read tx b) = 1)
 
+(* Backups kept only while a snapshot runs (DESIGN.md §S23): one
+   writer writes [a] and [b] once while a snapshot reads both with a
+   preemption point between the reads.  The snapshot must read a
+   consistent pair and never abort with [Snapshot_too_old]: a commit
+   that saw no snapshot running and so kept no backup drew its version
+   before any later snapshot drew its bound.  [early:true] builds the
+   store with the [`Early_backup_check] fault, which reads the count
+   before the version is drawn, for the [--expect-violation]
+   self-test.
+
+   Under TL2 a snapshot read of a location that an in-flight commit
+   has locked spins until the write-back, and the explorer prunes a
+   spinning schedule together with every schedule that would branch
+   off it.  So the TL2 snapshot, once its bound is drawn, waits for
+   the writer to finish before it reads: its registration and bound
+   still land at every point of the writer's commit, which is where
+   the ordering matters.  NOrec's snapshot reads never wait, so there
+   the reads interleave with the commit too. *)
+let snapshot_backup_program ~algo ~early () =
+  let fault = if early then Some `Early_backup_check else None in
+  let stm = AM.S.create ~cm:Polytm.Contention.Suicide ~algo ?fault () in
+  let a = AM.S.tvar stm 0 and b = AM.S.tvar stm 0 in
+  let writer () =
+    AM.S.atomically ~label:"write-both" stm (fun tx ->
+        AM.S.write tx a 1;
+        AM.S.write tx b 1)
+  in
+  let reader w () =
+    let av, bv =
+      AM.S.atomically ~sem:Polytm.Semantics.Snapshot ~label:"snap-read" stm
+        (fun tx ->
+          if algo = `Tl2 then Sim.join w;
+          let av = AM.S.read tx a in
+          R.yield ();
+          (av, AM.S.read tx b))
+    in
+    assert (av = bv)
+  in
+  let t1 = Sim.spawn writer in
+  let t2 = Sim.spawn (reader t1) in
+  Sim.join t1;
+  Sim.join t2;
+  assert ((AM.S.stats stm).AM.S.snapshot_too_old = 0)
+
 (* The registering wait (DESIGN.md §S19): a loop-like thread runs a
    blocking dequeue through [try_atomically_or_wait].  When it gets a
    wait back it parks on its own parker, as an event loop blocks in
@@ -293,6 +337,24 @@ let scenarios : (string * string * (unit -> unit)) list =
       "self-test, run with --expect-violation: shard-2pc-broken over \
        NORec shards",
       fun () -> shard_2pc_program ~algo:`Norec ~stabilize:false () );
+    ( "snapshot-backup",
+      "a write commit that saw no snapshot running keeps no backup, yet \
+       a snapshot reading both of its locations across a preemption \
+       point reads a consistent pair and never aborts as too old",
+      fun () -> snapshot_backup_program ~algo:`Tl2 ~early:false () );
+    ( "snapshot-backup-broken",
+      "self-test, run with --expect-violation: a writer that reads the \
+       snapshot count before its clock fetch-and-add drops the backup a \
+       snapshot starting in between needs",
+      fun () -> snapshot_backup_program ~algo:`Tl2 ~early:true () );
+    ( "snapshot-backup-norec",
+      "snapshot-backup over NORec: the write version is fixed by the \
+       sequence-lock CAS",
+      fun () -> snapshot_backup_program ~algo:`Norec ~early:false () );
+    ( "snapshot-backup-norec-broken",
+      "self-test, run with --expect-violation: snapshot-backup-broken \
+       over NORec, the count read before the sequence-lock CAS",
+      fun () -> snapshot_backup_program ~algo:`Norec ~early:true () );
   ]
 
 let scenario_t =

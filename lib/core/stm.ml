@@ -12,11 +12,14 @@
       transaction only keeps a sliding window of its most recent reads;
       a stale read triggers a {e cut} — the window is revalidated and
       the timestamp advanced — instead of an abort;
-    - {b snapshot}: every committing writer backs up the previous
-      (value, version) pair in the location itself, so a read-only
-      snapshot transaction whose start time [ub] predates the current
-      version can fall back to the backup and never aborts updaters
-      (paper, Section 5.1: two versions suffice).
+    - {b snapshot}: while a snapshot transaction runs on the instance,
+      every committing writer backs up the previous (value, version)
+      pair in the location itself, so a read-only snapshot transaction
+      whose start time [ub] predates the current version can fall back
+      to the backup and never aborts updaters (paper, Section 5.1: two
+      versions suffice).  A writer that finds no snapshot running
+      keeps no backup: a snapshot that starts after it looked draws a
+      bound at or above its version (DESIGN.md, S23).
 
     All three semantics share the same locations, locks and clock —
     that co-existence is the paper's challenge — and the commit
@@ -108,7 +111,9 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
   (* Internal control-flow signal; the attempt loop is the only catcher. *)
   exception Abort_tx of abort_reason
 
-  type fault = [ `Skip_validation | `Skip_wake_validation | `No_stabilize ]
+  type fault =
+    [ `Skip_validation | `Skip_wake_validation | `No_stabilize
+    | `Early_backup_check ]
 
   type owner = { serial : int; killed : bool R.atomic }
 
@@ -120,7 +125,8 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     older : ('a * int) list;
         (** previous (value, version) pairs, newest first, bounded by
             the instance's [versions - 1] (paper §5.1 keeps exactly
-            one backup: [versions = 2]) *)
+            one backup: [versions = 2]); empty when the commit that
+            wrote [value] saw no snapshot running (see [write_back]) *)
   }
 
   type 'a tvar = {
@@ -271,6 +277,9 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
             (default) or raise [Too_many_attempts] *)
     extend_on_stale : bool;
     versions : int;  (** values retained per location, including current *)
+    snapshots : R.counter;
+        (** snapshot calls running on this instance, uncharged: a write
+            commit that reads 0 keeps no backup (see [write_back]) *)
     current : thread_ctx R.tls;  (** per-thread state, one TLS lookup *)
     (* statistics *)
     c_starts : R.counter;
@@ -323,6 +332,9 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
         (** a blocking park's waiter, whose wake unparks [parker];
             pooled like the stores: flat nesting means at most one
             park per thread per instance *)
+    mutable early_backups : bool;
+        (** [`Early_backup_check] only: the snapshot count as read
+            before this thread's write version was drawn *)
   }
 
   (* Creation order defines the canonical instance order (a plain
@@ -362,6 +374,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
       on_exhaustion;
       extend_on_stale;
       versions;
+      snapshots = R.counter ();
       current =
         R.tls (fun () ->
             let parker = R.parker () in
@@ -382,6 +395,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
                 };
               parker;
               waiter = Wq.waiter (fun () -> R.unpark parker);
+              early_backups = false;
             });
       c_starts = R.counter ();
       c_commits = R.counter ();
@@ -1208,6 +1222,19 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     if n <= 0 then []
     else match l with [] -> [] | x :: rest -> x :: take_chain (n - 1) rest
 
+  (* Whether some snapshot call is running on [stm]: a write commit
+     backs up what it overwrites only then.  Read after the commit's
+     write version is drawn; DESIGN §S23 has the ordering argument. *)
+  let[@inline] snapshots_running stm = R.read_counter stm.snapshots > 0
+
+  (* The [`Early_backup_check] fault reads the count just before the
+     write version is drawn instead, across the draw's scheduling
+     point: the misordering the [snapshot-backup] model checks must
+     catch. *)
+  let[@inline] early_backup_check tx =
+    if has_fault tx.stm `Early_backup_check then
+      tx.ctx.early_backups <- snapshots_running tx.stm
+
   (* NOrec commit intent for a transaction committing alone: CAS the
      clock from the transaction's timestamp to odd; a failed CAS means
      someone committed, so revalidate (read set by value, window by
@@ -1279,6 +1306,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
           abort_with Killed
     | `Norec ->
         if not (Flat_table.is_empty tx.writes) then begin
+          early_backup_check tx;
           if tx.alone then norec_acquire_seqlock tx true
           else multi_norec_seize tx;
           tx.wv <- tx.rv + 2
@@ -1299,6 +1327,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
      cross-instance member always validates. *)
   let[@inline] tl2_version tx =
     let stm = tx.stm in
+    early_backup_check tx;
     let exclusive =
       match stm.gv with
       | `Gv1 ->
@@ -1346,34 +1375,47 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     if tx.wv >= 0 then
       match tx.stm.commit_hook with None -> () | Some h -> h tx.wv
 
-  (* Publish a member's buffered writes at its write version, pushing
-     each location's previous (value, version) onto its backup chain.
-     Alone, a TL2 transaction unlocks each location as it writes it
-     back; a cross-instance member keeps every lock until all members
-     have published (see [release_intent]).  NOrec writes back under its
+  (* Publish a member's buffered writes at its write version.  While a
+     snapshot call runs on the instance, each location's previous
+     (value, version) is pushed onto its backup chain; with none
+     running the chain is dropped, so an overwritten value is garbage
+     at once (Perelman, Fan & Keidar, PODC'10: keep a version only
+     while a running read-only transaction may need it).  The count is
+     read once per member, after its write version was drawn.  Alone,
+     a TL2 transaction unlocks each location as it writes it back; a
+     cross-instance member keeps every lock until all members have
+     published (see [release_intent]).  NOrec writes back under its
      sequence lock: no per-location lock word is ever acquired, so no
      [Lock_acquire] event fires and no lock spin can happen. *)
   let[@inline] write_back tx =
-    let wv = tx.wv in
-    let unlock = tx.alone && tx.stm.algo = `Tl2 in
-    if wv >= 0 then
+    if tx.wv >= 0 then begin
+      let depth =
+        if
+          if has_fault tx.stm `Early_backup_check then tx.ctx.early_backups
+          else snapshots_running tx.stm
+        then tx.stm.versions - 1
+        else 0
+      in
+      let unlock = tx.alone && tx.stm.algo = `Tl2 in
       Flat_table.iter_ascending
         (fun _ (WEntry w) ->
+          (* loaded even when no backup is kept: a charged access *)
           let d = R.get w.wvar.data in
           R.set w.wvar.data
             {
               value = w.wvalue;
-              version = wv;
+              version = tx.wv;
               older =
-                take_chain (tx.stm.versions - 1)
-                  ((d.value, d.version) :: d.older);
+                (if depth = 0 then []
+                 else take_chain depth ((d.value, d.version) :: d.older));
             };
           record_event tx w.wvar ~is_write:true;
           if unlock then begin
-            R.set w.wvar.lock (Unlocked wv);
+            R.set w.wvar.lock (Unlocked tx.wv);
             w.locked_version <- -1
           end)
         tx.writes
+    end
 
   (* Release a published member's intent: a cross-instance TL2
      member's locks, NOrec's sequence lock — releasing it publishes the
@@ -1993,6 +2035,11 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
   let multi_optimistic_cap = 16
   let multi_snapshot_cap = 64
 
+  let count_snapshot txs n =
+    for i = 0 to Array.length txs - 1 do
+      R.add_counter txs.(i).stm.snapshots n
+    done
+
   let start ~wake ~raising ~irrevocable ~budget ~deadline txs body =
     let lead = txs.(0).stm in
     let r =
@@ -2019,7 +2066,21 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
       enter_serial r;
       attempt r 1 ~token:true
     end
-    else attempt r 1 ~token:false
+    else
+      match txs.(0).sem with
+      | Semantics.Classic | Semantics.Elastic -> attempt r 1 ~token:false
+      | Semantics.Snapshot -> (
+          (* Counted on every member before the first bound is drawn
+             (by [arm_tx] or [snapshot_collect]) until the call returns
+             or raises, so writers keep backups meanwhile. *)
+          count_snapshot txs 1;
+          match attempt r 1 ~token:false with
+          | outcome ->
+              count_snapshot txs (-1);
+              outcome
+          | exception e ->
+              count_snapshot txs (-1);
+              raise e)
 
   let[@inline] value = function
     | Committed result -> result

@@ -8,9 +8,10 @@ module type S = sig
 
   type 'a tvar
   (** A transactional variable holding values of type ['a].  Each
-      variable keeps its current value, its version, and one backup
-      version for snapshot transactions (paper, Section 5.1: “in our
-      case two versions were maintained”). *)
+      variable keeps its current value, its version, and, when the
+      commit that wrote it overlapped a running snapshot transaction,
+      one backup version for that snapshot (paper, Section 5.1: “in
+      our case two versions were maintained”). *)
 
   type tx
   (** An in-flight transaction, passed to every transactional
@@ -20,7 +21,10 @@ module type S = sig
     | Lock_busy  (** a needed write lock was held too long *)
     | Read_invalid  (** classic validation failed: a read location changed *)
     | Window_broken  (** elastic cut impossible: a window entry changed *)
-    | Snapshot_too_old  (** both stored versions are newer than the snapshot *)
+    | Snapshot_too_old
+        (** every stored version is newer than the snapshot: more
+            commits overwrote a location during the snapshot than
+            [versions] keeps *)
     | Killed  (** a contention manager decided this transaction dies *)
     | Explicit  (** the user called {!abort}, or [orelse] rolled back *)
     | Retry
@@ -41,7 +45,9 @@ module type S = sig
   (** Misuse: writing inside a snapshot transaction, using a [tx]
       outside its dynamic extent, or mixing instances. *)
 
-  type fault = [ `Skip_validation | `Skip_wake_validation | `No_stabilize ]
+  type fault =
+    [ `Skip_validation | `Skip_wake_validation | `No_stabilize
+    | `Early_backup_check ]
   (** A deliberate bug an instance can be created with ([create
       ~fault]), so a checker can prove it would catch that bug.  Each
       exists solely as a standing self-test and must never be used
@@ -58,7 +64,13 @@ module type S = sig
         the deadlock;
       - [`No_stabilize]: a cross-instance snapshot skips this member's
         re-check when drawing its bound vector, allowing a torn
-        cross-instance read; the [Explore] model check must find it. *)
+        cross-instance read; the [Explore] model check must find it;
+      - [`Early_backup_check]: a write commit reads the running-snapshot
+        count {e before} drawing its write version (TL2's clock
+        fetch-and-add, NOrec's sequence-lock CAS) instead of after,
+        so a snapshot that starts in between can find neither the
+        value at its bound nor a backup of it; the [Explore] model
+        check must see it abort with [Snapshot_too_old]. *)
 
   (** {1 Instance management} *)
 
@@ -103,12 +115,16 @@ module type S = sig
 
       [versions] (default 2, the paper's choice in §5.1: “two versions
       were maintained, this was actually sufficient”) is how many
-      values every location retains, including the current one.
-      Snapshot transactions fall back through the chain; [1] disables
+      values a location retains, including the current one, while a
+      snapshot transaction runs on the instance.  Snapshot
+      transactions fall back through the chain; [1] disables
       multiversioning (snapshots abort on any location overwritten
       since they started), larger values let snapshots survive heavier
       update traffic at the cost of memory per location.  The
-      version-depth ablation quantifies the trade-off.
+      version-depth ablation quantifies the trade-off.  A write commit
+      that finds no snapshot running keeps no backup at all, whatever
+      [versions] says: no snapshot that starts later can need one
+      (DESIGN.md, S23).
 
       [gv] selects the global-version-clock scheme (TL2's naming).
       [`Gv1] (default) fetch-and-adds the clock on every write commit.

@@ -16,7 +16,9 @@
     at any point leaves either generation fully recoverable: recovery
     loads MANIFEST's checkpoint, then replays [log-<G>] {e then}
     [log-<G+1>] (stamp filtering against the checkpoint's bound vector
-    makes the overlap harmless — see DESIGN §S21). *)
+    makes the overlap harmless — see DESIGN §S21).  A directory whose
+    MANIFEST is missing or unreadable but that holds generation files
+    is refused by recovery, never taken for a fresh one. *)
 
 let manifest_name = "MANIFEST"
 let manifest_magic = "PTMMANIFEST1"
@@ -25,15 +27,21 @@ let ckpt_name gen = Printf.sprintf "checkpoint-%08d.ptmckp" gen
 let log_path ~dir gen = Filename.concat dir (log_name gen)
 let ckpt_path ~dir gen = Filename.concat dir (ckpt_name gen)
 
+(* The generation of a log or checkpoint file name, if it is one. *)
+let gen_of_name name =
+  match Scanf.sscanf_opt name "log-%u.ptmlog%!" Fun.id with
+  | Some g -> Some g
+  | None -> Scanf.sscanf_opt name "checkpoint-%u.ptmckp%!" Fun.id
+
+(* The log and checkpoint file names in [dir], sorted. *)
+let gen_files ~dir =
+  List.sort compare
+    (List.filter
+       (fun name -> Option.is_some (gen_of_name name))
+       (Array.to_list (try Sys.readdir dir with Sys_error _ -> [||])))
+
 (* The generations that have a log or a checkpoint file in [dir]. *)
-let gens ~dir =
-  let gen name =
-    match Scanf.sscanf_opt name "log-%u.ptmlog%!" Fun.id with
-    | Some g -> Some g
-    | None -> Scanf.sscanf_opt name "checkpoint-%u.ptmckp%!" Fun.id
-  in
-  List.filter_map gen
-    (Array.to_list (try Sys.readdir dir with Sys_error _ -> [||]))
+let gens ~dir = List.filter_map gen_of_name (gen_files ~dir)
 
 let fsync_dir dir =
   match Unix.openfile dir [ O_RDONLY ] 0 with
@@ -70,15 +78,19 @@ let read_manifest ~dir =
           | _ -> None
           | exception End_of_file -> None)
 
+(* A failed write or fsync of the temporary file raises before the
+   rename, so the old MANIFEST stands: renaming an unsynced file over
+   it could leave an empty MANIFEST after a crash. *)
 let write_manifest ~dir ~gen =
   let path = Filename.concat dir manifest_name in
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
-  Printf.fprintf oc "%s\ngen %d\n" manifest_magic gen;
-  flush oc;
-  (try Unix.fsync (Unix.descr_of_out_channel oc)
-   with Unix.Unix_error _ -> ());
-  close_out oc;
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      Printf.fprintf oc "%s\ngen %d\n" manifest_magic gen;
+      flush oc;
+      Unix.fsync (Unix.descr_of_out_channel oc));
   Sys.rename tmp path;
   fsync_dir dir
 

@@ -41,7 +41,9 @@
     {e always} publishes a fresh generation before serving — which
     collapses every crash interleaving into the one invariant the
     runtime needs: while serving, the active log's generation equals
-    the manifest's. *)
+    the manifest's.  A directory with no valid manifest is fresh only
+    if it holds no log or checkpoint: otherwise recovery refuses, since
+    publishing a fresh generation there would delete them. *)
 
 module P = Polytm_persist
 module Oplog = P.Oplog
@@ -335,6 +337,25 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (EEXIST, _, _) -> ()
   end
 
+(* Without a valid MANIFEST a directory is fresh only if it holds no
+   generation files.  Otherwise the MANIFEST was lost or torn, or the
+   directory's first start crashed before writing it; starting empty
+   would let [activate] delete those files, so recovery refuses and
+   names them. *)
+let refuse_without_manifest ~dir =
+  match P.Layout.gen_files ~dir with
+  | [] -> ()
+  | files ->
+      refuse
+        "%s has %s MANIFEST but holds %s; refusing to start, which would \
+         discard them.  Restore its MANIFEST, or, if the directory's first \
+         start crashed before writing one, remove those files"
+        dir
+        (if Sys.file_exists (Filename.concat dir P.Layout.manifest_name) then
+           "an unreadable"
+         else "no")
+        (String.concat ", " files)
+
 (* Phase 1 of startup: rebuild the registry's contents from the data
    directory.  No hooks are installed yet, so nothing replayed is
    re-logged.  Run this on a {e fresh} registry, before pre-created
@@ -345,7 +366,9 @@ let recover ~dir reg =
   try
     let replayed, tear =
       match P.Layout.read_manifest ~dir with
-      | None -> (0, None)
+      | None ->
+          refuse_without_manifest ~dir;
+          (0, None)
       | Some gen ->
           let rp = replay_state reg in
           let bounds, ckpt_records =

@@ -1287,6 +1287,61 @@ let test_bad_checkpoint_applies_nothing () =
   in
   refused "a CRC mismatch in the last body record" flipped "crc-mismatch"
 
+(* ---- a lost or torn MANIFEST refuses and removes nothing ---------------- *)
+
+(* A store whose MANIFEST was deleted, or left 0 bytes long, still
+   holds its generation files.  Recovery refuses, naming them, rather
+   than take the directory for a fresh one (which activation would
+   then empty), and leaves every file as it was.  A directory with no
+   generation files still starts empty. *)
+let test_lost_manifest_refuses () =
+  let records =
+    [
+      {
+        hdr = { P.Frame.rtype = P.Frame.rt_new; algo = 0; shard = 0; stamp = 0 };
+        payload = frames [ Wire.New (Wire.Kmap, "m") ];
+      };
+      {
+        hdr = { P.Frame.rtype = P.Frame.rt_op; algo = 0; shard = 0; stamp = 1 };
+        payload = frames [ Wire.Put ("m", 1, "a") ];
+      };
+    ]
+  in
+  let listing dir =
+    List.map
+      (fun f -> (f, read_file (Filename.concat dir f)))
+      (List.sort compare (Array.to_list (Sys.readdir dir)))
+  in
+  let refused what break =
+    let dir = fresh_dir "manifest" in
+    write_store ~dir records;
+    break (Filename.concat dir P.Layout.manifest_name);
+    let before = listing dir in
+    let reg = Registry.create ~shards:1 ~default_algo:`Tl2 () in
+    (match Persist.recover ~dir reg with
+    | Ok _ -> Alcotest.failf "%s: recovery succeeded" what
+    | Error m ->
+        List.iter
+          (fun f ->
+            if not (mentions m f) then
+              Alcotest.failf "%s: %S does not name %s" what m f)
+          [ P.Layout.ckpt_name 1; P.Layout.log_name 1 ]);
+    Alcotest.(check (list (pair string string)))
+      (what ^ ": every file left as it was") before (listing dir);
+    Alcotest.(check (list string))
+      (what ^ ": no structure recovered") []
+      (List.map fst (Registry.slots reg));
+    rm_rf dir
+  in
+  refused "a deleted MANIFEST" Sys.remove;
+  refused "a 0-byte MANIFEST" (fun path -> write_file path "");
+  let dir = fresh_dir "no-gens" in
+  Unix.mkdir dir 0o755;
+  write_file (Filename.concat dir P.Layout.manifest_name) "";
+  let _, r = recover_fresh ~dir () in
+  Alcotest.(check int) "no generation files: starts empty" 0 r.Persist.r_replayed;
+  rm_rf dir
+
 (* ---- a failed log write loses nothing ----------------------------------- *)
 
 (* A write that raises (here ENOSPC, from /dev/full put in place of the
@@ -1893,6 +1948,8 @@ let suite =
         test_replay_counts_no_ops;
       Alcotest.test_case "a bad checkpoint refuses and applies nothing" `Quick
         test_bad_checkpoint_applies_nothing;
+      Alcotest.test_case "a lost or torn MANIFEST refuses and removes nothing"
+        `Quick test_lost_manifest_refuses;
       Alcotest.test_case "a failed log write keeps its records" `Quick
         test_aof_failed_write;
       Alcotest.test_case "a failed tick sync is counted and retried" `Quick

@@ -617,6 +617,32 @@ let test_version_depth_four_survives_double_update () =
   Alcotest.(check int) "k=4 never aborts" 0 aborts4;
   Alcotest.(check int) "k=4 reads its consistent past" 0 seen4
 
+(* A heap value whose only reference is the tvar it initialises,
+   watched by [w]. *)
+let[@inline never] watched_tvar stm w =
+  let value = Bytes.make 64 'a' in
+  Weak.set w 0 (Some value);
+  S.tvar stm value
+
+let test_write_without_snapshot_keeps_no_backup () =
+  (* With no snapshot running, a write commit keeps no backup of what
+     it overwrites: no snapshot that starts later can need it, so the
+     old value is garbage as soon as the commit publishes. *)
+  List.iter
+    (fun algo ->
+      let stm = S.create ~algo () in
+      let w = Weak.create 1 in
+      let v = watched_tvar stm w in
+      S.atomically stm (fun tx -> S.write tx v (Bytes.make 64 'b'));
+      Gc.full_major ();
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: the overwritten value was collected"
+           (match algo with `Tl2 -> "tl2" | `Norec -> "norec"))
+        false (Weak.check w 0);
+      Alcotest.(check char) "the new value is current" 'b'
+        (Bytes.get (S.atomically stm (fun tx -> S.read tx v)) 0))
+    [ `Tl2; `Norec ]
+
 (* --- early release ------------------------------------------------------ *)
 
 let test_early_release_avoids_false_conflict () =
@@ -975,6 +1001,68 @@ let test_stm_elastic_vs_classic_model_checked () =
   Alcotest.(check bool) "explored schedules" true
     (outcome.Polytm_runtime.Explore.executions > 100)
 
+(* One writer writes [a] and [b] once while a snapshot reads both (the
+   [tmcheck explore snapshot-backup] scenarios).  Backups are kept only
+   while a snapshot runs, so the snapshot's registration and bound must
+   be ordered against the writer's count read: in every schedule it
+   reads a consistent pair and never aborts as too old.  A TL2 snapshot
+   reads after the writer is done (a read of a locked location spins,
+   and the explorer prunes spinning schedules with their branches); its
+   registration still lands at every point of the commit. *)
+let snapshot_backup_program ~algo ~fault () =
+  let stm = S.create ~cm:Contention.Suicide ~algo ?fault () in
+  let a = S.tvar stm 0 and b = S.tvar stm 0 in
+  let writer () =
+    S.atomically stm (fun tx ->
+        S.write tx a 1;
+        S.write tx b 1)
+  in
+  let reader w () =
+    let av, bv =
+      S.atomically stm ~sem:Semantics.Snapshot (fun tx ->
+          if algo = `Tl2 then Sim.join w;
+          let av = S.read tx a in
+          R.yield ();
+          (av, S.read tx b))
+    in
+    assert (av = bv)
+  in
+  let t1 = Sim.spawn writer in
+  let t2 = Sim.spawn (reader t1) in
+  Sim.join t1;
+  Sim.join t2;
+  assert ((S.stats stm).S.snapshot_too_old = 0)
+
+let explore_snapshot_backup ~algo ~fault =
+  Polytm_runtime.Explore.check ~max_executions:40_000 ~max_depth:120
+    ~step_limit:2_000
+    (snapshot_backup_program ~algo ~fault)
+
+let test_snapshot_backup_model_checked () =
+  List.iter
+    (fun algo ->
+      let outcome = explore_snapshot_backup ~algo ~fault:None in
+      Alcotest.(check bool)
+        (Printf.sprintf "explored schedules (%d)"
+           outcome.Polytm_runtime.Explore.executions)
+        true
+        (outcome.Polytm_runtime.Explore.executions > 1_000))
+    [ `Tl2; `Norec ]
+
+let test_snapshot_backup_early_check_caught () =
+  (* Reading the count before the write version is drawn lets a
+     snapshot register and draw its bound in between, and the commit
+     then drops the backup that snapshot needs. *)
+  List.iter
+    (fun algo ->
+      let caught =
+        match explore_snapshot_backup ~algo ~fault:(Some `Early_backup_check) with
+        | _ -> false
+        | exception Polytm_runtime.Explore.Violation _ -> true
+      in
+      Alcotest.(check bool) "the explorer finds the dropped backup" true caught)
+    [ `Tl2; `Norec ]
+
 (* --- recorded histories vs the formal checkers -------------------------- *)
 
 let to_history events aborted =
@@ -1115,6 +1203,8 @@ let suite =
         test_version_depth_one_disables_multiversion;
       Alcotest.test_case "versions=4 survives double update" `Quick
         test_version_depth_four_survives_double_update;
+      Alcotest.test_case "a write with no snapshot running keeps no backup"
+        `Quick test_write_without_snapshot_keeps_no_backup;
       Alcotest.test_case "early release" `Quick
         test_early_release_avoids_false_conflict;
       Alcotest.test_case "contention policies correct" `Quick
@@ -1135,6 +1225,10 @@ let suite =
         test_stm_increments_model_checked;
       Alcotest.test_case "elastic parse model-checked" `Quick
         test_stm_elastic_vs_classic_model_checked;
+      Alcotest.test_case "snapshot backups model-checked" `Quick
+        test_snapshot_backup_model_checked;
+      Alcotest.test_case "an early snapshot count is caught" `Quick
+        test_snapshot_backup_early_check_caught;
       Alcotest.test_case "recorded histories opaque" `Quick
         test_recorded_histories_are_opaque;
       Alcotest.test_case "recorded elastic histories accepted" `Quick
