@@ -192,6 +192,8 @@ let collect parse = function
           | _, Error m -> Error m)
         (Ok []) xs
 
+let refused_exit = 1
+
 let main listen workers shards max_inflight max_multi op_budget op_deadline_us
     debug_ops structs default_algo stats_json trace max_seconds quiet dir fsync
     checkpoint_sec =
@@ -231,13 +233,20 @@ let main listen workers shards max_inflight max_multi op_budget op_deadline_us
           checkpoint_sec;
         }
       in
+      (* A configuration the server rejects is a usage error (exit
+         124, like a bad flag); a refusal to start over the data
+         directory or the listeners — recovery, activation, bind — is
+         the daemon's own failure: one line, exit 1. *)
+      let refused m =
+        prerr_endline ("polytmd: " ^ m);
+        `Ok refused_exit
+      in
       match Srv.run cfg with
-      | _handle -> `Ok ()
+      | _handle -> `Ok Cmd.Exit.ok
       | exception Invalid_argument m -> `Error (false, m)
-      | exception Failure m -> `Error (false, m)
+      | exception Failure m -> refused m
       | exception Unix.Unix_error (e, fn, arg) ->
-          `Error
-            (false, Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message e)))
+          refused (Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message e)))
 
 let () =
   let doc =
@@ -252,4 +261,12 @@ let () =
            $ stats_json_t $ trace_t $ max_seconds_t $ quiet_t $ dir_t
            $ fsync_t $ checkpoint_sec_t))
   in
-  exit (Cmd.eval (Cmd.v (Cmd.info "polytmd" ~version:"1.0.0" ~doc) term))
+  let exits =
+    Cmd.Exit.info refused_exit
+      ~doc:
+        "when the daemon refuses to start: recovery refused the data \
+         directory, activating persistence failed, or a listener could \
+         not be bound.  No file of the data directory is removed."
+    :: Cmd.Exit.defaults
+  in
+  exit (Cmd.eval' (Cmd.v (Cmd.info "polytmd" ~version:"1.0.0" ~doc ~exits) term))

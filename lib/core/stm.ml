@@ -48,8 +48,14 @@
       ([create ~gv:`Gv4]) to halve CAS pressure under commit storms,
       and read-only transactions of every semantics never touch the
       clock at commit (counted by [ro_commits]);
-    - the transaction descriptor (arrays, table, undo/cleanup vectors)
-      is reused across the retry attempts of one [atomically] call.
+    - a call takes its descriptor (arrays, table, undo/cleanup
+      vectors) from a free list kept per thread and per instance and
+      returns it on every exit, so a call allocates no descriptor, no
+      member array and no per-call record: its body gets a three-word
+      handle stamped with the call, which goes dead with it;
+    - the start and commit counters are plain fields of the calling
+      thread's context, summed when read, instead of shared cells
+      every thread adds to.
 
     The simulator charges {e virtual} cost per shared access, so none
     of this changes a charge sequence: same seed ⇒ byte-identical
@@ -164,8 +170,9 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
 
   let nop () = ()
 
-  (* Shared placeholder for an unarmed descriptor's owner; never
-     published into a lock word. *)
+  (* The owner of an attempt that has taken no lock yet.  Never
+     published into a lock word, so never killed: [wait_or_die] reads
+     its flag with the same charged [R.get] a real owner's costs. *)
   let dummy_owner : owner = { serial = -1; killed = R.atomic false }
 
   type recorded = {
@@ -175,51 +182,42 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     rec_sem : Semantics.t;
   }
 
-  (* The descriptor's backing stores — read-set arrays, window ring,
-     write table, hook vectors — pooled per thread (TLS) and shared by
-     every [atomically] call that thread makes on the instance.  Flat
-     nesting guarantees at most one transaction per thread per
-     instance, so the pool is never contended; [arm_tx] resets the
-     stores (keeping their capacity) at each attempt.  The [tx] record
-     itself stays per-call, so a handle leaked out of its extent is
-     still caught by [check_live]. *)
-  type stores = {
-    sr_vars : Obj.t tvar Vec.t;
-    sr_vers : int Vec.t;
-    sr_vals : Obj.t Vec.t;
-        (** NOrec only: values parallel to [sr_vars], compared
-            physically at validation; stays empty under TL2 *)
-    sw_vars : Obj.t tvar array;
-    sw_vers : int array;
-    s_writes : wentry Flat_table.t;
-    s_undo : (unit -> unit) Vec.t;
-    s_cleanup : (unit -> unit) Vec.t;
-    s_retry_vars : Obj.t tvar Vec.t;
-        (** wait-set contributions from retrying [orelse] branches *)
-    s_retry_vers : int Vec.t;
-  }
-
-  (* A transaction descriptor.  One is allocated per member instance
-     of each [atomically] call and re-armed across its retry attempts:
-     the read-set arrays, the write table, the window ring and the hook
-     vectors come from the thread-local pool above. *)
-  type tx = {
+  (* A transaction descriptor: one member instance's state for one
+     call.  Calls take descriptors from their thread's free list on
+     the instance ([take]) and give them back on every exit, so the
+     read-set arrays, the window ring, the write table and the hook
+     vectors are reused across calls, each keeping its capacity;
+     [arm_tx] clears them at each attempt.  A call holds its
+     descriptors until its hooks have run, so a hook that starts a
+     transaction on a member gets a descriptor of its own.  Inside
+     the engine, [tx] names a descriptor; the body sees a {!tx}
+     handle. *)
+  type desc = {
     stm : t;
-    ctx : thread_ctx;  (** the calling thread's state on [stm] *)
+    ctx : thread_ctx;  (** the owning thread's state on [stm] *)
+    mutable call : int;
+        (** calls this descriptor has served; stamps the current
+            call's handles *)
+    mutable gen : int;
+        (** [call] while one of the call's attempts runs, -1 otherwise:
+            a handle is live iff its stamp equals it *)
     mutable serial : int;
     mutable sem : Semantics.t;
     mutable label : string;  (** call-site label for telemetry, "" if none *)
     mutable owner : owner;
+        (** [dummy_owner] until the attempt takes its first lock *)
     mutable rv : int;  (** validity timestamp *)
     mutable wv : int;
         (** this attempt's write version once its commit intent is
             held and validated; -1 for a read-only member *)
-    alone : bool;
-        (** the transaction's only member: no cross-instance protocol *)
+    mutable alone : bool;
+        (** the call's only member: no cross-instance protocol *)
     mutable snapshot_ub : int;  (** snapshot upper bound, fixed at start *)
     r_vars : Obj.t tvar Vec.t;  (** flat read set, append order *)
     r_vers : int Vec.t;  (** versions parallel to [r_vars] *)
-    r_vals : Obj.t Vec.t;  (** NOrec: values parallel to [r_vars] *)
+    r_vals : Obj.t Vec.t;
+        (** NOrec only: values parallel to [r_vars], compared
+            physically at validation; stays empty under TL2 *)
     w_vars : Obj.t tvar array;  (** elastic window: fixed ring buffer *)
     w_vers : int array;
     mutable w_count : int;
@@ -233,13 +231,31 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
             a rolled-back branch's reads leave the live read set, but a
             retrying branch's must still be waited on (union rule) *)
     retry_vers : int Vec.t;
-    mutable live : bool;
     mutable attempt : int;  (** 1-based attempt number of this arming *)
     mutable holds_token : bool;
         (** running under the serialization token (irrevocable or the
             serial fallback): commits skip the token stall, and the
             contention manager may neither kill this transaction nor
             abort it on its behalf *)
+    (* The call's settings, kept on its first member (the lead).  Every
+       entry point — [atomically], [try_atomically], irrevocable
+       execution and the cross-instance forms — runs one attempt loop;
+       what differs is the member count and these fields.  The serial
+       fallback is the same loop after it took the members'
+       serialization tokens. *)
+    mutable members : desc array;
+        (** a cross-instance call's descriptors in canonical order,
+            the lead first; [[||]] when [alone] *)
+    mutable cap : int;  (** optimistic attempts before exhaustion *)
+    mutable deadline : int option;
+    mutable escalates : bool;
+        (** conflict exhaustion (or the adaptive CM) takes the
+            serialization tokens rather than giving up *)
+    mutable irrevocable : bool;  (** holds the tokens from the first attempt *)
+    mutable wake : unit -> unit;
+        (** [try_atomically_or_wait]: a [retry] registers a wait with
+            this wake and returns it instead of parking; {!no_wake}
+            parks *)
   }
 
   and t = {
@@ -281,9 +297,16 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
         (** snapshot calls running on this instance, uncharged: a write
             commit that reads 0 keeps no backup (see [write_back]) *)
     current : thread_ctx R.tls;  (** per-thread state, one TLS lookup *)
+    ctxs : thread_ctx list Atomic.t;
+        (** every thread's context on this instance, for the counts
+            they keep (a plain Stdlib atomic: pushed once per thread,
+            never on a charged path) *)
+    (* per-thread counts as of the last [reset_stats] *)
+    mutable base_starts : int;
+    mutable base_commits : int;
+    mutable base_ro_commits : int;
+    mutable base_fast_commits : int;
     (* statistics *)
-    c_starts : R.counter;
-    c_commits : R.counter;
     c_aborts : R.counter;
     c_lock_busy : R.counter;
     c_read_invalid : R.counter;
@@ -294,8 +317,6 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     c_cuts : R.counter;
     c_extensions : R.counter;
     c_stale_reads : R.counter;
-    c_fast_commits : R.counter;
-    c_ro_commits : R.counter;
     c_serial_commits : R.counter;
     c_budget_exhaustions : R.counter;
     c_retry_waits : R.counter;
@@ -321,26 +342,64 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     mutable commit_hook : (int -> unit) option;
   }
 
-  (* Everything a thread keeps between [atomically] calls, fetched
-     with a single TLS lookup: the innermost live transaction (flat
-     nesting) and the pooled descriptor stores. *)
+  (* Everything a thread keeps on an instance, fetched with a single
+     TLS lookup.  [descs] is the thread's descriptor free list and the
+     stack of the calls holding descriptors in one array: calls nest
+     (a hook's or a body's call ends before the call that ran it), so
+     [descs.(0 .. held-1)] are held, innermost last, and the rest are
+     free.  Flat nesting means only the innermost can be live. *)
   and thread_ctx = {
-    mutable cur_tx : tx option;
-    stores : stores;
+    mutable descs : desc array;
+    mutable held : int;
     parker : R.parker;
     waiter : Wq.waiter;
-        (** a blocking park's waiter, whose wake unparks [parker];
-            pooled like the stores: flat nesting means at most one
-            park per thread per instance *)
+        (** a blocking park's waiter, whose wake unparks [parker]:
+            flat nesting means at most one park per thread per
+            instance *)
     mutable early_backups : bool;
         (** [`Early_backup_check] only: the snapshot count as read
             before this thread's write version was drawn *)
+    (* counted by this thread alone, summed by [stats] *)
+    mutable starts : int;
+    mutable commits : int;
+    mutable ro_commits : int;
+    mutable fast_commits : int;
   }
+
+  (* The handle a body and its nested calls receive: the descriptor,
+     stamped with its call.  [check_live] compares the stamp with the
+     descriptor's [gen], so a handle is dead between attempts, after
+     its call, and once a later call reuses the descriptor. *)
+  type tx = { desc : desc; stamp : int }
 
   (* Creation order defines the canonical instance order (a plain
      Stdlib atomic: instance creation is setup-time, never on a
      transactional path, and charging it would shift sim schedules). *)
   let instance_uids = Atomic.make 0
+
+  (* A thread's first touch of an instance: an empty free list (the
+     first call creates its descriptor), registered for [stats]. *)
+  let new_ctx ctxs =
+    let parker = R.parker () in
+    let ctx =
+      {
+        descs = [||];
+        held = 0;
+        parker;
+        waiter = Wq.waiter (fun () -> R.unpark parker);
+        early_backups = false;
+        starts = 0;
+        commits = 0;
+        ro_commits = 0;
+        fast_commits = 0;
+      }
+    in
+    let rec register () =
+      let l = Atomic.get ctxs in
+      if not (Atomic.compare_and_set ctxs l (ctx :: l)) then register ()
+    in
+    register ();
+    ctx
 
   let create ?(cm = Contention.default) ?(elastic_window = 2)
       ?(max_attempts = 10_000) ?(on_exhaustion = `Serialize)
@@ -356,6 +415,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
         (Invalid_operation
            "the `Skip_validation fault is the NOrec conformance self-test \
             knob");
+    let ctxs = Atomic.make [] in
     {
       uid = Atomic.fetch_and_add instance_uids 1;
       clock = R.atomic 0;
@@ -375,30 +435,12 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
       extend_on_stale;
       versions;
       snapshots = R.counter ();
-      current =
-        R.tls (fun () ->
-            let parker = R.parker () in
-            {
-              cur_tx = None;
-              stores =
-                {
-                  sr_vars = Vec.create dummy_tvar;
-                  sr_vers = Vec.create 0;
-                  sr_vals = Vec.create (Obj.repr ());
-                  sw_vars = Array.make elastic_window dummy_tvar;
-                  sw_vers = Array.make elastic_window 0;
-                  s_writes = Flat_table.create dummy_wentry;
-                  s_undo = Vec.create nop;
-                  s_cleanup = Vec.create nop;
-                  s_retry_vars = Vec.create dummy_tvar;
-                  s_retry_vers = Vec.create 0;
-                };
-              parker;
-              waiter = Wq.waiter (fun () -> R.unpark parker);
-              early_backups = false;
-            });
-      c_starts = R.counter ();
-      c_commits = R.counter ();
+      current = R.tls (fun () -> new_ctx ctxs);
+      ctxs;
+      base_starts = 0;
+      base_commits = 0;
+      base_ro_commits = 0;
+      base_fast_commits = 0;
       c_aborts = R.counter ();
       c_lock_busy = R.counter ();
       c_read_invalid = R.counter ();
@@ -409,8 +451,6 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
       c_cuts = R.counter ();
       c_extensions = R.counter ();
       c_stale_reads = R.counter ();
-      c_fast_commits = R.counter ();
-      c_ro_commits = R.counter ();
       c_serial_commits = R.counter ();
       c_budget_exhaustions = R.counter ();
       c_retry_waits = R.counter ();
@@ -448,20 +488,18 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
   let gv_scheme stm = stm.gv
   let algo stm = stm.algo
 
-  let semantics tx = tx.sem
-  let serial tx = tx.serial
+  let semantics h = h.desc.sem
+  let serial h = h.desc.serial
 
-  let check_live tx =
-    if not tx.live then
-      raise (Invalid_operation "transaction handle used outside its extent")
+  (* A live handle's descriptor. *)
+  let check_live h =
+    let tx = h.desc in
+    if h.stamp <> tx.gen then
+      raise (Invalid_operation "transaction handle used outside its extent");
+    tx
 
-  let on_abort tx f =
-    check_live tx;
-    Vec.push tx.undo f
-
-  let on_cleanup tx f =
-    check_live tx;
-    Vec.push tx.cleanup f
+  let on_abort h f = Vec.push (check_live h).undo f
+  let on_cleanup h f = Vec.push (check_live h).cleanup f
 
   let record_event tx v ~is_write =
     if tx.stm.recording then
@@ -520,16 +558,14 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
   let tx_sets tx =
     (Vec.length tx.r_vars + tx.w_count, Flat_table.length tx.writes)
 
-  (* Abort events report the set sizes at abort time; they are captured
-     before the lifecycle hooks run, because a hook may itself run a
-     transaction and that transaction reuses the pooled stores. *)
-  let abort_sets tx =
-    match tx.stm.telemetry with None -> (0, 0) | Some _ -> tx_sets tx
-
-  let emit_abort tx reason (reads, writes) =
+  (* Abort events report the set sizes at abort time: the accounting
+     runs before the lifecycle hooks and the next arming. *)
+  let emit_abort tx reason =
     match tx.stm.telemetry with
     | None -> ()
-    | Some s -> send tx s (T.Abort { cause = cause_of_reason reason; reads; writes })
+    | Some s ->
+        let reads, writes = tx_sets tx in
+        send tx s (T.Abort { cause = cause_of_reason reason; reads; writes })
 
   let emit_park tx locs =
     match tx.stm.telemetry with
@@ -544,12 +580,22 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
   (* ------------------------------------------------------------------ *)
   (* Consistent reads                                                    *)
 
+  (* A per-thread count summed over every thread's context: exact once
+     the counting threads are joined, a recent value while they run. *)
+  let sum_ctxs stm count =
+    List.fold_left (fun n ctx -> n + count ctx) 0 (Atomic.get stm.ctxs)
+
+  let starts_of ctx = ctx.starts
+  let commits_of ctx = ctx.commits
+  let ro_commits_of ctx = ctx.ro_commits
+  let fast_commits_of ctx = ctx.fast_commits
+
   (* Instance-wide streaming abort-rate signal feeding the adaptive
      contention manager: aborts per hundred starts since the last
-     counter reset.  Plain counter reads — uncharged, so consulting it
-     never perturbs a schedule. *)
+     counter reset.  Plain reads — uncharged, so consulting it never
+     perturbs a schedule. *)
   let abort_rate_pct stm =
-    let starts = R.read_counter stm.c_starts in
+    let starts = sum_ctxs stm starts_of - stm.base_starts in
     if starts = 0 then 0 else 100 * R.read_counter stm.c_aborts / starts
 
   (* Spin briefly on a busy lock; under a killing policy ([Greedy], or
@@ -969,8 +1015,8 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     value
 
   let read : type a. tx -> a tvar -> a =
-   fun tx v ->
-    check_live tx;
+   fun h v ->
+    let tx = check_live h in
     match tx.sem with
     | Semantics.Snapshot ->
         (* A snapshot transaction cannot write ([write] refuses), so
@@ -1003,8 +1049,8 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
               | Semantics.Elastic -> norec_elastic_read tx v
               | Semantics.Snapshot -> norec_snapshot_read tx v))
 
-  let write tx v x =
-    check_live tx;
+  let write h v x =
+    let tx = check_live h in
     if not (Semantics.allows_write tx.sem) then
       raise (Invalid_operation "write inside a snapshot transaction");
     let e = Flat_table.find tx.writes v.id in
@@ -1020,8 +1066,8 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     | None -> ()
     | Some s -> send tx s (T.Write { loc = v.id })
 
-  let release tx v =
-    check_live tx;
+  let release h v =
+    let tx = check_live h in
     let id = v.id in
     (* Compact the flat read set in place, preserving append order.
        [r_vals] is parallel to [r_vars] under NOrec and empty under
@@ -1072,8 +1118,8 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
      location.  Refused where parking could never end or would
      deadlock: snapshot reads are not tracked in a wait set, and a
      token holder blocks every committer — including its waker. *)
-  let retry tx =
-    check_live tx;
+  let retry h =
+    let tx = check_live h in
     if tx.sem = Semantics.Snapshot then
       raise
         (Invalid_operation
@@ -1088,8 +1134,8 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
 
   let waiting stm = Wq.waiting stm.waitq
 
-  let orelse tx f g =
-    check_live tx;
+  let orelse h f g =
+    let tx = check_live h in
     (* Savepoint: copies of the read set and window, the write-set
        length plus every buffered value (the branch may overwrite
        entries that predate it), and the hook-vector lengths.
@@ -1113,7 +1159,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     let s_wrote = tx.wrote in
     let s_undo = Vec.length tx.undo in
     let s_cleanup = Vec.length tx.cleanup in
-    try f tx
+    try f h
     with Abort_tx ((Explicit | Retry) as branch_exit) ->
       (* A {e retrying} branch falls through to [g] like an explicit
          rollback, but its reads must survive into the final wait set:
@@ -1158,7 +1204,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
       Flat_table.truncate tx.writes s_writes;
       Array.iter (fun (WSave (w, v)) -> w.wvalue <- v) s_wvalues;
       tx.wrote <- s_wrote;
-      g tx
+      g h
 
   (* ------------------------------------------------------------------ *)
   (* Commit                                                              *)
@@ -1195,27 +1241,39 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
       w.locked_version <- -1
     end
 
-  let release_all tx =
-    Flat_table.iter_ascending (fun _ e -> release_lock e) tx.writes
+  (* Every commit phase visits the write set in ascending location
+     order, through a loop over the table's reused order array: no
+     per-commit closure. *)
+  let[@inline] wentry tx order i = Flat_table.value_at tx.writes order.(i)
 
-  let acquire tx (WEntry w) =
-    let budget = ref (Contention.lock_spins tx.stm.cm) in
-    let rec loop () =
-      match R.get w.wvar.lock with
-      | Unlocked ver as l ->
-          if R.cas w.wvar.lock l (Locked tx.owner) then begin
-            w.locked_version <- ver;
-            match tx.stm.telemetry with
-            | None -> ()
-            | Some s -> send tx s (T.Lock_acquire { loc = w.wvar.id })
-          end
-          else loop ()
-      | Locked o ->
-          wait_or_die tx o !budget;
-          decr budget;
-          loop ()
-    in
-    loop ()
+  let release_all tx =
+    let order = Flat_table.ascending tx.writes in
+    for i = 0 to Flat_table.length tx.writes - 1 do
+      release_lock (wentry tx order i)
+    done
+
+  (* The attempt's owner, created when it takes its first lock: the
+     one place an owner is published. *)
+  let owner tx =
+    if tx.owner == dummy_owner then
+      tx.owner <- { serial = tx.serial; killed = R.atomic false };
+    tx.owner
+
+  (* Lock one location, spinning while it is busy (a top-level loop
+     with the budget as an argument, as [read_versioned_spin]). *)
+  let rec acquire tx w budget =
+    match R.get w.wvar.lock with
+    | Unlocked ver as l ->
+        if R.cas w.wvar.lock l (Locked (owner tx)) then begin
+          w.locked_version <- ver;
+          match tx.stm.telemetry with
+          | None -> ()
+          | Some s -> send tx s (T.Lock_acquire { loc = w.wvar.id })
+        end
+        else acquire tx w budget
+    | Locked o ->
+        wait_or_die tx o budget;
+        acquire tx w (budget - 1)
 
   (* Keep at most [n] elements of a backup chain. *)
   let rec take_chain n l =
@@ -1243,7 +1301,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
      committed since, so no commit-time validation is needed at all. *)
   let rec norec_acquire_seqlock tx first =
     if R.cas tx.stm.clock tx.rv (tx.rv + 1) then begin
-      if first then R.add_counter tx.stm.c_fast_commits 1
+      if first then tx.ctx.fast_commits <- tx.ctx.fast_commits + 1
     end
     else begin
       tx.rv <- norec_validate tx;
@@ -1301,7 +1359,11 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
   let[@inline] intent tx =
     match tx.stm.algo with
     | `Tl2 ->
-        Flat_table.iter_ascending (fun _ e -> acquire tx e) tx.writes;
+        let order = Flat_table.ascending tx.writes in
+        let spins = Contention.lock_spins tx.stm.cm in
+        for i = 0 to Flat_table.length tx.writes - 1 do
+          match wentry tx order i with WEntry w -> acquire tx w spins
+        done;
         if (not tx.holds_token) && R.get tx.owner.killed then
           abort_with Killed
     | `Norec ->
@@ -1345,7 +1407,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
           end
     in
     if tx.alone && exclusive && tx.wv = tx.rv + 1 then
-      R.add_counter stm.c_fast_commits 1
+      tx.ctx.fast_commits <- tx.ctx.fast_commits + 1
     else validate tx
 
   (* Phase 1b for one member, every intent held.  A seized NOrec
@@ -1397,24 +1459,26 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
         else 0
       in
       let unlock = tx.alone && tx.stm.algo = `Tl2 in
-      Flat_table.iter_ascending
-        (fun _ (WEntry w) ->
-          (* loaded even when no backup is kept: a charged access *)
-          let d = R.get w.wvar.data in
-          R.set w.wvar.data
-            {
-              value = w.wvalue;
-              version = tx.wv;
-              older =
-                (if depth = 0 then []
-                 else take_chain depth ((d.value, d.version) :: d.older));
-            };
-          record_event tx w.wvar ~is_write:true;
-          if unlock then begin
-            R.set w.wvar.lock (Unlocked tx.wv);
-            w.locked_version <- -1
-          end)
-        tx.writes
+      let order = Flat_table.ascending tx.writes in
+      for i = 0 to Flat_table.length tx.writes - 1 do
+        match wentry tx order i with
+        | WEntry w ->
+            (* loaded even when no backup is kept: a charged access *)
+            let d = R.get w.wvar.data in
+            R.set w.wvar.data
+              {
+                value = w.wvalue;
+                version = tx.wv;
+                older =
+                  (if depth = 0 then []
+                   else take_chain depth ((d.value, d.version) :: d.older));
+              };
+            record_event tx w.wvar ~is_write:true;
+            if unlock then begin
+              R.set w.wvar.lock (Unlocked tx.wv);
+              w.locked_version <- -1
+            end
+      done
     end
 
   (* Release a published member's intent: a cross-instance TL2
@@ -1424,12 +1488,15 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     if tx.wv >= 0 then
       match tx.stm.algo with
       | `Tl2 ->
-          if not tx.alone then
-            Flat_table.iter_ascending
-              (fun _ (WEntry w) ->
-                R.set w.wvar.lock (Unlocked tx.wv);
-                w.locked_version <- -1)
-              tx.writes
+          if not tx.alone then begin
+            let order = Flat_table.ascending tx.writes in
+            for i = 0 to Flat_table.length tx.writes - 1 do
+              match wentry tx order i with
+              | WEntry w ->
+                  R.set w.wvar.lock (Unlocked tx.wv);
+                  w.locked_version <- -1
+            done
+          end
       | `Norec -> R.set tx.stm.clock tx.wv
 
   (* Admission: while some serialized transaction (irrevocable or
@@ -1462,9 +1529,11 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     if Wq.waiting tx.stm.waitq > 0 then
       match tx.stm.algo with
       | `Tl2 ->
-          Flat_table.iter_ascending
-            (fun _ (WEntry w) -> Wq.notify tx.stm.waitq w.wvar.id)
-            tx.writes
+          let order = Flat_table.ascending tx.writes in
+          for i = 0 to Flat_table.length tx.writes - 1 do
+            match wentry tx order i with
+            | WEntry w -> Wq.notify tx.stm.waitq w.wvar.id
+          done
       | `Norec -> Wq.notify_global tx.stm.waitq
 
   (* Read-only transactions of every semantics commit for free — no
@@ -1474,19 +1543,29 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
      members of a cross-instance update still go through validation:
      their timestamps were drawn independently. *)
   let ro_commit tx =
-    R.add_counter tx.stm.c_ro_commits 1;
+    tx.ctx.ro_commits <- tx.ctx.ro_commits + 1;
     match tx.stm.telemetry with
     | None -> ()
     | Some s ->
         let reads, _ = tx_sets tx in
         send tx s (T.Commit { reads; writes = 0; lock_hold = 0 })
 
+  (* A published member: its commit event, then the wakes of the
+     waiters its writes may have enabled. *)
+  let committed t_acquire tx =
+    (match tx.stm.telemetry with
+    | None -> ()
+    | Some s ->
+        let reads, writes = tx_sets tx in
+        let lock_hold = R.now () - t_acquire in
+        send tx s (T.Commit { reads; writes; lock_hold }));
+    if tx.wv >= 0 then notify_waiters tx
+
   (* Each phase runs on every member in canonical order: a direct call
      for a lone member (passing the phase to a helper would make it an
      indirect call on the hottest path there is). *)
-  let commit txs =
-    let lead = txs.(0) in
-    let one = lead.alone in
+  let commit lead =
+    let one = lead.alone and txs = lead.members in
     if
       if one then Flat_table.is_empty lead.writes
       else lead.sem = Semantics.Snapshot
@@ -1513,51 +1592,100 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
           if one then release_intent lead
           else Array.iter release_intent txs;
           if one then leave lead else Array.iter leave txs;
-          for i = 0 to Array.length txs - 1 do
-            let tx = txs.(i) in
-            (match tx.stm.telemetry with
-            | None -> ()
-            | Some s ->
-                let reads, writes = tx_sets tx in
-                let lock_hold = R.now () - t_acquire in
-                send tx s (T.Commit { reads; writes; lock_hold }));
-            if tx.wv >= 0 then notify_waiters tx
-          done
+          if one then committed t_acquire lead
+          else Array.iter (committed t_acquire) txs
     end
 
   (* ------------------------------------------------------------------ *)
   (* The transaction loop                                                *)
 
-  let fresh_tx ~alone stm ctx sem label =
-    let s = ctx.stores in
+  (* The [wake] of a call that parks: compared physically, so a call
+     that cannot register pays no option box. *)
+  let no_wake () = ()
+
+  let new_desc stm ctx =
     {
       stm;
       ctx;
+      call = 0;
+      gen = -1;
       serial = -1;
-      sem;
-      label;
+      sem = Semantics.Classic;
+      label = "";
       owner = dummy_owner;
       rv = 0;
       wv = -1;
-      alone;
+      alone = true;
       snapshot_ub = 0;
-      r_vars = s.sr_vars;
-      r_vers = s.sr_vers;
-      r_vals = s.sr_vals;
-      w_vars = s.sw_vars;
-      w_vers = s.sw_vers;
+      r_vars = Vec.create dummy_tvar;
+      r_vers = Vec.create 0;
+      r_vals = Vec.create (Obj.repr ());
+      w_vars = Array.make stm.elastic_window dummy_tvar;
+      w_vers = Array.make stm.elastic_window 0;
       w_count = 0;
       w_head = -1;
-      writes = s.s_writes;
+      writes = Flat_table.create dummy_wentry;
       wrote = false;
-      undo = s.s_undo;
-      cleanup = s.s_cleanup;
-      retry_vars = s.s_retry_vars;
-      retry_vers = s.s_retry_vers;
-      live = false;
+      undo = Vec.create nop;
+      cleanup = Vec.create nop;
+      retry_vars = Vec.create dummy_tvar;
+      retry_vers = Vec.create 0;
       attempt = 0;
       holds_token = false;
+      members = [||];
+      cap = 0;
+      deadline = None;
+      escalates = false;
+      irrevocable = false;
+      wake = no_wake;
     }
+
+  (* Whether the calling thread runs a live transaction on [ctx]'s
+     instance, and which: the innermost held descriptor, when one of
+     its call's attempts runs. *)
+  let[@inline] in_tx ctx = ctx.held > 0 && ctx.descs.(ctx.held - 1).gen >= 0
+  let[@inline] innermost ctx = ctx.descs.(ctx.held - 1)
+
+  (* Flat nesting: a call inside a live transaction on the same
+     instance joins it, and the outer semantics prevails (Section
+     4.2). *)
+  let nest ctx sem =
+    let outer = innermost ctx in
+    let (_ : Semantics.t) = Semantics.compose ~outer:outer.sem ~inner:sem in
+    outer
+
+  (* A handle on [tx]'s current call. *)
+  let handle tx = { desc = tx; stamp = tx.call }
+
+  (* A call's descriptor on [ctx], from the free list (or new when every
+     descriptor is held), stamped for the call. *)
+  let take ~alone stm ctx sem label =
+    let n = ctx.held in
+    if n = Array.length ctx.descs then
+      ctx.descs <- Array.append ctx.descs [| new_desc stm ctx |];
+    let tx = ctx.descs.(n) in
+    ctx.held <- n + 1;
+    tx.call <- tx.call + 1;
+    tx.sem <- sem;
+    (* A pooled descriptor lives in the major heap, where storing a
+       pointer costs a write barrier: skip the store when the field
+       already holds the value, as it does for a call site's label. *)
+    if tx.label != label then tx.label <- label;
+    tx.alone <- alone;
+    tx
+
+  (* Back to the free list, on every exit of the call. *)
+  let give_back tx = tx.ctx.held <- tx.ctx.held - 1
+
+  (* Every member's, dropping the settings that could keep a caller's
+     closure or another instance's descriptors alive in the pool. *)
+  let give_back_all lead =
+    if lead.alone then give_back lead
+    else begin
+      Array.iter give_back lead.members;
+      lead.members <- [||]
+    end;
+    if lead.wake != no_wake then lead.wake <- no_wake
 
   (* Arm the descriptor for one attempt: a fresh serial and timestamp
      (the same charged operations, in the same order, as the
@@ -1566,7 +1694,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
   let arm_tx tx =
     let serial = R.fetch_and_add tx.stm.serials 1 in
     tx.serial <- serial;
-    tx.owner <- { serial; killed = R.atomic false };
+    if tx.owner != dummy_owner then tx.owner <- dummy_owner;
     (tx.rv <-
        (* NOrec must start from a quiescent clock: an odd timestamp
           could never pass the read-time clock check or the commit
@@ -1590,7 +1718,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     Vec.clear tx.cleanup;
     Vec.clear tx.retry_vars;
     Vec.clear tx.retry_vers;
-    tx.live <- true
+    tx.gen <- tx.call
 
   let abort_counter stm = function
     | Lock_busy -> stm.c_lock_busy
@@ -1642,25 +1770,23 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
           (T.Budget_exhausted { attempts; cause = cause_of_reason reason })
 
   (* Lifecycle hooks, after the attempt's extent: compensations
-     (newest first) when aborted, then finalisers (newest first).
-     The hook vectors are pooled per thread, and a hook may itself run
-     a transaction on this STM — [fresh_tx]/[arm_tx] would then reuse
-     and clear the very vectors being iterated.  Snapshot both and
-     clear them before invoking anything, so every hook registered by
-     this attempt runs exactly once. *)
+     (newest first) when aborted, then finalisers (newest first).  A
+     hook may itself run a transaction, on any member: the call still
+     holds its descriptors and their handles are dead, so that
+     transaction takes a descriptor of its own and every hook
+     registered by this attempt runs exactly once.  Cleared afterwards,
+     so a pooled descriptor keeps no hook alive. *)
   let run_hooks tx ~aborted =
     if not (Vec.is_empty tx.undo && Vec.is_empty tx.cleanup) then begin
-      let undo = Vec.to_array tx.undo in
-      let fins = Vec.to_array tx.cleanup in
-      Vec.clear tx.undo;
-      Vec.clear tx.cleanup;
       if aborted then
-        for i = Array.length undo - 1 downto 0 do
-          undo.(i) ()
+        for i = Vec.length tx.undo - 1 downto 0 do
+          (Vec.get tx.undo i) ()
         done;
-      for i = Array.length fins - 1 downto 0 do
-        fins.(i) ()
-      done
+      for i = Vec.length tx.cleanup - 1 downto 0 do
+        (Vec.get tx.cleanup i) ()
+      done;
+      Vec.clear tx.undo;
+      Vec.clear tx.cleanup
     end
 
   type 'a outcome =
@@ -1671,9 +1797,8 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
   (* The wait set of a [retry]: every location the attempt read — the
      flat read set, the elastic window, and the reads accumulated from
      retrying [orelse] branches — each with the version it was read at,
-     plus the NOrec validity timestamp.  Captured from the pooled
-     stores BEFORE the lifecycle hooks run: a hook may itself start a
-     transaction that re-arms (and clears) those stores. *)
+     plus the NOrec validity timestamp.  Copied out of the descriptor:
+     the registered wait outlives the next arming, which clears it. *)
   let capture_wait_set tx =
     let n = Vec.length tx.r_vars in
     let cap = Array.length tx.w_vars in
@@ -1795,70 +1920,52 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     collect ();
     Array.iter (fun tx -> tx.rv <- tx.snapshot_ub) txs
 
-  (* One call's settings.  Every entry point — [atomically],
-     [try_atomically], irrevocable execution and the cross-instance
-     forms — runs this loop; what differs is the member count and
-     these fields.  The serial fallback is the same loop after it took
-     the members' serialization tokens. *)
-  type 'a run = {
-    txs : tx array;
-        (** one descriptor per member instance, canonical order,
-            re-armed every attempt *)
-    body : tx -> 'a;  (** applied to the first member's descriptor *)
-    cap : int;  (** optimistic attempts before exhaustion *)
-    deadline : int option;
-    escalates : bool;
-        (** conflict exhaustion (or the adaptive CM) takes the
-            serialization tokens rather than giving up *)
-    irrevocable : bool;  (** holds the tokens from the first attempt *)
-    wake : unit -> unit;
-        (** [try_atomically_or_wait]: a [retry] registers a wait with
-            this wake and returns it instead of parking; {!no_wake}
-            parks *)
-  }
-
-  (* The [wake] of a call that parks: compared physically, so a call
-     that cannot register pays no option box. *)
-  let no_wake () = ()
-
   (* Arm every member for attempt [n] and enter its extent.  A
      cross-instance snapshot then replaces the armed clocks with a
      consistent bound vector (under the tokens the armed clocks already
      are one: nothing can commit). *)
-  let[@inline] arm r n ~token =
-    let txs = r.txs in
-    for i = 0 to Array.length txs - 1 do
-      let tx = txs.(i) in
-      arm_tx tx;
-      tx.attempt <- n;
-      tx.holds_token <- token;
-      R.add_counter tx.stm.c_starts 1;
-      emit_begin tx n;
-      if token then emit_serialize tx n;
-      tx.ctx.cur_tx <- Some tx
-    done;
-    if (not txs.(0).alone) && (not token) && txs.(0).sem = Semantics.Snapshot
-    then snapshot_collect txs
+  let arm_member n ~token tx =
+    arm_tx tx;
+    tx.attempt <- n;
+    tx.holds_token <- token;
+    tx.ctx.starts <- tx.ctx.starts + 1;
+    emit_begin tx n;
+    if token then emit_serialize tx n
+
+  let[@inline] arm lead n ~token =
+    if lead.alone then arm_member n ~token lead
+    else begin
+      Array.iter (arm_member n ~token) lead.members;
+      if (not token) && lead.sem = Semantics.Snapshot then
+        snapshot_collect lead.members
+    end
 
   (* Leave the attempt's extent; a serialized attempt then releases the
      tokens (reverse canonical order) — before any hook runs: a hook
      may itself run a transaction on a member, and a write commit made
      from under the token would stall on the holder, ourselves. *)
-  let[@inline] finish r ~token =
-    let txs = r.txs in
-    for i = 0 to Array.length txs - 1 do
-      txs.(i).live <- false;
-      txs.(i).ctx.cur_tx <- None
-    done;
-    if token then
-      for i = Array.length txs - 1 downto 0 do
-        exit_serial_mode txs.(i).stm
-      done
+  let leave_extent tx = tx.gen <- -1
 
-  let enter_serial r = Array.iter (fun tx -> enter_serial_mode tx.stm) r.txs
+  let[@inline] finish lead ~token =
+    if lead.alone then begin
+      leave_extent lead;
+      if token then exit_serial_mode lead.stm
+    end
+    else begin
+      let txs = lead.members in
+      Array.iter leave_extent txs;
+      if token then
+        for i = Array.length txs - 1 downto 0 do
+          exit_serial_mode txs.(i).stm
+        done
+    end
+
+  let enter_serial lead =
+    if lead.alone then enter_serial_mode lead.stm
+    else Array.iter (fun tx -> enter_serial_mode tx.stm) lead.members
 
   let account_commit tx =
-    R.add_counter tx.stm.c_commits 1;
+    tx.ctx.commits <- tx.ctx.commits + 1;
     if not tx.alone then R.add_counter tx.stm.c_multi_commits 1;
     if tx.holds_token then R.add_counter tx.stm.c_serial_commits 1
 
@@ -1866,62 +1973,63 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
      runs before the lifecycle hooks, on every exit path: a hook may
      itself raise (or run a transaction that inspects the stats), and
      an attempt must never vanish from the books because its hook
-     blew up.  The abort-event set sizes are captured first, before
-     anything can reuse the pooled stores. *)
-  let account_abort r reason =
-    for i = 0 to Array.length r.txs - 1 do
-      let tx = r.txs.(i) in
-      let sets = abort_sets tx in
-      record_aborted tx;
-      R.add_counter tx.stm.c_aborts 1;
-      R.add_counter (abort_counter tx.stm reason) 1;
-      emit_abort tx reason sets
-    done
+     blew up. *)
+  let account_abort_member reason tx =
+    record_aborted tx;
+    R.add_counter tx.stm.c_aborts 1;
+    R.add_counter (abort_counter tx.stm reason) 1;
+    emit_abort tx reason
 
-  let exhausted r n reason =
-    for i = 0 to Array.length r.txs - 1 do
-      let tx = r.txs.(i) in
-      R.add_counter tx.stm.c_budget_exhaustions 1;
-      emit_budget_exhausted tx ~attempts:n reason
-    done
+  let account_abort lead reason =
+    if lead.alone then account_abort_member reason lead
+    else Array.iter (account_abort_member reason) lead.members
 
-  let[@inline] run_all_hooks r ~aborted =
-    for i = 0 to Array.length r.txs - 1 do
-      run_hooks r.txs.(i) ~aborted
-    done
+  let exhausted_member n reason tx =
+    R.add_counter tx.stm.c_budget_exhaustions 1;
+    emit_budget_exhausted tx ~attempts:n reason
+
+  let exhausted lead n reason =
+    if lead.alone then exhausted_member n reason lead
+    else Array.iter (exhausted_member n reason) lead.members
+
+  let[@inline] run_all_hooks lead ~aborted =
+    if lead.alone then run_hooks lead ~aborted
+    else Array.iter (fun tx -> run_hooks tx ~aborted) lead.members
 
   let past_deadline = function Some d -> R.now () >= d | None -> false
 
-  let rec attempt r n ~token =
-    arm r n ~token;
+  (* One attempt of the call [lead] leads: [body arg] — the handle for
+     a body that takes one, [()] for a thunk — then the commit. *)
+  let rec attempt lead body arg n ~token =
+    arm lead n ~token;
     match
-      let result = r.body r.txs.(0) in
-      commit r.txs;
+      let result = body arg in
+      commit lead;
       result
     with
     | result ->
-        finish r ~token;
-        Array.iter account_commit r.txs;
-        run_all_hooks r ~aborted:false;
+        finish lead ~token;
+        if lead.alone then account_commit lead
+        else Array.iter account_commit lead.members;
+        run_all_hooks lead ~aborted:false;
         Committed result
     | exception Abort_tx reason ->
-        (* The wait set must also outlive the pooled stores (hooks,
-           next arming); capture it before anything runs. *)
+        (* The wait set must outlive the next arming; copy it before
+           anything runs. *)
         let wait =
-          if reason = Retry && r.txs.(0).alone then
-            Some (capture_wait_set r.txs.(0))
+          if reason = Retry && lead.alone then Some (capture_wait_set lead)
           else None
         in
-        account_abort r reason;
-        finish r ~token;
-        run_all_hooks r ~aborted:true;
-        after_abort r n reason wait ~token
+        account_abort lead reason;
+        finish lead ~token;
+        run_all_hooks lead ~aborted:true;
+        after_abort lead body arg n reason wait ~token
     | exception e ->
         (* User exception: discard effects, count the attempt as
            aborted, propagate. *)
-        account_abort r Explicit;
-        finish r ~token;
-        run_all_hooks r ~aborted:true;
+        account_abort lead Explicit;
+        finish lead ~token;
+        run_all_hooks lead ~aborted:true;
         raise e
 
   (* After an aborted attempt [n]: give up, serialize, park, or back
@@ -1931,19 +2039,19 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
      retry runs alone.  [Explicit] aborts never serialize — the token
      cannot change a user's decision to abort — and a deadline
      outranks the budget: the caller asked to be done by then. *)
-  and after_abort r n reason wait ~token =
-    let lead = r.txs.(0).stm in
+  and after_abort lead body arg n reason wait ~token =
+    let stm = lead.stm in
     if token then
-      if r.irrevocable then
+      if lead.irrevocable then
         raise
           (Invalid_operation "explicit abort inside an irrevocable transaction")
       else if reason = Explicit then Exhausted { reason; attempts = n }
       else begin
-        enter_serial r;
-        attempt r (n + 1) ~token:true
+        enter_serial lead;
+        attempt lead body arg (n + 1) ~token:true
       end
     else
-      let serializes = r.escalates && reason <> Explicit && reason <> Retry in
+      let serializes = lead.escalates && reason <> Explicit && reason <> Retry in
       match wait with
       | None when reason = Retry ->
           raise
@@ -1954,11 +2062,11 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
           raise
             (Invalid_operation
                "retry with an empty read set would wait forever")
-      | _ when past_deadline r.deadline ->
+      | _ when past_deadline lead.deadline ->
           Deadline_exceeded { reason; attempts = n }
-      | _ when n >= r.cap ->
-          exhausted r n reason;
-          if serializes then escalate r (n + 1)
+      | _ when n >= lead.cap ->
+          exhausted lead n reason;
+          if serializes then escalate lead body arg (n + 1)
           else Exhausted { reason; attempts = n }
       | Some (wvars, wvers, wrv) -> (
           (* A [retry] waiter: it registers, re-validates, then parks on
@@ -1968,10 +2076,10 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
              [try_atomically_or_wait].  Never serialized: a parked
              token holder would stall every committer, including its
              own waker. *)
-          let tx = r.txs.(0) in
-          let stm = tx.stm and ctx = tx.ctx in
+          let ctx = lead.ctx in
           let wait =
-            if r.wake == no_wake then None else Some (registered stm r.wake)
+            if lead.wake == no_wake then None
+            else Some (registered stm lead.wake)
           in
           let w =
             match wait with
@@ -1983,48 +2091,50 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
           if not (register_wait stm w ~wvars ~wvers ~wrv) then begin
             Option.iter (fun wt -> Atomic.set wt.fired true) wait;
             Wq.cancel stm.waitq w;
-            attempt r (n + 1) ~token:false
+            attempt lead body arg (n + 1) ~token:false
           end
           else begin
             R.add_counter stm.c_parks 1;
-            emit_park tx (Array.length wvars);
+            emit_park lead (Array.length wvars);
             match wait with
             | Some wt -> raise (Waiting wt)
             | None -> (
-                let woken = R.park ctx.parker ~deadline:r.deadline in
+                let woken = R.park ctx.parker ~deadline:lead.deadline in
                 R.add_counter
                   (if woken = `Woken then stm.c_wakes else stm.c_wake_timeouts)
                   1;
-                emit_wake tx woken;
+                emit_wake lead woken;
                 Wq.cancel stm.waitq w;
                 match woken with
-                | `Woken -> attempt r (n + 1) ~token:false
+                | `Woken -> attempt lead body arg (n + 1) ~token:false
                 | `Timeout -> Deadline_exceeded { reason; attempts = n })
           end)
       | None ->
           if
             serializes
-            && Contention.serializes_at lead.cm ~attempt:n
-                 ~abort_rate_pct:(abort_rate_pct lead)
+            && Contention.serializes_at stm.cm ~attempt:n
+                 ~abort_rate_pct:(abort_rate_pct stm)
           then
             (* The adaptive CM concluded optimism is hopeless before the
                budget ran out. *)
-            escalate r (n + 1)
+            escalate lead body arg (n + 1)
           else begin
-            let pause = Contention.retry_pause lead.cm ~attempt:n in
+            let pause = Contention.retry_pause stm.cm ~attempt:n in
             if pause > 0 then R.pause pause;
-            attempt r (n + 1) ~token:false
+            attempt lead body arg (n + 1) ~token:false
           end
 
   (* The serial fallback: take every member's serialization token in
      canonical order, drain in-flight commits, and re-run with a commit
      that cannot lose a conflict (bar the straggler race above), so no
      workload can livelock a transaction out of existence. *)
-  and escalate r n =
-    if not r.txs.(0).alone then
-      Array.iter (fun tx -> R.add_counter tx.stm.c_multi_escalations 1) r.txs;
-    enter_serial r;
-    attempt r n ~token:true
+  and escalate lead body arg n =
+    if not lead.alone then
+      Array.iter
+        (fun tx -> R.add_counter tx.stm.c_multi_escalations 1)
+        lead.members;
+    enter_serial lead;
+    attempt lead body arg n ~token:true
 
   (* The optimistic budget before a cross-instance transaction
      escalates.  Deliberately small for updates: a multi's conflict
@@ -2035,52 +2145,56 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
   let multi_optimistic_cap = 16
   let multi_snapshot_cap = 64
 
-  let count_snapshot txs n =
-    for i = 0 to Array.length txs - 1 do
-      R.add_counter txs.(i).stm.snapshots n
-    done
+  let count_snapshot lead n =
+    if lead.alone then R.add_counter lead.stm.snapshots n
+    else Array.iter (fun tx -> R.add_counter tx.stm.snapshots n) lead.members
 
-  let start ~wake ~raising ~irrevocable ~budget ~deadline txs body =
-    let lead = txs.(0).stm in
-    let r =
-      {
-        txs;
-        body;
-        cap =
-          (match budget with
-          | Some b -> max 1 b
-          | None ->
-              if txs.(0).alone then lead.max_attempts
-              else if txs.(0).sem = Semantics.Snapshot then multi_snapshot_cap
-              else multi_optimistic_cap);
-        deadline;
-        (* A caller's budget is a hard limit for the structured form;
-           otherwise exhaustion follows the instance's policy. *)
-        escalates =
-          (raising || Option.is_none budget) && lead.on_exhaustion = `Serialize;
-        irrevocable;
-        wake;
-      }
-    in
-    if irrevocable then begin
-      enter_serial r;
-      attempt r 1 ~token:true
-    end
-    else
-      match txs.(0).sem with
-      | Semantics.Classic | Semantics.Elastic -> attempt r 1 ~token:false
-      | Semantics.Snapshot -> (
-          (* Counted on every member before the first bound is drawn
-             (by [arm_tx] or [snapshot_collect]) until the call returns
-             or raises, so writers keep backups meanwhile. *)
-          count_snapshot txs 1;
-          match attempt r 1 ~token:false with
-          | outcome ->
-              count_snapshot txs (-1);
-              outcome
-          | exception e ->
-              count_snapshot txs (-1);
-              raise e)
+  (* Run the call [lead] leads, its descriptors taken, and give them
+     back on every exit: commit, abort, [Waiting], a raise. *)
+  let start ~wake ~raising ~irrevocable ~budget ~deadline lead body arg =
+    let stm = lead.stm in
+    lead.cap <-
+      (match budget with
+      | Some b -> max 1 b
+      | None ->
+          if lead.alone then stm.max_attempts
+          else if lead.sem = Semantics.Snapshot then multi_snapshot_cap
+          else multi_optimistic_cap);
+    if lead.deadline != deadline then lead.deadline <- deadline;
+    (* A caller's budget is a hard limit for the structured form;
+       otherwise exhaustion follows the instance's policy. *)
+    lead.escalates <-
+      (raising || Option.is_none budget) && stm.on_exhaustion = `Serialize;
+    lead.irrevocable <- irrevocable;
+    if lead.wake != wake then lead.wake <- wake;
+    match
+      if irrevocable then begin
+        enter_serial lead;
+        attempt lead body arg 1 ~token:true
+      end
+      else
+        match lead.sem with
+        | Semantics.Classic | Semantics.Elastic ->
+            attempt lead body arg 1 ~token:false
+        | Semantics.Snapshot -> (
+            (* Counted on every member before the first bound is drawn
+               (by [arm_tx] or [snapshot_collect]) until the call
+               returns or raises, so writers keep backups meanwhile. *)
+            count_snapshot lead 1;
+            match attempt lead body arg 1 ~token:false with
+            | outcome ->
+                count_snapshot lead (-1);
+                outcome
+            | exception e ->
+                count_snapshot lead (-1);
+                raise e)
+    with
+    | outcome ->
+        give_back_all lead;
+        outcome
+    | exception e ->
+        give_back_all lead;
+        raise e
 
   let[@inline] value = function
     | Committed result -> result
@@ -2090,38 +2204,45 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
   let atomically ?(sem = Semantics.Classic) ?(irrevocable = false)
       ?(label = "") ?budget ?deadline stm f =
     let ctx = R.tls_get stm.current in
-    match ctx.cur_tx with
-    | Some outer when outer.live ->
-        (* Flat nesting: the outer label prevails (Section 4.2). *)
-        let (_ : Semantics.t) = Semantics.compose ~outer:outer.sem ~inner:sem in
-        f outer
-    | Some _ | None ->
-        if irrevocable && sem = Semantics.Snapshot then
-          raise
-            (Invalid_operation "irrevocable snapshot transactions are pointless");
-        value
-          (start ~wake:no_wake ~raising:true ~irrevocable ~budget ~deadline
-             [| fresh_tx ~alone:true stm ctx sem label |]
-             f)
-
-  (* [try_atomically], and the one-member path of
-     [try_atomically_or_wait] (with its [wake]). *)
-  let try_alone ~wake ~sem ~label ?budget ?deadline stm f =
-    let ctx = R.tls_get stm.current in
-    match ctx.cur_tx with
-    | Some outer when outer.live ->
-        (* Flat nesting joins the outer transaction; its fate is the
-           outer call's to report. *)
-        let (_ : Semantics.t) = Semantics.compose ~outer:outer.sem ~inner:sem in
-        Committed (f outer)
-    | Some _ | None ->
-        start ~wake ~raising:false ~irrevocable:false ~budget ~deadline
-          [| fresh_tx ~alone:true stm ctx sem label |]
-          f
+    if in_tx ctx then f (handle (nest ctx sem))
+    else begin
+      if irrevocable && sem = Semantics.Snapshot then
+        raise
+          (Invalid_operation "irrevocable snapshot transactions are pointless");
+      let tx = take ~alone:true stm ctx sem label in
+      value
+        (start ~wake:no_wake ~raising:true ~irrevocable ~budget ~deadline tx f
+           (handle tx))
+    end
 
   let try_atomically ?(sem = Semantics.Classic) ?(label = "") ?budget
       ?deadline stm f =
-    try_alone ~wake:no_wake ~sem ~label ?budget ?deadline stm f
+    let ctx = R.tls_get stm.current in
+    if in_tx ctx then
+      (* Flat nesting joins the outer transaction; its fate is the
+         outer call's to report. *)
+      Committed (f (handle (nest ctx sem)))
+    else
+      let tx = take ~alone:true stm ctx sem label in
+      start ~wake:no_wake ~raising:false ~irrevocable:false ~budget ~deadline
+        tx f (handle tx)
+
+  (* The one-member path of the thunk forms: the thunk itself is the
+     body, so the call allocates no wrapper around it. *)
+  let one_member ~wake ~raising ~sem ~label ?budget ?deadline stm f =
+    let ctx = R.tls_get stm.current in
+    if in_tx ctx then begin
+      ignore (nest ctx sem : desc);
+      Committed (f ())
+    end
+    else
+      start ~wake ~raising ~irrevocable:false ~budget ~deadline
+        (take ~alone:true stm ctx sem label)
+        f ()
+
+  let try_atomically_one ~sem ~label ?budget ?deadline ?(wake = no_wake) stm f
+      =
+    one_member ~wake ~raising:false ~sem ~label ?budget ?deadline stm f
 
   (* ------------------------------------------------------------------ *)
   (* Cross-instance transactions — the sharded store's commit engine     *)
@@ -2149,9 +2270,6 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     if Array.length members = 0 then
       raise (Invalid_operation "atomically_multi: no instances");
     let ctxs = Array.map (fun (stm : t) -> R.tls_get stm.current) members in
-    let live (ctx : thread_ctx) =
-      match ctx.cur_tx with Some o -> o.live | None -> false
-    in
     (* [bounds] receives each member's clock bound: for a snapshot, the
        cut vector the checkpointer hands to log compaction. *)
     let put_bounds txs =
@@ -2160,7 +2278,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
       | Some b ->
           b := Array.to_list (Array.map (fun t -> (t.stm, t.snapshot_ub)) txs)
     in
-    if Array.for_all live ctxs then begin
+    if Array.for_all in_tx ctxs then begin
       (* Every member already carries a live transaction: an enclosing
          transaction spans (at least) these instances, so this call
          flattens into it exactly as a nested [atomically] flattens
@@ -2169,23 +2287,22 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
          sharded structure's aggregate run unchanged inside a
          cross-shard [MULTI]. *)
       let result = f () in
-      put_bounds (Array.map (fun ctx -> Option.get ctx.cur_tx) ctxs);
+      put_bounds (Array.map innermost ctxs);
       Committed result
     end
-    else if Array.exists live ctxs then
+    else if Array.exists in_tx ctxs then
       raise
         (Invalid_operation
            "atomically_multi inside a live transaction on a member instance")
     else begin
+      let alone = Array.length members = 1 in
       let txs =
-        let alone = Array.length members = 1 in
-        Array.map2
-          (fun stm ctx -> fresh_tx ~alone stm ctx sem label)
-          members ctxs
+        Array.map2 (fun stm ctx -> take ~alone stm ctx sem label) members ctxs
       in
+      let lead = txs.(0) in
+      if not alone then lead.members <- txs;
       let outcome =
-        start ~wake ~raising ~irrevocable:false ~budget ~deadline txs (fun _ ->
-            f ())
+        start ~wake ~raising ~irrevocable:false ~budget ~deadline lead f ()
       in
       (match outcome with
       | Committed _ -> put_bounds txs
@@ -2193,29 +2310,31 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
       outcome
     end
 
-  (* A one-member list without [bounds] is exactly [atomically] /
-     [try_atomically]: the same loop, without sorting the list or
-     allocating a context per member. *)
-  let atomically_multi ?sem ?label ?budget ?deadline ?bounds stms f =
+  (* A one-member list without [bounds] takes the one-member path: no
+     sorting, no per-member arrays. *)
+  let atomically_multi ?(sem = Semantics.Classic) ?(label = "") ?budget
+      ?deadline ?bounds stms f =
     match (stms, bounds) with
     | [ stm ], None ->
-        atomically ?sem ?label ?budget ?deadline stm (fun _ -> f ())
+        value
+          (one_member ~wake:no_wake ~raising:true ~sem ~label ?budget ?deadline
+             stm f)
     | _ ->
-        value (multi ~raising:true ?sem ?label ?budget ?deadline ?bounds stms f)
+        value (multi ~raising:true ~sem ~label ?budget ?deadline ?bounds stms f)
 
-  let try_atomically_multi ?sem ?label ?budget ?deadline ?bounds stms f =
+  let try_atomically_multi ?(sem = Semantics.Classic) ?(label = "") ?budget
+      ?deadline ?bounds stms f =
     match (stms, bounds) with
     | [ stm ], None ->
-        try_atomically ?sem ?label ?budget ?deadline stm (fun _ -> f ())
-    | _ -> multi ~raising:false ?sem ?label ?budget ?deadline ?bounds stms f
+        one_member ~wake:no_wake ~raising:false ~sem ~label ?budget ?deadline
+          stm f
+    | _ -> multi ~raising:false ~sem ~label ?budget ?deadline ?bounds stms f
 
-  (* One member takes [try_atomically_multi]'s one-member path, with the
-     same flat nesting. *)
   let try_atomically_or_wait ?(sem = Semantics.Classic) ?(label = "") ?budget
       ?deadline ~wake stms f =
     match stms with
     | [ stm ] ->
-        try_alone ~wake ~sem ~label ?budget ?deadline stm (fun _ -> f ())
+        one_member ~wake ~raising:false ~sem ~label ?budget ?deadline stm f
     | _ -> multi ~wake ~raising:false ~sem ~label ?budget ?deadline stms f
 
   (* ------------------------------------------------------------------ *)
@@ -2248,8 +2367,8 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
 
   let stats stm =
     {
-      starts = R.read_counter stm.c_starts;
-      commits = R.read_counter stm.c_commits;
+      starts = sum_ctxs stm starts_of - stm.base_starts;
+      commits = sum_ctxs stm commits_of - stm.base_commits;
       aborts = R.read_counter stm.c_aborts;
       lock_busy = R.read_counter stm.c_lock_busy;
       read_invalid = R.read_counter stm.c_read_invalid;
@@ -2260,8 +2379,8 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
       cuts = R.read_counter stm.c_cuts;
       extensions = R.read_counter stm.c_extensions;
       stale_reads = R.read_counter stm.c_stale_reads;
-      fast_commits = R.read_counter stm.c_fast_commits;
-      ro_commits = R.read_counter stm.c_ro_commits;
+      fast_commits = sum_ctxs stm fast_commits_of - stm.base_fast_commits;
+      ro_commits = sum_ctxs stm ro_commits_of - stm.base_ro_commits;
       serial_commits = R.read_counter stm.c_serial_commits;
       budget_exhaustions = R.read_counter stm.c_budget_exhaustions;
       retry_waits = R.read_counter stm.c_retry_waits;
@@ -2274,13 +2393,18 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
 
   let reset_counter c = R.add_counter c (-R.read_counter c)
 
+  (* The per-thread counts are never written by another thread: a
+     reset moves their baseline instead. *)
   let reset_stats stm =
+    stm.base_starts <- sum_ctxs stm starts_of;
+    stm.base_commits <- sum_ctxs stm commits_of;
+    stm.base_ro_commits <- sum_ctxs stm ro_commits_of;
+    stm.base_fast_commits <- sum_ctxs stm fast_commits_of;
     List.iter reset_counter
       [
-        stm.c_starts; stm.c_commits; stm.c_aborts; stm.c_lock_busy;
-        stm.c_read_invalid; stm.c_window_broken; stm.c_snapshot_too_old;
-        stm.c_killed; stm.c_explicit; stm.c_cuts; stm.c_extensions;
-        stm.c_stale_reads; stm.c_fast_commits; stm.c_ro_commits;
+        stm.c_aborts; stm.c_lock_busy; stm.c_read_invalid;
+        stm.c_window_broken; stm.c_snapshot_too_old; stm.c_killed;
+        stm.c_explicit; stm.c_cuts; stm.c_extensions; stm.c_stale_reads;
         stm.c_serial_commits; stm.c_budget_exhaustions; stm.c_retry_waits;
         stm.c_parks; stm.c_wakes; stm.c_wake_timeouts; stm.c_multi_commits;
         stm.c_multi_escalations;

@@ -14,8 +14,13 @@ module type S = sig
       our case two versions were maintained”). *)
 
   type tx
-  (** An in-flight transaction, passed to every transactional
-      operation.  Obtain one with {!atomically}; never store it. *)
+  (** A handle on an in-flight transaction, passed to every
+      transactional operation.  Obtain one with {!atomically}; never
+      store it.  The descriptor behind it is pooled per thread and
+      instance and serves later calls, but the handle is stamped with
+      its own call: used between attempts, after the call, or inside a
+      later call that reuses the descriptor, it raises
+      {!Invalid_operation}. *)
 
   type abort_reason =
     | Lock_busy  (** a needed write lock was held too long *)
@@ -350,6 +355,22 @@ module type S = sig
       as [Deadline_exceeded].  Without a [budget] a multi-member call
       still escalates after its optimistic rounds and commits.  With a
       one-member list and no [bounds] it is {!try_atomically}. *)
+
+  val try_atomically_one :
+    sem:Semantics.t ->
+    label:string ->
+    ?budget:int ->
+    ?deadline:int ->
+    ?wake:(unit -> unit) ->
+    t ->
+    (unit -> 'a) ->
+    'a outcome
+  (** [try_atomically_one ~sem ~label stm f] is [try_atomically_multi
+      ~sem ~label [stm] f], and with [wake] it is
+      [try_atomically_or_wait ~sem ~label ~wake [stm] f]: the form for
+      a caller that already holds its one instance, such as a server
+      running a point request.  It builds no member list, wraps [f] in
+      no closure, and takes [sem] and [label] unboxed. *)
 
   (** {1 Waiting without blocking}
 

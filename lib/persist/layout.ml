@@ -43,12 +43,17 @@ let gen_files ~dir =
 (* The generations that have a log or a checkpoint file in [dir]. *)
 let gens ~dir = List.filter_map gen_of_name (gen_files ~dir)
 
+(* Make a rename in [dir] durable.  A failed fsync raises: the caller
+   must not delete what the rename replaced while the rename itself may
+   not be on disk. *)
 let fsync_dir dir =
   match Unix.openfile dir [ O_RDONLY ] 0 with
   | fd ->
       Fun.protect
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          try Unix.fsync fd
+          with Unix.Unix_error (e, fn, _) -> raise (Unix.Unix_error (e, fn, dir)))
   | exception Unix.Unix_error _ ->
       (* Some filesystems refuse O_RDONLY on directories; the rename
          is still atomic, we just lose the durability of the rename
@@ -80,7 +85,9 @@ let read_manifest ~dir =
 
 (* A failed write or fsync of the temporary file raises before the
    rename, so the old MANIFEST stands: renaming an unsynced file over
-   it could leave an empty MANIFEST after a crash. *)
+   it could leave an empty MANIFEST after a crash.  A failed fsync of
+   the directory raises after it, so no caller deletes the previous
+   generation's files while the rename may not be on disk. *)
 let write_manifest ~dir ~gen =
   let path = Filename.concat dir manifest_name in
   let tmp = path ^ ".tmp" in

@@ -163,8 +163,8 @@ let self_id () = (Domain.self () :> int)
 (* Thread-local storage keyed by {e systhread}, not just domain.  A
    server's event loop runs a BGSAVE's checkpoint on a second thread
    of its domain; with plain [Domain.DLS] the two threads would share
-   one [thread_ctx] — one descriptor pool, one [cur_tx] — and corrupt
-   each other's transactions.  Each domain therefore keeps a small
+   one [thread_ctx] — one descriptor free list and one stack of the
+   calls holding descriptors — and corrupt each other's transactions.  Each domain therefore keeps a small
    registry of per-thread values inside its DLS slot.
 
    Concurrency: systhreads of one domain never run in parallel (the

@@ -17,14 +17,14 @@ type t = {
   max_frame : int;  (** bytes per wire frame (header excluded) *)
   op_budget : int option;
       (** optimistic retry budget per request, single- or cross-shard,
-          mapped onto [try_atomically_multi ~budget]: a request that
+          mapped onto the request's transaction's [~budget]: a request that
           spends it is answered [EXHAUSTED].  [None] leaves the STM's
           default — the instance's [max_attempts] for one shard, 16
           rounds across shards — after which the transaction escalates
           to the serialization tokens and commits *)
   op_deadline_us : int option;
       (** per-request deadline in microseconds, single- or
-          cross-shard, mapped onto [try_atomically_multi ~deadline]; a
+          cross-shard, mapped onto its transaction's [~deadline]; a
           request still retrying when it passes is answered
           [DEADLINE].  [None] means no deadline *)
   max_waiters : int;

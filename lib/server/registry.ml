@@ -30,15 +30,17 @@
       either an error response or a {!resolved} record naming the
       {!site} (which instances are involved) and the thunk.  Blocking
       pops resolve like every other command: their thunk calls
-      [S.retry] on an empty queue, and the session runs it through
-      [S.try_atomically_or_wait], which registers the wait with a wake
-      that posts the session's resume to its own loop.  Counting a
+      [S.retry] on an empty queue, and the session runs it with a
+      [wake] ([S.try_atomically_one ~wake] on one instance), which
+      registers the wait with a wake that posts the session's resume
+      to its own loop.  Counting a
       request in INFO's [ops] is the session's job, not [resolve]'s:
       replay resolves every logged record too.
     - the thunk runs {e inside} the session's transaction, one
-      [try_atomically_multi] over the site's {!members}; the structure
-      operations it calls open nested transactions that flatten into
-      it.
+      [try_atomically_one] on a {!Single} site and one
+      [try_atomically_multi] over a {!Spanning} site's instances; the
+      structure operations it calls open nested transactions that
+      flatten into it.
 
     Pre-resolving keeps failures atomic: a [MULTI] batch either
     resolves completely or executes not at all, so no partial batch is

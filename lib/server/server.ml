@@ -286,7 +286,7 @@ let run ?registry cfg =
     | Some dir -> (
         match Persist.recover ~dir registry with
         | Ok r -> Some (dir, r)
-        | Error m -> failwith ("polytmd: recovery failed: " ^ m))
+        | Error m -> failwith ("recovery failed: " ^ m))
   in
   List.iter
     (fun (kind, name, algo) ->
@@ -310,7 +310,7 @@ let run ?registry cfg =
                 r.Persist.r_replayed r.Persist.r_ms
                 (match r.Persist.r_tear with None -> "clean" | Some m -> m);
             p
-        | Error m -> failwith ("polytmd: persistence unavailable: " ^ m))
+        | Error m -> failwith ("persistence unavailable: " ^ m))
       recovered
   in
   (* Telemetry: a lock-free ring so the request path never takes a

@@ -24,10 +24,11 @@
     run.
 
     A blocking pop ([BLPOP]/[BTAKE]) resolves like any other command
-    and runs its body through the same runner, by
-    [S.try_atomically_or_wait]: where the body's [retry] would park,
-    its wait set is registered instead, with a wake that only posts
-    the pop's resume to this session's loop ([services.post]).  The
+    and runs its body through the same runner, with a [wake]
+    ([S.try_atomically_one ~wake] on one shard): where the body's
+    [retry] would park, its wait set is registered instead, with a
+    wake that only posts the pop's resume to this session's loop
+    ([services.post]).  The
     session stays [parked] (the pipeline paused) until the resume
     cancels the wait and re-runs the body on the loop thread, which
     replies or registers again, until the loop's timer passes the
@@ -308,24 +309,26 @@ let record_latency t i t0 =
   t.mark <- now;
   t.timed <- -1
 
-(* Run [f] as one transaction of [sem] over [stms] — the members of the
-   site the registry resolved: the owner shard of a point operation, or
-   the shards a whole-structure aggregate or a [MULTI] batch spans — so
-   the nested structure operations flatten into it.  The structured
-   outcome and the semantics-violation exception become typed error
-   replies: this is where the wire meets the liveness API, and both
-   limits ([op_budget], [op_deadline_us]) apply to every request,
-   however many shards it spans, each run of a blocking pop included.
-   A structural-invariant violation surfaces here as a typed error
-   too: the exception rode the abort path out of the transaction, so
-   the attempt's effects are already discarded and the server survives
-   a corrupted node instead of dying on an assertion.  With [wake], a
+(* Run [f] as one transaction of [sem] on [site] — where the registry
+   resolved it: the owner shard of a point operation, or the shards a
+   whole-structure aggregate or a [MULTI] batch spans — so the nested
+   structure operations flatten into it.  A one-instance site takes
+   [S.try_atomically_one]: no member list, no closure around [f], no
+   boxed option.  The structured outcome and the semantics-violation
+   exception become typed error replies: this is where the wire meets
+   the liveness API, and both limits ([op_budget], [op_deadline_us])
+   apply to every request, however many shards it spans, each run of a
+   blocking pop included.  A structural-invariant violation surfaces
+   here as a typed error too: the exception rode the abort path out of
+   the transaction, so the attempt's effects are already discarded and
+   the server survives a corrupted node instead of dying on an
+   assertion.  With [wake], a
    body that retries registers its wait with it and this raises
    [S.Waiting].  The deadline counts from the request's start,
    [t.mark].  The request is marked timed unless [timed] is false, and
    its latency is recorded once its reply is encoded ({!admit}); a
    blocking pop records its own, once it replies. *)
-let run_tx t ~stms ~sem ~label ?(timed = true) ?budget ?deadline_us ?wake
+let run_tx t ~site ~sem ~label ?(timed = true) ?budget ?deadline_us ?wake
     (f : unit -> Wire.response) : Wire.response =
   let budget = match budget with Some _ as b -> b | None -> t.limits.op_budget in
   let deadline_us =
@@ -336,9 +339,12 @@ let run_tx t ~stms ~sem ~label ?(timed = true) ?budget ?deadline_us ?wake
   in
   let resp =
     match
-      match wake with
-      | None -> S.try_atomically_multi ?budget ?deadline ~sem ~label stms f
-      | Some wake ->
+      match (site, wake) with
+      | Registry.Single stm, _ ->
+          S.try_atomically_one ~sem ~label ?budget ?deadline ?wake stm f
+      | Registry.Spanning stms, None ->
+          S.try_atomically_multi ?budget ?deadline ~sem ~label stms f
+      | Registry.Spanning stms, Some wake ->
           S.try_atomically_or_wait ?budget ?deadline ~sem ~label ~wake stms f
     with
     | S.Committed r -> r
@@ -353,6 +359,14 @@ let run_tx t ~stms ~sem ~label ?(timed = true) ?budget ?deadline_us ?wake
   if timed then t.timed <- sem_index sem;
   resp
 
+(* A loop, where [List.iter (Registry.touch t.reg)] would build a
+   closure per request. *)
+let rec touch_all reg = function
+  | [] -> ()
+  | r :: rest ->
+      Registry.touch reg r;
+      touch_all reg rest
+
 (* Dirty marks for watchers, made after the mutation's commit (the
    data commit must precede the notification — see the registry).  An
    error reply means nothing committed and a [Nil] one that a pop took
@@ -360,14 +374,14 @@ let run_tx t ~stms ~sem ~label ?(timed = true) ?budget ?deadline_us ?wake
 let touch_committed t (resolved : Registry.resolved list) resp =
   match resp with
   | Wire.Error _ | Wire.Nil -> ()
-  | _ -> List.iter (Registry.touch t.reg) resolved
+  | _ -> touch_all t.reg resolved
 
 (* One request's transaction over resolved commands [rs]: arm the op
    log with [cmds], run [f] through [run_tx], and mark the watchers of
    what it mutated once it committed. *)
-let exec_tx t ?timed ?wake ~cmds ~stms ~sem ~label rs f =
+let exec_tx t ?timed ?wake ~cmds ~site ~sem ~label rs f =
   let armed = arm_persist t cmds in
-  match run_tx t ~stms ~sem ~label ?timed ?wake f with
+  match run_tx t ~site ~sem ~label ?timed ?wake f with
   | resp ->
       finish_persist t armed;
       touch_committed t rs resp;
@@ -424,11 +438,12 @@ let exec_multi_end t =
             (* One transaction over every command's members (the STM
                drops duplicates); the thunks flatten into it. *)
             exec_tx t ~cmds
-              ~stms:
-                (List.concat_map
-                   (fun (r : Registry.resolved) ->
-                     Registry.members r.Registry.site)
-                   rs)
+              ~site:
+                (Registry.Spanning
+                   (List.concat_map
+                      (fun (r : Registry.resolved) ->
+                        Registry.members r.Registry.site)
+                      rs))
               ~sem ~label:(label_of Wire.Multi_end sem) rs
               (fun () ->
                 Wire.Array
@@ -522,7 +537,7 @@ let exec_request t (r : Wire.request) : Wire.response =
            exercisable deterministically. *)
         let stm = Registry.stm_for t.reg (Registry.default_algo t.reg) in
         let budget = Some (Option.value budget ~default:2) in
-        run_tx t ~stms:[ stm ] ~sem:Polytm.Semantics.Classic
+        run_tx t ~site:(Registry.Single stm) ~sem:Polytm.Semantics.Classic
           ~label:(label_of r.cmd Polytm.Semantics.Classic)
           ?budget ?deadline_us
           (fun () -> S.atomically stm S.abort)
@@ -531,9 +546,13 @@ let exec_request t (r : Wire.request) : Wire.response =
       | Error e -> e
       | Ok res ->
           let sem = sem_of r in
-          exec_tx t ~cmds:[ cmd ]
-            ~stms:(Registry.members res.Registry.site)
-            ~sem ~label:(label_of cmd sem) [ res ] res.Registry.run)
+          (* A read has nothing to log and no watcher to mark: it
+             passes empty lists, which cost no allocation. *)
+          exec_tx t
+            ~cmds:(if Wire.is_mutation cmd then [ cmd ] else [])
+            ~site:res.Registry.site ~sem ~label:(label_of cmd sem)
+            (if res.Registry.mutates then [ res ] else [])
+            res.Registry.run)
 
 (* SNAPSHOT-ITER outside MULTI: the zero-copy path.  The registry's
    encoder thunk streams each element into [t.scratch] during the
@@ -550,7 +569,7 @@ let exec_snapshot_iter t (r : Wire.request) =
          every error reply is an [Error]. *)
       let enc = Registry.stream res.Registry.slot t.scratch in
       match
-        run_tx t ~stms:(Registry.members res.Registry.site) ~sem
+        run_tx t ~site:res.Registry.site ~sem
           ~label:(label_of r.cmd sem) (fun () -> Wire.Int (enc ()))
       with
       | Wire.Int count ->
@@ -796,7 +815,7 @@ and exec_pop t (r : Wire.request) name timeout_ms : [ `Done | `Parked ] =
       let sem = sem_of r and t0 = t.mark in
       let run ~wake =
         exec_tx t ~timed:false ~wake ~cmds:[ Wire.Deq name ]
-          ~stms:(Registry.members res.Registry.site)
+          ~site:res.Registry.site
           ~sem ~label:(label_of r.cmd sem) [ res ] res.Registry.run
       in
       let deadline =

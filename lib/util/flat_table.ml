@@ -176,22 +176,17 @@ let inserted_ascending t =
   done;
   !ok
 
-let iter_ascending f t =
-  if t.count = 1 then f t.keys.(0) t.vals.(0)
-  else if t.count > 1 then
-    if inserted_ascending t then iter f t
-    else begin
-      if Array.length t.order < t.count then
-        t.order <- Array.make (Array.length t.keys) 0;
-      for i = 0 to t.count - 1 do
-        t.order.(i) <- i
-      done;
-      sort_range t.keys t.order 0 (t.count - 1);
-      for i = 0 to t.count - 1 do
-        let e = t.order.(i) in
-        f t.keys.(e) t.vals.(e)
-      done
-    end
+(* The entry indices in ascending key order, in the first [count]
+   cells of the reused scratch array: no allocation once it has grown
+   to the table's capacity. *)
+let ascending t =
+  if Array.length t.order < t.count then
+    t.order <- Array.make (Array.length t.keys) 0;
+  for i = 0 to t.count - 1 do
+    t.order.(i) <- i
+  done;
+  if not (inserted_ascending t) then sort_range t.keys t.order 0 (t.count - 1);
+  t.order
 
 let recompute_signature t =
   let s = ref 0 in

@@ -11,9 +11,9 @@
       values can be updated in place through {!set_at} without
       re-hashing, and a savepoint is just the current {!length} plus
       the saved values;
-    - {!iter_ascending} visits entries in ascending key order (the
-      STM's deadlock-free lock-acquisition order) using a reusable
-      scratch array — no per-commit allocation;
+    - {!ascending} lists the entries in ascending key order (the
+      STM's deadlock-free lock-acquisition order) in a reusable scratch
+      array — no per-commit allocation;
     - {!reset} and {!truncate} keep the backing stores, so a retrying
       transaction reuses its descriptor.
 
@@ -58,8 +58,12 @@ val set_at : 'a t -> int -> 'a -> unit
 val iter : (int -> 'a -> unit) -> 'a t -> unit
 (** Insertion order. *)
 
-val iter_ascending : (int -> 'a -> unit) -> 'a t -> unit
-(** Ascending key order (commit-time lock acquisition). *)
+val ascending : 'a t -> int array
+(** The entry indices in ascending key order (commit-time lock
+    acquisition): the first {!length} cells of the returned array,
+    which is scratch owned by the table — reused by the next call,
+    valid until the table next changes.  The loop a caller writes over
+    it allocates no closure. *)
 
 val truncate : 'a t -> int -> unit
 (** Drop every entry with index >= [n] (savepoint rollback), rebuild

@@ -258,6 +258,49 @@ let test_hook_running_transaction_keeps_remaining_hooks () =
   Alcotest.(check int) "hook transactions committed" 2
     (S.atomically stm (fun tx -> S.read tx v))
 
+(* The cross-instance counterpart: a hook on one member that runs a
+   transaction on another member must not drop the hooks registered
+   there.  Each call holds its descriptors until every member's hooks
+   have run, so the hook's transaction gets a descriptor of its own;
+   when member 0's hooks ran before member 1's were taken, the hook's
+   transaction re-armed member 1's pooled stores and cleared them. *)
+let test_cross_instance_hook_keeps_other_members_hooks () =
+  let a = S.create () and b = S.create () in
+  let va = S.tvar a 0 and vb = S.tvar b 0 in
+  let trace = ref [] in
+  let log tag () = trace := tag :: !trace in
+  let write_b tag () =
+    trace := tag :: !trace;
+    S.atomically b (fun tx -> S.write tx vb (S.read tx vb + 1))
+  in
+  (* Commit path. *)
+  S.atomically_multi [ a; b ] (fun () ->
+      S.atomically a (fun tx ->
+          S.on_cleanup tx (write_b "fin-a");
+          S.write tx va 1);
+      S.atomically b (fun tx ->
+          S.on_cleanup tx (log "fin-b");
+          S.write tx vb 1));
+  Alcotest.(check (list string))
+    "both members' finalisers run" [ "fin-a"; "fin-b" ] (List.rev !trace);
+  Alcotest.(check int) "the hook's transaction committed" 2
+    (S.atomically b (fun tx -> S.read tx vb));
+  (* Abort path. *)
+  trace := [];
+  (try
+     S.atomically_multi [ a; b ] (fun () ->
+         S.atomically a (fun tx -> S.on_abort tx (write_b "undo-a"));
+         S.atomically b (fun tx ->
+             S.on_abort tx (log "undo-b");
+             S.on_cleanup tx (log "fin-b"));
+         raise Injected)
+   with Injected -> ());
+  Alcotest.(check (list string))
+    "both members' compensations and finalisers run"
+    [ "undo-a"; "undo-b"; "fin-b" ] (List.rev !trace);
+  Alcotest.(check int) "the compensation's transaction committed" 3
+    (S.atomically b (fun tx -> S.read tx vb))
+
 (* Abort accounting — history record, counters, telemetry — must be
    complete before the lifecycle hooks run: a hook may itself raise,
    and the attempt must not vanish from the books because of it.  The
@@ -386,6 +429,9 @@ let suite =
         test_hook_ordering_on_injected_raise;
       Alcotest.test_case "hook running a transaction keeps remaining hooks"
         `Quick test_hook_running_transaction_keeps_remaining_hooks;
+      Alcotest.test_case
+        "a hook's transaction on another member keeps that member's hooks"
+        `Quick test_cross_instance_hook_keeps_other_members_hooks;
       Alcotest.test_case "usable after exhaustion" `Quick
         test_stm_usable_after_exhaustion;
       Alcotest.test_case "list ops aborted midway" `Quick

@@ -130,6 +130,13 @@ let model_put model k v =
     List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) model
   else model @ [ (k, v) ]
 
+(* The bindings in the order [Flat_table.ascending] lists them. *)
+let ascending_bindings t =
+  let order = Flat_table.ascending t in
+  List.init (Flat_table.length t) (fun i ->
+      let e = order.(i) in
+      (Flat_table.key_at t e, Flat_table.value_at t e))
+
 let tbl_agrees t model =
   Flat_table.length t = List.length model
   && Flat_table.is_empty t = (model = [])
@@ -144,10 +151,8 @@ let tbl_agrees t model =
    Flat_table.iter (fun k v -> got := (k, v) :: !got) t;
    List.rev !got = model)
   && (* ascending key order, no duplicates *)
-  (let got = ref [] in
-   Flat_table.iter_ascending (fun k v -> got := (k, v) :: !got) t;
-   List.rev !got
-   = List.sort (fun (a, _) (b, _) -> Int.compare a b) model)
+  ascending_bindings t
+  = List.sort (fun (a, _) (b, _) -> Int.compare a b) model
 
 let tbl_step t model op =
   match op with
@@ -195,14 +200,13 @@ let test_tbl_negative_key () =
 
 let test_tbl_sparse_keys () =
   (* Large, widely spread keys: exercises the hash mixing and the
-     quicksort path of iter_ascending (> 8 entries). *)
+     quicksort path of [ascending] (> 8 entries). *)
   let t = Flat_table.create 0 in
   let keys = List.init 64 (fun i -> ((i * 7919) lxor (i lsl 13)) land 0xFFFFF) in
   List.iter (fun k -> ignore (Flat_table.put t k (k * 2))) keys;
   let sorted = List.sort_uniq Int.compare keys in
-  let got = ref [] in
-  Flat_table.iter_ascending (fun k _ -> got := k :: !got) t;
-  Alcotest.(check (list int)) "ascending visit" sorted (List.rev !got);
+  Alcotest.(check (list int)) "ascending visit" sorted
+    (List.map fst (ascending_bindings t));
   List.iter
     (fun k ->
       let e = Flat_table.find t k in

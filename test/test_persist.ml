@@ -1287,6 +1287,20 @@ let test_bad_checkpoint_applies_nothing () =
   in
   refused "a CRC mismatch in the last body record" flipped "crc-mismatch"
 
+(* ---- a failed directory fsync raises ------------------------------------ *)
+
+(* The rename that publishes a MANIFEST is durable only once its
+   directory is synced.  A failed sync must raise, so that neither a
+   BGSAVE nor an activation goes on to delete the previous generation's
+   files.  procfs opens a directory but refuses to fsync it (EINVAL). *)
+let test_fsync_dir_raises () =
+  match P.Layout.fsync_dir "/proc/self" with
+  | () -> Alcotest.fail "a failed directory fsync returned normally"
+  | exception Unix.Unix_error (_, fn, arg) ->
+      Alcotest.(check (pair string string))
+        "the error names the call and the directory" ("fsync", "/proc/self")
+        (fn, arg)
+
 (* ---- a lost or torn MANIFEST refuses and removes nothing ---------------- *)
 
 (* A store whose MANIFEST was deleted, or left 0 bytes long, still
@@ -1950,6 +1964,8 @@ let suite =
         test_bad_checkpoint_applies_nothing;
       Alcotest.test_case "a lost or torn MANIFEST refuses and removes nothing"
         `Quick test_lost_manifest_refuses;
+      Alcotest.test_case "a failed directory fsync raises" `Quick
+        test_fsync_dir_raises;
       Alcotest.test_case "a failed log write keeps its records" `Quick
         test_aof_failed_write;
       Alcotest.test_case "a failed tick sync is counted and retried" `Quick

@@ -1641,20 +1641,24 @@ let test_steady_state_allocation () =
   let get_words =
     alloc_words_per_op ~warm_rounds:2 ~rounds:4 seed_and_get (n + 1)
   in
-  (* measured 93.8 words/op of decode + transaction machinery (113.8
-     with a cursor, a boxed frame bound and a queue cell per request,
-     and a second clock read; 138.3 with the field-list parser); one
+  (* measured 62.3 words/op of decode + transaction machinery (93.8
+     when every call built its descriptor, member list and run record,
+     boxed its options and wrapped the request's thunk; 113.8 with a
+     cursor, a boxed frame bound and a queue cell per request, and a
+     second clock read; 138.3 with the field-list parser); one
      per-frame copy of the 1 KiB payload alone is ~128 words more *)
-  if get_words > 96.0 then
-    Alcotest.failf "GET(1KiB) path allocates %.1f words/op (budget 96)"
+  if get_words > 64.5 then
+    Alcotest.failf "GET(1KiB) path allocates %.1f words/op (budget 64.5)"
       get_words;
   (* four GET ~elastic to one PUT ~classic of a small value over 64
-     keys, as the point workload sends them: measured 99.4 words/op
-     (100.3 when every write commit kept a backup of the leaf it
-     overwrote; 120.3 with a cursor, a boxed frame bound and a queue
-     cell per request, and two clock reads; 152.6 with the field-list
-     parser, the histogram's boxed sum and the label table's
-     hashing) *)
+     keys, as the point workload sends them: measured 67.5 words/op
+     (99.4 when every call built its descriptor, member list and run
+     record, boxed its options and wrapped the request's thunk, and a
+     commit built closures for its write set; 100.3 when every write
+     commit kept a backup of the leaf it overwrote; 120.3 with a
+     cursor, a boxed frame bound and a queue cell per request, and two
+     clock reads; 152.6 with the field-list parser, the histogram's
+     boxed sum and the label table's hashing) *)
   let point =
     encode
       (List.init n (fun i ->
@@ -1663,8 +1667,8 @@ let test_steady_state_allocation () =
            else req ~hint:Sem.Elastic (Wire.Get ("m", i * 7 mod 64))))
   in
   let point_words = alloc_words_per_op ~warm_rounds:2 ~rounds:4 point n in
-  if point_words > 101.1 then
-    Alcotest.failf "point mix allocates %.1f words/op (budget 101.1)"
+  if point_words > 69.2 then
+    Alcotest.failf "point mix allocates %.1f words/op (budget 69.2)"
       point_words;
   (* the durable mix with the op log on (fsync everysec): GET ~elastic,
      PUT ~classic and DEL ~classic over 64 keys, half the DELs of an
@@ -1694,13 +1698,15 @@ let test_steady_state_allocation () =
       (fun () ->
         alloc_words_per_op ~persist_dir:dir ~warm_rounds:2 ~rounds:4 durable n)
   in
-  (* measured 104.6 words/op, what the same batch allocates with the
-     log off; 106.3 when every write commit kept a backup of what it
+  (* measured 71.7 words/op, what the same batch allocates with the
+     log off (104.6 when every call built its descriptor, member list
+     and run record, boxed its options and wrapped the request's
+     thunk; 106.3 when every write commit kept a backup of what it
      overwrote; 126.3 with a cursor, a boxed frame bound and a queue
      cell per request, and two clock reads; 137.6 when the log was
-     armed with a payload string *)
-  if durable_words > 106.3 then
-    Alcotest.failf "durable mix allocates %.1f words/op (budget 106.3)"
+     armed with a payload string) *)
+  if durable_words > 73.4 then
+    Alcotest.failf "durable mix allocates %.1f words/op (budget 73.4)"
       durable_words
 
 (* A pop's run and a watch's take-dirty run, each with a wake through

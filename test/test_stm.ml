@@ -253,6 +253,76 @@ let test_tx_escape_detected () =
       in
       Alcotest.(check bool) "escaped handle rejected" true rejected
 
+(* Descriptors are pooled per thread and instance, so a later call on
+   the same thread and instance runs on the very descriptor an escaped
+   handle points to, live again.  The handle's stamp is its call's, so
+   it stays dead. *)
+let test_escaped_handle_dead_across_calls () =
+  let stm = S.create () in
+  let v = S.tvar stm 0 in
+  let rejects what f =
+    match f () with
+    | () -> Alcotest.failf "%s through a stale handle was accepted" what
+    | exception S.Invalid_operation _ -> ()
+  in
+  let all_rejected stale =
+    S.atomically stm (fun tx ->
+        rejects "read" (fun () -> ignore (S.read stale v));
+        rejects "write" (fun () -> S.write stale v 7);
+        rejects "on_cleanup" (fun () -> S.on_cleanup stale ignore);
+        rejects "retry" (fun () -> S.retry stale);
+        S.write tx v (S.read tx v + 1))
+  in
+  let escaped = ref None in
+  S.atomically stm (fun tx -> escaped := Some tx);
+  all_rejected (Option.get !escaped);
+  (* A flat-nested call's handle, once its outer call has ended. *)
+  S.atomically stm (fun _ ->
+      S.atomically stm ~sem:Semantics.Elastic (fun tx -> escaped := Some tx));
+  all_rejected (Option.get !escaped);
+  Alcotest.(check int) "only the live handles wrote" 2
+    (S.atomically stm (fun tx -> S.read tx v))
+
+(* What one call allocates, in minor-heap words, on real domains: a
+   call takes a pooled descriptor, so what is left is the body's
+   three-word handle, the [Committed] box, the caller's closure over
+   the tvar, and what a write adds — its write-set entry and the
+   closure the write table's insert builds, the attempt's owner (made
+   at its first lock), the lock word, the new versioned value and the
+   unlock word.  The thunk form on one member
+   allocates neither a handle nor a wrapper: the [Committed] box and
+   the caller's member list.  A pooled descriptor's sets are grown by
+   the first calls, so the count starts after those. *)
+module SD = Polytm.Stm.Make (Polytm_runtime.Domain_runtime)
+
+let test_call_allocation () =
+  let stm = SD.create () in
+  let v = SD.tvar stm 0 in
+  let words f =
+    for _ = 1 to 10 do
+      f ()
+    done;
+    let n = 10_000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    Float.to_int (Float.round ((Gc.minor_words () -. w0) /. float_of_int n))
+  in
+  let sem = Semantics.Classic and label = "point" in
+  let thunk () = () in
+  Alcotest.(check int) "empty atomically" 5
+    (words (fun () -> SD.atomically stm (fun _ -> ())));
+  Alcotest.(check int) "one read" 9
+    (words (fun () -> ignore (SD.atomically stm (fun tx -> SD.read tx v))));
+  Alcotest.(check int) "one write" 33
+    (words (fun () -> SD.atomically stm (fun tx -> SD.write tx v 1)));
+  Alcotest.(check int) "one-member try_atomically_multi" 5
+    (words (fun () ->
+         ignore (SD.try_atomically_multi ~sem ~label [ stm ] thunk)));
+  Alcotest.(check int) "try_atomically_one" 2
+    (words (fun () -> ignore (SD.try_atomically_one ~sem ~label stm thunk)))
+
 let test_snapshot_write_rejected () =
   let stm = S.create () in
   let v = S.tvar stm 0 in
@@ -1173,6 +1243,9 @@ let suite =
       Alcotest.test_case "nested atomically flattens" `Quick
         test_nested_atomically_flattens;
       Alcotest.test_case "escaped tx rejected" `Quick test_tx_escape_detected;
+      Alcotest.test_case "escaped handle stays dead across calls" `Quick
+        test_escaped_handle_dead_across_calls;
+      Alcotest.test_case "what one call allocates" `Quick test_call_allocation;
       Alcotest.test_case "snapshot write rejected" `Quick
         test_snapshot_write_rejected;
       Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
