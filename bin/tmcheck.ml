@@ -137,7 +137,7 @@ module AM = Polytm_structs.Adapters.Make (Polytm_runtime.Sim_runtime)
    the two writes atomically.  [stabilize:false] creates both shards
    with the [`No_stabilize] fault, which skips the bound vector's
    re-check pass, deliberately reintroducing the torn read for the
-   [--expect-violation] self-test. *)
+   self-test. *)
 let shard_2pc_program ~algo ~stabilize () =
   let fault = if stabilize then None else Some `No_stabilize in
   let s0 = AM.S.create ~cm:Polytm.Contention.Suicide ~algo ?fault () in
@@ -171,8 +171,7 @@ let shard_2pc_program ~algo ~stabilize () =
    that saw no snapshot running and so kept no backup drew its version
    before any later snapshot drew its bound.  [early:true] builds the
    store with the [`Early_backup_check] fault, which reads the count
-   before the version is drawn, for the [--expect-violation]
-   self-test.
+   before the version is drawn, for the self-test.
 
    Under TL2 a snapshot read of a location that an in-flight commit
    has locked spins until the write-back, and the explorer prunes a
@@ -209,13 +208,13 @@ let snapshot_backup_program ~algo ~early () =
   assert ((AM.S.stats stm).AM.S.snapshot_too_old = 0)
 
 (* The registering wait (DESIGN.md §S19): a loop-like thread runs a
-   blocking dequeue through [try_atomically_or_wait].  When it gets a
-   wait back it parks on its own parker, as an event loop blocks in
+   blocking dequeue through [try_atomically_one ~wake].  When it gets
+   a wait back it parks on its own parker, as an event loop blocks in
    [select], and the wake unparks it, as a post writes the loop's wake
    pipe; on waking it cancels the wait and re-runs.  A producer's
    commit races the window between the empty read and the
    registration.  [fault] builds the store with
-   [`Skip_wake_validation] for the [--expect-violation] self-test. *)
+   [`Skip_wake_validation] for the self-test. *)
 let loop_wait_program ?fault () =
   let stm = AM.S.create ~cm:Polytm.Contention.Suicide ?fault () in
   let q = AM.Queue.create stm in
@@ -223,9 +222,9 @@ let loop_wait_program ?fault () =
   let got = ref None in
   let rec serve () =
     match
-      AM.S.try_atomically_or_wait
+      AM.S.try_atomically_one ~sem:Polytm.Semantics.Classic ~label:""
         ~wake:(fun () -> R.unpark loop)
-        [ stm ]
+        stm
         (fun () -> AM.S.atomically stm (fun tx -> AM.Queue.take_tx tx q))
     with
     | outcome -> got := Some outcome
@@ -241,10 +240,15 @@ let loop_wait_program ?fault () =
   assert (!got = Some (AM.S.Committed 7));
   assert (AM.S.waiting stm = 0)
 
-let scenarios : (string * string * (unit -> unit)) list =
+(* A scenario's expected verdict: no schedule violates it, or, for a
+   self-test of a deliberately broken store, some schedule does. *)
+type verdict = Holds | Violated
+
+let scenarios : (string * string * verdict * (unit -> unit)) list =
   [
     ( "stm-increments",
       "two concurrent transactional increments never lose an update",
+      Holds,
       fun () ->
         let stm = AM.S.create ~cm:Polytm.Contention.Suicide () in
         let v = AM.S.tvar stm 0 in
@@ -257,6 +261,7 @@ let scenarios : (string * string * (unit -> unit)) list =
         assert (AM.S.atomically stm (fun tx -> AM.S.read tx v) = 2) );
     ( "elastic-adjacent-removes",
       "adjacent removes on the elastic list leave exactly the third element",
+      Holds,
       fun () ->
         let stm = AM.S.create ~cm:Polytm.Contention.Suicide () in
         let t = AM.List_set.create ~parse_sem:Polytm.Semantics.Elastic stm in
@@ -270,6 +275,7 @@ let scenarios : (string * string * (unit -> unit)) list =
         assert (AM.List_set.to_list t = [ 3 ]) );
     ( "lockfree-add-remove",
       "the Harris list stays correct under a concurrent add and remove",
+      Holds,
       fun () ->
         let t = AM.Lockfree.create () in
         ignore (AM.Lockfree.add t 1);
@@ -282,6 +288,7 @@ let scenarios : (string * string * (unit -> unit)) list =
     ( "retry-lost-wakeup",
       "a blocking dequeue races a producer's commit into the \
        read-empty/park window and never misses the wakeup",
+      Holds,
       fun () ->
         let stm = AM.S.create ~cm:Polytm.Contention.Suicide () in
         let q = AM.Queue.create stm in
@@ -292,9 +299,10 @@ let scenarios : (string * string * (unit -> unit)) list =
         Sim.join p;
         assert (!got = Some 7) );
     ( "retry-lost-wakeup-broken",
-      "self-test, run with --expect-violation: a waiter that skips the \
+      "self-test: a waiter that skips the \
        pre-park re-validation misses a commit that lands before its \
        registration and parks forever (deadlock)",
+      Violated,
       fun () ->
         let stm =
           AM.S.create ~cm:Polytm.Contention.Suicide
@@ -312,110 +320,137 @@ let scenarios : (string * string * (unit -> unit)) list =
        the STM, blocks on its own parker and re-runs on the wake; a \
        producer's commit races the register/revalidate window and the \
        wake is never lost",
+      Holds,
       fun () -> loop_wait_program () );
     ( "retry-loop-wake-broken",
-      "self-test, run with --expect-violation: retry-loop-wake on a store \
+      "self-test: retry-loop-wake on a store \
        whose registration skips the re-validation misses a commit that \
        lands before it and blocks forever (deadlock)",
+      Violated,
       fun () -> loop_wait_program ~fault:`Skip_wake_validation () );
     ( "shard-2pc",
       "a cross-shard transaction writing two shards is never read torn: \
        a concurrent spanning snapshot sees neither write or both, under \
        every schedule of the two-phase commit window",
+      Holds,
       fun () -> shard_2pc_program ~algo:`Tl2 ~stabilize:true () );
     ( "shard-2pc-broken",
-      "self-test, run with --expect-violation: a spanning snapshot that \
+      "self-test: a spanning snapshot that \
        skips the bound vector's re-check pass can collect one shard's \
        clock before a cross-shard commit and the other's after it, \
        observing the torn intermediate state",
+      Violated,
       fun () -> shard_2pc_program ~algo:`Tl2 ~stabilize:false () );
     ( "shard-2pc-norec",
       "shard-2pc over NORec shards: the commit seizes each shard's \
        sequence lock instead of locking locations",
+      Holds,
       fun () -> shard_2pc_program ~algo:`Norec ~stabilize:true () );
     ( "shard-2pc-norec-broken",
-      "self-test, run with --expect-violation: shard-2pc-broken over \
+      "self-test: shard-2pc-broken over \
        NORec shards",
+      Violated,
       fun () -> shard_2pc_program ~algo:`Norec ~stabilize:false () );
     ( "snapshot-backup",
       "a write commit that saw no snapshot running keeps no backup, yet \
        a snapshot reading both of its locations across a preemption \
        point reads a consistent pair and never aborts as too old",
+      Holds,
       fun () -> snapshot_backup_program ~algo:`Tl2 ~early:false () );
     ( "snapshot-backup-broken",
-      "self-test, run with --expect-violation: a writer that reads the \
+      "self-test: a writer that reads the \
        snapshot count before its clock fetch-and-add drops the backup a \
        snapshot starting in between needs",
+      Violated,
       fun () -> snapshot_backup_program ~algo:`Tl2 ~early:true () );
     ( "snapshot-backup-norec",
       "snapshot-backup over NORec: the write version is fixed by the \
        sequence-lock CAS",
+      Holds,
       fun () -> snapshot_backup_program ~algo:`Norec ~early:false () );
     ( "snapshot-backup-norec-broken",
-      "self-test, run with --expect-violation: snapshot-backup-broken \
+      "self-test: snapshot-backup-broken \
        over NORec, the count read before the sequence-lock CAS",
+      Violated,
       fun () -> snapshot_backup_program ~algo:`Norec ~early:true () );
   ]
 
 let scenario_t =
   let parse s =
-    match List.find_opt (fun (n, _, _) -> n = s) scenarios with
+    match List.find_opt (fun (n, _, _, _) -> n = s) scenarios with
     | Some sc -> Ok sc
     | None ->
         Error
           (`Msg
              (Printf.sprintf "unknown scenario %S; available: %s" s
-                (String.concat ", " (List.map (fun (n, _, _) -> n) scenarios))))
+                (String.concat ", "
+                   (List.map (fun (n, _, _, _) -> n) scenarios))))
   in
-  let print ppf (n, _, _) = Format.pp_print_string ppf n in
+  let print ppf (n, _, _, _) = Format.pp_print_string ppf n in
   Arg.(
-    required
+    value
     & pos 0 (some (conv (parse, print))) None
-    & info [] ~docv:"SCENARIO" ~doc:"Scenario name (see command doc).")
+    & info [] ~docv:"SCENARIO"
+        ~doc:"Scenario name (see command doc); every scenario if omitted.")
 
 let explore_cmd =
-  let run (name, doc, program) max_executions expect_violation =
+  (* Whether the scenario's verdict is the one it expects. *)
+  let check max_executions (name, doc, expect, program) =
     Format.printf "scenario %s: %s@." name doc;
-    match
-      Explore.check ~max_executions ~max_depth:120 ~step_limit:2_000 program
-    with
-    | outcome ->
-        Format.printf "explored %d schedules%s — no violation@."
-          outcome.Explore.executions
-          (if outcome.Explore.truncated then " (bounded)" else " (complete)");
-        if expect_violation then begin
-          Format.printf "ERROR: expected a violation but none was found@.";
-          exit 1
-        end
-    | exception Explore.Violation { schedule; exn } ->
-        Format.printf "VIOLATION (%s) under schedule [%s]@."
-          (Printexc.to_string exn)
-          (String.concat "; "
-             (List.map string_of_int (Array.to_list schedule)));
-        if expect_violation then
-          Format.printf
-            "violation observed, as expected: the checker has teeth@."
-        else exit 1
+    let verdict =
+      match
+        Explore.check ~max_executions ~max_depth:120 ~step_limit:2_000 program
+      with
+      | outcome ->
+          Format.printf "explored %d schedules%s — no violation@."
+            outcome.Explore.executions
+            (if outcome.Explore.truncated then " (bounded)" else " (complete)");
+          Holds
+      | exception Explore.Violation { schedule; exn } ->
+          Format.printf "VIOLATION (%s) under schedule [%s]@."
+            (Printexc.to_string exn)
+            (String.concat "; "
+               (List.map string_of_int (Array.to_list schedule)));
+          Violated
+    in
+    match (expect, verdict) with
+    | Holds, Holds -> true
+    | Violated, Violated ->
+        Format.printf
+          "violation observed, as expected: the checker has teeth@.";
+        true
+    | Violated, Holds ->
+        Format.printf "ERROR: %s: expected a violation but none was found@."
+          name;
+        false
+    | Holds, Violated ->
+        Format.printf "ERROR: %s: a schedule violates it@." name;
+        false
+  in
+  let run scenario max_executions =
+    let chosen = match scenario with Some sc -> [ sc ] | None -> scenarios in
+    match List.filter (fun sc -> not (check max_executions sc)) chosen with
+    | [] ->
+        Format.printf "explore: %d scenario(s), every verdict as expected@."
+          (List.length chosen)
+    | failed ->
+        Format.printf "explore: unexpected verdict in %s@."
+          (String.concat ", " (List.map (fun (n, _, _, _) -> n) failed));
+        exit 1
   in
   let max_t =
     Arg.(value & opt int 100_000 & info [ "max-executions" ] ~docv:"N")
-  in
-  let expect_violation_t =
-    Arg.(
-      value & flag
-      & info [ "expect-violation" ]
-          ~doc:
-            "Invert the exit status: succeed only if the explorer finds a \
-             violating schedule (self-test of deliberately broken \
-             scenarios).")
   in
   Cmd.v
     (Cmd.info "explore"
        ~doc:
          (Printf.sprintf
-            "Exhaustively model-check a scenario.  Scenarios: %s."
-            (String.concat ", " (List.map (fun (n, _, _) -> n) scenarios))))
-    Term.(const run $ scenario_t $ max_t $ expect_violation_t)
+            "Exhaustively model-check a scenario, or every scenario, and \
+             fail on any verdict other than the scenario's expected one \
+             (a scenario named *-broken is a self-test that must be \
+             caught).  Scenarios: %s."
+            (String.concat ", " (List.map (fun (n, _, _, _) -> n) scenarios))))
+    Term.(const run $ scenario_t $ max_t)
 
 (* ---- record & verify ---------------------------------------------------- *)
 

@@ -88,6 +88,13 @@
     publish-all-before-release-any, a snapshot's bound vector and an
     early escalation to the serialization tokens.
 
+    {b Blocking retry} (DESIGN.md, S18).  [retry] aborts the attempt
+    and waits until a commit writes what it read.  Every wait is one
+    [wait] record, registered and re-validated by one step
+    ([register_wait]): a blocking call's wake unparks its thread, and
+    [try_atomically_one ~wake], the one form that takes a wake, hands
+    the wait back to its caller (an event loop) instead of parking.
+
     Extensions beyond the paper's core proposal, all exposed through
     {!Stm_intf.S}: [orelse] alternatives, early release, lifecycle
     hooks (compensations and finalisers, the basis of transactional
@@ -253,9 +260,9 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
             serialization tokens rather than giving up *)
     mutable irrevocable : bool;  (** holds the tokens from the first attempt *)
     mutable wake : unit -> unit;
-        (** [try_atomically_or_wait]: a [retry] registers a wait with
-            this wake and returns it instead of parking; {!no_wake}
-            parks *)
+        (** [try_atomically_one ~wake]: a [retry] registers its wait
+            with this wake and returns it instead of parking;
+            {!no_wake} parks *)
   }
 
   and t = {
@@ -352,10 +359,8 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     mutable descs : desc array;
     mutable held : int;
     parker : R.parker;
-    waiter : Wq.waiter;
-        (** a blocking park's waiter, whose wake unparks [parker]:
-            flat nesting means at most one park per thread per
-            instance *)
+        (** what a blocking [retry] parks on: flat nesting means at
+            most one park per thread per instance *)
     mutable early_backups : bool;
         (** [`Early_backup_check] only: the snapshot count as read
             before this thread's write version was drawn *)
@@ -380,13 +385,11 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
   (* A thread's first touch of an instance: an empty free list (the
      first call creates its descriptor), registered for [stats]. *)
   let new_ctx ctxs =
-    let parker = R.parker () in
     let ctx =
       {
         descs = [||];
         held = 0;
-        parker;
-        waiter = Wq.waiter (fun () -> R.unpark parker);
+        parker = R.parker ();
         early_backups = false;
         starts = 0;
         commits = 0;
@@ -997,18 +1000,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     let ub = tx.snapshot_ub in
     let d = R.get v.data in
     let value =
-      if d.version > ub then
-        let rec from_chain = function
-          | [] -> abort_with Snapshot_too_old
-          | (v, ver) :: rest ->
-              if ver <= ub then begin
-                R.add_counter tx.stm.c_stale_reads 1;
-                v
-              end
-              else from_chain rest
-        in
-        from_chain d.older
-      else d.value
+      if d.version > ub then snapshot_chain tx ub d.older else d.value
     in
     record_event tx v ~is_write:false;
     emit_read tx v;
@@ -1821,58 +1813,63 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     done;
     (vars, vers, tx.rv)
 
-  (* Register [w] on the wait set of an attempt that retried, then
-     re-validate the set: the one step both ways of waiting share.
-     [true] means nothing in the set changed since the attempt read
-     it, so the caller may wait for [w]'s wake; [false] that a commit
-     already changed it, so the caller cancels [w] and re-runs now.
-     The order is what makes it lost-wakeup free: a commit that
-     finished before registration left a version (TL2) or clock
-     (NOrec) change behind, which the validation sees, and a commit
-     after registration finds [w] in the table and calls its wake.
-     TL2 validates each wait-set entry against its lock word ([Locked]
-     counts as changed: the committer is writing that very location);
-     NOrec can only compare the clock against the timestamp the
-     aborted attempt was valid at — coarser, but wrong only towards
+  (* A [retry]'s registered wait: its waiter, whose wake calls the
+     waiting call's at most once, and not once the wait is cancelled.
+     A blocking [retry]'s wake unparks its thread; a call with a wake
+     ([try_atomically_one ~wake]) gets the wait back. *)
+  type wait = { wstm : t; waiter : Wq.waiter; fired : bool Atomic.t }
+
+  exception Waiting of wait
+
+  let cancel_wait w =
+    Atomic.set w.fired true;
+    Wq.cancel w.wstm.waitq w.waiter
+
+  (* Register a wait with [wake] on the wait set of an attempt that
+     retried, then re-validate the set: the one step every wait takes.
+     [Some w] means nothing in the set changed since the attempt read
+     it, so the caller may wait for [w]'s wake; [None] that a commit
+     already changed it, so the wait is cancelled and the caller
+     re-runs now.  The order is what makes it lost-wakeup free: a
+     commit that finished before registration left a version (TL2) or
+     clock (NOrec) change behind, which the validation sees, and a
+     commit after registration finds the waiter in the table and calls
+     its wake.  TL2 validates each wait-set entry against its lock word
+     ([Locked] counts as changed: the committer is writing that very
+     location); NOrec can only compare the clock against the timestamp
+     the aborted attempt was valid at — coarser, but wrong only towards
      extra re-runs.  The [`Skip_wake_validation] fault skips the
      validation: the classic lost-wakeup bug, kept so the Explore
      model check can prove it would catch one: [retry-lost-wakeup]
      and [retry-loop-wake] schedule a commit between the attempt's
      last read and this registration, and must find the lost wake. *)
-  let register_wait stm w ~wvars ~wvers ~wrv =
-    Wq.register stm.waitq w
+  let register_wait stm wake ~wvars ~wvers ~wrv =
+    let fired = Atomic.make false in
+    let once () = if not (Atomic.exchange fired true) then wake () in
+    let w = { wstm = stm; waiter = Wq.waiter once; fired } in
+    Wq.register stm.waitq w.waiter
       (match stm.algo with
       | `Tl2 -> Array.map (fun (v : Obj.t tvar) -> v.id) wvars
       | `Norec -> [||]);
-    has_fault stm `Skip_wake_validation
-    ||
-    match stm.algo with
-    | `Tl2 ->
-        let rec unchanged i =
-          i = Array.length wvars
-          || (match R.get wvars.(i).lock with
-             | Unlocked ver -> ver = wvers.(i)
-             | Locked _ -> false)
-             && unchanged (i + 1)
-        in
-        unchanged 0
-    | `Norec -> R.get stm.clock = wrv
-
-  (* A wait registered instead of parked ([try_atomically_or_wait]):
-     its own waiter, whose wake calls the caller's at most once, and
-     not once the wait is cancelled. *)
-  type wait = { wstm : t; waiter : Wq.waiter; fired : bool Atomic.t }
-
-  exception Waiting of wait
-
-  let registered stm wake =
-    let fired = Atomic.make false in
-    let once () = if not (Atomic.exchange fired true) then wake () in
-    { wstm = stm; waiter = Wq.waiter once; fired }
-
-  let cancel_wait w =
-    Atomic.set w.fired true;
-    Wq.cancel w.wstm.waitq w.waiter
+    if
+      has_fault stm `Skip_wake_validation
+      ||
+      match stm.algo with
+      | `Tl2 ->
+          let rec unchanged i =
+            i = Array.length wvars
+            || (match R.get wvars.(i).lock with
+               | Unlocked ver -> ver = wvers.(i)
+               | Locked _ -> false)
+               && unchanged (i + 1)
+          in
+          unchanged 0
+      | `Norec -> R.get stm.clock = wrv
+    then Some w
+    else begin
+      cancel_wait w;
+      None
+    end
 
   (* The bound vector of a cross-instance snapshot, from a double
      collect: pass 1 draws every member's stable clock while that
@@ -2069,46 +2066,34 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
           if serializes then escalate lead body arg (n + 1)
           else Exhausted { reason; attempts = n }
       | Some (wvars, wvers, wrv) -> (
-          (* A [retry] waiter: it registers, re-validates, then parks on
-             the thread's parker (after clearing stale permits; a
-             pending permit makes the park return even if the waker ran
-             first), or hands its registered wait to the caller of
-             [try_atomically_or_wait].  Never serialized: a parked
-             token holder would stall every committer, including its
-             own waker. *)
+          (* A [retry] waiter registers its wait, then waits for the
+             wake.  A blocking call parks its thread: the parker is
+             prepared (stale permits cleared) before the registration,
+             so a wake that runs first leaves a permit and the park
+             returns at once.  A call with a wake hands the wait to its
+             caller instead.  Never serialized: a parked token holder
+             would stall every committer, including its own waker. *)
           let ctx = lead.ctx in
-          let wait =
-            if lead.wake == no_wake then None
-            else Some (registered stm lead.wake)
+          let blocking = lead.wake == no_wake in
+          if blocking then R.park_prepare ctx.parker;
+          let wake =
+            if blocking then fun () -> R.unpark ctx.parker else lead.wake
           in
-          let w =
-            match wait with
-            | Some wt -> wt.waiter
-            | None ->
-                R.park_prepare ctx.parker;
-                ctx.waiter
-          in
-          if not (register_wait stm w ~wvars ~wvers ~wrv) then begin
-            Option.iter (fun wt -> Atomic.set wt.fired true) wait;
-            Wq.cancel stm.waitq w;
-            attempt lead body arg (n + 1) ~token:false
-          end
-          else begin
-            R.add_counter stm.c_parks 1;
-            emit_park lead (Array.length wvars);
-            match wait with
-            | Some wt -> raise (Waiting wt)
-            | None -> (
-                let woken = R.park ctx.parker ~deadline:lead.deadline in
-                R.add_counter
-                  (if woken = `Woken then stm.c_wakes else stm.c_wake_timeouts)
-                  1;
-                emit_wake lead woken;
-                Wq.cancel stm.waitq w;
-                match woken with
-                | `Woken -> attempt lead body arg (n + 1) ~token:false
-                | `Timeout -> Deadline_exceeded { reason; attempts = n })
-          end)
+          match register_wait stm wake ~wvars ~wvers ~wrv with
+          | None -> attempt lead body arg (n + 1) ~token:false
+          | Some w -> (
+              R.add_counter stm.c_parks 1;
+              emit_park lead (Array.length wvars);
+              if not blocking then raise (Waiting w);
+              let woken = R.park ctx.parker ~deadline:lead.deadline in
+              R.add_counter
+                (if woken = `Woken then stm.c_wakes else stm.c_wake_timeouts)
+                1;
+              emit_wake lead woken;
+              cancel_wait w;
+              match woken with
+              | `Woken -> attempt lead body arg (n + 1) ~token:false
+              | `Timeout -> Deadline_exceeded { reason; attempts = n }))
       | None ->
           if
             serializes
@@ -2151,7 +2136,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
 
   (* Run the call [lead] leads, its descriptors taken, and give them
      back on every exit: commit, abort, [Waiting], a raise. *)
-  let start ~wake ~raising ~irrevocable ~budget ~deadline lead body arg =
+  let start ~raising ~irrevocable ~budget ~deadline lead body arg =
     let stm = lead.stm in
     lead.cap <-
       (match budget with
@@ -2166,7 +2151,6 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     lead.escalates <-
       (raising || Option.is_none budget) && stm.on_exhaustion = `Serialize;
     lead.irrevocable <- irrevocable;
-    if lead.wake != wake then lead.wake <- wake;
     match
       if irrevocable then begin
         enter_serial lead;
@@ -2211,8 +2195,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
           (Invalid_operation "irrevocable snapshot transactions are pointless");
       let tx = take ~alone:true stm ctx sem label in
       value
-        (start ~wake:no_wake ~raising:true ~irrevocable ~budget ~deadline tx f
-           (handle tx))
+        (start ~raising:true ~irrevocable ~budget ~deadline tx f (handle tx))
     end
 
   let try_atomically ?(sem = Semantics.Classic) ?(label = "") ?budget
@@ -2224,25 +2207,28 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
       Committed (f (handle (nest ctx sem)))
     else
       let tx = take ~alone:true stm ctx sem label in
-      start ~wake:no_wake ~raising:false ~irrevocable:false ~budget ~deadline
-        tx f (handle tx)
+      start ~raising:false ~irrevocable:false ~budget ~deadline tx f
+        (handle tx)
 
   (* The one-member path of the thunk forms: the thunk itself is the
-     body, so the call allocates no wrapper around it. *)
-  let one_member ~wake ~raising ~sem ~label ?budget ?deadline stm f =
+     body, so the call allocates no wrapper around it.  A [wake], which
+     only [try_atomically_one] passes, makes a [retry] register its
+     wait and return it instead of parking. *)
+  let one_member ?(wake = no_wake) ~raising ~sem ~label ?budget ?deadline stm
+      f =
     let ctx = R.tls_get stm.current in
     if in_tx ctx then begin
       ignore (nest ctx sem : desc);
       Committed (f ())
     end
-    else
-      start ~wake ~raising ~irrevocable:false ~budget ~deadline
-        (take ~alone:true stm ctx sem label)
-        f ()
+    else begin
+      let tx = take ~alone:true stm ctx sem label in
+      if wake != no_wake then tx.wake <- wake;
+      start ~raising ~irrevocable:false ~budget ~deadline tx f ()
+    end
 
-  let try_atomically_one ~sem ~label ?budget ?deadline ?(wake = no_wake) stm f
-      =
-    one_member ~wake ~raising:false ~sem ~label ?budget ?deadline stm f
+  let try_atomically_one ~sem ~label ?budget ?deadline ?wake stm f =
+    one_member ?wake ~raising:false ~sem ~label ?budget ?deadline stm f
 
   (* ------------------------------------------------------------------ *)
   (* Cross-instance transactions — the sharded store's commit engine     *)
@@ -2264,8 +2250,8 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     done;
     Array.sub arr 0 !uniq
 
-  let multi ?(wake = no_wake) ~raising ?(sem = Semantics.Classic)
-      ?(label = "") ?budget ?deadline ?bounds stms f =
+  let multi ~raising ?(sem = Semantics.Classic) ?(label = "") ?budget
+      ?deadline ?bounds stms f =
     let members = canonical_instances stms in
     if Array.length members = 0 then
       raise (Invalid_operation "atomically_multi: no instances");
@@ -2302,7 +2288,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
       let lead = txs.(0) in
       if not alone then lead.members <- txs;
       let outcome =
-        start ~wake ~raising ~irrevocable:false ~budget ~deadline lead f ()
+        start ~raising ~irrevocable:false ~budget ~deadline lead f ()
       in
       (match outcome with
       | Committed _ -> put_bounds txs
@@ -2316,26 +2302,16 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
       ?deadline ?bounds stms f =
     match (stms, bounds) with
     | [ stm ], None ->
-        value
-          (one_member ~wake:no_wake ~raising:true ~sem ~label ?budget ?deadline
-             stm f)
+        value (one_member ~raising:true ~sem ~label ?budget ?deadline stm f)
     | _ ->
         value (multi ~raising:true ~sem ~label ?budget ?deadline ?bounds stms f)
 
   let try_atomically_multi ?(sem = Semantics.Classic) ?(label = "") ?budget
-      ?deadline ?bounds stms f =
-    match (stms, bounds) with
-    | [ stm ], None ->
-        one_member ~wake:no_wake ~raising:false ~sem ~label ?budget ?deadline
-          stm f
-    | _ -> multi ~raising:false ~sem ~label ?budget ?deadline ?bounds stms f
-
-  let try_atomically_or_wait ?(sem = Semantics.Classic) ?(label = "") ?budget
-      ?deadline ~wake stms f =
+      ?deadline stms f =
     match stms with
     | [ stm ] ->
-        one_member ~wake ~raising:false ~sem ~label ?budget ?deadline stm f
-    | _ -> multi ~wake ~raising:false ~sem ~label ?budget ?deadline stms f
+        one_member ~raising:false ~sem ~label ?budget ?deadline stm f
+    | _ -> multi ~raising:false ~sem ~label ?budget ?deadline stms f
 
   (* ------------------------------------------------------------------ *)
   (* Statistics and recording                                            *)

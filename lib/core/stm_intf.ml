@@ -346,7 +346,6 @@ module type S = sig
     ?label:string ->
     ?budget:int ->
     ?deadline:int ->
-    ?bounds:(t * int) list ref ->
     t list ->
     (unit -> 'a) ->
     'a outcome
@@ -354,7 +353,22 @@ module type S = sig
       a spent [budget] comes back as [Exhausted], a passed [deadline]
       as [Deadline_exceeded].  Without a [budget] a multi-member call
       still escalates after its optimistic rounds and commits.  With a
-      one-member list and no [bounds] it is {!try_atomically}. *)
+      one-member list it is {!try_atomically}. *)
+
+  (** {1 Waiting without blocking}
+
+      A thread that serves many clients, such as an event loop, cannot
+      park in {!retry}.  It runs the transaction through
+      {!try_atomically_one} with a [wake] instead, and gets the wait
+      back. *)
+
+  type wait
+  (** A [retry] wait set registered with a wake function.  It stays
+      registered, and counts in {!waiting}, until {!cancel_wait}. *)
+
+  exception Waiting of wait
+  (** The body of a {!try_atomically_one} call with a [wake] retried,
+      and its wait set is registered. *)
 
   val try_atomically_one :
     sem:Semantics.t ->
@@ -366,54 +380,28 @@ module type S = sig
     (unit -> 'a) ->
     'a outcome
   (** [try_atomically_one ~sem ~label stm f] is [try_atomically_multi
-      ~sem ~label [stm] f], and with [wake] it is
-      [try_atomically_or_wait ~sem ~label ~wake [stm] f]: the form for
-      a caller that already holds its one instance, such as a server
-      running a point request.  It builds no member list, wraps [f] in
-      no closure, and takes [sem] and [label] unboxed. *)
+      ~sem ~label [stm] f]: the form for a caller that already holds
+      its one instance, such as a server running a point request.  It
+      builds no member list, wraps [f] in no closure, and takes [sem]
+      and [label] unboxed.
 
-  (** {1 Waiting without blocking}
-
-      A thread that serves many clients, such as an event loop, cannot
-      park in {!retry}.  It runs the transaction through
-      {!try_atomically_or_wait} instead, and gets the wait back. *)
-
-  type wait
-  (** A [retry] wait set registered with a caller's wake function.  It
-      stays registered, and counts in {!waiting}, until {!cancel_wait}. *)
-
-  exception Waiting of wait
-  (** The body of {!try_atomically_or_wait} retried and its wait set is
-      registered. *)
-
-  val try_atomically_or_wait :
-    ?sem:Semantics.t ->
-    ?label:string ->
-    ?budget:int ->
-    ?deadline:int ->
-    wake:(unit -> unit) ->
-    t list ->
-    (unit -> 'a) ->
-    'a outcome
-  (** [try_atomically_or_wait ~wake stms f] runs [f] as
-      {!try_atomically_multi} does, one member through the same
-      one-member path, except where {!retry} would park: there the
-      attempt's wait set is registered with [wake] and the call raises
-      [Waiting w] at once.  Registration takes the same
-      register-then-revalidate step as a park, so a commit that changed
-      the wait set before the registration makes the call re-run [f]
-      instead of returning, and the first later commit that writes the
-      set calls [wake] (from the committing thread, outside every STM
-      lock; possibly spuriously: the write need not enable [f]).  [wake]
-      runs at most once per wait, and not once {!cancel_wait} has
-      marked it.  It must therefore only hand the resume to its
-      caller's own thread — post it to an event loop — and must not
-      block or run a transaction.
-      The resume is the caller's: {!cancel_wait} [w], then call this
-      function again, which may register anew.  A deadline or budget
-      applies to one call, not across waits; the caller owns the time
-      it waits.  Counted in [parks] when registered; [wakes] and
-      [wake_timeouts] count blocking parks only.
+      With [wake], where {!retry} would park, the attempt's wait set is
+      registered with [wake] and the call raises [Waiting w] at once.
+      Registration takes the same register-then-revalidate step as a
+      park, so a commit that changed the wait set before the
+      registration makes the call re-run [f] instead of returning, and
+      the first later commit that writes the set calls [wake] (from
+      the committing thread, outside every STM lock; possibly
+      spuriously: the write need not enable [f]).  [wake] runs at most
+      once per wait, and not once {!cancel_wait} has marked it.  It
+      must therefore only hand the resume to its caller's own thread —
+      post it to an event loop — and must not block or run a
+      transaction.  The resume is the caller's: {!cancel_wait} [w],
+      then call this function again, which may register anew.  A
+      deadline or budget applies to one call, not across waits; the
+      caller owns the time it waits.  Counted in [parks] when
+      registered; [wakes] and [wake_timeouts] count blocking parks
+      only.
       @raise Invalid_operation as {!retry} does. *)
 
   val cancel_wait : wait -> unit
@@ -446,8 +434,10 @@ module type S = sig
       per-location metadata), but never lost: the waiter registers,
       re-validates its wait set, and only then parks, so a racing
       commit either fails the validation or deposits a wakeup permit.
-      Under {!try_atomically_or_wait} the same wait set is registered
-      and handed back to the caller instead of parking the thread.
+      A blocking park registers the same kind of {!wait} as
+      {!try_atomically_one}'s [wake], with a wake that unparks the
+      thread; under [try_atomically_one ~wake] the wait is handed back
+      to the caller instead of parking the thread.
 
       Liveness bounds compose: [atomically ~deadline] / [~budget] cap
       the wait — a deadline wakes the parked thread and surfaces as
@@ -465,7 +455,7 @@ module type S = sig
 
   val waiting : t -> int
   (** Number of [retry] waiters currently registered: threads parked or
-      about to park, and waits from {!try_atomically_or_wait} not yet
+      about to park, and waits from [try_atomically_one ~wake] not yet
       cancelled.  Uncharged read; used by shutdown drains and admission
       control.  With no transaction in flight and every registered wait
       cancelled it must be 0 — no park outlives its [atomically]
@@ -579,8 +569,8 @@ module type S = sig
     retry_waits : int;  (** attempts aborted by {!retry} *)
     parks : int;
         (** times a retrying thread actually parked, or registered a
-            wait with {!try_atomically_or_wait} (a validation failure
-            after registering re-runs immediately instead) *)
+            wait with [try_atomically_one ~wake] (a validation
+            failure after registering re-runs immediately instead) *)
     wakes : int;  (** blocking parks ended by a committing writer's notify *)
     wake_timeouts : int;  (** blocking parks ended by the call's deadline *)
     multi_commits : int;

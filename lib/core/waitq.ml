@@ -9,10 +9,10 @@
     they wrote.
 
     A waiter carries a {e wake} function, which a notifying commit
-    calls.  A blocking park's wake unparks the thread's pooled parker;
-    a wait registered by [try_atomically_or_wait] has its caller's
-    wake, which an event loop uses to post the session's resume to
-    itself.
+    calls.  Every [retry] registers the same kind of waiter: a blocking
+    park's wake unparks its thread's parker, and a wait registered
+    through [try_atomically_one ~wake] calls its caller's wake, which
+    an event loop uses to post the session's resume to itself.
 
     Lost-wakeup freedom is the caller's protocol, not the registry's:
     the waiter registers {e first}, then re-validates its read set, and

@@ -97,8 +97,8 @@ val hook : _ t -> algo:int -> shard:int -> int -> unit
     [hook_errors] and leaves no partial record), runs no transaction.
     An armed thread frames its record in place under the log's one
     append lock and leaves the ticket in its slot; an unarmed one
-    (internal commits: dirty marks, drain flags, watch polls) pays one
-    per-thread lookup and takes no lock. *)
+    (internal commits: dirty marks, a watch taking its marks) pays
+    one per-thread lookup and takes no lock. *)
 
 val log_new : 'c t -> algo:[ `Tl2 | `Norec ] -> 'c list -> unit
 (** Append a structure-creation record; the payload is the [NEW]

@@ -42,13 +42,13 @@
     point and posted resume catches), so the loop reaps and closes it
     like any finished session and keeps serving the rest.
 
-    Shutdown: when [stop] flips, a listening loop first stops listening
-    and runs its [closing] step (the server's drain sequence, which
-    wakes every other loop); then every loop begins each session's
-    drain (answer what already arrived, flush, close); waiting pops
-    and watches are woken by the registry's drain-flag commit, and
-    their resumes finish the drain.  The loop exits when its last
-    session closes, then joins its checkpoint threads. *)
+    Shutdown is the loop's own job: when [stop] flips, a listening
+    loop first stops listening and runs its [closing] step (which
+    wakes every other loop); then every loop drains each of its
+    sessions ({!Session.begin_drain}): it answers what already
+    arrived, answers a waiting pop [Nil], cancels a watch, flushes
+    and closes.  The loop exits when its last session closes, then
+    joins its checkpoint threads. *)
 
 module R = Polytm_runtime.Domain_runtime
 
@@ -160,9 +160,7 @@ let attach t ?(on_close = fun () -> ()) ~limits ~registry ~stats fd =
   else begin
     Unix.set_nonblock fd;
     let services = { Session.submit = submit t; post = post t } in
-    let sess =
-      Session.create ~stop:t.stop ~limits ~registry ~stats ~services fd
-    in
+    let sess = Session.create ~limits ~registry ~stats ~services fd in
     Atomic.incr t.load;
     t.conns <- { sess; on_close } :: t.conns
   end

@@ -36,9 +36,7 @@ type t = {
           cannot grow the wait tables without bound.  A registered
           wait holds no thread, only its entry in a wait table.
           Watches are not counted: a session holds at most one
-          registered watch wait, so connections bound them.  (Earlier
-          versions checked the limit against one instance's wait
-          table, so [N] instances admitted [N * max_waiters].) *)
+          registered watch wait, so connections bound them. *)
   debug_ops : bool;
       (** accept [DEBUG-ABORT] probe requests (tests and CI smoke);
           off by default *)

@@ -33,9 +33,11 @@
       [S.retry] on an empty queue, and the session runs it with a
       [wake] ([S.try_atomically_one ~wake] on one instance), which
       registers the wait with a wake that posts the session's resume
-      to its own loop.  Counting a
-      request in INFO's [ops] is the session's job, not [resolve]'s:
-      replay resolves every logged record too.
+      to its own loop.  Ending a wait (a wake, a timeout, a hang-up,
+      the session's drain) is the session's job too; the registry
+      keeps no shutdown state.  Counting a request in INFO's [ops] is
+      the session's job, not [resolve]'s: replay resolves every logged
+      record too.
     - the thunk runs {e inside} the session's transaction, one
       [try_atomically_one] on a {!Single} site and one
       [try_atomically_multi] over a {!Spanning} site's instances; the
@@ -89,8 +91,6 @@ type t = {
   norec : Router.t;
   default_algo : algo;  (** applied to wire [NEW] (no algo on the wire) *)
   entries : (string * slot) list Atomic.t;
-  draining : bool S.tvar array;  (** per TL2 shard, element [i] on shard [i] *)
-  draining_norec : bool S.tvar array;
   waiters : int Atomic.t;
       (** registered blocking pops, server-wide: one budget across
           every instance of both routers (see {!reserve_waiter}) *)
@@ -135,9 +135,6 @@ let create ?(shards = 1) ?stm ?stm_norec ?(default_algo = `Tl2) () =
     norec;
     default_algo;
     entries = Atomic.make [];
-    draining = Array.init shards (fun i -> S.tvar (Router.shard tl2 i) false);
-    draining_norec =
-      Array.init shards (fun i -> S.tvar (Router.shard norec i) false);
     waiters = Atomic.make 0;
     fd_refused = Atomic.make 0;
     handler_errors = Atomic.make 0;
@@ -149,30 +146,12 @@ let router_for t = function `Tl2 -> t.tl2 | `Norec -> t.norec
 let shard_count t = Router.count t.tl2
 
 (* The control shard: shard 0 of a router.  The TL2 one holds every
-   WATCH dirty flag and the drain flag watch waits read.  With one
-   shard it {e is} the instance, so these accessors keep their
-   pre-sharding meaning. *)
+   WATCH dirty flag.  With one shard it {e is} the instance, so these
+   accessors keep their pre-sharding meaning. *)
 let stm t = Router.shard t.tl2 0
 let stm_for t algo = Router.shard (router_for t algo) 0
 let instances t algo = Router.all (router_for t algo)
 let default_algo t = t.default_algo
-let drains_for t = function `Tl2 -> t.draining | `Norec -> t.draining_norec
-
-(* Flip the drain flag of every shard of both routers, each in a
-   transaction of its own: the commits wake every parked waiter whose
-   read set includes its shard's flag (all blocking server ops read
-   their home shard's flag first), so parked sessions resurface and
-   answer [Nil] instead of sleeping through shutdown. *)
-let set_draining t =
-  List.iter
-    (fun algo ->
-      let router = router_for t algo in
-      Array.iteri
-        (fun i flag ->
-          S.atomically ~label:"set-draining" (Router.shard router i) (fun tx ->
-              S.write tx flag true))
-        (drains_for t algo))
-    [ `Tl2; `Norec ]
 
 (* ---- the server-wide waiter budget ------------------------------------- *)
 
@@ -433,23 +412,18 @@ let resolve t cmd : (resolved, Wire.response) result =
                   | Some v -> Wire.Bulk v
                   | None -> Wire.Nil)
           | (Wire.Blpop _ | Wire.Btake _), Equeue (q, home) ->
-              (* A blocking pop: the home shard's drain flag is read
-                 {e first}, so it is in the wait set when [retry]
-                 registers — the shutdown path's [set_draining] commit
-                 on that shard wakes the waiter, which re-runs, sees
-                 the flag and answers [Nil]; no session ever waits
-                 through a drain. *)
+              (* A blocking pop: [retry] on an empty queue.  The
+                 session registers the wait and ends it, by the wake,
+                 the pop's timeout, its client's hang-up or the
+                 session's drain. *)
               let stm = home_of t s home in
-              let drain = (drains_for t s.algo).(home) in
               mutating s (Single stm) (fun () ->
                   S.atomically stm (fun tx ->
-                      if S.read tx drain then Wire.Nil
-                      else
-                        match (Squeue.dequeue_opt_tx tx q, cmd) with
-                        | None, _ -> S.retry tx
-                        | Some v, Wire.Btake _ -> Wire.Bulk v
-                        | Some v, _ ->
-                            Wire.Array [ Wire.Bulk name; Wire.Bulk v ]))
+                      match (Squeue.dequeue_opt_tx tx q, cmd) with
+                      | None, _ -> S.retry tx
+                      | Some v, Wire.Btake _ -> Wire.Bulk v
+                      | Some v, _ ->
+                          Wire.Array [ Wire.Bulk name; Wire.Bulk v ]))
           | _, e -> Error (mismatch cmd e)))
   | Wire.Ping | Wire.New _ | Wire.Multi | Wire.Multi_end | Wire.Debug_abort _
   | Wire.Watch _ | Wire.Unwatch _ | Wire.Info | Wire.Bgsave | Wire.Lastsave ->
@@ -509,25 +483,22 @@ let watch_name w = w.wname
    since the last take, their dirty flags cleared.  Every dirty flag
    lives on the TL2 control shard, so it runs as one transaction
    there ({!stm}), whatever algorithms the watched structures run on.
-   When nothing changed it calls [S.retry] on the dirty flags plus the
-   control shard's drain flag, so a session that registers it is woken
-   by the next mark's commit, or by the drain, which answers []. *)
+   When nothing changed it calls [S.retry] on the dirty flags, so a
+   session that registers it is woken by the next mark's commit. *)
 let take_dirty t ws () =
   S.atomically ~label:"watch-wait" (stm t) (fun tx ->
-      if S.read tx t.draining.(0) then []
-      else
-        match
-          List.filter_map
-            (fun w ->
-              if S.read tx w.wslot.dirty then begin
-                S.write tx w.wslot.dirty false;
-                Some w.wname
-              end
-              else None)
-            ws
-        with
-        | [] -> S.retry tx
-        | names -> names)
+      match
+        List.filter_map
+          (fun w ->
+            if S.read tx w.wslot.dirty then begin
+              S.write tx w.wslot.dirty false;
+              Some w.wname
+            end
+            else None)
+          ws
+      with
+      | [] -> S.retry tx
+      | names -> names)
 
 (* Default transaction semantics when the request carries no hint: the
    paper's novice default, except consistent iteration which is the

@@ -17,14 +17,16 @@
     each of them (DESIGN §S19, "One domain per loop").
 
     Shutdown ([SIGTERM]/[SIGINT], or [max_seconds], which loop 0 checks
-    once per cycle) is graceful.  When loop 0 first sees the stop flag,
-    it closes the listeners (no new connections), commits the
-    registry's drain flag (which wakes every parked waiter), nudges
-    every active connection with [shutdown SHUTDOWN_RECEIVE], and
-    wakes every other loop; each loop drains its sessions — in-flight
-    requests are answered and flushed, never dropped — and exits once
-    its last connection closes.  Only then are the other loops'
-    domains joined and the stats/trace files written. *)
+    once per cycle) is graceful, and each loop's own job.  When loop 0
+    first sees the stop flag, it closes the listeners (no new
+    connections) and wakes every other loop; each loop drains its
+    sessions — in-flight requests are answered and flushed, never
+    dropped, a waiting pop answers [Nil] and a watch's wait is
+    cancelled — and exits once its last connection closes.  Only then
+    are the other loops' domains joined and the stats/trace files
+    written.  Whatever ends [run], a listener that cannot bind
+    included, it closes the op log and restores the caller's signal
+    handlers before it returns or raises. *)
 
 module T = Polytm_telemetry
 module S = Registry.S
@@ -89,58 +91,49 @@ let default_config =
    accepted sockets are closed instead of served. *)
 let max_conns = 1024
 
-(* ---- active-connection tracking (for the shutdown nudge) --------------- *)
-
-module Active = struct
-  type t = { mutable fds : Unix.file_descr list; m : Mutex.t }
-
-  let create () = { fds = []; m = Mutex.create () }
-
-  let add t fd =
-    Mutex.lock t.m;
-    t.fds <- fd :: t.fds;
-    Mutex.unlock t.m
-
-  let remove t fd =
-    Mutex.lock t.m;
-    t.fds <- List.filter (fun f -> f != fd) t.fds;
-    Mutex.unlock t.m
-
-  let nudge t =
-    Mutex.lock t.m;
-    List.iter
-      (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with _ -> ())
-      t.fds;
-    Mutex.unlock t.m
-end
-
 (* ---- listeners --------------------------------------------------------- *)
 
-let open_listener = function
-  | Tcp (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      let addr =
-        try Unix.inet_addr_of_string host
-        with _ -> Unix.inet_addr_loopback
-      in
-      Unix.bind fd (Unix.ADDR_INET (addr, port));
-      Unix.listen fd 128;
-      fd
-  | Unix_sock path ->
-      (try Unix.unlink path with _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 128;
-      fd
+(* A non-blocking listening socket: loop 0 serves sessions, so an
+   [accept] that finds nothing must return to it, never block. *)
+let open_listener l =
+  let fd, addr =
+    match l with
+    | Tcp (host, port) ->
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.setsockopt fd Unix.SO_REUSEADDR true;
+        let addr =
+          try Unix.inet_addr_of_string host with _ -> Unix.inet_addr_loopback
+        in
+        (fd, Unix.ADDR_INET (addr, port))
+    | Unix_sock path ->
+        (try Unix.unlink path with _ -> ());
+        (Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0, Unix.ADDR_UNIX path)
+  in
+  try
+    Unix.bind fd addr;
+    Unix.listen fd 128;
+    Unix.set_nonblock fd;
+    (l, fd)
+  with e ->
+    Unix.close fd;
+    raise e
 
-let close_listeners cfg fds =
-  List.iter (fun fd -> try Unix.close fd with _ -> ()) fds;
-  List.iter
-    (function
+let close_listeners =
+  List.iter (fun (l, fd) ->
+      (try Unix.close fd with _ -> ());
+      match l with
       | Unix_sock path -> ( try Unix.unlink path with _ -> ())
       | Tcp _ -> ())
-    cfg.listeners
+
+(* Every listener, or none: a failure closes those already open. *)
+let rec open_listeners = function
+  | [] -> []
+  | l :: rest -> (
+      let opened = open_listener l in
+      try opened :: open_listeners rest
+      with e ->
+        close_listeners [ opened ];
+        raise e)
 
 (* ---- stats export ------------------------------------------------------ *)
 
@@ -313,6 +306,22 @@ let run ?registry cfg =
         | Error m -> failwith ("persistence unavailable: " ^ m))
       recovered
   in
+  (* From here on, every exit undoes what [run] changed outside
+     itself: a run that cannot bind its listeners closes the op log
+     and drops its hooks before it raises, and once the signal
+     handlers are installed, the caller's are restored on the way out,
+     whatever ends the run. *)
+  let listeners =
+    ref
+      (try open_listeners cfg.listeners
+       with e ->
+         Option.iter Persist.stop persist;
+         raise e)
+  in
+  let unlisten () =
+    close_listeners !listeners;
+    listeners := []
+  in
   (* Telemetry: a lock-free ring so the request path never takes a
      lock for observability; drained once after the loops join. *)
   let ring =
@@ -332,26 +341,10 @@ let run ?registry cfg =
       List.iter (fun stm -> S.set_sink stm sink) (all_instances ()))
     ring;
   let stop = Atomic.make false in
-  let stop_fn () = Atomic.get stop in
-  let prev_term =
-    Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> Atomic.set stop true))
-  in
-  let prev_int =
-    Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> Atomic.set stop true))
-  in
+  let on_signal = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
+  let prev_term = Sys.signal Sys.sigterm on_signal in
+  let prev_int = Sys.signal Sys.sigint on_signal in
   let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  let listeners = List.map open_listener cfg.listeners in
-  (* Non-blocking: loop 0 serves sessions, so an [accept] that finds
-     nothing must return to it, never block. *)
-  List.iter Unix.set_nonblock listeners;
-  let active = Active.create () in
-  let t_start = Unix.gettimeofday () in
-  let worker_stats = Array.init cfg.workers (fun _ -> Session.create_stats ()) in
-  let loops = Array.init cfg.workers (fun _ -> Evloop.create ~stop:stop_fn ()) in
-  let loop_doms =
-    Array.init (cfg.workers - 1) (fun i ->
-        Domain.spawn (fun () -> Evloop.run loops.(i + 1)))
-  in
   (* The persistence housekeeper: the [`Everysec] group sync and the
      automatic checkpoint cadence.  A plain systhread — both duties
      are I/O-bound and sub-second-latency-tolerant. *)
@@ -390,80 +383,93 @@ let run ?registry cfg =
           ())
       persist
   in
-  (* Dispatch to the least-loaded loop so one loop never aggregates
-     every long-lived connection while the others idle. *)
-  let pick_loop () =
-    let best = ref 0 and best_load = ref max_int in
-    Array.iteri
-      (fun i l ->
-        let n = Evloop.load l in
-        if n < !best_load then begin
-          best := i;
-          best_load := n
-        end)
-      loops;
-    !best
+  let t_start = Unix.gettimeofday () in
+  let worker_stats = Array.init cfg.workers (fun _ -> Session.create_stats ()) in
+  let serve () =
+    let loops =
+      Array.init cfg.workers (fun _ ->
+          Evloop.create ~stop:(fun () -> Atomic.get stop) ())
+    in
+    let loop_doms =
+      Array.init (cfg.workers - 1) (fun i ->
+          Domain.spawn (fun () -> Evloop.run loops.(i + 1)))
+    in
+    (* Dispatch to the least-loaded loop so one loop never aggregates
+       every long-lived connection while the others idle. *)
+    let pick_loop () =
+      let best = ref 0 and best_load = ref max_int in
+      Array.iteri
+        (fun i l ->
+          let n = Evloop.load l in
+          if n < !best_load then begin
+            best := i;
+            best_load := n
+          end)
+        loops;
+      !best
+    in
+    let total_load () =
+      Array.fold_left (fun acc l -> acc + Evloop.load l) 0 loops
+    in
+    (* One connection per readable listener per cycle of loop 0.  An
+       accept that finds nothing (EAGAIN, ECONNABORTED, EINTR) returns
+       to the loop. *)
+    let accept lfd =
+      match Unix.accept ~cloexec:true lfd with
+      | fd, _ ->
+          if total_load () >= max_conns then
+            (* accept-level backpressure *)
+            (try Unix.close fd with _ -> ())
+          else begin
+            (try Unix.setsockopt fd Unix.TCP_NODELAY true
+             with Unix.Unix_error _ -> ());
+            let i = pick_loop () in
+            Evloop.add_conn loops.(i)
+              ~on_close:(fun () -> try Unix.close fd with _ -> ())
+              ~limits:cfg.limits ~registry ~stats:worker_stats.(i) fd
+          end
+      | exception Unix.Unix_error (_, _, _) -> ()
+    in
+    (* [max_seconds]: one clock read per cycle of loop 0. *)
+    let tick =
+      match cfg.max_seconds with
+      | None -> ignore
+      | Some s ->
+          fun () ->
+            if Unix.gettimeofday () -. t_start >= s then Atomic.set stop true
+    in
+    (* When loop 0 first sees the stop flag: no new connections, and
+       the other loops, which wait with no tick, are woken to see the
+       flag too.  Each loop then drains its own sessions. *)
+    let closing () =
+      unlisten ();
+      Array.iteri (fun i l -> if i > 0 then Evloop.post l ignore) loops
+    in
+    Evloop.run loops.(0)
+      ~listen:{ Evloop.fds = List.map snd !listeners; accept; tick; closing };
+    Array.iter Domain.join loop_doms
   in
-  let total_load () =
-    Array.fold_left (fun acc l -> acc + Evloop.load l) 0 loops
+  (* After a drain every session has answered and flushed, so every
+     armed record is appended; [Persist.stop] syncs the tail and
+     closes the log. *)
+  let finish () =
+    unlisten ();
+    Atomic.set persist_stop true;
+    Option.iter Thread.join persist_thread;
+    Option.iter Persist.stop persist;
+    Sys.set_signal Sys.sigterm prev_term;
+    Sys.set_signal Sys.sigint prev_int;
+    Sys.set_signal Sys.sigpipe prev_pipe;
+    List.iter (fun stm -> S.set_sink stm None) (all_instances ())
   in
-  (* One connection per readable listener per cycle of loop 0.  An
-     accept that finds nothing (EAGAIN, ECONNABORTED, EINTR) returns
-     to the loop. *)
-  let accept lfd =
-    match Unix.accept ~cloexec:true lfd with
-    | fd, _ ->
-        if total_load () >= max_conns then
-          (* accept-level backpressure *)
-          (try Unix.close fd with _ -> ())
-        else begin
-          (try Unix.setsockopt fd Unix.TCP_NODELAY true
-           with Unix.Unix_error _ -> ());
-          Active.add active fd;
-          let i = pick_loop () in
-          Evloop.add_conn loops.(i)
-            ~on_close:(fun () ->
-              Active.remove active fd;
-              try Unix.close fd with _ -> ())
-            ~limits:cfg.limits ~registry ~stats:worker_stats.(i) fd
-        end
-    | exception Unix.Unix_error (_, _, _) -> ()
-  in
-  (* [max_seconds]: one clock read per cycle of loop 0. *)
-  let tick =
-    match cfg.max_seconds with
-    | None -> ignore
-    | Some s ->
-        fun () -> if Unix.gettimeofday () -. t_start >= s then Atomic.set stop true
-  in
-  (* ---- graceful drain, when loop 0 first sees the stop flag ---- *)
-  let closing () =
-    close_listeners cfg listeners;
-    (* Wake every parked waiter (BLPOP/BTAKE, watches) before the
-       socket nudge: the drain flag is in each blocking transaction's
-       read set, so this commit resurfaces them to answer [Nil] — no
-       session sleeps in the STM through shutdown. *)
-    Registry.set_draining registry;
-    Active.nudge active;
-    (* The other loops wait with no tick: wake each, so one with no
-       connection sees the flag and exits. *)
-    Array.iteri (fun i l -> if i > 0 then Evloop.post l ignore) loops
-  in
-  Evloop.run loops.(0)
-    ~listen:{ Evloop.fds = listeners; accept; tick; closing };
-  Array.iter Domain.join loop_doms;
-  (* Every session has answered and flushed, so every armed record is
-     appended; [Persist.stop] syncs the tail and closes the log. *)
-  Atomic.set persist_stop true;
-  Option.iter Thread.join persist_thread;
-  Option.iter Persist.stop persist;
-  Sys.set_signal Sys.sigterm prev_term;
-  Sys.set_signal Sys.sigint prev_int;
-  Sys.set_signal Sys.sigpipe prev_pipe;
+  (match serve () with
+  | () -> finish ()
+  | exception e ->
+      finish ();
+      raise e);
   let elapsed_s = Unix.gettimeofday () -. t_start in
   let stats = Session.create_stats () in
   Array.iter (fun s -> Session.merge_stats ~into:stats s) worker_stats;
-  List.iter (fun stm -> S.set_sink stm None) (all_instances ());
   let events = match ring with Some r -> T.Ring.drain r | None -> [] in
   let events_lost = match ring with Some r -> T.Ring.overwritten r | None -> 0 in
   Option.iter

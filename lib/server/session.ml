@@ -32,9 +32,10 @@
     session stays [parked] (the pipeline paused) until the resume
     cancels the wait and re-runs the body on the loop thread, which
     replies or registers again, until the loop's timer passes the
-    pop's timeout, or until the client hangs up: a waiting pop keeps
+    pop's timeout, until the client hangs up (a waiting pop keeps
     reading its connection, deferring what arrives, so an EOF or a
-    reset ends the wait before a later commit can hand it an item.
+    reset ends the wait before a later commit can hand it an item),
+    or until the loop drains the session at shutdown ({!begin_drain}).
     A watch is the registry's take-dirty body, registered the same way
     and again after each push.  No wait holds a thread: all session
     state is mutated on the loop thread only, and only a BGSAVE's
@@ -209,7 +210,6 @@ type t = {
   reg : Registry.t;
   limits : Limits.t;
   stats : stats;
-  stop : unit -> bool;
   services : services;
   dec : Wire.Decoder.t;
   out : Wire.Obuf.t;  (** encoded replies awaiting [write] *)
@@ -239,7 +239,9 @@ type t = {
   mutable watch : S.wait option;  (** the registered watch wait *)
   mutable pop : (pop * S.wait) option;  (** a pop that waits *)
   mutable parked : bool;  (** a pop waits or a BGSAVE runs *)
-  mutable draining : bool;  (** stop observed: answer, flush, close *)
+  mutable draining : bool;
+      (** the loop is shutting down: answer what arrived, waits and
+          pops included, flush, close *)
   mutable input_done : bool;  (** EOF or corrupt framing: read no more *)
   mutable closing : bool;  (** flush [out], then close *)
   mutable closed : bool;  (** drop everything now *)
@@ -322,12 +324,12 @@ let record_latency t i t0 =
    here as a typed error too: the exception rode the abort path out of
    the transaction, so the attempt's effects are already discarded and
    the server survives a corrupted node instead of dying on an
-   assertion.  With [wake], a
-   body that retries registers its wait with it and this raises
-   [S.Waiting].  The deadline counts from the request's start,
-   [t.mark].  The request is marked timed unless [timed] is false, and
-   its latency is recorded once its reply is encoded ({!admit}); a
-   blocking pop records its own, once it replies. *)
+   assertion.  With [wake], a one-instance body that retries registers
+   its wait with it and this raises [S.Waiting].  The deadline counts
+   from the request's start, [t.mark].  The request is marked timed
+   unless [timed] is false, and its latency is recorded once its reply
+   is encoded ({!admit}); a blocking pop records its own, once it
+   replies. *)
 let run_tx t ~site ~sem ~label ?(timed = true) ?budget ?deadline_us ?wake
     (f : unit -> Wire.response) : Wire.response =
   let budget = match budget with Some _ as b -> b | None -> t.limits.op_budget in
@@ -339,13 +341,11 @@ let run_tx t ~site ~sem ~label ?(timed = true) ?budget ?deadline_us ?wake
   in
   let resp =
     match
-      match (site, wake) with
-      | Registry.Single stm, _ ->
+      match site with
+      | Registry.Single stm ->
           S.try_atomically_one ~sem ~label ?budget ?deadline ?wake stm f
-      | Registry.Spanning stms, None ->
+      | Registry.Spanning stms ->
           S.try_atomically_multi ?budget ?deadline ~sem ~label stms f
-      | Registry.Spanning stms, Some wake ->
-          S.try_atomically_or_wait ?budget ?deadline ~sem ~label ~wake stms f
     with
     | S.Committed r -> r
     | S.Exhausted { attempts; _ } ->
@@ -797,8 +797,8 @@ and exec_step t (r : Wire.request) : [ `Done | `Parked ] =
    behaves as: replaying a plain pop reproduces the taken element.
 
    [timeout_ms <= 0] means wait indefinitely — the waiter is still
-   bounded by shutdown (its home shard's drain flag is in its wait
-   set) and by the server-wide waiter budget: a slot is {e reserved}
+   bounded by shutdown (the session's drain answers it) and by the
+   server-wide waiter budget: a slot is {e reserved}
    when the pop first registers (atomically, so racing sessions cannot
    jointly overshoot the cap, whatever instances they wait on) and
    released when it replies; a pop that cannot reserve gets [BUSY].
@@ -827,9 +827,13 @@ and exec_pop t (r : Wire.request) name timeout_ms : [ `Done | `Parked ] =
    any request: its reply, or its wait registered with a wake that
    posts [resume_pop], the session parked until then.  A client whose
    input has ended cannot be waited for: its pop answers [Nil] rather
-   than wait. *)
+   than wait.  A pop that starts while the session drains answers
+   [Nil] without running, so it takes nothing even from a non-empty
+   queue. *)
 and run_pop t p =
-  match p.run ~wake:(posting t resume_pop) with
+  match
+    if t.draining then Wire.Nil else p.run ~wake:(posting t resume_pop)
+  with
   | resp ->
       end_pop t p resp;
       `Done
@@ -877,8 +881,9 @@ and resume_pop t =
   if not t.closed then Option.iter (fun w -> end_wait t w (run_pop t)) t.pop
 
 (* The waiting pop gives up with [Nil], its wait cancelled and its slot
-   freed: its timeout passed, or its client hung up (EOF or reset) — a
-   later commit must not hand it an item nobody will read. *)
+   freed: its timeout passed, its client hung up (EOF or reset) — a
+   later commit must not hand it an item nobody will read — or the
+   session drains. *)
 and give_up t =
   Option.iter
     (fun w ->
@@ -890,21 +895,22 @@ and give_up t =
 (* Keep one watch wait registered while the session has subscriptions:
    the take-dirty body runs on the loop thread, and when nothing is
    dirty its wait is registered with a wake that posts [resume_watch].
-   Each resume pushes what changed and registers again; a drain wakes
-   it, and a stopped or closing session does not register.  Pushes are
-   server-initiated: they bypass [reply] so they never count as request
-   replies.  The session keeps serving requests while it waits. *)
+   Each resume pushes what changed and registers again; a drain
+   cancels it, and a draining or closing session does not register.
+   Pushes are server-initiated: they bypass [reply] so they never
+   count as request replies.  The session keeps serving requests while
+   it waits. *)
 and arm_watch t =
   if
     Option.is_none t.watch
     && t.watches <> []
     && (not t.closed)
     && (not t.closing)
-    && not (t.stop ())
+    && not t.draining
   then begin
     match
-      S.try_atomically_or_wait ~label:"watch-wait"
-        ~wake:(posting t resume_watch) [ Registry.stm t.reg ]
+      S.try_atomically_one ~sem:Polytm.Semantics.Classic ~label:"watch-wait"
+        ~wake:(posting t resume_watch) (Registry.stm t.reg)
         (Registry.take_dirty t.reg t.watches)
     with
     | S.Committed names ->
@@ -951,9 +957,10 @@ let on_readable t = guard t readable
 
 (* After a shutdown request: consume whatever already arrived (without
    blocking), answer it, flush, and let the loop close.  In-flight
-   requests are drained, not dropped — including a blocking op the
-   drain decodes: it parks, [set_draining]'s commit wakes it to a
-   [Nil], and its completion finishes the drain. *)
+   requests are drained, not dropped, and no wait outlives the drain:
+   the watch wait is cancelled, a waiting pop answers [Nil] and frees
+   its waiter slot, and a pop the drain decodes answers [Nil] without
+   dequeuing ({!run_pop}). *)
 let drain t =
   if (not t.draining) && not t.closed then begin
     t.draining <- true;
@@ -965,6 +972,8 @@ let drain t =
       | `Reset -> t.closed <- true
     in
     slurp ();
+    drop_watch t;
+    give_up t;
     pump t;
     flush t
   end
@@ -989,14 +998,13 @@ let finished t =
 
 let fd t = t.fd
 
-let create ?(stop = fun () -> false) ~limits ~registry ~stats ~services fd =
+let create ~limits ~registry ~stats ~services fd =
   Limits.validate limits;
   {
     fd;
     reg = registry;
     limits;
     stats;
-    stop;
     services;
     dec = Wire.Decoder.create ~max_frame:limits.Limits.max_frame ();
     out = Wire.Obuf.create ~initial:8192 ();

@@ -58,16 +58,17 @@ type cmd =
           the empty queue until a producer's commit fills it, then
           replies [Array [Bulk name; Bulk value]]; replies [Nil] on
           timeout or server drain.  Refused inside [MULTI] and bounced
-          [BUSY] when the instance's wait table is full. *)
+          [BUSY] when the server-wide waiter budget is spent. *)
   | Btake of string * int
       (** like {!Blpop} but replies the bare [Bulk value] *)
   | Watch of string
       (** subscribe to change notifications for a structure: after a
           transaction that mutates it commits, the session emits a
-          [Push] frame carrying the structure's name (at most one per
-          poll interval — notifications coalesce, they do not queue).
-          A push frame is one line, so a name holding a newline is
-          refused with [Bad_op]. *)
+          [Push] frame carrying the structure's name.  Notifications
+          coalesce, they do not queue: the commits made before the
+          session next takes its marks yield one push.  A push frame
+          is one line, so a name holding a newline is refused with
+          [Bad_op]. *)
   | Unwatch of string  (** drop a {!Watch} subscription *)
   | Multi  (** open a batch: following commands queue up *)
   | Multi_end

@@ -11,7 +11,7 @@ type 'a t = {
   mutable slots : int array;
   mutable mask : int;  (** [Array.length slots - 1]; -1 while empty *)
   mutable signature : int;
-  mutable order : int array;  (** scratch for {!iter_ascending} *)
+  mutable order : int array;  (** scratch for {!ascending} *)
 }
 
 let create ?(capacity = 0) dummy =
@@ -58,17 +58,17 @@ let[@inline] find t k =
   if t.count = 0 || not (maybe_mem t k) then -1
   else probe t k (hash k land t.mask)
 
-let insert_slot t k e =
-  let rec free i =
-    if t.slots.(i) = -1 then t.slots.(i) <- e else free ((i + 1) land t.mask)
-  in
-  free (hash k land t.mask)
+(* Put entry [e] in the first free slot from [i] on.  A top-level loop
+   over its arguments: a local closure over the table and the entry
+   would be allocated on every insert. *)
+let rec place t e i =
+  if t.slots.(i) = -1 then t.slots.(i) <- e else place t e ((i + 1) land t.mask)
 
 let rebuild_slots t size =
   t.slots <- Array.make size (-1);
   t.mask <- size - 1;
   for e = 0 to t.count - 1 do
-    insert_slot t t.keys.(e) e
+    place t e (hash t.keys.(e) land t.mask)
   done
 
 let grow_entries t =
@@ -94,10 +94,7 @@ let add t k v =
   t.count <- e + 1;
   (* One hash feeds the slot probe and both signature bits. *)
   let h = hash k in
-  let rec free i =
-    if t.slots.(i) = -1 then t.slots.(i) <- e else free ((i + 1) land t.mask)
-  in
-  free (h land t.mask);
+  place t e (h land t.mask);
   t.signature <-
     t.signature lor (1 lsl (h land 31)) lor (1 lsl (31 + ((h lsr 5) land 31)));
   e
@@ -118,10 +115,6 @@ let key_at t e =
 let value_at t e =
   if e < 0 || e >= t.count then invalid_arg "Flat_table.value_at";
   t.vals.(e)
-
-let set_at t e v =
-  if e < 0 || e >= t.count then invalid_arg "Flat_table.set_at";
-  t.vals.(e) <- v
 
 let iter f t =
   for e = 0 to t.count - 1 do
@@ -203,7 +196,7 @@ let truncate t n =
     if t.mask >= 0 then begin
       Array.fill t.slots 0 (t.mask + 1) (-1);
       for e = 0 to t.count - 1 do
-        insert_slot t t.keys.(e) e
+        place t e (hash t.keys.(e) land t.mask)
       done
     end;
     recompute_signature t

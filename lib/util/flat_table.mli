@@ -7,10 +7,9 @@
       for a key that was never inserted — the overwhelmingly common
       case, a transactional read of an unwritten location — usually
       costs two bit operations and no memory probe;
-    - entries keep a dense insertion-order index ([0 .. length-1]):
-      values can be updated in place through {!set_at} without
-      re-hashing, and a savepoint is just the current {!length} plus
-      the saved values;
+    - entries keep a dense insertion-order index ([0 .. length-1]),
+      so a savepoint is just the current {!length} plus the saved
+      values;
     - {!ascending} lists the entries in ascending key order (the
       STM's deadlock-free lock-acquisition order) in a reusable scratch
       array — no per-commit allocation;
@@ -50,7 +49,6 @@ val add : 'a t -> int -> 'a -> int
 
 val key_at : 'a t -> int -> int
 val value_at : 'a t -> int -> 'a
-val set_at : 'a t -> int -> 'a -> unit
 (** Entry accessors by dense index; indices are stable until
     {!truncate} or {!reset}.
     @raise Invalid_argument outside [0, length). *)

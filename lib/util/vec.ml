@@ -9,8 +9,6 @@ let create ?(capacity = 0) dummy =
 
 let[@inline] length t = t.len
 let[@inline] is_empty t = t.len = 0
-let capacity t = Array.length t.data
-
 let[@inline never] erase t =
   (* Erase, so entries dropped by reuse do not keep dead objects
      reachable across transactions. *)
@@ -46,16 +44,6 @@ let truncate t n =
     Array.fill t.data n (t.len - n) t.dummy;
     t.len <- n
   end
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f (Array.unsafe_get t.data i)
-  done
-
-let iter_rev f t =
-  for i = t.len - 1 downto 0 do
-    f (Array.unsafe_get t.data i)
-  done
 
 let fold_left f acc t =
   let acc = ref acc in

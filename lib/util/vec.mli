@@ -19,9 +19,6 @@ val create : ?capacity:int -> 'a -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
-val capacity : 'a t -> int
-(** Current backing-store size (monotone under reuse). *)
-
 val get : 'a t -> int -> 'a
 (** @raise Invalid_argument outside [0, length). *)
 
@@ -38,8 +35,6 @@ val truncate : 'a t -> int -> unit
 (** [truncate t n] drops every element at index >= [n]; no effect when
     [n >= length t]. *)
 
-val iter : ('a -> unit) -> 'a t -> unit
-val iter_rev : ('a -> unit) -> 'a t -> unit
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 
 val filter_in_place : ('a -> bool) -> 'a t -> unit

@@ -1029,7 +1029,8 @@ let test_blocking_pop_logged () =
    waiting: the names marked dirty, or [] when none are. *)
 let take_dirty_now registry ws =
   match
-    S.try_atomically_or_wait ~wake:ignore [ Registry.stm registry ]
+    S.try_atomically_one ~sem:Sem.Classic ~label:"watch-wait"
+      ~wake:ignore (Registry.stm registry)
       (Registry.take_dirty registry ws)
   with
   | S.Committed names -> names

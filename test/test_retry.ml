@@ -284,7 +284,7 @@ let test_explore_catches_broken_waiter () =
 (* {1 Explore: the registering wait}
 
    An event loop cannot park in [retry]: it registers the wait through
-   [try_atomically_or_wait], blocks on its own parker (as it blocks in
+   [try_atomically_one ~wake], blocks on its own parker (as it blocks in
    [select]) and re-runs when the wake unparks it.  The producer's
    commit races the same read-empty/register window, which the
    registration charges as [park_prepare] does; skipping the
@@ -300,9 +300,9 @@ let loop_wait_program ~skip_wake_validation algo () =
   let got = ref None in
   let rec serve () =
     match
-      S.try_atomically_or_wait
+      S.try_atomically_one ~sem:Semantics.Classic ~label:""
         ~wake:(fun () -> Polytm_runtime.Sim_runtime.unpark loop)
-        [ stm ]
+        stm
         (fun () -> S.atomically stm (fun tx -> Q.take_tx tx q))
     with
     | o -> got := Some o

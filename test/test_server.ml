@@ -392,8 +392,8 @@ let test_shutdown_drains_and_releases () =
             | Wire.Error _ -> Alcotest.fail "unexpected error during load"
             | _ -> ())
           got;
-        (* The server-side nudge polytmd uses: stop flag plus
-           SHUTDOWN_RECEIVE unblocks the session's read; the session
+        (* Stop flag plus SHUTDOWN_RECEIVE: the EOF wakes the
+           single-session loop, which has no tick, and the session
            must exit cleanly (Domain.join in the harness would hang
            otherwise). *)
         Atomic.set stop true;
@@ -652,9 +652,11 @@ let test_empty_pop_marks_nothing () =
         [ Wire.Array [ Wire.Bulk "q"; Wire.Bulk "a" ]; Wire.Push "q" ]
         (recv_n fd 2))
 
-(* Shutdown must wake parked waiters and answer them — a session
-   sleeping in the STM cannot be allowed to sleep through its own
-   drain. *)
+(* Shutdown must answer parked waiters — a session waiting in the STM
+   cannot be allowed to sleep through its own drain.  A single-session
+   loop waits with no tick, so the stop flag alone cannot wake it: the
+   socket nudge does, and the pop that hears its client's EOF, or the
+   drain that follows, answers [Nil]. *)
 let test_shutdown_wakes_parked_waiter () =
   with_session (fun fd reg _ (stop, server_fd) ->
       write_all fd (encode [ req (Wire.New (Wire.Kqueue, "q")) ]);
@@ -662,10 +664,7 @@ let test_shutdown_wakes_parked_waiter () =
       write_all fd (encode [ req (Wire.Blpop ("q", 0)) ]);
       Alcotest.(check bool) "session parked with no timeout" true
         (eventually (fun () -> S.waiting (Registry.stm reg) = 1));
-      (* polytmd's drain sequence: stop flag, drain-flag commit (wakes
-         the waiter), then the socket nudge. *)
       Atomic.set stop true;
-      Registry.set_draining reg;
       (try Unix.shutdown server_fd Unix.SHUTDOWN_RECEIVE with _ -> ());
       Alcotest.check resps_t "parked BLPOP answered Nil on drain"
         [ Wire.Nil ] (recv_n fd 1);
@@ -787,7 +786,9 @@ let test_waits_post_to_their_loop () =
 
 (* A drain that finds pops waiting on a TL2 and a NORec queue of a
    sharded registry, and a session watching both algorithms, answers
-   every pop and leaves no wait registered on any instance. *)
+   every pop and leaves no wait registered on any instance.  The loop
+   is woken by a post, as a server's loop 0 wakes its other loops, so
+   the drain itself, not a client's EOF, ends the waits. *)
 let test_drain_leaves_no_wait () =
   let reg = Registry.create ~shards:4 () in
   let stop = Atomic.make false in
@@ -824,10 +825,7 @@ let test_drain_leaves_no_wait () =
   let registered () = List.fold_left (fun n stm -> n + S.waiting stm) 0 all in
   Alcotest.(check int) "two pops and a watch registered" 3 (registered ());
   Atomic.set stop true;
-  Registry.set_draining reg;
-  Array.iter
-    (fun (sfd, _) -> try Unix.shutdown sfd Unix.SHUTDOWN_RECEIVE with _ -> ())
-    pairs;
+  Evloop.post loop ignore;
   Alcotest.check resps_t "the TL2 pop answers Nil" [ Wire.Nil ] (recv_n (fd 0) 1);
   Alcotest.check resps_t "the NORec pop answers Nil" [ Wire.Nil ]
     (recv_n (fd 1) 1);
@@ -843,6 +841,62 @@ let test_drain_leaves_no_wait () =
       Unix.close cfd;
       Unix.close sfd)
     pairs
+
+(* The drain ends every wait itself, with no commit to wake it.  The
+   session is driven with no loop, as in "waits post to their loop": a
+   BLPOP waits on an empty queue beside a watch, and a second BLPOP, on
+   a queue that holds an item, arrives behind it.  The drain answers
+   both [Nil]: the waiting one freeing its slot, the later one without
+   dequeuing, so a DEQ afterwards still gets the item.  No wait is left
+   registered and nothing was posted. *)
+let test_drain_answers_pops_nil () =
+  let server_fd, fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock server_fd;
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  let reg = Registry.create () in
+  let posted = ref 0 in
+  let services =
+    {
+      Session.submit = (fun _ -> Alcotest.fail "a wait asked for a thread");
+      post = (fun _ -> incr posted);
+    }
+  in
+  let sess =
+    Session.create ~limits:Limits.default ~registry:reg
+      ~stats:(Session.create_stats ()) ~services server_fd
+  in
+  List.iter
+    (fun (kind, name) ->
+      match Registry.ensure reg kind name with
+      | Ok `Created -> ()
+      | _ -> Alcotest.failf "could not create %s" name)
+    [ (Wire.Kqueue, "empty"); (Wire.Kqueue, "full"); (Wire.Kmap, "m") ];
+  produce reg "full" "item";
+  write_all fd
+    (encode [ req (Wire.Watch "m"); req (Wire.Blpop ("empty", 0)) ]);
+  Session.on_readable sess;
+  Alcotest.check resps_t "watching" [ Wire.ok ] (recv_n fd 1);
+  Alcotest.(check int) "a pop and a watch wait" 2
+    (S.waiting (Registry.stm reg));
+  Alcotest.(check int) "the pop holds a slot" 1 (Registry.waiting reg);
+  write_all fd (encode [ req (Wire.Blpop ("full", 0)) ]);
+  Session.begin_drain sess;
+  Alcotest.check resps_t "both pops answer Nil" [ Wire.Nil; Wire.Nil ]
+    (recv_n fd 2);
+  Alcotest.(check int) "no wait left" 0 (S.waiting (Registry.stm reg));
+  Alcotest.(check int) "no slot held" 0 (Registry.waiting reg);
+  Alcotest.(check int) "nothing posted" 0 !posted;
+  Alcotest.(check int) "no handler raised" 0
+    (Atomic.get reg.Registry.handler_errors);
+  Alcotest.(check bool) "the session is done" true (Session.finished sess);
+  (match Registry.resolve reg (Wire.Deq "full") with
+  | Ok r ->
+      Alcotest.check resp_t "a later DEQ gets the item" (Wire.Bulk "item")
+        (r.Registry.run ())
+  | Error _ -> Alcotest.fail "resolve DEQ");
+  Session.teardown sess;
+  Unix.close fd;
+  Unix.close server_fd
 
 (* A client that hangs up while its BLPOP waits takes nothing: one
    loop serves two connections, the first parks a BLPOP and closes,
@@ -1651,14 +1705,15 @@ let test_steady_state_allocation () =
     Alcotest.failf "GET(1KiB) path allocates %.1f words/op (budget 64.5)"
       get_words;
   (* four GET ~elastic to one PUT ~classic of a small value over 64
-     keys, as the point workload sends them: measured 67.5 words/op
-     (99.4 when every call built its descriptor, member list and run
-     record, boxed its options and wrapped the request's thunk, and a
-     commit built closures for its write set; 100.3 when every write
-     commit kept a backup of the leaf it overwrote; 120.3 with a
-     cursor, a boxed frame bound and a queue cell per request, and two
-     clock reads; 152.6 with the field-list parser, the histogram's
-     boxed sum and the label table's hashing) *)
+     keys, as the point workload sends them: measured 67.0 words/op
+     (67.5 when the write table's slot probe was a closure built per
+     insert; 99.4 when every call built its descriptor, member list
+     and run record, boxed its options and wrapped the request's
+     thunk, and a commit built closures for its write set; 100.3 when
+     every write commit kept a backup of the leaf it overwrote; 120.3
+     with a cursor, a boxed frame bound and a queue cell per request,
+     and two clock reads; 152.6 with the field-list parser, the
+     histogram's boxed sum and the label table's hashing) *)
   let point =
     encode
       (List.init n (fun i ->
@@ -1667,8 +1722,8 @@ let test_steady_state_allocation () =
            else req ~hint:Sem.Elastic (Wire.Get ("m", i * 7 mod 64))))
   in
   let point_words = alloc_words_per_op ~warm_rounds:2 ~rounds:4 point n in
-  if point_words > 69.2 then
-    Alcotest.failf "point mix allocates %.1f words/op (budget 69.2)"
+  if point_words > 68.7 then
+    Alcotest.failf "point mix allocates %.1f words/op (budget 68.7)"
       point_words;
   (* the durable mix with the op log on (fsync everysec): GET ~elastic,
      PUT ~classic and DEL ~classic over 64 keys, half the DELs of an
@@ -1698,24 +1753,25 @@ let test_steady_state_allocation () =
       (fun () ->
         alloc_words_per_op ~persist_dir:dir ~warm_rounds:2 ~rounds:4 durable n)
   in
-  (* measured 71.7 words/op, what the same batch allocates with the
-     log off (104.6 when every call built its descriptor, member list
+  (* measured 70.8 words/op, what the same batch allocates with the
+     log off (71.7 when the write table's slot probe was a closure built
+     per insert; 104.6 when every call built its descriptor, member list
      and run record, boxed its options and wrapped the request's
      thunk; 106.3 when every write commit kept a backup of what it
      overwrote; 126.3 with a cursor, a boxed frame bound and a queue
      cell per request, and two clock reads; 137.6 when the log was
      armed with a payload string) *)
-  if durable_words > 73.4 then
-    Alcotest.failf "durable mix allocates %.1f words/op (budget 73.4)"
+  if durable_words > 72.5 then
+    Alcotest.failf "durable mix allocates %.1f words/op (budget 72.5)"
       durable_words
 
 (* A pop's run and a watch's take-dirty run, each with a wake through
-   [try_atomically_or_wait] on its one member, allocate no more than
-   the same body through [try_atomically_multi [stm]]: one member takes
-   the one-member path, without [multi]'s canonicalised arrays.  Both
-   bodies commit here (the queue holds an item per call, and the
-   watched map is marked before each call), so neither registers. *)
-let test_or_wait_one_member_words () =
+   [try_atomically_one] as the session passes it (a prebuilt option to
+   [?wake]: [~wake] would box it on every call), allocate no more than
+   the same body through [try_atomically_multi [stm]].  Both bodies
+   commit here (the queue holds an item per call, and the watched map
+   is marked before each call), so neither registers. *)
+let test_wait_one_member_words () =
   let reg = Registry.create () in
   List.iter
     (fun (kind, name) ->
@@ -1743,7 +1799,7 @@ let test_or_wait_one_member_words () =
     | Error _ -> Alcotest.fail "resolve PUT"
   in
   let stms = Registry.members pop.Registry.site and stm = [ Registry.stm reg ] in
-  let wake () = () in
+  let pop_stm = List.hd stms and wake = Some (fun () -> ()) in
   let words f =
     for _ = 1 to 100 do
       f ()
@@ -1765,7 +1821,8 @@ let test_or_wait_one_member_words () =
   in
   let pop_wait =
     words (fun () ->
-        committed (S.try_atomically_or_wait ~sem ~label ~wake stms pop.Registry.run))
+        committed
+          (S.try_atomically_one ~sem ~label ?wake pop_stm pop.Registry.run))
   in
   let watch_multi =
     words (fun () ->
@@ -1777,7 +1834,8 @@ let test_or_wait_one_member_words () =
     words (fun () ->
         mark ();
         committed
-          (S.try_atomically_or_wait ~label:"watch-wait" ~wake stm
+          (S.try_atomically_one ~sem ~label:"watch-wait" ?wake
+             (Registry.stm reg)
              (Registry.take_dirty reg [ w ])))
   in
   if pop_wait > pop_multi then
@@ -1822,10 +1880,10 @@ let serve_config ~sock ~workers ~max_seconds =
 (* A minor collection stops every domain, so the server keeps none
    idle: loop 0 runs on the domain that calls [Server.run].  A commit
    hook records the domain of each commit, and the client reads the
-   record once its PUTs are acked, before the drain commits at the
-   deadline.  With one worker a PUT from a client domain commits on the
-   caller's domain; with two, the first connection lands on loop 0 and
-   the second on loop 1, a domain of its own. *)
+   record once its PUTs are acked.  With one worker a PUT from a client
+   domain commits on the caller's domain; with two, the first
+   connection lands on loop 0 and the second on loop 1, a domain of
+   its own. *)
 let test_server_runs_on_callers_domain () =
   let caller = (Domain.self () :> int) in
   let commits ~workers ~conns =
@@ -1864,20 +1922,26 @@ let test_server_runs_on_callers_domain () =
         true (b <> caller)
   | got -> Alcotest.failf "two workers: %d commits, want 2" (List.length got)
 
-(* [Server.run] drains on stop.  Two workers and one connection, which
-   lands on loop 0, so loop 1 serves nothing and waits with no tick.
-   The connection parks [BLPOP q 0]: at [max_seconds] the pop answers
-   Nil, and [Server.run] returns within a second of its deadline, so
-   the idle loop was woken.  The listener is closed and its path
-   unlinked, so a connect afterwards fails.  [Server.run] runs on a
-   domain of its own, so a loop that never wakes fails the test
-   instead of hanging it. *)
+(* [Server.run] drains on stop.  Two workers and three connections:
+   least-loaded dispatch puts the first on loop 0, the second on loop
+   1 and the third on loop 0 again.  The first two park a [BLPOP q 0]
+   and a [BTAKE q 0], the third watches a map.  At [max_seconds] both
+   pops answer Nil and the watcher's connection ends, so loop 1, which
+   waits with no tick, was woken; [Server.run] returns within a second
+   of its deadline, with no waiter slot held and no wait registered on
+   any instance.  The listener is closed and its path unlinked, so a
+   connect afterwards fails.  [Server.run] runs on a domain of its
+   own, so a loop that never wakes fails the test instead of hanging
+   it. *)
 let test_server_drains_on_stop () =
   let sock = server_sock "drain" in
   let reg = Registry.create () in
-  (match Registry.ensure reg Wire.Kqueue "q" with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "ensure q");
+  List.iter
+    (fun (kind, name) ->
+      match Registry.ensure reg kind name with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.failf "ensure %s" name)
+    [ (Wire.Kqueue, "q"); (Wire.Kmap, "m") ];
   let max_seconds = 0.5 in
   let returned = Atomic.make false in
   let t0 = Unix.gettimeofday () in
@@ -1888,22 +1952,86 @@ let test_server_drains_on_stop () =
         Atomic.set returned true;
         Unix.gettimeofday ())
   in
-  let fd = connect_when_up sock in
-  write_all fd (encode [ req (Wire.Blpop ("q", 0)) ]);
-  Alcotest.check resps_t "the parked pop answers Nil" [ Wire.Nil ] (recv_n fd 1);
+  let pop0 = connect_when_up sock in
+  write_all pop0 (encode [ req (Wire.Blpop ("q", 0)) ]);
+  Alcotest.(check bool) "the first pop waits" true
+    (eventually (fun () -> Registry.waiting reg = 1));
+  let pop1 = connect_when_up sock in
+  write_all pop1 (encode [ req (Wire.Btake ("q", 0)) ]);
+  Alcotest.(check bool) "the second pop waits" true
+    (eventually (fun () -> Registry.waiting reg = 2));
+  let watcher = connect_when_up sock in
+  write_all watcher (encode [ req (Wire.Watch "m") ]);
+  Alcotest.check resps_t "watching" [ Wire.ok ] (recv_n watcher 1);
+  Alcotest.check resps_t "the loop 0 pop answers Nil" [ Wire.Nil ]
+    (recv_n pop0 1);
   Alcotest.(check bool) "the pop waited for the deadline" true
     (Unix.gettimeofday () -. t0 >= max_seconds);
-  Unix.close fd;
+  Alcotest.check resps_t "the loop 1 pop answers Nil" [ Wire.Nil ]
+    (recv_n pop1 1);
+  Alcotest.(check int) "the watcher's connection ends" 0
+    (Unix.read watcher (Bytes.create 16) 0 16);
+  List.iter Unix.close [ pop0; pop1; watcher ];
   Alcotest.(check bool) "Server.run returns within a second of its deadline"
     true
     (eventually ~timeout_s:(max_seconds +. 1.) (fun () -> Atomic.get returned)
     && Domain.join server -. t0 <= max_seconds +. 1.);
+  Alcotest.(check int) "no waiter slot held" 0 (Registry.waiting reg);
+  List.iteri
+    (fun i stm ->
+      Alcotest.(check int) (Printf.sprintf "instance %d: no wait" i) 0
+        (S.waiting stm))
+    (Registry.instances reg `Tl2 @ Registry.instances reg `Norec);
   let late = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (match Unix.connect late (Unix.ADDR_UNIX sock) with
   | () -> Alcotest.fail "a connect after the drain succeeded"
   | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) -> ());
   Unix.close late;
   Alcotest.(check bool) "the socket path is unlinked" false (Sys.file_exists sock)
+
+(* A [Server.run] that cannot start leaves the process as it found it.
+   Its Unix socket lies under a missing directory, so the bind fails
+   after recovery and activation of a data directory: the run raises,
+   the caller's SIGTERM and SIGINT handlers are back, and the registry
+   holds no op log and no commit hook. *)
+let test_failed_start_changes_nothing () =
+  let dir = Test_persist.fresh_dir "failed-start" in
+  Unix.mkdir dir 0o755;
+  let reg = Registry.create () in
+  let on_term _ = () and on_int _ = () in
+  let prev_term = Sys.signal Sys.sigterm (Sys.Signal_handle on_term) in
+  let prev_int = Sys.signal Sys.sigint (Sys.Signal_handle on_int) in
+  let cfg =
+    {
+      (serve_config
+         ~sock:(Filename.concat dir "missing/s.sock")
+         ~workers:1 ~max_seconds:0.1)
+      with
+      Server.persist_dir = Some (Filename.concat dir "data");
+    }
+  in
+  let raised =
+    match Server.run ~registry:reg cfg with
+    | _ -> false
+    | exception Unix.Unix_error (Unix.ENOENT, "bind", _) -> true
+  in
+  (* reading each handler puts the test runner's back *)
+  let now_term = Sys.signal Sys.sigterm prev_term in
+  let now_int = Sys.signal Sys.sigint prev_int in
+  Test_persist.rm_rf dir;
+  let is h = function Sys.Signal_handle f -> f == h | _ -> false in
+  Alcotest.(check bool) "the bind failure is raised" true raised;
+  Alcotest.(check bool) "the caller's SIGTERM handler is back" true
+    (is on_term now_term);
+  Alcotest.(check bool) "the caller's SIGINT handler is back" true
+    (is on_int now_int);
+  Alcotest.(check bool) "the registry holds no log" true
+    (Option.is_none reg.Registry.persist);
+  List.iter
+    (fun stm ->
+      Alcotest.(check bool) "no commit hook" true
+        (Option.is_none (S.commit_hook stm)))
+    (Registry.instances reg `Tl2 @ Registry.instances reg `Norec)
 
 let suite =
   ( "server",
@@ -1946,10 +2074,12 @@ let suite =
         test_waits_post_to_their_loop;
       Alcotest.test_case "a drain leaves no wait registered" `Quick
         test_drain_leaves_no_wait;
+      Alcotest.test_case "a drain answers pops Nil and takes nothing" `Quick
+        test_drain_answers_pops_nil;
       Alcotest.test_case "a pop whose client hung up takes nothing" `Quick
         test_hung_up_pop_takes_nothing;
       Alcotest.test_case "a one-member wait allocates as a one-member try" `Quick
-        test_or_wait_one_member_words;
+        test_wait_one_member_words;
       Alcotest.test_case "SNAPSHOT-ITER counts once in INFO" `Quick
         test_snapshot_iter_counts_once;
       Alcotest.test_case "an fd select cannot take is refused" `Quick
@@ -1962,6 +2092,8 @@ let suite =
         `Quick test_server_runs_on_callers_domain;
       Alcotest.test_case "Server.run drains on stop" `Quick
         test_server_drains_on_stop;
+      Alcotest.test_case "a Server.run that cannot start changes nothing"
+        `Quick test_failed_start_changes_nothing;
       Alcotest.test_case "shutdown wakes and answers parked waiters" `Quick
         test_shutdown_wakes_parked_waiter;
       Alcotest.test_case "kind mismatch and unknown structure" `Quick

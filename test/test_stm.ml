@@ -286,10 +286,9 @@ let test_escaped_handle_dead_across_calls () =
 (* What one call allocates, in minor-heap words, on real domains: a
    call takes a pooled descriptor, so what is left is the body's
    three-word handle, the [Committed] box, the caller's closure over
-   the tvar, and what a write adds — its write-set entry and the
-   closure the write table's insert builds, the attempt's owner (made
-   at its first lock), the lock word, the new versioned value and the
-   unlock word.  The thunk form on one member
+   the tvar, and what a write adds — its write-set entry, the
+   attempt's owner (made at its first lock), the lock word, the new
+   versioned value and the unlock word.  The thunk form on one member
    allocates neither a handle nor a wrapper: the [Committed] box and
    the caller's member list.  A pooled descriptor's sets are grown by
    the first calls, so the count starts after those. *)
@@ -315,7 +314,7 @@ let test_call_allocation () =
     (words (fun () -> SD.atomically stm (fun _ -> ())));
   Alcotest.(check int) "one read" 9
     (words (fun () -> ignore (SD.atomically stm (fun tx -> SD.read tx v))));
-  Alcotest.(check int) "one write" 33
+  Alcotest.(check int) "one write" 28
     (words (fun () -> SD.atomically stm (fun tx -> SD.write tx v 1)));
   Alcotest.(check int) "one-member try_atomically_multi" 5
     (words (fun () ->

@@ -367,9 +367,9 @@ let test_queue_transfer_all_atomic () =
 (* The hint question for the queue: a client's [~elastic] hint runs
    the queue's operations as elastic transactions (flat nesting lets
    the outer label win).  Four simulator threads share two queues: a
-   producer ENQs 24 items, then sets a drain flag; a consumer DEQs; a
-   blocking pop runs the server's body (read the drain flag, dequeue,
-   [retry] when empty) until it sees the flag; and a mover takes from
+   producer ENQs 24 items, then sets a stop flag; a consumer DEQs; a
+   blocking pop runs the server's body (dequeue, [retry] when empty)
+   behind a read of the flag, until it sees the flag; and a mover takes from
    one queue and puts on the other in one transaction, as a MULTI
    would.  Every item must end up exactly once: taken, or still in a
    queue.  Returns what went wrong, if anything. *)
