@@ -217,7 +217,6 @@ let main listen workers shards max_inflight max_multi op_budget op_deadline_us
       in
       let cfg =
         {
-          Srv.default_config with
           Srv.listeners;
           workers;
           shards;
@@ -236,7 +235,8 @@ let main listen workers shards max_inflight max_multi op_budget op_deadline_us
       (* A configuration the server rejects is a usage error (exit
          124, like a bad flag); a refusal to start over the data
          directory or the listeners — recovery, activation, bind — is
-         the daemon's own failure: one line, exit 1. *)
+         the daemon's own failure, and so is a final op-log sync that
+         fails at shutdown: one line, exit 1. *)
       let refused m =
         prerr_endline ("polytmd: " ^ m);
         `Ok refused_exit
@@ -264,9 +264,11 @@ let () =
   let exits =
     Cmd.Exit.info refused_exit
       ~doc:
-        "when the daemon refuses to start: recovery refused the data \
+        "when the daemon refuses to start (recovery refused the data \
          directory, activating persistence failed, or a listener could \
-         not be bound.  No file of the data directory is removed."
+         not be bound; no file of the data directory is removed), or \
+         when the op log's last sync at shutdown fails: writes \
+         acknowledged under --fsync everysec or no may then be lost."
     :: Cmd.Exit.defaults
   in
   exit (Cmd.eval' (Cmd.v (Cmd.info "polytmd" ~version:"1.0.0" ~doc ~exits) term))

@@ -2251,20 +2251,12 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     Array.sub arr 0 !uniq
 
   let multi ~raising ?(sem = Semantics.Classic) ?(label = "") ?budget
-      ?deadline ?bounds stms f =
+      ?deadline stms f =
     let members = canonical_instances stms in
     if Array.length members = 0 then
       raise (Invalid_operation "atomically_multi: no instances");
     let ctxs = Array.map (fun (stm : t) -> R.tls_get stm.current) members in
-    (* [bounds] receives each member's clock bound: for a snapshot, the
-       cut vector the checkpointer hands to log compaction. *)
-    let put_bounds txs =
-      match bounds with
-      | None -> ()
-      | Some b ->
-          b := Array.to_list (Array.map (fun t -> (t.stm, t.snapshot_ub)) txs)
-    in
-    if Array.for_all in_tx ctxs then begin
+    if Array.for_all in_tx ctxs then
       (* Every member already carries a live transaction: an enclosing
          transaction spans (at least) these instances, so this call
          flattens into it exactly as a nested [atomically] flattens
@@ -2272,10 +2264,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
          atomicity, and its bounds the cut.  This is what lets a
          sharded structure's aggregate run unchanged inside a
          cross-shard [MULTI]. *)
-      let result = f () in
-      put_bounds (Array.map innermost ctxs);
-      Committed result
-    end
+      Committed (f ())
     else if Array.exists in_tx ctxs then
       raise
         (Invalid_operation
@@ -2287,24 +2276,25 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
       in
       let lead = txs.(0) in
       if not alone then lead.members <- txs;
-      let outcome =
-        start ~raising ~irrevocable:false ~budget ~deadline lead f ()
-      in
-      (match outcome with
-      | Committed _ -> put_bounds txs
-      | Exhausted _ | Deadline_exceeded _ -> ());
-      outcome
+      start ~raising ~irrevocable:false ~budget ~deadline lead f ()
     end
 
-  (* A one-member list without [bounds] takes the one-member path: no
-     sorting, no per-member arrays. *)
+  (* A one-member list takes the one-member path: no sorting, no
+     per-member arrays. *)
   let atomically_multi ?(sem = Semantics.Classic) ?(label = "") ?budget
-      ?deadline ?bounds stms f =
-    match (stms, bounds) with
-    | [ stm ], None ->
+      ?deadline stms f =
+    match stms with
+    | [ stm ] ->
         value (one_member ~raising:true ~sem ~label ?budget ?deadline stm f)
-    | _ ->
-        value (multi ~raising:true ~sem ~label ?budget ?deadline ?bounds stms f)
+    | _ -> value (multi ~raising:true ~sem ~label ?budget ?deadline stms f)
+
+  (* Read inside the snapshot it bounds, so a checkpoint keeps the
+     bound of the attempt that commits. *)
+  let snapshot_bound stm =
+    let ctx = R.tls_get stm.current in
+    if not (in_tx ctx && (innermost ctx).sem = Semantics.Snapshot) then
+      raise (Invalid_operation "snapshot_bound outside a snapshot transaction");
+    (innermost ctx).snapshot_ub
 
   let try_atomically_multi ?(sem = Semantics.Classic) ?(label = "") ?budget
       ?deadline stms f =

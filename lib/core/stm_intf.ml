@@ -292,7 +292,6 @@ module type S = sig
     ?label:string ->
     ?budget:int ->
     ?deadline:int ->
-    ?bounds:(t * int) list ref ->
     t list ->
     (unit -> 'a) ->
     'a
@@ -324,13 +323,8 @@ module type S = sig
 
       [label], [budget] and [deadline] mean what they mean for
       {!atomically}; the first member's contention manager and
-      [on_exhaustion] policy govern the loop.  [bounds], when supplied,
-      receives the committed attempt's per-instance clock bounds: for a
-      snapshot, a commit on a member instance is inside the snapshot
-      iff its stamp is [<=] the member's bound.  This is the cut
-      vector the checkpointer hands to log compaction (every logged
-      record with a larger stamp must be replayed on recovery, every
-      smaller one is already in the checkpoint).
+      [on_exhaustion] policy govern the loop.  A snapshot body reads
+      each member's bound with {!snapshot_bound}.
 
       When every member already runs a live transaction on the calling
       thread, the call flattens into them (the enclosing commit
@@ -354,6 +348,16 @@ module type S = sig
       as [Deadline_exceeded].  Without a [budget] a multi-member call
       still escalates after its optimistic rounds and commits.  With a
       one-member list it is {!try_atomically}. *)
+
+  val snapshot_bound : t -> int
+  (** Inside a snapshot transaction on the calling thread, its bound on
+      this instance: a commit there is inside the snapshot iff its
+      stamp is [<=] the bound.  Over several instances the bounds form
+      the cut vector a checkpoint hands to log compaction (every logged
+      record with a larger stamp must be replayed on recovery, every
+      smaller one is already in the checkpoint).  An attempt that
+      aborts re-runs its body, which reads the new attempt's bound.
+      @raise Invalid_operation outside a snapshot transaction on [t]. *)
 
   (** {1 Waiting without blocking}
 

@@ -7,9 +7,7 @@
     actual [write]+[fsync] happens later, under a {e separate} sync
     mutex, on whichever thread needs durability first — the
     event-loop flush path ([`Always]), the once-a-second tick
-    ([`Everysec]), or shutdown ([`No]).  The op log passes its own
-    mutex as the append lock, so one lock covers both its choice of
-    writer and the append.
+    ([`Everysec]), or shutdown ([`No]).
 
     Two writers take turns: appends go to one while a sync writes the
     other's pending region straight to the fd, with no copy.
@@ -19,7 +17,20 @@
     the sync finishes, the next waiter's [wait_durable] re-check
     usually finds its sequence number already covered (the sync it
     waited on swallowed the whole batch), so N pipelined acks cost one
-    [fsync], not N. *)
+    [fsync], not N.
+
+    One writer serves the op log's whole life: a checkpoint {!switch}es
+    it to the next generation's file, so its sequence numbers and
+    counters run on across files.
+
+    A failed write keeps its records buffered and the next sync
+    retries it.  A failed [fsync] does not: the kernel may have dropped
+    the dirty pages it could not write, so no later [fsync] can vouch
+    for them.  From then on [synced_seq] never moves: a sync still
+    writes and fsyncs what is buffered, so the writer's memory stays
+    bounded and newer records reach the file, but it raises the
+    failure, and so does every later wait for an unsynced record, every
+    switch and the close (which still closes the file). *)
 
 type policy = [ `Always | `Everysec | `No ]
 
@@ -31,26 +42,25 @@ let policy_to_string = function
 module Obuf = Polytm_util.Obuf
 
 type t = {
-  path : string;
-  fd : Unix.file_descr;
+  mutable fd : Unix.file_descr;  (** the current generation's file *)
   mu : Mutex.t;  (** the append lock: guards [buf], [seq], [bytes] *)
   mutable buf : Obuf.t;  (** where appends frame their records *)
   mutable spare : Obuf.t;  (** the other writer: swapped in under [mu],
                                drained to the fd outside it *)
   mutable seq : int;  (** records appended (buffered or written) *)
-  mutable bytes : int;  (** bytes appended since open *)
-  sync_mu : Mutex.t;  (** serialises write+fsync and [closed] *)
+  mutable bytes : int;  (** bytes of every file, magic included *)
+  sync_mu : Mutex.t;  (** serialises write+fsync, [fd] and [closed] *)
   mutable synced_seq : int;  (** highest seq covered by an [fsync] *)
+  mutable failed : exn option;  (** the [fsync] failure that ended syncing *)
   mutable closed : bool;
   mutable syncs : int;  (** fsyncs issued, for INFO / telemetry *)
 }
 
 (* Open (creating if absent) for append; an empty file gets the
-   magic.  The caller is responsible for having scanned/truncated the
-   file first — this writer only ever moves forward.  [mu] is the
-   append lock: the op log passes its own, shared by the writers it
-   rotates through. *)
-let open_log ?(mu = Mutex.create ()) path =
+   magic.  Returns the fd and the file's size.  The caller is
+   responsible for having scanned/truncated the file first — this
+   writer only ever moves forward. *)
+let open_file path =
   let fd = Unix.openfile path [ O_WRONLY; O_CREAT; O_APPEND ] 0o644 in
   let size = (Unix.fstat fd).st_size in
   if size = 0 then begin
@@ -58,34 +68,35 @@ let open_log ?(mu = Mutex.create ()) path =
     let n = Unix.write fd m 0 (Bytes.length m) in
     assert (n = Bytes.length m)
   end;
+  (fd, if size = 0 then Frame.magic_len else size)
+
+let open_log path =
+  let fd, size = open_file path in
   {
-    path;
     fd;
-    mu;
+    mu = Mutex.create ();
     buf = Obuf.create ();
     spare = Obuf.create ();
     seq = 0;
-    bytes = (if size = 0 then Frame.magic_len else size);
+    bytes = size;
     sync_mu = Mutex.create ();
     synced_seq = 0;
+    failed = None;
     closed = false;
     syncs = 0;
   }
 
 (* Frame a record whose payload [write buf x] writes, and return its
-   sequence number; the caller holds [mu]. *)
-let append_locked t ~rtype ~algo ~shard ~stamp write x =
-  let before = Obuf.length t.buf in
-  Frame.add t.buf ~rtype ~algo ~shard ~stamp write x;
-  t.bytes <- t.bytes + (Obuf.length t.buf - before);
-  t.seq <- t.seq + 1;
-  t.seq
-
-let append t (hdr : Frame.header) ~payload =
+   sequence number.  A [write] that raises leaves no partial record
+   ({!Frame.add}). *)
+let append_with t ~rtype ~algo ~shard ~stamp write x =
   Mutex.lock t.mu;
   match
-    append_locked t ~rtype:hdr.rtype ~algo:hdr.algo ~shard:hdr.shard
-      ~stamp:hdr.stamp Obuf.add_string payload
+    let before = Obuf.length t.buf in
+    Frame.add t.buf ~rtype ~algo ~shard ~stamp write x;
+    t.bytes <- t.bytes + (Obuf.length t.buf - before);
+    t.seq <- t.seq + 1;
+    t.seq
   with
   | seq ->
       Mutex.unlock t.mu;
@@ -93,6 +104,10 @@ let append t (hdr : Frame.header) ~payload =
   | exception e ->
       Mutex.unlock t.mu;
       raise e
+
+let append t (hdr : Frame.header) ~payload =
+  append_with t ~rtype:hdr.rtype ~algo:hdr.algo ~shard:hdr.shard
+    ~stamp:hdr.stamp Obuf.add_string payload
 
 (* Write [ob]'s pending region to [fd].  Each write consumes what it
    wrote, so when one raises, the pending region is exactly the
@@ -105,14 +120,27 @@ let write_all fd ob =
     | exception Unix.Unix_error (EINTR, _, _) -> ()
   done
 
+let seq t =
+  Mutex.lock t.mu;
+  let s = t.seq in
+  Mutex.unlock t.mu;
+  s
+
 (* Drain the pending writer to the fd and fsync; must hold [sync_mu].
    Bytes leave the writers only once written: when a write raises, the
    unwritten tail goes back in front of whatever was appended
    meanwhile and the exception propagates, so the next sync writes it
-   first, and [synced_seq] moves only after a write and its fsync both
-   succeed. *)
+   first.  [synced_seq] moves only after a write and its fsync both
+   succeed, and never once an fsync failed: after that the write and
+   the fsync still run, but the first failure is raised.  A closed log
+   raises while any record is unsynced, so no waiter takes one for
+   durable. *)
 let sync_locked t =
-  if not t.closed then begin
+  if t.closed then begin
+    if t.synced_seq < seq t then
+      raise (Option.value t.failed ~default:(Failure "Aof: closed unsynced"))
+  end
+  else begin
     Mutex.lock t.mu;
     let target = t.seq in
     let pending = t.buf in
@@ -131,33 +159,45 @@ let sync_locked t =
         t.spare <- live;
         Mutex.unlock t.mu;
         raise e);
-    Unix.fsync t.fd;
-    t.syncs <- t.syncs + 1;
-    if target > t.synced_seq then t.synced_seq <- target
+    (match Unix.fsync t.fd with
+    | () -> t.syncs <- t.syncs + 1
+    | exception e -> if Option.is_none t.failed then t.failed <- Some e);
+    match t.failed with
+    | Some e -> raise e
+    | None -> if target > t.synced_seq then t.synced_seq <- target
   end
 
-let sync t =
+let with_sync_mu t f =
   Mutex.lock t.sync_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.sync_mu)
-    (fun () -> sync_locked t)
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.sync_mu) f
+
+let sync t = with_sync_mu t (fun () -> sync_locked t)
 
 (* Block until record [seq] is on disk.  The unlocked fast-path read
    of [synced_seq] can at worst be stale (too small), which only sends
    us to the locked re-check. *)
 let wait_durable t seq =
-  if t.synced_seq < seq then begin
-    Mutex.lock t.sync_mu;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.sync_mu)
-      (fun () -> if t.synced_seq < seq then sync_locked t)
-  end
+  if t.synced_seq < seq then
+    with_sync_mu t (fun () -> if t.synced_seq < seq then sync_locked t)
 
-let seq t =
-  Mutex.lock t.mu;
-  let s = t.seq in
-  Mutex.unlock t.mu;
-  s
+(* Sync what is buffered to the current file, then swap in [path]'s
+   under the append lock: the records appended since that sync go to
+   the new file, after every record of the old one.  A failure leaves
+   the writer on the old file. *)
+let switch t path =
+  let old =
+    with_sync_mu t (fun () ->
+        if t.closed then failwith "Aof.switch: the log is closed";
+        sync_locked t;
+        let fd, size = open_file path in
+        Mutex.lock t.mu;
+        let old = t.fd in
+        t.fd <- fd;
+        t.bytes <- t.bytes + size;
+        Mutex.unlock t.mu;
+        old)
+  in
+  Unix.close old
 
 let synced_seq t = t.synced_seq
 let syncs t = t.syncs
@@ -168,17 +208,15 @@ let bytes t =
   Mutex.unlock t.mu;
   b
 
-(* Final sync then close.  Safe against concurrent [wait_durable]:
-   after the final [sync_locked], [synced_seq = seq], so no later
-   waiter can reach the fd, and [closed] stops any racing slow path
-   already queued on [sync_mu]. *)
+(* Final sync then close; the fd is closed whatever the sync does.
+   Safe against concurrent [wait_durable]: once [closed] is set, a
+   waiter's slow path never reaches the fd, and it raises if its
+   record is unsynced (the final sync failed) instead of returning. *)
 let close t =
-  Mutex.lock t.sync_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.sync_mu)
-    (fun () ->
-      if not t.closed then begin
-        sync_locked t;
-        t.closed <- true;
-        Unix.close t.fd
-      end)
+  with_sync_mu t (fun () ->
+      if not t.closed then
+        Fun.protect
+          ~finally:(fun () ->
+            t.closed <- true;
+            Unix.close t.fd)
+          (fun () -> sync_locked t))

@@ -1,7 +1,8 @@
-(** The live op log of one durable server: the writer of the active
-    generation, the commit-hook arming protocol, the group-commit wait,
-    and the counters and trace spans that INFO, [--stats-json] and the
-    trace all read.
+(** The live op log of one durable server: its one writer, which a
+    checkpoint switches from each generation's file to the next, the
+    commit-hook arming protocol, the group-commit wait, and the
+    counters and trace spans that INFO, [--stats-json] and the trace
+    all read.
 
     One value per server, held by the server's registry; the session
     and the registry call it directly.  Checkpoints, recovery and
@@ -37,12 +38,13 @@
     through the runtime's per-thread lookup
     ([Polytm_runtime.Domain_runtime.tls], the one that holds the STM's
     per-thread context): [arm] fills the calling thread's slot, the
-    hook empties it and leaves its ticket there, [finish] disarms it
-    and says whether a ticket is there.  Per systhread, not per
-    domain, because one domain can run several threads that commit (a
-    BGSAVE's checkpoint runs beside its loop thread, and tests arm two
-    threads of one domain); per log, because two servers in one
-    process must never log each other's commands. *)
+    hook empties it and leaves its ticket there (the record's sequence
+    number), [finish] disarms it and returns the ticket.  Per
+    systhread, not per domain, because one domain can run several
+    threads that commit (a BGSAVE's checkpoint runs beside its loop
+    thread, and tests arm two threads of one domain); per log, because
+    two servers in one process must never log each other's
+    commands. *)
 
 type 'c t
 (** A log whose records' payloads are written from commands of type
@@ -79,23 +81,19 @@ val arm : 'c t -> 'c list -> unit
     thread} appends them.  Arm and finish must run on the thread that
     commits. *)
 
-val finish : _ t -> bool
-(** Disarm the calling thread's slot: whether the armed commands were
-    appended (the op mutated and committed), in which case {!ticket}
-    names their record until the next {!arm}.  Allocates nothing. *)
-
-val ticket : _ t -> Aof.t * int
-(** The calling thread's ticket after a [finish] that returned [true]:
-    the log writer and the record's sequence number.  The writer is
-    part of the ticket because a checkpoint can rotate the active log
-    between the append and the ack. *)
+val finish : _ t -> int
+(** Disarm the calling thread's slot and return its ticket: the
+    sequence number of the record its armed commands were appended as
+    (the op mutated and committed), or 0 when nothing was appended.
+    Sequence numbers run on one sequence for the log's whole life,
+    across checkpoints.  Allocates nothing. *)
 
 val hook : _ t -> algo:int -> shard:int -> int -> unit
 (** The commit hook for instance ([algo] code, [shard]), given the
     commit stamp.  Runs inside the commit critical section: brief,
     never raises (a failure, the encoder's included, counts in
     [hook_errors] and leaves no partial record), runs no transaction.
-    An armed thread frames its record in place under the log's one
+    An armed thread frames its record in place under the writer's
     append lock and leaves the ticket in its slot; an unarmed one
     (internal commits: dirty marks, a watch taking its marks) pays
     one per-thread lookup and takes no lock. *)
@@ -109,18 +107,24 @@ val log_new : 'c t -> algo:[ `Tl2 | `Norec ] -> 'c list -> unit
     record, and the CAS loser's duplicate NEW replays as an idempotent
     ensure. *)
 
-val wait_durable : _ t -> Aof.t -> int -> unit
-(** Block until record [seq] of that writer is fsynced (group commit:
-    one fsync covers every record buffered before it). *)
+val wait_durable : _ t -> int -> unit
+(** Block until record [seq] is fsynced (group commit: one fsync
+    covers every record buffered before it).  Raises once an fsync
+    has failed ({!Aof.wait_durable}). *)
 
 val tick : _ t -> unit
 (** The once-a-second group sync behind [`Everysec], called from the
     server's background thread.  A sync that fails with a
-    [Unix.Unix_error] (ENOSPC, EIO) counts in [sync_errors] and
-    returns: its records stay buffered and the next tick retries. *)
+    [Unix.Unix_error] counts in [sync_errors] and returns: after a
+    failed write (ENOSPC, EIO) its records stay buffered and the next
+    tick retries; after a failed fsync every tick fails and counts. *)
 
 val close : _ t -> unit
-(** Shutdown: sync whatever the final acks left buffered, and close. *)
+(** Shutdown: sync whatever the final acks left buffered, and close;
+    the file is closed even when that sync raises. *)
+
+val writer : _ t -> Aof.t
+(** The log's one writer, for tests that fail its file's I/O. *)
 
 (** {1 Checkpoints} *)
 
@@ -129,10 +133,11 @@ val checkpointing : _ t -> (unit -> 'a) -> 'a option
     [None], without running it, while another one runs. *)
 
 val rotate : _ t -> gen:int -> unit
-(** Send every append from here on to generation [gen]'s fresh log and
-    retire the old one (its close syncs what it still buffers; its
-    totals carry over).  A no-op when appends already go to [gen]: the
-    retry of a failed checkpoint reuses the log it rotated to. *)
+(** Switch the writer to generation [gen]'s log ({!Aof.switch}): what
+    it buffers is synced to the old file, and every record appended
+    from then on goes to the new one, on the same sequence.  A no-op
+    when appends already go to [gen]: the retry of a failed checkpoint
+    reuses the log it rotated to. *)
 
 val published : _ t -> gen:int -> unit
 (** A checkpoint of generation [gen] is on disk and the manifest names
@@ -153,10 +158,13 @@ val spans : _ t -> span list
 (** The recorded spans, oldest first. *)
 
 val counters : _ t -> (string * int) list
-(** [--stats-json]'s [persist] section: [appends], [append_bytes]
-    (framed log bytes, magic included), [fsyncs], [replayed],
-    [checkpoints] (published), [hook_errors], [sync_errors] (failed
-    {!tick} syncs). *)
+(** [--stats-json]'s [persist] section: [appends], [bytes] (framed log
+    bytes of every generation's file, magic included), [fsyncs],
+    [synced_seq] (the last record an fsync covers, on the appends'
+    sequence), [replayed], [checkpoints] (published), [hook_errors],
+    [sync_errors] (failed {!tick} syncs). *)
 
 val info : _ t -> (string * string) list
-(** INFO's [persist_*] lines, from the same counters. *)
+(** INFO's [persist_*] lines: [persist_dir], [persist_fsync],
+    [persist_gen], each of {!counters} as [persist_<name>], and
+    [persist_last_save], [persist_recover_ms], [persist_tear]. *)

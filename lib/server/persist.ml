@@ -1,6 +1,6 @@
 (** Checkpoints, crash recovery and activation: the durability code
-    that needs the registry.  The live log itself — its writer, the
-    commit-hook arming protocol, the counters and trace spans — is
+    that needs the registry.  The live log itself — its one writer,
+    the commit-hook arming protocol, the counters and trace spans — is
     {!Polytm_persist.Oplog}, one value per server, held by the registry
     and called directly by the registry and the session.
 
@@ -22,9 +22,10 @@
     {2 Checkpoints}
 
     A checkpoint folds every registered structure inside {e one}
-    snapshot transaction spanning every shard of both routers.  Writers
-    stay live throughout — snapshots never impede updaters — and the
-    captured bound vector is an {e exact} cut: the STM's snapshot
+    snapshot transaction spanning every shard of both routers, whose
+    body also reads each shard's bound ({!S.snapshot_bound}).  Writers
+    stay live throughout — snapshots never impede updaters — and that
+    bound vector is an {e exact} cut: the STM's snapshot
     reads wait out in-flight write-backs, and the [multi_inflight]
     fence keeps cross-shard commits atomic with respect to the bound
     draw (this is the privatization argument of DESIGN §S21: the
@@ -35,7 +36,10 @@
 
     {2 Generations}
 
-    See {!Polytm_persist.Layout}.  On startup, recovery loads the
+    See {!Polytm_persist.Layout}.  A checkpoint switches the log's one
+    writer to the next generation's file first ({!Oplog.rotate}): the
+    writer syncs what it buffers to the old file, then swaps in the new
+    one, so its sequence runs on.  On startup, recovery loads the
     manifest generation's checkpoint, replays its log then (if a
     checkpoint was interrupted) the next generation's log, and then
     {e always} publishes a fresh generation before serving — which
@@ -56,36 +60,29 @@ type t = { reg : Registry.t; log : Wire.cmd Oplog.t }
 (* ---- checkpointing ----------------------------------------------------- *)
 
 (* One consistent cut of the whole store: every shard of both routers
-   inside a single snapshot [atomically_multi].  The nested
-   per-structure reads ({!Registry.contents}) flatten into the live
-   member transactions.  Only the in-memory collection happens inside
-   the snapshot — file writing happens after, so an aborted attempt
-   (bound redraw) re-collects instead of leaving a half-written
-   file. *)
+   inside a single snapshot [atomically_multi], which reads each
+   shard's bound (algo code, shard index, bound) and every structure's
+   contents.  The nested per-structure reads ({!Registry.contents})
+   flatten into the live member transactions.  Only the in-memory
+   collection happens inside the snapshot — file writing happens
+   after, so an aborted attempt (bound redraw) re-collects instead of
+   leaving a half-written file. *)
 let collect reg =
-  let bounds = ref [] in
-  let insts = Registry.instances reg `Tl2 @ Registry.instances reg `Norec in
-  let state =
-    S.atomically_multi ~sem:Polytm.Semantics.Snapshot ~label:"checkpoint"
-      ~bounds insts (fun () ->
+  let members =
+    List.concat_map
+      (fun algo ->
+        List.mapi
+          (fun shard stm -> (P.Frame.algo_code algo, shard, stm))
+          (Registry.instances reg algo))
+      [ `Tl2; `Norec ]
+  in
+  S.atomically_multi ~sem:Polytm.Semantics.Snapshot ~label:"checkpoint"
+    (List.map (fun (_, _, stm) -> stm) members)
+    (fun () ->
+      ( List.map (fun (a, s, stm) -> (a, s, S.snapshot_bound stm)) members,
         List.map
           (fun (name, slot) -> (name, slot, Registry.contents slot))
-          (Registry.slots reg))
-  in
-  (state, !bounds)
-
-(* Map a bound's instance back to its (algo code, shard index). *)
-let locate reg stm =
-  let find algo =
-    let rec idx i = function
-      | [] -> None
-      | s :: rest ->
-          if s == stm then Some (P.Frame.algo_code algo, i)
-          else idx (i + 1) rest
-    in
-    idx 0 (Registry.instances reg algo)
-  in
-  match find `Tl2 with Some x -> Some x | None -> find `Norec
+          (Registry.slots reg) ))
 
 let write_file_durably path ob =
   let fd = Unix.openfile path [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
@@ -99,13 +96,7 @@ let write_file_durably path ob =
    then written out whole. *)
 let write_checkpoint reg log ~gen =
   let t0 = Oplog.now_us () in
-  let state, bounds = collect reg in
-  let bound_entries =
-    List.filter_map
-      (fun (stm, b) ->
-        Option.map (fun (a, s) -> (a, s, b)) (locate reg stm))
-      bounds
-  in
+  let bounds, state = collect reg in
   let ob = Obuf.create ~initial:65536 () in
   Obuf.add_string ob P.Frame.ckpt_magic;
   let nrecords = ref 0 in
@@ -115,7 +106,7 @@ let write_checkpoint reg log ~gen =
   in
   let op cmd = emit P.Frame.rt_op ~algo:0 Wire.write_cmds [ cmd ] in
   emit P.Frame.rt_bounds ~algo:0 Obuf.add_string
-    (P.Frame.encode_bounds bound_entries);
+    (P.Frame.encode_bounds bounds);
   List.iter
     (fun (name, (slot : Registry.slot), c) ->
       emit P.Frame.rt_new ~algo:(P.Frame.algo_code slot.algo) Wire.write_cmds
@@ -132,9 +123,9 @@ let write_checkpoint reg log ~gen =
   Oplog.span log ~name:"checkpoint" ~ts_us:t0 ~dur_us:(Oplog.now_us () - t0)
 
 (* Checkpoint + publish + compact.  Rotation happens first, so every
-   commit from here on lands in the new generation's log; the ones
-   that slip in before the snapshot's cut carry stamps within the
-   bound vector and are filtered out on replay.  A failed attempt
+   record not yet synced to the old log lands in the new generation's
+   log; the ones that slip in before the snapshot's cut carry stamps
+   within the bound vector and are filtered out on replay.  A failed attempt
    (e.g. disk full writing the checkpoint) leaves the manifest — and
    therefore recovery — on the old generation, with the old log intact
    and the already-rotated new log replayed after it; the next attempt

@@ -24,9 +24,10 @@
     dropped, a waiting pop answers [Nil] and a watch's wait is
     cancelled — and exits once its last connection closes.  Only then
     are the other loops' domains joined and the stats/trace files
-    written.  Whatever ends [run], a listener that cannot bind
-    included, it closes the op log and restores the caller's signal
-    handlers before it returns or raises. *)
+    written.  Whatever ends [run], a listener that cannot bind or a
+    final log sync that fails included, it closes the op log and
+    restores the caller's signal handlers before it returns or
+    raises. *)
 
 module T = Polytm_telemetry
 module S = Registry.S
@@ -51,7 +52,6 @@ type config = {
           carries no algo) *)
   stats_json : string option;  (** write a stats snapshot here on exit *)
   trace : string option;  (** write a Chrome/Perfetto trace here on exit *)
-  ring_capacity : int;  (** telemetry ring slots per lane *)
   max_seconds : float option;  (** self-terminate after this long *)
   quiet : bool;
   persist_dir : string option;
@@ -79,7 +79,6 @@ let default_config =
     default_algo = `Tl2;
     stats_json = None;
     trace = None;
-    ring_capacity = 1 lsl 14;
     max_seconds = None;
     quiet = false;
     persist_dir = None;
@@ -90,6 +89,9 @@ let default_config =
 (* Accept-level backpressure: connections held across all loops before
    accepted sockets are closed instead of served. *)
 let max_conns = 1024
+
+(* Telemetry ring slots per lane. *)
+let ring_capacity = 1 lsl 14
 
 (* ---- listeners --------------------------------------------------------- *)
 
@@ -326,7 +328,7 @@ let run ?registry cfg =
      lock for observability; drained once after the loops join. *)
   let ring =
     if cfg.stats_json <> None || cfg.trace <> None then
-      Some (T.Ring.create ~lanes:(cfg.workers + 1) ~capacity:cfg.ring_capacity ())
+      Some (T.Ring.create ~lanes:(cfg.workers + 1) ~capacity:ring_capacity ())
     else None
   in
   (* Every instance of both routers shares the ring: lanes are picked
@@ -451,21 +453,25 @@ let run ?registry cfg =
   in
   (* After a drain every session has answered and flushed, so every
      armed record is appended; [Persist.stop] syncs the tail and
-     closes the log. *)
+     closes the log.  Its final sync is the one step that can raise
+     (a failed write or fsync); the handlers and sinks are restored
+     whatever it does, and a failure of [serve] wins over its own. *)
   let finish () =
     unlisten ();
     Atomic.set persist_stop true;
     Option.iter Thread.join persist_thread;
-    Option.iter Persist.stop persist;
-    Sys.set_signal Sys.sigterm prev_term;
-    Sys.set_signal Sys.sigint prev_int;
-    Sys.set_signal Sys.sigpipe prev_pipe;
-    List.iter (fun stm -> S.set_sink stm None) (all_instances ())
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.set_signal Sys.sigterm prev_term;
+        Sys.set_signal Sys.sigint prev_int;
+        Sys.set_signal Sys.sigpipe prev_pipe;
+        List.iter (fun stm -> S.set_sink stm None) (all_instances ()))
+      (fun () -> Option.iter Persist.stop persist)
   in
   (match serve () with
   | () -> finish ()
   | exception e ->
-      finish ();
+      (try finish () with _ -> ());
       raise e);
   let elapsed_s = Unix.gettimeofday () -. t_start in
   let stats = Session.create_stats () in

@@ -231,11 +231,12 @@ type t = {
   mutable multi_rev : Wire.cmd list;  (** queued batch, newest first *)
   mutable multi_count : int;
   mutable watches : Registry.watch list;  (** active WATCH subscriptions *)
-  mutable durables : (Polytm_persist.Aof.t * int) list;
-      (** op-log append tickets awaiting fsync before their replies may
-          leave the socket — only populated under [--fsync always];
-          drained by [try_flush] (group commit: one wait covers the
-          whole pipelined batch).  Loop-thread state, like the rest. *)
+  mutable durable : int;
+      (** the newest op-log ticket (record sequence number) that must
+          be fsynced before the replies may leave the socket, 0 for
+          none — only set under [--fsync always]; cleared by [flush]
+          (group commit: one wait covers the whole pipelined batch).
+          Loop-thread state, like the rest. *)
   mutable watch : S.wait option;  (** the registered watch wait *)
   mutable pop : (pop * S.wait) option;  (** a pop that waits *)
   mutable parked : bool;  (** a pop waits or a BGSAVE runs *)
@@ -275,12 +276,12 @@ let arm_persist t cmds =
 
 (* Disarm.  A ticket means the armed commands reached the log (the
    transaction write-committed); under [`Always] the reply may not
-   leave before that record is on disk, so queue the ticket for
-   [try_flush]. *)
+   leave before that record is on disk, so keep the ticket for
+   [flush].  Tickets only grow, so the newest covers the others. *)
 let finish_persist t = function
   | Some log ->
-      if Oplog.finish log && Oplog.policy log = `Always then
-        t.durables <- Oplog.ticket log :: t.durables
+      let seq = Oplog.finish log in
+      if seq > 0 && Oplog.policy log = `Always then t.durable <- seq
   | None -> ()
 
 let reply t resp =
@@ -586,17 +587,14 @@ let exec_snapshot_iter t (r : Wire.request) =
 let flush t =
   if (not t.closed) && Wire.Obuf.pending t.out > 0 then begin
     (* Under [--fsync always] no ack may leave before its op-log
-       record is synced.  The tickets are newest first and syncing is
-       ordered, so the first wait syncs its writer's whole batch and
-       every later ticket of that writer finds itself synced without
-       a lock (group commit over the whole pipelined batch).  Another
-       writer appears only when a checkpoint rotated the log
-       mid-batch, and rotation synced the old one. *)
-    (match (t.durables, t.reg.Registry.persist) with
-    | [], _ | _, None -> ()
-    | ds, Some log ->
-        t.durables <- [];
-        List.iter (fun (aof, seq) -> Oplog.wait_durable log aof seq) ds);
+       record is synced.  Syncing is ordered, so waiting for the
+       newest ticket covers the whole pipelined batch (group commit). *)
+    (match t.reg.Registry.persist with
+    | Some log when t.durable > 0 ->
+        let seq = t.durable in
+        t.durable <- 0;
+        Oplog.wait_durable log seq
+    | _ -> ());
     let buf, off, len = Wire.Obuf.peek t.out in
     match Unix.write t.fd buf off len with
     | n -> Wire.Obuf.consumed t.out n
@@ -1018,7 +1016,7 @@ let create ~limits ~registry ~stats ~services fd =
     multi_rev = [];
     multi_count = 0;
     watches = [];
-    durables = [];
+    durable = 0;
     watch = None;
     pop = None;
     parked = false;

@@ -1395,6 +1395,79 @@ let test_aof_failed_write () =
   P.Aof.close aof;
   rm_rf dir
 
+(* ---- a failed fsync is never vouched for -------------------------------- *)
+
+(* An fsync that fails (here EINVAL, from /dev/null put in place of the
+   log's fd: its write succeeds, its fsync does not) may have lost the
+   pages it could not write, so no later fsync vouches for them, even
+   once the fd works again: [synced_seq] never moves, every later sync,
+   wait and switch raises, and the close raises too but still closes
+   the fd.  The later sync still writes record 4 to the file. *)
+let test_aof_failed_fsync () =
+  let dir = fresh_dir "fsync" in
+  Unix.mkdir dir 0o755;
+  let path = P.Layout.log_path ~dir 1 in
+  let aof = P.Aof.open_log path in
+  let append stamp =
+    P.Aof.append aof
+      { P.Frame.rtype = P.Frame.rt_op; algo = 0; shard = 0; stamp }
+      ~payload:(string_of_int stamp)
+  in
+  List.iter (fun stamp -> ignore (append stamp : int)) [ 1; 2; 3 ];
+  let fd = aof.P.Aof.fd in
+  let saved = Unix.dup fd in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  Unix.dup2 null fd;
+  Unix.close null;
+  let fails what f =
+    match f () with
+    | () -> Alcotest.failf "%s succeeded" what
+    | exception Unix.Unix_error (Unix.EINVAL, "fsync", _) -> ()
+  in
+  fails "an fsync of /dev/null" (fun () -> P.Aof.sync aof);
+  Unix.dup2 saved fd;
+  Unix.close saved;
+  let four = append 4 in
+  fails "a later sync" (fun () -> P.Aof.sync aof);
+  fails "a wait for record 4" (fun () -> P.Aof.wait_durable aof four);
+  fails "a switch" (fun () -> P.Aof.switch aof (P.Layout.log_path ~dir 2));
+  Alcotest.(check int) "synced_seq never moved" 0 (P.Aof.synced_seq aof);
+  Alcotest.(check bool) "the failed switch opened no file" false
+    (Sys.file_exists (P.Layout.log_path ~dir 2));
+  fails "the close" (fun () -> P.Aof.close aof);
+  Alcotest.(check bool) "the close closed the fd" true
+    (match Unix.fstat fd with
+    | _ -> false
+    | exception Unix.Unix_error (Unix.EBADF, _, _) -> true);
+  let records, _ = scan_records path in
+  Alcotest.(check (list int)) "record 4 alone reached the file" [ 4 ]
+    (List.map (fun (r : record) -> r.hdr.stamp) records);
+  rm_rf dir
+
+(* A close whose final write fails (ENOSPC, from /dev/full) still
+   closes the fd, and a later wait for the record it could not write
+   raises instead of returning as if the record were on disk. *)
+let test_aof_failed_close () =
+  let dir = fresh_dir "close" in
+  Unix.mkdir dir 0o755;
+  let aof = P.Aof.open_log (P.Layout.log_path ~dir 1) in
+  let seq =
+    P.Aof.append aof
+      { P.Frame.rtype = P.Frame.rt_op; algo = 0; shard = 0; stamp = 1 }
+      ~payload:"1"
+  in
+  let full = Unix.openfile "/dev/full" [ Unix.O_WRONLY ] 0 in
+  Unix.dup2 full aof.P.Aof.fd;
+  Unix.close full;
+  (match P.Aof.close aof with
+  | () -> Alcotest.fail "a write to /dev/full succeeded"
+  | exception Unix.Unix_error (Unix.ENOSPC, _, _) -> ());
+  (match P.Aof.wait_durable aof seq with
+  | () -> Alcotest.fail "a wait vouched for a record the close never wrote"
+  | exception Failure _ -> ());
+  Alcotest.(check int) "synced_seq" 0 (P.Aof.synced_seq aof);
+  rm_rf dir
+
 (* ---- the op log's own paths ---------------------------------------------- *)
 
 (* A log whose records' payloads are the armed strings. *)
@@ -1405,7 +1478,7 @@ let open_oplog ?(policy = `Everysec) dir =
     ~gen:1 ~replayed:0 ~recover_ms:0. ~tear:"none"
 
 (* Disarm and take the ticket, if the armed record was appended. *)
-let finish log = if P.Oplog.finish log then Some (P.Oplog.ticket log) else None
+let finish log = match P.Oplog.finish log with 0 -> None | seq -> Some seq
 
 (* A failed once-a-second sync is counted and returns, so the
    housekeeper that calls [tick] lives on; the record stays buffered
@@ -1416,11 +1489,12 @@ let test_tick_survives_failed_sync () =
   let payload = frames [ Wire.Put ("m", 1, "v") ] in
   P.Oplog.arm log [ payload ];
   P.Oplog.hook log ~algo:0 ~shard:0 7;
-  let aof, seq =
+  let seq =
     match finish log with
     | Some ticket -> ticket
     | None -> Alcotest.fail "an armed hook left no ticket"
   in
+  let aof = P.Oplog.writer log in
   Alcotest.(check int) "the first record" 1 seq;
   let sync_errors () = List.assoc "sync_errors" (P.Oplog.counters log) in
   let saved = Unix.dup aof.P.Aof.fd in
@@ -1443,6 +1517,79 @@ let test_tick_survives_failed_sync () =
     "the record on disk" [ (7, payload) ]
     (List.map (fun (r : record) -> (r.hdr.stamp, r.payload)) records);
   Alcotest.(check bool) "no tear" true (scan.P.Frame.tear = None);
+  P.Oplog.close log;
+  rm_rf dir
+
+(* After a failed fsync, a tick under [`Everysec] still writes what the
+   writer buffers, so acknowledged records reach the file and the
+   writer's memory stays bounded, though [synced_seq] never moves: the
+   record of the failed tick went to /dev/null, the two appended after
+   the fd is restored are in the file, and both ticks count a
+   [sync_errors]. *)
+let test_tick_writes_after_failed_fsync () =
+  let dir = fresh_dir "tick-fsync" in
+  let log = open_oplog dir in
+  let aof = P.Oplog.writer log in
+  let logged stamp =
+    P.Oplog.arm log [ string_of_int stamp ];
+    P.Oplog.hook log ~algo:0 ~shard:0 stamp;
+    ignore (P.Oplog.finish log : int)
+  in
+  logged 1;
+  let saved = Unix.dup aof.P.Aof.fd in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  Unix.dup2 null aof.P.Aof.fd;
+  Unix.close null;
+  P.Oplog.tick log;
+  Unix.dup2 saved aof.P.Aof.fd;
+  Unix.close saved;
+  List.iter logged [ 2; 3 ];
+  P.Oplog.tick log;
+  Alcotest.(check int) "both ticks are counted" 2
+    (List.assoc "sync_errors" (P.Oplog.counters log));
+  Alcotest.(check int) "nothing is vouched for" 0 (P.Aof.synced_seq aof);
+  Alcotest.(check int) "the writer holds nothing" 0
+    (P.Aof.Obuf.pending aof.P.Aof.buf + P.Aof.Obuf.pending aof.P.Aof.spare);
+  let records, _ = scan_records (P.Layout.log_path ~dir 1) in
+  Alcotest.(check (list int)) "the later records are in the file" [ 2; 3 ]
+    (List.map (fun (r : record) -> r.hdr.stamp) records);
+  (match P.Oplog.close log with
+  | () -> Alcotest.fail "the close vouched for the log"
+  | exception Unix.Unix_error (Unix.EINVAL, "fsync", _) -> ());
+  rm_rf dir
+
+(* One writer serves the log's whole life.  Under [`Always], tickets
+   run on across a rotation (1-3, then 4-5), a wait for a
+   post-rotation ticket returns, the records sit in log 1 and then log
+   2 in append order, and once idle INFO's synced sequence equals its
+   appends. *)
+let test_rotation_keeps_one_sequence () =
+  let dir = fresh_dir "rotate" in
+  let log = open_oplog ~policy:`Always dir in
+  let logged stamp =
+    P.Oplog.arm log [ string_of_int stamp ];
+    P.Oplog.hook log ~algo:0 ~shard:0 stamp;
+    P.Oplog.finish log
+  in
+  let before = List.map logged [ 1; 2; 3 ] in
+  P.Oplog.rotate log ~gen:2;
+  let after = List.map logged [ 4; 5 ] in
+  Alcotest.(check (list int)) "tickets before the rotation" [ 1; 2; 3 ] before;
+  Alcotest.(check (list int)) "tickets after it" [ 4; 5 ] after;
+  P.Oplog.wait_durable log 5;
+  Alcotest.(check int) "the wait synced the last record" 5
+    (P.Aof.synced_seq (P.Oplog.writer log));
+  let stamps gen =
+    List.map
+      (fun (r : record) -> r.hdr.stamp)
+      (fst (scan_records (P.Layout.log_path ~dir gen)))
+  in
+  Alcotest.(check (list int)) "log 1" [ 1; 2; 3 ] (stamps 1);
+  Alcotest.(check (list int)) "log 2" [ 4; 5 ] (stamps 2);
+  let info = P.Oplog.info log in
+  Alcotest.(check string) "INFO's appends" "5" (List.assoc "persist_appends" info);
+  Alcotest.(check string) "INFO's synced sequence = its appends" "5"
+    (List.assoc "persist_synced_seq" info);
   P.Oplog.close log;
   rm_rf dir
 
@@ -1513,7 +1660,7 @@ let test_arming_per_thread_and_log () =
   P.Oplog.arm log_b [ "armed for B" ];
   S.atomically stm_b (fun tx -> S.write tx (S.tvar stm_b 0) 2);
   Alcotest.(check bool) "B's payload is B's first record" true
-    (match finish log_b with Some (_, 1) -> true | _ -> false);
+    (match finish log_b with Some 1 -> true | _ -> false);
   P.Oplog.close log_a;
   P.Oplog.close log_b;
   let records_a, _ = scan_records (P.Layout.log_path ~dir:dir_a 1) in
@@ -1539,7 +1686,7 @@ let test_arming_per_thread_and_log () =
     List.mapi
       (fun i ticket ->
         match ticket with
-        | Some (_, seq) when seq >= 1 && seq <= Array.length by_seq ->
+        | Some seq when seq >= 1 && seq <= Array.length by_seq ->
             by_seq.(seq - 1).payload
         | Some _ | None -> Printf.sprintf "no record for thread %d op %d" tid (i + 1))
       mine
@@ -1664,6 +1811,77 @@ let test_scripted_load_reference ~algo ~shards () =
         (check_file ~magic:P.Frame.log_magic (P.Layout.log_path ~dir 2)));
   rm_rf dir
 
+(* ---- a checkpoint's bounds are its snapshot's cut ------------------------ *)
+
+(* The bounds record holds one entry per instance, TL2 shards then
+   NORec shards in shard order, each read inside the checkpoint's own
+   snapshot, and a write is in the checkpoint iff its stamp is at most
+   its instance's bound.  A TL2 and a NORec map, at 1 and 8 shards: 16
+   writes to each, a BGSAVE, then one more write to each.  Every op
+   record of log 1 is within its instance's bound, and both of log 2
+   are past theirs. *)
+let test_checkpoint_bounds_are_its_cut () =
+  List.iter
+    (fun shards ->
+      let dir = fresh_dir "bounds" in
+      let ops gen =
+        List.filter
+          (fun (r : record) -> r.hdr.rtype = P.Frame.rt_op)
+          (fst (scan_records (P.Layout.log_path ~dir gen)))
+      in
+      let before =
+        run_session ~dir ~policy:`Always ~shards (fun fd reg _p ->
+            ignore (roundtrip fd [ Wire.New (Wire.Kmap, "t") ]);
+            (match Registry.ensure ~algo:`Norec reg Wire.Kmap "n" with
+            | Ok _ -> ()
+            | Error _ -> Alcotest.fail "ensure n");
+            for k = 0 to 15 do
+              ignore
+                (roundtrip fd [ Wire.Put ("t", k, "a"); Wire.Put ("n", k, "b") ])
+            done;
+            (* the BGSAVE deletes log 1 once it publishes generation 2 *)
+            let before = ops 1 in
+            (match roundtrip fd [ Wire.Bgsave ] with
+            | [ Wire.Simple "OK" ] -> ()
+            | _ -> Alcotest.fail "BGSAVE failed");
+            ignore
+              (roundtrip fd [ Wire.Put ("t", 100, "c"); Wire.Put ("n", 100, "d") ]);
+            before)
+      in
+      let bounds = ref None in
+      ignore
+        (P.Frame.scan ~magic:P.Frame.ckpt_magic ~path:(P.Layout.ckpt_path ~dir 2)
+           ~f:(fun hdr buf off len ->
+             if hdr.P.Frame.rtype = P.Frame.rt_bounds then
+               bounds := P.Frame.decode_bounds (Bytes.sub_string buf off len)));
+      let bounds =
+        match !bounds with
+        | Some b -> b
+        | None -> Alcotest.fail "no bounds record"
+      in
+      let per algo = List.init shards (fun s -> (P.Frame.algo_code algo, s)) in
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "%d shards: one entry per instance, in order" shards)
+        (per `Tl2 @ per `Norec)
+        (List.map (fun (a, s, _) -> (a, s)) bounds);
+      let within (r : record) =
+        List.exists
+          (fun (a, s, b) -> a = r.hdr.algo && s = r.hdr.shard && r.hdr.stamp <= b)
+          bounds
+      in
+      Alcotest.(check int) "log 1: 32 writes" 32 (List.length before);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d shards: every write before the BGSAVE is within the cut"
+           shards)
+        true (List.for_all within before);
+      let after = ops 2 in
+      Alcotest.(check int) "log 2: 2 writes" 2 (List.length after);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d shards: both writes after it are past the cut" shards)
+        false (List.exists within after);
+      rm_rf dir)
+    [ 1; 8 ]
+
 (* ---- the commit hook's failure and allocation paths ---------------------- *)
 
 (* An encoder that raises midway through a record: the commit still
@@ -1692,14 +1910,15 @@ let test_raising_encoder () =
     S.atomically stm (fun tx -> S.write tx tv (S.read tx tv + 1));
     P.Oplog.finish log
   in
-  Alcotest.(check bool) "the first record is appended" true (commit [ "first" ]);
+  Alcotest.(check bool) "the first record is appended" true (commit [ "first" ] > 0);
   Alcotest.(check bool) "a raising encoder appends nothing" false
-    (commit [ "partial record "; "boom" ]);
+    (commit [ "partial record "; "boom" ] > 0);
   Alcotest.(check int) "the commit committed" 2 (S.atomically stm (fun tx -> S.read tx tv));
   Alcotest.(check int) "hook_errors counts it" 1
     (List.assoc "hook_errors" (P.Oplog.counters log));
-  Alcotest.(check bool) "the next record is appended" true (commit [ "next" ]);
-  Alcotest.(check int) "as the second record" 2 (snd (P.Oplog.ticket log));
+  let next = commit [ "next" ] in
+  Alcotest.(check bool) "the next record is appended" true (next > 0);
+  Alcotest.(check int) "as the second record" 2 next;
   P.Oplog.close log;
   let path = P.Layout.log_path ~dir 1 in
   let records, scan = scan_records path in
@@ -1770,7 +1989,7 @@ let test_logged_put_allocates_nothing () =
     for i = 1 to n do
       P.Oplog.arm log put;
       P.Oplog.hook log ~algo:0 ~shard:0 i;
-      ignore (P.Oplog.finish log : bool)
+      ignore (P.Oplog.finish log : int)
     done
   in
   round ();
@@ -1907,8 +2126,8 @@ let test_counters_per_server () =
     (List.assoc "fsyncs" c1 >= 1);
   Alcotest.(check int) "appends = INFO's" (inf "persist_appends")
     (List.assoc "appends" c2);
-  Alcotest.(check int) "append_bytes = INFO's bytes" (inf "persist_bytes")
-    (List.assoc "append_bytes" c2);
+  Alcotest.(check int) "bytes = INFO's" (inf "persist_bytes")
+    (List.assoc "bytes" c2);
   Alcotest.(check int) "replayed = INFO's" (inf "persist_replayed")
     (List.assoc "replayed" c2);
   Alcotest.(check bool) "fsyncs >= INFO's (plus the shutdown sync)" true
@@ -1971,6 +2190,14 @@ let suite =
         test_aof_failed_write;
       Alcotest.test_case "a failed tick sync is counted and retried" `Quick
         test_tick_survives_failed_sync;
+      Alcotest.test_case "a failed fsync is never vouched for by a later one"
+        `Quick test_aof_failed_fsync;
+      Alcotest.test_case "a close that fails vouches for nothing" `Quick
+        test_aof_failed_close;
+      Alcotest.test_case "after a failed fsync a tick still writes" `Quick
+        test_tick_writes_after_failed_fsync;
+      Alcotest.test_case "a rotation keeps one sequence" `Quick
+        test_rotation_keeps_one_sequence;
       prop prop_record_reference;
       Alcotest.test_case "a scripted load writes the reference's bytes (tl2, 1 shard)"
         `Quick (test_scripted_load_reference ~algo:`Tl2 ~shards:1);
@@ -1980,6 +2207,8 @@ let suite =
         `Quick (test_scripted_load_reference ~algo:`Norec ~shards:1);
       Alcotest.test_case "a scripted load writes the reference's bytes (norec, 4 shards)"
         `Quick (test_scripted_load_reference ~algo:`Norec ~shards:4);
+      Alcotest.test_case "a checkpoint's bounds are its snapshot's cut" `Quick
+        test_checkpoint_bounds_are_its_cut;
       Alcotest.test_case "an encoder that raises leaves no partial record" `Quick
         test_raising_encoder;
       Alcotest.test_case "a DEL of an absent key encodes nothing" `Quick

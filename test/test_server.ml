@@ -2033,6 +2033,137 @@ let test_failed_start_changes_nothing () =
         (Option.is_none (S.commit_hook stm)))
     (Registry.instances reg `Tl2 @ Registry.instances reg `Norec)
 
+(* A durable [`Always] server on this domain, with a map [m] and its
+   data directory under [dir], for [max_seconds]; [client sock reg]
+   runs on a domain of its own.  Returns what [Server.run] raised, if it
+   raised, and the client's result. *)
+let run_always_server ~tag ~dir ~max_seconds client =
+  let sock = server_sock tag in
+  let reg = Registry.create () in
+  let cfg =
+    {
+      (serve_config ~sock ~workers:1 ~max_seconds) with
+      Server.prestructs = [ (Wire.Kmap, "m", `Tl2) ];
+      persist_dir = Some (Filename.concat dir "data");
+      fsync = `Always;
+      checkpoint_sec = 0.;
+    }
+  in
+  let c = Domain.spawn (fun () -> client sock reg) in
+  let raised =
+    match Server.run ~registry:reg cfg with
+    | _ -> None
+    | exception e -> Some e
+  in
+  (raised, Domain.join c, reg)
+
+(* Put /dev/null on the fd of [reg]'s op log: writes succeed, an fsync
+   fails with EINVAL.  Returns a dup of the file it replaced. *)
+let fail_log_fsync (reg : Registry.t) =
+  match reg.Registry.persist with
+  | None -> Alcotest.fail "no op log"
+  | Some log ->
+      let fd = (Polytm_persist.Oplog.writer log).Polytm_persist.Aof.fd in
+      let saved = Unix.dup fd in
+      let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      Unix.dup2 null fd;
+      Unix.close null;
+      (fd, saved)
+
+(* Whether the peer closed [fd] before sending a byte. *)
+let hung_up fd = Unix.read fd (Bytes.create 64) 0 64 = 0
+
+let is_fsync_error = function
+  | Some (Unix.Unix_error (Unix.EINVAL, "fsync", _)) -> true
+  | _ -> false
+
+(* Under [--fsync always], once an fsync failed no mutation is acked
+   again, even after the log's file works again.  The PUT whose flush
+   waits on the failed sync has its connection closed, unacked; so has
+   a later PUT on a second connection, after the fd is restored; a GET
+   on a third is answered.  Both closed connections count in INFO's
+   [handler_errors], and the final sync raises the failure from
+   [Server.run]. *)
+let test_failed_fsync_acks_nothing () =
+  let dir = Test_persist.fresh_dir "fsync-acks" in
+  Unix.mkdir dir 0o755;
+  let raised, (first, later, read), reg =
+    run_always_server ~tag:"fsync-acks" ~dir ~max_seconds:1.0 (fun sock reg ->
+        let c1 = connect_when_up sock in
+        write_all c1 (encode [ req (Wire.Put ("m", 1, "a")) ]);
+        Alcotest.check resps_t "a PUT before the failure is acked" [ Wire.Int 1 ]
+          (recv_n c1 1);
+        let fd, saved = fail_log_fsync reg in
+        write_all c1 (encode [ req (Wire.Put ("m", 2, "b")) ]);
+        let first = hung_up c1 in
+        Unix.dup2 saved fd;
+        Unix.close saved;
+        let c2 = connect_when_up sock in
+        write_all c2 (encode [ req (Wire.Put ("m", 3, "c")) ]);
+        let later = hung_up c2 in
+        let c3 = connect_when_up sock in
+        write_all c3 (encode [ req (Wire.Get ("m", 1)) ]);
+        let read = recv_n c3 1 in
+        List.iter Unix.close [ c1; c2; c3 ];
+        (first, later, read))
+  in
+  Test_persist.rm_rf dir;
+  Alcotest.(check bool) "the PUT whose fsync failed is not acked" true first;
+  Alcotest.(check bool) "a later PUT, with the file restored, is not acked" true
+    later;
+  Alcotest.check resps_t "a GET is answered" [ Wire.Bulk "a" ] read;
+  Alcotest.(check int) "both connections count in handler_errors" 2
+    (Atomic.get reg.Registry.handler_errors);
+  Alcotest.(check bool) "the final sync raises the failure" true
+    (is_fsync_error raised)
+
+(* A [Server.run] whose final log sync fails still undoes what it
+   changed before it raises that failure: the log's fd is closed, the
+   caller's SIGTERM and SIGINT handlers are back, and the registry
+   holds no op log and no commit hook.  The one PUT, whose fsync
+   fails, is not acked. *)
+let test_failed_final_sync_restores () =
+  let dir = Test_persist.fresh_dir "final-sync" in
+  Unix.mkdir dir 0o755;
+  let on_term _ = () and on_int _ = () in
+  let prev_term = Sys.signal Sys.sigterm (Sys.Signal_handle on_term) in
+  let prev_int = Sys.signal Sys.sigint (Sys.Signal_handle on_int) in
+  let raised, (acked, fd), reg =
+    run_always_server ~tag:"final-sync" ~dir ~max_seconds:0.5 (fun sock reg ->
+        let c = connect_when_up sock in
+        let fd, saved = fail_log_fsync reg in
+        Unix.close saved;
+        write_all c (encode [ req (Wire.Put ("m", 1, "a")) ]);
+        let acked = not (hung_up c) in
+        Unix.close c;
+        (acked, fd))
+  in
+  let fd_closed =
+    match Unix.fstat fd with
+    | _ -> false
+    | exception Unix.Unix_error (Unix.EBADF, _, _) -> true
+  in
+  (* reading each handler puts the test runner's back *)
+  let now_term = Sys.signal Sys.sigterm prev_term in
+  let now_int = Sys.signal Sys.sigint prev_int in
+  Test_persist.rm_rf dir;
+  let is h = function Sys.Signal_handle f -> f == h | _ -> false in
+  Alcotest.(check bool) "the PUT is not acked" false acked;
+  Alcotest.(check bool) "the final sync's failure is raised" true
+    (is_fsync_error raised);
+  Alcotest.(check bool) "the log's fd is closed" true fd_closed;
+  Alcotest.(check bool) "the caller's SIGTERM handler is back" true
+    (is on_term now_term);
+  Alcotest.(check bool) "the caller's SIGINT handler is back" true
+    (is on_int now_int);
+  Alcotest.(check bool) "the registry holds no log" true
+    (Option.is_none reg.Registry.persist);
+  List.iter
+    (fun stm ->
+      Alcotest.(check bool) "no commit hook" true
+        (Option.is_none (S.commit_hook stm)))
+    (Registry.instances reg `Tl2 @ Registry.instances reg `Norec)
+
 let suite =
   ( "server",
     [
@@ -2094,6 +2225,10 @@ let suite =
         test_server_drains_on_stop;
       Alcotest.test_case "a Server.run that cannot start changes nothing"
         `Quick test_failed_start_changes_nothing;
+      Alcotest.test_case "a Server.run whose final sync fails changes nothing"
+        `Quick test_failed_final_sync_restores;
+      Alcotest.test_case "after a failed fsync no mutation is acked" `Quick
+        test_failed_fsync_acks_nothing;
       Alcotest.test_case "shutdown wakes and answers parked waiters" `Quick
         test_shutdown_wakes_parked_waiter;
       Alcotest.test_case "kind mismatch and unknown structure" `Quick
