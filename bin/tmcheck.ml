@@ -132,261 +132,24 @@ module Explore = Polytm_runtime.Explore
 module R = Polytm_runtime.Sim_runtime
 module AM = Polytm_structs.Adapters.Make (Polytm_runtime.Sim_runtime)
 
-(* The cross-shard 2PC window (DESIGN.md §S20): one transaction writes
-   [a] on shard 0 and [b] on shard 1; a spanning snapshot must observe
-   the two writes atomically.  [stabilize:false] creates both shards
-   with the [`No_stabilize] fault, which skips the bound vector's
-   re-check pass, deliberately reintroducing the torn read for the
-   self-test. *)
-let shard_2pc_program ~algo ~stabilize () =
-  let fault = if stabilize then None else Some `No_stabilize in
-  let s0 = AM.S.create ~cm:Polytm.Contention.Suicide ~algo ?fault () in
-  let s1 = AM.S.create ~cm:Polytm.Contention.Suicide ~algo ?fault () in
-  let stms = [ s0; s1 ] in
-  let a = AM.S.tvar s0 0 and b = AM.S.tvar s1 0 in
-  let writer () =
-    AM.S.atomically_multi ~label:"span-write" stms (fun () ->
-        AM.S.atomically s0 (fun tx -> AM.S.write tx a 1);
-        AM.S.atomically s1 (fun tx -> AM.S.write tx b 1))
-  in
-  let reader () =
-    let av, bv =
-      AM.S.atomically_multi ~sem:Polytm.Semantics.Snapshot ~label:"span-read"
-        stms (fun () ->
-          ( AM.S.atomically s0 (fun tx -> AM.S.read tx a),
-            AM.S.atomically s1 (fun tx -> AM.S.read tx b) ))
-    in
-    assert (av = bv)
-  in
-  let t1 = Sim.spawn writer and t2 = Sim.spawn reader in
-  Sim.join t1;
-  Sim.join t2;
-  assert (AM.S.atomically s0 (fun tx -> AM.S.read tx a) = 1);
-  assert (AM.S.atomically s1 (fun tx -> AM.S.read tx b) = 1)
+(* The scenarios and their expected verdicts: one table, which the
+   tier-1 suite runs too. *)
+module MC = Polytm_bench_kit.Model_checks
 
-(* Backups kept only while a snapshot runs (DESIGN.md §S23): one
-   writer writes [a] and [b] once while a snapshot reads both with a
-   preemption point between the reads.  The snapshot must read a
-   consistent pair and never abort with [Snapshot_too_old]: a commit
-   that saw no snapshot running and so kept no backup drew its version
-   before any later snapshot drew its bound.  [early:true] builds the
-   store with the [`Early_backup_check] fault, which reads the count
-   before the version is drawn, for the self-test.
-
-   Under TL2 a snapshot read of a location that an in-flight commit
-   has locked spins until the write-back, and the explorer prunes a
-   spinning schedule together with every schedule that would branch
-   off it.  So the TL2 snapshot, once its bound is drawn, waits for
-   the writer to finish before it reads: its registration and bound
-   still land at every point of the writer's commit, which is where
-   the ordering matters.  NOrec's snapshot reads never wait, so there
-   the reads interleave with the commit too. *)
-let snapshot_backup_program ~algo ~early () =
-  let fault = if early then Some `Early_backup_check else None in
-  let stm = AM.S.create ~cm:Polytm.Contention.Suicide ~algo ?fault () in
-  let a = AM.S.tvar stm 0 and b = AM.S.tvar stm 0 in
-  let writer () =
-    AM.S.atomically ~label:"write-both" stm (fun tx ->
-        AM.S.write tx a 1;
-        AM.S.write tx b 1)
-  in
-  let reader w () =
-    let av, bv =
-      AM.S.atomically ~sem:Polytm.Semantics.Snapshot ~label:"snap-read" stm
-        (fun tx ->
-          if algo = `Tl2 then Sim.join w;
-          let av = AM.S.read tx a in
-          R.yield ();
-          (av, AM.S.read tx b))
-    in
-    assert (av = bv)
-  in
-  let t1 = Sim.spawn writer in
-  let t2 = Sim.spawn (reader t1) in
-  Sim.join t1;
-  Sim.join t2;
-  assert ((AM.S.stats stm).AM.S.snapshot_too_old = 0)
-
-(* The registering wait (DESIGN.md §S19): a loop-like thread runs a
-   blocking dequeue through [try_atomically_one ~wake].  When it gets
-   a wait back it parks on its own parker, as an event loop blocks in
-   [select], and the wake unparks it, as a post writes the loop's wake
-   pipe; on waking it cancels the wait and re-runs.  A producer's
-   commit races the window between the empty read and the
-   registration.  [fault] builds the store with
-   [`Skip_wake_validation] for the self-test. *)
-let loop_wait_program ?fault () =
-  let stm = AM.S.create ~cm:Polytm.Contention.Suicide ?fault () in
-  let q = AM.Queue.create stm in
-  let loop = R.parker () in
-  let got = ref None in
-  let rec serve () =
-    match
-      AM.S.try_atomically_one ~sem:Polytm.Semantics.Classic ~label:""
-        ~wake:(fun () -> R.unpark loop)
-        stm
-        (fun () -> AM.S.atomically stm (fun tx -> AM.Queue.take_tx tx q))
-    with
-    | outcome -> got := Some outcome
-    | exception AM.S.Waiting w ->
-        ignore (R.park loop ~deadline:None);
-        AM.S.cancel_wait w;
-        serve ()
-  in
-  let c = Sim.spawn serve in
-  let p = Sim.spawn (fun () -> AM.Queue.enqueue q 7) in
-  Sim.join c;
-  Sim.join p;
-  assert (!got = Some (AM.S.Committed 7));
-  assert (AM.S.waiting stm = 0)
-
-(* A scenario's expected verdict: no schedule violates it, or, for a
-   self-test of a deliberately broken store, some schedule does. *)
-type verdict = Holds | Violated
-
-let scenarios : (string * string * verdict * (unit -> unit)) list =
-  [
-    ( "stm-increments",
-      "two concurrent transactional increments never lose an update",
-      Holds,
-      fun () ->
-        let stm = AM.S.create ~cm:Polytm.Contention.Suicide () in
-        let v = AM.S.tvar stm 0 in
-        let incr () =
-          AM.S.atomically stm (fun tx -> AM.S.write tx v (AM.S.read tx v + 1))
-        in
-        let t1 = Sim.spawn incr and t2 = Sim.spawn incr in
-        Sim.join t1;
-        Sim.join t2;
-        assert (AM.S.atomically stm (fun tx -> AM.S.read tx v) = 2) );
-    ( "elastic-adjacent-removes",
-      "adjacent removes on the elastic list leave exactly the third element",
-      Holds,
-      fun () ->
-        let stm = AM.S.create ~cm:Polytm.Contention.Suicide () in
-        let t = AM.List_set.create ~parse_sem:Polytm.Semantics.Elastic stm in
-        ignore (AM.List_set.add t 1);
-        ignore (AM.List_set.add t 2);
-        ignore (AM.List_set.add t 3);
-        let t1 = Sim.spawn (fun () -> ignore (AM.List_set.remove t 1)) in
-        let t2 = Sim.spawn (fun () -> ignore (AM.List_set.remove t 2)) in
-        Sim.join t1;
-        Sim.join t2;
-        assert (AM.List_set.to_list t = [ 3 ]) );
-    ( "lockfree-add-remove",
-      "the Harris list stays correct under a concurrent add and remove",
-      Holds,
-      fun () ->
-        let t = AM.Lockfree.create () in
-        ignore (AM.Lockfree.add t 1);
-        ignore (AM.Lockfree.add t 2);
-        let t1 = Sim.spawn (fun () -> ignore (AM.Lockfree.remove t 1)) in
-        let t2 = Sim.spawn (fun () -> ignore (AM.Lockfree.add t 3)) in
-        Sim.join t1;
-        Sim.join t2;
-        assert (AM.Lockfree.to_list t = [ 2; 3 ]) );
-    ( "retry-lost-wakeup",
-      "a blocking dequeue races a producer's commit into the \
-       read-empty/park window and never misses the wakeup",
-      Holds,
-      fun () ->
-        let stm = AM.S.create ~cm:Polytm.Contention.Suicide () in
-        let q = AM.Queue.create stm in
-        let got = ref None in
-        let c = Sim.spawn (fun () -> got := Some (AM.Queue.take q)) in
-        let p = Sim.spawn (fun () -> AM.Queue.enqueue q 7) in
-        Sim.join c;
-        Sim.join p;
-        assert (!got = Some 7) );
-    ( "retry-lost-wakeup-broken",
-      "self-test: a waiter that skips the \
-       pre-park re-validation misses a commit that lands before its \
-       registration and parks forever (deadlock)",
-      Violated,
-      fun () ->
-        let stm =
-          AM.S.create ~cm:Polytm.Contention.Suicide
-            ~fault:`Skip_wake_validation ()
-        in
-        let q = AM.Queue.create stm in
-        let got = ref None in
-        let c = Sim.spawn (fun () -> got := Some (AM.Queue.take q)) in
-        let p = Sim.spawn (fun () -> AM.Queue.enqueue q 7) in
-        Sim.join c;
-        Sim.join p;
-        assert (!got = Some 7) );
-    ( "retry-loop-wake",
-      "a loop-like waiter registers its retry wait instead of parking in \
-       the STM, blocks on its own parker and re-runs on the wake; a \
-       producer's commit races the register/revalidate window and the \
-       wake is never lost",
-      Holds,
-      fun () -> loop_wait_program () );
-    ( "retry-loop-wake-broken",
-      "self-test: retry-loop-wake on a store \
-       whose registration skips the re-validation misses a commit that \
-       lands before it and blocks forever (deadlock)",
-      Violated,
-      fun () -> loop_wait_program ~fault:`Skip_wake_validation () );
-    ( "shard-2pc",
-      "a cross-shard transaction writing two shards is never read torn: \
-       a concurrent spanning snapshot sees neither write or both, under \
-       every schedule of the two-phase commit window",
-      Holds,
-      fun () -> shard_2pc_program ~algo:`Tl2 ~stabilize:true () );
-    ( "shard-2pc-broken",
-      "self-test: a spanning snapshot that \
-       skips the bound vector's re-check pass can collect one shard's \
-       clock before a cross-shard commit and the other's after it, \
-       observing the torn intermediate state",
-      Violated,
-      fun () -> shard_2pc_program ~algo:`Tl2 ~stabilize:false () );
-    ( "shard-2pc-norec",
-      "shard-2pc over NORec shards: the commit seizes each shard's \
-       sequence lock instead of locking locations",
-      Holds,
-      fun () -> shard_2pc_program ~algo:`Norec ~stabilize:true () );
-    ( "shard-2pc-norec-broken",
-      "self-test: shard-2pc-broken over \
-       NORec shards",
-      Violated,
-      fun () -> shard_2pc_program ~algo:`Norec ~stabilize:false () );
-    ( "snapshot-backup",
-      "a write commit that saw no snapshot running keeps no backup, yet \
-       a snapshot reading both of its locations across a preemption \
-       point reads a consistent pair and never aborts as too old",
-      Holds,
-      fun () -> snapshot_backup_program ~algo:`Tl2 ~early:false () );
-    ( "snapshot-backup-broken",
-      "self-test: a writer that reads the \
-       snapshot count before its clock fetch-and-add drops the backup a \
-       snapshot starting in between needs",
-      Violated,
-      fun () -> snapshot_backup_program ~algo:`Tl2 ~early:true () );
-    ( "snapshot-backup-norec",
-      "snapshot-backup over NORec: the write version is fixed by the \
-       sequence-lock CAS",
-      Holds,
-      fun () -> snapshot_backup_program ~algo:`Norec ~early:false () );
-    ( "snapshot-backup-norec-broken",
-      "self-test: snapshot-backup-broken \
-       over NORec, the count read before the sequence-lock CAS",
-      Violated,
-      fun () -> snapshot_backup_program ~algo:`Norec ~early:true () );
-  ]
+let names scs =
+  String.concat ", " (List.map (fun (sc : MC.scenario) -> sc.name) scs)
 
 let scenario_t =
   let parse s =
-    match List.find_opt (fun (n, _, _, _) -> n = s) scenarios with
+    match MC.find s with
     | Some sc -> Ok sc
     | None ->
         Error
           (`Msg
              (Printf.sprintf "unknown scenario %S; available: %s" s
-                (String.concat ", "
-                   (List.map (fun (n, _, _, _) -> n) scenarios))))
+                (names MC.scenarios)))
   in
-  let print ppf (n, _, _, _) = Format.pp_print_string ppf n in
+  let print ppf (sc : MC.scenario) = Format.pp_print_string ppf sc.name in
   Arg.(
     value
     & pos 0 (some (conv (parse, print))) None
@@ -395,47 +158,40 @@ let scenario_t =
 
 let explore_cmd =
   (* Whether the scenario's verdict is the one it expects. *)
-  let check max_executions (name, doc, expect, program) =
-    Format.printf "scenario %s: %s@." name doc;
-    let verdict =
-      match
-        Explore.check ~max_executions ~max_depth:120 ~step_limit:2_000 program
-      with
-      | outcome ->
-          Format.printf "explored %d schedules%s — no violation@."
-            outcome.Explore.executions
-            (if outcome.Explore.truncated then " (bounded)" else " (complete)");
-          Holds
-      | exception Explore.Violation { schedule; exn } ->
-          Format.printf "VIOLATION (%s) under schedule [%s]@."
-            (Printexc.to_string exn)
-            (String.concat "; "
-               (List.map string_of_int (Array.to_list schedule)));
-          Violated
-    in
-    match (expect, verdict) with
-    | Holds, Holds -> true
-    | Violated, Violated ->
+  let check max_executions (sc : MC.scenario) =
+    Format.printf "scenario %s: %s@." sc.name sc.doc;
+    let result = MC.run ~max_executions sc in
+    (match result with
+    | MC.Explored outcome ->
+        Format.printf "explored %d schedules%s — no violation@."
+          outcome.Explore.executions
+          (if outcome.Explore.truncated then " (bounded)" else " (complete)")
+    | MC.Violation (schedule, exn) ->
+        Format.printf "VIOLATION (%s) under schedule [%s]@."
+          (Printexc.to_string exn)
+          (String.concat "; " (List.map string_of_int (Array.to_list schedule))));
+    match (sc.expect, result) with
+    | Holds, Explored _ -> true
+    | Violated, Violation _ ->
         Format.printf
           "violation observed, as expected: the checker has teeth@.";
         true
-    | Violated, Holds ->
+    | Violated, Explored _ ->
         Format.printf "ERROR: %s: expected a violation but none was found@."
-          name;
+          sc.name;
         false
-    | Holds, Violated ->
-        Format.printf "ERROR: %s: a schedule violates it@." name;
+    | Holds, Violation _ ->
+        Format.printf "ERROR: %s: a schedule violates it@." sc.name;
         false
   in
   let run scenario max_executions =
-    let chosen = match scenario with Some sc -> [ sc ] | None -> scenarios in
+    let chosen = match scenario with Some sc -> [ sc ] | None -> MC.scenarios in
     match List.filter (fun sc -> not (check max_executions sc)) chosen with
     | [] ->
         Format.printf "explore: %d scenario(s), every verdict as expected@."
           (List.length chosen)
     | failed ->
-        Format.printf "explore: unexpected verdict in %s@."
-          (String.concat ", " (List.map (fun (n, _, _, _) -> n) failed));
+        Format.printf "explore: unexpected verdict in %s@." (names failed);
         exit 1
   in
   let max_t =
@@ -449,7 +205,7 @@ let explore_cmd =
              fail on any verdict other than the scenario's expected one \
              (a scenario named *-broken is a self-test that must be \
              caught).  Scenarios: %s."
-            (String.concat ", " (List.map (fun (n, _, _, _) -> n) scenarios))))
+            (names MC.scenarios)))
     Term.(const run $ scenario_t $ max_t)
 
 (* ---- record & verify ---------------------------------------------------- *)

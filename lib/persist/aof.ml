@@ -180,16 +180,21 @@ let wait_durable t seq =
   if t.synced_seq < seq then
     with_sync_mu t (fun () -> if t.synced_seq < seq then sync_locked t)
 
-(* Sync what is buffered to the current file, then swap in [path]'s
-   under the append lock: the records appended since that sync go to
-   the new file, after every record of the old one.  A failure leaves
-   the writer on the old file. *)
+(* Sync what is buffered to the current file, create [path]'s and make
+   its directory entry durable, then swap it in under the append lock:
+   the records appended since that sync go to the new file, after every
+   record of the old one, and none is acked while a crash could still
+   drop the file.  A failure leaves the writer on the old file. *)
 let switch t path =
   let old =
     with_sync_mu t (fun () ->
         if t.closed then failwith "Aof.switch: the log is closed";
         sync_locked t;
         let fd, size = open_file path in
+        (try Layout.fsync_dir (Filename.dirname path)
+         with e ->
+           Unix.close fd;
+           raise e);
         Mutex.lock t.mu;
         let old = t.fd in
         t.fd <- fd;

@@ -38,6 +38,7 @@ type 'c t = {
   mutable checkpoints : int;
       (** checkpoints published; one writer at a time ([ckpt_mu], or
           activation before serving) *)
+  mutable checkpoint_errors : int;  (** checkpoints failed, under [ckpt_mu] *)
   hook_errors : int Atomic.t;
       (** exceptions swallowed by the commit hook and {!log_new} *)
   sync_errors : int Atomic.t;  (** failed syncs of {!tick} *)
@@ -60,6 +61,7 @@ let create ~dir ~policy ~encode ~gen ~replayed ~recover_ms ~tear =
     recover_ms;
     tear;
     checkpoints = 0;
+    checkpoint_errors = 0;
     hook_errors = Atomic.make 0;
     sync_errors = Atomic.make 0;
     spans = Array.make ring_cap None;
@@ -162,6 +164,8 @@ let published t ~gen =
   t.last_save <- Unix.gettimeofday ();
   t.checkpoints <- t.checkpoints + 1
 
+let checkpoint_failed t = t.checkpoint_errors <- t.checkpoint_errors + 1
+
 (* ---- what INFO, --stats-json and the trace read ------------------------- *)
 
 let counters t =
@@ -172,6 +176,7 @@ let counters t =
     ("synced_seq", Aof.synced_seq t.aof);
     ("replayed", t.replayed);
     ("checkpoints", t.checkpoints);
+    ("checkpoint_errors", t.checkpoint_errors);
     ("hook_errors", Atomic.get t.hook_errors);
     ("sync_errors", Atomic.get t.sync_errors);
   ]

@@ -143,6 +143,10 @@ val published : _ t -> gen:int -> unit
 (** A checkpoint of generation [gen] is on disk and the manifest names
     it: count it, and report [gen] and the time from now on. *)
 
+val checkpoint_failed : _ t -> unit
+(** A checkpoint failed before it was published: count it in
+    [checkpoint_errors].  Call it inside {!checkpointing}. *)
+
 (** {1 What INFO, [--stats-json] and the trace read} *)
 
 type span = { name : string; ts_us : int; dur_us : int }
@@ -161,7 +165,8 @@ val counters : _ t -> (string * int) list
 (** [--stats-json]'s [persist] section: [appends], [bytes] (framed log
     bytes of every generation's file, magic included), [fsyncs],
     [synced_seq] (the last record an fsync covers, on the appends'
-    sequence), [replayed], [checkpoints] (published), [hook_errors],
+    sequence), [replayed], [checkpoints] (published),
+    [checkpoint_errors] ({!checkpoint_failed}), [hook_errors],
     [sync_errors] (failed {!tick} syncs). *)
 
 val info : _ t -> (string * string) list

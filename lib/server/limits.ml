@@ -7,14 +7,14 @@
     [max_inflight] requests into one read batch gets [BUSY] errors for
     the excess instead of the server buffering arbitrarily — the reply
     tells the client to slow down, and server memory stays bounded by
-    [max_inflight * max_frame] per connection. *)
+    [max_inflight] times the wire's frame limit
+    ({!Wire.default_max_frame}) per connection. *)
 
 type t = {
   max_inflight : int;
       (** decoded-but-unexecuted requests tolerated per connection;
           excess requests are answered [BUSY] and not executed *)
   max_multi : int;  (** commands accepted inside one [MULTI] batch *)
-  max_frame : int;  (** bytes per wire frame (header excluded) *)
   op_budget : int option;
       (** optimistic retry budget per request, single- or cross-shard,
           mapped onto the request's transaction's [~budget]: a request that
@@ -51,7 +51,6 @@ let default =
   {
     max_inflight = 128;
     max_multi = 1024;
-    max_frame = 8 * 1024 * 1024;
     op_budget = None;
     op_deadline_us = None;
     max_waiters = 64;
@@ -61,7 +60,6 @@ let default =
 let validate t =
   if t.max_inflight < 1 then invalid_arg "Limits: max_inflight must be >= 1";
   if t.max_multi < 1 then invalid_arg "Limits: max_multi must be >= 1";
-  if t.max_frame < 64 then invalid_arg "Limits: max_frame must be >= 64";
   if t.max_waiters < 1 then invalid_arg "Limits: max_waiters must be >= 1";
   (match t.op_budget with
   | Some b when b < 1 -> invalid_arg "Limits: op_budget must be >= 1"

@@ -126,10 +126,11 @@ let write_checkpoint reg log ~gen =
    record not yet synced to the old log lands in the new generation's
    log; the ones that slip in before the snapshot's cut carry stamps
    within the bound vector and are filtered out on replay.  A failed attempt
-   (e.g. disk full writing the checkpoint) leaves the manifest — and
-   therefore recovery — on the old generation, with the old log intact
-   and the already-rotated new log replayed after it; the next attempt
-   reuses the rotated log rather than rotating again. *)
+   (e.g. disk full writing the checkpoint) counts in
+   [checkpoint_errors] and leaves the manifest — and therefore
+   recovery — on the old generation, with the old log intact and the
+   already-rotated new log replayed after it; the next attempt reuses
+   the rotated log rather than rotating again. *)
 let bgsave reg log =
   let dir = Oplog.dir log in
   let save () =
@@ -144,6 +145,7 @@ let bgsave reg log =
       Oplog.published log ~gen:g';
       Wire.ok
     with e ->
+      Oplog.checkpoint_failed log;
       Wire.Error (Wire.Proto, "checkpoint failed: " ^ Printexc.to_string e)
   in
   match Oplog.checkpointing log save with

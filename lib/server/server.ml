@@ -205,7 +205,7 @@ let stats_json_doc ~elapsed_s ~registry ?persist (stats : Session.stats)
             ("other_errors", T.Json.Int stats.Session.other_errors);
             ( "latency",
               T.Json.Obj
-                (("all", hist_json stats.Session.lat_all)
+                (("all", hist_json (Session.latency_all stats))
                 :: List.init 3 (fun i ->
                        (sem_name i, hist_json stats.Session.lat_by_sem.(i))))
             );
@@ -349,7 +349,9 @@ let run ?registry cfg =
   let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   (* The persistence housekeeper: the [`Everysec] group sync and the
      automatic checkpoint cadence.  A plain systhread — both duties
-     are I/O-bound and sub-second-latency-tolerant. *)
+     are I/O-bound and sub-second-latency-tolerant.  A failed sync
+     counts in [sync_errors], a failed checkpoint in
+     [checkpoint_errors]. *)
   let persist_stop = Atomic.make false in
   let persist_thread =
     Option.map

@@ -81,8 +81,8 @@ type stats = {
   mutable other_errors : int;  (** NOSTRUCT / BADOP replies *)
   lat_by_sem : Hist.t array;
       (** op latency (ns) per executed semantics: classic, elastic,
-          snapshot — index with {!sem_index} *)
-  lat_all : Hist.t;  (** op latency (ns) over every executed request *)
+          snapshot — index with {!sem_index}; {!latency_all} merges
+          them *)
 }
 
 let create_stats () =
@@ -96,8 +96,14 @@ let create_stats () =
     sem_errors = 0;
     other_errors = 0;
     lat_by_sem = Array.init 3 (fun _ -> Hist.create ());
-    lat_all = Hist.create ();
   }
+
+(* Op latency over every executed request: each is in exactly one
+   class, and merging adds counts, integer sums and extremes exactly. *)
+let latency_all stats =
+  let all = Hist.create () in
+  Array.iter (fun h -> Hist.merge_into ~into:all h) stats.lat_by_sem;
+  all
 
 let sem_index = function
   | Polytm.Semantics.Classic -> 0
@@ -120,8 +126,7 @@ let merge_stats ~into src =
   into.other_errors <- into.other_errors + src.other_errors;
   Array.iteri
     (fun i h -> Hist.merge_into ~into:into.lat_by_sem.(i) h)
-    src.lat_by_sem;
-  Hist.merge_into ~into:into.lat_all src.lat_all
+    src.lat_by_sem
 
 (* ---- telemetry labels --------------------------------------------------
 
@@ -308,7 +313,6 @@ let record_latency t i t0 =
   let now = R.now () in
   let dt = now - t0 in
   Hist.record t.stats.lat_by_sem.(i) dt;
-  Hist.record t.stats.lat_all dt;
   t.mark <- now;
   t.timed <- -1
 
@@ -986,7 +990,7 @@ let wants_read t =
   &&
   if t.parked then
     Option.is_some t.pop
-    && Wire.Decoder.buffered t.dec < t.limits.Limits.max_frame
+    && Wire.Decoder.buffered t.dec < Wire.default_max_frame
   else Wire.Obuf.pending t.out = 0
 
 let wants_write t = (not t.closed) && Wire.Obuf.pending t.out > 0
@@ -1004,7 +1008,7 @@ let create ~limits ~registry ~stats ~services fd =
     limits;
     stats;
     services;
-    dec = Wire.Decoder.create ~max_frame:limits.Limits.max_frame ();
+    dec = Wire.Decoder.create ();
     out = Wire.Obuf.create ~initial:8192 ();
     scratch = Wire.Obuf.create ~initial:4096 ();
     admitted = 0;

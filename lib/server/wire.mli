@@ -201,13 +201,17 @@ val write_framed_array : Obuf.t -> count:int -> items:Obuf.t -> unit
 
 (** {1 Incremental decoding} *)
 
+val default_max_frame : int
+(** 8 MiB: the most body bytes a decoder accepts in one frame unless
+    {!Decoder.create} says otherwise. *)
+
 module Decoder : sig
   type t
 
   val create : ?max_frame:int -> unit -> t
-  (** [max_frame] (default 8 MiB) bounds a single frame's body; a
-      header announcing more is treated as corrupt, so a hostile peer
-      cannot make the decoder buffer unboundedly. *)
+  (** [max_frame] (default {!default_max_frame}) bounds a single
+      frame's body; a header announcing more is treated as corrupt, so
+      a hostile peer cannot make the decoder buffer unboundedly. *)
 
   val feed : t -> Bytes.t -> int -> int -> unit
   (** [feed t b off len] appends bytes; call after every read. *)

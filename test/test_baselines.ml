@@ -226,20 +226,15 @@ let test_lockfree_concurrent_adds_exhaustive () =
   in
   Alcotest.(check bool) "no truncation" false outcome.Explore.truncated
 
+(* The program of [tmcheck explore lockfree-add-remove]: at these
+   bounds no run is pruned and the cap is never reached. *)
 let test_lockfree_add_remove_exhaustive () =
-  let program () =
-    let module L = AM.Lockfree in
-    let t = L.create () in
-    ignore (L.add t 1);
-    ignore (L.add t 2);
-    let t1 = Sim.spawn (fun () -> ignore (L.remove t 1)) in
-    let t2 = Sim.spawn (fun () -> ignore (L.add t 3)) in
-    Sim.join t1;
-    Sim.join t2;
-    assert (L.to_list t = [ 2; 3 ])
+  let sc =
+    Option.get (Polytm_bench_kit.Model_checks.find "lockfree-add-remove")
   in
   let outcome =
-    Explore.check ~max_executions:50_000 ~max_depth:40 ~step_limit:1_000 program
+    Explore.check ~max_executions:50_000 ~max_depth:40 ~step_limit:1_000
+      sc.program
   in
   Alcotest.(check bool) "no truncation" false outcome.Explore.truncated
 
@@ -264,29 +259,6 @@ let test_lockfree_adjacent_removes_exhaustive () =
   in
   Alcotest.(check bool) "no truncation" false outcome.Explore.truncated
 
-(* The same adjacent-removes scenario, exhaustively, for the elastic
-   STM list — the regression test for the resurrect bug found during
-   development. *)
-let test_elastic_list_adjacent_removes_exhaustive () =
-  let program () =
-    let stm = AM.S.create ~cm:Polytm.Contention.Suicide () in
-    let module LS = AM.List_set in
-    let t = LS.create ~parse_sem:Polytm.Semantics.Elastic stm in
-    ignore (LS.add t 1);
-    ignore (LS.add t 2);
-    ignore (LS.add t 3);
-    let t1 = Sim.spawn (fun () -> ignore (LS.remove t 1)) in
-    let t2 = Sim.spawn (fun () -> ignore (LS.remove t 2)) in
-    Sim.join t1;
-    Sim.join t2;
-    assert (LS.to_list t = [ 3 ])
-  in
-  let outcome =
-    Explore.check ~max_executions:100_000 ~max_depth:50 ~step_limit:2_000
-      program
-  in
-  Alcotest.(check bool) "explored" true (outcome.Explore.executions > 100)
-
 let suite =
   ( "baselines",
     List.map (fun p -> Test_seed.to_alcotest (sequential_property p))
@@ -304,6 +276,4 @@ let suite =
           test_lockfree_add_remove_exhaustive;
         Alcotest.test_case "lockfree adjacent removes exhaustive" `Quick
           test_lockfree_adjacent_removes_exhaustive;
-        Alcotest.test_case "elastic adjacent removes exhaustive" `Quick
-          test_elastic_list_adjacent_removes_exhaustive;
       ] )

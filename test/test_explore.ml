@@ -1,11 +1,14 @@
 (* Tests for the exhaustive interleaving explorer.  Coverage is
    measured as the number of *distinct shared-access orderings*
    reached, checked against combinatorics, and the explorer must find
-   the classic lost-update race that random testing can miss. *)
+   the classic lost-update race that random testing can miss.  Every
+   model-checked scenario of [tmcheck explore] runs here too, one case
+   per entry of its table. *)
 
 module R = Polytm_runtime.Sim_runtime
 module Sim = Polytm_runtime.Sim
 module Explore = Polytm_runtime.Explore
+module MC = Polytm_bench_kit.Model_checks
 
 (* Threads record the global order of their shared accesses through a
    single fetch-and-add each (one scheduling point per access); the
@@ -221,6 +224,25 @@ let test_greedy_mutual_wait_bounded () =
     true
     (outcome.Explore.executions > 100)
 
+(* A scenario of the shared table reaches its verdict within 20,000
+   schedules, and a [Holds] rests on 1,000 of them or on all there
+   are. *)
+let test_scenario (sc : MC.scenario) () =
+  match (sc.expect, MC.run ~max_executions:20_000 sc) with
+  | Holds, Explored o ->
+      Alcotest.(check bool)
+        (Printf.sprintf "1,000 schedules or a complete exploration (%d%s)"
+           o.executions
+           (if o.truncated then ", bounded" else ", complete"))
+        true
+        (o.executions >= 1_000 || not o.truncated)
+  | Violated, Violation _ -> ()
+  | Holds, Violation (schedule, exn) ->
+      Alcotest.failf "%s under schedule [%s]" (Printexc.to_string exn)
+        (String.concat "; " (List.map string_of_int (Array.to_list schedule)))
+  | Violated, Explored o ->
+      Alcotest.failf "no violation in %d schedules" o.executions
+
 let suite =
   ( "explore",
     [
@@ -244,4 +266,8 @@ let suite =
         test_preemption_bound_still_finds_race;
       Alcotest.test_case "zero preemptions misses race" `Quick
         test_zero_preemptions_misses_race;
-    ] )
+    ]
+    @ List.map
+        (fun (sc : MC.scenario) ->
+          Alcotest.test_case sc.name `Quick (test_scenario sc))
+        MC.scenarios )

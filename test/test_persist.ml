@@ -1302,6 +1302,44 @@ let test_fsync_dir_raises () =
         "the error names the call and the directory" ("fsync", "/proc/self")
         (fn, arg)
 
+(* ---- a failed checkpoint is counted ------------------------------------ *)
+
+(* A directory squatting on the next generation's checkpoint path makes
+   the checkpoint's open fail (EISDIR, even as root): BGSAVE answers
+   "checkpoint failed" and [checkpoint_errors] reads 1.  With the
+   squatter gone, a second BGSAVE publishes over the log the first one
+   already rotated to, and the count stays at 1. *)
+let test_failed_checkpoint_counted () =
+  let dir = fresh_dir "ckpt-error" in
+  run_session ~dir ~policy:`Always (fun fd _reg p ->
+      let errors () =
+        List.assoc "checkpoint_errors" (P.Oplog.counters p.Persist.log)
+      in
+      let replies r = String.concat " " (List.map resp_str r) in
+      let squatter = P.Layout.ckpt_path ~dir 2 in
+      ignore
+        (roundtrip fd [ Wire.New (Wire.Kmap, "m"); Wire.Put ("m", 1, "a") ]);
+      Unix.mkdir squatter 0o755;
+      (match roundtrip fd [ Wire.Bgsave ] with
+      | [ Wire.Error (Wire.Proto, m) ]
+        when String.starts_with ~prefix:"checkpoint failed" m ->
+          ()
+      | r -> Alcotest.failf "BGSAVE over a squatter: %s" (replies r));
+      Alcotest.(check int) "the failure is counted" 1 (errors ());
+      Alcotest.(check string) "INFO shows it" "1"
+        (List.assoc "persist_checkpoint_errors" (P.Oplog.info p.Persist.log));
+      Unix.rmdir squatter;
+      ignore (roundtrip fd [ Wire.Put ("m", 2, "b") ]);
+      (match roundtrip fd [ Wire.Bgsave ] with
+      | [ Wire.Simple "OK" ] -> ()
+      | r -> Alcotest.failf "BGSAVE: %s" (replies r));
+      Alcotest.(check int) "a success counts nothing" 1 (errors ());
+      Alcotest.(check (list string))
+        "generation 2 published over the one rotated log"
+        [ P.Layout.ckpt_name 2; P.Layout.log_name 2 ]
+        (P.Layout.gen_files ~dir));
+  rm_rf dir
+
 (* ---- a lost or torn MANIFEST refuses and removes nothing ---------------- *)
 
 (* A store whose MANIFEST was deleted, or left 0 bytes long, still
@@ -2186,6 +2224,8 @@ let suite =
         `Quick test_lost_manifest_refuses;
       Alcotest.test_case "a failed directory fsync raises" `Quick
         test_fsync_dir_raises;
+      Alcotest.test_case "a failed checkpoint is counted" `Quick
+        test_failed_checkpoint_counted;
       Alcotest.test_case "a failed log write keeps its records" `Quick
         test_aof_failed_write;
       Alcotest.test_case "a failed tick sync is counted and retried" `Quick

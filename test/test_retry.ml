@@ -3,11 +3,10 @@
 
    - Deterministic wakeup in the simulator: the consumer parks (no
      polling: exactly one park) and the producer's commit wakes it.
-   - Exhaustive model check of the classic lost-wakeup race (writer
-     commits between the empty read and the park): the real protocol
-     (register, then re-validate, then park) survives every schedule; a
-     deliberately broken waiter that skips re-validation deadlocks on a
-     schedule the explorer finds.
+   - The exhaustive model checks of the lost-wakeup race (a writer
+     commits between the empty read and the park, or the registration
+     of a loop's wait) are [tmcheck explore]'s [retry-*] scenarios, run
+     by the explore suite.
    - orElse: a retrying left branch falls through; when both branches
      retry the waiter wakes on the *union* of both read sets; an
      [abort]ed (not retried) left branch leaks nothing into the wait
@@ -232,114 +231,6 @@ let test_orelse_conflict_abort_restarts_whole_tx () =
   Alcotest.(check bool) "schedules explored" true
     (outcome.Explore.executions > 10)
 
-(* {1 Explore: lost-wakeup freedom} *)
-
-(* Writer and blocking reader race on a one-element queue.  The
-   simulator charges a tick between the decision to wait and the wait
-   registration, so the explorer can schedule the producer's commit
-   inside that window — the classic lost-wakeup race.  The protocol
-   (register, re-validate, park) must survive every interleaving. *)
-let lost_wakeup_program ~skip_wake_validation algo () =
-  let stm =
-    S.create ~algo
-      ?fault:(if skip_wake_validation then Some `Skip_wake_validation else None)
-      ()
-  in
-  let q = Q.create stm in
-  let got = ref None in
-  let c = Sim.spawn (fun () -> got := Some (Q.take q)) in
-  let p = Sim.spawn (fun () -> Q.enqueue q 7) in
-  Sim.join c;
-  Sim.join p;
-  assert (!got = Some 7)
-
-let test_explore_no_lost_wakeup () =
-  List.iter
-    (fun algo ->
-      let outcome =
-        Explore.check ~max_executions:40_000 ~max_depth:120 ~step_limit:2_000
-          (lost_wakeup_program ~skip_wake_validation:false algo)
-      in
-      Alcotest.(check bool) "schedules explored" true
-        (outcome.Explore.executions > 50))
-    [ `Tl2; `Norec ]
-
-let test_explore_catches_broken_waiter () =
-  List.iter
-    (fun algo ->
-      let found =
-        try
-          ignore
-            (Explore.check ~max_executions:40_000 ~max_depth:120
-               ~step_limit:2_000
-               (lost_wakeup_program ~skip_wake_validation:true algo));
-          false
-        with Explore.Violation _ -> true
-      in
-      Alcotest.(check bool)
-        "skipping pre-park validation loses a wakeup on some schedule" true
-        found)
-    [ `Tl2; `Norec ]
-
-(* {1 Explore: the registering wait}
-
-   An event loop cannot park in [retry]: it registers the wait through
-   [try_atomically_one ~wake], blocks on its own parker (as it blocks in
-   [select]) and re-runs when the wake unparks it.  The producer's
-   commit races the same read-empty/register window, which the
-   registration charges as [park_prepare] does; skipping the
-   re-validation must deadlock on some schedule. *)
-let loop_wait_program ~skip_wake_validation algo () =
-  let stm =
-    S.create ~algo
-      ?fault:(if skip_wake_validation then Some `Skip_wake_validation else None)
-      ()
-  in
-  let q = Q.create stm in
-  let loop = Polytm_runtime.Sim_runtime.parker () in
-  let got = ref None in
-  let rec serve () =
-    match
-      S.try_atomically_one ~sem:Semantics.Classic ~label:""
-        ~wake:(fun () -> Polytm_runtime.Sim_runtime.unpark loop)
-        stm
-        (fun () -> S.atomically stm (fun tx -> Q.take_tx tx q))
-    with
-    | o -> got := Some o
-    | exception S.Waiting w ->
-        ignore (Polytm_runtime.Sim_runtime.park loop ~deadline:None);
-        S.cancel_wait w;
-        serve ()
-  in
-  let c = Sim.spawn serve in
-  let p = Sim.spawn (fun () -> Q.enqueue q 7) in
-  Sim.join c;
-  Sim.join p;
-  assert (!got = Some (S.Committed 7));
-  assert (S.waiting stm = 0)
-
-let test_explore_loop_wait () =
-  List.iter
-    (fun algo ->
-      let outcome =
-        Explore.check ~max_executions:5_000 ~max_depth:120 ~step_limit:2_000
-          (loop_wait_program ~skip_wake_validation:false algo)
-      in
-      Alcotest.(check bool) "schedules explored" true
-        (outcome.Explore.executions > 50);
-      let found =
-        try
-          ignore
-            (Explore.check ~max_executions:5_000 ~max_depth:120
-               ~step_limit:2_000
-               (loop_wait_program ~skip_wake_validation:true algo));
-          false
-        with Explore.Violation _ -> true
-      in
-      Alcotest.(check bool)
-        "a registration that skips the re-validation loses a wakeup" true found)
-    [ `Tl2; `Norec ]
-
 (* {1 Conservation through blocking consumers} *)
 
 (* [producers] threads each enqueue [per] tagged items, then one poison
@@ -488,12 +379,6 @@ let suite =
         test_orelse_abort_leaks_nothing;
       Alcotest.test_case "orElse conflict abort restarts (explore)" `Slow
         test_orelse_conflict_abort_restarts_whole_tx;
-      Alcotest.test_case "no lost wakeup (explore)" `Slow
-        test_explore_no_lost_wakeup;
-      Alcotest.test_case "broken waiter caught (explore)" `Slow
-        test_explore_catches_broken_waiter;
-      Alcotest.test_case "registered wait, loop-like waiter (explore)" `Slow
-        test_explore_loop_wait;
       QCheck_alcotest.to_alcotest qcheck_sim_conservation;
       Alcotest.test_case "domains conservation" `Quick
         test_domains_conservation;

@@ -556,7 +556,7 @@ let test_blpop_busy_when_wait_table_full () =
          and one, not two, for a pop that tried on the loop thread and
          then parked. *)
       Alcotest.(check int) "latency samples" 3
-        (Polytm_util.Stats.Hist.count stats.Session.lat_all))
+        (Polytm_util.Stats.Hist.count (Session.latency_all stats)))
 
 let test_watch_pushes_notifications () =
   with_sessions ~conns:2 (fun fds _reg ->
@@ -1053,7 +1053,7 @@ let test_raising_handler_ends_its_connection () =
 let test_latency_samples_per_request () =
   with_session (fun fd _ stats _ ->
       let counts () =
-        ( Polytm_util.Stats.Hist.count stats.Session.lat_all,
+        ( Polytm_util.Stats.Hist.count (Session.latency_all stats),
           Array.to_list
             (Array.map Polytm_util.Stats.Hist.count stats.Session.lat_by_sem) )
       in

@@ -8,11 +8,11 @@
    - Bank invariant: concurrent cross-shard MULTI transfers conserve
      the total balance, and every concurrent snapshot aggregate sees a
      conserved total (domains runtime — real parallelism).
-   - Explore model check of the 2PC window: no schedule lets a
-     snapshot reader observe one member's writes without the others';
-     the [`No_stabilize] fault deliberately reintroduces the torn read
-     and the explorer must find it.  A second explore races two
-     cross-shard increments: no schedule may lose one.
+   - Explore model check of the 2PC window: two cross-shard
+     increments race, and no schedule may lose one.  The torn-read
+     checks (a snapshot reader must never see one member's writes
+     without the others') are [tmcheck explore]'s [shard-2pc]
+     scenarios, which the explore suite runs.
 
    The concurrent cases run over TL2 and over NORec shards: the
    cross-instance commit seizes NORec's sequence lock where it locks
@@ -173,11 +173,16 @@ let test_bank_conservation algo () =
     ignore (ShdD.Map.add m a initial)
   done;
   let transfers = 400 in
-  let stop = Atomic.make false in
+  let stop = Atomic.make false and audited = Atomic.make false in
   (* A transfer between two accounts is one atomic transaction over
      exactly the owner shards of the two keys — the cross-shard 2PC
-     when they differ, plain [atomically] when they collide. *)
+     when they differ, plain [atomically] when they collide.  The
+     transfers start once the auditor has folded once, so it runs
+     beside them however late its domain starts. *)
   let transfer_worker seed () =
+    while not (Atomic.get audited) do
+      Domain.cpu_relax ()
+    done;
     let rng = Random.State.make [| seed |] in
     for _ = 1 to transfers do
       let a = Random.State.int rng accounts in
@@ -200,6 +205,7 @@ let test_bank_conservation algo () =
     let audits = ref 0 in
     while not (Atomic.get stop) do
       let sum = ShdD.Map.fold m (fun acc _ v -> acc + v) 0 in
+      Atomic.set audited true;
       incr audits;
       if sum <> total then
         Alcotest.failf "audit %d saw a torn total: %d (want %d)" !audits sum
@@ -254,59 +260,7 @@ let test_multi_exhaustion () =
   Alcotest.(check int) "the 17th attempt read the 19th write" 19
     (SD.atomically s1 (fun tx -> SD.read tx y))
 
-(* ---- Explore: the 2PC window cannot be read torn (sim runtime) --------- *)
-
-(* A writer commits [a := 1] on shard 0 and [b := 1] on shard 1 as one
-   cross-instance transaction; a reader takes a cross-instance
-   snapshot of both.  Atomicity of the 2PC means the reader sees
-   either neither write or both — under EVERY schedule. *)
-let torn_read_program ~algo ~stabilize () =
-  let fault = if stabilize then None else Some `No_stabilize in
-  let s0 = S.create ~algo ?fault () and s1 = S.create ~algo ?fault () in
-  let stms = [ s0; s1 ] in
-  let a = S.tvar s0 0 and b = S.tvar s1 0 in
-  let writer () =
-    S.atomically_multi ~label:"span-write" stms (fun () ->
-        S.atomically s0 (fun tx -> S.write tx a 1);
-        S.atomically s1 (fun tx -> S.write tx b 1))
-  in
-  let reader () =
-    let av, bv =
-      S.atomically_multi ~sem:Sem.Snapshot ~label:"span-read" stms (fun () ->
-          ( S.atomically s0 (fun tx -> S.read tx a),
-            S.atomically s1 (fun tx -> S.read tx b) ))
-    in
-    assert (av = bv)
-  in
-  let t1 = Sim.spawn writer and t2 = Sim.spawn reader in
-  Sim.join t1;
-  Sim.join t2;
-  assert (S.atomically s0 (fun tx -> S.read tx a) = 1);
-  assert (S.atomically s1 (fun tx -> S.read tx b) = 1)
-
-let explore program =
-  Explore.check ~max_executions:20_000 ~max_depth:60 ~step_limit:2_000
-    ~max_preemptions:2 program
-
-let test_2pc_no_torn_read algo () =
-  let outcome = explore (torn_read_program ~algo ~stabilize:true) in
-  Alcotest.(check bool)
-    (Printf.sprintf "explored many schedules (%d)" outcome.Explore.executions)
-    true
-    (outcome.Explore.executions > 50)
-
-let test_2pc_broken_ordering_caught algo () =
-  (* Skipping the bound vector's re-check pass reintroduces the torn
-     read; the explorer must find a schedule that observes it.  This
-     is the self-test that the model check has teeth. *)
-  let found =
-    try
-      ignore (explore (torn_read_program ~algo ~stabilize:false));
-      false
-    with Explore.Violation _ -> true
-  in
-  Alcotest.(check bool) "explorer catches the torn cross-shard read" true
-    found
+(* ---- Explore: the 2PC window (sim runtime) ----------------------------- *)
 
 (* Two writers each increment [a] on shard 0 and [b] on shard 1 in one
    cross-shard transaction.  Whatever the interleaving of their
@@ -328,7 +282,10 @@ let lost_increment_program ~algo () =
   assert (S.atomically s1 (fun tx -> S.read tx b) = 2)
 
 let test_2pc_no_lost_increment algo () =
-  let outcome = explore (lost_increment_program ~algo) in
+  let outcome =
+    Explore.check ~max_executions:20_000 ~max_depth:60 ~step_limit:2_000
+      ~max_preemptions:2 (lost_increment_program ~algo)
+  in
   Alcotest.(check bool)
     (Printf.sprintf "explored many schedules (%d)" outcome.Explore.executions)
     true
@@ -463,14 +420,6 @@ let suite =
         (test_bank_conservation `Norec);
       Alcotest.test_case "cross-shard exhaustion: budget vs escalation"
         `Quick test_multi_exhaustion;
-      Alcotest.test_case "2PC window: no torn read under any schedule" `Quick
-        (test_2pc_no_torn_read `Tl2);
-      Alcotest.test_case "2PC window: broken ordering is caught" `Quick
-        (test_2pc_broken_ordering_caught `Tl2);
-      Alcotest.test_case "NORec 2PC window: no torn read" `Quick
-        (test_2pc_no_torn_read `Norec);
-      Alcotest.test_case "NORec 2PC window: broken ordering caught" `Quick
-        (test_2pc_broken_ordering_caught `Norec);
       Alcotest.test_case "2PC increments: none lost under any schedule"
         `Quick (test_2pc_no_lost_increment `Tl2);
       Alcotest.test_case "NORec 2PC increments: none lost" `Quick

@@ -1014,27 +1014,6 @@ let test_greedy_spin_loop_observes_kill () =
 
 (* --- exhaustive model checking ------------------------------------------ *)
 
-let test_stm_increments_model_checked () =
-  (* Every schedule of two concurrent transactional increments must
-     preserve both increments.  Livelocking schedules (one transaction
-     aborted forever by an unfair scheduler) are pruned by the step
-     limit; explored schedules must all be correct. *)
-  let program () =
-    let stm = S.create ~cm:Contention.Suicide () in
-    let v = S.tvar stm 0 in
-    let incr () = S.atomically stm (fun tx -> S.write tx v (S.read tx v + 1)) in
-    let t1 = Sim.spawn incr and t2 = Sim.spawn incr in
-    Sim.join t1;
-    Sim.join t2;
-    assert (S.atomically stm (fun tx -> S.read tx v) = 2)
-  in
-  let outcome =
-    Polytm_runtime.Explore.check ~max_executions:40_000 ~max_depth:40
-      ~step_limit:600 program
-  in
-  Alcotest.(check bool) "explored a large schedule set" true
-    (outcome.Polytm_runtime.Explore.executions > 500)
-
 let test_stm_elastic_vs_classic_model_checked () =
   (* An elastic read-only parse concurrent with a classic update:
      under every schedule the parse must return one of the sums a
@@ -1069,68 +1048,6 @@ let test_stm_elastic_vs_classic_model_checked () =
   in
   Alcotest.(check bool) "explored schedules" true
     (outcome.Polytm_runtime.Explore.executions > 100)
-
-(* One writer writes [a] and [b] once while a snapshot reads both (the
-   [tmcheck explore snapshot-backup] scenarios).  Backups are kept only
-   while a snapshot runs, so the snapshot's registration and bound must
-   be ordered against the writer's count read: in every schedule it
-   reads a consistent pair and never aborts as too old.  A TL2 snapshot
-   reads after the writer is done (a read of a locked location spins,
-   and the explorer prunes spinning schedules with their branches); its
-   registration still lands at every point of the commit. *)
-let snapshot_backup_program ~algo ~fault () =
-  let stm = S.create ~cm:Contention.Suicide ~algo ?fault () in
-  let a = S.tvar stm 0 and b = S.tvar stm 0 in
-  let writer () =
-    S.atomically stm (fun tx ->
-        S.write tx a 1;
-        S.write tx b 1)
-  in
-  let reader w () =
-    let av, bv =
-      S.atomically stm ~sem:Semantics.Snapshot (fun tx ->
-          if algo = `Tl2 then Sim.join w;
-          let av = S.read tx a in
-          R.yield ();
-          (av, S.read tx b))
-    in
-    assert (av = bv)
-  in
-  let t1 = Sim.spawn writer in
-  let t2 = Sim.spawn (reader t1) in
-  Sim.join t1;
-  Sim.join t2;
-  assert ((S.stats stm).S.snapshot_too_old = 0)
-
-let explore_snapshot_backup ~algo ~fault =
-  Polytm_runtime.Explore.check ~max_executions:40_000 ~max_depth:120
-    ~step_limit:2_000
-    (snapshot_backup_program ~algo ~fault)
-
-let test_snapshot_backup_model_checked () =
-  List.iter
-    (fun algo ->
-      let outcome = explore_snapshot_backup ~algo ~fault:None in
-      Alcotest.(check bool)
-        (Printf.sprintf "explored schedules (%d)"
-           outcome.Polytm_runtime.Explore.executions)
-        true
-        (outcome.Polytm_runtime.Explore.executions > 1_000))
-    [ `Tl2; `Norec ]
-
-let test_snapshot_backup_early_check_caught () =
-  (* Reading the count before the write version is drawn lets a
-     snapshot register and draw its bound in between, and the commit
-     then drops the backup that snapshot needs. *)
-  List.iter
-    (fun algo ->
-      let caught =
-        match explore_snapshot_backup ~algo ~fault:(Some `Early_backup_check) with
-        | _ -> false
-        | exception Polytm_runtime.Explore.Violation _ -> true
-      in
-      Alcotest.(check bool) "the explorer finds the dropped backup" true caught)
-    [ `Tl2; `Norec ]
 
 (* --- recorded histories vs the formal checkers -------------------------- *)
 
@@ -1293,14 +1210,8 @@ let suite =
         test_serial_fallback_respects_hooks;
       Alcotest.test_case "greedy spin loop observes kill" `Quick
         test_greedy_spin_loop_observes_kill;
-      Alcotest.test_case "increments model-checked" `Quick
-        test_stm_increments_model_checked;
       Alcotest.test_case "elastic parse model-checked" `Quick
         test_stm_elastic_vs_classic_model_checked;
-      Alcotest.test_case "snapshot backups model-checked" `Quick
-        test_snapshot_backup_model_checked;
-      Alcotest.test_case "an early snapshot count is caught" `Quick
-        test_snapshot_backup_early_check_caught;
       Alcotest.test_case "recorded histories opaque" `Quick
         test_recorded_histories_are_opaque;
       Alcotest.test_case "recorded elastic histories accepted" `Quick
