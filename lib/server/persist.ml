@@ -8,12 +8,15 @@
 
     Every op-log and checkpoint record's payload is hint-free wire
     request frames ({!Wire.write_cmds}), framed in place into the
-    writer that carries them ({!Polytm_persist.Frame.add}), so replay is
-    simply "parse the frame, resolve it against the registry, run the
-    transaction", one code path shared by log replay and checkpoint
-    loading, exercised by the same codec fuzzers as the live server.
-    Records are parsed where they lie in the scanner's window, and
-    consecutive frames on one instance share one transaction.
+    writer that carries them ({!Polytm_persist.Frame.add}) and parsed
+    where they lie in the scanner's window by the live server's parser,
+    which the same codec fuzzers exercise.  A frame is replayed through
+    the live path: resolved against the registry and run by the thunk a
+    request runs, consecutive frames on one instance sharing one
+    transaction.  A log's map and set point mutations are blind writes,
+    so they are folded by key and each key's last one alone is replayed,
+    once, after the last log file; [NEW] records, queue frames and
+    checkpoint bodies replay in log order.
     The encoder writes integers straight into its buffer; the wire
     tests pin its bytes per command and hold it to a [string_of_int]
     reference, because a change to those bytes is a change to every
@@ -84,18 +87,8 @@ let collect reg =
           (fun (name, slot) -> (name, slot, Registry.contents slot))
           (Registry.slots reg) ))
 
-let write_file_durably path ob =
-  let fd = Unix.openfile path [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      P.Aof.write_all fd ob;
-      Unix.fsync fd)
-
-(* The checkpoint's records are framed in place, in one writer that is
-   then written out whole. *)
-let write_checkpoint reg log ~gen =
-  let t0 = Oplog.now_us () in
+(* The whole store framed in place as a checkpoint, in one writer. *)
+let frame_checkpoint reg =
   let bounds, state = collect reg in
   let ob = Obuf.create ~initial:65536 () in
   Obuf.add_string ob P.Frame.ckpt_magic;
@@ -119,7 +112,22 @@ let write_checkpoint reg log ~gen =
     state;
   emit P.Frame.rt_trailer ~algo:0 Obuf.add_string
     (P.Frame.encode_count !nrecords);
-  write_file_durably (P.Layout.ckpt_path ~dir:(Oplog.dir log) gen) ob;
+  ob
+
+(* The file is opened before the store is folded, so a checkpoint that
+   cannot open it folds nothing. *)
+let write_checkpoint reg log ~gen =
+  let t0 = Oplog.now_us () in
+  let fd =
+    Unix.openfile
+      (P.Layout.ckpt_path ~dir:(Oplog.dir log) gen)
+      [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      P.Aof.write_all fd (frame_checkpoint reg);
+      Unix.fsync fd);
   Oplog.span log ~name:"checkpoint" ~ts_us:t0 ~dur_us:(Oplog.now_us () - t0)
 
 (* Checkpoint + publish + compact.  Rotation happens first, so every
@@ -167,11 +175,24 @@ let refuse fmt = Printf.ksprintf (fun m -> raise (Refuse m)) fmt
    the cap and at the end of each file. *)
 let batch_cap = 256
 
+module Keys = Hashtbl.Make (Int)
+
+(* A map's or set's point mutations in the log tail, folded by key
+   (see [fold_op]): each key's last state, a map key's value, [present]
+   for a set's key, or [removed].  [removed] is told apart by physical
+   equality, since a parsed value is always a fresh string; a box per
+   value would be promoted with it by every minor collection. *)
+type fold = { name : string; slot : Registry.slot; last : string Keys.t }
+
+let present = "present"
+let removed = "removed"
+
 type replay = {
   reg : Registry.t;
   runs : (unit -> Wire.response) array;  (** the pending batch, in log order *)
   mutable pending : int;
   mutable on : S.t;  (** the instance of the pending batch *)
+  mutable folds : fold list;
 }
 
 let replay_state reg =
@@ -180,6 +201,7 @@ let replay_state reg =
     runs = Array.make batch_cap (fun () -> Wire.ok);
     pending = 0;
     on = Registry.stm reg;
+    folds = [];
   }
 
 let flush rp =
@@ -206,6 +228,66 @@ let replay_op rp (req : Wire.request) =
   | Ok { site = Registry.Spanning insts; run; _ } ->
       flush rp;
       ignore (S.atomically_multi ~label:"replay" insts run : Wire.response)
+
+(* A log frame that sets one key of a map or set is a blind write: the
+   key's last one alone decides its state, and structures share no
+   state, so the log tail's are folded by key and applied once, after
+   the last log file ([apply_folds]).  Each is checked where it lies,
+   as [Registry.resolve] checks it, and one it would refuse replays,
+   to be refused in the same words.  Queue frames, whose order
+   matters, replay in log order. *)
+let fold_key rp req kind name k last =
+  match Registry.lookup rp.reg name with
+  | Some slot when Registry.kind_of_entry slot.entry = kind ->
+      let f =
+        match List.find_opt (fun f -> f.slot == slot) rp.folds with
+        | Some f -> f
+        | None ->
+            let f = { name; slot; last = Keys.create 256 } in
+            rp.folds <- f :: rp.folds;
+            f
+      in
+      Keys.replace f.last k last
+  | Some _ | None -> replay_op rp req
+
+let fold_op rp (req : Wire.request) =
+  match req.cmd with
+  | Wire.Put (name, k, v) -> fold_key rp req Wire.Kmap name k v
+  | Wire.Del (name, k) -> fold_key rp req Wire.Kmap name k removed
+  | Wire.Add (name, k) -> fold_key rp req Wire.Kset name k present
+  | Wire.Remove (name, k) -> fold_key rp req Wire.Kset name k removed
+  | _ -> replay_op rp req
+
+(* Each folded key's one command, through [replay_op], the keys of one
+   owner instance after another so they share its batches, each in key
+   order: neighbouring keys share a map's leaves, so a batch of them
+   copies and commits few. *)
+let apply_folds rp =
+  let apply { slot; last; _ } owner cmd =
+    let keys = Array.make (Keys.length last) 0 and n = ref 0 in
+    Keys.iter (fun k _ -> keys.(!n) <- k; incr n) last;
+    Array.sort Int.compare keys;
+    List.iter
+      (fun inst ->
+        Array.iter
+          (fun k ->
+            if owner k == inst then
+              replay_op rp { Wire.hint = None; cmd = cmd k (Keys.find last k) })
+          keys)
+      (Registry.instances rp.reg slot.algo)
+  in
+  List.iter
+    (fun f ->
+      match f.slot.entry with
+      | Registry.Emap m ->
+          apply f (Registry.Shd.Map.owner m) (fun k v ->
+              if v == removed then Wire.Del (f.name, k) else Wire.Put (f.name, k, v))
+      | Registry.Eset hs ->
+          apply f (Registry.Shd.Hash_set.owner hs) (fun k v ->
+              if v == removed then Wire.Remove (f.name, k) else Wire.Add (f.name, k))
+      | Registry.Equeue _ -> (* never folded *) ())
+    rp.folds;
+  flush rp
 
 let replay_new rp ~algo (req : Wire.request) =
   match req.cmd with
@@ -239,7 +321,7 @@ let bound t algo shard =
 
 (* Replay one record; [false] when its stamp is within the bound
    vector, so the checkpoint already holds it. *)
-let replay_record rp ~bounds (h : P.Frame.header) buf off len =
+let replay_record rp ~op ~bounds (h : P.Frame.header) buf off len =
   if h.rtype = P.Frame.rt_new then begin
     flush rp;
     frames (replay_new rp ~algo:(P.Frame.algo_of_code h.algo)) buf off len;
@@ -247,7 +329,7 @@ let replay_record rp ~bounds (h : P.Frame.header) buf off len =
   end
   else if h.rtype = P.Frame.rt_op then begin
     let fresh = h.stamp > bound bounds h.algo h.shard in
-    if fresh then frames (replay_op rp) buf off len;
+    if fresh then frames op buf off len;
     fresh
   end
   else refuse "unexpected record type %d" h.rtype
@@ -289,12 +371,12 @@ let load_checkpoint rp ~path =
   | Some _ -> refuse "checkpoint trailer count mismatch"
   | None -> refuse "checkpoint trailer malformed");
   (* no bounds: every body record (stamp 0) applies *)
-  let none = bound_table [] in
+  let none = bound_table [] and op = replay_op rp in
   let i = ref 0 in
   ignore
     (scan (fun h buf off len ->
          if !i > 0 && !i < records - 1 then
-           ignore (replay_record rp ~bounds:none h buf off len : bool);
+           ignore (replay_record rp ~op ~bounds:none h buf off len : bool);
          incr i));
   flush rp;
   (bound_table entries, records)
@@ -302,11 +384,11 @@ let load_checkpoint rp ~path =
 (* Replay a log file against the bound vector.  A missing file is an
    empty log.  Returns (records applied, tear description option). *)
 let replay_log rp ~bounds ~path =
-  let applied = ref 0 in
+  let applied = ref 0 and op = fold_op rp in
   let scan =
     try
       P.Frame.scan ~magic:P.Frame.log_magic ~path ~f:(fun h buf off len ->
-          if replay_record rp ~bounds h buf off len then incr applied)
+          if replay_record rp ~op ~bounds h buf off len then incr applied)
     with Sys_error _ -> { P.Frame.records = 0; valid_bytes = 0; tear = None }
   in
   flush rp;
@@ -382,6 +464,7 @@ let recover ~dir reg =
                 replay_log rp ~bounds
                   ~path:(P.Layout.log_path ~dir (gen + 1))
           in
+          apply_folds rp;
           ( ckpt_records + n1 + n2,
             match tear1 with Some _ -> tear1 | None -> tear2 )
     in

@@ -150,6 +150,12 @@ let dump reg =
              name ^ "{" ^ body ^ "}")
            (Registry.slots reg)))
 
+(* Each instance's commit count, TL2 shards then NORec shards. *)
+let commits reg =
+  List.map
+    (fun stm -> (S.stats stm).S.commits)
+    (Registry.instances reg `Tl2 @ Registry.instances reg `Norec)
+
 (* Run [f client_fd registry persist] against one live session with
    durability active.  [graceful:false] simulates a crash: the session
    drains (so every acked reply is out) but [Persist.stop] — the final
@@ -731,12 +737,14 @@ let model_after records =
 
 (* An 8-shard store holding a map, a queue and, from mid-log on, a set,
    written through a live session: stretches of ops on random keys
-   around two long runs on one instance (the queue's home shard and the
-   map keys it owns), each longer than the replay's batch cap.  The
-   clean log, and the log cut one byte short of the record boundaries
-   on both sides of every point where replay closes a batch at the cap,
-   must each recover exactly the model's store after the records before
-   the cut. *)
+   around two long runs of queue ops, each longer than the replay's
+   batch cap.  Map and set ops are folded by key, so only the queue's
+   ops (all on its home shard) replay in log-order batches: a batch
+   runs on across map and set records, and ends at a [NEW] record or at
+   the cap.  The clean log, and the log cut one byte short of the
+   record boundaries on both sides of every point where replay closes
+   a batch at the cap, must each recover exactly the model's store
+   after the records before the cut. *)
 let test_recovery_across_batches () =
   let dir = fresh_dir "batches" in
   let cap = Persist.batch_cap in
@@ -747,39 +755,27 @@ let test_recovery_across_batches () =
           List.iter (fun batch -> ignore (roundtrip fd batch)) (chunks 32 cmds)
         in
         send_all [ Wire.New (Wire.Kmap, "m"); Wire.New (Wire.Kqueue, "q") ];
-        let m, home =
-          match (Registry.lookup reg "m", Registry.lookup reg "q") with
-          | ( Some { Registry.entry = Registry.Emap m; _ },
-              Some { Registry.entry = Registry.Equeue (_, home); _ } ) ->
-              (m, Registry.Router.shard (Registry.router_for reg `Tl2) home)
-          | _ -> Alcotest.fail "NEW m, q"
+        let queue_op i =
+          if Random.State.int st 4 < 3 then Wire.Enq ("q", Printf.sprintf "v%d" i)
+          else Wire.Deq "q"
         in
-        let local =
-          Array.of_list
-            (List.filter
-               (fun k -> Registry.Shd.Map.owner m k == home)
-               (List.init 400 Fun.id))
-        in
-        let op i key =
-          let k = key () and v = Printf.sprintf "v%d" i in
+        let op i =
+          let k = Random.State.int st 400 and v = Printf.sprintf "v%d" i in
           match Random.State.int st 10 with
           | 0 | 1 | 2 | 3 -> Wire.Put ("m", k, v)
           | 4 | 5 -> Wire.Del ("m", k)
-          | 6 | 7 | 8 -> Wire.Enq ("q", v)
-          | _ -> Wire.Deq "q"
+          | _ -> queue_op i
         in
-        let anywhere () = Random.State.int st 400 in
-        let on_home () = local.(Random.State.int st (Array.length local)) in
-        send_all (List.init 100 (fun i -> op i anywhere));
-        send_all (List.init (cap + 100) (fun i -> op (1000 + i) on_home));
+        send_all (List.init 100 op);
+        send_all (List.init (cap + 100) (fun i -> queue_op (1000 + i)));
         send_all [ Wire.New (Wire.Kset, "s") ];
         send_all
           (List.init 100 (fun i ->
                match Random.State.int st 3 with
-               | 0 -> Wire.Add ("s", anywhere ())
-               | 1 -> Wire.Remove ("s", anywhere ())
-               | _ -> op (2000 + i) anywhere));
-        send_all (List.init ((2 * cap) + 100) (fun i -> op (3000 + i) on_home));
+               | 0 -> Wire.Add ("s", Random.State.int st 400)
+               | 1 -> Wire.Remove ("s", Random.State.int st 400)
+               | _ -> op (2000 + i)));
+        send_all (List.init ((2 * cap) + 100) (fun i -> queue_op (3000 + i)));
         dump reg)
   in
   let gen =
@@ -799,20 +795,27 @@ let test_recovery_across_batches () =
     (fun i r -> ends.(i + 1) <- ends.(i) + 8 + P.Frame.body_hdr_len + String.length r.payload)
     records;
   (* Where replay closes a batch at the cap: after record [i] when the
-     batch it ends holds [cap] frames of one instance (one frame per
-     record here). *)
+     batch it ends holds [cap] queue frames (one frame per record here),
+     counted from the last [NEW] record or the last full batch. *)
+  let queue_record r =
+    let queue = ref false in
+    ignore
+      (Wire.iter_requests
+         (fun req ->
+           match req.Wire.cmd with Wire.Enq _ | Wire.Deq _ -> queue := true | _ -> ())
+         (Bytes.of_string r.payload) 0 (String.length r.payload));
+    !queue
+  in
   let cap_ends =
-    let rec go i on run acc = function
+    let rec go i run acc = function
       | [] -> List.rev acc
       | r :: rest ->
-          if r.hdr.P.Frame.rtype = P.Frame.rt_new then go (i + 1) None 0 acc rest
-          else
-            let here = Some (r.hdr.algo, r.hdr.shard) in
-            let run = if here = on then run + 1 else 1 in
-            if run = cap then go (i + 1) None 0 (i :: acc) rest
-            else go (i + 1) here run acc rest
+          if r.hdr.P.Frame.rtype = P.Frame.rt_new then go (i + 1) 0 acc rest
+          else if not (queue_record r) then go (i + 1) run acc rest
+          else if run + 1 = cap then go (i + 1) 0 (i :: acc) rest
+          else go (i + 1) (run + 1) acc rest
     in
-    go 0 None 0 [] records
+    go 0 0 [] records
   in
   Alcotest.(check bool) "the log crosses the cap at least twice" true
     (List.length cap_ends >= 2);
@@ -1136,19 +1139,26 @@ let test_parked_pop_marks_after_commit () =
 
 (* ---- replay refusals and the decoder's lifetime ------------------------- *)
 
-(* A data directory at generation 1 by hand: an empty checkpoint (its
-   bounds record and trailer) and a log holding [records]. *)
-let write_store ~dir records =
+(* A data directory at generation 1 by hand: a checkpoint holding the
+   records [ckpt] (none by default) between its bounds record, which
+   bounds nothing, and its trailer; a log holding [records]; and, given
+   [next], generation 2's log holding it, as a checkpoint interrupted
+   after its rotation leaves them. *)
+let write_store ?(ckpt = []) ?next ~dir records =
   Unix.mkdir dir 0o755;
   let zero rtype = { P.Frame.rtype; algo = 0; shard = 0; stamp = 0 } in
-  let ckpt = Buffer.create 64 in
-  Buffer.add_string ckpt P.Frame.ckpt_magic;
-  reference_record ckpt (zero P.Frame.rt_bounds)
+  let b = Buffer.create 64 in
+  Buffer.add_string b P.Frame.ckpt_magic;
+  reference_record b (zero P.Frame.rt_bounds)
     ~payload:(P.Frame.encode_bounds []);
-  reference_record ckpt (zero P.Frame.rt_trailer)
-    ~payload:(P.Frame.encode_count 1);
-  write_file (P.Layout.ckpt_path ~dir 1) (Buffer.contents ckpt);
+  List.iter (fun (r : record) -> reference_record b r.hdr ~payload:r.payload) ckpt;
+  reference_record b (zero P.Frame.rt_trailer)
+    ~payload:(P.Frame.encode_count (List.length ckpt + 1));
+  write_file (P.Layout.ckpt_path ~dir 1) (Buffer.contents b);
   write_file (P.Layout.log_path ~dir 1) (fst (encode_log records));
+  Option.iter
+    (fun next -> write_file (P.Layout.log_path ~dir 2) (fst (encode_log next)))
+    next;
   P.Layout.write_manifest ~dir ~gen:1
 
 let mentions m sub =
@@ -1159,29 +1169,28 @@ let mentions m sub =
   at 0
 
 (* A log whose records pass their CRC but whose payloads are not wire
-   frames refuses recovery with a typed error, and a later recovery in
-   the same process starts clean: no parser state or pending batch
-   outlives a refused recovery. *)
+   frames refuses recovery with a typed error, and so does a frame that
+   [Registry.resolve] would refuse: an op on a structure no NEW
+   created, a PUT on a set (after an ADD to it) and an ADD on a map.
+   A later recovery in the same process starts clean: no parser state,
+   pending batch or folded key outlives a refused recovery. *)
 let test_replay_refusals () =
   let record rtype stamp payload =
     { hdr = { P.Frame.rtype; algo = 0; shard = 0; stamp }; payload }
   in
-  let records payload =
-    [
-      record P.Frame.rt_new 0 (frames [ Wire.New (Wire.Kmap, "m") ]);
-      record P.Frame.rt_op 1 payload;
-    ]
+  let records ~created payload =
+    [ record P.Frame.rt_new 0 (frames created); record P.Frame.rt_op 1 payload ]
   in
-  let recover payload =
+  let recover ?(created = [ Wire.New (Wire.Kmap, "m") ]) payload =
     let dir = fresh_dir "refuse" in
-    write_store ~dir (records payload);
+    write_store ~dir (records ~created payload);
     let reg = Registry.create ~shards:1 ~default_algo:`Tl2 () in
     let r = Persist.recover ~dir reg in
     rm_rf dir;
     (reg, r)
   in
-  let refused what payload expect =
-    match recover payload with
+  let refused ?created what payload expect =
+    match recover ?created payload with
     | _, Ok _ -> Alcotest.failf "%s: recovery succeeded" what
     | _, Error m ->
         if not (mentions m expect) then
@@ -1192,6 +1201,16 @@ let test_replay_refusals () =
   refused "partial trailing frame"
     (put ^ String.sub put 0 (String.length put - 2))
     "trailing bytes";
+  refused "an op on a structure no NEW created"
+    (frames [ Wire.Put ("x", 1, "a") ])
+    "unreplayable record: no structure named \"x\"";
+  let both = [ Wire.New (Wire.Kmap, "m"); Wire.New (Wire.Kset, "s") ] in
+  refused ~created:both "a PUT on a set"
+    (frames [ Wire.Add ("s", 1); Wire.Put ("s", 2, "a") ])
+    "unreplayable record: PUT does not apply to a set";
+  refused ~created:both "an ADD on a map"
+    (frames [ Wire.Put ("m", 1, "a"); Wire.Add ("m", 2) ])
+    "unreplayable record: ADD does not apply to a map";
   match
     recover
       (frames
@@ -1201,6 +1220,136 @@ let test_replay_refusals () =
   | reg, Ok _ ->
       Alcotest.(check string) "every frame of the MULTI record replayed"
         "m{1=a;2=b;3=c}" (dump reg)
+
+(* ---- the log tail folded by key ------------------------------------------ *)
+
+let op_record stamp cmds =
+  { hdr = { P.Frame.rtype = P.Frame.rt_op; algo = 0; shard = 0; stamp }; payload = frames cmds }
+
+let new_record ?(algo = 0) cmd =
+  { hdr = { P.Frame.rtype = P.Frame.rt_new; algo; shard = 0; stamp = 0 }; payload = frames [ cmd ] }
+
+(* A random log over a map, a set and a queue, each created on a random
+   algorithm: records of 1-3 frames over 8 keys, so each key is
+   rewritten many times and some DELs and REMOVEs find nothing.  The
+   checkpoint holds the three structures with random contents, so the
+   log's removals have keys to remove.  Half the time the log is split
+   over generation 1's log and generation 2's (a checkpoint interrupted
+   after its rotation), and the last file is cut at a random byte.
+   Recovery with 1 and with 4 shards gives the model's store after the
+   checkpoint and the log records wholly before the cut, and reports a
+   tear iff the cut is not a record boundary. *)
+let prop_fold_recovers_model =
+  QCheck.Test.make ~count:200 ~name:"a log tail folded by key recovers the model's store"
+    QCheck.(
+      make
+        ~print:(fun ((algos, init), ops, split, at, cut) ->
+          Printf.sprintf "algos %s, %d checkpointed, %d records, split %b at %.3f, cut at %.3f"
+            (String.concat "," (List.map string_of_int algos))
+            (List.length init) (List.length ops) split at cut)
+        Gen.(
+          let* algos = list_repeat 3 (int_range 0 1) in
+          let* init = list_size (int_range 0 12) (pair (int_range 0 2) (int_range 0 7)) in
+          let* ops =
+            list_size (int_range 0 60)
+              (list_size (int_range 1 3) (pair (int_range 0 5) (int_range 0 7)))
+          in
+          let* split = bool in
+          let* at = float_range 0. 1. in
+          let+ cut = float_range 0. 1. in
+          ((algos, init), ops, split, at, cut)))
+    (fun ((algos, init), ops, split, at, cutf) ->
+      let news =
+        List.map2
+          (fun algo cmd -> new_record ~algo cmd)
+          algos
+          [ Wire.New (Wire.Kmap, "m"); Wire.New (Wire.Kset, "s"); Wire.New (Wire.Kqueue, "q") ]
+      in
+      let ckpt =
+        news
+        @ List.map
+            (fun (op, k) ->
+              op_record 0
+                [
+                  (match op with
+                  | 0 -> Wire.Put ("m", k, Printf.sprintf "c%d" k)
+                  | 1 -> Wire.Add ("s", k)
+                  | _ -> Wire.Enq ("q", Printf.sprintf "c%d" k));
+                ])
+            init
+      in
+      let frame i j (op, k) =
+        let v = Printf.sprintf "v%d.%d" i j in
+        match op with
+        | 0 -> Wire.Put ("m", k, v)
+        | 1 -> Wire.Del ("m", k)
+        | 2 -> Wire.Add ("s", k)
+        | 3 -> Wire.Remove ("s", k)
+        | 4 -> Wire.Enq ("q", v)
+        | _ -> Wire.Deq "q"
+      in
+      let records =
+        news @ List.mapi (fun i fs -> op_record (i + 1) (List.mapi (frame i) fs)) ops
+      in
+      let whole, last =
+        if split then
+          let n = int_of_float (at *. float_of_int (List.length records)) in
+          (List.filteri (fun i _ -> i < n) records, List.filteri (fun i _ -> i >= n) records)
+        else ([], records)
+      in
+      let bytes, ends = encode_log last in
+      let cut = min (String.length bytes) (int_of_float (cutf *. float_of_int (String.length bytes))) in
+      let kept =
+        if cut < P.Frame.magic_len then []
+        else List.filteri (fun i _ -> List.nth ends (i + 1) <= cut) last
+      in
+      let torn = cut < P.Frame.magic_len || not (List.mem cut ends) in
+      let expected = model_after (ckpt @ whole @ kept) in
+      let dir = fresh_dir "fold" in
+      if split then write_store ~ckpt ~dir ~next:last whole else write_store ~ckpt ~dir last;
+      write_file (P.Layout.log_path ~dir (if split then 2 else 1)) (String.sub bytes 0 cut);
+      Fun.protect
+        ~finally:(fun () -> rm_rf dir)
+        (fun () ->
+          List.for_all
+            (fun shards ->
+              let reg = Registry.create ~shards () in
+              match Persist.recover ~dir reg with
+              | Error m -> QCheck.Test.fail_reportf "%d shards: refused: %s" shards m
+              | Ok r ->
+                  let got = dump reg in
+                  if got <> expected then
+                    QCheck.Test.fail_reportf "%d shards: recovered\n%s\nexpected\n%s" shards
+                      got expected;
+                  r.Persist.r_tear <> None = torn)
+            [ 1; 4 ]))
+
+(* Each map key is applied once: a log of 10,000 PUTs over 4 keys
+   recovers the last PUT of each with at most one commit per instance,
+   with 1 and with 4 shards.  Replaying it record by record would
+   commit once per 256 records. *)
+let test_fold_commits_once () =
+  List.iter
+    (fun shards ->
+      let dir = fresh_dir "fold-commits" in
+      write_store ~dir
+        (new_record (Wire.New (Wire.Kmap, "m"))
+        :: List.init 10_000 (fun i ->
+               op_record (i + 1) [ Wire.Put ("m", i mod 4, Printf.sprintf "v%d" i) ]));
+      let reg, r = recover_fresh ~shards ~dir () in
+      rm_rf dir;
+      (* read before [dump], whose snapshot commits on every instance *)
+      let commits = commits reg in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d shards: at most one commit per instance (%s)" shards
+           (String.concat ", " (List.map string_of_int commits)))
+        true
+        (List.for_all (fun c -> c <= 1) commits);
+      Alcotest.(check int) "every record counted: the checkpoint's two, the log's"
+        10_003 r.Persist.r_replayed;
+      Alcotest.(check string) "the last PUT of each key" "m{0=v9996;1=v9997;2=v9998;3=v9999}"
+        (dump reg))
+    [ 1; 4 ]
 
 (* ---- a bad checkpoint refuses and applies nothing ----------------------- *)
 
@@ -1306,12 +1455,14 @@ let test_fsync_dir_raises () =
 
 (* A directory squatting on the next generation's checkpoint path makes
    the checkpoint's open fail (EISDIR, even as root): BGSAVE answers
-   "checkpoint failed" and [checkpoint_errors] reads 1.  With the
+   "checkpoint failed" and [checkpoint_errors] reads 1.  The file is
+   opened before the store is folded, so the failed attempt commits
+   nothing on any instance of either router (2 shards each).  With the
    squatter gone, a second BGSAVE publishes over the log the first one
    already rotated to, and the count stays at 1. *)
 let test_failed_checkpoint_counted () =
   let dir = fresh_dir "ckpt-error" in
-  run_session ~dir ~policy:`Always (fun fd _reg p ->
+  run_session ~dir ~policy:`Always ~shards:2 (fun fd reg p ->
       let errors () =
         List.assoc "checkpoint_errors" (P.Oplog.counters p.Persist.log)
       in
@@ -1320,11 +1471,15 @@ let test_failed_checkpoint_counted () =
       ignore
         (roundtrip fd [ Wire.New (Wire.Kmap, "m"); Wire.Put ("m", 1, "a") ]);
       Unix.mkdir squatter 0o755;
+      let before = commits reg in
       (match roundtrip fd [ Wire.Bgsave ] with
       | [ Wire.Error (Wire.Proto, m) ]
         when String.starts_with ~prefix:"checkpoint failed" m ->
           ()
       | r -> Alcotest.failf "BGSAVE over a squatter: %s" (replies r));
+      Alcotest.(check (list int))
+        "the failed checkpoint committed nothing on any instance" before
+        (commits reg);
       Alcotest.(check int) "the failure is counted" 1 (errors ());
       Alcotest.(check string) "INFO shows it" "1"
         (List.assoc "persist_checkpoint_errors" (P.Oplog.info p.Persist.log));
@@ -2218,6 +2373,9 @@ let suite =
         `Quick test_replay_refusals;
       Alcotest.test_case "replay counts no client ops" `Quick
         test_replay_counts_no_ops;
+      prop prop_fold_recovers_model;
+      Alcotest.test_case "a replayed log applies each map key once" `Quick
+        test_fold_commits_once;
       Alcotest.test_case "a bad checkpoint refuses and applies nothing" `Quick
         test_bad_checkpoint_applies_nothing;
       Alcotest.test_case "a lost or torn MANIFEST refuses and removes nothing"
