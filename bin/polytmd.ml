@@ -16,7 +16,10 @@ let listen_t =
   Arg.(value & opt_all string []
        & info [ "listen"; "l" ] ~docv:"ADDR"
            ~doc:"Listen address: $(b,HOST:PORT) for TCP or
-                 $(b,unix:PATH) for a Unix-domain socket.  Repeatable.
+                 $(b,unix:PATH) for a Unix-domain socket.  A stale socket
+                 at PATH (one nothing accepts on) is replaced; the
+                 daemon refuses to start over a live one or over
+                 anything that is not a socket.  Repeatable.
                  Default: 127.0.0.1:7411.")
 
 let workers_t =
@@ -266,7 +269,8 @@ let () =
       ~doc:
         "when the daemon refuses to start (recovery refused the data \
          directory, activating persistence failed, or a listener could \
-         not be bound; no file of the data directory is removed), or \
+         not be bound or its Unix socket path was taken; no file of the \
+         data directory is removed), or \
          when the op log's last sync at shutdown fails: writes \
          acknowledged under --fsync everysec or no may then be lost."
     :: Cmd.Exit.defaults

@@ -53,9 +53,9 @@
       returns it on every exit, so a call allocates no descriptor, no
       member array and no per-call record: its body gets a three-word
       handle stamped with the call, which goes dead with it;
-    - the start and commit counters are plain fields of the calling
-      thread's context, summed when read, instead of shared cells
-      every thread adds to.
+    - every statistic is a count in the calling thread's context,
+      bumped with a plain store and summed when read, instead of a
+      shared cell every thread adds to.
 
     The simulator charges {e virtual} cost per shared access, so none
     of this changes a charge sequence: same seed ⇒ byte-identical
@@ -105,6 +105,34 @@
 module Vec = Polytm_util.Vec
 module Flat_table = Polytm_util.Flat_table
 module T = Polytm_telemetry
+
+(* What a thread counts on an instance: indices into its [counts], one
+   per field of [stats], in the record's order. *)
+module Count = struct
+  let starts = 0
+  let commits = 1
+  let aborts = 2
+  let lock_busy = 3
+  let read_invalid = 4
+  let window_broken = 5
+  let snapshot_too_old = 6
+  let killed = 7
+  let explicit_aborts = 8
+  let cuts = 9
+  let extensions = 10
+  let stale_reads = 11
+  let fast_commits = 12
+  let ro_commits = 13
+  let serial_commits = 14
+  let budget_exhaustions = 15
+  let retry_waits = 16
+  let parks = 17
+  let wakes = 18
+  let wake_timeouts = 19
+  let multi_commits = 20
+  let multi_escalations = 21
+  let n = 22
+end
 
 module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
   module Wq = Waitq.Make (R)
@@ -213,13 +241,14 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     mutable label : string;  (** call-site label for telemetry, "" if none *)
     mutable owner : owner;
         (** [dummy_owner] until the attempt takes its first lock *)
-    mutable rv : int;  (** validity timestamp *)
+    mutable rv : int;
+        (** validity timestamp; a snapshot's bound, fixed at its
+            start *)
     mutable wv : int;
         (** this attempt's write version once its commit intent is
             held and validated; -1 for a read-only member *)
     mutable alone : bool;
         (** the call's only member: no cross-instance protocol *)
-    mutable snapshot_ub : int;  (** snapshot upper bound, fixed at start *)
     r_vars : Obj.t tvar Vec.t;  (** flat read set, append order *)
     r_vers : int Vec.t;  (** versions parallel to [r_vars] *)
     r_vals : Obj.t Vec.t;
@@ -308,30 +337,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
         (** every thread's context on this instance, for the counts
             they keep (a plain Stdlib atomic: pushed once per thread,
             never on a charged path) *)
-    (* per-thread counts as of the last [reset_stats] *)
-    mutable base_starts : int;
-    mutable base_commits : int;
-    mutable base_ro_commits : int;
-    mutable base_fast_commits : int;
-    (* statistics *)
-    c_aborts : R.counter;
-    c_lock_busy : R.counter;
-    c_read_invalid : R.counter;
-    c_window_broken : R.counter;
-    c_snapshot_too_old : R.counter;
-    c_killed : R.counter;
-    c_explicit : R.counter;
-    c_cuts : R.counter;
-    c_extensions : R.counter;
-    c_stale_reads : R.counter;
-    c_serial_commits : R.counter;
-    c_budget_exhaustions : R.counter;
-    c_retry_waits : R.counter;
-    c_parks : R.counter;
-    c_wakes : R.counter;
-    c_wake_timeouts : R.counter;
-    c_multi_commits : R.counter;
-    c_multi_escalations : R.counter;
+    base : int array;  (** the summed counts at the last [reset_stats] *)
     (* history recording: single-scheduler runs only *)
     mutable recording : bool;
     mutable log_rev : recorded list;
@@ -364,11 +370,8 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     mutable early_backups : bool;
         (** [`Early_backup_check] only: the snapshot count as read
             before this thread's write version was drawn *)
-    (* counted by this thread alone, summed by [stats] *)
-    mutable starts : int;
-    mutable commits : int;
-    mutable ro_commits : int;
-    mutable fast_commits : int;
+    counts : int array;
+        (** {!Count}: written by this thread alone, summed by [stats] *)
   }
 
   (* The handle a body and its nested calls receive: the descriptor,
@@ -391,10 +394,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
         held = 0;
         parker = R.parker ();
         early_backups = false;
-        starts = 0;
-        commits = 0;
-        ro_commits = 0;
-        fast_commits = 0;
+        counts = Array.make Count.n 0;
       }
     in
     let rec register () =
@@ -440,28 +440,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
       snapshots = R.counter ();
       current = R.tls (fun () -> new_ctx ctxs);
       ctxs;
-      base_starts = 0;
-      base_commits = 0;
-      base_ro_commits = 0;
-      base_fast_commits = 0;
-      c_aborts = R.counter ();
-      c_lock_busy = R.counter ();
-      c_read_invalid = R.counter ();
-      c_window_broken = R.counter ();
-      c_snapshot_too_old = R.counter ();
-      c_killed = R.counter ();
-      c_explicit = R.counter ();
-      c_cuts = R.counter ();
-      c_extensions = R.counter ();
-      c_stale_reads = R.counter ();
-      c_serial_commits = R.counter ();
-      c_budget_exhaustions = R.counter ();
-      c_retry_waits = R.counter ();
-      c_parks = R.counter ();
-      c_wakes = R.counter ();
-      c_wake_timeouts = R.counter ();
-      c_multi_commits = R.counter ();
-      c_multi_escalations = R.counter ();
+      base = Array.make Count.n 0;
       recording = false;
       log_rev = [];
       aborted_rev = [];
@@ -583,23 +562,25 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
   (* ------------------------------------------------------------------ *)
   (* Consistent reads                                                    *)
 
-  (* A per-thread count summed over every thread's context: exact once
-     the counting threads are joined, a recent value while they run. *)
-  let sum_ctxs stm count =
-    List.fold_left (fun n ctx -> n + count ctx) 0 (Atomic.get stm.ctxs)
+  (* One more of count [i] ({!Count}), on the calling thread's context. *)
+  let[@inline] bump ctx i = ctx.counts.(i) <- ctx.counts.(i) + 1
 
-  let starts_of ctx = ctx.starts
-  let commits_of ctx = ctx.commits
-  let ro_commits_of ctx = ctx.ro_commits
-  let fast_commits_of ctx = ctx.fast_commits
+  let rec sum i n = function
+    | [] -> n
+    | ctx :: rest -> sum i (n + ctx.counts.(i)) rest
+
+  (* Count [i] since the last [reset_stats], summed over every thread's
+     context: exact once the counting threads are joined, a recent value
+     while they run.  Allocates nothing. *)
+  let total stm i = sum i 0 (Atomic.get stm.ctxs) - stm.base.(i)
 
   (* Instance-wide streaming abort-rate signal feeding the adaptive
      contention manager: aborts per hundred starts since the last
      counter reset.  Plain reads — uncharged, so consulting it never
      perturbs a schedule. *)
   let abort_rate_pct stm =
-    let starts = sum_ctxs stm starts_of - stm.base_starts in
-    if starts = 0 then 0 else 100 * R.read_counter stm.c_aborts / starts
+    let starts = total stm Count.starts in
+    if starts = 0 then 0 else 100 * total stm Count.aborts / starts
 
   (* Spin briefly on a busy lock; under a killing policy ([Greedy], or
      [Adaptive] past its escalation threshold) an older transaction
@@ -704,12 +685,15 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     if not (window_valid tx) then abort_with Window_broken
 
   (* TinySTM-style timestamp extension: move [rv] forward to the
-     current clock if every read so far is still valid. *)
-  let extend tx =
+     current clock if every read so far is still valid, counting it as
+     [what].  An elastic cut is the same step: before its first write
+     an elastic transaction's read set is empty, so only its window is
+     validated, and the read that follows opens a new piece. *)
+  let extend tx what =
     let new_rv = R.get tx.stm.clock in
     validate tx;
     tx.rv <- new_rv;
-    R.add_counter tx.stm.c_extensions 1
+    bump tx.ctx what
 
   (* ------------------------------------------------------------------ *)
   (* Reads, by semantics                                                 *)
@@ -725,78 +709,48 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     tx.w_vers.(tx.w_head) <- version;
     if tx.w_count < cap then tx.w_count <- tx.w_count + 1
 
-  let rec classic_fetch tx v =
+  (* A read at the transaction's timestamp: a version past it extends
+     the timestamp (TinySTM-style, counted as [what]) and RE-READS — the
+     location may have changed again between our data read and the
+     extension's clock read, and that change would be invisible to
+     commit-time validation when the fast-commit path triggers.  A
+     top-level loop (see [read_versioned_spin]). *)
+  let rec fetch tx v what =
     let d = read_versioned tx v in
     if d.version <= tx.rv then d
-    else if not tx.stm.extend_on_stale then
-      (* Faithful TL2 (the paper's comparator): a read past the
-         transaction's timestamp aborts outright. *)
-      abort_with Read_invalid
     else begin
-      (* TinySTM-style refinement: extend instead of aborting, then
-         RE-READ — the location may have changed again between our
-         data read and the extension's clock read, and that change
-         would be invisible to commit-time validation when the
-         fast-commit path triggers. *)
-      extend tx;
-      classic_fetch tx v
+      extend tx what;
+      fetch tx v what
     end
 
-  let classic_read tx v =
-    let d = classic_fetch tx v in
-    (* Read-set logging is a real cost of word-based STMs (an append
-       and its cache pressure on every read); charge it so the
-       simulator sees the overhead the paper attributes to classic
-       transactions.  The elastic window below is a fixed ring buffer
-       and charges half as much — E-STM's bounded log is one of its
-       design points.  [charge] (not [pause]): the cost is the model's,
-       the real append is the [push_read] itself. *)
+  (* Read-set logging is a real cost of word-based STMs (an append and
+     its cache pressure on every read); charge it so the simulator sees
+     the overhead the paper attributes to classic transactions.  The
+     elastic window is a fixed ring buffer and charges half as much —
+     E-STM's bounded log is one of its design points.  [charge] (not
+     [pause]): the cost is the model's, the real append is the
+     [push_read] itself. *)
+  let log_read tx v d =
     R.charge 2;
     push_read tx v d.version;
     record_event tx v ~is_write:false;
     emit_read tx v;
     d.value
 
-  (* Hoisted fetch loops for the elastic paths (see
-     [read_versioned_spin] for why these are top-level). *)
-  let rec elastic_closing_fetch tx v =
-    let d = read_versioned tx v in
-    if d.version <= tx.rv then d
-    else begin
-      (* Extend, then re-read (see classic_fetch). *)
-      extend tx;
-      elastic_closing_fetch tx v
-    end
+  let classic_read tx v =
+    if tx.stm.extend_on_stale then log_read tx v (fetch tx v Count.extensions)
+    else
+      (* Faithful TL2 (the paper's comparator): a read past the
+         transaction's timestamp aborts outright. *)
+      let d = read_versioned tx v in
+      if d.version <= tx.rv then log_read tx v d else abort_with Read_invalid
 
-  let rec elastic_open_fetch tx v =
-    let d = read_versioned tx v in
-    if d.version <= tx.rv then d
-    else begin
-      (* Cut: the window must still be intact, then this read opens
-         a new piece with a fresh timestamp. *)
-      let new_rv = R.get tx.stm.clock in
-      if not (window_valid tx) then abort_with Window_broken;
-      tx.rv <- new_rv;
-      Vec.clear tx.r_vars;
-      Vec.clear tx.r_vers;
-      R.add_counter tx.stm.c_cuts 1;
-      (* Re-read after the cut (see classic_fetch). *)
-      elastic_open_fetch tx v
-    end
-
+  (* Closing mode (after the first write) behaves classically, the
+     window joining the validation set; before it, a stale read cuts. *)
   let elastic_read tx v =
-    if tx.wrote then begin
-      (* Closing mode: behave classically, the window joins the
-         validation set. *)
-      let d = elastic_closing_fetch tx v in
-      R.charge 2;
-      push_read tx v d.version;
-      record_event tx v ~is_write:false;
-      emit_read tx v;
-      d.value
-    end
+    if tx.wrote then log_read tx v (fetch tx v Count.extensions)
     else begin
-      let d = elastic_open_fetch tx v in
+      let d = fetch tx v Count.cuts in
       R.charge 1;
       push_window tx v d.version;
       record_event tx v ~is_write:false;
@@ -808,7 +762,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     | [] -> abort_with Snapshot_too_old
     | (v, ver) :: rest ->
         if ver <= ub then begin
-          R.add_counter tx.stm.c_stale_reads 1;
+          bump tx.ctx Count.stale_reads;
           v
         end
         else snapshot_chain tx ub rest
@@ -835,7 +789,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
           snapshot_fetch tx ub v
 
   let snapshot_read tx v =
-    let value = snapshot_fetch tx tx.snapshot_ub v in
+    let value = snapshot_fetch tx tx.rv v in
     record_event tx v ~is_write:false;
     emit_read tx v;
     value
@@ -901,11 +855,12 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
 
   (* NOrec's Validate(): wait for a quiescent clock, value-check the
      read set and the elastic window, and confirm no commit slipped in
-     during the check; returns the new validity timestamp.  The
-     [`Skip_validation] fault returns a fresh timestamp without
-     checking anything — the deliberately-broken backend that loses
-     updates, kept so the conformance harness can prove it would catch
-     a validation bug. *)
+     during the check; returns the new validity timestamp.  An elastic
+     cut validates here too: before its first write the read set is
+     empty, so only the window is checked.  The [`Skip_validation]
+     fault returns a fresh timestamp without checking anything — the
+     deliberately-broken backend that loses updates, kept so the
+     conformance harness can prove it would catch a validation bug. *)
   let norec_validate tx =
     if has_fault tx.stm `Skip_validation then norec_stable_clock tx.stm
     else
@@ -917,34 +872,20 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
       in
       loop ()
 
-  (* An elastic cut only needs the window to still hold. *)
-  let norec_revalidate_window tx =
-    if has_fault tx.stm `Skip_validation then norec_stable_clock tx.stm
-    else
-      let rec loop () =
-        let time = norec_stable_clock tx.stm in
-        if not (norec_window_holds tx) then abort_with Window_broken;
-        if R.get tx.stm.clock = time then time else loop ()
-      in
-      loop ()
-
   (* A consistent read: take the value and, while the clock has moved
-     past the transaction's timestamp, revalidate the whole read set
-     at the newer time and re-take the value.  Revalidate-on-change is
-     the algorithm itself under NOrec, not the TinySTM option
-     ([extend_on_stale] governs TL2 only), so each advance counts as
-     an extension. *)
-  let norec_read_consistent tx v =
-    let rec loop () =
-      let d = R.get v.data in
-      if R.get tx.stm.clock = tx.rv then d
-      else begin
-        tx.rv <- norec_validate tx;
-        R.add_counter tx.stm.c_extensions 1;
-        loop ()
-      end
-    in
-    loop ()
+     past the transaction's timestamp, revalidate at the newer time and
+     re-take the value.  Revalidate-on-change is the algorithm itself
+     under NOrec, not the TinySTM option ([extend_on_stale] governs TL2
+     only), so each advance counts as [what]: an extension, or an
+     elastic cut. *)
+  let rec norec_fetch tx v what =
+    let d = R.get v.data in
+    if R.get tx.stm.clock = tx.rv then d
+    else begin
+      tx.rv <- norec_validate tx;
+      bump tx.ctx what;
+      norec_fetch tx v what
+    end
 
   (* Same charge profile as the TL2 read paths — the read-set append
      is the classic metadata cost whichever policy later validates it
@@ -957,30 +898,16 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     emit_read tx v;
     d.value
 
-  let norec_classic_read tx v = norec_log_read tx v (norec_read_consistent tx v)
+  let norec_classic_read tx v =
+    norec_log_read tx v (norec_fetch tx v Count.extensions)
 
+  (* Closing mode as under TL2; before the first write a stale read
+     cuts: the window's versions must still hold at a newer timestamp,
+     and this read opens a new piece. *)
   let norec_elastic_read tx v =
-    if tx.wrote then
-      (* Closing mode: behave classically, the window joins the
-         validation set. *)
-      norec_log_read tx v (norec_read_consistent tx v)
+    if tx.wrote then norec_log_read tx v (norec_fetch tx v Count.extensions)
     else begin
-      let rec loop () =
-        let d = R.get v.data in
-        if R.get tx.stm.clock = tx.rv then d
-        else begin
-          (* Cut: the window's versions must still hold at a newer
-             timestamp; the read prefix before the window is dropped
-             and this read opens a new piece. *)
-          tx.rv <- norec_revalidate_window tx;
-          Vec.clear tx.r_vars;
-          Vec.clear tx.r_vers;
-          Vec.clear tx.r_vals;
-          R.add_counter tx.stm.c_cuts 1;
-          loop ()
-        end
-      in
-      let d = loop () in
+      let d = norec_fetch tx v Count.cuts in
       R.charge 1;
       push_window tx v d.version;
       record_event tx v ~is_write:false;
@@ -997,7 +924,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
      versions fall back through the backup chain exactly as under
      TL2.  Snapshots never wait and never impede updaters. *)
   let norec_snapshot_read tx v =
-    let ub = tx.snapshot_ub in
+    let ub = tx.rv in
     let d = R.get v.data in
     let value =
       if d.version > ub then snapshot_chain tx ub d.older else d.value
@@ -1131,7 +1058,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     (* Savepoint: copies of the read set and window, the write-set
        length plus every buffered value (the branch may overwrite
        entries that predate it), and the hook-vector lengths.
-       Deliberately NOT saved: [tx.rv] / [tx.snapshot_ub].  A timestamp
+       Deliberately NOT saved: [tx.rv].  A timestamp
        extension or elastic cut performed by the failed branch survives
        into [g] — matching the historical cons-list implementation, and
        conservative: an advanced timestamp can only cause extra aborts
@@ -1293,7 +1220,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
      committed since, so no commit-time validation is needed at all. *)
   let rec norec_acquire_seqlock tx first =
     if R.cas tx.stm.clock tx.rv (tx.rv + 1) then begin
-      if first then tx.ctx.fast_commits <- tx.ctx.fast_commits + 1
+      if first then bump tx.ctx Count.fast_commits
     end
     else begin
       tx.rv <- norec_validate tx;
@@ -1399,7 +1326,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
           end
     in
     if tx.alone && exclusive && tx.wv = tx.rv + 1 then
-      tx.ctx.fast_commits <- tx.ctx.fast_commits + 1
+      bump tx.ctx Count.fast_commits
     else validate tx
 
   (* Phase 1b for one member, every intent held.  A seized NOrec
@@ -1535,7 +1462,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
      members of a cross-instance update still go through validation:
      their timestamps were drawn independently. *)
   let ro_commit tx =
-    tx.ctx.ro_commits <- tx.ctx.ro_commits + 1;
+    bump tx.ctx Count.ro_commits;
     match tx.stm.telemetry with
     | None -> ()
     | Some s ->
@@ -1608,7 +1535,6 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
       rv = 0;
       wv = -1;
       alone = true;
-      snapshot_ub = 0;
       r_vars = Vec.create dummy_tvar;
       r_vers = Vec.create 0;
       r_vals = Vec.create (Obj.repr ());
@@ -1695,7 +1621,6 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
        match tx.stm.algo with
        | `Tl2 -> R.get tx.stm.clock
        | `Norec -> norec_stable_clock tx.stm);
-    tx.snapshot_ub <- tx.rv;
     tx.wv <- -1;
     Vec.clear tx.r_vars;
     Vec.clear tx.r_vers;
@@ -1712,14 +1637,14 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     Vec.clear tx.retry_vers;
     tx.gen <- tx.call
 
-  let abort_counter stm = function
-    | Lock_busy -> stm.c_lock_busy
-    | Read_invalid -> stm.c_read_invalid
-    | Window_broken -> stm.c_window_broken
-    | Snapshot_too_old -> stm.c_snapshot_too_old
-    | Killed -> stm.c_killed
-    | Explicit -> stm.c_explicit
-    | Retry -> stm.c_retry_waits
+  let count_of_reason = function
+    | Lock_busy -> Count.lock_busy
+    | Read_invalid -> Count.read_invalid
+    | Window_broken -> Count.window_broken
+    | Snapshot_too_old -> Count.snapshot_too_old
+    | Killed -> Count.killed
+    | Explicit -> Count.explicit_aborts
+    | Retry -> Count.retry_waits
 
   (* Acquire the global serialization token and wait for in-flight
      write commits to drain: afterwards no transaction can commit
@@ -1898,7 +1823,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
         while not (quiescent stm) do
           R.pause 2
         done;
-        txs.(i).snapshot_ub <- stable_clock stm
+        txs.(i).rv <- stable_clock stm
       done;
       let ok = ref true in
       for i = 0 to k - 1 do
@@ -1906,7 +1831,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
         if
           not
             (has_fault tx.stm `No_stabilize
-            || (quiescent tx.stm && stable_clock tx.stm = tx.snapshot_ub))
+            || (quiescent tx.stm && stable_clock tx.stm = tx.rv))
         then ok := false
       done;
       if not !ok then begin
@@ -1914,8 +1839,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
         collect ()
       end
     in
-    collect ();
-    Array.iter (fun tx -> tx.rv <- tx.snapshot_ub) txs
+    collect ()
 
   (* Arm every member for attempt [n] and enter its extent.  A
      cross-instance snapshot then replaces the armed clocks with a
@@ -1925,7 +1849,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     arm_tx tx;
     tx.attempt <- n;
     tx.holds_token <- token;
-    tx.ctx.starts <- tx.ctx.starts + 1;
+    bump tx.ctx Count.starts;
     emit_begin tx n;
     if token then emit_serialize tx n
 
@@ -1962,9 +1886,9 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     else Array.iter (fun tx -> enter_serial_mode tx.stm) lead.members
 
   let account_commit tx =
-    tx.ctx.commits <- tx.ctx.commits + 1;
-    if not tx.alone then R.add_counter tx.stm.c_multi_commits 1;
-    if tx.holds_token then R.add_counter tx.stm.c_serial_commits 1
+    bump tx.ctx Count.commits;
+    if not tx.alone then bump tx.ctx Count.multi_commits;
+    if tx.holds_token then bump tx.ctx Count.serial_commits
 
   (* Abort accounting — history record, counters, telemetry — always
      runs before the lifecycle hooks, on every exit path: a hook may
@@ -1973,8 +1897,8 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
      blew up. *)
   let account_abort_member reason tx =
     record_aborted tx;
-    R.add_counter tx.stm.c_aborts 1;
-    R.add_counter (abort_counter tx.stm reason) 1;
+    bump tx.ctx Count.aborts;
+    bump tx.ctx (count_of_reason reason);
     emit_abort tx reason
 
   let account_abort lead reason =
@@ -1982,7 +1906,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     else Array.iter (account_abort_member reason) lead.members
 
   let exhausted_member n reason tx =
-    R.add_counter tx.stm.c_budget_exhaustions 1;
+    bump tx.ctx Count.budget_exhaustions;
     emit_budget_exhausted tx ~attempts:n reason
 
   let exhausted lead n reason =
@@ -2082,13 +2006,12 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
           match register_wait stm wake ~wvars ~wvers ~wrv with
           | None -> attempt lead body arg (n + 1) ~token:false
           | Some w -> (
-              R.add_counter stm.c_parks 1;
+              bump ctx Count.parks;
               emit_park lead (Array.length wvars);
               if not blocking then raise (Waiting w);
               let woken = R.park ctx.parker ~deadline:lead.deadline in
-              R.add_counter
-                (if woken = `Woken then stm.c_wakes else stm.c_wake_timeouts)
-                1;
+              bump ctx
+                (if woken = `Woken then Count.wakes else Count.wake_timeouts);
               emit_wake lead woken;
               cancel_wait w;
               match woken with
@@ -2115,9 +2038,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
      workload can livelock a transaction out of existence. *)
   and escalate lead body arg n =
     if not lead.alone then
-      Array.iter
-        (fun tx -> R.add_counter tx.stm.c_multi_escalations 1)
-        lead.members;
+      Array.iter (fun tx -> bump tx.ctx Count.multi_escalations) lead.members;
     enter_serial lead;
     attempt lead body arg n ~token:true
 
@@ -2294,7 +2215,7 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
     let ctx = R.tls_get stm.current in
     if not (in_tx ctx && (innermost ctx).sem = Semantics.Snapshot) then
       raise (Invalid_operation "snapshot_bound outside a snapshot transaction");
-    (innermost ctx).snapshot_ub
+    (innermost ctx).rv
 
   let try_atomically_multi ?(sem = Semantics.Classic) ?(label = "") ?budget
       ?deadline stms f =
@@ -2332,49 +2253,39 @@ module Make (R : Polytm_runtime.Runtime_intf.RUNTIME) : Stm_intf.S = struct
   }
 
   let stats stm =
-    {
-      starts = sum_ctxs stm starts_of - stm.base_starts;
-      commits = sum_ctxs stm commits_of - stm.base_commits;
-      aborts = R.read_counter stm.c_aborts;
-      lock_busy = R.read_counter stm.c_lock_busy;
-      read_invalid = R.read_counter stm.c_read_invalid;
-      window_broken = R.read_counter stm.c_window_broken;
-      snapshot_too_old = R.read_counter stm.c_snapshot_too_old;
-      killed = R.read_counter stm.c_killed;
-      explicit_aborts = R.read_counter stm.c_explicit;
-      cuts = R.read_counter stm.c_cuts;
-      extensions = R.read_counter stm.c_extensions;
-      stale_reads = R.read_counter stm.c_stale_reads;
-      fast_commits = sum_ctxs stm fast_commits_of - stm.base_fast_commits;
-      ro_commits = sum_ctxs stm ro_commits_of - stm.base_ro_commits;
-      serial_commits = R.read_counter stm.c_serial_commits;
-      budget_exhaustions = R.read_counter stm.c_budget_exhaustions;
-      retry_waits = R.read_counter stm.c_retry_waits;
-      parks = R.read_counter stm.c_parks;
-      wakes = R.read_counter stm.c_wakes;
-      wake_timeouts = R.read_counter stm.c_wake_timeouts;
-      multi_commits = R.read_counter stm.c_multi_commits;
-      multi_escalations = R.read_counter stm.c_multi_escalations;
-    }
-
-  let reset_counter c = R.add_counter c (-R.read_counter c)
+    let c = total stm in
+    Count.
+      {
+        starts = c starts;
+        commits = c commits;
+        aborts = c aborts;
+        lock_busy = c lock_busy;
+        read_invalid = c read_invalid;
+        window_broken = c window_broken;
+        snapshot_too_old = c snapshot_too_old;
+        killed = c killed;
+        explicit_aborts = c explicit_aborts;
+        cuts = c cuts;
+        extensions = c extensions;
+        stale_reads = c stale_reads;
+        fast_commits = c fast_commits;
+        ro_commits = c ro_commits;
+        serial_commits = c serial_commits;
+        budget_exhaustions = c budget_exhaustions;
+        retry_waits = c retry_waits;
+        parks = c parks;
+        wakes = c wakes;
+        wake_timeouts = c wake_timeouts;
+        multi_commits = c multi_commits;
+        multi_escalations = c multi_escalations;
+      }
 
   (* The per-thread counts are never written by another thread: a
      reset moves their baseline instead. *)
   let reset_stats stm =
-    stm.base_starts <- sum_ctxs stm starts_of;
-    stm.base_commits <- sum_ctxs stm commits_of;
-    stm.base_ro_commits <- sum_ctxs stm ro_commits_of;
-    stm.base_fast_commits <- sum_ctxs stm fast_commits_of;
-    List.iter reset_counter
-      [
-        stm.c_aborts; stm.c_lock_busy; stm.c_read_invalid;
-        stm.c_window_broken; stm.c_snapshot_too_old; stm.c_killed;
-        stm.c_explicit; stm.c_cuts; stm.c_extensions; stm.c_stale_reads;
-        stm.c_serial_commits; stm.c_budget_exhaustions; stm.c_retry_waits;
-        stm.c_parks; stm.c_wakes; stm.c_wake_timeouts; stm.c_multi_commits;
-        stm.c_multi_escalations;
-      ]
+    for i = 0 to Count.n - 1 do
+      stm.base.(i) <- stm.base.(i) + total stm i
+    done
 
   let pp_stats ppf s =
     Format.fprintf ppf

@@ -8,13 +8,14 @@ type span = { name : string; ts_us : int; dur_us : int }
 module Obuf = Polytm_util.Obuf
 
 (* One thread's arming state for one log: the commands its next write
-   commit appends, and the ticket that append leaves: its record's
-   sequence number, 0 for none.  Only its own thread reads or writes
-   it. *)
+   commit appends, and what that append leaves: its record's sequence
+   number (0 for none), or the exception that kept the record out of
+   the log.  Only its own thread reads or writes it. *)
 type 'c slot = {
   mutable armed : bool;
   mutable cmds : 'c list;
   mutable seq : int;
+  mutable failed : exn option;
 }
 
 (* Spans kept for the trace lane; older ones are overwritten. *)
@@ -40,7 +41,7 @@ type 'c t = {
           activation before serving) *)
   mutable checkpoint_errors : int;  (** checkpoints failed, under [ckpt_mu] *)
   hook_errors : int Atomic.t;
-      (** exceptions swallowed by the commit hook and {!log_new} *)
+      (** records the commit hook or {!log_new} failed to append *)
   sync_errors : int Atomic.t;  (** failed syncs of {!tick} *)
   spans : span option array;  (** overwrite ring of [ring_cap] spans *)
   span_next : int Atomic.t;
@@ -54,7 +55,8 @@ let create ~dir ~policy ~encode ~gen ~replayed ~recover_ms ~tear =
     aof = Aof.open_log (Layout.log_path ~dir gen);
     gen;
     active_gen = gen;
-    slots = Tls.tls (fun () -> { armed = false; cmds = []; seq = 0 });
+    slots =
+      Tls.tls (fun () -> { armed = false; cmds = []; seq = 0; failed = None });
     ckpt_mu = Mutex.create ();
     last_save = 0.0;
     replayed;
@@ -99,9 +101,14 @@ let finish t =
   let s = Tls.tls_get t.slots in
   s.armed <- false;
   s.cmds <- [];
-  s.seq
+  match s.failed with
+  | None -> s.seq
+  | Some e ->
+      s.failed <- None;
+      raise e
 
-(* An encoder that raises leaves no partial record behind
+(* The commit hook may not raise, so a failed append is kept for
+   {!finish}.  An encoder that raises leaves no partial record behind
    ({!Aof.append_with}). *)
 let hook t ~algo ~shard stamp =
   let s = Tls.tls_get t.slots in
@@ -114,15 +121,20 @@ let hook t ~algo ~shard stamp =
     | seq ->
         s.seq <- seq;
         s.cmds <- []
-    | exception _ -> Atomic.incr t.hook_errors
+    | exception e ->
+        Atomic.incr t.hook_errors;
+        s.failed <- Some e
   end
 
 let log_new t ~algo cmds =
-  try
-    ignore
-      (Aof.append_with t.aof ~rtype:Frame.rt_new ~algo:(Frame.algo_code algo)
-         ~shard:0 ~stamp:0 t.encode cmds)
-  with _ -> Atomic.incr t.hook_errors
+  match
+    Aof.append_with t.aof ~rtype:Frame.rt_new ~algo:(Frame.algo_code algo)
+      ~shard:0 ~stamp:0 t.encode cmds
+  with
+  | (_ : int) -> ()
+  | exception e ->
+      Atomic.incr t.hook_errors;
+      raise e
 
 (* Waits long enough to matter show on the trace lane. *)
 let wait_durable t seq =

@@ -39,7 +39,8 @@
     ([Polytm_runtime.Domain_runtime.tls], the one that holds the STM's
     per-thread context): [arm] fills the calling thread's slot, the
     hook empties it and leaves its ticket there (the record's sequence
-    number), [finish] disarms it and returns the ticket.  Per
+    number), [finish] disarms it and returns the ticket, or raises
+    what kept the record out of the log.  Per
     systhread, not per domain, because one domain can run several
     threads that commit (a BGSAVE's checkpoint runs beside its loop
     thread, and tests arm two threads of one domain); per log, because
@@ -86,17 +87,21 @@ val finish : _ t -> int
     sequence number of the record its armed commands were appended as
     (the op mutated and committed), or 0 when nothing was appended.
     Sequence numbers run on one sequence for the log's whole life,
-    across checkpoints.  Allocates nothing. *)
+    across checkpoints.  When the commit's append failed, the slot is
+    disarmed all the same and [finish] raises the append's exception:
+    the mutation committed but its record is not in the log, so it
+    must not be acknowledged.  Allocates nothing unless it raises. *)
 
 val hook : _ t -> algo:int -> shard:int -> int -> unit
 (** The commit hook for instance ([algo] code, [shard]), given the
     commit stamp.  Runs inside the commit critical section: brief,
     never raises (a failure, the encoder's included, counts in
-    [hook_errors] and leaves no partial record), runs no transaction.
-    An armed thread frames its record in place under the writer's
-    append lock and leaves the ticket in its slot; an unarmed one
-    (internal commits: dirty marks, a watch taking its marks) pays
-    one per-thread lookup and takes no lock. *)
+    [hook_errors], leaves no partial record, and is raised by the
+    thread's {!finish}), runs no transaction.  An armed thread frames
+    its record in place under the writer's append lock and leaves the
+    ticket in its slot; an unarmed one (internal commits: dirty marks,
+    a watch taking its marks) pays one per-thread lookup and takes no
+    lock. *)
 
 val log_new : 'c t -> algo:[ `Tl2 | `Norec ] -> 'c list -> unit
 (** Append a structure-creation record; the payload is the [NEW]
@@ -105,7 +110,8 @@ val log_new : 'c t -> algo:[ `Tl2 | `Norec ] -> 'c list -> unit
     CAS publishes the name: a racing session can only reach the
     structure after the CAS, so its op records always follow the NEW
     record, and the CAS loser's duplicate NEW replays as an idempotent
-    ensure. *)
+    ensure.  A failed append counts in [hook_errors] and raises, so
+    the structure is not published. *)
 
 val wait_durable : _ t -> int -> unit
 (** Block until record [seq] is fsynced (group commit: one fsync
@@ -166,7 +172,8 @@ val counters : _ t -> (string * int) list
     bytes of every generation's file, magic included), [fsyncs],
     [synced_seq] (the last record an fsync covers, on the appends'
     sequence), [replayed], [checkpoints] (published),
-    [checkpoint_errors] ({!checkpoint_failed}), [hook_errors],
+    [checkpoint_errors] ({!checkpoint_failed}), [hook_errors]
+    (records the commit hook or {!log_new} failed to append),
     [sync_errors] (failed {!tick} syncs). *)
 
 val info : _ t -> (string * string) list

@@ -48,7 +48,7 @@
     sessions ({!Session.begin_drain}): it answers what already
     arrived, answers a waiting pop [Nil], cancels a watch, flushes
     and closes.  The loop exits when its last session closes, then
-    joins its checkpoint threads. *)
+    joins the checkpoint threads still running. *)
 
 module R = Polytm_runtime.Domain_runtime
 
@@ -68,7 +68,9 @@ type t = {
   exit_on_empty : bool;
       (** [handle] mode: return once the last session closes even if
           [stop] never flips (the server's loops outlive idle gaps) *)
-  mutable helpers : Thread.t list;  (** BGSAVE threads, joined at exit *)
+  mutable helpers : Thread.t list;
+      (** running BGSAVE threads; each is joined when it finishes, and
+          the loop joins those left at exit *)
   mutable conns : conn list;
   load : int Atomic.t;  (** connection count, readable cross-thread *)
   inject : (unit -> unit) Queue.t;
@@ -139,8 +141,21 @@ let run_injections t =
   end
 
 (* A BGSAVE's checkpoint, on a systhread of this loop's domain.  Only
-   the loop thread calls it. *)
-let submit t job = t.helpers <- Thread.create job () :: t.helpers
+   the loop thread calls it.  The thread's last step posts its own
+   join, so a loop holds only the threads that still run, however many
+   BGSAVEs its clients make. *)
+let submit t job =
+  let run () =
+    Fun.protect job ~finally:(fun () ->
+        let id = Thread.id (Thread.self ()) in
+        post t (fun () ->
+            let self, rest =
+              List.partition (fun h -> Thread.id h = id) t.helpers
+            in
+            List.iter Thread.join self;
+            t.helpers <- rest))
+  in
+  t.helpers <- Thread.create run () :: t.helpers
 
 (* [select] refuses an fd at or above [FD_SETSIZE] with EINVAL before
    any syscall; ask it, with no wait. *)

@@ -252,7 +252,9 @@ let ensure ?algo t kind name =
            racing session can only reach the structure (and append op
            records for it) after the CAS, so the NEW record always
            precedes the ops that need it.  A CAS loser's duplicate NEW
-           replays as an idempotent ensure. *)
+           replays as an idempotent ensure.  A NEW record the log
+           could not append raises here, before anything is
+           published. *)
         (match t.persist with
         | Some log ->
             Polytm_persist.Oplog.log_new log ~algo [ Wire.New (kind, name) ]

@@ -95,6 +95,31 @@ let ring_capacity = 1 lsl 14
 
 (* ---- listeners --------------------------------------------------------- *)
 
+(* A Unix socket's path may hold only what a server left behind: a
+   socket nothing accepts on any more, which is replaced.  A socket
+   that accepts belongs to a running server, and anything else is not
+   the server's to delete; both refuse to start. *)
+let claim_socket_path path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | { Unix.st_kind = Unix.S_SOCK; _ } ->
+      let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let live =
+        Fun.protect
+          ~finally:(fun () -> Unix.close probe)
+          (fun () ->
+            Unix.set_nonblock probe;
+            match Unix.connect probe (Unix.ADDR_UNIX path) with
+            | () -> true
+            | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
+              ->
+                false
+            | exception Unix.Unix_error (Unix.EAGAIN, _, _) -> true)
+      in
+      if live then failwith (path ^ " is in use by a running server");
+      (try Unix.unlink path with Unix.Unix_error (Unix.ENOENT, _, _) -> ())
+  | _ -> failwith (path ^ " exists and is not a socket")
+
 (* A non-blocking listening socket: loop 0 serves sessions, so an
    [accept] that finds nothing must return to it, never block. *)
 let open_listener l =
@@ -108,7 +133,7 @@ let open_listener l =
         in
         (fd, Unix.ADDR_INET (addr, port))
     | Unix_sock path ->
-        (try Unix.unlink path with _ -> ());
+        claim_socket_path path;
         (Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0, Unix.ADDR_UNIX path)
   in
   try

@@ -282,7 +282,10 @@ let arm_persist t cmds =
 (* Disarm.  A ticket means the armed commands reached the log (the
    transaction write-committed); under [`Always] the reply may not
    leave before that record is on disk, so keep the ticket for
-   [flush].  Tickets only grow, so the newest covers the others. *)
+   [flush].  Tickets only grow, so the newest covers the others.  A
+   commit whose record the log failed to append raises here
+   ({!Oplog.finish}), before its reply is encoded, so [guard] closes
+   the connection with the write unacknowledged under every policy. *)
 let finish_persist t = function
   | Some log ->
       let seq = Oplog.finish log in
@@ -383,13 +386,18 @@ let touch_committed t (resolved : Registry.resolved list) resp =
 
 (* One request's transaction over resolved commands [rs]: arm the op
    log with [cmds], run [f] through [run_tx], and mark the watchers of
-   what it mutated once it committed. *)
+   what it mutated once it committed.  A commit whose record the log
+   failed to append is marked too before [finish_persist]'s exception
+   goes on: it goes unacknowledged, but every reader sees it. *)
 let exec_tx t ?timed ?wake ~cmds ~site ~sem ~label rs f =
   let armed = arm_persist t cmds in
   match run_tx t ~site ~sem ~label ?timed ?wake f with
   | resp ->
-      finish_persist t armed;
-      touch_committed t rs resp;
+      (match finish_persist t armed with
+      | () -> touch_committed t rs resp
+      | exception e ->
+          touch_committed t rs resp;
+          raise e);
       resp
   | exception e ->
       finish_persist t armed;
@@ -539,9 +547,14 @@ let exec_request t (r : Wire.request) : Wire.response =
         (* A transaction that aborts every attempt: with a finite
            budget [try_atomically] reports Exhausted, with a spent
            deadline Deadline_exceeded — the two error reply paths,
-           exercisable deterministically. *)
+           exercisable deterministically.  What the request leaves out
+           comes from the server's limits, as for any request, and a
+           budget from neither is 2: explicit aborts never serialize,
+           so the instance's default would spin through 10,000. *)
         let stm = Registry.stm_for t.reg (Registry.default_algo t.reg) in
-        let budget = Some (Option.value budget ~default:2) in
+        let budget =
+          if budget = None && t.limits.op_budget = None then Some 2 else budget
+        in
         run_tx t ~site:(Registry.Single stm) ~sem:Polytm.Semantics.Classic
           ~label:(label_of r.cmd Polytm.Semantics.Classic)
           ?budget ?deadline_us

@@ -156,12 +156,13 @@ let commits reg =
     (fun stm -> (S.stats stm).S.commits)
     (Registry.instances reg `Tl2 @ Registry.instances reg `Norec)
 
-(* Run [f client_fd registry persist] against one live session with
-   durability active.  [graceful:false] simulates a crash: the session
-   drains (so every acked reply is out) but [Persist.stop] — the final
-   sync and close — never runs; under [`Always] everything acked is
-   already on disk, which is exactly the durability contract. *)
-let run_session ?(limits = Limits.default) ?(shards = 1) ?(algo = `Tl2)
+(* Run [f client_fd registry persist loop] against one live session
+   with durability active, served by [loop] on a domain of its own.
+   [graceful:false] simulates a crash: the session drains (so every
+   acked reply is out) but [Persist.stop] — the final sync and close —
+   never runs; under [`Always] everything acked is already on disk,
+   which is exactly the durability contract. *)
+let run_loop_session ?(limits = Limits.default) ?(shards = 1) ?(algo = `Tl2)
     ?(graceful = false) ~dir ~policy f =
   let registry = Registry.create ~shards ~default_algo:algo () in
   let recovered =
@@ -175,14 +176,10 @@ let run_session ?(limits = Limits.default) ?(shards = 1) ?(algo = `Tl2)
     | Error m -> Alcotest.failf "activate: %s" m
   in
   let server_fd, client_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let stop = Atomic.make false in
-  let stats = Session.create_stats () in
-  let dom =
-    Domain.spawn (fun () ->
-        Evloop.handle
-          ~stop:(fun () -> Atomic.get stop)
-          ~limits ~registry ~stats server_fd)
-  in
+  let loop = Evloop.create ~exit_on_empty:true ~stop:(fun () -> false) () in
+  Evloop.attach loop ~limits ~registry ~stats:(Session.create_stats ())
+    server_fd;
+  let dom = Domain.spawn (fun () -> Evloop.run loop) in
   let finally () =
     (try Unix.shutdown client_fd Unix.SHUTDOWN_SEND with _ -> ());
     Domain.join dom;
@@ -190,13 +187,17 @@ let run_session ?(limits = Limits.default) ?(shards = 1) ?(algo = `Tl2)
     (try Unix.close server_fd with _ -> ());
     if graceful then Persist.stop p
   in
-  match f client_fd registry p with
+  match f client_fd registry p loop with
   | v ->
       finally ();
       v
   | exception e ->
       finally ();
       raise e
+
+let run_session ?limits ?shards ?algo ?graceful ~dir ~policy f =
+  run_loop_session ?limits ?shards ?algo ?graceful ~dir ~policy
+    (fun fd reg p _ -> f fd reg p)
 
 let recover_fresh ?(shards = 1) ?(algo = `Tl2) ~dir () =
   let reg = Registry.create ~shards ~default_algo:algo () in
@@ -2078,9 +2079,10 @@ let test_checkpoint_bounds_are_its_cut () =
 (* ---- the commit hook's failure and allocation paths ---------------------- *)
 
 (* An encoder that raises midway through a record: the commit still
-   commits, [hook_errors] counts the failure, no byte of the record is
-   left in the log, and the next record is appended and scans clean
-   right after the one before. *)
+   commits, [hook_errors] counts the failure, [finish] raises it (the
+   caller must not acknowledge the write) with the slot disarmed, no
+   byte of the record is left in the log, and the next record is
+   appended and scans clean right after the one before. *)
 let test_raising_encoder () =
   let dir = fresh_dir "raise" in
   Unix.mkdir dir 0o755;
@@ -2104,8 +2106,9 @@ let test_raising_encoder () =
     P.Oplog.finish log
   in
   Alcotest.(check bool) "the first record is appended" true (commit [ "first" ] > 0);
-  Alcotest.(check bool) "a raising encoder appends nothing" false
-    (commit [ "partial record "; "boom" ] > 0);
+  Alcotest.check_raises "finish raises what kept the record out"
+    (Failure "encoder failed") (fun () ->
+      ignore (commit [ "partial record "; "boom" ] : int));
   Alcotest.(check int) "the commit committed" 2 (S.atomically stm (fun tx -> S.read tx tv));
   Alcotest.(check int) "hook_errors counts it" 1
     (List.assoc "hook_errors" (P.Oplog.counters log));
@@ -2123,17 +2126,14 @@ let test_raising_encoder () =
     scan.P.Frame.valid_bytes;
   rm_rf dir
 
-(* A DEL of an absent key commits read-only: the hook never fires, so
-   nothing is encoded and nothing appended.  The log's encoder counts
-   its calls. *)
-let test_absent_del_encodes_nothing () =
-  let dir = fresh_dir "del-absent" in
+(* Sessions of a durable registry whose log encodes with [encode], each
+   on a socketpair served by a loop of its own that closes the server
+   end when the session ends: [f] gets a function that opens one and
+   returns its client end, which reads EOF once its session ended (a
+   missing EOF fails after 10 s instead of hanging). *)
+let with_encoder_sessions ~tag ~encode f =
+  let dir = fresh_dir tag in
   Unix.mkdir dir 0o755;
-  let encoded = Atomic.make 0 in
-  let encode ob cmds =
-    Atomic.incr encoded;
-    Wire.write_cmds ob cmds
-  in
   let registry = Registry.create () in
   let log =
     P.Oplog.create ~dir ~policy:`Always ~encode ~gen:1 ~replayed:0
@@ -2141,29 +2141,122 @@ let test_absent_del_encodes_nothing () =
   in
   Persist.set_hooks registry (Some log);
   registry.Registry.persist <- Some log;
-  let server_fd, fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let dom =
-    Domain.spawn (fun () ->
-        Evloop.handle ~limits:Limits.default ~registry
-          ~stats:(Session.create_stats ()) server_fd)
+  let opened = ref [] in
+  let connect () =
+    let server_fd, fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+    let loop = Evloop.create ~exit_on_empty:true ~stop:(fun () -> false) () in
+    Evloop.attach loop
+      ~on_close:(fun () -> Unix.close server_fd)
+      ~limits:Limits.default ~registry ~stats:(Session.create_stats ())
+      server_fd;
+    opened := (fd, Domain.spawn (fun () -> Evloop.run loop)) :: !opened;
+    fd
   in
-  let appends () = List.assoc "appends" (P.Oplog.counters log) in
-  let step what cmd reply ~encodes =
-    Alcotest.(check string) what (resp_str reply) (resp_str (List.hd (roundtrip fd [ cmd ])));
-    Alcotest.(check (pair int int)) (what ^ ": encoded and appended") (encodes, encodes)
-      (Atomic.get encoded, appends ())
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun (fd, dom) ->
+          (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+          Domain.join dom;
+          Unix.close fd)
+        !opened;
+      Persist.set_hooks registry None;
+      P.Oplog.close log;
+      rm_rf dir)
+    (fun () -> f registry connect)
+
+(* Whether the peer closed [fd] before sending a byte. *)
+let hung_up fd = Unix.read fd (Bytes.create 64) 0 64 = 0
+
+let info_lines fd =
+  match roundtrip fd [ Wire.Info ] with
+  | [ Wire.Bulk info ] -> String.split_on_char '\n' info
+  | r -> Alcotest.failf "INFO: %s" (String.concat " " (List.map resp_str r))
+
+(* A write whose record the log fails to append is never acknowledged,
+   whatever the fsync policy: the PUT commits, but its session closes
+   the connection without the reply, counted in [handler_errors], and
+   INFO's [persist_hook_errors] counts the failed append.  The PUT
+   before it is acked.  The failed PUT is visible all the same, so a
+   watcher of its map is told. *)
+let test_unlogged_write_unacked () =
+  let encode ob cmds =
+    List.iter
+      (function
+        | Wire.Put (_, 2, _) -> failwith "encoder failed"
+        | _ -> ())
+      cmds;
+    Wire.write_cmds ob cmds
   in
-  step "NEW" (Wire.New (Wire.Kmap, "m")) Wire.ok ~encodes:1;
-  step "PUT" (Wire.Put ("m", 1, "a")) (Wire.Int 1) ~encodes:2;
-  step "DEL of an absent key" (Wire.Del ("m", 7)) (Wire.Int 0) ~encodes:2;
-  step "DEL" (Wire.Del ("m", 1)) (Wire.Int 1) ~encodes:3;
-  Unix.shutdown fd Unix.SHUTDOWN_SEND;
-  Domain.join dom;
-  Persist.set_hooks registry None;
-  P.Oplog.close log;
-  Unix.close fd;
-  Unix.close server_fd;
-  rm_rf dir
+  with_encoder_sessions ~tag:"unlogged" ~encode (fun registry connect ->
+      let fd = connect () in
+      Alcotest.(check (list string)) "NEW and the first PUT are acked"
+        [ "+OK"; ":1" ]
+        (List.map resp_str
+           (roundtrip fd [ Wire.New (Wire.Kmap, "m"); Wire.Put ("m", 1, "a") ]));
+      let watcher = connect () in
+      Alcotest.(check (list string)) "WATCH" [ "+OK" ]
+        (List.map resp_str (roundtrip watcher [ Wire.Watch "m" ]));
+      send fd [ Wire.Put ("m", 2, "b") ];
+      Alcotest.(check bool) "the unlogged PUT gets no reply" true (hung_up fd);
+      Alcotest.(check int) "its connection counts in handler_errors" 1
+        (Atomic.get registry.Registry.handler_errors);
+      Alcotest.(check (list string)) "its watcher is told" [ ">m" ]
+        (List.map resp_str (recv_n watcher 1));
+      Alcotest.(check (list string)) "every reader sees it" [ "$b" ]
+        (List.map resp_str (roundtrip (connect ()) [ Wire.Get ("m", 2) ]));
+      let lines = info_lines (connect ()) in
+      Alcotest.(check bool) "INFO: persist_hook_errors:1" true
+        (List.mem "persist_hook_errors:1" lines);
+      Alcotest.(check bool) "INFO: handler_errors:1" true
+        (List.mem "handler_errors:1" lines))
+
+(* A NEW whose record the log fails to append creates nothing: its
+   connection closes without the OK, and a GET on a new connection
+   finds no structure. *)
+let test_unlogged_new_creates_nothing () =
+  let encode ob cmds =
+    List.iter
+      (function Wire.New _ -> failwith "encoder failed" | _ -> ())
+      cmds;
+    Wire.write_cmds ob cmds
+  in
+  with_encoder_sessions ~tag:"unlogged-new" ~encode (fun registry connect ->
+      let fd = connect () in
+      send fd [ Wire.New (Wire.Kmap, "m") ];
+      Alcotest.(check bool) "the NEW gets no OK" true (hung_up fd);
+      (match roundtrip (connect ()) [ Wire.Get ("m", 1) ] with
+      | [ Wire.Error (Wire.No_struct, _) ] -> ()
+      | r ->
+          Alcotest.failf "GET after a failed NEW: %s"
+            (String.concat " " (List.map resp_str r)));
+      Alcotest.(check int) "the append failure is counted" 1
+        (List.assoc "hook_errors"
+           (P.Oplog.counters (Option.get registry.Registry.persist))))
+
+(* A DEL of an absent key commits read-only: the hook never fires, so
+   nothing is encoded and nothing appended.  The log's encoder counts
+   its calls. *)
+let test_absent_del_encodes_nothing () =
+  let encoded = Atomic.make 0 in
+  let encode ob cmds =
+    Atomic.incr encoded;
+    Wire.write_cmds ob cmds
+  in
+  with_encoder_sessions ~tag:"del-absent" ~encode (fun registry connect ->
+      let fd = connect () in
+      let log = Option.get registry.Registry.persist in
+      let appends () = List.assoc "appends" (P.Oplog.counters log) in
+      let step what cmd reply ~encodes =
+        Alcotest.(check string) what (resp_str reply) (resp_str (List.hd (roundtrip fd [ cmd ])));
+        Alcotest.(check (pair int int)) (what ^ ": encoded and appended") (encodes, encodes)
+          (Atomic.get encoded, appends ())
+      in
+      step "NEW" (Wire.New (Wire.Kmap, "m")) Wire.ok ~encodes:1;
+      step "PUT" (Wire.Put ("m", 1, "a")) (Wire.Int 1) ~encodes:2;
+      step "DEL of an absent key" (Wire.Del ("m", 7)) (Wire.Int 0) ~encodes:2;
+      step "DEL" (Wire.Del ("m", 1)) (Wire.Int 1) ~encodes:3)
 
 (* Arm, hook and finish of a logged PUT under [`Everysec], its encoding
    included, allocate nothing: the record is framed straight into the
@@ -2409,6 +2502,10 @@ let suite =
         test_checkpoint_bounds_are_its_cut;
       Alcotest.test_case "an encoder that raises leaves no partial record" `Quick
         test_raising_encoder;
+      Alcotest.test_case "a write whose record is not logged is not acked"
+        `Quick test_unlogged_write_unacked;
+      Alcotest.test_case "a NEW whose record is not logged creates nothing"
+        `Quick test_unlogged_new_creates_nothing;
       Alcotest.test_case "a DEL of an absent key encodes nothing" `Quick
         test_absent_del_encodes_nothing;
       Alcotest.test_case "a logged PUT allocates nothing" `Quick

@@ -367,6 +367,31 @@ let test_deadline_and_budget_replies () =
       Alcotest.(check int) "exhausted counted" 1 stats.Session.exhausted_errors;
       Alcotest.(check int) "deadline counted" 1 stats.Session.deadline_errors)
 
+(* The server-wide limits apply to a request that sets none:
+   [--op-budget 5] exhausts a DEBUG-ABORT without a budget after 5
+   attempts, and [--op-deadline-us 0] passes the deadline of one without
+   a deadline. *)
+let test_server_wide_limits () =
+  let probe = req (Wire.Debug_abort { budget = None; deadline_us = None }) in
+  let run limits =
+    with_session ~limits:{ limits with Limits.debug_ops = true }
+      (fun fd _ _ _ ->
+        write_all fd (encode [ probe ]);
+        recv_n fd 1)
+  in
+  (match run { Limits.default with Limits.op_budget = Some 5 } with
+  | [ Wire.Error (Wire.Exhausted, m) ] ->
+      Alcotest.(check string) "EXHAUSTED after the server's budget"
+        "retry budget spent after 5 attempts" m
+  | got ->
+      Alcotest.failf "--op-budget 5: expected EXHAUSTED, got %s"
+        (String.concat " | " (List.map pp_resp got)));
+  match run { Limits.default with Limits.op_deadline_us = Some 0 } with
+  | [ Wire.Error (Wire.Deadline, _) ] -> ()
+  | got ->
+      Alcotest.failf "--op-deadline-us 0: expected DEADLINE, got %s"
+        (String.concat " | " (List.map pp_resp got))
+
 let test_debug_ops_gated () =
   with_session (fun fd _ _ _ ->
       write_all fd
@@ -1989,6 +2014,100 @@ let test_server_drains_on_stop () =
   Unix.close late;
   Alcotest.(check bool) "the socket path is unlinked" false (Sys.file_exists sock)
 
+(* A BGSAVE's thread is joined when it finishes, not when its loop
+   exits: after 20 BGSAVEs one after another on one connection, each
+   answered OK, the loop soon holds at most one helper thread. *)
+let test_bgsave_threads_joined () =
+  let dir = Test_persist.fresh_dir "bgsave-join" in
+  Test_persist.run_loop_session ~dir ~policy:`Always (fun fd _ _ loop ->
+      write_all fd (encode [ req (Wire.New (Wire.Kmap, "m")) ]);
+      Alcotest.check resps_t "NEW" [ Wire.ok ] (recv_n fd 1);
+      for i = 1 to 20 do
+        write_all fd (encode [ req (Wire.Put ("m", i, "v")); req Wire.Bgsave ]);
+        Alcotest.check resps_t
+          (Printf.sprintf "PUT and BGSAVE %d" i)
+          [ Wire.Int 1; Wire.ok ] (recv_n fd 2)
+      done;
+      Alcotest.(check bool) "the loop holds at most one helper" true
+        (eventually (fun () -> List.length loop.Evloop.helpers <= 1)));
+  Test_persist.rm_rf dir
+
+(* ---- a Unix socket path is replaced only when stale ------------------- *)
+
+let ping fd =
+  write_all fd (encode [ req Wire.Ping ]);
+  recv_n fd 1
+
+(* What [Server.run] raised when it refused to start, if it did. *)
+let refusal sock =
+  match
+    Server.run ~registry:(Registry.create ())
+      (serve_config ~sock ~workers:1 ~max_seconds:0.1)
+  with
+  | _ -> None
+  | exception Failure m -> Some m
+
+(* A regular file at the socket's path is not the server's to delete:
+   the run refuses to start and the file keeps its bytes. *)
+let test_listener_keeps_a_file () =
+  let sock = server_sock "file" in
+  let oc = open_out_bin sock in
+  output_string oc "data";
+  close_out oc;
+  let raised = refusal sock in
+  let kept =
+    if Sys.file_exists sock then Some (Test_persist.read_file sock) else None
+  in
+  Test_persist.rm_rf sock;
+  Alcotest.(check (option bool)) "the run refuses: not a socket" (Some true)
+    (Option.map (fun m -> Test_persist.mentions m "is not a socket") raised);
+  Alcotest.(check (option string)) "the file is intact" (Some "data") kept
+
+(* A socket that accepts belongs to a running server: a second run on
+   its path refuses to start, and the first still answers there. *)
+let test_listener_keeps_a_live_socket () =
+  let sock = server_sock "live" in
+  let first =
+    Domain.spawn (fun () ->
+        ignore
+          (Server.run ~registry:(Registry.create ())
+             (serve_config ~sock ~workers:1 ~max_seconds:1.0)))
+  in
+  Fun.protect
+    ~finally:(fun () -> Domain.join first)
+    (fun () ->
+      let c = connect_when_up sock in
+      Alcotest.check resps_t "the first server answers" [ Wire.pong ] (ping c);
+      Alcotest.(check (option bool)) "a second run refuses: in use" (Some true)
+        (Option.map (fun m -> Test_persist.mentions m "in use") (refusal sock));
+      let c2 = connect_when_up sock in
+      Alcotest.check resps_t "the first server still answers on its path"
+        [ Wire.pong ] (ping c2);
+      List.iter Unix.close [ c; c2 ])
+
+(* A socket nothing accepts on is what a crashed server leaves: it is
+   replaced and served. *)
+let test_listener_replaces_a_stale_socket () =
+  let sock = server_sock "stale" in
+  let s = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind s (Unix.ADDR_UNIX sock);
+  Unix.close s;
+  Alcotest.(check bool) "a stale socket is at the path" true
+    (Sys.file_exists sock);
+  let server =
+    Domain.spawn (fun () ->
+        ignore
+          (Server.run ~registry:(Registry.create ())
+             (serve_config ~sock ~workers:1 ~max_seconds:0.5)))
+  in
+  Fun.protect
+    ~finally:(fun () -> Domain.join server)
+    (fun () ->
+      let c = connect_when_up sock in
+      Alcotest.check resps_t "the new server answers there" [ Wire.pong ]
+        (ping c);
+      Unix.close c)
+
 (* A [Server.run] that cannot start leaves the process as it found it.
    Its Unix socket lies under a missing directory, so the bind fails
    after recovery and activation of a data directory: the run raises,
@@ -2070,9 +2189,6 @@ let fail_log_fsync (reg : Registry.t) =
       Unix.close null;
       (fd, saved)
 
-(* Whether the peer closed [fd] before sending a byte. *)
-let hung_up fd = Unix.read fd (Bytes.create 64) 0 64 = 0
-
 let is_fsync_error = function
   | Some (Unix.Unix_error (Unix.EINVAL, "fsync", _)) -> true
   | _ -> false
@@ -2095,12 +2211,12 @@ let test_failed_fsync_acks_nothing () =
           (recv_n c1 1);
         let fd, saved = fail_log_fsync reg in
         write_all c1 (encode [ req (Wire.Put ("m", 2, "b")) ]);
-        let first = hung_up c1 in
+        let first = Test_persist.hung_up c1 in
         Unix.dup2 saved fd;
         Unix.close saved;
         let c2 = connect_when_up sock in
         write_all c2 (encode [ req (Wire.Put ("m", 3, "c")) ]);
-        let later = hung_up c2 in
+        let later = Test_persist.hung_up c2 in
         let c3 = connect_when_up sock in
         write_all c3 (encode [ req (Wire.Get ("m", 1)) ]);
         let read = recv_n c3 1 in
@@ -2134,7 +2250,7 @@ let test_failed_final_sync_restores () =
         let fd, saved = fail_log_fsync reg in
         Unix.close saved;
         write_all c (encode [ req (Wire.Put ("m", 1, "a")) ]);
-        let acked = not (hung_up c) in
+        let acked = not (Test_persist.hung_up c) in
         Unix.close c;
         (acked, fd))
   in
@@ -2185,6 +2301,8 @@ let suite =
         test_busy_under_shrunk_inflight_limit;
       Alcotest.test_case "deadline and budget typed replies" `Quick
         test_deadline_and_budget_replies;
+      Alcotest.test_case "server-wide budget and deadline" `Quick
+        test_server_wide_limits;
       Alcotest.test_case "DEBUG-ABORT gated by default" `Quick
         test_debug_ops_gated;
       Alcotest.test_case "shutdown drains and releases locks" `Quick
@@ -2223,6 +2341,14 @@ let suite =
         `Quick test_server_runs_on_callers_domain;
       Alcotest.test_case "Server.run drains on stop" `Quick
         test_server_drains_on_stop;
+      Alcotest.test_case "a BGSAVE's thread is joined when it finishes" `Quick
+        test_bgsave_threads_joined;
+      Alcotest.test_case "a listener keeps a file at its path" `Quick
+        test_listener_keeps_a_file;
+      Alcotest.test_case "a listener keeps a live socket at its path" `Quick
+        test_listener_keeps_a_live_socket;
+      Alcotest.test_case "a listener replaces a stale socket" `Quick
+        test_listener_replaces_a_stale_socket;
       Alcotest.test_case "a Server.run that cannot start changes nothing"
         `Quick test_failed_start_changes_nothing;
       Alcotest.test_case "a Server.run whose final sync fails changes nothing"

@@ -191,6 +191,121 @@ let test_irrevocable_under_domains () =
   Alcotest.(check int) "all updates applied" 1300
     (S.atomically stm (fun tx -> S.read tx v))
 
+(* Every statistic is a count of the thread that made it, summed when
+   read: after [Domain.join] the sums are exact.  Each domain commits
+   on a tvar of its own (no conflict can abort it) and aborts
+   explicitly through [S.abort], with a budget of one attempt. *)
+let test_stats_exact_after_join () =
+  let stm = S.create () in
+  let commits = 300 and aborts = 200 in
+  D.parallel
+    (List.init 2 (fun _ () ->
+         let v = S.tvar stm 0 in
+         for _ = 1 to commits do
+           S.atomically stm (fun tx -> S.write tx v (S.read tx v + 1))
+         done;
+         for _ = 1 to aborts do
+           match S.try_atomically ~budget:1 stm S.abort with
+           | S.Exhausted _ -> ()
+           | _ -> Alcotest.fail "an explicit abort did not exhaust its budget"
+         done));
+  let st = S.stats stm in
+  Alcotest.(check (list (pair string int)))
+    "the counts of both domains, exactly"
+    [
+      ("starts", 2 * (commits + aborts));
+      ("commits", 2 * commits);
+      ("aborts", 2 * aborts);
+      ("explicit_aborts", 2 * aborts);
+      ("budget_exhaustions", 2 * aborts);
+    ]
+    [
+      ("starts", st.S.starts);
+      ("commits", st.S.commits);
+      ("aborts", st.S.aborts);
+      ("explicit_aborts", st.S.explicit_aborts);
+      ("budget_exhaustions", st.S.budget_exhaustions);
+    ]
+
+(* Every field of [S.stats], by name. *)
+let stats_fields (st : S.stats) =
+  [
+    ("starts", st.S.starts); ("commits", st.S.commits);
+    ("aborts", st.S.aborts); ("lock_busy", st.S.lock_busy);
+    ("read_invalid", st.S.read_invalid);
+    ("window_broken", st.S.window_broken);
+    ("snapshot_too_old", st.S.snapshot_too_old); ("killed", st.S.killed);
+    ("explicit_aborts", st.S.explicit_aborts); ("cuts", st.S.cuts);
+    ("extensions", st.S.extensions); ("stale_reads", st.S.stale_reads);
+    ("fast_commits", st.S.fast_commits); ("ro_commits", st.S.ro_commits);
+    ("serial_commits", st.S.serial_commits);
+    ("budget_exhaustions", st.S.budget_exhaustions);
+    ("retry_waits", st.S.retry_waits); ("parks", st.S.parks);
+    ("wakes", st.S.wakes); ("wake_timeouts", st.S.wake_timeouts);
+    ("multi_commits", st.S.multi_commits);
+    ("multi_escalations", st.S.multi_escalations);
+  ]
+
+(* [reset_stats] zeroes every field, and with them the abort rate the
+   adaptive contention manager reads.  The rate shows in whether a
+   conflict's first abort serializes: with [serialize_after = 2] it
+   does only on a hot instance (aborts at least half the starts),
+   where the threshold halves to 1.  The conflict: a transaction reads
+   [v], a writer on another domain commits [v], and the reader's write
+   commit then fails validation.  Before the reset the instance is hot
+   (explicit aborts, then the conflict): the conflict serializes.
+   After it, three commits and the same conflict read 20%: the reader
+   backs off and commits optimistically. *)
+let test_reset_zeroes_every_count () =
+  let cm =
+    Contention.Adaptive
+      { base = 1; cap = 1; greedy_after = 1; serialize_after = 2;
+        hot_abort_pct = 50 }
+  in
+  let stm = S.create ~cm () in
+  let other = S.create () in
+  let v = S.tvar stm 0 and w = S.tvar stm 0 and x = S.tvar other 0 in
+  let conflict () =
+    let first = ref true in
+    S.atomically stm (fun tx ->
+        ignore (S.read tx v);
+        if !first then begin
+          first := false;
+          D.parallel [ (fun () -> S.atomically stm (fun tx -> S.write tx v 1)) ]
+        end;
+        S.write tx w 1)
+  in
+  for _ = 1 to 4 do
+    try S.atomically stm (fun _ -> raise Exit) with Exit -> ()
+  done;
+  conflict ();
+  ignore (S.atomically ~sem:Semantics.Snapshot stm (fun tx -> S.read tx v));
+  ignore (S.try_atomically ~budget:1 stm S.abort);
+  ignore
+    (S.try_atomically ~deadline:(D.now () + 1_000_000) stm (fun tx ->
+         if S.read tx w = 1 then S.retry tx));
+  S.atomically_multi [ stm; other ] (fun () ->
+      S.atomically stm (fun tx -> S.write tx w 2);
+      S.atomically other (fun tx -> S.write tx x 1));
+  let before = stats_fields (S.stats stm) in
+  Alcotest.(check int) "the hot instance serialized the conflict" 1
+    (List.assoc "serial_commits" before);
+  Alcotest.(check bool) "most counts are non-zero before the reset" true
+    (List.length (List.filter (fun (_, n) -> n > 0) before) >= 12);
+  S.reset_stats stm;
+  Alcotest.(check (list (pair string int)))
+    "every count reads 0 after the reset"
+    (List.map (fun (k, _) -> (k, 0)) before)
+    (stats_fields (S.stats stm));
+  for _ = 1 to 3 do
+    S.atomically stm (fun tx -> S.write tx w (S.read tx w + 1))
+  done;
+  conflict ();
+  let st = S.stats stm in
+  Alcotest.(check (pair int int))
+    "after the reset the conflict aborts once and commits optimistically"
+    (1, 0) (st.S.read_invalid, st.S.serial_commits)
+
 let suite =
   ( "stm-domains",
     [
@@ -209,4 +324,8 @@ let suite =
         (conformance_under_domains "stm-queue");
       Alcotest.test_case "stack conformance" `Quick
         (conformance_under_domains "stm-stack");
+      Alcotest.test_case "statistics are exact after join" `Quick
+        test_stats_exact_after_join;
+      Alcotest.test_case "reset_stats zeroes every count" `Quick
+        test_reset_zeroes_every_count;
     ] )
