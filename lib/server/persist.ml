@@ -175,7 +175,23 @@ let refuse fmt = Printf.ksprintf (fun m -> raise (Refuse m)) fmt
    the cap and at the end of each file. *)
 let batch_cap = 256
 
-module Keys = Hashtbl.Make (Int)
+(* The fold's key hash, in OCaml: [Hashtbl.hash] is a C call on every
+   fold insert.  Murmur3's 64-bit finaliser, its constants cut to fit
+   a 63-bit int, carries every key bit into the low bits the table
+   masks with.  [Flat_table.hash] does not: clients choose map keys,
+   negative ones included, and keys that differ only in high bits
+   would share a bucket under it. *)
+let key_hash k =
+  let h = (k lxor (k lsr 33)) * 0x3f51afd7ed558ccd in
+  let h = (h lxor (h lsr 33)) * 0x04ceb9fe1a85ec53 in
+  h lxor (h lsr 33)
+
+module Keys = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = key_hash
+end)
 
 (* A map's or set's point mutations in the log tail, folded by key
    (see [fold_op]): each key's last state, a map key's value, [present]

@@ -118,34 +118,25 @@ module Obuf = Polytm_util.Obuf
 
 (* ---- encoding ---------------------------------------------------------- *)
 
-(* Every frame is sized first, reserved once, and written with
-   unchecked stores: no per-byte capacity check, no field list, no
-   [string_of_int] string.  The [put_*] writers below write inside such
-   a reservation only: a byte, a string, or an int below 100 (most of a
-   frame's lengths) is stored here, where it inlines, and any other
-   int by the writer.  [width] is the decimal width of an int, sign
-   included. *)
+(* Every frame is sized first, reserved once, and written with the
+   writer's unchecked stores: no per-byte capacity check, no field
+   list, no [string_of_int] string.  The [put_*] writers below write
+   inside such a reservation only; an int below 100 (most of a frame's
+   lengths) is written as its one or two digits, any other by the
+   writer's [unsafe_add_int].  [width] is the decimal width of an int,
+   sign included. *)
 
 let width n =
   if n >= 0 && n < 100 then if n < 10 then 1 else 2 else Obuf.int_width n
 
-let put_char (ob : Obuf.t) c =
-  Bytes.unsafe_set ob.buf ob.len c;
-  ob.len <- ob.len + 1
-
 let put_int ob n =
   if n >= 0 && n < 100 then
-    if n < 10 then put_char ob (Char.unsafe_chr (n + 48))
+    if n < 10 then Obuf.unsafe_add_char ob (Char.unsafe_chr (n + 48))
     else begin
-      put_char ob (Char.unsafe_chr ((n / 10) + 48));
-      put_char ob (Char.unsafe_chr ((n mod 10) + 48))
+      Obuf.unsafe_add_char ob (Char.unsafe_chr ((n / 10) + 48));
+      Obuf.unsafe_add_char ob (Char.unsafe_chr ((n mod 10) + 48))
     end
   else Obuf.unsafe_add_int ob n
-
-let put_string (ob : Obuf.t) s =
-  let n = String.length s in
-  Bytes.unsafe_blit_string s 0 ob.buf ob.len n;
-  ob.len <- ob.len + n
 
 let frame_len body = 1 + width body + 1 + body
 
@@ -164,19 +155,19 @@ let opt_int_bulk_len = function None -> bulk_len "_" | Some n -> int_bulk_len n
 
 (* [#n\n], [*n\n] and [:n\n]. *)
 let put_line ob c n =
-  put_char ob c;
+  Obuf.unsafe_add_char ob c;
   put_int ob n;
-  put_char ob '\n'
+  Obuf.unsafe_add_char ob '\n'
 
 let put_bulk ob s =
   put_line ob '$' (String.length s);
-  put_string ob s;
-  put_char ob '\n'
+  Obuf.unsafe_add_string ob s;
+  Obuf.unsafe_add_char ob '\n'
 
 let put_int_bulk ob n =
   put_line ob '$' (width n);
   put_int ob n;
-  put_char ob '\n'
+  Obuf.unsafe_add_char ob '\n'
 
 let put_opt_int_bulk ob = function
   | None -> put_bulk ob "_"
@@ -292,20 +283,20 @@ let rec body_len = function
 
 let rec put_body ob = function
   | Simple s ->
-      put_char ob '+';
-      put_string ob s;
-      put_char ob '\n'
+      Obuf.unsafe_add_char ob '+';
+      Obuf.unsafe_add_string ob s;
+      Obuf.unsafe_add_char ob '\n'
   | Int n -> put_line ob ':' n
   | Bulk s -> put_bulk ob s
   | Nil ->
-      put_char ob '_';
-      put_char ob '\n'
+      Obuf.unsafe_add_char ob '_';
+      Obuf.unsafe_add_char ob '\n'
   | Error (c, m) ->
-      put_char ob '-';
-      put_string ob (err_code_to_string c);
-      put_char ob ' ';
-      put_string ob m;
-      put_char ob '\n'
+      Obuf.unsafe_add_char ob '-';
+      Obuf.unsafe_add_string ob (err_code_to_string c);
+      Obuf.unsafe_add_char ob ' ';
+      Obuf.unsafe_add_string ob m;
+      Obuf.unsafe_add_char ob '\n'
   | Array l ->
       put_line ob '*' (List.length l);
       let rec go = function
@@ -316,9 +307,9 @@ let rec put_body ob = function
       in
       go l
   | Push s ->
-      put_char ob '>';
-      put_string ob s;
-      put_char ob '\n'
+      Obuf.unsafe_add_char ob '>';
+      Obuf.unsafe_add_string ob s;
+      Obuf.unsafe_add_char ob '\n'
 
 let write_response_obuf ob r =
   let body = body_len r in

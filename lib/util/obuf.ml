@@ -70,3 +70,12 @@ let unsafe_add_int t n =
     v := !v / 10
   done;
   t.len <- base + w
+
+let[@inline] unsafe_add_char t c =
+  Bytes.unsafe_set t.buf t.len c;
+  t.len <- t.len + 1
+
+let[@inline] unsafe_add_string t s =
+  let n = String.length s in
+  Bytes.unsafe_blit_string s 0 t.buf t.len n;
+  t.len <- t.len + n

@@ -15,12 +15,12 @@
 
 type t = { mutable buf : Bytes.t; mutable start : int; mutable len : int }
 (** [buf] holds the pending bytes from [start] to [len] ([0 <= start <=
-    len <= Bytes.length buf]).  The fields are visible so that an
-    encoder in another module can store a byte or a string inside a
-    reservation without a call per store (the server is built without
-    cross-module inlining); such an encoder writes at [len] and moves
-    [len] past what it wrote, and nothing else.  Only this module
-    replaces [buf] or moves [start]. *)
+    len <= Bytes.length buf]).  The fields are visible for the op log's
+    framing ([Frame.add]), which reserves a record's length and CRC
+    slots at [len], writes the body after them and patches the slots
+    in place once the body's length and CRC are known; such a caller
+    writes at [len] and moves [len] past what it wrote, and nothing
+    else.  Only this module replaces [buf] or moves [start]. *)
 
 val create : ?initial:int -> unit -> t
 val clear : t -> unit
@@ -69,3 +69,9 @@ val unsafe_add_int : t -> int -> unit
 (** The decimal form of an int, {!int_width} bytes, inside a
     reservation, with no [string_of_int] string ([min_int]
     included). *)
+
+val unsafe_add_char : t -> char -> unit
+(** One byte inside a reservation. *)
+
+val unsafe_add_string : t -> string -> unit
+(** A string's bytes inside a reservation. *)

@@ -1230,9 +1230,16 @@ let op_record stamp cmds =
 let new_record ?(algo = 0) cmd =
   { hdr = { P.Frame.rtype = P.Frame.rt_new; algo; shard = 0; stamp = 0 }; payload = frames [ cmd ] }
 
+(* Keys a client may choose beyond 0-7: negative keys, and keys that
+   differ only above bit 40, which the fold's table must keep apart. *)
+let wide_keys =
+  [ 0; 5; -1; -2; -7919; -(1 lsl 41); lnot (1 lsl 41); -(1 lsl 60); 1 lsl 41;
+    (1 lsl 41) + 1; 3 lsl 41; 1 lsl 60 ]
+
 (* A random log over a map, a set and a queue, each created on a random
-   algorithm: records of 1-3 frames over 8 keys, so each key is
-   rewritten many times and some DELs and REMOVEs find nothing.  The
+   algorithm: records of 1-3 frames over 8 keys (0-7 in half the cases,
+   8 of [wide_keys] in the others), so each key is rewritten many times
+   and some DELs and REMOVEs find nothing.  The
    checkpoint holds the three structures with random contents, so the
    log's removals have keys to remove.  Half the time the log is split
    over generation 1's log and generation 2's (a checkpoint interrupted
@@ -1244,22 +1251,32 @@ let prop_fold_recovers_model =
   QCheck.Test.make ~count:200 ~name:"a log tail folded by key recovers the model's store"
     QCheck.(
       make
-        ~print:(fun ((algos, init), ops, split, at, cut) ->
-          Printf.sprintf "algos %s, %d checkpointed, %d records, split %b at %.3f, cut at %.3f"
+        ~print:(fun ((algos, keys, init), ops, split, at, cut) ->
+          Printf.sprintf
+            "algos %s, keys %s, %d checkpointed, %d records, split %b at %.3f, cut at %.3f"
             (String.concat "," (List.map string_of_int algos))
+            (String.concat "," (List.map string_of_int (Array.to_list keys)))
             (List.length init) (List.length ops) split at cut)
         Gen.(
           let* algos = list_repeat 3 (int_range 0 1) in
-          let* init = list_size (int_range 0 12) (pair (int_range 0 2) (int_range 0 7)) in
+          let* keys =
+            oneof
+              [
+                return (Array.init 8 Fun.id);
+                map (fun l -> Array.of_list (List.filteri (fun i _ -> i < 8) l))
+                  (shuffle_l wide_keys);
+              ]
+          in
+          let key = map (Array.get keys) (int_range 0 7) in
+          let* init = list_size (int_range 0 12) (pair (int_range 0 2) key) in
           let* ops =
-            list_size (int_range 0 60)
-              (list_size (int_range 1 3) (pair (int_range 0 5) (int_range 0 7)))
+            list_size (int_range 0 60) (list_size (int_range 1 3) (pair (int_range 0 5) key))
           in
           let* split = bool in
           let* at = float_range 0. 1. in
           let+ cut = float_range 0. 1. in
-          ((algos, init), ops, split, at, cut)))
-    (fun ((algos, init), ops, split, at, cutf) ->
+          ((algos, keys, init), ops, split, at, cut)))
+    (fun ((algos, _, init), ops, split, at, cutf) ->
       let news =
         List.map2
           (fun algo cmd -> new_record ~algo cmd)
@@ -1351,6 +1368,26 @@ let test_fold_commits_once () =
       Alcotest.(check string) "the last PUT of each key" "m{0=v9996;1=v9997;2=v9998;3=v9999}"
         (dump reg))
     [ 1; 4 ]
+
+(* The fold's key hash spreads keys a client may choose: 4,096 keys
+   that differ only above bit 40, and 4,096 negative ones that do too,
+   each fill at least half of 4,096 buckets (a table masks the hash
+   with its size less one).  The identity, or [Flat_table]'s hash,
+   puts each set in one bucket. *)
+let test_fold_hash_spreads () =
+  let buckets keys =
+    let seen = Array.make 4096 false in
+    List.iter (fun k -> seen.(Persist.key_hash k land 4095) <- true) keys;
+    Array.fold_left (fun n b -> if b then n + 1 else n) 0 seen
+  in
+  List.iter
+    (fun (what, keys) ->
+      let n = buckets keys in
+      if n < 2048 then Alcotest.failf "%s: 4,096 keys in %d of 4,096 buckets" what n)
+    [
+      ("keys above bit 40", List.init 4096 (fun i -> (i + 1) lsl 41));
+      ("negative keys", List.init 4096 (fun i -> lnot (i lsl 41)));
+    ]
 
 (* ---- a bad checkpoint refuses and applies nothing ----------------------- *)
 
@@ -2469,6 +2506,8 @@ let suite =
       prop prop_fold_recovers_model;
       Alcotest.test_case "a replayed log applies each map key once" `Quick
         test_fold_commits_once;
+      Alcotest.test_case "the fold's key hash spreads high and negative keys" `Quick
+        test_fold_hash_spreads;
       Alcotest.test_case "a bad checkpoint refuses and applies nothing" `Quick
         test_bad_checkpoint_applies_nothing;
       Alcotest.test_case "a lost or torn MANIFEST refuses and removes nothing"
